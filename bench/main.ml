@@ -368,77 +368,77 @@ let json_perf ~quick ~filter file =
       Printf.printf "  %-10s %-4s %-3s %12.0f cycles  %+6.2f%% over native\n%!"
         s.ov_workload s.ov_uarch s.ov_opt s.ov_cycles s.ov_pct)
     ov;
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"lfi-bench/v5\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"quick\": %b,\n" quick);
-  Buffer.add_string buf "  \"emulator\": [\n";
-  List.iteri
-    (fun i s ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"workload\": %S, \"uarch\": %S, \"system\": %S, \"insns\": \
-            %d, \"sim_cycles\": %.1f, \"wall_s\": %.6f, \"insns_per_sec\": \
-            %.0f,\n\
-           \     \"telemetry\": {\"decode_cache_hit_rate\": %.6f, \
-            \"translation_cache_hit_rate\": %.6f, \"tlb_hit_rate\": %.6f, \
-            \"guard_fraction\": %.6f, \"insns_per_sec_metrics\": %.0f, \
-            \"guard_clamps\": %d, \"block_cache_hit_rate\": %.6f, \
-            \"avg_block_len\": %.2f, \"deopt_count\": %d}}%s\n"
-           s.workload s.uarch s.system s.insns s.sim_cycles s.wall_s
-           s.insns_per_sec s.decode_hit_rate s.tc_hit_rate s.tlb_hit_rate
-           s.guard_fraction s.insns_per_sec_metrics s.guard_clamps
-           s.block_cache_hit_rate s.avg_block_len s.deopt_count
-           (if i = List.length emu - 1 then "" else ",")))
-    emu;
-  Buffer.add_string buf "  ],\n";
+  let open Lfi_telemetry.Json in
+  let f v d = Float (v, d) in
+  let emulator s =
+    Obj
+      [
+        ("workload", Str s.workload); ("uarch", Str s.uarch);
+        ("system", Str s.system);
+        ("insns", Int s.insns); ("sim_cycles", f s.sim_cycles 1);
+        ("wall_s", f s.wall_s 6); ("insns_per_sec", f s.insns_per_sec 0);
+        ( "telemetry",
+          Obj
+            [
+              ("decode_cache_hit_rate", f s.decode_hit_rate 6);
+              ("translation_cache_hit_rate", f s.tc_hit_rate 6);
+              ("tlb_hit_rate", f s.tlb_hit_rate 6);
+              ("guard_fraction", f s.guard_fraction 6);
+              ("insns_per_sec_metrics", f s.insns_per_sec_metrics 0);
+              ("guard_clamps", Int s.guard_clamps);
+              ("block_cache_hit_rate", f s.block_cache_hit_rate 6);
+              ("avg_block_len", f s.avg_block_len 2);
+              ("deopt_count", Int s.deopt_count);
+            ] );
+      ]
+  in
   (* percent-over-native per (workload, uarch, opt): simulated cycles,
      so the section is deterministic and diffs cleanly in CI.  The O2
      rows carry the per-category tax breakdown from the per-site
-     profiler.  (The old-schema --compare scanner skips these chunks:
-     they carry no insns_per_sec.) *)
-  Buffer.add_string buf "  \"overhead\": [\n";
-  List.iteri
-    (fun i s ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"workload\": %S, \"uarch\": %S, \"opt\": %S, \
-            \"native_cycles\": %.1f, \"cycles\": %.1f, \"overhead_pct\": \
-            %.2f"
-           s.ov_workload s.ov_uarch s.ov_opt s.ov_native s.ov_cycles s.ov_pct);
-      if s.ov_categories <> [] then begin
-        Buffer.add_string buf ",\n     \"categories\": {";
-        List.iteri
-          (fun j (name, tax) ->
-            Buffer.add_string buf
-              (Printf.sprintf "%s%S: %.1f"
-                 (if j > 0 then ", " else "")
-                 name tax))
-          s.ov_categories;
-        Buffer.add_string buf "}"
-      end;
-      Buffer.add_string buf
-        (Printf.sprintf "}%s\n" (if i = List.length ov - 1 then "" else ",")))
-    ov;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"rewriter\": {\"input\": \"mcf\", \"wall_s\": %.6f, \"guards\": \
-        %d, \"hoists\": %d, \"sp_guards_elided\": %d, \"branches_relaxed\": \
-        %d},\n"
-       rewrite_s rstats.Lfi_core.Rewriter.guards
-       rstats.Lfi_core.Rewriter.hoists
-       rstats.Lfi_core.Rewriter.sp_guards_elided
-       rstats.Lfi_core.Rewriter.branches_relaxed);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"verifier\": {\"input\": \"mcf\", \"wall_s\": %.6f, \
-        \"text_bytes\": %d, \"mb_per_sec\": %.1f}\n"
-       verify_s (Bytes.length code)
-       (float_of_int (Bytes.length code) /. verify_s /. 1e6));
-  Buffer.add_string buf "}\n";
+     profiler. *)
+  let overhead s =
+    Obj
+      ([
+         ("workload", Str s.ov_workload); ("uarch", Str s.ov_uarch);
+         ("opt", Str s.ov_opt);
+         ("native_cycles", f s.ov_native 1); ("cycles", f s.ov_cycles 1);
+         ("overhead_pct", f s.ov_pct 2);
+       ]
+      @
+      if s.ov_categories = [] then []
+      else
+        let tax (name, cycles) = (name, f cycles 1) in
+        [ ("categories", Obj (List.map tax s.ov_categories)) ])
+  in
+  let json =
+    Obj
+      [
+        ("schema", Str "lfi-bench/v5"); ("quick", Bool quick);
+        ("emulator", Arr (List.map emulator emu));
+        ("overhead", Arr (List.map overhead ov));
+        ( "rewriter",
+          Obj
+            [
+              ("input", Str "mcf"); ("wall_s", f rewrite_s 6);
+              ("guards", Int rstats.Lfi_core.Rewriter.guards);
+              ("hoists", Int rstats.Lfi_core.Rewriter.hoists);
+              ( "sp_guards_elided",
+                Int rstats.Lfi_core.Rewriter.sp_guards_elided );
+              ( "branches_relaxed",
+                Int rstats.Lfi_core.Rewriter.branches_relaxed );
+            ] );
+        ( "verifier",
+          Obj
+            [
+              ("input", Str "mcf"); ("wall_s", f verify_s 6);
+              ("text_bytes", Int (Bytes.length code));
+              ( "mb_per_sec",
+                f (float_of_int (Bytes.length code) /. verify_s /. 1e6) 1 );
+            ] );
+      ]
+  in
   let oc = open_out file in
-  Buffer.output_buffer oc buf;
+  output_string oc (to_pretty json);
   close_out oc;
   Printf.printf "wrote %s\n%!" file
 
@@ -446,110 +446,78 @@ let json_perf ~quick ~filter file =
 (* Regression gate (--compare FILE)                                    *)
 (*                                                                     *)
 (* Re-measures the emulator samples and compares throughput against a  *)
-(* baseline JSON written by --json (any schema version: only the       *)
-(* per-sample insns_per_sec is read).  Exits nonzero if any matching   *)
-(* (workload, uarch, system) sample regressed by more than 10%, so CI  *)
-(* can gate on it.                                                     *)
+(* baseline JSON written by --json; re-derives the SFI overhead rows;  *)
+(* replays the committed serve runs against BENCH_serve.json.  Exits   *)
+(* 1 if any gated number regressed by more than 10%, so CI can gate on *)
+(* it, and 2 if a baseline is missing, unparsable or lacks a field the *)
+(* gate reads.                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let regression_threshold = 0.10
 
-(* Minimal field extraction from our own JSON: each emulator sample is
-   a chunk starting at {"workload"; fields are scanned inside the
-   chunk, so no general JSON parser is needed. *)
-let find_sub (hay : string) (needle : string) (from : int) : int option =
-  let n = String.length needle and h = String.length hay in
-  let rec go i =
-    if i + n > h then None
-    else if String.sub hay i n = needle then Some i
-    else go (i + 1)
-  in
-  go from
+(* Read and decode a baseline before anything is measured; any failure
+   exits 2 naming the file and the missing or malformed key. *)
+let read_baseline file (decode : Lfi_telemetry.Json.t -> 'a) : 'a =
+  let module J = Lfi_telemetry.Json in
+  try
+    let ic = open_in_bin file in
+    let content =
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () -> really_input_string ic (in_channel_length ic))
+    in
+    decode (J.parse content)
+  with
+  | Sys_error msg (* already names the file *) ->
+      prerr_endline msg;
+      exit 2
+  | J.Parse_error msg ->
+      Printf.eprintf "%s: %s\n" file msg;
+      exit 2
 
-let str_field chunk name =
-  let key = Printf.sprintf "\"%s\": \"" name in
-  match find_sub chunk key 0 with
-  | None -> None
-  | Some i ->
-      let start = i + String.length key in
-      let stop = String.index_from chunk start '"' in
-      Some (String.sub chunk start (stop - start))
+(* a gated number: present and not null *)
+let num key row =
+  let module J = Lfi_telemetry.Json in
+  match J.member key row with
+  | J.Null -> raise (J.Parse_error (Printf.sprintf "member %S is null" key))
+  | v -> J.to_float v
 
-let num_field chunk name =
-  let key = Printf.sprintf "\"%s\": " name in
-  match find_sub chunk key 0 with
-  | None -> None
-  | Some i ->
-      let start = i + String.length key in
-      let stop = ref start in
-      while
-        !stop < String.length chunk
-        && (match chunk.[!stop] with
-           | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-           | _ -> false)
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.sub chunk start (!stop - start))
+let str key row = Lfi_telemetry.Json.(to_string (member key row))
 
-(* every sample object in our JSON starts with the workload key *)
-let sample_chunks (content : string) : string list =
-  let marker = "{\"workload\":" in
-  let rec chunks acc pos =
-    match find_sub content marker pos with
-    | None -> List.rev acc
-    | Some i ->
-        let stop =
-          match find_sub content marker (i + 1) with
-          | None -> String.length content
-          | Some j -> j
-        in
-        chunks (String.sub content i (stop - i) :: acc) stop
-  in
-  chunks [] 0
+(* (workload, uarch, system|opt, value) rows of one baseline section *)
+let baseline_rows ~section ~variant ~value j =
+  List.map
+    (fun r -> (str "workload" r, str "uarch" r, str variant r, num value r))
+    Lfi_telemetry.Json.(to_list (member section j))
 
-let baseline_samples (content : string) : (string * string * string * float) list =
-  List.filter_map
-    (fun chunk ->
-      match
-        ( str_field chunk "workload",
-          str_field chunk "uarch",
-          str_field chunk "system",
-          num_field chunk "insns_per_sec" )
-      with
-      | Some w, Some u, Some s, Some ips -> Some (w, u, s, ips)
-      | _ -> None)
-    (sample_chunks content)
-
-(* the v5 overhead section: keyed on [opt] instead of [system], and on
-   the deterministic [overhead_pct] instead of wall-clock throughput *)
-let baseline_overhead (content : string) : (string * string * string * float) list =
-  List.filter_map
-    (fun chunk ->
-      match
-        ( str_field chunk "workload",
-          str_field chunk "uarch",
-          str_field chunk "opt",
-          num_field chunk "overhead_pct" )
-      with
-      | Some w, Some u, Some o, Some pct -> Some (w, u, o, pct)
-      | _ -> None)
-    (sample_chunks content)
+(* every measured sample must have its keyed baseline row *)
+let require_row file section rows (w, u, v) =
+  if not (List.exists (fun (w', u', v', _) -> (w', u', v') = (w, u, v)) rows)
+  then begin
+    Printf.eprintf "%s: no %s row for (%s, %s, %s)\n" file section w u v;
+    exit 2
+  end
 
 let compare_baseline ~quick ~filter file =
-  let content =
-    let ic = open_in_bin file in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
+  let baseline, ov_baseline =
+    read_baseline file (fun j ->
+        ( baseline_rows ~section:"emulator" ~variant:"system"
+            ~value:"insns_per_sec" j,
+          baseline_rows ~section:"overhead" ~variant:"opt" ~value:"overhead_pct"
+            j ))
   in
-  let baseline = baseline_samples content in
-  let baseline =
+  let serve_file = "BENCH_serve.json" in
+  let serve_p99, closed_p999 =
+    read_baseline serve_file (fun j ->
+        ( num "call_p99" j,
+          num "p999" (Lfi_telemetry.Json.member "closed_loop" j) ))
+  in
+  let keep rows =
     match filter with
-    | [] -> baseline
-    | names -> List.filter (fun (w, _, _, _) -> List.mem w names) baseline
+    | [] -> rows
+    | names -> List.filter (fun (w, _, _, _) -> List.mem w names) rows
   in
+  let baseline = keep baseline and ov_baseline = keep ov_baseline in
   if baseline = [] then begin
     Printf.eprintf "%s: no emulator samples found%s\n" file
       (if filter = [] then "" else " matching --filter");
@@ -565,6 +533,10 @@ let compare_baseline ~quick ~filter file =
   Printf.printf "comparing against %s on %s (%d reps)...\n%!" file
     (String.concat ", " workloads) reps;
   let current = emulator_samples ~reps workloads in
+  List.iter
+    (fun s ->
+      require_row file "emulator" baseline (s.workload, s.uarch, s.system))
+    current;
   (* one retry for samples that come in below threshold: best-of wall
      clock is monotone in reps, so a second measurement can only
      recover a slow scheduling window, never hide a real regression
@@ -628,130 +600,63 @@ let compare_baseline ~quick ~filter file =
   (* overhead gate (schema v5): percent-over-native is a pure function
      of the rewriter and the cost model — no wall-clock noise, nothing
      to retry — so fail on a >10% relative regression outright *)
-  let ov_baseline =
-    let b = baseline_overhead content in
-    match filter with
-    | [] -> b
-    | names -> List.filter (fun (w, _, _, _) -> List.mem w names) b
-  in
-  (if ov_baseline <> [] then
-     let ov_workloads =
-       List.sort_uniq compare (List.map (fun (w, _, _, _) -> w) ov_baseline)
-     in
-     Printf.printf "re-deriving SFI overhead on %s...\n%!"
-       (String.concat ", " ov_workloads);
-     let ov_current = overhead_samples ov_workloads in
-     List.iter
-       (fun (w, u, o, base_pct) ->
-         match
-           List.find_opt
-             (fun s -> s.ov_workload = w && s.ov_uarch = u && s.ov_opt = o)
-             ov_current
-         with
-         | None -> Printf.printf "  %-10s %-4s %-3s (not measured)\n%!" w u o
-         | Some s ->
-             let bad =
-               s.ov_pct > base_pct *. (1.0 +. regression_threshold)
-             in
-             if bad then incr regressions;
-             Printf.printf
-               "  %-10s %-4s %-3s %8.2f%% -> %8.2f%% over native%s\n%!" w u o
-               base_pct s.ov_pct
-               (if bad then "  REGRESSION" else ""))
-       ov_baseline);
+  Printf.printf "re-deriving SFI overhead on %s...\n%!"
+    (String.concat ", " workloads);
+  let ov_current = overhead_samples workloads in
+  List.iter
+    (fun s ->
+      require_row file "overhead" ov_baseline
+        (s.ov_workload, s.ov_uarch, s.ov_opt))
+    ov_current;
+  List.iter
+    (fun (w, u, o, base_pct) ->
+      match
+        List.find_opt
+          (fun s -> s.ov_workload = w && s.ov_uarch = u && s.ov_opt = o)
+          ov_current
+      with
+      | None -> Printf.printf "  %-10s %-4s %-3s (not measured)\n%!" w u o
+      | Some s ->
+          let bad = s.ov_pct > base_pct *. (1.0 +. regression_threshold) in
+          if bad then incr regressions;
+          Printf.printf "  %-10s %-4s %-3s %8.2f%% -> %8.2f%% over native%s\n%!"
+            w u o base_pct s.ov_pct
+            (if bad then "  REGRESSION" else ""))
+    ov_baseline;
   (* serve-path tail-latency gate: replay the committed serve stream
      and compare call p99 against BENCH_serve.json.  The latency is in
      simulated cycles — a pure function of the code, no wall-clock
      noise — so any drift past the threshold is a real serve-path
      regression and there is nothing to retry *)
-  let serve_file = "BENCH_serve.json" in
-  (if Sys.file_exists serve_file then
-     let content =
-       let ic = open_in_bin serve_file in
-       let n = in_channel_length ic in
-       let s = really_input_string ic n in
-       close_in ic;
-       s
-     in
-     let key = "\"call_p99\": " in
-     let base =
-       match find_sub content key 0 with
-       | None -> None
-       | Some i ->
-           let start = i + String.length key in
-           let stop = ref start in
-           while
-             !stop < String.length content
-             && (match content.[!stop] with
-                | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-                | _ -> false)
-           do
-             incr stop
-           done;
-           float_of_string_opt (String.sub content start (!stop - start))
-     in
-     match base with
-     | None ->
-         Printf.printf "  serve      (no numeric call_p99 in %s; skipped)\n%!"
-           serve_file
-     | Some base ->
-         let r =
-           Lfi_libbox.Serve.run ~uarch:Lfi_emulator.Cost_model.m1
-             ~spec:Lfi_workloads.Libs.xzbox ~pool:4 ~requests:1000 ~seed:1 ()
-         in
-         let now = r.Lfi_libbox.Serve.call_p99 in
-         let bad = now > base *. (1.0 +. regression_threshold) in
-         if bad then incr regressions;
-         Printf.printf "  %-10s %-4s %-7s %10.0f -> %10.0f p99 cycles %s\n%!"
-           "serve" "m1" "lfi-o2" base now
-           (if bad then "  REGRESSION" else ""));
+  let r =
+    Lfi_libbox.Serve.run ~uarch:Lfi_emulator.Cost_model.m1
+      ~spec:Lfi_workloads.Libs.xzbox ~pool:4 ~requests:1000 ~seed:1 ()
+  in
+  let now = r.Lfi_libbox.Serve.call_p99 in
+  let bad = now > serve_p99 *. (1.0 +. regression_threshold) in
+  if bad then incr regressions;
+  Printf.printf "  %-10s %-4s %-7s %10.0f -> %10.0f p99 cycles %s\n%!" "serve"
+    "m1" "lfi-o2" serve_p99 now
+    (if bad then "  REGRESSION" else "");
   (* closed-loop tail-latency gate (schema v3): re-run the suite's
      closed-loop point (256 slots, 4 tenants, 64 clients — the same
      parameters lfi_serve --suite committed) and fail if end-to-end
      p999 grew more than the threshold.  Also simulated cycles: a pure
      function of the scheduler, so drift means a real scheduling
      regression *)
-  (if Sys.file_exists serve_file then
-     let content =
-       let ic = open_in_bin serve_file in
-       let n = in_channel_length ic in
-       let s = really_input_string ic n in
-       close_in ic;
-       s
-     in
-     match find_sub content "\"closed_loop\": " 0 with
-     | None ->
-         Printf.printf
-           "  serve-closed (no closed_loop section in %s; skipped)\n%!"
-           serve_file
-     | Some i ->
-         let stop =
-           match find_sub content "\"knee\"" i with
-           | Some j -> j
-           | None -> String.length content
-         in
-         let chunk = String.sub content i (stop - i) in
-         (match num_field chunk "p999" with
-          | None ->
-              Printf.printf
-                "  serve-closed (no numeric p999 in closed_loop; skipped)\n%!"
-          | Some base ->
-              let module S = Lfi_libbox.Serve.Suite in
-              let r =
-                Lfi_libbox.Serve.run ~uarch:Lfi_emulator.Cost_model.m1
-                  ~arrival:
-                    (Lfi_sched.Arrival.Closed { concurrency = S.concurrency })
-                  ~tenants:S.tenants ~batch_max:S.batch_max
-                  ~spec:Lfi_workloads.Libs.xzbox ~pool:S.pool
-                  ~requests:S.requests ~seed:1 ()
-              in
-              let now = r.Lfi_libbox.Serve.latency_p999 in
-              let bad = now > base *. (1.0 +. regression_threshold) in
-              if bad then incr regressions;
-              Printf.printf
-                "  %-10s %-4s %-7s %10.0f -> %10.0f p999 cycles %s\n%!"
-                "serve-closed" "m1" "lfi-o2" base now
-                (if bad then "  REGRESSION" else "")));
+  let module S = Lfi_libbox.Serve.Suite in
+  let r =
+    Lfi_libbox.Serve.run ~uarch:Lfi_emulator.Cost_model.m1
+      ~arrival:(Lfi_sched.Arrival.Closed { concurrency = S.concurrency })
+      ~tenants:S.tenants ~batch_max:S.batch_max ~spec:Lfi_workloads.Libs.xzbox
+      ~pool:S.pool ~requests:S.requests ~seed:1 ()
+  in
+  let now = r.Lfi_libbox.Serve.latency_p999 in
+  let bad = now > closed_p999 *. (1.0 +. regression_threshold) in
+  if bad then incr regressions;
+  Printf.printf "  %-10s %-4s %-7s %10.0f -> %10.0f p999 cycles %s\n%!"
+    "serve-closed" "m1" "lfi-o2" closed_p999 now
+    (if bad then "  REGRESSION" else "");
   if !regressions > 0 then begin
     Printf.printf "%d sample(s) regressed more than %.0f%%\n" !regressions
       (regression_threshold *. 100.0);

@@ -26,7 +26,6 @@ let elapsed_of f =
 let write_json path report =
   let oc = open_out path in
   output_string oc (Prover.Report.to_json report);
-  output_string oc "\n";
   close_out oc
 
 let list_strata () =

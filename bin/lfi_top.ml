@@ -1,12 +1,13 @@
-(* lfi_top: render lfi-snap/v2 snapshot frames (v1 files still parse)
-   as a top(1)-style view of a serving run, including the per-tenant
-   scheduling columns (queue depth, quota utilization, sheds).
+(* lfi_top: render lfi-snap/v2 snapshot frames as a top(1)-style view
+   of a serving run, including the per-tenant scheduling columns (queue
+   depth, quota utilization, sheds).
 
    lfi_serve --snapshot writes one JSON frame per line; this tool
    renders the last frame (default), replays every frame in order
    (--replay), or follows a growing file (--follow), re-rendering as
    new frames land.  Rendering is pure string formatting over the
-   parsed frame — byte-stable, so tests golden it. *)
+   parsed frame — byte-stable, so tests golden it.  A malformed or
+   other-schema frame stops it with exit 2, never a crash. *)
 
 module Snapshot = Lfi_libbox.Snapshot
 
@@ -77,7 +78,8 @@ open Cmdliner
 let file =
   Arg.(value & pos 0 string "serve_snap.jsonl"
        & info [] ~docv:"SNAPSHOT"
-           ~doc:"lfi-snap/v1 or /v2 file written by lfi_serve --snapshot.")
+           ~doc:"lfi-snap/v2 file written by lfi_serve --snapshot; a \
+                 malformed or other-schema frame exits 2.")
 
 let replay =
   Arg.(value & flag & info [ "replay" ]

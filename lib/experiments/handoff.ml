@@ -63,9 +63,12 @@ let measure (uarch : Cost_model.t) : result =
     h_ns_per_handoff = Cost_model.cycles_to_ns uarch per;
   }
 
-let to_json (r : result) : string =
-  Printf.sprintf
-    "{\"iters\": %d, \"total_cycles\": %.1f, \"cycles_per_handoff\": %.1f, \
-     \"switch_cycles\": %.1f, \"ns_per_handoff\": %.2f}"
-    r.h_iters r.h_total_cycles r.h_cycles_per_handoff r.h_modeled_cycles
-    r.h_ns_per_handoff
+let to_json (r : result) : Lfi_telemetry.Json.t =
+  let open Lfi_telemetry.Json in
+  Obj
+    [
+      ("iters", Int r.h_iters); ("total_cycles", Float (r.h_total_cycles, 1));
+      ("cycles_per_handoff", Float (r.h_cycles_per_handoff, 1));
+      ("switch_cycles", Float (r.h_modeled_cycles, 1));
+      ("ns_per_handoff", Float (r.h_ns_per_handoff, 2));
+    ]

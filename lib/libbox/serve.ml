@@ -45,6 +45,7 @@ module Span = Lfi_telemetry.Span
 module Window = Lfi_telemetry.Window
 module Slo = Lfi_telemetry.Slo
 module Trace = Lfi_telemetry.Trace
+module Json = Lfi_telemetry.Json
 module Runq = Lfi_sched.Runq
 module Tenant = Lfi_sched.Tenant
 module Arrival = Lfi_sched.Arrival
@@ -69,7 +70,7 @@ type tenant_stat = {
 }
 
 type report = {
-  json : string;
+  json : Json.t;  (** the lfi-serve/v3 report *)
   completed : int;
   failed : int;
   shed : int;  (** requests rejected at admission (quota or queue bound) *)
@@ -92,8 +93,8 @@ type report = {
   tenants : tenant_stat list;
   alerts : Slo.alert list;  (** burn-rate alerts, in firing order *)
   snapshots : string list;  (** lfi-snap/v2 frames, in emission order *)
-  summary : string;
-      (** condensed one-object JSON of the run, for suite embedding *)
+  summary : Json.t;
+      (** condensed one-object view of the run, for suite embedding *)
 }
 
 (** The serve layer's own trace process; the runtime's events stay on
@@ -132,8 +133,6 @@ let pick_export (rng : int -> int) (exports : Api.export_spec list) :
         | [] -> assert false
       in
       go 0 exports
-
-let json_float = Snapshot.json_float
 
 (* burn rates of an export's window range, for the snapshot view: the
    worse of the latency and error dimensions *)
@@ -663,187 +662,203 @@ let run ?(uarch = Cost_model.m1) ?(config = Lfi_core.Config.o2)
   let lat_mean =
     if lat_overall.H.count = 0 then Float.nan else H.mean lat_overall
   in
-  let arrival_model = Arrival.name arrival in
-  let rate_str =
+  let open Json in
+  let f1 v = Float (v, 1) and f0 v = Float (v, 0) in
+  let rate =
+    match arrival with Arrival.Open { rate_rps } -> f0 rate_rps | _ -> Null
+  in
+  let concurrency =
     match arrival with
-    | Arrival.Open { rate_rps } -> Printf.sprintf "%.0f" rate_rps
-    | _ -> "null"
+    | Arrival.Closed { concurrency } -> Int concurrency
+    | _ -> Null
   in
-  let conc_str =
-    match arrival with
-    | Arrival.Closed { concurrency } -> string_of_int concurrency
-    | _ -> "null"
+  let latency =
+    [ ("p50", f1 lat_p50); ("p99", f1 lat_p99); ("p999", f1 lat_p999);
+      ("mean", f1 lat_mean) ]
   in
-  let tenants_json inline =
-    let b = Buffer.create 512 in
-    let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-    List.iteri
-      (fun i ts ->
-        if i > 0 then add (if inline then ", " else ",\n    ");
-        add
-          "{\"tenant\": %S, \"weight\": %d, \"quota_rps\": %s, \
-           \"queue_bound\": %d, \"admitted\": %d, \"completed\": %d, \
-           \"failed\": %d, \"shed_queue\": %d, \"shed_quota\": %d, \
-           \"quota_utilization\": %s, \"depth_max\": %d, \"depth_avg\": \
-           %.1f, \"steals\": %d, \"p50\": %s, \"p99\": %s, \"p999\": %s}"
-          ts.ts_name ts.ts_weight
-          (if ts.ts_quota_rps > 0.0 then Printf.sprintf "%.0f" ts.ts_quota_rps
-           else "null")
-          ts.ts_queue_bound ts.ts_admitted ts.ts_completed ts.ts_failed
-          ts.ts_shed_queue ts.ts_shed_quota
-          (if Float.is_nan ts.ts_quota_util then "null"
-           else Printf.sprintf "%.3f" ts.ts_quota_util)
-          ts.ts_depth_max ts.ts_depth_avg ts.ts_steals (json_float ts.ts_p50)
-          (json_float ts.ts_p99) (json_float ts.ts_p999))
-      tenant_stats;
-    Buffer.contents b
+  let tenants_json =
+    Arr
+      (List.map
+         (fun ts ->
+           Obj
+             [
+               ("tenant", Str ts.ts_name); ("weight", Int ts.ts_weight);
+               ( "quota_rps",
+                 if ts.ts_quota_rps > 0.0 then f0 ts.ts_quota_rps else Null );
+               ("queue_bound", Int ts.ts_queue_bound);
+               ("admitted", Int ts.ts_admitted);
+               ("completed", Int ts.ts_completed); ("failed", Int ts.ts_failed);
+               ("shed_queue", Int ts.ts_shed_queue);
+               ("shed_quota", Int ts.ts_shed_quota);
+               ("quota_utilization", Float (ts.ts_quota_util, 3));
+               ("depth_max", Int ts.ts_depth_max);
+               ("depth_avg", f1 ts.ts_depth_avg);
+               ("steals", Int ts.ts_steals); ("p50", f1 ts.ts_p50);
+               ("p99", f1 ts.ts_p99); ("p999", f1 ts.ts_p999);
+             ])
+         tenant_stats)
   in
-  let b = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\n";
-  add "  \"schema\": \"lfi-serve/v3\",\n";
-  add "  \"workload\": %S,\n" spec.Api.l_short;
-  add "  \"system\": %S,\n" (Lfi_core.Config.name config);
-  add "  \"uarch\": %S,\n" uarch.Cost_model.name;
-  add "  \"pool\": %d,\n" pool;
-  add "  \"requests\": %d,\n" requests;
-  add "  \"seed\": %d,\n" seed;
-  (if filter <> [] then
-     add "  \"filter\": [%s],\n"
-       (String.concat ", " (List.map (Printf.sprintf "%S") filter)));
-  add "  \"completed\": %d,\n" completed;
-  add "  \"failed\": %d,\n" failed;
-  add "  \"instances_lost\": %d,\n" retired;
-  add "  \"serve_cycles\": %.1f,\n" !serve_cycles;
-  add "  \"serve_insns\": %d,\n" !serve_insns;
-  add "  \"insns_per_request\": %.1f,\n" insns_per_request;
-  add "  \"requests_per_sec\": %.0f,\n" requests_per_sec;
-  add "  \"transition_cycles\": %s,\n" (H.to_json gate);
-  add "  \"transition_p50\": %s,\n" (json_float (H.percentile gate 0.50));
-  add "  \"transition_p99\": %s,\n" (json_float (H.percentile gate 0.99));
-  add "  \"call_cycles\": %s,\n" (H.to_json call);
-  add "  \"call_p50\": %s,\n" (json_float (H.percentile call 0.50));
-  add "  \"call_p99\": %s,\n" (json_float (H.percentile call 0.99));
-  add "  \"call_p999\": %s,\n" (json_float (H.percentile call 0.999));
-  (* the per-request phase breakdown: where a request's cycles go
-     across the boundary (marshal_in is host-side work the simulated
-     clock does not advance through; queue wait advances it only under
-     the open/closed arrival models) *)
-  add "  \"phases\": {";
-  List.iteri
-    (fun i ph ->
-      if i > 0 then add ", ";
-      add "%S: %.1f" (Span.name ph) phase_tot.(Span.index ph))
-    Span.all;
-  add "},\n";
-  (* rolling (windowed) view: what lfi_top shows live *)
-  add "  \"windows\": {\"window_cycles\": %.0f, \"spanned\": %d, \"evicted\": \
-       %d,\n"
-    window_cycles (Window.spanned overall) (Window.evicted overall);
   let om = Window.merged overall in
-  add "    \"overall\": {\"p50\": %s, \"p99\": %s, \"p999\": %s, \"mean\": \
-       %s},\n"
-    (json_float (H.percentile om 0.50))
-    (json_float (H.percentile om 0.99))
-    (json_float (H.percentile om 0.999))
-    (json_float (if om.H.count = 0 then Float.nan else H.mean om));
-  add "    \"per_export\": [";
-  List.iteri
-    (fun i (x : Snapshot.export_row) ->
-      if i > 0 then add ", ";
-      add
-        "{\"export\": %S, \"requests\": %d, \"errors\": %d, \"p50\": %s, \
-         \"p99\": %s, \"p999\": %s, \"mean\": %s, \"insns_per_request\": %s}"
-        x.Snapshot.x_name x.Snapshot.x_req x.Snapshot.x_err
-        (json_float x.Snapshot.x_p50) (json_float x.Snapshot.x_p99)
-        (json_float x.Snapshot.x_p999) (json_float x.Snapshot.x_mean)
-        (json_float x.Snapshot.x_ipr))
-    (export_rows ());
-  add "]},\n";
-  add "  \"slo\": {\"objectives\": [";
-  List.iteri
-    (fun i s ->
-      if i > 0 then add ", ";
-      add
-        "{\"export\": %S, \"latency_cycles\": %.0f, \"latency_budget\": %.3f, \
-         \"error_budget\": %.3f}"
-        s.Api.s_export s.Api.s_objective.Slo.latency_cycles
-        s.Api.s_objective.Slo.latency_budget s.Api.s_objective.Slo.error_budget)
-    spec.Api.l_slos;
-  add "], \"alerts\": [";
-  List.iteri
-    (fun i (a : Slo.alert) ->
-      if i > 0 then add ", ";
-      add
-        "{\"export\": %S, \"window\": %d, \"kind\": %S, \"fast\": %.2f, \
-         \"slow\": %.2f}"
-        a.Slo.a_export a.Slo.a_window (Slo.kind_name a.Slo.a_kind)
-        a.Slo.a_fast a.Slo.a_slow)
-    alerts;
-  add "]},\n";
-  (* v3: arrival model, end-to-end latency, and the scheduling layer *)
-  add
-    "  \"arrival\": {\"model\": %S, \"rate_rps\": %s, \"concurrency\": %s, \
-     \"offered\": %d, \"served\": %d, \"shed\": %d, \"duration_cycles\": \
-     %.1f, \"achieved_rps\": %.0f,\n"
-    arrival_model rate_str conc_str requests !served_count shed dur
-    achieved_rps;
-  add
-    "    \"latency\": {\"p50\": %s, \"p99\": %s, \"p999\": %s, \"mean\": \
-     %s}},\n"
-    (json_float lat_p50) (json_float lat_p99) (json_float lat_p999)
-    (json_float lat_mean);
-  add "  \"tenants\": [%s],\n" (tenants_json false);
-  add
-    "  \"sched\": {\"batch_max\": %d, \"batches\": %d, \"batched_requests\": \
-     %d, \"dispatch_decision_cycles\": %s, \"steals\": %d},\n"
-    batch_max !batches !batched_reqs
-    (if replaying then "0.0"
-     else Printf.sprintf "%.1f" dispatch_decision_cycles)
-    !steals_total;
-  (* the §5.3 comparison: what the same boundary crossing costs under
-     process isolation (gvisor is unmeasured/NaN on some uarches →
-     null) *)
-  add "  \"baselines\": {\"lfi_transition_mean\": %s, \
-       \"linux_pipe_roundtrip\": %s, \"gvisor_pipe_roundtrip\": %s},\n"
-    (json_float (H.mean gate))
-    (json_float uarch.Cost_model.linux_pipe_roundtrip)
-    (json_float uarch.Cost_model.gvisor_pipe_roundtrip);
-  add "  \"per_slot\": [";
-  Array.iteri
-    (fun i inst ->
-      if i > 0 then add ", ";
-      add
-        "{\"slot\": %d, \"pid\": %d, \"alive\": %b, \"calls\": %d, \
-         \"resets\": %d, \"insns\": %d, \"pages_restored\": %d}"
-        inst.Instance.p.Lfi_runtime.Proc.slot inst.Instance.p.Lfi_runtime.Proc.pid
-        inst.Instance.alive inst.Instance.calls inst.Instance.resets
-        inst.Instance.call_insns inst.Instance.pages_restored)
-    p.Pool.instances;
-  add "],\n";
-  add "  \"per_export\": {";
-  List.iteri
-    (fun i (name, w, _) ->
-      if i > 0 then add ", ";
-      add "%S: %d" name (Window.total_ok w + Window.total_err w))
-    export_state;
-  add "}\n";
-  add "}\n";
+  let json =
+    Obj
+      ([
+         ("schema", Str "lfi-serve/v3"); ("workload", Str spec.Api.l_short);
+         ("system", Str (Lfi_core.Config.name config));
+         ("uarch", Str uarch.Cost_model.name); ("pool", Int pool);
+         ("requests", Int requests); ("seed", Int seed);
+       ]
+      @ (if filter = [] then []
+         else [ ("filter", Arr (List.map (fun e -> Str e) filter)) ])
+      @ [
+          ("completed", Int completed); ("failed", Int failed);
+          ("instances_lost", Int retired); ("serve_cycles", f1 !serve_cycles);
+          ("serve_insns", Int !serve_insns);
+          ("insns_per_request", f1 insns_per_request);
+          ("requests_per_sec", f0 requests_per_sec);
+          ("transition_cycles", H.to_json gate);
+          ("transition_p50", f1 (H.percentile gate 0.50));
+          ("transition_p99", f1 (H.percentile gate 0.99));
+          ("call_cycles", H.to_json call);
+          ("call_p50", f1 (H.percentile call 0.50));
+          ("call_p99", f1 (H.percentile call 0.99));
+          ("call_p999", f1 (H.percentile call 0.999));
+          (* the per-request phase breakdown: where a request's cycles
+             go across the boundary (marshal_in is host-side work the
+             simulated clock does not advance through; queue wait
+             advances it only under the open/closed arrival models) *)
+          ( "phases",
+            Obj
+              (List.map
+                 (fun ph -> (Span.name ph, f1 phase_tot.(Span.index ph)))
+                 Span.all) );
+          (* rolling (windowed) view: what lfi_top shows live *)
+          ( "windows",
+            Obj
+              [
+                ("window_cycles", f0 window_cycles);
+                ("spanned", Int (Window.spanned overall));
+                ("evicted", Int (Window.evicted overall));
+                ( "overall",
+                  Obj
+                    [
+                      ("p50", f1 (H.percentile om 0.50));
+                      ("p99", f1 (H.percentile om 0.99));
+                      ("p999", f1 (H.percentile om 0.999));
+                      ( "mean",
+                        f1 (if om.H.count = 0 then Float.nan else H.mean om) );
+                    ] );
+                ( "per_export",
+                  Arr
+                    (List.map
+                       (fun (x : Snapshot.export_row) ->
+                         Obj
+                           [
+                             ("export", Str x.Snapshot.x_name);
+                             ("requests", Int x.Snapshot.x_req);
+                             ("errors", Int x.Snapshot.x_err);
+                             ("p50", f1 x.Snapshot.x_p50);
+                             ("p99", f1 x.Snapshot.x_p99);
+                             ("p999", f1 x.Snapshot.x_p999);
+                             ("mean", f1 x.Snapshot.x_mean);
+                             ("insns_per_request", f1 x.Snapshot.x_ipr);
+                           ])
+                       (export_rows ())) );
+              ] );
+          ( "slo",
+            Obj
+              [
+                ( "objectives",
+                  Arr
+                    (List.map
+                       (fun s ->
+                         let o = s.Api.s_objective in
+                         Obj
+                           [
+                             ("export", Str s.Api.s_export);
+                             ("latency_cycles", f0 o.Slo.latency_cycles);
+                             ( "latency_budget",
+                               Float (o.Slo.latency_budget, 3) );
+                             ("error_budget", Float (o.Slo.error_budget, 3));
+                           ])
+                       spec.Api.l_slos) );
+                ("alerts", Arr (List.map Slo.alert_to_json alerts));
+              ] );
+          (* v3: arrival model, end-to-end latency, and the scheduling
+             layer *)
+          ( "arrival",
+            Obj
+              [
+                ("model", Str (Arrival.name arrival)); ("rate_rps", rate);
+                ("concurrency", concurrency); ("offered", Int requests);
+                ("served", Int !served_count); ("shed", Int shed);
+                ("duration_cycles", f1 dur); ("achieved_rps", f0 achieved_rps);
+                ("latency", Obj latency);
+              ] );
+          ("tenants", tenants_json);
+          ( "sched",
+            Obj
+              [
+                ("batch_max", Int batch_max); ("batches", Int !batches);
+                ("batched_requests", Int !batched_reqs);
+                ( "dispatch_decision_cycles",
+                  f1 (if replaying then 0.0 else dispatch_decision_cycles) );
+                ("steals", Int !steals_total);
+              ] );
+          (* the §5.3 comparison: what the same boundary crossing costs
+             under process isolation (gvisor is unmeasured/NaN on some
+             uarches → null) *)
+          ( "baselines",
+            Obj
+              [
+                ("lfi_transition_mean", f1 (H.mean gate));
+                ( "linux_pipe_roundtrip",
+                  f1 uarch.Cost_model.linux_pipe_roundtrip );
+                ( "gvisor_pipe_roundtrip",
+                  f1 uarch.Cost_model.gvisor_pipe_roundtrip );
+              ] );
+          ( "per_slot",
+            Arr
+              (Array.to_list
+                 (Array.map
+                    (fun inst ->
+                      let pr = inst.Instance.p in
+                      Obj
+                        [
+                          ("slot", Int pr.Lfi_runtime.Proc.slot);
+                          ("pid", Int pr.Lfi_runtime.Proc.pid);
+                          ("alive", Bool inst.Instance.alive);
+                          ("calls", Int inst.Instance.calls);
+                          ("resets", Int inst.Instance.resets);
+                          ("insns", Int inst.Instance.call_insns);
+                          ("pages_restored", Int inst.Instance.pages_restored);
+                        ])
+                    p.Pool.instances)) );
+          ( "per_export",
+            Obj
+              (List.map
+                 (fun (name, w, _) ->
+                   (name, Int (Window.total_ok w + Window.total_err w)))
+                 export_state) );
+        ])
+  in
   (* condensed one-object view of the same run, for suite embedding *)
   let summary =
-    Printf.sprintf
-      "{\"uarch\": %S, \"pool\": %d, \"tenant_count\": %d, \"requests\": %d, \
-       \"seed\": %d, \"model\": %S, \"rate_rps\": %s, \"concurrency\": %s, \
-       \"completed\": %d, \"failed\": %d, \"shed\": %d, \"duration_cycles\": \
-       %.1f, \"achieved_rps\": %.0f, \"p50\": %s, \"p99\": %s, \"p999\": %s, \
-       \"mean\": %s, \"steals\": %d, \"batches\": %d, \"per_tenant\": [%s]}"
-      uarch.Cost_model.name pool ntenants requests seed arrival_model rate_str
-      conc_str completed failed shed dur achieved_rps (json_float lat_p50)
-      (json_float lat_p99) (json_float lat_p999) (json_float lat_mean)
-      !steals_total !batches (tenants_json true)
+    Obj
+      ([
+         ("uarch", Str uarch.Cost_model.name); ("pool", Int pool);
+         ("tenant_count", Int ntenants); ("requests", Int requests);
+         ("seed", Int seed); ("model", Str (Arrival.name arrival));
+         ("rate_rps", rate); ("concurrency", concurrency);
+         ("completed", Int completed); ("failed", Int failed);
+         ("shed", Int shed);
+         ("duration_cycles", f1 dur); ("achieved_rps", f0 achieved_rps);
+       ]
+      @ latency
+      @ [ ("steals", Int !steals_total); ("batches", Int !batches);
+          ("per_tenant", tenants_json) ])
   in
   {
-    json = Buffer.contents b;
+    json;
     completed;
     failed;
     shed;

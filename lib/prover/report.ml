@@ -1,11 +1,11 @@
 (** The [lfi-prove/v1] report (DESIGN.md §5i).
 
     Byte-stable by construction, like the fuzz and bench reports: the
-    JSON is hand-rolled with a fixed field order, counts are fully
-    determined by (strata tier, verifier config), and wall-clock
-    timing is only included when explicitly requested ([~elapsed_ms]),
-    so the default report can be pinned by a golden test and compared
-    byte-for-byte in CI. *)
+    JSON has a fixed field order, counts are fully determined by
+    (strata tier, verifier config), and wall-clock timing is only
+    included when explicitly requested ([~elapsed_ms]), so the default
+    report can be pinned by a golden test and compared byte-for-byte
+    in CI. *)
 
 type hole = {
   word : int;  (** encoding of the offending instruction *)
@@ -36,69 +36,43 @@ let total_holes r = total (fun s -> s.holes) r
 
 (* ---- JSON ---- *)
 
-let buf_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let to_json (r : t) : string =
-  let b = Buffer.create 4096 in
-  let str s =
-    Buffer.add_char b '"';
-    buf_escape b s;
-    Buffer.add_char b '"'
+  let open Lfi_telemetry.Json in
+  let counts cand rej acc proved holes =
+    [ ("candidates", Int cand); ("rejected", Int rej); ("accepted", Int acc);
+      ("proved", Int proved); ("holes", Int holes) ]
   in
-  Buffer.add_string b "{\"schema\":\"lfi-prove/v1\",\"tier\":";
-  str r.tier;
-  Buffer.add_string b ",\"weakenings\":[";
-  List.iteri
-    (fun k w ->
-      if k > 0 then Buffer.add_char b ',';
-      str w)
-    r.weakenings;
-  Buffer.add_string b "],\"strata\":[";
-  List.iteri
-    (fun k s ->
-      if k > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "{\"name\":";
-      str s.s_name;
-      Buffer.add_string b
-        (Printf.sprintf
-           ",\"candidates\":%d,\"rejected\":%d,\"accepted\":%d,\"proved\":%d,\"holes\":%d,\"samples\":["
-           s.candidates s.rejected s.accepted s.proved s.holes);
-      List.iteri
-        (fun j h ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf "{\"word\":\"0x%08x\",\"disasm\":" h.word);
-          str h.disasm;
-          Buffer.add_string b ",\"clause\":";
-          str h.clause;
-          Buffer.add_string b ",\"detail\":";
-          str h.detail;
-          Buffer.add_char b '}')
-        s.samples;
-      Buffer.add_string b "]}")
-    r.strata;
-  Buffer.add_string b
-    (Printf.sprintf
-       "],\"totals\":{\"candidates\":%d,\"rejected\":%d,\"accepted\":%d,\"proved\":%d,\"holes\":%d},\"elapsed_ms\":%s}"
-       (total (fun s -> s.candidates) r)
-       (total (fun s -> s.rejected) r)
-       (total (fun s -> s.accepted) r)
-       (total (fun s -> s.proved) r)
-       (total_holes r)
-       (match r.elapsed_ms with
-       | None -> "null"
-       | Some ms -> string_of_int ms));
-  Buffer.contents b
+  let hole h =
+    Obj
+      [
+        ("word", Str (Printf.sprintf "0x%08x" h.word));
+        ("disasm", Str h.disasm);
+        ("clause", Str h.clause); ("detail", Str h.detail);
+      ]
+  in
+  let stratum s =
+    Obj
+      ((("name", Str s.s_name)
+        :: counts s.candidates s.rejected s.accepted s.proved s.holes)
+      @ [ ("samples", Arr (List.map hole s.samples)) ])
+  in
+  to_pretty
+    (Obj
+       [
+         ("schema", Str "lfi-prove/v1"); ("tier", Str r.tier);
+         ("weakenings", Arr (List.map (fun w -> Str w) r.weakenings));
+         ("strata", Arr (List.map stratum r.strata));
+         ( "totals",
+           Obj
+             (counts
+                (total (fun s -> s.candidates) r)
+                (total (fun s -> s.rejected) r)
+                (total (fun s -> s.accepted) r)
+                (total (fun s -> s.proved) r)
+                (total_holes r)) );
+         ( "elapsed_ms",
+           match r.elapsed_ms with None -> Null | Some ms -> Int ms );
+       ])
 
 (* ---- human summary ---- *)
 

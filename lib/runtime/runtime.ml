@@ -1189,45 +1189,43 @@ let run_one rt (p : Proc.t) =
     the scheduler counters, and (when metrics were enabled) one latency
     histogram per runtime call that occurred. *)
 let metrics_json rt : string =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"emulator\": ";
-  Buffer.add_string b
-    (Lfi_telemetry.Metrics.snapshot_to_json (metrics_snapshot rt));
-  Buffer.add_string b ",\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"runtime\": {\"ctx_switches\": %d, \"rtcalls\": %d, \
-        \"preemptions\": %d, \"insns\": %d, \"cycles\": %.1f}"
-       rt.ctx_switches rt.rtcalls rt.preemptions (insns rt) (cycles rt));
+  let open Lfi_telemetry.Json in
   (* guard-clamp audit: per-sandbox and total counts of guarded
      accesses whose unguarded address would have escaped the sandbox *)
-  Buffer.add_string b
-    (Printf.sprintf ",\n  \"guard_clamps\": {\"total\": %d" (total_clamps rt));
-  Hashtbl.fold (fun _ p acc -> p :: acc) rt.procs []
-  |> List.sort (fun a b -> compare a.Proc.pid b.Proc.pid)
-  |> List.iter (fun p ->
-         Buffer.add_string b
-           (Printf.sprintf ", \"sandbox_%d\": %d" p.Proc.pid
-              (Lfi_telemetry.Flight.clamps p.Proc.flight)));
-  Buffer.add_string b "}";
-  (match rt.call_hist with
-  | None -> ()
-  | Some hs ->
-      Buffer.add_string b ",\n  \"rtcall_latency\": {\n";
-      let first = ref true in
-      Array.iteri
-        (fun k h ->
-          if h.Lfi_telemetry.Histogram.count > 0 then begin
-            if not !first then Buffer.add_string b ",\n";
-            first := false;
-            Buffer.add_string b
-              (Printf.sprintf "    \"%s\": %s" (Sysno.name k)
-                 (Lfi_telemetry.Histogram.to_json h))
-          end)
-        hs;
-      Buffer.add_string b "\n  }");
-  Buffer.add_string b "\n}\n";
-  Buffer.contents b
+  let clamps =
+    Hashtbl.fold (fun _ p acc -> p :: acc) rt.procs []
+    |> List.sort (fun a b -> compare a.Proc.pid b.Proc.pid)
+    |> List.map (fun p ->
+           ( Printf.sprintf "sandbox_%d" p.Proc.pid,
+             Int (Lfi_telemetry.Flight.clamps p.Proc.flight) ))
+  in
+  let latency =
+    match rt.call_hist with
+    | None -> []
+    | Some hs ->
+        let row k h =
+          if h.Lfi_telemetry.Histogram.count = 0 then []
+          else [ (Sysno.name k, Lfi_telemetry.Histogram.to_json h) ]
+        in
+        let rows = List.concat (List.mapi row (Array.to_list hs)) in
+        [ ("rtcall_latency", Obj rows) ]
+  in
+  to_pretty
+    (Obj
+       ([
+          ( "emulator",
+            Lfi_telemetry.Metrics.snapshot_to_json (metrics_snapshot rt) );
+          ( "runtime",
+            Obj
+              [
+                ("ctx_switches", Int rt.ctx_switches);
+                ("rtcalls", Int rt.rtcalls);
+                ("preemptions", Int rt.preemptions); ("insns", Int (insns rt));
+                ("cycles", Float (cycles rt, 1));
+              ] );
+          ("guard_clamps", Obj (("total", Int (total_clamps rt)) :: clamps));
+        ]
+       @ latency))
 
 (** Per-sandbox flat profiles, one entry per process still in the
     table (exited-but-unreaped zombies included), ordered by pid.  A

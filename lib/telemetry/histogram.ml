@@ -75,19 +75,13 @@ let percentile t (q : float) : float =
 
 (** JSON object: count/mean/max plus the non-empty buckets as
     [[upper_bound, count], ...] pairs (upper bound exclusive). *)
-let to_json t : string =
-  let b = Buffer.create 128 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"count\": %d, \"mean\": %.1f, \"max\": %.1f, \"buckets\": ["
-       t.count (mean t) t.max);
-  let first = ref true in
-  Array.iteri
-    (fun i n ->
-      if n > 0 then begin
-        if not !first then Buffer.add_string b ", ";
-        first := false;
-        Buffer.add_string b (Printf.sprintf "[%d, %d]" (1 lsl i) n)
-      end)
-    t.buckets;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+let to_json t : Json.t =
+  let bucket i n =
+    if n = 0 then [] else [ Json.Arr [ Json.Int (1 lsl i); Json.Int n ] ]
+  in
+  let buckets = List.concat (List.mapi bucket (Array.to_list t.buckets)) in
+  Json.Obj
+    [
+      ("count", Json.Int t.count); ("mean", Json.Float (mean t, 1));
+      ("max", Json.Float (t.max, 1)); ("buckets", Json.Arr buckets);
+    ]

@@ -78,37 +78,39 @@ let avg_block_len (s : snapshot) : float =
   if s.blk_execs = 0 then 0.0
   else float_of_int s.blk_insns /. float_of_int s.blk_execs
 
-(** Render a snapshot as a JSON object (no trailing newline). *)
-let snapshot_to_json (s : snapshot) : string =
+(** A snapshot as a JSON object. *)
+let snapshot_to_json (s : snapshot) : Json.t =
+  let open Json in
   let e = s.emu in
-  let b = Buffer.create 512 in
-  let cache name hits misses extra =
-    Buffer.add_string b
-      (Printf.sprintf
-         "    \"%s\": {\"hits\": %d, \"misses\": %d%s, \"hit_rate\": %.6f}"
-         name hits misses extra (hit_rate ~hits ~misses))
+  let cache ~hits ~misses extra =
+    Obj
+      ([ ("hits", Int hits); ("misses", Int misses) ]
+      @ extra
+      @ [ ("hit_rate", Float (hit_rate ~hits ~misses, 6)) ])
   in
-  Buffer.add_string b "{\n";
-  cache "decode_cache" e.decode_hits e.decode_misses
-    (Printf.sprintf ", \"invalidated_pages\": %d" e.decode_invalidations);
-  Buffer.add_string b ",\n";
-  cache "translation_cache" s.tc_hits s.tc_misses "";
-  Buffer.add_string b ",\n";
-  cache "tlb" s.tlb_hits s.tlb_misses
-    (Printf.sprintf ", \"walks\": %d" s.tlb_misses);
-  Buffer.add_string b ",\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "    \"superblocks\": {\"executions\": %d, \"builds\": %d, \
-        \"insns\": %d, \"deopts\": %d, \"hit_rate\": %.6f, \
-        \"avg_block_len\": %.2f},\n"
-       s.blk_execs s.blk_builds s.blk_insns s.blk_deopts (block_hit_rate s)
-       (avg_block_len s));
-  Buffer.add_string b (Printf.sprintf "    \"faults\": %d,\n" e.faults);
-  Buffer.add_string b
-    (Printf.sprintf
-       "    \"insn_mix\": {\"loads\": %d, \"stores\": %d, \"branches\": %d, \
-        \"guards\": %d, \"other\": %d, \"total\": %d}\n"
-       e.loads e.stores e.branches e.guards e.other (insn_total e));
-  Buffer.add_string b "  }";
-  Buffer.contents b
+  Obj
+    [
+      ( "decode_cache",
+        cache ~hits:e.decode_hits ~misses:e.decode_misses
+          [ ("invalidated_pages", Int e.decode_invalidations) ] );
+      ("translation_cache", cache ~hits:s.tc_hits ~misses:s.tc_misses []);
+      ( "tlb",
+        cache ~hits:s.tlb_hits ~misses:s.tlb_misses
+          [ ("walks", Int s.tlb_misses) ] );
+      ( "superblocks",
+        Obj
+          [
+            ("executions", Int s.blk_execs); ("builds", Int s.blk_builds);
+            ("insns", Int s.blk_insns); ("deopts", Int s.blk_deopts);
+            ("hit_rate", Float (block_hit_rate s, 6));
+            ("avg_block_len", Float (avg_block_len s, 2));
+          ] );
+      ("faults", Int e.faults);
+      ( "insn_mix",
+        Obj
+          [
+            ("loads", Int e.loads); ("stores", Int e.stores);
+            ("branches", Int e.branches); ("guards", Int e.guards);
+            ("other", Int e.other); ("total", Int (insn_total e));
+          ] );
+    ]

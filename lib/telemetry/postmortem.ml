@@ -137,90 +137,80 @@ let to_text (r : t) : string =
 
 (* ---------------- JSON rendering ---------------- *)
 
-let esc (s : string) : string =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 32 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json (r : t) : string =
-  let b = Buffer.create 4096 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let list xs one =
-    List.iteri
-      (fun i x ->
-        if i > 0 then pf ",";
-        one x)
-      xs
-  in
-  pf "{\n  \"schema\": \"lfi-postmortem/v1\",\n";
-  pf "  \"pid\": %d,\n  \"personality\": \"%s\",\n" r.pid (esc r.personality);
-  pf "  \"reason\": \"%s\",\n" (esc r.reason);
-  pf "  \"base\": \"0x%Lx\",\n  \"insns\": %d,\n  \"cycles\": %.1f,\n" r.base
-    r.insns r.cycles;
-  (match (r.fault_addr, r.fault_access) with
-  | Some a, Some acc ->
-      pf "  \"fault\": {\"addr\": \"0x%Lx\", \"access\": \"%s\"},\n" a
-        (esc acc)
-  | _ -> pf "  \"fault\": null,\n");
-  pf "  \"regs\": {";
-  for i = 0 to 30 do
-    pf "\"x%d\": \"0x%Lx\", " i r.regs.(i)
-  done;
-  pf "\"sp\": \"0x%Lx\", \"pc\": \"0x%Lx\"},\n" r.sp r.pc;
-  pf "  \"flags\": \"%s\",\n" r.flags;
-  pf "  \"backtrace\": [";
-  list r.backtrace (fun f ->
-      pf "\n    {\"pc\": \"0x%Lx\", \"sym\": %s, \"off\": %d}" f.fr_pc
-        (match f.fr_sym with
-        | Some s -> Printf.sprintf "\"%s\"" (esc s)
-        | None -> "null")
-        f.fr_off);
-  pf "],\n";
-  pf "  \"disasm\": [";
-  list r.disasm (fun d ->
-      pf "\n    {\"pc\": \"0x%Lx\", \"word\": \"%08x\", \"text\": \"%s\", \"current\": %b}"
-        d.dl_pc d.dl_word (esc d.dl_text) d.dl_current);
-  pf "],\n";
-  pf "  \"hexdump\": [";
-  list r.hexdump (fun row ->
-      let bytes =
-        String.concat " "
-          (Array.to_list
-             (Array.map
-                (function
-                  | Some v -> Printf.sprintf "%02x" v
-                  | None -> "??")
-                row.hr_bytes))
-      in
-      pf "\n    {\"addr\": \"0x%Lx\", \"bytes\": \"%s\"}" row.hr_addr bytes);
-  pf "],\n";
-  pf "  \"pages\": [";
-  list r.pages (fun p ->
-      pf "\n    {\"addr\": \"0x%Lx\", \"perm\": \"%s\"}" p.pg_addr p.pg_perm);
-  pf "],\n";
-  pf "  \"layout\": [";
-  list r.layout (fun g ->
-      pf
-        "\n    {\"lo\": \"0x%Lx\", \"hi\": \"0x%Lx\", \"perm\": \"%s\", \"label\": \"%s\"}"
-        g.rg_lo g.rg_hi g.rg_perm (esc g.rg_label));
-  pf "],\n";
-  pf "  \"flight_total\": %d,\n" r.flight_total;
-  pf "  \"flight\": [";
-  list r.flight (fun (e : Flight.event) ->
-      pf "\n    {\"seq\": %d, \"kind\": \"%s\", \"pc\": \"0x%x\", \"arg\": \"0x%x\"}"
-        e.Flight.seq
-        (Flight.kind_name e.Flight.kind)
-        e.Flight.pc e.Flight.arg);
-  pf "],\n";
-  pf "  \"guard_clamps\": %d\n}\n" r.clamps;
-  Buffer.contents b
+  let open Json in
+  let hex64 v = Str (Printf.sprintf "0x%Lx" v)
+  and hex v = Str (Printf.sprintf "0x%x" v) in
+  let rows f l = Arr (List.map (fun x -> Obj (f x)) l) in
+  to_pretty
+    (Obj
+       [
+         ("schema", Str "lfi-postmortem/v1"); ("pid", Int r.pid);
+         ("personality", Str r.personality); ("reason", Str r.reason);
+         ("base", hex64 r.base); ("insns", Int r.insns);
+         ("cycles", Float (r.cycles, 1));
+         ( "fault",
+           match (r.fault_addr, r.fault_access) with
+           | Some a, Some acc -> Obj [ ("addr", hex64 a); ("access", Str acc) ]
+           | _ -> Null );
+         ( "regs",
+           Obj
+             (List.init 31 (fun i -> (Printf.sprintf "x%d" i, hex64 r.regs.(i)))
+             @ [ ("sp", hex64 r.sp); ("pc", hex64 r.pc) ]) );
+         ("flags", Str r.flags);
+         ( "backtrace",
+           rows
+             (fun f ->
+               [
+                 ("pc", hex64 f.fr_pc);
+                 ("sym", match f.fr_sym with Some s -> Str s | None -> Null);
+                 ("off", Int f.fr_off);
+               ])
+             r.backtrace );
+         ( "disasm",
+           rows
+             (fun d ->
+               [
+                 ("pc", hex64 d.dl_pc);
+                 ("word", Str (Printf.sprintf "%08x" d.dl_word));
+                 ("text", Str d.dl_text); ("current", Bool d.dl_current);
+               ])
+             r.disasm );
+         ( "hexdump",
+           rows
+             (fun row ->
+               let byte = function
+                 | Some v -> Printf.sprintf "%02x" v
+                 | None -> "??"
+               in
+               [
+                 ("addr", hex64 row.hr_addr);
+                 ( "bytes",
+                   Str
+                     (String.concat " "
+                        (Array.to_list (Array.map byte row.hr_bytes))) );
+               ])
+             r.hexdump );
+         ("pages", rows (fun p -> [ ("addr", hex64 p.pg_addr);
+         ("perm", Str p.pg_perm) ]) r.pages);
+         ( "layout",
+           rows
+             (fun g ->
+               [
+                 ("lo", hex64 g.rg_lo); ("hi", hex64 g.rg_hi);
+                 ("perm", Str g.rg_perm);
+                 ("label", Str g.rg_label);
+               ])
+             r.layout );
+         ("flight_total", Int r.flight_total);
+         ( "flight",
+           rows
+             (fun (e : Flight.event) ->
+               [
+                 ("seq", Int e.Flight.seq);
+                 ("kind", Str (Flight.kind_name e.Flight.kind));
+                 ("pc", hex e.Flight.pc); ("arg", hex e.Flight.arg);
+               ])
+             r.flight );
+         ("guard_clamps", Int r.clamps);
+       ])

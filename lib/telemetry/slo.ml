@@ -35,6 +35,16 @@ type alert = {
   a_slow : float;  (** slow-window burn rate *)
 }
 
+let alert_to_json (a : alert) : Json.t =
+  Json.Obj
+    [
+      ("export", Json.Str a.a_export);
+      ("window", Json.Int a.a_window);
+      ("kind", Json.Str (kind_name a.a_kind));
+      ("fast", Json.Float (a.a_fast, 2));
+      ("slow", Json.Float (a.a_slow, 2));
+    ]
+
 (** Bad-event fraction over budget; 0 when the window is empty or the
     budget is non-positive (an un-budgeted objective cannot burn). *)
 let burn ~(bad : int) ~(total : int) ~(budget : float) : float =

@@ -6,10 +6,13 @@ open Lfi_libbox
 module Runtime = Lfi_runtime.Runtime
 module Proc = Lfi_runtime.Proc
 module Libs = Lfi_workloads.Libs
+module Json = Lfi_telemetry.Json
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
+let pretty (r : Serve.report) = Json.to_pretty r.Serve.json
+let member_line k (r : Serve.report) = Json.to_line (Json.member k r.Serve.json)
 
 let xz_exports =
   [ "init"; "checksum"; "compress"; "expand"; "dict_sum"; "poke_global";
@@ -307,7 +310,7 @@ let test_serve_deterministic () =
   let r2 =
     Serve.run ~spec:Libs.xzbox ~pool:2 ~requests:60 ~seed:3 ()
   in
-  checks "byte-identical reports" r1.Serve.json r2.Serve.json;
+  checks "byte-identical reports" (pretty r1) (pretty r2);
   checki "all served" 60 r1.Serve.completed;
   checki "none lost" 0 r1.Serve.retired
 
@@ -323,10 +326,12 @@ let test_serve_transition_beats_pipe () =
     (r.Serve.gate_p50 < u.Lfi_emulator.Cost_model.linux_pipe_roundtrip);
   checkb "p99 below linux pipe" true
     (r.Serve.gate_p99 < u.Lfi_emulator.Cost_model.linux_pipe_roundtrip);
-  checkb "schema tagged" true (contains r.Serve.json "\"lfi-serve/v3\"");
-  checkb "phase breakdown present" true (contains r.Serve.json "\"phases\"");
+  checks "schema tagged" "lfi-serve/v3"
+    (Json.to_string (Json.member "schema" r.Serve.json));
+  checki "phase breakdown present" 6
+    (List.length (Json.to_assoc (Json.member "phases" r.Serve.json)));
   checkb "rolling windows present" true
-    (contains r.Serve.json "\"windows\"")
+    (Json.member "windows" r.Serve.json <> Json.Null)
 
 let test_serve_filter () =
   let r =
@@ -334,12 +339,9 @@ let test_serve_filter () =
       ~seed:3 ()
   in
   checki "all served" 30 r.Serve.completed;
-  checkb "filter recorded" true
-    (contains r.Serve.json "\"filter\": [\"checksum\"]");
-  checkb "checksum in the stream" true
-    (contains r.Serve.json "\"export\": \"checksum\"");
-  checkb "compress filtered out" false
-    (contains r.Serve.json "\"export\": \"compress\"")
+  checks "filter recorded" "[\"checksum\"]" (member_line "filter" r);
+  checks "only checksum in the stream" "{\"checksum\": 30}"
+    (member_line "per_export" r)
 
 let test_serve_slo_alert () =
   (* slowbox's grind export blows its 8192-cycle objective on every
@@ -347,7 +349,7 @@ let test_serve_slo_alert () =
      identically on every run *)
   let r1 = Serve.run ~spec:Libs.slowbox ~pool:2 ~requests:120 ~seed:7 () in
   let r2 = Serve.run ~spec:Libs.slowbox ~pool:2 ~requests:120 ~seed:7 () in
-  checks "deterministic report" r1.Serve.json r2.Serve.json;
+  checks "deterministic report" (pretty r1) (pretty r2);
   checkb "alerts fired" true (r1.Serve.alerts <> []);
   List.iter
     (fun (a : Lfi_telemetry.Slo.alert) ->
@@ -408,37 +410,18 @@ let test_serve_trace_spans () =
 module Tenant = Lfi_sched.Tenant
 module Arrival = Lfi_sched.Arrival
 
-let lines (s : string) = String.split_on_char '\n' s
-
-(* the v3 report = the v2 report with a new schema tag and three
-   sections (arrival, tenants, sched) spliced in; every v2 line must
-   survive byte-for-byte, in order, so old consumers keep parsing *)
-let test_serve_v2_byte_compat () =
-  let ic = open_in "serve_v2_fixture.json" in
-  let v2 = really_input_string ic (in_channel_length ic) in
+(* the Makefile's anchor run must reproduce every member of the
+   committed BENCH_serve.json (the --suite members come from other
+   runs), so tier-1 pins the whole v3 report, not just a fixture *)
+let test_serve_matches_bench () =
+  let ic = open_in_bin "../BENCH_serve.json" in
+  let bench = Json.parse (really_input_string ic (in_channel_length ic)) in
   close_in ic;
   let r = Serve.run ~spec:Libs.xzbox ~pool:4 ~requests:1000 ~seed:1 () in
-  let inserted l =
-    let is_pfx p = String.length l >= String.length p
-                   && String.sub l 0 (String.length p) = p in
-    is_pfx "  \"arrival\":" || is_pfx "    \"latency\":"
-    || is_pfx "  \"tenants\":" || is_pfx "  \"sched\":"
-  in
-  let v3_lines =
-    List.filter (fun l -> not (inserted l)) (lines r.Serve.json)
-  in
-  let v2_lines =
-    List.map
-      (fun l ->
-        if l = "  \"schema\": \"lfi-serve/v2\"," then
-          "  \"schema\": \"lfi-serve/v3\","
-        else l)
-      (lines v2)
-  in
-  checki "same line count" (List.length v2_lines) (List.length v3_lines);
-  List.iteri
-    (fun i (a, b) -> checks (Printf.sprintf "line %d" (i + 1)) a b)
-    (List.combine v2_lines v3_lines)
+  List.iter
+    (fun (k, v) ->
+      checks k (Json.to_line (Json.member k bench)) (Json.to_line v))
+    (Json.to_assoc r.Serve.json)
 
 (* identical seeds must give byte-identical v3 reports under every
    arrival model; a different seed must not *)
@@ -449,15 +432,16 @@ let test_serve_v3_deterministic () =
   in
   let opn = Arrival.Open { rate_rps = 800_000.0 } in
   let clsd = Arrival.Closed { concurrency = 16 } in
-  checks "open loop deterministic" (go 11 opn).Serve.json (go 11 opn).Serve.json;
-  checks "closed loop deterministic" (go 11 clsd).Serve.json
-    (go 11 clsd).Serve.json;
-  checkb "seed matters" true
-    ((go 11 opn).Serve.json <> (go 12 opn).Serve.json);
+  checks "open loop deterministic" (pretty (go 11 opn)) (pretty (go 11 opn));
+  checks "closed loop deterministic" (pretty (go 11 clsd))
+    (pretty (go 11 clsd));
+  checkb "seed matters" true (pretty (go 11 opn) <> pretty (go 12 opn));
   let r = go 11 opn in
-  checkb "v3 schema" true (contains r.Serve.json "\"lfi-serve/v3\"");
-  checkb "arrival section" true (contains r.Serve.json "\"arrival\": {");
-  checkb "tenants section" true (contains r.Serve.json "\"tenants\": [")
+  checks "v3 schema" "\"lfi-serve/v3\"" (member_line "schema" r);
+  checks "arrival section" "\"open\""
+    (Json.to_line (Json.member "model" (Json.member "arrival" r.Serve.json)));
+  checki "tenants section" 4
+    (List.length (Json.to_list (Json.member "tenants" r.Serve.json)))
 
 (* a greedy tenant clamped by its quota cannot push the victim's p99
    past its SLO, even at far-over-capacity offered load; without the
@@ -587,20 +571,59 @@ let test_pool_wraparound_respawn () =
   let s = poke () in
   checki "respawned instance serves" inst.Instance.p.Proc.slot s
 
-(* old lfi-snap/v1 frames (no tenants array) must still parse, render,
-   and re-serialize as v2 *)
-let test_snapshot_v1_parse () =
-  let ic = open_in "snap_v1_fixture.jsonl" in
-  let line = input_line ic in
-  close_in ic;
-  checkb "fixture is v1" true (contains line "\"lfi-snap/v1\"");
-  let frame = Snapshot.of_json line in
-  checkb "no tenants in v1" true (frame.Snapshot.tenants = []);
-  let view = Snapshot.render frame in
-  checkb "renders" true (contains view "EXPORT");
-  checkb "no tenant table without tenants" false (contains view "TENANT");
-  checkb "re-serializes as v2" true
-    (contains (Snapshot.to_json frame) "\"lfi-snap/v2\"")
+(* lfi_top feeds untrusted lines to of_json: every malformed frame
+   must fail closed with Bad_snapshot, never another exception *)
+let test_snapshot_rejects_malformed () =
+  let r =
+    Serve.run ~spec:Libs.slowbox ~pool:2 ~requests:40 ~seed:7
+      ~snapshot_every:40 ()
+  in
+  let good = List.hd r.Serve.snapshots in
+  let v1 =
+    "{\"schema\": \"lfi-snap/v1\", \"workload\": \"xzbox\", \"seq\": 250, \
+     \"now\": 817570.0, \"completed\": 250, \"failed\": 0, \
+     \"instances_lost\": 0, \"window_cycles\": 50000, \"windows\": 17, \
+     \"exports\": [{\"name\": \"checksum\", \"requests\": 97, \"errors\": 0, \
+     \"p50\": 2048.0, \"p99\": 4096.0, \"p999\": 4096.0, \"mean\": 1250.8, \
+     \"insns_per_request\": 4812.0, \"burn_fast\": 0.00, \
+     \"burn_slow\": 0.00, \"alerting\": false}, {\"name\": \"compress\", \
+     \"requests\": 71, \"errors\": 0, \"p50\": 4096.0, \"p99\": 8192.0, \
+     \"p999\": 8192.0, \"mean\": 2559.0, \"insns_per_request\": 10354.5, \
+     \"burn_fast\": 0.00, \"burn_slow\": 0.00, \"alerting\": false}, \
+     {\"name\": \"expand\", \"requests\": 56, \"errors\": 0, \
+     \"p50\": 2048.0, \"p99\": 4096.0, \"p999\": 4096.0, \"mean\": 1404.2, \
+     \"insns_per_request\": 5684.0, \"burn_fast\": 0.00, \
+     \"burn_slow\": 0.00, \"alerting\": false}, {\"name\": \"dict_sum\", \
+     \"requests\": 26, \"errors\": 0, \"p50\": 32768.0, \"p99\": 32768.0, \
+     \"p999\": 32768.0, \"mean\": 16766.3, \"insns_per_request\": 73784.0, \
+     \"burn_fast\": 0.00, \"burn_slow\": 0.00, \"alerting\": false}], \
+     \"slots\": [{\"slot\": 1, \"pid\": 1, \"alive\": true, \"calls\": 63, \
+     \"resets\": 63, \"insns\": 590682, \"pages_restored\": 124}, \
+     {\"slot\": 2, \"pid\": 2, \"alive\": true, \"calls\": 63, \
+     \"resets\": 63, \"insns\": 1027787, \"pages_restored\": 117}, \
+     {\"slot\": 3, \"pid\": 3, \"alive\": true, \"calls\": 62, \
+     \"resets\": 62, \"insns\": 872355, \"pages_restored\": 117}, \
+     {\"slot\": 4, \"pid\": 4, \"alive\": true, \"calls\": 62, \
+     \"resets\": 62, \"insns\": 947797, \"pages_restored\": 116}], \
+     \"phases\": {\"queue\": 0.0, \"marshal_in\": 5771.3, \
+     \"gate_in\": 13750.0, \"exec\": 786300.4, \"gate_out\": 13750.0, \
+     \"marshal_out\": 3769.6}, \"alerts\": []}"
+  in
+  List.iter
+    (fun (what, line) ->
+      match Snapshot.of_json line with
+      | _ -> Alcotest.failf "%s: accepted" what
+      | exception Snapshot.Bad_snapshot _ -> ()
+      | exception e ->
+          Alcotest.failf "%s: raised %s" what (Printexc.to_string e))
+    [
+      ("bad \\u escape", "{\"schema\": \"\\uZZZZ\"}");
+      ("cut mid-string", String.sub good 0 20);
+      ("trailing garbage", good ^ " }x");
+      ("unsupported lfi-snap/v1 schema", v1);
+    ];
+  checkb "the intact frame parses" true
+    (Snapshot.to_json (Snapshot.of_json good) = good)
 
 let mk name f = Alcotest.test_case name `Quick f
 
@@ -648,11 +671,11 @@ let () =
         ] );
       ( "sched",
         [
-          mk "v2 byte compat" test_serve_v2_byte_compat;
+          mk "report matches BENCH_serve" test_serve_matches_bench;
           mk "v3 deterministic" test_serve_v3_deterministic;
           mk "quota starvation" test_serve_quota_starvation;
           mk "work-stealing conservation" test_serve_work_stealing_conservation;
           mk "pool wraparound + respawn" test_pool_wraparound_respawn;
-          mk "snapshot v1 parse" test_snapshot_v1_parse;
+          mk "snapshot rejects malformed" test_snapshot_rejects_malformed;
         ] );
     ]

@@ -185,7 +185,7 @@ let write_file path (s : string) =
   output_string oc s;
   close_out oc
 
-let report_of_run () =
+let report_of_run ?(workload = "loop") () =
   let rt, elf, cycles, insns = run_loop ~overhead:true () in
   let a =
     match Lfi_runtime.Runtime.overhead_acc rt with
@@ -193,7 +193,7 @@ let report_of_run () =
     | None -> Alcotest.fail "no accumulator"
   in
   let syms = Lfi_telemetry.Profile.sym_table elf.Lfi_elf.Elf.symbols in
-  Overhead.report ~workload:"loop" ~uarch:"m1" ~total_cycles:cycles
+  Overhead.report ~workload ~uarch:"m1" ~total_cycles:cycles
     ~total_insns:insns ~native_cycles:None ~levels:[]
     ~symbol_of:(Lfi_telemetry.Profile.pp_sym syms)
     ~disasm_of:(fun pc ->
@@ -210,6 +210,14 @@ let test_report_golden () =
   checks "two runs render identically" r (report_of_run ());
   write_file "overhead_golden.actual" r;
   checks "report is byte-stable" (read_file "overhead_golden.json") r
+
+(* a workload path with a quote, a backslash, UTF-8 and a tab must
+   survive as valid JSON, escaped exactly once *)
+let test_report_escapes_workload () =
+  let workload = "dir/\"q\"\\caf\xc3\xa9\t.elf" in
+  let j = Lfi_telemetry.Json.parse (report_of_run ~workload ()) in
+  checks "workload round-trips" workload
+    Lfi_telemetry.Json.(to_string (member "workload" j))
 
 (* ---------------- lfi_objdump annotations ---------------- *)
 
@@ -257,7 +265,12 @@ let () =
           Alcotest.test_case "guard reconciliation" `Quick
             test_guard_reconciliation;
         ] );
-      ("report", [ Alcotest.test_case "golden" `Quick test_report_golden ]);
+      ( "report",
+        [
+          Alcotest.test_case "golden" `Quick test_report_golden;
+          Alcotest.test_case "escapes workload" `Quick
+            test_report_escapes_workload;
+        ] );
       ( "objdump",
         [ Alcotest.test_case "golden" `Quick test_objdump_golden ] );
     ]

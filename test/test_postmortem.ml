@@ -188,24 +188,27 @@ let test_postmortem_golden_json () =
   checks "text is byte-stable across runs"
     (Lfi_telemetry.Postmortem.to_text a)
     (Lfi_telemetry.Postmortem.to_text b);
-  (* JSON shape: every section keyed, schema versioned *)
+  (* JSON shape: valid JSON, every section keyed, schema versioned *)
+  let j = Lfi_telemetry.Json.parse ja in
+  let member k = Lfi_telemetry.Json.member k j in
+  checks "schema" "lfi-postmortem/v1"
+    (Lfi_telemetry.Json.to_string (member "schema"));
   List.iter
-    (fun key -> checkb key (contains ja key) true)
+    (fun key -> ignore (member key))
     [
-      "\"schema\": \"lfi-postmortem/v1\"";
-      "\"reason\"";
-      "\"fault\"";
-      "\"regs\"";
-      "\"backtrace\"";
-      "\"disasm\"";
-      "\"hexdump\"";
-      "\"pages\"";
-      "\"layout\"";
-      "\"flight\"";
-      "\"guard_clamps\"";
-      "\"poke\"";
-      "\"corrupt\"";
+      "reason"; "fault"; "regs"; "backtrace"; "disasm"; "hexdump"; "pages";
+      "layout"; "flight"; "guard_clamps";
     ];
+  let syms =
+    List.filter_map
+      (fun f ->
+        match Lfi_telemetry.Json.member "sym" f with
+        | Lfi_telemetry.Json.Str s -> Some s
+        | _ -> None)
+      (Lfi_telemetry.Json.to_list (member "backtrace"))
+  in
+  checkb "backtrace names poke" (List.mem "poke" syms) true;
+  checkb "backtrace names corrupt" (List.mem "corrupt" syms) true;
   checkb "text report names the fault"
     (contains (Lfi_telemetry.Postmortem.to_text a) "fault")
     true

@@ -58,7 +58,7 @@ let test_golden () =
   let r = Prover.Prove.run () in
   checks "lfi-prove/v1 smoke report is byte-stable"
     (read_file "prove_golden.json")
-    (Prover.Report.to_json r ^ "\n")
+    (Prover.Report.to_json r)
 
 let test_deterministic () =
   checks "two runs render identical reports"

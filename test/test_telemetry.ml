@@ -93,26 +93,29 @@ let test_metrics_golden () =
     (hit_rate ~hits:snap.tc_hits ~misses:snap.tc_misses > 0.9)
     true
 
-(* cheap substring check, so the tests need no JSON parser *)
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
+module Json = Lfi_telemetry.Json
+
+(* the value at a member path, e.g. [path j ["emulator"; "tlb"]] *)
+let path j keys = List.fold_left (fun j k -> Json.member k j) j keys
 
 let test_metrics_json_shape () =
   let rt, _ = run_with_metrics () in
-  let j = Lfi_runtime.Runtime.metrics_json rt in
+  let j = Json.parse (Lfi_runtime.Runtime.metrics_json rt) in
   List.iter
-    (fun key -> checkb key (contains j key) true)
+    (fun keys ->
+      checkb (String.concat "." keys)
+        (match path j keys with Json.Obj (_ :: _) -> true | _ -> false)
+        true)
     [
-      "\"decode_cache\"";
-      "\"translation_cache\"";
-      "\"tlb\"";
-      "\"insn_mix\"";
-      "\"runtime\"";
-      "\"rtcall_latency\"";
-      "\"exit\"";
-    ]
+      [ "emulator"; "decode_cache" ];
+      [ "emulator"; "translation_cache" ];
+      [ "emulator"; "tlb" ];
+      [ "emulator"; "insn_mix" ];
+      [ "runtime" ];
+      [ "rtcall_latency"; "exit" ];
+    ];
+  checkb "insn mix totals" true
+    (Json.to_int (path j [ "emulator"; "insn_mix"; "total" ]) > 0)
 
 (* ---------------- trace determinism ---------------- *)
 
@@ -126,17 +129,30 @@ let trace_of_run () =
   ignore (Lfi_runtime.Runtime.run_one rt p);
   Lfi_telemetry.Trace.to_string t
 
+let trace_events s = Json.to_list (Json.member "traceEvents" (Json.parse s))
+
+let has_event events field value =
+  List.exists (fun e -> Json.to_string (Json.member field e) = value) events
+
 let test_trace_deterministic () =
   let a = trace_of_run () and b = trace_of_run () in
   checkb "two runs, byte-identical traces" (String.equal a b) true;
   checkb "trace is non-trivial" (String.length a > 200) true;
-  checkb "has a complete event" (contains a "\"ph\": \"X\"") true
+  checkb "has a complete event" (has_event (trace_events a) "ph" "X") true
 
 let test_trace_tracks () =
-  let s = trace_of_run () in
-  checkb "process named" (contains s "lfi-runtime") true;
-  checkb "sandbox track named" (contains s "sandbox 1 (lfi)") true;
-  checkb "exit call traced" (contains s "\"name\": \"exit\"") true
+  let events = trace_events (trace_of_run ()) in
+  let track_names =
+    List.filter_map
+      (fun e ->
+        match Json.member "ph" e with
+        | Json.Str "M" -> Some (Json.to_string (path e [ "args"; "name" ]))
+        | _ -> None)
+      events
+  in
+  checkb "process named" (List.mem "lfi-runtime" track_names) true;
+  checkb "sandbox track named" (List.mem "sandbox 1 (lfi)" track_names) true;
+  checkb "exit call traced" (has_event events "name" "exit") true
 
 (* ---------------- profiling ---------------- *)
 
@@ -260,8 +276,8 @@ let test_window_merge_invariant () =
   (* bucket counts are exact under merge, so merging every retained
      window reproduces the whole-run histogram bit for bit *)
   checks "merged equals whole-run total"
-    (Lfi_telemetry.Histogram.to_json (W.total w))
-    (Lfi_telemetry.Histogram.to_json (W.merged w));
+    (Json.to_line (Lfi_telemetry.Histogram.to_json (W.total w)))
+    (Json.to_line (Lfi_telemetry.Histogram.to_json (W.merged w)));
   let r = W.range w ~lo:0 ~hi:(W.cur w) in
   checki "ok counters add up" (W.total_ok w) r.W.r_ok;
   checki "err counters add up" (W.total_err w) r.W.r_err;
@@ -343,6 +359,72 @@ let test_verifier_report_format () =
         msg
   | Error vs -> Alcotest.failf "expected 1 violation, got %d" (List.length vs)
 
+(* ---------------- json codec ---------------- *)
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+(* every committed JSON artifact is in canonical form: printing its
+   parse gives back the same bytes *)
+let test_json_canonical () =
+  List.iter
+    (fun f ->
+      let s = read_file f in
+      checks f s (Json.to_pretty (Json.parse s)))
+    [
+      "../BENCH_serve.json";
+      "../BENCH_serve_knee.json";
+      "../BENCH_emulator.json";
+      "../BENCH_baseline.json";
+      "overhead_golden.json";
+      "prove_golden.json";
+    ];
+  List.iter
+    (fun f ->
+      String.split_on_char '\n' (read_file f)
+      |> List.filter (( <> ) "")
+      |> List.iter (fun l -> checks f l (Json.to_line (Json.parse l))))
+    [ "../BENCH_serve_snap.jsonl"; "serve_snap_golden.txt" ]
+
+let test_json_strings () =
+  let all_bytes = String.init 256 Char.chr in
+  let line = Json.to_line (Json.Str all_bytes) in
+  checks "every byte round-trips" all_bytes (Json.to_string (Json.parse line));
+  checks "escapes" "\"q\\\"b\\\\t\\tn\\n\\u0001a\xc3\xa9\""
+    (Json.to_line (Json.Str "q\"b\\t\tn\n\001a\xc3\xa9"));
+  checks "\\u00XX then a hex letter" "\001a"
+    (Json.to_string (Json.parse "\"\\u0001a\""));
+  checks "NaN prints as null" "[null, 1.50, 2]"
+    Json.(to_line (Arr [ Float (Float.nan, 1); Float (1.5, 2); Int 2 ]))
+
+(* malformed input of every kind raises Parse_error and nothing else *)
+let test_json_fails_closed () =
+  let obj = Json.parse "{\"a\": 1, \"b\": \"x\"}" in
+  List.iter
+    (fun (what, f) ->
+      match f () with
+      | _ -> Alcotest.failf "%s: accepted" what
+      | exception Json.Parse_error _ -> ()
+      | exception e ->
+          Alcotest.failf "%s: raised %s" what (Printexc.to_string e))
+    [
+      ("bad \\u", fun () -> Json.parse "\"\\uZZZZ\"");
+      ("\\u with sign", fun () -> Json.parse "\"\\u+7ff\"");
+      ("non-ASCII \\u", fun () -> Json.parse "\"\\u00e9\"");
+      ("short \\u", fun () -> Json.parse "\"\\u00\"");
+      ("truncated string", fun () -> Json.parse "{\"a\": \"x");
+      ("truncated object", fun () -> Json.parse "{\"a\": 1,");
+      ("trailing bytes", fun () -> Json.parse "{} {}");
+      ("bare minus", fun () -> Json.parse "-");
+      ("empty", fun () -> Json.parse "");
+      ("deep nesting", fun () -> Json.parse (String.make 100_000 '['));
+      ("wrong type", fun () -> Json.Int (Json.to_int (Json.member "b" obj)));
+      ("missing member", fun () -> Json.member "c" obj);
+    ]
+
 let () =
   Alcotest.run "telemetry"
     [
@@ -385,5 +467,12 @@ let () =
       ( "verifier-report",
         [
           Alcotest.test_case "format" `Quick test_verifier_report_format;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "committed artifacts canonical" `Quick
+            test_json_canonical;
+          Alcotest.test_case "string escaping" `Quick test_json_strings;
+          Alcotest.test_case "fails closed" `Quick test_json_fails_closed;
         ] );
     ]
