@@ -527,6 +527,49 @@ let test_serve_work_stealing_conservation () =
     + osum (fun t -> t.Serve.ts_failed)
     + o.Serve.shed)
 
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+(* the open- and closed-loop paths, pinned byte for byte: the whole
+   report and every snapshot frame of a 3-slot, 4-tenant run each (the
+   open loop sheds and steals, the closed loop steals) *)
+let v3_golden_runs () =
+  let go arrival =
+    Serve.run ~arrival ~tenants:Serve.Suite.tenants ~spec:Libs.xzbox ~pool:3
+      ~requests:400 ~seed:9 ~snapshot_every:100 ()
+  in
+  let entry name r =
+    [ (name ^ "_report", r.Serve.json);
+      (name ^ "_frames", Json.Arr (List.map Json.parse r.Serve.snapshots)) ]
+  in
+  Json.Obj
+    (entry "open" (go (Arrival.Open { rate_rps = 1_600_000.0 }))
+    @ entry "closed" (go (Arrival.Closed { concurrency = 8 })))
+
+let test_serve_v3_golden () =
+  checks "open + closed reports and frames"
+    (read_file "serve_v3_golden.json")
+    (Json.to_pretty (v3_golden_runs ()))
+
+(* lfi_top's view of every committed frame: the anchor stream, the
+   slowbox alert frames and the multi-tenant frames *)
+let test_lfi_top_golden () =
+  let lines path =
+    List.filter (fun l -> l <> "") (String.split_on_char '\n' (read_file path))
+  in
+  let v3 = Json.parse (read_file "serve_v3_golden.json") in
+  let frames name = List.map Json.to_line (Json.to_list (Json.member name v3)) in
+  let all =
+    lines "../BENCH_serve_snap.jsonl" @ lines "serve_snap_golden.txt"
+    @ frames "open_frames" @ frames "closed_frames"
+  in
+  checks "rendered frames" (read_file "lfi_top_golden.txt")
+    (String.concat "\n"
+       (List.map (fun l -> Snapshot.render (Snapshot.of_json l)) all))
+
 (* the dispatch rotation with dead slots: all-but-one retired, the last
    one retiring mid-stream, and a respawn recycling the freed slot *)
 let test_pool_wraparound_respawn () =
@@ -675,6 +718,8 @@ let () =
           mk "v3 deterministic" test_serve_v3_deterministic;
           mk "quota starvation" test_serve_quota_starvation;
           mk "work-stealing conservation" test_serve_work_stealing_conservation;
+          mk "open + closed golden" test_serve_v3_golden;
+          mk "lfi_top render golden" test_lfi_top_golden;
           mk "pool wraparound + respawn" test_pool_wraparound_respawn;
           mk "snapshot rejects malformed" test_snapshot_rejects_malformed;
         ] );
