@@ -193,9 +193,13 @@ let run workload requests pool seed machine json filter trace snapshot
         | Some _, n -> if n > 0 then n else 250
       in
       let report =
-        Serve.run ~uarch ~filter ?trace:tr ~snapshot_every ~arrival
-          ~tenants:(tenant_specs tenants) ~batch_max ~spec ~pool ~requests
-          ~seed ()
+        try
+          Serve.run ~uarch ~filter ?trace:tr ~snapshot_every ~arrival
+            ~tenants:(tenant_specs tenants) ~batch_max ~spec ~pool ~requests
+            ~seed ()
+        with Invalid_argument why ->
+          Printf.eprintf "lfi_serve: %s\n" why;
+          exit 2
       in
       (match (trace, tr) with
       | Some file, Some t ->
@@ -208,7 +212,7 @@ let run workload requests pool seed machine json filter trace snapshot
           let oc = open_out file in
           List.iter
             (fun frame ->
-              output_string oc frame;
+              output_string oc (Lfi_telemetry.Json.to_line frame);
               output_char oc '\n')
             report.Serve.snapshots;
           close_out oc;
@@ -239,10 +243,16 @@ let run workload requests pool seed machine json filter trace snapshot
         report.Serve.requests_per_sec
         (List.length report.Serve.alerts)
         (if List.length report.Serve.alerts = 1 then "" else "s");
-      if report.Serve.gate_p50 >=
-           uarch.Lfi_emulator.Cost_model.linux_pipe_roundtrip then begin
+      (* fails closed: a run that measured no transition (NaN p50)
+         does not pass *)
+      if
+        not
+          (report.Serve.gate_p50
+          < uarch.Lfi_emulator.Cost_model.linux_pipe_roundtrip)
+      then begin
         Printf.eprintf
-          "error: transition p50 not below the linux pipe round-trip\n";
+          "error: transition p50 not measured or not below the linux pipe \
+           round-trip\n";
         exit 1
       end
 

@@ -5,9 +5,10 @@
    lfi_serve --snapshot writes one JSON frame per line; this tool
    renders the last frame (default), replays every frame in order
    (--replay), or follows a growing file (--follow), re-rendering as
-   new frames land.  Rendering is pure string formatting over the
-   parsed frame — byte-stable, so tests golden it.  A malformed or
-   other-schema frame stops it with exit 2, never a crash. *)
+   new frames land.  Snapshot.render reads each frame line through the
+   Json accessors and formats it — byte-stable, so a test goldens the
+   view of every committed frame.  A malformed or other-schema frame
+   stops it with exit 2, never a crash. *)
 
 module Snapshot = Lfi_libbox.Snapshot
 
@@ -29,8 +30,8 @@ let read_frames file =
   List.rev !frames
 
 let render line =
-  match Snapshot.of_json line with
-  | frame -> print_string (Snapshot.render frame)
+  match Snapshot.render line with
+  | view -> print_string view
   | exception Snapshot.Bad_snapshot why ->
       Printf.eprintf "lfi_top: malformed lfi-snap frame: %s\n" why;
       exit 2
@@ -38,6 +39,7 @@ let render line =
 let clear () = print_string "\027[2J\027[H"
 
 let run file replay follow delay =
+  let delay = if follow && delay <= 0.0 then 0.5 else delay in
   if follow then begin
     (* tail the file: re-render whenever a new frame is appended *)
     let seen = ref 0 in
@@ -93,10 +95,6 @@ let delay =
   Arg.(value & opt float 0.0 & info [ "delay" ] ~docv:"SECONDS"
          ~doc:"Pause between frames in --replay (clearing the screen), \
                and the poll interval in --follow (default 0.5 there).")
-
-let run file replay follow delay =
-  let delay = if follow && delay <= 0.0 then 0.5 else delay in
-  run file replay follow delay
 
 let cmd =
   let doc = "top-style view of an lfi_serve snapshot stream" in

@@ -37,7 +37,16 @@
     Request latency is measured in simulated cycles; queue wait and
     the per-batch dispatch-decision cost (8 cycles, the runtime
     scheduler's bookkeeping charge) advance the clock only under the
-    open- and closed-loop models, so replay throughput is untouched. *)
+    open- and closed-loop models, so replay throughput is untouched.
+
+    A run is four stages over four records.  {b Arrival} turns the
+    seeded [source] into tenant-queue entries; the open and closed
+    models share one serve loop, replay dispatches each request as it
+    is made.  {b Dispatch} picks the tenant, the batch and the instance
+    from the [sched] record.  {b Accounting} folds each dispatched
+    request into the [acct] record, whose only writer is {!record}.
+    The {b report} and every snapshot frame are pure reads of [acct],
+    the pool and the run's [params] ({!report_of}, {!frame_of}). *)
 
 open Lfi_emulator
 module H = Lfi_telemetry.Histogram
@@ -49,53 +58,6 @@ module Json = Lfi_telemetry.Json
 module Runq = Lfi_sched.Runq
 module Tenant = Lfi_sched.Tenant
 module Arrival = Lfi_sched.Arrival
-
-type tenant_stat = {
-  ts_name : string;
-  ts_weight : int;
-  ts_quota_rps : float;  (** 0 = no quota *)
-  ts_queue_bound : int;
-  ts_admitted : int;
-  ts_completed : int;
-  ts_failed : int;
-  ts_shed_queue : int;
-  ts_shed_quota : int;
-  ts_depth_max : int;
-  ts_depth_avg : float;
-  ts_steals : int;
-  ts_quota_util : float;  (** NaN = no quota *)
-  ts_p50 : float;
-  ts_p99 : float;
-  ts_p999 : float;
-}
-
-type report = {
-  json : Json.t;  (** the lfi-serve/v3 report *)
-  completed : int;
-  failed : int;
-  shed : int;  (** requests rejected at admission (quota or queue bound) *)
-  retired : int;  (** instances lost *)
-  gate_p50 : float;
-  gate_p99 : float;
-  gate_mean : float;
-  call_p50 : float;
-  call_p99 : float;
-  call_p999 : float;
-  latency_p50 : float;  (** end-to-end (queue wait included), cycles *)
-  latency_p99 : float;
-  latency_p999 : float;
-  insns_per_request : float;
-  requests_per_sec : float;
-  achieved_rps : float;  (** served / simulated duration *)
-  duration_cycles : float;
-  steals : int;
-  batches : int;
-  tenants : tenant_stat list;
-  alerts : Slo.alert list;  (** burn-rate alerts, in firing order *)
-  snapshots : string list;  (** lfi-snap/v2 frames, in emission order *)
-  summary : Json.t;
-      (** condensed one-object view of the run, for suite embedding *)
-}
 
 (** The serve layer's own trace process; the runtime's events stay on
     {!Lfi_runtime.Runtime.trace_pid} so the two views sit side by side
@@ -118,21 +80,22 @@ let make_rng (seed : int) =
     s := x;
     Int64.to_int (Int64.rem (Int64.logand x Int64.max_int) (Int64.of_int bound))
 
+(* one draw below the total weight picks the first element whose
+   running weight sum exceeds it *)
+let weighted_pick (rng : int -> int) (weight : 'a -> int) (l : 'a list) : 'a =
+  let n = rng (List.fold_left (fun a x -> a + weight x) 0 l) in
+  let rec go acc = function
+    | [ x ] -> x
+    | x :: tl -> if n < acc + weight x then x else go (acc + weight x) tl
+    | [] -> assert false
+  in
+  go 0 l
+
 let pick_export (rng : int -> int) (exports : Api.export_spec list) :
     Api.export_spec =
-  match exports with
-  | [] -> invalid_arg "Serve.run: no weighted exports in the stream"
-  | _ ->
-      let total = List.fold_left (fun a e -> a + e.Api.e_weight) 0 exports in
-      let n = rng total in
-      let rec go acc = function
-        | [ e ] -> e
-        | e :: tl ->
-            let acc = acc + e.Api.e_weight in
-            if n < acc then e else go acc tl
-        | [] -> assert false
-      in
-      go 0 exports
+  if exports = [] then
+    invalid_arg "Serve.run: no weighted exports in the stream";
+  weighted_pick rng (fun e -> e.Api.e_weight) exports
 
 (* burn rates of an export's window range, for the snapshot view: the
    worse of the latency and error dimensions *)
@@ -156,641 +119,622 @@ type pending = {
   pr_client : int;  (** closed-loop client id; -1 otherwise *)
 }
 
-let run ?(uarch = Cost_model.m1) ?(config = Lfi_core.Config.o2)
-    ?(filter : string list = []) ?(window_cycles = 50_000.0)
-    ?(window_depth = 128) ?(trace : Trace.t option) ?(snapshot_every = 0)
-    ?(arrival = Arrival.Replay)
-    ?(tenants : Tenant.spec list = [ Tenant.default_spec ])
-    ?(batch_max = 8) ~(spec : Api.lib_spec) ~(pool : int) ~(requests : int)
-    ~(seed : int) () : report =
-  if batch_max < 1 then invalid_arg "Serve.run: batch_max < 1";
-  if tenants = [] then invalid_arg "Serve.run: no tenants";
-  List.iter
-    (fun (t : Tenant.spec) ->
-      if t.Tenant.t_weight < 1 then
-        invalid_arg "Serve.run: tenant weight < 1")
-    tenants;
-  let lib =
-    let exports =
-      List.map (fun e -> e.Api.e_name) spec.Api.l_exports
-      @ match spec.Api.l_init with None -> [] | Some n -> [ n ]
-    in
-    Library.create ~config ~name:spec.Api.l_short ~exports spec.Api.l_program
+(* ---------------- Run state --------------------------------------- *)
+
+(** What a run was asked to do; fixed once serving starts. *)
+type params = {
+  spec : Api.lib_spec;
+  uarch : Cost_model.t;
+  config : Lfi_core.Config.t;
+  filter : string list;
+  window_cycles : float;
+  arrival : Arrival.t;
+  pool_size : int;
+  requests : int;
+  seed : int;
+  snapshot_every : int;
+  trace : Trace.t option;
+  origin : float;  (** cycle count when serving starts, after warm-up *)
+}
+
+(** The dispatch stage's state. *)
+type sched = {
+  pool : Pool.t;
+  tenants : pending Tenant.t array;
+  shards : Runq.t array;  (** tenant t's home slots, as pool indexes *)
+  tq : Runq.t;  (** tenant run queue, DRR order *)
+  batch_max : int;
+  charge : float;  (** dispatch-decision cycles per batch *)
+}
+
+(** Everything the accounting stage accumulates; {!record} is its only
+    writer, and {!frame_of}/{!report_of} read it. *)
+type acct = {
+  mutable serve_cycles : float;
+  mutable serve_insns : int;
+  mutable steals : int;
+  mutable batches : int;
+  mutable batched : int;  (** requests served inside a batch *)
+  mutable served : int;  (** requests dispatched, ok or failed *)
+  phase_tot : float array;  (** cumulative cycles per span phase *)
+  lat_overall : H.t;  (** full-run end-to-end latency *)
+  lat_tenant : H.t array;
+  exports : (string * Window.t * Slo.objective option) list;
+  overall : Window.t;
+  mutable alerts : Slo.alert list;  (** newest first *)
+  mutable last_eval : int;  (** last window the SLOs were checked over *)
+  cursors : (int, float) Hashtbl.t;  (** per-slot trace track end *)
+  mutable frames : Json.t list;  (** newest first *)
+}
+
+(** The seeded request stream, shared by the three arrival models. *)
+type source = {
+  rng : int -> int;
+  stream : Api.export_spec list;  (** weighted exports after [filter] *)
+  mutable issued : int;
+  mutable next_at : float;  (** open loop: the next arrival's timestamp *)
+  gaps : (unit -> float) option;  (** open loop: inter-arrival cycles *)
+}
+
+let machine (s : sched) = s.pool.Pool.rt.Lfi_runtime.Runtime.machine
+let now s = Machine.cycles (machine s)
+
+(* ---------------- Rows and frames: pure reads of the run state ---- *)
+
+let f0 v = Json.Float (v, 0)
+let f1 v = Json.Float (v, 1)
+let mean_or_nan h = if h.H.count = 0 then Float.nan else H.mean h
+
+(* the p50/p99/p999 members every latency row carries *)
+let percentiles h =
+  List.map
+    (fun (k, q) -> (k, f1 (H.percentile h q)))
+    [ ("p50", 0.50); ("p99", 0.99); ("p999", 0.999) ]
+
+(* one pool slot; the report's per_slot and a frame's slots rows *)
+let slot_rows (pool : Pool.t) : Json.t =
+  Json.Arr
+    (Array.to_list
+       (Array.map
+          (fun inst ->
+            let pr = inst.Instance.p in
+            Json.Obj
+              [
+                ("slot", Json.Int pr.Lfi_runtime.Proc.slot);
+                ("pid", Json.Int pr.Lfi_runtime.Proc.pid);
+                ("alive", Json.Bool inst.Instance.alive);
+                ("calls", Json.Int inst.Instance.calls);
+                ("resets", Json.Int inst.Instance.resets);
+                ("insns", Json.Int inst.Instance.call_insns);
+                ("pages_restored", Json.Int inst.Instance.pages_restored);
+              ])
+          pool.Pool.instances))
+
+(* one export's rolling-window view, after its name key *)
+let export_stats (w : Window.t) : (string * Json.t) list =
+  let m = Window.merged w in
+  let r = Window.range w ~lo:0 ~hi:(Window.cur w) in
+  let ipr =
+    if m.H.count = 0 then Float.nan
+    else float_of_int r.Window.r_insns /. float_of_int m.H.count
   in
-  let rt =
-    Lfi_runtime.Runtime.create
-      ~config:
-        { Lfi_runtime.Runtime.default_config with verify = false; uarch }
-      ()
+  [ ("requests", Json.Int (Window.total_ok w + Window.total_err w));
+    ("errors", Json.Int (Window.total_err w)) ]
+  @ percentiles m
+  @ [ ("mean", f1 (mean_or_nan m)); ("insns_per_request", f1 ipr) ]
+
+let phases_json (a : acct) : Json.t =
+  Json.Obj
+    (List.map
+       (fun ph -> (Span.name ph, f1 a.phase_tot.(Span.index ph)))
+       Span.all)
+
+(** One [lfi-snap/v2] frame of the run so far. *)
+let frame_of (p : params) (s : sched) (a : acct) : Json.t =
+  let open Json in
+  let dur = now s -. p.origin in
+  let export (name, w, slo) =
+    let cur = Window.cur w in
+    let fast = range_burn slo (Window.range w ~lo:cur ~hi:cur) in
+    let slow = range_burn slo (Window.range w ~lo:(cur - 9) ~hi:cur) in
+    Obj
+      ((("name", Str name) :: export_stats w)
+      @ [
+          ("burn_fast", Float (fast, 2)); ("burn_slow", Float (slow, 2));
+          ("alerting", Bool (fast >= 1.0 && slow >= 1.0));
+        ])
   in
-  (match trace with
-  | None -> ()
-  | Some t ->
-      Trace.process_name t ~pid:Lfi_runtime.Runtime.trace_pid
-        ~name:"lfi-runtime";
-      rt.Lfi_runtime.Runtime.trace <- Some t);
-  let p =
-    Pool.create ~runtime:rt ~arena:spec.Api.l_arena ?init:spec.Api.l_init
-      ~size:pool lib
+  let tenant t (tn : pending Tenant.t) =
+    Obj
+      [
+        ("tenant", Str tn.Tenant.spec.Tenant.t_name);
+        ("depth", Int (Tenant.depth tn));
+        ("depth_max", Int tn.Tenant.depth_max);
+        ("admitted", Int tn.Tenant.admitted);
+        ("completed", Int tn.Tenant.completed);
+        ("failed", Int tn.Tenant.failed);
+        ("shed_queue", Int tn.Tenant.shed_queue);
+        ("shed_quota", Int tn.Tenant.shed_quota);
+        ( "quota_utilization",
+          Float (Tenant.quota_utilization tn ~duration:dur, 3) );
+        ("steals", Int tn.Tenant.steals);
+        ("p99", f1 (H.percentile a.lat_tenant.(t) 0.99));
+      ]
   in
-  (match trace with
-  | None -> ()
-  | Some t ->
-      Trace.process_name t ~pid:trace_pid ~name:"lfi-serve";
-      Trace.thread_name t ~pid:trace_pid ~tid:0 ~name:"slo";
-      Array.iter
-        (fun inst ->
-          let slot = inst.Instance.p.Lfi_runtime.Proc.slot in
-          Trace.thread_name t ~pid:trace_pid ~tid:slot
-            ~name:(Printf.sprintf "slot %d" slot))
-        p.Pool.instances);
-  (* the request stream: weighted exports, optionally narrowed to
-     --filter names (spec order is preserved, so the stream stays a
-     pure function of seed + filter) *)
-  let stream_exports =
-    List.filter
-      (fun e ->
-        e.Api.e_weight > 0
-        && (filter = [] || List.mem e.Api.e_name filter))
-      spec.Api.l_exports
-  in
-  if stream_exports = [] then
-    invalid_arg "Serve.run: no weighted exports in the stream";
-  let machine = rt.Lfi_runtime.Runtime.machine in
-  let clock_hz = uarch.Cost_model.clock_ghz *. 1e9 in
-  (* window 0 opens when serving starts, after pool warm-up *)
-  let origin = Machine.cycles machine in
+  Obj
+    [
+      ("schema", Str "lfi-snap/v2"); ("workload", Str p.spec.Api.l_short);
+      ("seq", Int a.served); ("now", f1 dur);
+      ("completed", Int s.pool.Pool.served);
+      ("failed", Int s.pool.Pool.failed);
+      ("instances_lost", Int (Pool.retired s.pool));
+      ("window_cycles", f0 p.window_cycles);
+      ("windows", Int (Window.spanned a.overall));
+      ("exports", Arr (List.map export a.exports));
+      ("slots", slot_rows s.pool);
+      ("tenants", Arr (Array.to_list (Array.mapi tenant s.tenants)));
+      ("phases", phases_json a);
+      ("alerts", Arr (List.rev_map Slo.alert_to_json a.alerts));
+    ]
+
+(* ---------------- Accounting -------------------------------------- *)
+
+let new_acct ~(slos : Api.slo list) ~stream ~tenants ~origin ~depth
+    ~width : acct =
+  let window () = Window.create ~depth ~origin ~width () in
   let slo_of name =
-    List.find_opt (fun s -> s.Api.s_export = name) spec.Api.l_slos
-    |> Option.map (fun s -> s.Api.s_objective)
+    List.find_opt (fun o -> o.Api.s_export = name) slos
+    |> Option.map (fun o -> o.Api.s_objective)
   in
-  let export_state =
-    List.map
-      (fun e ->
-        ( e.Api.e_name,
-          Window.create ~depth:window_depth ~origin ~width:window_cycles (),
-          slo_of e.Api.e_name ))
-      stream_exports
-  in
-  let overall =
-    Window.create ~depth:window_depth ~origin ~width:window_cycles ()
-  in
-  (* ---------------- tenants, shards, tenant run queue -------------- *)
-  let tenant_specs = Array.of_list tenants in
-  let ntenants = Array.length tenant_specs in
-  let tns : pending Tenant.t array =
-    Array.map (Tenant.create ~clock_hz) tenant_specs
-  in
-  (* home shards: slot i belongs to tenant (i mod ntenants); with one
-     tenant the shard IS the pool in creation order, so replay keeps
-     the v2 rotation exactly *)
-  let shards = Array.init ntenants (fun _ -> Runq.create ()) in
-  Array.iteri
-    (fun i _ -> Runq.push shards.(i mod ntenants) i)
-    p.Pool.instances;
-  let tq = Runq.create ~capacity:ntenants () in
-  Array.iteri (fun t _ -> Runq.push tq t) tns;
-  (* full-run end-to-end latency (the v3 headline numbers); windows
-     above keep the v2 rolling view *)
-  let lat_overall = H.create () in
-  let lat_tenant = Array.init ntenants (fun _ -> H.create ()) in
-  let phase_tot = Array.make Span.nphases 0.0 in
-  let alerts = ref [] and last_eval = ref (-1) in
-  let cursors : (int, float) Hashtbl.t = Hashtbl.create 8 in
-  let snapshots = ref [] in
-  let rng = make_rng seed in
-  let serve_cycles = ref 0.0 and serve_insns = ref 0 in
-  let steals_total = ref 0 and batches = ref 0 and batched_reqs = ref 0 in
-  let served_count = ref 0 in
-  (* evaluate SLOs over every window that closed before [gcur] *)
-  let eval_closed gcur =
-    for s = !last_eval + 1 to gcur - 1 do
-      List.iter
-        (fun (name, w, slo) ->
-          match slo with
-          | None -> ()
-          | Some ob ->
-              let f = Window.range w ~lo:s ~hi:s in
-              let sl = Window.range w ~lo:(s - 9) ~hi:s in
-              List.iter
-                (fun (kind, fast, slow) ->
-                  alerts :=
-                    { Slo.a_export = name; a_window = s; a_kind = kind;
-                      a_fast = fast; a_slow = slow }
-                    :: !alerts;
-                  match trace with
-                  | None -> ()
-                  | Some t ->
-                      Trace.instant t ~name:("slo:" ^ name) ~cat:"slo"
-                        ~ts:(origin +. (float_of_int (s + 1) *. window_cycles))
-                        ~pid:trace_pid ~tid:0
-                        ~args:
-                          [ ("kind", Trace.Str (Slo.kind_name kind));
-                            ("window", Trace.Int s);
-                            ("fast", Trace.Float fast);
-                            ("slow", Trace.Float slow) ])
-                (Slo.check ob
-                   ~fast:(f.Window.r_over, f.Window.r_err, f.Window.r_ok)
-                   ~slow:(sl.Window.r_over, sl.Window.r_err, sl.Window.r_ok)))
-        export_state
-    done;
-    if gcur - 1 > !last_eval then last_eval := gcur - 1
-  in
-  let slot_rows () =
-    Array.to_list
-      (Array.map
-         (fun inst ->
-           {
-             Snapshot.sl_slot = inst.Instance.p.Lfi_runtime.Proc.slot;
-             sl_pid = inst.Instance.p.Lfi_runtime.Proc.pid;
-             sl_alive = inst.Instance.alive;
-             sl_calls = inst.Instance.calls;
-             sl_resets = inst.Instance.resets;
-             sl_insns = inst.Instance.call_insns;
-             sl_restored = inst.Instance.pages_restored;
-           })
-         p.Pool.instances)
-  in
-  let export_rows () =
-    List.map
+  { serve_cycles = 0.0; serve_insns = 0; steals = 0; batches = 0;
+    batched = 0; served = 0; phase_tot = Array.make Span.nphases 0.0;
+    lat_overall = H.create ();
+    lat_tenant = Array.init tenants (fun _ -> H.create ());
+    exports =
+      List.map (fun e -> (e.Api.e_name, window (), slo_of e.Api.e_name)) stream;
+    overall = window (); alerts = []; last_eval = -1;
+    cursors = Hashtbl.create 8; frames = [] }
+
+(* evaluate SLOs over every window that closed before [gcur] *)
+let eval_closed (p : params) (a : acct) gcur =
+  for w_seq = a.last_eval + 1 to gcur - 1 do
+    List.iter
       (fun (name, w, slo) ->
-        let m = Window.merged w in
-        let cur = Window.cur w in
-        let r = Window.range w ~lo:0 ~hi:cur in
-        let fast = range_burn slo (Window.range w ~lo:cur ~hi:cur) in
-        let slow = range_burn slo (Window.range w ~lo:(cur - 9) ~hi:cur) in
-        {
-          Snapshot.x_name = name;
-          x_req = Window.total_ok w + Window.total_err w;
-          x_err = Window.total_err w;
-          x_p50 = H.percentile m 0.50;
-          x_p99 = H.percentile m 0.99;
-          x_p999 = H.percentile m 0.999;
-          x_mean = (if m.H.count = 0 then Float.nan else H.mean m);
-          x_ipr =
-            (if m.H.count = 0 then Float.nan
-             else float_of_int r.Window.r_insns /. float_of_int m.H.count);
-          x_burn_fast = fast;
-          x_burn_slow = slow;
-          x_alerting = fast >= 1.0 && slow >= 1.0;
-        })
-      export_state
-  in
-  let duration () = Machine.cycles machine -. origin in
-  let tenant_rows () =
-    Array.to_list
-      (Array.mapi
-         (fun t (tn : pending Tenant.t) ->
-           {
-             Snapshot.tn_name = tn.Tenant.spec.Tenant.t_name;
-             tn_depth = Tenant.depth tn;
-             tn_depth_max = tn.Tenant.depth_max;
-             tn_admitted = tn.Tenant.admitted;
-             tn_completed = tn.Tenant.completed;
-             tn_failed = tn.Tenant.failed;
-             tn_shed_queue = tn.Tenant.shed_queue;
-             tn_shed_quota = tn.Tenant.shed_quota;
-             tn_quota_util =
-               Tenant.quota_utilization tn ~duration:(duration ());
-             tn_steals = tn.Tenant.steals;
-             tn_p99 = H.percentile lat_tenant.(t) 0.99;
-           })
-         tns)
-  in
-  let take_frame i =
-    let frame =
-      {
-        Snapshot.workload = spec.Api.l_short;
-        seq = i;
-        now = Machine.cycles machine -. origin;
-        completed = p.Pool.served;
-        failed = p.Pool.failed;
-        retired = Pool.retired p;
-        window_cycles;
-        windows = Window.spanned overall;
-        exports = export_rows ();
-        slots = slot_rows ();
-        tenants = tenant_rows ();
-        phases =
-          List.map (fun ph -> (Span.name ph, phase_tot.(Span.index ph))) Span.all;
-        alerts = List.rev !alerts;
-      }
-    in
-    snapshots := Snapshot.to_json frame :: !snapshots
-  in
-  (* ---------------- request generation ----------------------------- *)
-  let tenant_weight_total =
-    Array.fold_left (fun a (s : Tenant.spec) -> a + s.Tenant.t_weight) 0
-      tenant_specs
-  in
-  let pick_tenant () =
-    if ntenants = 1 then 0
-    else begin
-      let n = rng tenant_weight_total in
-      let rec go acc t =
-        let acc = acc + tenant_specs.(t).Tenant.t_weight in
-        if n < acc || t = ntenants - 1 then t else go acc (t + 1)
-      in
-      go 0 0
-    end
-  in
-  (* tenant pick (when not pinned) draws before export pick, so the
-     request stream stays a pure function of seed + tenant list *)
-  let gen ?tenant ~(at : float) ~(client : int) () : pending =
-    let t = match tenant with Some t -> t | None -> pick_tenant () in
-    let e = pick_export rng stream_exports in
-    let args = e.Api.e_gen ~rng in
-    { pr_export = e; pr_args = args; pr_arrival = at; pr_tenant = t;
-      pr_client = client }
-  in
-  (* ---------------- dispatch + accounting -------------------------- *)
-  let replaying = arrival = Arrival.Replay in
-  (* closed-loop clients re-issue on completion *)
-  let issued = ref 0 in
-  let on_complete : (pending -> unit) ref = ref (fun _ -> ()) in
-  let record (req : pending) (inst : Instance.t option)
-      (r : (Api.reply, Api.error) result) =
-    let now = Machine.cycles machine in
-    List.iter (fun (_, w, _) -> Window.advance w ~now) export_state;
-    Window.advance overall ~now;
-    let _, ew, slo =
-      List.find (fun (n, _, _) -> n = req.pr_export.Api.e_name) export_state
-    in
-    let tn = tns.(req.pr_tenant) in
-    (match r with
-    | Ok reply ->
-        let total = reply.Api.stats.Api.total_cycles in
-        let insns = reply.Api.stats.Api.call_insns in
-        serve_cycles := !serve_cycles +. total;
-        serve_insns := !serve_insns + insns;
-        (* end-to-end latency: queue wait + service; under replay the
-           request arrived the instant it was served, so this is
-           exactly the v2 number *)
-        let latency = if replaying then total else now -. req.pr_arrival in
-        let over =
-          match slo with
-          | Some ob -> latency > ob.Slo.latency_cycles
-          | None -> false
-        in
-        Window.observe ew ~now ~latency ~insns ~over;
-        Window.observe overall ~now ~latency ~insns ~over;
-        H.observe lat_overall latency;
-        H.observe lat_tenant.(req.pr_tenant) latency;
-        tn.Tenant.completed <- tn.Tenant.completed + 1;
-        (match inst with
+        match slo with
         | None -> ()
-        | Some inst ->
-            Span.set inst.Instance.span Span.Queue (latency -. total);
-            Span.accumulate inst.Instance.span phase_tot;
-            (match trace with
-            | None -> ()
-            | Some t ->
-                let sp = inst.Instance.span in
-                let slot = inst.Instance.p.Lfi_runtime.Proc.slot in
-                let cur0 =
-                  Option.value ~default:origin (Hashtbl.find_opt cursors slot)
-                in
-                let start =
-                  Float.max cur0
-                    (sp.Span.t0 -. Span.get sp Span.Marshal_in
-                   -. Span.get sp Span.Queue)
-                in
-                Hashtbl.replace cursors slot
-                  (Span.emit sp t ~pid:trace_pid ~tid:slot ~ts:start)))
-    | Error _ ->
-        tn.Tenant.failed <- tn.Tenant.failed + 1;
-        Window.fail ew ~now;
-        Window.fail overall ~now);
-    eval_closed (Window.cur overall);
-    incr served_count;
-    if
-      snapshot_every > 0
-      && !served_count mod snapshot_every = 0
-      && !served_count < requests
-    then take_frame !served_count;
-    !on_complete req
+        | Some ob ->
+            let f = Window.range w ~lo:w_seq ~hi:w_seq in
+            let sl = Window.range w ~lo:(w_seq - 9) ~hi:w_seq in
+            List.iter
+              (fun (kind, fast, slow) ->
+                a.alerts <-
+                  { Slo.a_export = name; a_window = w_seq; a_kind = kind;
+                    a_fast = fast; a_slow = slow }
+                  :: a.alerts;
+                match p.trace with
+                | None -> ()
+                | Some t ->
+                    Trace.instant t ~name:("slo:" ^ name) ~cat:"slo"
+                      ~ts:
+                        (p.origin
+                        +. (float_of_int (w_seq + 1) *. p.window_cycles))
+                      ~pid:trace_pid ~tid:0
+                      ~args:
+                        [ ("kind", Trace.Str (Slo.kind_name kind));
+                          ("window", Trace.Int w_seq);
+                          ("fast", Trace.Float fast);
+                          ("slow", Trace.Float slow) ])
+              (Slo.check ob
+                 ~fast:(f.Window.r_over, f.Window.r_err, f.Window.r_ok)
+                 ~slow:(sl.Window.r_over, sl.Window.r_err, sl.Window.r_ok)))
+      a.exports
+  done;
+  if gcur - 1 > a.last_eval then a.last_eval <- gcur - 1
+
+(* the request's phase slices on its slot's track, laid after the
+   track's previous request *)
+let emit_span (p : params) (a : acct) (inst : Instance.t) =
+  match p.trace with
+  | None -> ()
+  | Some t ->
+      let sp = inst.Instance.span in
+      let slot = inst.Instance.p.Lfi_runtime.Proc.slot in
+      let cur0 =
+        Option.value ~default:p.origin (Hashtbl.find_opt a.cursors slot)
+      in
+      let start =
+        Float.max cur0
+          (sp.Span.t0 -. Span.get sp Span.Marshal_in
+         -. Span.get sp Span.Queue)
+      in
+      Hashtbl.replace a.cursors slot
+        (Span.emit sp t ~pid:trace_pid ~tid:slot ~ts:start)
+
+(** Account one dispatched request.  [batch] is its index within its
+    DRR batch, or [-1] when it was dispatched unbatched (replay). *)
+let record (p : params) (s : sched) (a : acct) ~stolen ~batch (req : pending)
+    (inst : Instance.t option) (r : (Api.reply, Api.error) result) =
+  let now = now s in
+  List.iter (fun (_, w, _) -> Window.advance w ~now) a.exports;
+  Window.advance a.overall ~now;
+  let _, ew, slo =
+    List.find (fun (n, _, _) -> n = req.pr_export.Api.e_name) a.exports
   in
-  (* pick an instance for tenant [t]: home shard first, then steal
-     around the ring *)
-  let keep i = p.Pool.instances.(i).Instance.alive in
-  let always _ = true in
-  let pick_instance t : (Instance.t * bool) option =
-    let rec go k =
-      if k >= ntenants then None
-      else
-        match Runq.select shards.((t + k) mod ntenants) ~keep ~runnable:always
-        with
-        | Some i -> Some (p.Pool.instances.(i), k > 0)
-        | None -> go (k + 1)
-    in
-    go 0
+  let tn = s.tenants.(req.pr_tenant) in
+  if stolen then begin
+    tn.Tenant.steals <- tn.Tenant.steals + 1;
+    a.steals <- a.steals + 1
+  end;
+  if batch = 0 then a.batches <- a.batches + 1;
+  if batch >= 0 then a.batched <- a.batched + 1;
+  (match r with
+  | Ok reply ->
+      let total = reply.Api.stats.Api.total_cycles in
+      let insns = reply.Api.stats.Api.call_insns in
+      a.serve_cycles <- a.serve_cycles +. total;
+      a.serve_insns <- a.serve_insns + insns;
+      (* end-to-end latency: queue wait + service; under replay the
+         request arrived the instant it was served, so this is exactly
+         the v2 number *)
+      let latency =
+        if p.arrival = Arrival.Replay then total else now -. req.pr_arrival
+      in
+      let over =
+        match slo with
+        | Some ob -> latency > ob.Slo.latency_cycles
+        | None -> false
+      in
+      Window.observe ew ~now ~latency ~insns ~over;
+      Window.observe a.overall ~now ~latency ~insns ~over;
+      H.observe a.lat_overall latency;
+      H.observe a.lat_tenant.(req.pr_tenant) latency;
+      tn.Tenant.completed <- tn.Tenant.completed + 1;
+      Option.iter
+        (fun inst ->
+          Span.set inst.Instance.span Span.Queue (latency -. total);
+          Span.accumulate inst.Instance.span a.phase_tot;
+          emit_span p a inst)
+        inst
+  | Error _ ->
+      tn.Tenant.failed <- tn.Tenant.failed + 1;
+      Window.fail ew ~now;
+      Window.fail a.overall ~now);
+  eval_closed p a (Window.cur a.overall);
+  a.served <- a.served + 1;
+  if p.snapshot_every > 0 && a.served mod p.snapshot_every = 0 then
+    a.frames <- frame_of p s a :: a.frames
+
+(* ---------------- Arrival ----------------------------------------- *)
+
+(* a lone tenant takes every request without drawing *)
+let pick_tenant rng (tns : pending Tenant.t array) =
+  let n = Array.length tns in
+  if n = 1 then 0
+  else
+    weighted_pick rng (fun t -> tns.(t).Tenant.spec.Tenant.t_weight)
+      (List.init n Fun.id)
+
+(* tenant pick (when not pinned) draws before export pick, so the
+   request stream stays a pure function of seed + tenant list *)
+let gen (s : sched) (src : source) ?tenant ~(at : float) ~(client : int) () =
+  let t =
+    match tenant with Some t -> t | None -> pick_tenant src.rng s.tenants
   in
-  let dispatch_one (req : pending) (inst : (Instance.t * bool) option) =
-    match inst with
-    | None -> record req None (Error Api.No_instances)
-    | Some (inst, stolen) ->
-        if stolen then begin
-          let tn = tns.(req.pr_tenant) in
-          tn.Tenant.steals <- tn.Tenant.steals + 1;
-          incr steals_total
-        end;
-        record req (Some inst)
-          (Pool.dispatch_on p inst req.pr_export.Api.e_name req.pr_args)
+  let e = pick_export src.rng src.stream in
+  let args = e.Api.e_gen ~rng:src.rng in
+  src.issued <- src.issued + 1;
+  { pr_export = e; pr_args = args; pr_arrival = at; pr_tenant = t;
+    pr_client = client }
+
+(* closed loop: client [k], pinned round-robin to a tenant, issues one
+   request; closed loops self-limit, so admission control does not
+   apply *)
+let issue (s : sched) (src : source) k at =
+  let t = k mod Array.length s.tenants in
+  Tenant.enqueue s.tenants.(t) (gen s src ~tenant:t ~at ~client:k ())
+
+(* open loop: admit everything that arrived while the server was busy *)
+let admit_due (p : params) (s : sched) (src : source) =
+  match src.gaps with
+  | None -> ()
+  | Some gap ->
+      let now = now s in
+      while src.issued < p.requests && src.next_at <= now do
+        let at = src.next_at in
+        let req = gen s src ~at ~client:(-1) () in
+        ignore (Tenant.admit s.tenants.(req.pr_tenant) ~now:at req);
+        src.next_at <- at +. gap ()
+      done
+
+(* ---------------- Dispatch ---------------------------------------- *)
+
+(* pick an instance for tenant [t]: home shard first, then steal around
+   the ring; the flag says whether it was stolen *)
+let pick_instance (s : sched) t : (Instance.t * bool) option =
+  let n = Array.length s.tenants in
+  let keep i = s.pool.Pool.instances.(i).Instance.alive in
+  let rec go k =
+    if k >= n then None
+    else
+      match
+        Runq.select s.shards.((t + k) mod n) ~keep ~runnable:(fun _ -> true)
+      with
+      | Some i -> Some (s.pool.Pool.instances.(i), k > 0)
+      | None -> go (k + 1)
   in
-  (* serve one DRR batch for tenant [t]: up to [min deficit batch_max]
-     consecutive same-export requests on one instance, one dispatch
-     decision for the whole batch *)
-  let serve_batch t =
-    let tn = tns.(t) in
-    let w = tn.Tenant.spec.Tenant.t_weight in
-    tn.Tenant.deficit <- min (tn.Tenant.deficit + w) (max batch_max w);
-    let limit = min tn.Tenant.deficit batch_max in
-    let ename =
-      match Tenant.peek tn with
-      | Some r -> r.pr_export.Api.e_name
-      | None -> assert false
-    in
-    Machine.add_cycles machine dispatch_decision_cycles;
-    let inst = ref (pick_instance t) in
-    let served = ref 0 in
-    let continue = ref true in
-    while !continue && !served < limit do
-      match Tenant.peek tn with
-      | Some r when r.pr_export.Api.e_name = ename ->
-          let req = Tenant.take tn in
-          (match !inst with
-          | Some (i, _) when i.Instance.alive -> ()
-          | _ -> inst := pick_instance t (* re-pick: batch killed it *));
-          dispatch_one req !inst;
-          incr served
-      | _ -> continue := false
-    done;
-    tn.Tenant.deficit <- tn.Tenant.deficit - !served;
-    if Tenant.depth tn = 0 then tn.Tenant.deficit <- 0;
-    incr batches;
-    batched_reqs := !batched_reqs + !served
+  go 0
+
+let dispatch_one p s a src ~batch (req : pending) pick =
+  (match pick with
+  | None ->
+      record p s a ~stolen:false ~batch req None (Error Api.No_instances)
+  | Some (inst, stolen) ->
+      record p s a ~stolen ~batch req (Some inst)
+        (Pool.dispatch_on s.pool inst req.pr_export.Api.e_name req.pr_args));
+  (* a closed-loop client re-issues the instant its request completes *)
+  if req.pr_client >= 0 && src.issued < p.requests then
+    issue s src req.pr_client (now s)
+
+(* serve one DRR batch for tenant [t]: up to [min deficit batch_max]
+   consecutive same-export requests on one instance, one dispatch
+   decision for the whole batch *)
+let serve_batch p s a src t =
+  let tn = s.tenants.(t) in
+  let w = tn.Tenant.spec.Tenant.t_weight in
+  tn.Tenant.deficit <- min (tn.Tenant.deficit + w) (max s.batch_max w);
+  let limit = min tn.Tenant.deficit s.batch_max in
+  let ename = (Option.get (Tenant.peek tn)).pr_export.Api.e_name in
+  Machine.add_cycles (machine s) s.charge;
+  let rec go n pick =
+    match Tenant.peek tn with
+    | Some r when n < limit && r.pr_export.Api.e_name = ename ->
+        let req = Tenant.take tn in
+        let pick =
+          match pick with
+          | Some (i, _) when i.Instance.alive -> pick
+          | _ -> pick_instance s t (* re-pick: the batch killed it *)
+        in
+        dispatch_one p s a src ~batch:n req pick;
+        go (n + 1) pick
+    | _ -> n
   in
-  let next_tenant () =
-    Runq.select tq ~keep:always ~runnable:(fun t -> Tenant.depth tns.(t) > 0)
-  in
-  (* ---------------- the three arrival models ----------------------- *)
-  (match arrival with
+  tn.Tenant.deficit <- tn.Tenant.deficit - go 0 (pick_instance s t);
+  if Tenant.depth tn = 0 then tn.Tenant.deficit <- 0
+
+let next_tenant (s : sched) =
+  Runq.select s.tq ~keep:(fun _ -> true) ~runnable:(fun t ->
+      Tenant.depth s.tenants.(t) > 0)
+
+(* the open- and closed-loop serve loop: batches in DRR order until
+   every tenant queue is empty and nothing more is due *)
+let rec serve_loop p s a src =
+  admit_due p s src;
+  match (next_tenant s, src.gaps) with
+  | Some t, _ ->
+      serve_batch p s a src t;
+      serve_loop p s a src
+  | None, Some _ when src.issued < p.requests ->
+      (* open loop: idle until the next arrival *)
+      if src.next_at > now s then
+        Machine.add_cycles (machine s) (src.next_at -. now s);
+      serve_loop p s a src
+  | None, _ -> ()
+
+let drive p s a src =
+  match p.arrival with
   | Arrival.Replay ->
       (* v2 shape: each request arrives the instant the server is
          ready — no queueing, no decision charge, batch of one *)
-      for _ = 1 to requests do
-        let now = Machine.cycles machine in
-        let req = gen ~at:now ~client:(-1) () in
-        match Tenant.admit tns.(req.pr_tenant) ~now req with
-        | Tenant.Admitted ->
-            let req = Tenant.take tns.(req.pr_tenant) in
-            dispatch_one req (pick_instance req.pr_tenant)
-        | Tenant.Shed_queue | Tenant.Shed_quota -> ()
+      for _ = 1 to p.requests do
+        let now = now s in
+        let req = gen s src ~at:now ~client:(-1) () in
+        let tn = s.tenants.(req.pr_tenant) in
+        if Tenant.admit tn ~now req = Tenant.Admitted then begin
+          let pick = pick_instance s req.pr_tenant in
+          dispatch_one p s a src ~batch:(-1) (Tenant.take tn) pick
+        end
       done
-  | Arrival.Open { rate_rps } ->
-      if rate_rps <= 0.0 then invalid_arg "Serve.run: open-loop rate <= 0";
-      let sample =
-        Arrival.exp_stream ~seed ~mean_cycles:(clock_hz /. rate_rps)
-      in
-      let generated = ref 0 in
-      let next_arrival = ref (origin +. sample ()) in
-      let admit_due () =
-        (* everything that arrived while the server was busy *)
-        let now = Machine.cycles machine in
-        while !generated < requests && !next_arrival <= now do
-          let at = !next_arrival in
-          let req = gen ~at ~client:(-1) () in
-          incr generated;
-          ignore (Tenant.admit tns.(req.pr_tenant) ~now:at req);
-          next_arrival := at +. sample ()
-        done
-      in
-      let rec loop () =
-        admit_due ();
-        match next_tenant () with
-        | Some t ->
-            serve_batch t;
-            loop ()
-        | None ->
-            if !generated < requests then begin
-              (* idle until the next arrival *)
-              let now = Machine.cycles machine in
-              if !next_arrival > now then
-                Machine.add_cycles machine (!next_arrival -. now);
-              loop ()
-            end
-      in
-      loop ()
+  | Arrival.Open _ -> serve_loop p s a src
   | Arrival.Closed { concurrency } ->
-      if concurrency < 1 then invalid_arg "Serve.run: concurrency < 1";
-      (* [concurrency] clients, pinned round-robin to tenants; each
-         re-issues the instant its previous request completes.  Closed
-         loops self-limit, so admission control does not apply. *)
-      let issue k at =
-        let t = k mod ntenants in
-        let req = gen ~tenant:t ~at ~client:k () in
-        Tenant.enqueue tns.(t) req;
-        incr issued
-      in
-      on_complete :=
-        (fun req ->
-          if req.pr_client >= 0 && !issued < requests then
-            issue req.pr_client (Machine.cycles machine));
-      for k = 0 to min concurrency requests - 1 do
-        issue k origin
+      for k = 0 to min concurrency p.requests - 1 do
+        issue s src k p.origin
       done;
-      let rec loop () =
-        match next_tenant () with
-        | Some t ->
-            serve_batch t;
-            loop ()
-        | None -> ()
-      in
-      loop ());
-  if snapshot_every > 0 then take_frame !served_count;
-  let alerts = List.rev !alerts in
-  let snapshots = List.rev !snapshots in
-  let gate, call = Pool.merged_hists p in
-  let completed = p.Pool.served and failed = p.Pool.failed in
-  let retired = Pool.retired p in
-  let shed = Array.fold_left (fun a tn -> a + Tenant.sheds tn) 0 tns in
+      serve_loop p s a src
+
+(* ---------------- Report ------------------------------------------ *)
+
+type tenant_stat = {
+  ts_name : string;
+  ts_admitted : int;
+  ts_completed : int;
+  ts_failed : int;
+  ts_shed_queue : int;
+  ts_shed_quota : int;
+  ts_steals : int;
+  ts_p50 : float;
+  ts_p99 : float;
+}
+
+type report = {
+  json : Json.t;  (** the lfi-serve/v3 report *)
+  completed : int;
+  shed : int;  (** requests rejected at admission (quota or queue bound) *)
+  retired : int;  (** instances lost *)
+  gate_p50 : float;
+  gate_p99 : float;
+  gate_mean : float;
+  call_p99 : float;
+  call_p999 : float;
+  latency_p50 : float;  (** end-to-end (queue wait included), cycles *)
+  latency_p99 : float;
+  latency_p999 : float;
+  insns_per_request : float;
+  requests_per_sec : float;
+  achieved_rps : float;  (** served / simulated duration *)
+  duration_cycles : float;
+  steals : int;
+  tenants : tenant_stat list;
+  alerts : Slo.alert list;  (** burn-rate alerts, in firing order *)
+  snapshots : Json.t list;  (** lfi-snap/v2 frames, in emission order *)
+  summary : Json.t;
+      (** condensed one-object view of the run, for suite embedding *)
+}
+
+(* the report's windows and slo sections *)
+let windows_json (p : params) (a : acct) : Json.t =
+  let open Json in
+  let om = Window.merged a.overall in
+  Obj
+    [
+      ("window_cycles", f0 p.window_cycles);
+      ("spanned", Int (Window.spanned a.overall));
+      ("evicted", Int (Window.evicted a.overall));
+      ("overall", Obj (percentiles om @ [ ("mean", f1 (mean_or_nan om)) ]));
+      ( "per_export",
+        Arr
+          (List.map
+             (fun (name, w, _) -> Obj (("export", Str name) :: export_stats w))
+             a.exports) );
+    ]
+
+let slo_json (p : params) (a : acct) : Json.t =
+  let open Json in
+  let objective s =
+    let o = s.Api.s_objective in
+    Obj
+      [
+        ("export", Str s.Api.s_export);
+        ("latency_cycles", f0 o.Slo.latency_cycles);
+        ("latency_budget", Float (o.Slo.latency_budget, 3));
+        ("error_budget", Float (o.Slo.error_budget, 3));
+      ]
+  in
+  Obj
+    [
+      ("objectives", Arr (List.map objective p.spec.Api.l_slos));
+      ("alerts", Arr (List.rev_map Slo.alert_to_json a.alerts));
+    ]
+
+let tenant_json (a : acct) ~dur t (tn : pending Tenant.t) : Json.t =
+  let open Json in
+  let sp = tn.Tenant.spec in
+  Obj
+    ([
+       ("tenant", Str sp.Tenant.t_name); ("weight", Int sp.Tenant.t_weight);
+       ( "quota_rps",
+         if Tenant.has_quota tn then f0 sp.Tenant.t_quota_rps else Null );
+       ("queue_bound", Int sp.Tenant.t_queue_bound);
+       ("admitted", Int tn.Tenant.admitted);
+       ("completed", Int tn.Tenant.completed); ("failed", Int tn.Tenant.failed);
+       ("shed_queue", Int tn.Tenant.shed_queue);
+       ("shed_quota", Int tn.Tenant.shed_quota);
+       ( "quota_utilization",
+         Float (Tenant.quota_utilization tn ~duration:dur, 3) );
+       ("depth_max", Int tn.Tenant.depth_max);
+       ("depth_avg", f1 (Tenant.depth_avg tn));
+       ("steals", Int tn.Tenant.steals);
+     ]
+    @ percentiles a.lat_tenant.(t))
+
+let tenant_stats (s : sched) (a : acct) : tenant_stat list =
+  Array.to_list
+    (Array.mapi
+       (fun t (tn : pending Tenant.t) ->
+         {
+           ts_name = tn.Tenant.spec.Tenant.t_name;
+           ts_admitted = tn.Tenant.admitted;
+           ts_completed = tn.Tenant.completed;
+           ts_failed = tn.Tenant.failed;
+           ts_shed_queue = tn.Tenant.shed_queue;
+           ts_shed_quota = tn.Tenant.shed_quota;
+           ts_steals = tn.Tenant.steals;
+           ts_p50 = H.percentile a.lat_tenant.(t) 0.50;
+           ts_p99 = H.percentile a.lat_tenant.(t) 0.99;
+         })
+       s.tenants)
+
+(* the frame stream: the closing frame shows the run's end, and
+   supersedes an in-loop frame taken at the same request count *)
+let frames (p : params) (s : sched) (a : acct) : Json.t list =
+  if p.snapshot_every <= 0 then []
+  else
+    let older =
+      match a.frames with
+      | f :: older when Json.to_int (Json.member "seq" f) = a.served -> older
+      | frames -> frames
+    in
+    List.rev (frame_of p s a :: older)
+
+(** The [lfi-serve/v3] report, read off the finished run. *)
+let report_of (p : params) (s : sched) (a : acct) : report =
+  let open Json in
+  let gate, call = Pool.merged_hists s.pool in
+  let completed = s.pool.Pool.served and failed = s.pool.Pool.failed in
+  let retired = Pool.retired s.pool in
+  let shed = Array.fold_left (fun n tn -> n + Tenant.sheds tn) 0 s.tenants in
+  let clock_hz = p.uarch.Cost_model.clock_ghz *. 1e9 in
   let insns_per_request =
     if completed = 0 then 0.0
-    else float_of_int !serve_insns /. float_of_int completed
+    else float_of_int a.serve_insns /. float_of_int completed
   in
   (* simulated wall-clock throughput: requests per second at the
      modeled clock, from the cycles spent serving *)
   let requests_per_sec =
-    if !serve_cycles <= 0.0 then 0.0
-    else
-      float_of_int completed
-      /. (!serve_cycles /. (uarch.Cost_model.clock_ghz *. 1e9))
+    if a.serve_cycles <= 0.0 then 0.0
+    else float_of_int completed /. (a.serve_cycles /. clock_hz)
   in
-  let dur = duration () in
+  let dur = now s -. p.origin in
   let achieved_rps =
-    if dur <= 0.0 then 0.0
-    else float_of_int !served_count /. (dur /. clock_hz)
+    if dur <= 0.0 then 0.0 else float_of_int a.served /. (dur /. clock_hz)
   in
-  let tenant_stats =
-    Array.to_list
-      (Array.mapi
-         (fun t (tn : pending Tenant.t) ->
-           let s = tn.Tenant.spec in
-           {
-             ts_name = s.Tenant.t_name;
-             ts_weight = s.Tenant.t_weight;
-             ts_quota_rps = (if Tenant.has_quota tn then s.Tenant.t_quota_rps else 0.0);
-             ts_queue_bound = s.Tenant.t_queue_bound;
-             ts_admitted = tn.Tenant.admitted;
-             ts_completed = tn.Tenant.completed;
-             ts_failed = tn.Tenant.failed;
-             ts_shed_queue = tn.Tenant.shed_queue;
-             ts_shed_quota = tn.Tenant.shed_quota;
-             ts_depth_max = tn.Tenant.depth_max;
-             ts_depth_avg = Tenant.depth_avg tn;
-             ts_steals = tn.Tenant.steals;
-             ts_quota_util = Tenant.quota_utilization tn ~duration:dur;
-             ts_p50 = H.percentile lat_tenant.(t) 0.50;
-             ts_p99 = H.percentile lat_tenant.(t) 0.99;
-             ts_p999 = H.percentile lat_tenant.(t) 0.999;
-           })
-         tns)
+  let pct = H.percentile and lat = a.lat_overall in
+  let rate, concurrency =
+    match p.arrival with
+    | Arrival.Open { rate_rps } -> (f0 rate_rps, Null)
+    | Arrival.Closed { concurrency } -> (Null, Int concurrency)
+    | Arrival.Replay -> (Null, Null)
   in
-  let lat_p50 = H.percentile lat_overall 0.50 in
-  let lat_p99 = H.percentile lat_overall 0.99 in
-  let lat_p999 = H.percentile lat_overall 0.999 in
-  let lat_mean =
-    if lat_overall.H.count = 0 then Float.nan else H.mean lat_overall
-  in
-  let open Json in
-  let f1 v = Float (v, 1) and f0 v = Float (v, 0) in
-  let rate =
-    match arrival with Arrival.Open { rate_rps } -> f0 rate_rps | _ -> Null
-  in
-  let concurrency =
-    match arrival with
-    | Arrival.Closed { concurrency } -> Int concurrency
-    | _ -> Null
-  in
-  let latency =
-    [ ("p50", f1 lat_p50); ("p99", f1 lat_p99); ("p999", f1 lat_p999);
-      ("mean", f1 lat_mean) ]
-  in
+  let latency = percentiles lat @ [ ("mean", f1 (mean_or_nan lat)) ] in
   let tenants_json =
-    Arr
-      (List.map
-         (fun ts ->
-           Obj
-             [
-               ("tenant", Str ts.ts_name); ("weight", Int ts.ts_weight);
-               ( "quota_rps",
-                 if ts.ts_quota_rps > 0.0 then f0 ts.ts_quota_rps else Null );
-               ("queue_bound", Int ts.ts_queue_bound);
-               ("admitted", Int ts.ts_admitted);
-               ("completed", Int ts.ts_completed); ("failed", Int ts.ts_failed);
-               ("shed_queue", Int ts.ts_shed_queue);
-               ("shed_quota", Int ts.ts_shed_quota);
-               ("quota_utilization", Float (ts.ts_quota_util, 3));
-               ("depth_max", Int ts.ts_depth_max);
-               ("depth_avg", f1 ts.ts_depth_avg);
-               ("steals", Int ts.ts_steals); ("p50", f1 ts.ts_p50);
-               ("p99", f1 ts.ts_p99); ("p999", f1 ts.ts_p999);
-             ])
-         tenant_stats)
+    Arr (Array.to_list (Array.mapi (tenant_json a ~dur) s.tenants))
   in
-  let om = Window.merged overall in
   let json =
     Obj
       ([
-         ("schema", Str "lfi-serve/v3"); ("workload", Str spec.Api.l_short);
-         ("system", Str (Lfi_core.Config.name config));
-         ("uarch", Str uarch.Cost_model.name); ("pool", Int pool);
-         ("requests", Int requests); ("seed", Int seed);
+         ("schema", Str "lfi-serve/v3"); ("workload", Str p.spec.Api.l_short);
+         ("system", Str (Lfi_core.Config.name p.config));
+         ("uarch", Str p.uarch.Cost_model.name); ("pool", Int p.pool_size);
+         ("requests", Int p.requests); ("seed", Int p.seed);
        ]
-      @ (if filter = [] then []
-         else [ ("filter", Arr (List.map (fun e -> Str e) filter)) ])
+      @ (if p.filter = [] then []
+         else [ ("filter", Arr (List.map (fun e -> Str e) p.filter)) ])
       @ [
           ("completed", Int completed); ("failed", Int failed);
-          ("instances_lost", Int retired); ("serve_cycles", f1 !serve_cycles);
-          ("serve_insns", Int !serve_insns);
+          ("instances_lost", Int retired); ("serve_cycles", f1 a.serve_cycles);
+          ("serve_insns", Int a.serve_insns);
           ("insns_per_request", f1 insns_per_request);
           ("requests_per_sec", f0 requests_per_sec);
           ("transition_cycles", H.to_json gate);
-          ("transition_p50", f1 (H.percentile gate 0.50));
-          ("transition_p99", f1 (H.percentile gate 0.99));
-          ("call_cycles", H.to_json call);
-          ("call_p50", f1 (H.percentile call 0.50));
-          ("call_p99", f1 (H.percentile call 0.99));
-          ("call_p999", f1 (H.percentile call 0.999));
+          ("transition_p50", f1 (pct gate 0.50));
+          ("transition_p99", f1 (pct gate 0.99));
+          ("call_cycles", H.to_json call); ("call_p50", f1 (pct call 0.50));
+          ("call_p99", f1 (pct call 0.99)); ("call_p999", f1 (pct call 0.999));
           (* the per-request phase breakdown: where a request's cycles
              go across the boundary (marshal_in is host-side work the
              simulated clock does not advance through; queue wait
              advances it only under the open/closed arrival models) *)
-          ( "phases",
-            Obj
-              (List.map
-                 (fun ph -> (Span.name ph, f1 phase_tot.(Span.index ph)))
-                 Span.all) );
+          ("phases", phases_json a);
           (* rolling (windowed) view: what lfi_top shows live *)
-          ( "windows",
-            Obj
-              [
-                ("window_cycles", f0 window_cycles);
-                ("spanned", Int (Window.spanned overall));
-                ("evicted", Int (Window.evicted overall));
-                ( "overall",
-                  Obj
-                    [
-                      ("p50", f1 (H.percentile om 0.50));
-                      ("p99", f1 (H.percentile om 0.99));
-                      ("p999", f1 (H.percentile om 0.999));
-                      ( "mean",
-                        f1 (if om.H.count = 0 then Float.nan else H.mean om) );
-                    ] );
-                ( "per_export",
-                  Arr
-                    (List.map
-                       (fun (x : Snapshot.export_row) ->
-                         Obj
-                           [
-                             ("export", Str x.Snapshot.x_name);
-                             ("requests", Int x.Snapshot.x_req);
-                             ("errors", Int x.Snapshot.x_err);
-                             ("p50", f1 x.Snapshot.x_p50);
-                             ("p99", f1 x.Snapshot.x_p99);
-                             ("p999", f1 x.Snapshot.x_p999);
-                             ("mean", f1 x.Snapshot.x_mean);
-                             ("insns_per_request", f1 x.Snapshot.x_ipr);
-                           ])
-                       (export_rows ())) );
-              ] );
-          ( "slo",
-            Obj
-              [
-                ( "objectives",
-                  Arr
-                    (List.map
-                       (fun s ->
-                         let o = s.Api.s_objective in
-                         Obj
-                           [
-                             ("export", Str s.Api.s_export);
-                             ("latency_cycles", f0 o.Slo.latency_cycles);
-                             ( "latency_budget",
-                               Float (o.Slo.latency_budget, 3) );
-                             ("error_budget", Float (o.Slo.error_budget, 3));
-                           ])
-                       spec.Api.l_slos) );
-                ("alerts", Arr (List.map Slo.alert_to_json alerts));
-              ] );
+          ("windows", windows_json p a);
+          ("slo", slo_json p a);
           (* v3: arrival model, end-to-end latency, and the scheduling
              layer *)
           ( "arrival",
             Obj
               [
-                ("model", Str (Arrival.name arrival)); ("rate_rps", rate);
-                ("concurrency", concurrency); ("offered", Int requests);
-                ("served", Int !served_count); ("shed", Int shed);
+                ("model", Str (Arrival.name p.arrival)); ("rate_rps", rate);
+                ("concurrency", concurrency); ("offered", Int p.requests);
+                ("served", Int a.served); ("shed", Int shed);
                 ("duration_cycles", f1 dur); ("achieved_rps", f0 achieved_rps);
                 ("latency", Obj latency);
               ] );
@@ -798,11 +742,10 @@ let run ?(uarch = Cost_model.m1) ?(config = Lfi_core.Config.o2)
           ( "sched",
             Obj
               [
-                ("batch_max", Int batch_max); ("batches", Int !batches);
-                ("batched_requests", Int !batched_reqs);
-                ( "dispatch_decision_cycles",
-                  f1 (if replaying then 0.0 else dispatch_decision_cycles) );
-                ("steals", Int !steals_total);
+                ("batch_max", Int s.batch_max); ("batches", Int a.batches);
+                ("batched_requests", Int a.batched);
+                ("dispatch_decision_cycles", f1 s.charge);
+                ("steals", Int a.steals);
               ] );
           (* the §5.3 comparison: what the same boundary crossing costs
              under process isolation (gvisor is unmeasured/NaN on some
@@ -812,81 +755,154 @@ let run ?(uarch = Cost_model.m1) ?(config = Lfi_core.Config.o2)
               [
                 ("lfi_transition_mean", f1 (H.mean gate));
                 ( "linux_pipe_roundtrip",
-                  f1 uarch.Cost_model.linux_pipe_roundtrip );
+                  f1 p.uarch.Cost_model.linux_pipe_roundtrip );
                 ( "gvisor_pipe_roundtrip",
-                  f1 uarch.Cost_model.gvisor_pipe_roundtrip );
+                  f1 p.uarch.Cost_model.gvisor_pipe_roundtrip );
               ] );
-          ( "per_slot",
-            Arr
-              (Array.to_list
-                 (Array.map
-                    (fun inst ->
-                      let pr = inst.Instance.p in
-                      Obj
-                        [
-                          ("slot", Int pr.Lfi_runtime.Proc.slot);
-                          ("pid", Int pr.Lfi_runtime.Proc.pid);
-                          ("alive", Bool inst.Instance.alive);
-                          ("calls", Int inst.Instance.calls);
-                          ("resets", Int inst.Instance.resets);
-                          ("insns", Int inst.Instance.call_insns);
-                          ("pages_restored", Int inst.Instance.pages_restored);
-                        ])
-                    p.Pool.instances)) );
+          ("per_slot", slot_rows s.pool);
           ( "per_export",
             Obj
               (List.map
                  (fun (name, w, _) ->
                    (name, Int (Window.total_ok w + Window.total_err w)))
-                 export_state) );
+                 a.exports) );
         ])
   in
   (* condensed one-object view of the same run, for suite embedding *)
   let summary =
     Obj
       ([
-         ("uarch", Str uarch.Cost_model.name); ("pool", Int pool);
-         ("tenant_count", Int ntenants); ("requests", Int requests);
-         ("seed", Int seed); ("model", Str (Arrival.name arrival));
-         ("rate_rps", rate); ("concurrency", concurrency);
-         ("completed", Int completed); ("failed", Int failed);
-         ("shed", Int shed);
+         ("uarch", Str p.uarch.Cost_model.name); ("pool", Int p.pool_size);
+         ("tenant_count", Int (Array.length s.tenants));
+         ("requests", Int p.requests); ("seed", Int p.seed);
+         ("model", Str (Arrival.name p.arrival)); ("rate_rps", rate);
+         ("concurrency", concurrency); ("completed", Int completed);
+         ("failed", Int failed); ("shed", Int shed);
          ("duration_cycles", f1 dur); ("achieved_rps", f0 achieved_rps);
        ]
       @ latency
-      @ [ ("steals", Int !steals_total); ("batches", Int !batches);
+      @ [ ("steals", Int a.steals); ("batches", Int a.batches);
           ("per_tenant", tenants_json) ])
   in
   {
-    json;
-    completed;
-    failed;
-    shed;
-    retired;
-    gate_p50 = H.percentile gate 0.50;
-    gate_p99 = H.percentile gate 0.99;
-    gate_mean = H.mean gate;
-    call_p50 = H.percentile call 0.50;
-    call_p99 = H.percentile call 0.99;
-    call_p999 = H.percentile call 0.999;
-    latency_p50 = lat_p50;
-    latency_p99 = lat_p99;
-    latency_p999 = lat_p999;
-    insns_per_request;
-    requests_per_sec;
-    achieved_rps;
-    duration_cycles = dur;
-    steals = !steals_total;
-    batches = !batches;
-    tenants = tenant_stats;
-    alerts;
-    snapshots;
-    summary;
+    json; completed; shed; retired;
+    gate_p50 = pct gate 0.50; gate_p99 = pct gate 0.99;
+    gate_mean = H.mean gate; call_p99 = pct call 0.99;
+    call_p999 = pct call 0.999; latency_p50 = pct lat 0.50;
+    latency_p99 = pct lat 0.99; latency_p999 = pct lat 0.999;
+    insns_per_request; requests_per_sec; achieved_rps; duration_cycles = dur;
+    steals = a.steals; tenants = tenant_stats s a;
+    alerts = List.rev a.alerts; snapshots = frames p s a; summary;
   }
 
-(* ------------------------------------------------------------------ *)
-(* The committed bench suite                                           *)
-(* ------------------------------------------------------------------ *)
+(* ---------------- Entry point ------------------------------------- *)
+
+(** Serve [requests] requests of [spec] through a [pool]-slot pool:
+    setup, then drive under the [arrival] model, then read the report
+    off the accounting record. *)
+let run ?(uarch = Cost_model.m1) ?(config = Lfi_core.Config.o2)
+    ?(filter : string list = []) ?(window_cycles = 50_000.0)
+    ?(window_depth = 128) ?(trace : Trace.t option) ?(snapshot_every = 0)
+    ?(arrival = Arrival.Replay)
+    ?(tenants : Tenant.spec list = [ Tenant.default_spec ])
+    ?(batch_max = 8) ~(spec : Api.lib_spec) ~(pool : int) ~(requests : int)
+    ~(seed : int) () : report =
+  if requests < 1 then invalid_arg "Serve.run: requests < 1";
+  if batch_max < 1 then invalid_arg "Serve.run: batch_max < 1";
+  if tenants = [] then invalid_arg "Serve.run: no tenants";
+  if List.exists (fun (t : Tenant.spec) -> t.Tenant.t_weight < 1) tenants then
+    invalid_arg "Serve.run: tenant weight < 1";
+  (match arrival with
+  | Arrival.Open { rate_rps } when not (rate_rps > 0.0) ->
+      invalid_arg "Serve.run: open-loop rate <= 0"
+  | Arrival.Closed { concurrency } when concurrency < 1 ->
+      invalid_arg "Serve.run: concurrency < 1"
+  | _ -> ());
+  (* the request stream: weighted exports, optionally narrowed to
+     --filter names (spec order is preserved, so the stream stays a
+     pure function of seed + filter) *)
+  let stream =
+    List.filter
+      (fun e ->
+        e.Api.e_weight > 0 && (filter = [] || List.mem e.Api.e_name filter))
+      spec.Api.l_exports
+  in
+  if stream = [] then
+    invalid_arg "Serve.run: no weighted exports in the stream";
+  (* ---------------- setup ------------------------------------------ *)
+  let lib =
+    let exports =
+      List.map (fun e -> e.Api.e_name) spec.Api.l_exports
+      @ match spec.Api.l_init with None -> [] | Some n -> [ n ]
+    in
+    Library.create ~config ~name:spec.Api.l_short ~exports spec.Api.l_program
+  in
+  let rt =
+    Lfi_runtime.Runtime.create
+      ~config:{ Lfi_runtime.Runtime.default_config with verify = false; uarch }
+      ()
+  in
+  Option.iter
+    (fun t ->
+      Trace.process_name t ~pid:Lfi_runtime.Runtime.trace_pid
+        ~name:"lfi-runtime";
+      rt.Lfi_runtime.Runtime.trace <- Some t)
+    trace;
+  let pl =
+    Pool.create ~runtime:rt ~arena:spec.Api.l_arena ?init:spec.Api.l_init
+      ~size:pool lib
+  in
+  Option.iter
+    (fun t ->
+      Trace.process_name t ~pid:trace_pid ~name:"lfi-serve";
+      Trace.thread_name t ~pid:trace_pid ~tid:0 ~name:"slo";
+      Array.iter
+        (fun inst ->
+          let slot = inst.Instance.p.Lfi_runtime.Proc.slot in
+          Trace.thread_name t ~pid:trace_pid ~tid:slot
+            ~name:(Printf.sprintf "slot %d" slot))
+        pl.Pool.instances)
+    trace;
+  let clock_hz = uarch.Cost_model.clock_ghz *. 1e9 in
+  let n = List.length tenants in
+  let tns = Array.map (Tenant.create ~clock_hz) (Array.of_list tenants) in
+  (* home shards: slot i belongs to tenant (i mod n); with one tenant
+     the shard IS the pool in creation order, so replay keeps the v2
+     rotation exactly *)
+  let shards = Array.init n (fun _ -> Runq.create ()) in
+  Array.iteri (fun i _ -> Runq.push shards.(i mod n) i) pl.Pool.instances;
+  let tq = Runq.create ~capacity:n () in
+  Array.iteri (fun t _ -> Runq.push tq t) tns;
+  let s =
+    { pool = pl; tenants = tns; shards; tq; batch_max;
+      charge =
+        (if arrival = Arrival.Replay then 0.0 else dispatch_decision_cycles) }
+  in
+  (* window 0 opens when serving starts, after pool warm-up *)
+  let origin = now s in
+  let a =
+    new_acct ~slos:spec.Api.l_slos ~stream ~tenants:n ~origin
+      ~depth:window_depth ~width:window_cycles
+  in
+  let gaps =
+    match arrival with
+    | Arrival.Open { rate_rps } ->
+        Some (Arrival.exp_stream ~seed ~mean_cycles:(clock_hz /. rate_rps))
+    | _ -> None
+  in
+  let src =
+    { rng = make_rng seed; stream; issued = 0; gaps;
+      next_at = (match gaps with Some gap -> origin +. gap () | None -> 0.0) }
+  in
+  let p =
+    { spec; uarch; config; filter; window_cycles; arrival; pool_size = pool;
+      requests; seed; snapshot_every; trace; origin }
+  in
+  (* ---------------- drive, then report ----------------------------- *)
+  drive p s a src;
+  report_of p s a
+
+(* ---------------- The committed bench suite ----------------------- *)
 
 (** Parameters of the committed `BENCH_serve.json` scale runs, shared
     between `lfi_serve --suite` (which writes the file) and

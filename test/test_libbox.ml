@@ -12,6 +12,12 @@ let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
 let pretty (r : Serve.report) = Json.to_pretty r.Serve.json
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
 let member_line k (r : Serve.report) = Json.to_line (Json.member k r.Serve.json)
 
 let xz_exports =
@@ -368,19 +374,11 @@ let test_serve_snapshot_golden () =
     Serve.run ~spec:Libs.slowbox ~pool:2 ~requests:120 ~seed:7
       ~snapshot_every:40 ()
   in
-  checki "three frames" 3 (List.length r.Serve.snapshots);
-  let got = String.concat "\n" r.Serve.snapshots ^ "\n" in
-  let ic = open_in "serve_snap_golden.txt" in
-  let want = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  checks "byte-stable frames" want got;
-  (* every frame survives a parse → re-serialize round trip untouched *)
-  List.iter
-    (fun line ->
-      checks "round trip" line (Snapshot.to_json (Snapshot.of_json line)))
-    r.Serve.snapshots;
-  let last = Snapshot.of_json (List.nth r.Serve.snapshots 2) in
-  let view = Snapshot.render last in
+  let lines = List.map Json.to_line r.Serve.snapshots in
+  checki "three frames" 3 (List.length lines);
+  checks "byte-stable frames" (read_file "serve_snap_golden.txt")
+    (String.concat "\n" lines ^ "\n");
+  let view = Snapshot.render (List.nth lines 2) in
   checkb "alert rendered" true (contains view "ALERT");
   checkb "slot table rendered" true (contains view "PG.RESTORED")
 
@@ -414,9 +412,7 @@ module Arrival = Lfi_sched.Arrival
    committed BENCH_serve.json (the --suite members come from other
    runs), so tier-1 pins the whole v3 report, not just a fixture *)
 let test_serve_matches_bench () =
-  let ic = open_in_bin "../BENCH_serve.json" in
-  let bench = Json.parse (really_input_string ic (in_channel_length ic)) in
-  close_in ic;
+  let bench = Json.parse (read_file "../BENCH_serve.json") in
   let r = Serve.run ~spec:Libs.xzbox ~pool:4 ~requests:1000 ~seed:1 () in
   List.iter
     (fun (k, v) ->
@@ -527,12 +523,6 @@ let test_serve_work_stealing_conservation () =
     + osum (fun t -> t.Serve.ts_failed)
     + o.Serve.shed)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 (* the open- and closed-loop paths, pinned byte for byte: the whole
    report and every snapshot frame of a 3-slot, 4-tenant run each (the
    open loop sheds and steals, the closed loop steals) *)
@@ -543,7 +533,7 @@ let v3_golden_runs () =
   in
   let entry name r =
     [ (name ^ "_report", r.Serve.json);
-      (name ^ "_frames", Json.Arr (List.map Json.parse r.Serve.snapshots)) ]
+      (name ^ "_frames", Json.Arr r.Serve.snapshots) ]
   in
   Json.Obj
     (entry "open" (go (Arrival.Open { rate_rps = 1_600_000.0 }))
@@ -567,8 +557,33 @@ let test_lfi_top_golden () =
     @ frames "open_frames" @ frames "closed_frames"
   in
   checks "rendered frames" (read_file "lfi_top_golden.txt")
-    (String.concat "\n"
-       (List.map (fun l -> Snapshot.render (Snapshot.of_json l)) all))
+    (String.concat "\n" (List.map Snapshot.render all))
+
+(* an open loop that sheds ends short of its offered count; its closing
+   frame must not repeat the seq of the last in-loop frame *)
+let test_serve_frame_seqs_increase () =
+  let r =
+    Serve.run
+      ~arrival:(Arrival.Open { rate_rps = 1_600_000.0 })
+      ~tenants:Serve.Suite.tenants ~spec:Libs.xzbox ~pool:8 ~requests:2000
+      ~seed:1 ~snapshot_every:1 ()
+  in
+  let seqs =
+    List.map (fun f -> Json.to_int (Json.member "seq" f)) r.Serve.snapshots
+  in
+  checkb "requests were shed" true (r.Serve.shed > 0);
+  let rec increasing = function
+    | a :: (b :: _ as tl) -> a < b && increasing tl
+    | _ -> true
+  in
+  checkb "seqs strictly increase" true (increasing seqs);
+  checki "one frame per served request" (2000 - r.Serve.shed)
+    (List.length seqs)
+
+let test_serve_rejects_no_requests () =
+  match Serve.run ~spec:Libs.xzbox ~pool:1 ~requests:0 ~seed:1 () with
+  | _ -> Alcotest.fail "requests:0 accepted"
+  | exception Invalid_argument _ -> ()
 
 (* the dispatch rotation with dead slots: all-but-one retired, the last
    one retiring mid-stream, and a respawn recycling the freed slot *)
@@ -614,14 +629,32 @@ let test_pool_wraparound_respawn () =
   let s = poke () in
   checki "respawned instance serves" inst.Instance.p.Proc.slot s
 
-(* lfi_top feeds untrusted lines to of_json: every malformed frame
-   must fail closed with Bad_snapshot, never another exception *)
+(* lfi_top feeds untrusted lines to render: every malformed frame must
+   fail closed with Bad_snapshot, never another exception *)
 let test_snapshot_rejects_malformed () =
   let r =
     Serve.run ~spec:Libs.slowbox ~pool:2 ~requests:40 ~seed:7
       ~snapshot_every:40 ()
   in
-  let good = List.hd r.Serve.snapshots in
+  let good = Json.to_line (List.hd r.Serve.snapshots) in
+  (* an otherwise intact frame carrying an alert of an unknown kind *)
+  let bad_alert =
+    match List.hd r.Serve.snapshots with
+    | Json.Obj kvs ->
+        let alert =
+          Json.Obj
+            [ ("export", Json.Str "grind"); ("window", Json.Int 3);
+              ("kind", Json.Str "bogus"); ("fast", Json.Float (2.0, 2));
+              ("slow", Json.Float (1.5, 2)) ]
+        in
+        Json.to_line
+          (Json.Obj
+             (List.map
+                (fun (k, v) ->
+                  if k = "alerts" then (k, Json.Arr [ alert ]) else (k, v))
+                kvs))
+    | _ -> Alcotest.fail "frame is not an object"
+  in
   let v1 =
     "{\"schema\": \"lfi-snap/v1\", \"workload\": \"xzbox\", \"seq\": 250, \
      \"now\": 817570.0, \"completed\": 250, \"failed\": 0, \
@@ -654,7 +687,7 @@ let test_snapshot_rejects_malformed () =
   in
   List.iter
     (fun (what, line) ->
-      match Snapshot.of_json line with
+      match Snapshot.render line with
       | _ -> Alcotest.failf "%s: accepted" what
       | exception Snapshot.Bad_snapshot _ -> ()
       | exception e ->
@@ -664,9 +697,10 @@ let test_snapshot_rejects_malformed () =
       ("cut mid-string", String.sub good 0 20);
       ("trailing garbage", good ^ " }x");
       ("unsupported lfi-snap/v1 schema", v1);
+      ("unknown alert kind", bad_alert);
     ];
-  checkb "the intact frame parses" true
-    (Snapshot.to_json (Snapshot.of_json good) = good)
+  checkb "the intact frame renders" true
+    (String.length (Snapshot.render good) > 0)
 
 let mk name f = Alcotest.test_case name `Quick f
 
@@ -720,6 +754,8 @@ let () =
           mk "work-stealing conservation" test_serve_work_stealing_conservation;
           mk "open + closed golden" test_serve_v3_golden;
           mk "lfi_top render golden" test_lfi_top_golden;
+          mk "frame seqs strictly increase" test_serve_frame_seqs_increase;
+          mk "rejects zero requests" test_serve_rejects_no_requests;
           mk "pool wraparound + respawn" test_pool_wraparound_respawn;
           mk "snapshot rejects malformed" test_snapshot_rejects_malformed;
         ] );
