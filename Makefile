@@ -1,4 +1,4 @@
-.PHONY: all build check test bench bench-json bench-compare serve-bench serve-trace-demo crash-demo trace-demo fuzz-smoke fuzz prove-smoke prove clean
+.PHONY: all build check test bench bench-json serve-bench serve-trace-demo crash-demo trace-demo fuzz-smoke fuzz prove-smoke prove clean
 
 all: build
 
@@ -10,19 +10,18 @@ check: build
 
 test: check
 
-# Full experiment suite (figures + tables + Bechamel wall-clock).
+# Full experiment suite: every table and figure of the paper's
+# evaluation (E1-E9 and CoreMark).
 bench:
-	dune exec bench/main.exe
+	dune exec bin/lfi_bench.exe
 
-# Emulator/rewriter/verifier throughput snapshot for perf tracking.
-# Compare against BENCH_baseline.json (pre-overhaul emulator).
+# Simulated benchmark: insns, simulated cycles, cache and block-engine
+# stats, percent over native and rewriter/verifier counts on mcf and
+# xz under both uarch models.  Every number is deterministic, so CI
+# re-runs this and diffs BENCH_emulator.json against the committed
+# copy.  Host speed is measured by perfbench (BENCHMARK.json).
 bench-json:
-	dune exec bench/main.exe -- --quick --json BENCH_emulator.json
-
-# Regression gate: rerun the emulator samples and compare insns/s
-# against the committed baseline; exits nonzero on a >10% slowdown.
-bench-compare:
-	dune exec bench/main.exe -- --quick --compare BENCH_emulator.json
+	dune exec bench/main.exe -- --json BENCH_emulator.json
 
 # Library-serving benchmark: replay a seeded request stream through a
 # pool of warm sandboxed-library instances and commit the lfi-serve/v3

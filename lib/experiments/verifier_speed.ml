@@ -67,9 +67,7 @@ let measure ?(repeats = 20) () : result =
             blobs
         done)
   in
-  let mb bytes reps t =
-    float_of_int (bytes * reps) /. t /. (1024. *. 1024.)
-  in
+  let mb bytes reps t = float_of_int (bytes * reps) /. t /. 1e6 in
   {
     lfi_mb_s = mb lfi_total_bytes repeats lfi_time;
     lfi_total_bytes;

@@ -167,7 +167,8 @@ let marshal (inst : t) (args : Api.arg list) :
   let cursor = ref 0 and cost = ref 0.0 and outs = ref [] in
   let reserve len =
     let off = !cursor in
-    if off + len > inst.arena_len then raise (Marshal_error Api.Arena_overflow);
+    if len < 0 || off + len > inst.arena_len then
+      raise (Marshal_error Api.Arena_overflow);
     cursor := (off + len + 7) / 8 * 8;
     Int64.add inst.arena_base (Int64.of_int off)
   in

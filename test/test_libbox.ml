@@ -142,14 +142,18 @@ let test_arena_overflow () =
   let inst =
     Instance.create ~arena:4096 ~init:"init" rt (Lazy.force xz_lib)
   in
+  let expect_overflow what export args =
+    match Instance.call inst export args with
+    | Error Api.Arena_overflow -> ()
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | Error e ->
+        Alcotest.failf "%s: wrong error: %s" what (Api.error_to_string e)
+  in
   (* arena rounds up to one 16 KiB page; 64 KiB cannot fit *)
-  match
-    Instance.call inst "checksum"
-      [ Api.In (Bytes.create 65536); Api.I 65536L ]
-  with
-  | Error Api.Arena_overflow -> ()
-  | Ok _ -> Alcotest.fail "oversized buffer accepted"
-  | Error e -> Alcotest.failf "wrong error: %s" (Api.error_to_string e)
+  expect_overflow "oversized buffer" "checksum"
+    [ Api.In (Bytes.create 65536); Api.I 65536L ];
+  (* a negative output length is rejected before any copy-out *)
+  expect_overflow "negative Out length" "peek_global" [ Api.Out (-1) ]
 
 let test_gate_cheaper_than_pipe () =
   let inst = make_inst () in

@@ -1,7 +1,7 @@
 (* Workload-level integration tests: the SPEC proxies must compute the
    same checksum under every sandboxing system, and the experiment
    helpers must behave.  Only the two fastest proxies run here (the
-   full 14-benchmark sweep is bench/main.exe's job). *)
+   full 14-benchmark sweep is bin/lfi_bench.exe's job). *)
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
