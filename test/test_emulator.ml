@@ -459,6 +459,346 @@ let test_fetch_after_protect () =
       checkb "fetch fault" true (f.Memory.access = Memory.Fetch)
   | _ -> Alcotest.fail "expected a fetch fault after protect"
 
+(* ---------------- per-instruction golden reference ---------------- *)
+
+(* The program golden above covers only the encodings the MiniC
+   compiler emits.  This population pins every non-branch instruction
+   form the decoder produces, and is the reference both dispatch modes
+   are checked against:
+   - the equivalence engine's straight-line streams ([Gen_insn.stream],
+     memory through x19/x20);
+   - streams drawn from every non-branch class of [Gen_insn.insn],
+     addressing through whatever the seeded registers hold, so both
+     in-window accesses and faults occur;
+   - hand-written streams for the forms no generator emits: sp
+     operands, system instructions, the LFI guard shapes, cset, the
+     exclusive pair's success path, and [udf].
+   Each stream runs from a seeded register, flag and FP state to its
+   closing [svc #1] (or an earlier fault or [udf]).  A line holds a
+   digest of x0-x30, sp, pc, NZCV, the exclusive monitor, v0-v31 and
+   the data window, then the cycles, the retired count and the ending
+   event.  [test_insn_coverage] checks that the population retires
+   every form in [insn_forms].
+
+   Regenerate (this redefines the reference semantics) with:
+     LFI_GOLDEN_OUT=$PWD/test/insn_golden.txt \
+       dune exec test/test_emulator.exe *)
+
+let ig_text = 0x10000L
+let ig_data = 0x100000L
+let ig_data_pages = 4
+
+let ig_mid =
+  Int64.add ig_data (Int64.of_int (ig_data_pages / 2 * Memory.page_size))
+
+(* the data window's contents before every stream *)
+let ig_pattern =
+  Bytes.init (ig_data_pages * Memory.page_size) (fun i ->
+      Char.chr ((i * 131 + (i lsr 9)) land 0xFF))
+
+type ig_state = {
+  g_regs : int64 array;
+  g_sp : int64;
+  g_nzcv : int;
+  g_vlo : int64 array;
+  g_vhi : int64 array;
+}
+
+(* A register holds a pointer near the middle of the data window, a
+   small index (in range for [x21, wN, uxtw #s], with x21 at the
+   window's start), or arbitrary bits. *)
+let ig_reg =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 2,
+          map
+            (fun k -> Int64.add ig_mid (Int64.of_int (8 * k)))
+            (int_range (-1024) 1023) );
+        (1, map Int64.of_int (int_range 0 0x1FFF));
+        (1, ui64);
+      ])
+
+(* An FP register holds a small double, a small single (low word), or
+   arbitrary bits (NaNs and infinities included). *)
+let ig_fp =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 1,
+          map
+            (fun k -> Int64.bits_of_float (float_of_int k /. 4.))
+            (int_range (-4000) 4000) );
+        ( 1,
+          map
+            (fun k ->
+              Int64.logand 0xFFFFFFFFL
+                (Int64.of_int32 (Int32.bits_of_float (float_of_int k /. 8.))))
+            (int_range (-4000) 4000) );
+        (1, ui64);
+      ])
+
+let ig_state : ig_state QCheck.Gen.t =
+  QCheck.Gen.(
+    array_repeat 31 ig_reg >>= fun regs ->
+    int_range 0 15 >>= fun nzcv ->
+    array_repeat 32 ig_fp >>= fun vlo ->
+    array_repeat 32 ig_fp >>= fun vhi ->
+    int_range 0 63 >>= fun x20 ->
+    regs.(19) <- ig_mid;
+    regs.(20) <- Int64.of_int x20;
+    regs.(21) <- ig_data;
+    return
+      { g_regs = regs; g_sp = Int64.add ig_mid 0x2000L; g_nzcv = nzcv;
+        g_vlo = vlo; g_vhi = vhi })
+
+let ig_extras =
+  [
+    "add sp, sp, #32\n\tsub x0, sp, #16\n\tadd x1, sp, x2, uxtx\n\tmov x3, sp\n\tadd wsp, w4, #4\n\tmov x5, sp\n";
+    "ldr x0, [sp, #8]\n\tstr x1, [sp, #16]\n\tldp x2, x3, [sp, #-16]!\n\tstp x4, x5, [sp], #16\n\tstr xzr, [sp]\n\tsub sp, sp, x6\n";
+    "mrs x0, tpidr_el0\n\tmsr tpidr_el0, x1\n\tdmb ish\n\tnop\n\tmrs x2, fpcr\n\tmsr fpcr, x3\n";
+    "movz w2, #5\n\tmovz w4, #9\n\tmovz w6, #300\n\tadd x18, x21, w0, uxtw\n\tldr x1, [x21, w2, uxtw #3]\n\tstr w3, [x21, w4, uxtw #2]\n\tldrb w5, [x21, w6, uxtw]\n\tldr w7, [x21, w4, uxtw #2]\n\tstr x9, [x21, w2, uxtw #3]\n\tadd sp, x21, x22, uxtx\n";
+    "cmp x0, x1\n\tcset x2, eq\n\tcmn w3, #4\n\tcset w4, lt\n\tcmp w5, w6\n\tcmp x7, #9\n";
+    "add x0, xzr, x1\n\torr x2, xzr, x3\n\tmadd x4, x5, x6, xzr\n\tmul w7, w8, w9\n\tmovk wzr, #1\n\tubfm x10, xzr, #3, #7\n\tsbfm w11, wzr, #3, #7\n";
+    "ldr q0, [x19]\n\tstr q1, [x19, #32]\n\tldp q2, q3, [x19, #64]\n\tstp q4, q5, [x19, #-64]!\n\tldr q6, [x19, x20]\n";
+    "ldxr x0, [x19]\n\tstxr w1, x2, [x19]\n\tldxr w3, [x19]\n\tstxr w4, w5, [x19]\n\tstxr w6, x7, [x19]\n";
+    "bfi x0, x1, #4, #8\n\tbfm w2, w3, #0, #4\n\tlsl x4, x5, #3\n\tasr w6, w7, #2\n\tsxtw x8, w9\n\tuxtb w10, w11\n";
+    "movz x0, #1\n\tudf #3\n";
+  ]
+
+let ig_words (insns : Insn.t list) : int list =
+  List.filter_map (fun i -> Result.to_option (Encode.encode i)) insns
+
+let asm_words (body : string) : int list =
+  let t = (Assemble.assemble_string ("_start:\n\t" ^ body)).Assemble.text in
+  List.init (Bytes.length t / 4) (fun k ->
+      Int32.to_int (Bytes.get_int32_le t (4 * k)) land 0xFFFFFFFF)
+
+let ig_streams = 400
+let ig_class_streams = 400
+
+let ig_population () : (int list * ig_state) list =
+  let rand = Random.State.make [| 0x1A5E; 17 |] in
+  let gen g = QCheck.Gen.generate1 ~rand g in
+  let nonbranch =
+    Lfi_fuzz.Gen_insn.such_that
+      (fun i -> not (Insn.is_branch i))
+      Lfi_fuzz.Gen_insn.insn
+  in
+  let rec draw n g acc =
+    if n = 0 then List.rev acc
+    else
+      let words = ig_words (gen g) in
+      let st = gen ig_state in
+      draw (n - 1) g ((words, st) :: acc)
+  in
+  let streams = draw ig_streams Lfi_fuzz.Gen_insn.stream [] in
+  let classes =
+    draw ig_class_streams
+      QCheck.Gen.(int_range 1 8 >>= fun n -> list_repeat n nonbranch)
+      []
+  in
+  let extras =
+    List.map
+      (fun body ->
+        let st = gen ig_state in
+        (asm_words body, st))
+      ig_extras
+  in
+  streams @ classes @ extras
+
+let ig_svc = Result.get_ok (Encode.encode (Insn.Svc 1))
+
+let ig_exec ((words, st) : int list * ig_state) : Machine.t * Exec.event =
+  let mem = Memory.create () in
+  let m = Machine.create mem in
+  Memory.map mem ~addr:ig_text ~len:Memory.page_size ~perm:Memory.perm_rw;
+  List.iteri
+    (fun k w ->
+      Memory.write mem (Int64.add ig_text (Int64.of_int (4 * k))) 4
+        (Int64.of_int w))
+    (words @ [ ig_svc ]);
+  Memory.protect mem ~addr:ig_text ~len:Memory.page_size ~perm:Memory.perm_rx;
+  Memory.map mem ~addr:ig_data ~len:(ig_data_pages * Memory.page_size)
+    ~perm:Memory.perm_rw;
+  for p = 0 to ig_data_pages - 1 do
+    match Memory.find_page_by_index mem (Memory.page_index ig_data + p) with
+    | Some pg ->
+        Bytes.blit ig_pattern (p * Memory.page_size) (Memory.page_data pg) 0
+          Memory.page_size
+    | None -> assert false
+  done;
+  Array.blit st.g_regs 0 m.Machine.regs 0 31;
+  m.Machine.sp <- st.g_sp;
+  Machine.set_nzcv m ~n:(st.g_nzcv land 8 <> 0) ~z:(st.g_nzcv land 4 <> 0)
+    ~c:(st.g_nzcv land 2 <> 0) ~v:(st.g_nzcv land 1 <> 0);
+  Array.blit st.g_vlo 0 m.Machine.vlo 0 32;
+  Array.blit st.g_vhi 0 m.Machine.vhi 0 32;
+  m.Machine.pc <- ig_text;
+  (m, Exec.run m ~quantum:1000)
+
+let ig_line idx case =
+  let m, ev = ig_exec case in
+  let b = Buffer.create (ig_data_pages * Memory.page_size + 1024) in
+  let add64 = Buffer.add_int64_le b in
+  Array.iter add64 m.Machine.regs;
+  add64 m.Machine.sp;
+  add64 m.Machine.pc;
+  List.iter
+    (fun f -> Buffer.add_char b (if f then '1' else '0'))
+    [ m.Machine.flag_n; m.Machine.flag_z; m.Machine.flag_c; m.Machine.flag_v ];
+  (match m.Machine.exclusive with
+  | None -> Buffer.add_char b '-'
+  | Some a -> add64 a);
+  Array.iter add64 m.Machine.vlo;
+  Array.iter add64 m.Machine.vhi;
+  for p = 0 to ig_data_pages - 1 do
+    match Memory.find_page_by_index m.Machine.mem (Memory.page_index ig_data + p) with
+    | Some pg -> Buffer.add_bytes b (Memory.page_data pg)
+    | None -> assert false
+  done;
+  let event =
+    match ev with
+    | Exec.Quantum_expired -> "quantum expired"
+    | Exec.Runtime_entry pc -> Printf.sprintf "runtime entry 0x%Lx" pc
+    | Exec.Trap t -> Format.asprintf "%a" Exec.pp_trap t
+  in
+  Printf.sprintf "%d %s %.6f %d %s" idx
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+    (Machine.cycles m) m.Machine.insns event
+
+let write_insn_golden path =
+  let oc = open_out path in
+  List.iteri
+    (fun i case -> output_string oc (ig_line i case ^ "\n"))
+    (ig_population ());
+  close_out oc;
+  Printf.printf "wrote the instruction golden to %s\n%!" path
+
+let test_insn_golden () =
+  let expected = read_lines "insn_golden.txt" in
+  let population = ig_population () in
+  checki "insn golden population" (List.length population)
+    (List.length expected);
+  both_modes @@ fun () ->
+  let mode = if !Machine.superblocks_default then "blocks" else "step" in
+  List.iteri
+    (fun idx (case, line) ->
+      Alcotest.(check string)
+        (Printf.sprintf "stream %d (%s dispatch)" idx mode)
+        line (ig_line idx case))
+    (List.combine population expected)
+
+(* Every form the golden must pin, as a predicate on the decoded
+   instruction; each must be retired (not faulted) at least once. *)
+let insn_forms : (string * (Insn.t -> bool)) list =
+  let open Insn in
+  let w32 r = Reg.width r = Reg.W32 in
+  let zr = function Reg.ZR _ -> true | _ -> false in
+  let sp = function Reg.SP _ -> true | _ -> false in
+  let fq (f : Reg.Fp.t) = f.Reg.Fp.size = Reg.Fp.Q in
+  let guarded = function
+    | Reg_off (Reg.R (Reg.W64, 21), _, Uxtw, _) -> true
+    | _ -> false
+  in
+  [
+    ("alu immediate", function Alu { op2 = Imm _; _ } -> true | _ -> false);
+    ("alu shifted register", function Alu { op2 = Sh (_, _, a); _ } -> a > 0 | _ -> false);
+    ("alu extended register", function Alu { op2 = Ext _; _ } -> true | _ -> false);
+    ("alu w32", function Alu { dst; _ } -> w32 dst | _ -> false);
+    ("alu flags", function Alu { flags = true; _ } -> true | _ -> false);
+    ("alu zr operand", function
+      | Alu { dst; src; op2 = Sh (r, _, _); _ } -> zr dst || zr src || zr r
+      | _ -> false);
+    ("alu sp operand", function Alu { dst; src; _ } -> sp dst || sp src | _ -> false);
+    ("lfi guard add", function
+      | Alu { op = ADD; flags = false; src = Reg.R (Reg.W64, 21); op2 = Ext (_, Uxtw, 0); _ } -> true
+      | _ -> false);
+    ("shiftv", function Shiftv _ -> true | _ -> false);
+    ("movz", function Mov { op = MOVZ; _ } -> true | _ -> false);
+    ("movn", function Mov { op = MOVN; _ } -> true | _ -> false);
+    ("movk", function Mov { op = MOVK; _ } -> true | _ -> false);
+    ("ubfm", function Bitfield { op = UBFM; _ } -> true | _ -> false);
+    ("sbfm", function Bitfield { op = SBFM; _ } -> true | _ -> false);
+    ("bfm", function Bitfield { op = BFM; _ } -> true | _ -> false);
+    ("bitfield w32", function Bitfield { dst; _ } -> w32 dst | _ -> false);
+    ("extr", function Extr _ -> true | _ -> false);
+    ("madd", function Madd _ -> true | _ -> false);
+    ("smulh", function Smulh _ -> true | _ -> false);
+    ("maddl", function Maddl _ -> true | _ -> false);
+    ("div w32", function Div { dst; _ } -> w32 dst | _ -> false);
+    ("div w64", function Div { dst; _ } -> not (w32 dst) | _ -> false);
+    ("csel", function Csel { op = CSEL; _ } -> true | _ -> false);
+    ("cset", function Csel { op = CSINC; src1 = Reg.ZR _; src2 = Reg.ZR _; _ } -> true | _ -> false);
+    ("csinv/csneg", function Csel { op = CSINV | CSNEG; _ } -> true | _ -> false);
+    ("ccmp", function Ccmp _ -> true | _ -> false);
+    ("clz", function Cls { count_zero = true; _ } -> true | _ -> false);
+    ("cls", function Cls { count_zero = false; _ } -> true | _ -> false);
+    ("rbit", function Rbit _ -> true | _ -> false);
+    ("rev", function Rev _ -> true | _ -> false);
+    ("adr", function Adr { page = false; _ } -> true | _ -> false);
+    ("adrp", function Adr { page = true; _ } -> true | _ -> false);
+    ("ldr immediate", function Ldr { addr = Imm_off _; _ } -> true | _ -> false);
+    ("ldr signed", function Ldr { signed = true; _ } -> true | _ -> false);
+    ("ldr pre-index", function Ldr { addr = Pre _; _ } -> true | _ -> false);
+    ("ldr post-index", function Ldr { addr = Post _; _ } -> true | _ -> false);
+    ("ldr register offset", function Ldr { addr = Reg_off _ as a; _ } -> not (guarded a) | _ -> false);
+    ("ldr guarded", function Ldr { addr; _ } -> guarded addr | _ -> false);
+    ("str", function Str { addr = Imm_off _ | Pre _ | Post _; _ } -> true | _ -> false);
+    ("str register offset", function Str { addr = Reg_off _ as a; _ } -> not (guarded a) | _ -> false);
+    ("str guarded", function Str { addr; _ } -> guarded addr | _ -> false);
+    ("ldp", function Ldp _ -> true | _ -> false);
+    ("stp", function Stp _ -> true | _ -> false);
+    ("sp-based access", fun i ->
+        match Insn.addr_of i with Some a -> sp (Insn.addr_base a) | None -> false);
+    ("fldr s/d", function Fldr { dst; _ } -> not (fq dst) | _ -> false);
+    ("fldr q", function Fldr { dst; _ } -> fq dst | _ -> false);
+    ("fstr s/d", function Fstr { src; _ } -> not (fq src) | _ -> false);
+    ("fstr q", function Fstr { src; _ } -> fq src | _ -> false);
+    ("fldp s/d", function Fldp { r1; _ } -> not (fq r1) | _ -> false);
+    ("fldp q", function Fldp { r1; _ } -> fq r1 | _ -> false);
+    ("fstp s/d", function Fstp { r1; _ } -> not (fq r1) | _ -> false);
+    ("fstp q", function Fstp { r1; _ } -> fq r1 | _ -> false);
+    ("ldxr", function Ldxr _ -> true | _ -> false);
+    ("stxr", function Stxr _ -> true | _ -> false);
+    ("ldar", function Ldar _ -> true | _ -> false);
+    ("stlr", function Stlr _ -> true | _ -> false);
+    ("fop2", function Fop2 _ -> true | _ -> false);
+    ("fop1", function Fop1 _ -> true | _ -> false);
+    ("fmadd", function Fmadd _ -> true | _ -> false);
+    ("fcmp", function Fcmp { src2 = Some _; _ } -> true | _ -> false);
+    ("fcmp zero", function Fcmp { src2 = None; _ } -> true | _ -> false);
+    ("fcvt", function Fcvt _ -> true | _ -> false);
+    ("scvtf", function Scvtf { signed = true; _ } -> true | _ -> false);
+    ("ucvtf", function Scvtf { signed = false; _ } -> true | _ -> false);
+    ("fcvtzs", function Fcvtzs _ -> true | _ -> false);
+    ("fmov to fp", function Fmov_to_fp _ -> true | _ -> false);
+    ("fmov from fp", function Fmov_from_fp _ -> true | _ -> false);
+    ("nop", function Nop -> true | _ -> false);
+    ("mrs", function Mrs _ -> true | _ -> false);
+    ("msr", function Msr _ -> true | _ -> false);
+    ("dmb", function Dmb -> true | _ -> false);
+  ]
+
+let test_insn_coverage () =
+  let retired = ref [] in
+  List.iter
+    (fun ((words, _) as case) ->
+      let m, ev = ig_exec case in
+      let completed =
+        match ev with
+        | Exec.Trap (Exec.Mem_fault _) -> m.Machine.insns - 1
+        | _ -> m.Machine.insns
+      in
+      List.iteri
+        (fun k w -> if k < completed then retired := Decode.decode w :: !retired)
+        words)
+    (ig_population ());
+  List.iter
+    (fun (name, p) ->
+      checkb (name ^ " retired by the population") true (List.exists p !retired))
+    insn_forms
+
 (* protect with len = 0 touches no pages (and must not fault on an
    unmapped address); negative lengths are rejected. *)
 let test_protect_len_zero () =
@@ -498,6 +838,8 @@ let test_cost_accumulates () =
 
 let () =
   match Sys.getenv_opt "LFI_GOLDEN_OUT" with
+  | Some path when Filename.basename path = "insn_golden.txt" ->
+      write_insn_golden path
   | Some path -> write_golden path
   | None ->
   Alcotest.run "emulator"
@@ -532,5 +874,9 @@ let () =
           Alcotest.test_case "golden reference" `Slow test_golden_differential;
           Alcotest.test_case "block vs step dispatch" `Slow
             test_golden_mode_equivalence;
+          Alcotest.test_case "instruction golden, both modes" `Quick
+            test_insn_golden;
+          Alcotest.test_case "instruction golden coverage" `Quick
+            test_insn_coverage;
         ] );
     ]
