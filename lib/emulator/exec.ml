@@ -1,26 +1,26 @@
 (** Execution facade: the runtime's entry point into the emulator.
 
-    Re-exports the single-step interpreter ({!Interp}: [step],
-    [exec_insn], the [event]/[trap] types) and routes whole quanta
-    ({!run}) to the superblock engine ({!Block}) when nothing needs
-    per-instruction observability.
+    Re-exports the single-step loop ({!Interp}: [step], the
+    [event]/[trap] types) and routes whole quanta ({!run}) to the
+    superblock engine ({!Block}) unless an observer needs
+    per-instruction accounting.  Both run the same lowered semantics
+    ({!Sem}).
 
-    Deopt triggers — any of these forces the step path for the whole
+    Deopt triggers — any of these forces the step loop for the whole
     quantum (DESIGN.md §5f):
     - [m.metrics] armed: per-instruction class counts and decode-cache
-      telemetry only exist on the step path;
-    - [m.profile] armed: the pc-sampling profiler needs [m.pc] and
-      [m.insns] maintained every instruction;
-    - [m.escape_oracle] armed: the fuzzing oracle checks every data
-      access and branch target;
+      telemetry only exist on the step loop;
+    - [m.profile] armed: the pc-sampling profiler needs [m.insns]
+      maintained every instruction;
     - [m.overhead] armed: per-site cycle attribution charges at fetch
-      time, which only the step path performs per instruction;
+      time, which only the step loop performs per instruction;
     - [m.blocks_enabled = false]: the per-machine kill switch
       (seeded from [LFI_SUPERBLOCKS]).
 
-    The flight recorder is NOT a deopt trigger: it is on by default in
-    production configs, so lowered blocks replicate its events
-    (taken-branch records, guard-clamp audits) exactly instead. *)
+    The flight recorder and the escape oracle are NOT deopt triggers:
+    the lowered code itself records taken branches and guard-clamp
+    audits, and checks every data access and branch target, against
+    each instruction's own pc. *)
 
 include Interp
 
@@ -28,7 +28,6 @@ let[@inline] blocks_armed (m : Machine.t) : bool =
   m.Machine.blocks_enabled
   && (match m.Machine.metrics with None -> true | Some _ -> false)
   && (match m.Machine.profile with None -> true | Some _ -> false)
-  && (match m.Machine.escape_oracle with None -> true | Some _ -> false)
   && (match m.Machine.overhead with None -> true | Some _ -> false)
 
 (** Run until an event occurs or [quantum] instructions have executed. *)

@@ -25,8 +25,9 @@
 
     {2 Decode cache}
 
-    Decoded instructions are cached in flat per-executable-page arrays
-    ([Insn.t option array], one slot per 4-byte instruction word),
+    Each 4-byte instruction word of an executable page has a decode
+    slot holding the decoded instruction, its cost and its lowered
+    form ({!op}, filled by {!Sem.fill}), in flat per-page arrays
     reached through a one-entry last-page pointer — the hot fetch path
     is two integer compares and an array load, with no hashing and no
     boxed [int64] key allocation.  The cache participates in the memory
@@ -43,17 +44,10 @@ open Lfi_arm64
     fetching, which is how the runtime-call table of Section 4.4 hands
     control to the (native, trusted) runtime without a trampoline. *)
 let host_region_start = 0x7F00_0000_0000L
+let host_region_start_i = Int64.to_int host_region_start
 
 (** Instruction slots per page (one per aligned 4-byte word). *)
 let decode_slots = Memory.page_size / 4
-
-(* Decode-cache slots hold this sentinel until first decode; it is
-   distinguished by physical equality, so a genuinely decoded [Udf]
-   (a fresh allocation) never aliases it. *)
-let undecoded : Insn.t = Insn.Udf (-1)
-
-let no_decode_page : Insn.t array = [||]
-let no_cost_page : float array = [||]
 
 (* ---------------- escape oracle ---------------- *)
 
@@ -147,14 +141,11 @@ type t = {
           hot-path accumulate is an unboxed float store (a [mutable
           float] field in this mixed record would box on every add) *)
   mutable insns : int;
-  decode_pages : (int, Insn.t array * float array) Hashtbl.t;
-      (** per-page decoded-instruction arrays ([undecoded] sentinel in
-          empty slots) plus each slot's cost under [uarch] (a flat
-          float array, so charging a cached instruction is an unboxed
-          load), keyed by page index *)
-  mutable dc_idx : int;  (** page index of [dc_arr]; -1 = none *)
-  mutable dc_arr : Insn.t array;  (** last decode page touched *)
-  mutable dc_cost : float array;  (** cost slots of [dc_arr] *)
+  decode_pages : (int, dpage) Hashtbl.t;  (** keyed by page index *)
+  mutable dc_idx : int;  (** page index of the [dc_*] arrays; -1 = none *)
+  mutable dc_insn : Insn.t array;  (** the last decode page touched *)
+  mutable dc_cost : float array;
+  mutable dc_op : op array;
   mutable metrics : Lfi_telemetry.Metrics.emu option;
       (** telemetry handle; [None] (the default) counts nothing and
           allocates nothing — each count site is one predictable
@@ -175,9 +166,9 @@ type t = {
   (* --- superblock cache (see {!Block} for the engine) --- *)
   mutable blocks_enabled : bool;
       (** master switch for block dispatch on this machine; when armed
-          telemetry ({!metrics}, {!profile}) or the {!escape_oracle}
-          needs per-instruction observability, {!Exec.run} deopts to
-          the single-step path regardless of this flag *)
+          telemetry ({!metrics}, {!profile}, {!overhead}) needs
+          per-instruction accounting, {!Exec.run} deopts to the
+          single-step path regardless of this flag *)
   blocks : (int, bpage) Hashtbl.t;  (** per-page block tables *)
   mutable bp_idx : int;  (** page index of [bp_arr]; -1 = none *)
   mutable bp_arr : blk array;  (** entry slots of the last block page *)
@@ -190,14 +181,25 @@ type t = {
      (metrics-off) run, which is exactly the run where blocks are
      live *)
   mutable blk_execs : int;  (** blocks dispatched *)
-  mutable blk_builds : int;  (** lookup misses (block lowered+built) *)
+  mutable blk_builds : int;  (** lookup misses (block built) *)
   mutable blk_insns : int;  (** instructions retired via blocks *)
   mutable blk_deopts : int;
-      (** times {!Exec.run} fell back to single-step: armed telemetry
-          or oracle, quantum tails shorter than the next block, or
+      (** times {!Exec.run} fell back to single-step: armed telemetry,
+          quantum tails shorter than the next block, or
           [blocks_enabled = false] on a machine that has the engine
           compiled in *)
 }
+
+(** A page of decode slots: each aligned word's decoded instruction,
+    its cost under the machine's [uarch] (a flat float array, so
+    charging it is an unboxed load) and its lowered form ([undecoded]
+    until first fetched). *)
+and dpage = { d_insn : Insn.t array; d_cost : float array; d_op : op array }
+
+(** The lowered form of one instruction, what both dispatch modes
+    execute: a straight-line instruction's effect with its pre-boxed
+    fall-through pc, or a terminator. *)
+and op = Body of (t -> unit) * int64 | Term of bterm
 
 (** One lowered basic block.  [b_body] holds the straight-line
     instructions as pre-resolved closures (operands resolved to array
@@ -279,6 +281,12 @@ let rec no_blk =
 
 let no_block_page : blk array = [||]
 
+(* Decode slots hold this sentinel until first fetched; it is
+   distinguished by physical equality. *)
+let undecoded : op = Body ((fun _ -> ()), 0L)
+
+let no_page = { d_insn = [||]; d_cost = [||]; d_op = [||] }
+
 (** Mark [b] dead and clear its entry slot (which lives on its entry
     page, not necessarily the page being invalidated — the straddling
     case).  The slot is cleared only if it still holds [b]: a newer
@@ -326,6 +334,12 @@ let invalidate_blocks (m : t) (first : int) (last : int) =
     end
   end
 
+let install (m : t) (idx : int) (p : dpage) =
+  m.dc_idx <- idx;
+  m.dc_insn <- p.d_insn;
+  m.dc_cost <- p.d_cost;
+  m.dc_op <- p.d_op
+
 (** Drop cached decoded instructions for every page overlapping
     [addr, addr+len); called from the memory system's
     [on_code_change] hook. *)
@@ -352,11 +366,7 @@ let invalidate_code (m : t) (addr : int64) (len : int) =
         Hashtbl.remove m.decode_pages i
       end
     done;
-    if m.dc_idx >= first && m.dc_idx <= last then begin
-      m.dc_idx <- -1;
-      m.dc_arr <- no_decode_page;
-      m.dc_cost <- no_cost_page
-    end
+    if m.dc_idx >= first && m.dc_idx <= last then install m (-1) no_page
   end
 
 let create ?(uarch = Cost_model.m1) (mem : Memory.t) =
@@ -380,8 +390,9 @@ let create ?(uarch = Cost_model.m1) (mem : Memory.t) =
       insns = 0;
       decode_pages = Hashtbl.create 64;
       dc_idx = -1;
-      dc_arr = no_decode_page;
-      dc_cost = no_cost_page;
+      dc_insn = no_page.d_insn;
+      dc_cost = no_page.d_cost;
+      dc_op = no_page.d_op;
       metrics = None;
       profile = None;
       flight = None;
@@ -408,21 +419,22 @@ let create ?(uarch = Cost_model.m1) (mem : Memory.t) =
   m
 
 (** Install the decode page for page index [idx] as the last-page
-    pointer ([dc_idx] / [dc_arr] / [dc_cost]), creating it on first
+    pointer ([dc_idx] and the [dc_*] arrays), creating it on first
     touch. *)
 let decode_page (m : t) (idx : int) : unit =
-  let arr, costs =
+  let p =
     match Hashtbl.find_opt m.decode_pages idx with
-    | Some (arr, costs) -> (arr, costs)
+    | Some p -> p
     | None ->
-        let arr = Array.make decode_slots undecoded in
-        let costs = Array.make decode_slots 0.0 in
-        Hashtbl.replace m.decode_pages idx (arr, costs);
-        (arr, costs)
+        let p =
+          { d_insn = Array.make decode_slots Insn.Nop;
+            d_cost = Array.make decode_slots 0.0;
+            d_op = Array.make decode_slots undecoded }
+        in
+        Hashtbl.replace m.decode_pages idx p;
+        p
   in
-  m.dc_idx <- idx;
-  m.dc_arr <- arr;
-  m.dc_cost <- costs
+  install m idx p
 
 (* ---------------- cycle accounting ---------------- *)
 

@@ -167,11 +167,10 @@ let set_page_perm m (idx : int) (perm : perm) =
 
 (* The translation-cache lookup: one array probe + one bit test on a
    hit; misses fill the slot from the page table.  The page index is
-   computed with untagged int arithmetic (addresses fit in 63 bits, and
-   [lsr] on a negative int still yields the non-negative index the
-   unmapped-page fault path expects). *)
+   shifted out of the full 64-bit address, as in [page_index]: an
+   address with bit 63 set must not alias the page below 2^63. *)
 let[@inline] get_page m (addr : int64) (access : access) : page =
-  let idx = Int64.to_int addr lsr page_bits in
+  let idx = Int64.to_int (Int64.shift_right_logical addr page_bits) in
   let slot = idx land tc_mask in
   let bit = match access with Read -> pb_r | Write -> pb_w | Fetch -> pb_x in
   if Array.unsafe_get m.tc_idx slot = idx then begin

@@ -54,9 +54,11 @@ type snapshot = {
      the step path, so a metrics run reports its own deopt count and
      zero executions) *)
   blk_execs : int;  (** blocks entered *)
-  blk_builds : int;  (** blocks lowered (cache misses + rebuilds) *)
+  blk_builds : int;  (** blocks built (cache misses + rebuilds) *)
   blk_insns : int;  (** instructions retired under block dispatch *)
-  blk_deopts : int;  (** quantum tails + metrics/profile/oracle deopts *)
+  blk_deopts : int;
+      (** quantum tails + metrics/profile/overhead deopts (the escape
+          oracle and flight recorder run inside blocks) *)
 }
 
 let hit_rate ~hits ~misses =

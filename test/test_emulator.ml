@@ -51,6 +51,30 @@ let test_memory_protect_unmap () =
   Memory.unmap m ~addr:0x4000L ~len:Memory.page_size;
   checkb "unmapped" false (Memory.is_mapped m 0x4000L)
 
+(* Bit 63 belongs to the page index: an address with it set is an
+   unmapped page, not an alias of the page 2^63 below it. *)
+let test_memory_bit63 () =
+  let m = Memory.create () in
+  Memory.map m ~addr:0x20000L ~len:Memory.page_size ~perm:Memory.perm_rw;
+  Memory.write m 0x20008L 8 0x1122334455667788L;
+  let high a = Int64.logor a Int64.min_int in
+  let unmapped what access a f =
+    match f () with
+    | exception Memory.Fault flt ->
+        checkb (what ^ " access") true (flt.Memory.access = access);
+        check64 (what ^ " address") a flt.Memory.addr;
+        Alcotest.(check string) (what ^ " reason") "unmapped" flt.Memory.reason
+    | _ -> Alcotest.failf "%s at 0x%Lx did not fault" what a
+  in
+  unmapped "read" Memory.Read (high 0x20008L) (fun () ->
+      ignore (Memory.read m (high 0x20008L) 8));
+  unmapped "write" Memory.Write (high 0x20010L) (fun () ->
+      Memory.write m (high 0x20010L) 8 7L);
+  check64 "nothing written below 2^63" 0L (Memory.read m 0x20010L 8);
+  Memory.protect m ~addr:0x20000L ~len:Memory.page_size ~perm:Memory.perm_rx;
+  unmapped "fetch" Memory.Fetch (high 0x20000L) (fun () ->
+      ignore (Memory.fetch m (high 0x20000L)))
+
 let test_tlb () =
   let t = Tlb.create ~entries:4 in
   checkb "first miss" false (Tlb.access t 0x10000L);
@@ -812,6 +836,40 @@ let test_protect_len_zero () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative length accepted"
 
+(* An indirect branch to a target outside [0, 2^62) retires, then takes
+   the fetch fault at the unmodified target in both dispatch modes:
+   never truncated, and never aliased onto the code at 0x20000. *)
+let test_wild_branch_target () =
+  both_modes @@ fun () ->
+  List.iter
+    (fun target ->
+      let mem = Memory.create () in
+      let m = Machine.create mem in
+      let load addr body =
+        Memory.map mem ~addr ~len:Memory.page_size ~perm:Memory.perm_rw;
+        Memory.write_bytes mem addr
+          (Assemble.assemble_string ("_start:\n" ^ body)).Assemble.text;
+        Memory.protect mem ~addr ~len:Memory.page_size ~perm:Memory.perm_rx
+      in
+      load 0x10000L "\tbr x0\n";
+      load 0x20000L "\tmovz x1, #42\n\tsvc #1\n";
+      m.Machine.regs.(0) <- target;
+      m.Machine.pc <- 0x10000L;
+      match Exec.run m ~quantum:100 with
+      | Exec.Trap (Exec.Mem_fault f) ->
+          check64 "fault address" target f.Memory.addr;
+          checkb "fetch fault" true (f.Memory.access = Memory.Fetch);
+          check64 "pc" target m.Machine.pc;
+          checki "insns" 1 m.Machine.insns;
+          check64 "code at 0x20000 not run" 0L m.Machine.regs.(1)
+      | e ->
+          Alcotest.failf "br to 0x%Lx: %s" target
+            (match e with
+            | Exec.Trap t -> Format.asprintf "%a" Exec.pp_trap t
+            | Exec.Quantum_expired -> "quantum expired"
+            | Exec.Runtime_entry pc -> Printf.sprintf "runtime entry 0x%Lx" pc))
+    [ 0x4000_0000_0002_0000L; 0x7f00_0000_0000_0000L; 0x8000_0000_0002_0000L ]
+
 let test_undefined_trap () =
   let img = Assemble.assemble_string "_start:\n\tudf #7\n" in
   let mem = Memory.create () in
@@ -852,6 +910,7 @@ let () =
           Alcotest.test_case "protect unmap" `Quick test_memory_protect_unmap;
           Alcotest.test_case "tlb" `Quick test_tlb;
           Alcotest.test_case "protect len 0" `Quick test_protect_len_zero;
+          Alcotest.test_case "bit 63 is not aliased" `Quick test_memory_bit63;
         ] );
       ("semantics", semantics_cases);
       ( "decode-cache",
@@ -866,6 +925,8 @@ let () =
       ( "traps",
         [
           Alcotest.test_case "undefined" `Quick test_undefined_trap;
+          Alcotest.test_case "branch target outside 2^62" `Quick
+            test_wild_branch_target;
           Alcotest.test_case "runtime entry" `Quick test_runtime_entry;
           Alcotest.test_case "cost" `Quick test_cost_accumulates;
         ] );

@@ -119,21 +119,20 @@ let test_soundness_smoke () =
 let test_complete_smoke () =
   report_ok (Fuzz.Complete.run ~seed:42 ~count:80 ~minic_count:10 ())
 
-(* The soundness engine's escape oracle arms per-instruction address
-   checks, which block dispatch honours by deopting to the step path —
-   but the surrounding pipeline (reference runs, shrinking) still
-   exercises superblocks.  Force both dispatch modes explicitly and
-   require byte-identical reports: the oracle must observe the same
-   escapes at the same instruction granularity either way. *)
+let in_mode v f =
+  let saved = !Lfi_emulator.Machine.superblocks_default in
+  Lfi_emulator.Machine.superblocks_default := v;
+  Fun.protect
+    ~finally:(fun () -> Lfi_emulator.Machine.superblocks_default := saved)
+    f
+
+(* The escape oracle checks inside the lowered code, so the soundness
+   engine's oracle-armed runs dispatch superblocks like production
+   does.  Run the engine in both dispatch modes and require
+   byte-identical reports: the oracle must observe the same escapes,
+   at the same pcs, either way. *)
 let test_soundness_blocks () =
   let show r = Format.asprintf "%a" Fuzz.Report.pp r in
-  let in_mode v f =
-    let saved = !Lfi_emulator.Machine.superblocks_default in
-    Lfi_emulator.Machine.superblocks_default := v;
-    Fun.protect
-      ~finally:(fun () -> Lfi_emulator.Machine.superblocks_default := saved)
-      f
-  in
   let blocks =
     in_mode true (fun () ->
         let r = Fuzz.Soundness.run ~seed:42 ~count:200 () in
@@ -144,6 +143,64 @@ let test_soundness_blocks () =
     in_mode false (fun () -> show (Fuzz.Soundness.run ~seed:42 ~count:200 ()))
   in
   checks "soundness report identical across dispatch modes" stepped blocks
+
+(* Arming the oracle deopts nothing: this loop runs under it as lowered
+   blocks, and finishes inside one quantum, so not even a quantum tail
+   sends it to the step loop. *)
+let test_oracle_runs_blocks () =
+  in_mode true @@ fun () ->
+  let elf =
+    assemble_text
+      ".text\n_start:\n\tmovz x1, #100\n\tmovz x0, #0\nloop:\n\tadd x0, x0, #3\n\tsub x1, x1, #1\n\tcbnz x1, loop\n\tsvc #1\n"
+  in
+  let sbx = Fuzz.Sandbox.load ~base:sandbox_base elf in
+  ignore (Fuzz.Sandbox.install_oracle sbx);
+  let out = Fuzz.Sandbox.run sbx in
+  (match out.Fuzz.Sandbox.stop with
+  | Fuzz.Sandbox.Exit 300L -> ()
+  | other ->
+      Alcotest.failf "%s" (Format.asprintf "%a" Fuzz.Sandbox.pp_stop other));
+  checki "escapes" 0 out.Fuzz.Sandbox.escape_count;
+  let m = sbx.Fuzz.Sandbox.machine in
+  checkb "blocks dispatched" true (m.Lfi_emulator.Machine.blk_execs > 0);
+  checki "deopts" 0 m.Lfi_emulator.Machine.blk_deopts
+
+(* A planted escape: an unguarded load below the data window, in the
+   middle of a straight-line block.  Both dispatch modes must record it
+   with the load's own pc and the address it resolved. *)
+let test_oracle_planted_escape () =
+  let elf =
+    assemble_text
+      ".text\n_start:\n\tmovz x1, #7\n\tsub x9, x21, #13, lsl #12\n\tadd x2, x1, #1\n\tldr x0, [x9]\n\tadd x3, x0, #1\n\tsvc #1\n"
+  in
+  let text =
+    match Lfi_elf.Elf.text_segment elf with
+    | Some seg -> seg.Lfi_elf.Elf.vaddr
+    | None -> Alcotest.fail "no text segment"
+  in
+  let show escapes =
+    String.concat "; "
+      (List.map (Format.asprintf "%a" Fuzz.Soundness.pp_escape) escapes)
+  in
+  let expected =
+    show
+      [ { Lfi_emulator.Machine.esc_pc =
+            Int64.add sandbox_base (Int64.of_int (text + 12));
+          esc_addr = Int64.sub sandbox_base 0xD000L;
+          esc_kind = Lfi_emulator.Machine.Eload } ]
+  in
+  let run blocks =
+    in_mode blocks @@ fun () ->
+    let sbx = Fuzz.Sandbox.load ~base:sandbox_base elf in
+    ignore (Fuzz.Sandbox.install_oracle sbx);
+    let out = Fuzz.Sandbox.run sbx in
+    if blocks then
+      checkb "blocks dispatched" true
+        (sbx.Fuzz.Sandbox.machine.Lfi_emulator.Machine.blk_execs > 0);
+    show out.Fuzz.Sandbox.escapes
+  in
+  checks "escape recorded by block dispatch" expected (run true);
+  checks "escape recorded by the step loop" expected (run false)
 
 let test_determinism () =
   (* same seed, same outcome — byte-for-byte identical reports *)
@@ -296,6 +353,8 @@ let () =
           mk "equiv smoke" test_equiv_smoke;
           mk "soundness smoke" test_soundness_smoke;
           mk "soundness with superblocks" test_soundness_blocks;
+          mk "oracle runs lowered blocks" test_oracle_runs_blocks;
+          mk "oracle planted escape" test_oracle_planted_escape;
           mk "complete smoke" test_complete_smoke;
           mk "deterministic" test_determinism;
           mk "weakened demo" test_weakened_demo;
