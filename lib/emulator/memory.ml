@@ -14,7 +14,12 @@
     cache and fires [on_code_change], the invalidation hook the
     emulator's decode cache registers (see {!Machine.create}): stale
     translations and stale decoded instructions are impossible by
-    construction. *)
+    construction.
+
+    Each page also carries a dirty flag, and the space keeps a change
+    log of the pages that changed while clean (see [page.dirty]):
+    snapshot-based reset drains it to rewind exactly the pages a
+    request changed. *)
 
 let page_bits = 14
 let page_size = 1 lsl page_bits (* 16 KiB *)
@@ -29,11 +34,15 @@ type page = {
   mutable perm : perm;
   data : Bytes.t;
   mutable dirty : bool;
-      (** set on every store into the page; consumers (snapshot-based
-          reset, see [lib/libbox]) clear it at their baseline and later
-          restore only pages whose flag came back on.  A single
-          unconditional store on the write path — cheaper than any
-          branch or handle indirection. *)
+      (** [false] only on a page a consumer declared clean: snapshot-
+          based reset (see [lib/libbox]) clears it at its baseline.
+          The first change to a clean page — a store, a permission
+          change through [map] / [protect] / [set_page_perm], or an
+          [unmap] — sets it and appends the page's index to the space's
+          change log, so the consumer finds every page changed since
+          its baseline without walking its pages.  Pages are born
+          dirty, so a space nobody cleans logs nothing, and the store
+          path pays one test of this flag. *)
 }
 
 type access = Read | Write | Fetch
@@ -89,6 +98,11 @@ type t = {
           any operation that can change what a fetch from
           [addr, addr+len) would observe — map / unmap / protect of the
           range, or a write into an executable page *)
+  mutable changes : int array;
+      (** the change log: indices of pages that changed while clean,
+          in order, in [changes.(0 .. n_changes - 1)]; each page is
+          logged at most once until a consumer drains it *)
+  mutable n_changes : int;
 }
 
 let create () =
@@ -100,6 +114,8 @@ let create () =
     tc_hits = 0;
     tc_misses = 0;
     on_code_change = (fun _ _ -> ());
+    changes = [||];
+    n_changes = 0;
   }
 
 let page_index (addr : int64) = Int64.to_int (Int64.shift_right_logical addr page_bits)
@@ -111,6 +127,25 @@ let tc_flush m = Array.fill m.tc_idx 0 tc_size (-1)
 
 let code_changed m (addr : int64) (len : int) = m.on_code_change addr len
 
+(* The first change to clean page [p] at index [idx]: mark it dirty and
+   append it to the change log.  Callers test [p.dirty] first, so the
+   common case never leaves the store path. *)
+let[@inline never] log_change m (p : page) (idx : int) =
+  p.dirty <- true;
+  if m.n_changes = Array.length m.changes then begin
+    let grown = Array.make (max 16 (2 * m.n_changes)) 0 in
+    Array.blit m.changes 0 grown 0 m.n_changes;
+    m.changes <- grown
+  end;
+  m.changes.(m.n_changes) <- idx;
+  m.n_changes <- m.n_changes + 1
+
+let set_perm m (idx : int) (p : page) (perm : perm) =
+  if p.perm <> perm then begin
+    if not p.dirty then log_change m p idx;
+    p.perm <- perm
+  end
+
 (** Map [len] bytes starting at [addr] (both page-aligned) with [perm].
     Already-mapped pages are re-protected, not cleared. *)
 let map m ~(addr : int64) ~(len : int) ~(perm : perm) =
@@ -119,7 +154,7 @@ let map m ~(addr : int64) ~(len : int) ~(perm : perm) =
   let first = page_index addr in
   for i = first to first + (len / page_size) - 1 do
     match Hashtbl.find_opt m.pages i with
-    | Some p -> p.perm <- perm
+    | Some p -> set_perm m i p perm
     | None ->
         Hashtbl.replace m.pages i
           { perm; data = Bytes.make page_size '\000'; dirty = true }
@@ -132,6 +167,9 @@ let unmap m ~(addr : int64) ~(len : int) =
     invalid_arg "Memory.unmap: unaligned";
   let first = page_index addr in
   for i = first to first + (len / page_size) - 1 do
+    (match Hashtbl.find_opt m.pages i with
+    | Some p when not p.dirty -> log_change m p i
+    | _ -> ());
     Hashtbl.remove m.pages i
   done;
   tc_flush m;
@@ -148,7 +186,7 @@ let protect m ~(addr : int64) ~(len : int) ~(perm : perm) =
     let last = page_index (Int64.add addr (Int64.of_int (len - 1))) in
     for i = first to last do
       match Hashtbl.find_opt m.pages i with
-      | Some p -> p.perm <- perm
+      | Some p -> set_perm m i p perm
       | None -> invalid_arg "Memory.protect: unmapped page"
     done;
     tc_flush m;
@@ -161,7 +199,7 @@ let set_page_perm m (idx : int) (perm : perm) =
   match Hashtbl.find_opt m.pages idx with
   | None -> invalid_arg "Memory.set_page_perm: unmapped page"
   | Some p ->
-      p.perm <- perm;
+      set_perm m idx p perm;
       tc_flush m;
       code_changed m (Int64.shift_left (Int64.of_int idx) page_bits) page_size
 
@@ -214,7 +252,7 @@ let read_u8 m addr =
 
 let write_u8 m addr v =
   let p = get_page m addr Write in
-  p.dirty <- true;
+  if not p.dirty then log_change m p (page_index addr);
   wx_invalidate m p addr 1;
   Bytes.set_uint8 p.data (page_offset addr) v
 
@@ -245,7 +283,7 @@ let write m (addr : int64) (size : int) (v : int64) =
   let off = page_offset addr in
   if off + size <= page_size then begin
     let p = get_page m addr Write in
-    p.dirty <- true;
+    if not p.dirty then log_change m p (page_index addr);
     wx_invalidate m p addr size;
     match size with
     | 8 -> Bytes.set_int64_le p.data off v
@@ -292,8 +330,26 @@ let mapped_pages m =
 
 let page_data (p : page) = p.data
 let page_perm (p : page) = p.perm
-let page_dirty (p : page) = p.dirty
 let page_clear_dirty (p : page) = p.dirty <- false
+
+(** Take every page index in [\[lo, hi)] out of the change log, calling
+    [f] on each in log order; entries outside the range stay.  [f] must
+    leave its page dirty until it is done with it (clearing the flag
+    last), so that nothing it does appends to the log being drained. *)
+let drain_changes m ~(lo : int) ~(hi : int) (f : int -> unit) =
+  let kept = ref 0 in
+  for k = 0 to m.n_changes - 1 do
+    let idx = m.changes.(k) in
+    if idx >= lo && idx < hi then f idx
+    else begin
+      m.changes.(!kept) <- idx;
+      incr kept
+    end
+  done;
+  m.n_changes <- !kept
+
+(** The change log's page indices, in log order. *)
+let changed_pages m = Array.to_list (Array.sub m.changes 0 m.n_changes)
 
 (** Find a mapped page by index (used by fork's bulk copy). *)
 let find_page_by_index m (idx : int) = Hashtbl.find_opt m.pages idx

@@ -15,11 +15,14 @@
 
     {b Reset.}  At creation (after the optional init export) the
     instance captures a baseline: a copy of every mapped page of its
-    slot plus the heap break, with the pages' dirty flags cleared.
-    [reset] restores exactly the pages whose dirty flag came back on,
-    unmaps pages the request mapped, remaps pages it unmapped, and
-    rewinds the fd table and heap break — so no request can observe a
-    previous request's writes (test-enforced). *)
+    slot plus the heap break, with the pages' dirty flags cleared.  The
+    first change to a clean page — a store, a permission change, an
+    unmap — appends it to the address space's change log
+    ({!Memory.drain_changes}), so [reset] visits exactly the pages the
+    request changed: it remaps, re-protects and rewrites each from the
+    baseline, unmaps pages the request mapped, and rewinds the fd table
+    and heap break — so no request can observe a previous request's
+    writes (test-enforced). *)
 
 open Lfi_emulator
 open Lfi_runtime
@@ -45,67 +48,76 @@ type t = {
   mutable calls : int;
   mutable resets : int;
   mutable call_insns : int;  (** total sandboxed instructions across calls *)
-  mutable pages_restored : int;  (** dirty pages rewound across resets *)
+  mutable pages_restored : int;  (** changed pages rewound across resets *)
 }
 
 let page = Memory.page_size
 let pages_per_slot = Lfi_core.Layout.sandbox_size / page
 let align_page v = (v + page - 1) / page * page
 let slot_first (p : Proc.t) = Memory.page_index p.Proc.base
+let slot_last (p : Proc.t) = slot_first p + pages_per_slot
 let addr_of_idx idx = Int64.shift_left (Int64.of_int idx) Memory.page_bits
 
+(* Most baseline pages (the stack, the BSS) are all zeros: they share
+   this one copy, which is only ever read. *)
+let zero_page = Bytes.make page '\000'
+
 (** Snapshot the slot's current memory as the reset baseline and clear
-    the dirty flags, so [reset] touches only pages written since. *)
+    the dirty flags, so [reset] touches only pages changed since.  Log
+    entries left in the slot by an earlier occupant (a killed instance
+    whose slot this one reuses) are dropped first. *)
 let capture_baseline (inst : t) =
+  let mem = inst.rt.Runtime.mem in
+  let first = slot_first inst.p and last = slot_last inst.p in
+  Memory.drain_changes mem ~lo:first ~hi:last ignore;
   Hashtbl.reset inst.pristine;
-  let first = slot_first inst.p in
-  Memory.iter_pages inst.rt.Runtime.mem (fun idx pg ->
-      if idx >= first && idx < first + pages_per_slot then begin
+  Memory.iter_pages mem (fun idx pg ->
+      if idx >= first && idx < last then begin
+        let data = Memory.page_data pg in
         Hashtbl.replace inst.pristine idx
-          { pg_bytes = Bytes.copy (Memory.page_data pg);
+          { pg_bytes =
+              (if Bytes.equal data zero_page then zero_page
+               else Bytes.copy data);
             pg_perm = Memory.page_perm pg };
         Memory.page_clear_dirty pg
       end);
   inst.heap_end0 <- inst.p.Proc.heap_end;
   inst.baseline <- inst.p.Proc.snapshot
 
-(** Wind the instance back to its baseline: restore dirty pages from
-    the pristine copies (a straight [Bytes.blit] — data pages are never
-    executable, so no decode-cache entry can go stale; the map/unmap
-    paths go through the invalidating entry points), rewind the heap
-    break, and rebuild the std fd table.
+(** Wind the instance back to its baseline: rewind every page the
+    request changed from its pristine copy, drop pages it mapped,
+    rewind the heap break, and rebuild the std fd table.
 
-    Cost is O(pages of this slot), never O(pages of the runtime): the
-    baseline pages are walked through [pristine], and any page the
-    request mapped beyond the baseline must sit in
-    [heap_end0, heap_end) because both [mmap] and [brk] bump-allocate
-    at the break — so with hundreds of resident instances a reset
-    still touches only its own slot. *)
+    Cost is O(pages changed since the baseline), never O(pages of the
+    slot or of the runtime): the slot's entries in the change log are
+    exactly its baseline pages the request stored to, re-protected or
+    unmapped, and any page the request mapped beyond the baseline must
+    sit in [heap_end0, heap_end) because both [mmap] and [brk]
+    bump-allocate at the break — so with hundreds of resident
+    instances a reset still touches only what its own request
+    changed. *)
 let reset (inst : t) =
   let mem = inst.rt.Runtime.mem in
   let restored = ref 0 in
-  (* baseline pages: restore if dirtied, re-protect if mprotected,
-     bring back if the request unmapped them *)
-  Hashtbl.iter
-    (fun idx pr ->
-      match Memory.find_page_by_index mem idx with
-      | Some pg ->
-          if Memory.page_dirty pg then begin
-            Bytes.blit pr.pg_bytes 0 (Memory.page_data pg) 0 page;
-            Memory.page_clear_dirty pg;
-            incr restored
-          end;
-          if Memory.page_perm pg <> pr.pg_perm then
-            Memory.set_page_perm mem idx pr.pg_perm
-      | None ->
-          Memory.map mem ~addr:(addr_of_idx idx) ~len:page ~perm:pr.pg_perm;
-          (match Memory.find_page_by_index mem idx with
-          | Some pg ->
-              Bytes.blit pr.pg_bytes 0 (Memory.page_data pg) 0 page;
-              Memory.page_clear_dirty pg
-          | None -> assert false);
-          incr restored)
-    inst.pristine;
+  (* each changed baseline page: bring it back if unmapped, restore its
+     permission, rewrite its bytes (a straight blit: only data pages
+     are writable, so no decode-cache entry can go stale), and clear
+     its flag last (see [Memory.drain_changes]) *)
+  Memory.drain_changes mem ~lo:(slot_first inst.p) ~hi:(slot_last inst.p)
+    (fun idx ->
+      let pr = Hashtbl.find inst.pristine idx in
+      let pg =
+        match Memory.find_page_by_index mem idx with
+        | Some pg -> pg
+        | None ->
+            Memory.map mem ~addr:(addr_of_idx idx) ~len:page ~perm:pr.pg_perm;
+            Option.get (Memory.find_page_by_index mem idx)
+      in
+      if Memory.page_perm pg <> pr.pg_perm then
+        Memory.set_page_perm mem idx pr.pg_perm;
+      Bytes.blit pr.pg_bytes 0 (Memory.page_data pg) 0 page;
+      Memory.page_clear_dirty pg;
+      incr restored);
   (* pages the request mapped (mmap/brk allocate at the break, so they
      all live in the heap-growth range): drop them *)
   let lo = Memory.page_index inst.heap_end0

@@ -7,6 +7,7 @@ module Runtime = Lfi_runtime.Runtime
 module Proc = Lfi_runtime.Proc
 module Libs = Lfi_workloads.Libs
 module Json = Lfi_telemetry.Json
+module Memory = Lfi_emulator.Memory
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -193,8 +194,8 @@ let test_reset_dirty_accounting () =
   Instance.reset inst;
   let after_call = inst.Instance.pages_restored in
   checkb "dirty pages restored" true (after_call > 0);
-  (* an idle reset finds nothing dirty: the dirty-flag tracking is what
-     keeps reset proportional to what the request touched *)
+  (* an idle reset finds nothing in the change log: the log is what
+     keeps reset proportional to what the request changed *)
   Instance.reset inst;
   checki "idle reset restores nothing" after_call inst.Instance.pages_restored
 
@@ -216,6 +217,153 @@ let test_reset_undoes_mmap_growth () =
     (not (Lfi_emulator.Memory.is_mapped mem heap0));
   checkb "heap break rewound" true
     (Int64.equal inst.Instance.p.Proc.heap_end heap0)
+
+(* Reset equivalence: a seeded random sequence of host-side changes to
+   the slot — stores (host writes and guest calls), re-protections and
+   unmaps of clean baseline pages, and mappings in the heap-growth
+   range — then [reset] must leave every slot page's bytes and
+   permission equal to the baseline and no other page mapped. *)
+type op =
+  | Store of int * int * int  (** page pick, offset, byte *)
+  | Call of int
+  | Protect of int
+  | Unmap of int
+  | Grow
+
+let show_op = function
+  | Store (g, o, v) -> Printf.sprintf "Store(%d,%d,%d)" g o v
+  | Call v -> Printf.sprintf "Call %d" v
+  | Protect g -> Printf.sprintf "Protect %d" g
+  | Unmap g -> Printf.sprintf "Unmap %d" g
+  | Grow -> "Grow"
+
+let slot_pages (inst : Instance.t) =
+  let first = Instance.slot_first inst.Instance.p
+  and last = Instance.slot_last inst.Instance.p in
+  Memory.mapped_pages inst.Instance.rt.Runtime.mem
+  |> List.filter (fun (idx, _) -> idx >= first && idx < last)
+  |> List.map (fun (idx, pg) ->
+         (idx, Bytes.to_string (Memory.page_data pg), Memory.page_perm pg))
+
+let reset_inst = lazy (make_inst ())
+
+(* the baseline, read off memory before any case runs, and the
+   baseline's writable pages as three groups (data, arena, stack) *)
+let reset_baseline =
+  lazy
+    (let inst = Lazy.force reset_inst in
+     let pages = slot_pages inst in
+     let arena = Memory.page_index inst.Instance.arena_base
+     and heap = Memory.page_index inst.Instance.heap_end0 in
+     let rw =
+       List.filter_map
+         (fun (idx, _, perm) -> if perm.Memory.w then Some idx else None)
+         pages
+     in
+     let group f = Array.of_list (List.filter f rw) in
+     ( pages,
+       [| group (fun i -> i < arena);
+          group (fun i -> i >= arena && i < heap);
+          group (fun i -> i >= heap) |] ))
+
+let prop_reset_restores_baseline =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 12)
+        (frequency
+           [ (4, map3 (fun g o v -> Store (g, o, v)) nat
+                (int_bound (Memory.page_size - 1)) (int_range 1 255));
+             (2, map (fun v -> Call v) (int_range 1 1000));
+             (2, map (fun g -> Protect g) nat);
+             (2, map (fun g -> Unmap g) nat);
+             (1, return Grow) ]))
+  in
+  QCheck.Test.make ~count:60 ~name:"reset restores the baseline"
+    (QCheck.make ~print:(QCheck.Print.list show_op) gen)
+    (fun ops ->
+      let inst = Lazy.force reset_inst in
+      let baseline, groups = Lazy.force reset_baseline in
+      let mem = inst.Instance.rt.Runtime.mem in
+      let pick g =
+        let grp = groups.(g mod 3) in
+        grp.(g / 3 mod Array.length grp)
+      in
+      let writable idx =
+        match Memory.find_page_by_index mem idx with
+        | Some pg -> (Memory.page_perm pg).Memory.w
+        | None -> false
+      in
+      (* once a page is re-protected or unmapped a guest call may fault
+         and retire the instance, so later calls become host stores *)
+      let damaged = ref false in
+      let store idx off v =
+        if writable idx then
+          Memory.write mem
+            (Int64.add (Instance.addr_of_idx idx) (Int64.of_int off))
+            1 (Int64.of_int v)
+      in
+      List.iter
+        (function
+          | Store (g, off, v) -> store (pick g) off v
+          | Call v when not !damaged ->
+              ignore
+                (ret_of
+                   (Instance.call inst "poke_global" [ Api.I (Int64.of_int v) ]))
+          | Call v -> store (pick 0) 0 v
+          | Protect g ->
+              let idx = pick g in
+              if writable idx then begin
+                damaged := true;
+                Memory.protect mem ~addr:(Instance.addr_of_idx idx)
+                  ~len:Memory.page_size ~perm:Memory.perm_r
+              end
+          | Unmap g ->
+              damaged := true;
+              Memory.unmap mem ~addr:(Instance.addr_of_idx (pick g))
+                ~len:Memory.page_size
+          | Grow ->
+              let p = inst.Instance.p in
+              Memory.map mem ~addr:p.Proc.heap_end ~len:Memory.page_size
+                ~perm:Memory.perm_rw;
+              p.Proc.heap_end <-
+                Int64.add p.Proc.heap_end (Int64.of_int Memory.page_size))
+        ops;
+      Instance.reset inst;
+      let after = slot_pages inst in
+      List.length after = List.length baseline
+      && List.for_all2
+           (fun (i, b, p) (i', b', p') -> i = i' && p = p' && String.equal b b')
+           baseline after
+      || QCheck.Test.fail_reportf "slot differs from its baseline after reset")
+
+let test_change_log_bounded () =
+  (* a pool's dispatch resets its instance: no entry of that slot stays *)
+  let pool = Pool.create ~size:2 ~init:"init" (Lazy.force xz_lib) in
+  let mem = pool.Pool.rt.Runtime.mem in
+  for v = 1 to 4 do
+    match Pool.dispatch pool "poke_global" [ Api.I (Int64.of_int v) ] with
+    | Some inst, Ok _ ->
+        let first = Instance.slot_first inst.Instance.p
+        and last = Instance.slot_last inst.Instance.p in
+        checkb "no entry in the dispatched slot" true
+          (List.for_all
+             (fun idx -> idx < first || idx >= last)
+             (Memory.changed_pages mem))
+    | _ -> Alcotest.fail "dispatch failed"
+  done;
+  (* no libbox instance, no clean page: a whole program logs nothing *)
+  let rt = make_rt () in
+  let prog =
+    (Option.get (Lfi_workloads.Registry.find "mcf")).Lfi_workloads.Common.program
+  in
+  let p =
+    Runtime.load rt ~personality:Proc.Lfi
+      (Lfi_experiments.Run.build (Lfi_experiments.Run.Lfi Lfi_core.Config.o2)
+         prog)
+  in
+  ignore (Runtime.run_one rt p);
+  checki "plain run leaves the log empty" 0
+    (List.length (Memory.changed_pages rt.Runtime.mem))
 
 (* ---------------- pool ---------------- *)
 
@@ -630,6 +778,18 @@ let test_pool_wraparound_respawn () =
   checki "slot recycled" (freed - 1)
     (List.length pool.Pool.rt.Runtime.free_slots);
   checki "respawn live" 1 (Pool.live_count pool);
+  (* the killed instance left change-log entries in the slot: the
+     respawn's first reset must rewind only the one page it stored to,
+     and a poke of its scratch array must not survive that reset *)
+  let at = Int64.add inst.Instance.p.Proc.base scratch in
+  (match Instance.copy_in inst at (Bytes.make 8 '\x2a') with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "poke: %s" (Api.error_to_string e));
+  Instance.reset inst;
+  checki "first reset rewinds one page" 1 inst.Instance.pages_restored;
+  (match Pool.dispatch pool "poke" [ Api.I scratch ] with
+  | Some _, Ok r -> checki "poke undone on the respawn" 0 (Int64.to_int r.Api.ret)
+  | _ -> Alcotest.fail "peek on the respawn failed");
   let s = poke () in
   checki "respawned instance serves" inst.Instance.p.Proc.slot s
 
@@ -731,6 +891,10 @@ let () =
           mk "init survives" test_init_survives_reset;
           mk "dirty accounting" test_reset_dirty_accounting;
           mk "mmap growth undone" test_reset_undoes_mmap_growth;
+          mk "change log bounded" test_change_log_bounded;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 0x5e7 |])
+            prop_reset_restores_baseline;
         ] );
       ( "pool",
         [
