@@ -22,18 +22,15 @@ let program short =
 
 let f v d = J.Float (v, d)
 
-(* One emulator sample per (workload, uarch, system).  The first run
-   keeps metrics off so block dispatch stays armed; the runtime handle
-   still exposes the machine's unconditional superblock counters.  A
-   second run with the telemetry counters on gives the cache hit
+(* One emulator sample per (workload, uarch, system), from a single
+   metrics-armed run: the counters observe inside the superblock
+   engine, so the same run gives the block counters, the cache hit
    rates, the guard fraction and the guard-clamp audit (exactly 0 for
    every well-behaved workload). *)
 let emulator_sample short uarch (sysname, sys) =
   let elf = Run.build sys (program short) in
-  let r, rt = Run.execute_rt ~uarch sys elf in
-  let bsnap = Lfi_runtime.Runtime.metrics_snapshot rt in
-  let _, rtm = Run.execute_rt ~uarch ~metrics:true sys elf in
-  let snap = Lfi_runtime.Runtime.metrics_snapshot rtm in
+  let r, rt = Run.execute_rt ~uarch ~metrics:true sys elf in
+  let snap = Lfi_runtime.Runtime.metrics_snapshot rt in
   let e = snap.Lfi_telemetry.Metrics.emu in
   let open Lfi_telemetry.Metrics in
   Printf.printf "  %-10s %-4s %-7s %9d insns  %12.1f cycles\n%!" short
@@ -55,10 +52,10 @@ let emulator_sample short uarch (sysname, sys) =
             ( "guard_fraction",
               f (float_of_int e.guards /. float_of_int (max 1 (insn_total e)))
                 6 );
-            ("guard_clamps", Int (Lfi_runtime.Runtime.total_clamps rtm));
-            ("block_cache_hit_rate", f (block_hit_rate bsnap) 6);
-            ("avg_block_len", f (avg_block_len bsnap) 2);
-            ("deopt_count", Int bsnap.blk_deopts);
+            ("guard_clamps", Int (Lfi_runtime.Runtime.total_clamps rt));
+            ("block_cache_hit_rate", f (block_hit_rate snap) 6);
+            ("avg_block_len", f (avg_block_len snap) 2);
+            ("deopt_count", Int snap.blk_deopts);
           ] );
     ]
 
@@ -85,9 +82,9 @@ let categories rt =
         all_categories
 
 (* Percent over native per (workload, uarch, opt).  Only the O2 row
-   pays for attribution and carries the category breakdown: the
-   per-site accumulator deopts superblock dispatch, but cycle counts
-   are dispatch-invariant, so the O0/O1 rows can run unobserved. *)
+   arms per-site attribution and carries the category breakdown;
+   attribution only observes the run, so every row's cycles are those
+   of an unobserved run. *)
 let overhead_rows short uarch =
   let native =
     (Run.execute ~uarch Run.Native (Run.build Run.Native (program short)))

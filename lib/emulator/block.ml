@@ -11,8 +11,8 @@
 
     A block holds the very closures and terminators the decode slots
     hold, so it runs the same semantics as the step loop; the
-    bookkeeping is what must match it (the golden suites run both
-    modes and demand bit-identical results):
+    bookkeeping is what must match it (the observer differential test
+    drives both and demands identical results):
 
     - costs are charged {e per instruction, in program order} from
       [b_costs] — never pre-summed, because float addition is not
@@ -23,11 +23,12 @@
     - a block invalidated by its own store (self-modifying code on a
       W+X page) stops after the offending instruction, exactly where
       the step loop would re-fetch;
-    - observers that account per instruction ({!Machine.metrics},
-      {!Machine.profile}, {!Machine.overhead}) never reach this module
-      — {!Exec.run} deopts to the step loop first.  The flight
-      recorder and the escape oracle observe inside the lowered code,
-      so they run here. *)
+    - wherever [m.insns] advances ({!retire}), an armed observer
+      ({!Machine.metrics}, {!Machine.profile}, {!Machine.overhead})
+      sees the retired run through {!Interp.observe}, exactly as the
+      step loop shows it each instruction; unarmed, that costs one
+      test per block.  The flight recorder and the escape oracle
+      observe inside the lowered code. *)
 
 open Machine
 
@@ -91,6 +92,8 @@ let build (m : Machine.t) (pci : int) : blk =
         let pm = Memory.page_perm p in
         pm.Memory.w && pm.Memory.x
   in
+  let dpage idx = Machine.decode_page m idx; m.dc_page in
+  let dp0 = dpage pidx in
   let b =
     {
       b_pci = pci;
@@ -99,6 +102,8 @@ let build (m : Machine.t) (pci : int) : blk =
       b_costs = Array.sub costs 0 total;
       b_term = term;
       b_pages = npages;
+      b_dp0 = dp0;
+      b_dp1 = (if npages > 1 then dpage (pidx + 1) else dp0);
       b_wx = page_wx pidx || (npages > 1 && page_wx (pidx + 1));
       b_valid = true;
       b_succ0 = no_blk;
@@ -162,18 +167,23 @@ let rec body_fast (m : Machine.t) (body : (Machine.t -> unit) array)
     body_fast m body costs n (i + 1)
   end
 
+(* Retire the block's first [n] instructions: count them and show
+   them to the armed observers. *)
+let[@inline] retire (m : Machine.t) (b : blk) (n : int) =
+  m.insns <- m.insns + n;
+  m.blk_insns <- m.blk_insns + n;
+  if observed m then Interp.observe m b.b_pci n b.b_dp0 b.b_dp1
+
 (* Retire the terminator after a fully-executed body of [n] ops;
    returns the next pc, or -1 as {!Sem.exec_term} does. *)
 let[@inline] finish_block (m : Machine.t) (b : blk) (n : int) : int =
   match b.b_term with
   | Tfall { next } ->
-      m.insns <- m.insns + n;
-      m.blk_insns <- m.blk_insns + n;
+      retire m b n;
       next
   | term ->
       add_cycles m (Array.unsafe_get b.b_costs n);
-      m.insns <- m.insns + n + 1;
-      m.blk_insns <- m.blk_insns + n + 1;
+      retire m b (n + 1);
       Sem.exec_term m term
 
 (** Run one block to completion (or to its self-invalidation point);
@@ -194,8 +204,7 @@ let exec_block (m : Machine.t) (b : blk) : int =
       else begin
         (* invalidated mid-block by one of our own stores: resume at
            the next pc, which re-lowers the freshly written bytes *)
-        m.insns <- m.insns + c;
-        m.blk_insns <- m.blk_insns + c;
+        retire m b c;
         b.b_pci + (4 * c)
       end
     end
@@ -205,20 +214,19 @@ let exec_block (m : Machine.t) (b : blk) : int =
     end
   with Memory.Fault _ as e ->
     let k = m.blk_i in
-    m.insns <- m.insns + k + 1;
-    m.blk_insns <- m.blk_insns + k + 1;
+    retire m b (k + 1);
     m.pc <- Int64.of_int (b.b_pci + (4 * k));
     raise e
 
-(** Block-dispatch quantum loop: the {!Exec.run} fast path.
+(** Run until an event occurs or [quantum] instructions have executed
+    ({!Exec.run}).
 
     Each iteration does one bounds/translation check (host region +
     quantum budget), then runs a whole block.  Chain links are tried
     before the block table; a quantum tail too short for the next
-    block is single-stepped through {!Interp.step_raw} so the quantum
-    boundary lands on exactly the same instruction as the step loop —
-    per-call instruction budgets (libbox) kill at identical counts in
-    both modes. *)
+    block is single-stepped through {!Interp.step_raw}, so a quantum
+    retires exactly [quantum] instructions and per-call instruction
+    budgets (libbox) kill at an exact count. *)
 let run (m : Machine.t) ~(quantum : int) : Interp.event =
   let rec dispatch (pci : int) (remaining : int) : Interp.event =
     if remaining <= 0 then begin

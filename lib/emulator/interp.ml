@@ -1,19 +1,17 @@
-(** The single-step loop: one instruction at a time, each charged,
-    counted and observed before it runs.
+(** The single step, and the retirement observer both dispatch paths
+    share.
 
-    It executes the lowered form {!Sem.fill} keeps in the decode slot —
-    the same closures and terminators the superblock engine ({!Block})
-    runs — so it adds no semantics of its own.  What it adds is
-    per-instruction observation: decode-cache and instruction-class
-    counts ({!Machine.metrics}), pc sampling ({!Machine.profile}) and
-    per-site overhead attribution ({!Machine.overhead}).  {!Exec.run}
-    runs a quantum here when one of those is armed, and {!Block}
-    single-steps its quantum tails here.  Anything that must escape to
-    the host — memory faults, [svc], undefined instructions, or control
-    reaching the runtime region — is reported as an {!event}; the
-    runtime decides what it means.  Dispatching a straight-line
-    instruction allocates nothing: its fall-through pc is pre-boxed in
-    its slot (a terminator boxes its next pc). *)
+    {!step_raw} runs the lowered form {!Sem.fill} keeps in the decode
+    slot — what the superblock engine ({!Block}) runs — so it adds no
+    semantics; {!Block.run} steps its quantum tails here.  {!observe}
+    is the per-instruction observation — decode-cache and class counts
+    ({!Machine.metrics}), per-site attribution ({!Machine.overhead}),
+    pc sampling ({!Machine.profile}) — that both paths call on what
+    they retire, so arming an observer never changes dispatch.  An
+    escape to the host — memory fault, [svc], undefined instruction,
+    runtime-region pc — is an {!event} for the runtime to interpret.
+    A straight-line step allocates nothing: its fall-through pc is
+    pre-boxed in its slot (a terminator boxes its next pc). *)
 
 open Lfi_arm64
 open Machine
@@ -33,9 +31,9 @@ let pp_trap fmt = function
   | Undefined pc -> Format.fprintf fmt "undefined instruction at 0x%Lx" pc
   | Svc_trap n -> Format.fprintf fmt "svc #%d" n
 
-(** Telemetry: decode-cache outcome plus the instruction-class mix,
-    counted in one pass so the metrics-off fetch path pays a single
-    [None] check.  A guard is the rewriter's x21-based add — either the
+(** Telemetry: decode-cache outcome plus the instruction-class mix of
+    one retired instruction, counted in one pass.  A guard is the
+    rewriter's x21-based add — either the
     fundamental [add xD, x21, wN, uxtw] or the sp re-anchor
     [add sp, x21, x22, uxtx]. *)
 let count_fetch (t : Lfi_telemetry.Metrics.emu) ~(hit : bool) (i : Insn.t) =
@@ -58,13 +56,42 @@ let count_fetch (t : Lfi_telemetry.Metrics.emu) ~(hit : bool) (i : Insn.t) =
       t.branches <- t.branches + 1
   | _ -> t.other <- t.other + 1
 
-(** One instruction, letting {!Memory.Fault} escape — the quantum loop
-    in {!run} installs a single handler for the whole quantum instead
-    of one per step.  A pc outside [0, 2^62) takes its fetch fault
-    before any decode-cache lookup; a misaligned pc faults before the
-    probe, so it can never alias a cached aligned slot.  On a hit the
-    charge is an unboxed load from the page's cost array.  Returns
-    [None] for normal completion (pc already updated) or
+(** Observe, in program order, the [n] instructions just retired from
+    [pci] on ([m.insns] counts them), read from the decode pages they
+    ran from — [dp0] for [pci]'s, [dp1] for the next — which a W+X
+    store may since have dropped.  A slot's first retirement after a
+    metrics-armed fill is its decode miss, however it was dispatched. *)
+let observe (m : Machine.t) (pci : int) (n : int) (dp0 : dpage)
+    (dp1 : dpage) =
+  let before = m.insns - n and page0 = pci lsr Memory.page_bits in
+  for k = 0 to n - 1 do
+    let pc = pci + (4 * k) in
+    let dp = if pc lsr Memory.page_bits = page0 then dp0 else dp1 in
+    let s = (pc land (Memory.page_size - 1)) lsr 2 in
+    (match m.metrics with
+    | None -> ()
+    | Some t ->
+        let fresh = Bytes.unsafe_get dp.d_fresh s <> '\000' in
+        if fresh then Bytes.unsafe_set dp.d_fresh s '\000';
+        count_fetch t ~hit:(not fresh) (Array.unsafe_get dp.d_insn s));
+    (match m.overhead with
+    | None -> ()
+    | Some a ->
+        Lfi_telemetry.Overhead.charge a pc (Array.unsafe_get dp.d_cost s));
+    match m.profile with
+    | None -> ()
+    | Some p ->
+        if (before + k + 1) land p.Lfi_telemetry.Profile.mask = 0 then
+          Lfi_telemetry.Profile.sample p pc
+  done
+
+(** One instruction, letting {!Memory.Fault} escape — the block
+    engine's quantum loop installs a single handler for the whole
+    quantum instead of one per step.  A pc outside [0, 2^62) takes its
+    fetch fault before any decode-cache lookup; a misaligned pc faults
+    before the probe, so it can never alias a cached aligned slot.  On
+    a hit the charge is an unboxed load from the page's cost array.
+    Returns [None] for normal completion (pc already updated) or
     [Some event]. *)
 let step_raw (m : Machine.t) : event option =
   let pc = m.pc in
@@ -78,22 +105,9 @@ let step_raw (m : Machine.t) : event option =
     if m.dc_idx <> pidx then Machine.decode_page m pidx;
     let cached = Array.unsafe_get m.dc_op s in
     let op = if cached != Machine.undecoded then cached else Sem.fill m pci s in
-    let c = Array.unsafe_get m.dc_cost s in
-    add_cycles m c;
-    (match m.metrics with
-    | None -> ()
-    | Some t ->
-        count_fetch t ~hit:(cached != Machine.undecoded)
-          (Array.unsafe_get m.dc_insn s));
-    (match m.overhead with
-    | None -> ()
-    | Some a -> Lfi_telemetry.Overhead.charge a pci c);
+    add_cycles m (Array.unsafe_get m.dc_cost s);
     m.insns <- m.insns + 1;
-    (match m.profile with
-    | None -> ()
-    | Some p ->
-        if m.insns land p.Lfi_telemetry.Profile.mask = 0 then
-          Lfi_telemetry.Profile.sample p pci);
+    if observed m then observe m pci 1 m.dc_page m.dc_page;
     match op with
     | Body (f, next) ->
         f m;
@@ -124,14 +138,3 @@ let step (m : Machine.t) : event option =
   with Memory.Fault f ->
     count_fault m;
     Some (Trap (Mem_fault f))
-
-(** Run until an event occurs or [quantum] instructions have executed. *)
-let run (m : Machine.t) ~(quantum : int) : event =
-  let rec go n =
-    if n <= 0 then Quantum_expired
-    else match step_raw m with None -> go (n - 1) | Some e -> e
-  in
-  try go quantum
-  with Memory.Fault f ->
-    count_fault m;
-    Trap (Mem_fault f)

@@ -11,7 +11,8 @@
     Above the decode cache sits the superblock layer (DESIGN.md §5f):
     decoded instructions are lowered into pre-resolved closures,
     grouped into basic blocks keyed by entry pc, and dispatched
-    block-at-a-time by {!Exec.run} — see {!Block} for the engine.
+    block-at-a-time by {!Exec.run}, armed observers or not — see
+    {!Block} for the engine.
     This module owns only the storage and the invalidation protocol:
     blocks live in per-executable-page tables ({!bpage}) reached
     through a one-entry last-page pointer, each block is registered on
@@ -26,8 +27,9 @@
     {2 Decode cache}
 
     Each 4-byte instruction word of an executable page has a decode
-    slot holding the decoded instruction, its cost and its lowered
-    form ({!op}, filled by {!Sem.fill}), in flat per-page arrays
+    slot holding the decoded instruction, its cost, its lowered form
+    ({!op}, filled by {!Sem.fill}) and the fresh flag the decode-miss
+    counter reads at retirement ({!Interp.observe}), in flat per-page arrays
     reached through a one-entry last-page pointer — the hot fetch path
     is two integer compares and an array load, with no hashing and no
     boxed [int64] key allocation.  The cache participates in the memory
@@ -106,16 +108,6 @@ let record_escape (o : oracle) ~(pc : int64) ~(addr : int64)
 
 (* ---------------- superblocks ---------------- *)
 
-(** Global kill-switch for block dispatch, read once at machine
-    creation (tests flip the per-machine flag instead).  Set
-    [LFI_SUPERBLOCKS=0] to force every machine onto the single-step
-    path — CI uses this to run the whole suite in legacy mode. *)
-let superblocks_default =
-  ref
-    (match Sys.getenv_opt "LFI_SUPERBLOCKS" with
-    | Some ("0" | "false" | "off" | "no") -> false
-    | _ -> true)
-
 (** Number of instructions a block may cover (body + terminator).
     256 bytes of code, so a block overlaps at most two 16KiB pages. *)
 let max_block_len = 64
@@ -142,9 +134,9 @@ type t = {
           float] field in this mixed record would box on every add) *)
   mutable insns : int;
   decode_pages : (int, dpage) Hashtbl.t;  (** keyed by page index *)
-  mutable dc_idx : int;  (** page index of the [dc_*] arrays; -1 = none *)
-  mutable dc_insn : Insn.t array;  (** the last decode page touched *)
-  mutable dc_cost : float array;
+  mutable dc_idx : int;  (** page index of the [dc_*] fields; -1 = none *)
+  mutable dc_page : dpage;  (** the last decode page touched ... *)
+  mutable dc_cost : float array;  (** ... and its hot arrays *)
   mutable dc_op : op array;
   mutable metrics : Lfi_telemetry.Metrics.emu option;
       (** telemetry handle; [None] (the default) counts nothing and
@@ -164,11 +156,6 @@ type t = {
           charges nothing — one predictable branch per fetch, same
           discipline as {!metrics} *)
   (* --- superblock cache (see {!Block} for the engine) --- *)
-  mutable blocks_enabled : bool;
-      (** master switch for block dispatch on this machine; when armed
-          telemetry ({!metrics}, {!profile}, {!overhead}) needs
-          per-instruction accounting, {!Exec.run} deopts to the
-          single-step path regardless of this flag *)
   blocks : (int, bpage) Hashtbl.t;  (** per-page block tables *)
   mutable bp_idx : int;  (** page index of [bp_arr]; -1 = none *)
   mutable bp_arr : blk array;  (** entry slots of the last block page *)
@@ -177,26 +164,26 @@ type t = {
           block dispatch loop so a memory fault mid-block can
           reconstruct the faulting pc and the partial insn count *)
   (* unconditional block-engine counters (flat ints, like the
-     translation cache's): the bench reads them off the plain
-     (metrics-off) run, which is exactly the run where blocks are
-     live *)
+     translation cache's), live whether or not an observer is armed *)
   mutable blk_execs : int;  (** blocks dispatched *)
   mutable blk_builds : int;  (** lookup misses (block built) *)
   mutable blk_insns : int;  (** instructions retired via blocks *)
   mutable blk_deopts : int;
-      (** times {!Exec.run} fell back to single-step: armed telemetry,
-          quantum tails shorter than the next block, or
-          [blocks_enabled = false] on a machine that has the engine
-          compiled in *)
+      (** quantum tails: times {!Block.run} single-stepped because the
+          next block was longer than the rest of the quantum *)
 }
 
 (** A page of decode slots: each aligned word's decoded instruction,
     its cost under the machine's [uarch] (a flat float array, so
-    charging it is an unboxed load) and its lowered form ([undecoded]
-    until first fetched). *)
-and dpage = { d_insn : Insn.t array; d_cost : float array; d_op : op array }
+    charging it is an unboxed load), its lowered form ([undecoded]
+    until first fetched) and whether it was filled while {!metrics}
+    was armed and has not retired since (its next retirement is the
+    decode miss). *)
+and dpage = {
+  d_insn : Insn.t array; d_cost : float array; d_op : op array;
+  d_fresh : Bytes.t }
 
-(** The lowered form of one instruction, what both dispatch modes
+(** The lowered form of one instruction, what both dispatch paths
     execute: a straight-line instruction's effect with its pre-boxed
     fall-through pc, or a terminator. *)
 and op = Body of (t -> unit) * int64 | Term of bterm
@@ -217,6 +204,8 @@ and blk = {
   b_costs : float array;
   b_term : bterm;
   b_pages : int;  (** number of pages this block overlaps (1 or 2) *)
+  b_dp0 : dpage;  (** decode pages built from, for the observers: *)
+  b_dp1 : dpage;  (** the entry's, the second's ([b_dp0] if one) *)
   b_wx : bool;
       (** some overlapped page was writable+executable at build time:
           one of the block's own stores could invalidate it, so the
@@ -263,6 +252,9 @@ and bpage = {
   mutable bp_blocks : blk list;
 }
 
+let no_page =
+  { d_insn = [||]; d_cost = [||]; d_op = [||]; d_fresh = Bytes.empty }
+
 (* Sentinel block: never valid, so an empty entry slot or chain link
    reads as a guaranteed miss with no option boxing on the hot path. *)
 let rec no_blk =
@@ -273,6 +265,8 @@ let rec no_blk =
     b_costs = [||];
     b_term = Tfall { next = 0 };
     b_pages = 0;
+    b_dp0 = no_page;
+    b_dp1 = no_page;
     b_wx = false;
     b_valid = false;
     b_succ0 = no_blk;
@@ -284,8 +278,6 @@ let no_block_page : blk array = [||]
 (* Decode slots hold this sentinel until first fetched; it is
    distinguished by physical equality. *)
 let undecoded : op = Body ((fun _ -> ()), 0L)
-
-let no_page = { d_insn = [||]; d_cost = [||]; d_op = [||] }
 
 (** Mark [b] dead and clear its entry slot (which lives on its entry
     page, not necessarily the page being invalidated — the straddling
@@ -336,7 +328,7 @@ let invalidate_blocks (m : t) (first : int) (last : int) =
 
 let install (m : t) (idx : int) (p : dpage) =
   m.dc_idx <- idx;
-  m.dc_insn <- p.d_insn;
+  m.dc_page <- p;
   m.dc_cost <- p.d_cost;
   m.dc_op <- p.d_op
 
@@ -390,7 +382,7 @@ let create ?(uarch = Cost_model.m1) (mem : Memory.t) =
       insns = 0;
       decode_pages = Hashtbl.create 64;
       dc_idx = -1;
-      dc_insn = no_page.d_insn;
+      dc_page = no_page;
       dc_cost = no_page.d_cost;
       dc_op = no_page.d_op;
       metrics = None;
@@ -398,7 +390,6 @@ let create ?(uarch = Cost_model.m1) (mem : Memory.t) =
       flight = None;
       escape_oracle = None;
       overhead = None;
-      blocks_enabled = !superblocks_default;
       blocks = Hashtbl.create 16;
       bp_idx = -1;
       bp_arr = no_block_page;
@@ -429,12 +420,19 @@ let decode_page (m : t) (idx : int) : unit =
         let p =
           { d_insn = Array.make decode_slots Insn.Nop;
             d_cost = Array.make decode_slots 0.0;
-            d_op = Array.make decode_slots undecoded }
+            d_op = Array.make decode_slots undecoded;
+            d_fresh = Bytes.make decode_slots '\000' }
         in
         Hashtbl.replace m.decode_pages idx p;
         p
   in
   install m idx p
+
+(** Retirement must call {!Interp.observe}: an observer is armed. *)
+let[@inline] observed (m : t) =
+  match (m.metrics, m.profile, m.overhead) with
+  | None, None, None -> false
+  | _ -> true
 
 (* ---------------- cycle accounting ---------------- *)
 

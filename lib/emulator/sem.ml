@@ -1,5 +1,5 @@
 (** The executable semantics of the ARM64 subset: each decoded
-    instruction lowered, once, to what both dispatch modes run.
+    instruction lowered, once, to what both dispatch paths run.
 
     A non-branch instruction becomes a closure over the machine
     ({!lower}): register operands resolved to array indices,
@@ -18,7 +18,7 @@
     (taken branches, guard-clamp audits) and the escape oracle's
     checks (every data access in {!bread}/{!bwrite}, every taken
     branch in {!exec_term}) are made here, against that pc, so every
-    observer sees the same records in both dispatch modes. *)
+    observer sees the same records on both dispatch paths. *)
 
 open Lfi_arm64
 open Machine
@@ -1100,7 +1100,7 @@ let slot (pci : int) (insn : Insn.t) : Machine.op =
 let[@inline] pc_fits (pc : int64) : bool = Int64.shift_right_logical pc 62 = 0L
 
 (** The fetch fault at a [pc] no decode slot can hold: misaligned, or
-    outside [0, 2^62), where no code is mapped.  Both dispatch modes
+    outside [0, 2^62), where no code is mapped.  Both dispatch paths
     raise it at the unmodified address, before any decode-cache or
     block-table lookup. *)
 let fetch_fault (pc : int64) =
@@ -1188,12 +1188,17 @@ let exec_term (m : Machine.t) (t : bterm) : int =
 (** Fetch, decode, cost and lower the instruction at [pci] into slot
     [s] of the current decode page ([m.dc_idx] is [pci]'s page), and
     return its lowered form.  A fetch fault propagates.  The one fill
-    both dispatch modes share: the step loop runs the slot's form, the
-    block builder copies it into a block. *)
+    both paths share: the step loop runs the slot's form, {!Block.build}
+    copies it into a block.  With metrics armed the slot is marked
+    fresh: its next retirement counts the decode miss. *)
 let fill (m : Machine.t) (pci : int) (s : int) : Machine.op =
   let i = Decode.decode (Memory.fetch m.mem (Int64.of_int pci)) in
   let op = slot pci i in
-  Array.unsafe_set m.dc_insn s i;
+  let p = m.dc_page in
+  Array.unsafe_set p.d_insn s i;
   Array.unsafe_set m.dc_cost s (Cost_model.cost m.uarch i);
   Array.unsafe_set m.dc_op s op;
+  (match m.metrics with
+  | None -> ()
+  | Some _ -> Bytes.unsafe_set p.d_fresh s '\001');
   op

@@ -226,15 +226,20 @@ let install_rtcall_table rt (base : int64) =
   Memory.protect rt.mem ~addr:base ~len:Lfi_core.Layout.rtcall_table_size
     ~perm:Memory.perm_r
 
-let alloc_slot rt : int =
+(* the last slot below the host region, where every pc is a runtime entry *)
+let last_slot =
+  Int64.to_int Machine.host_region_start / Lfi_core.Layout.sandbox_size - 1
+
+let alloc_slot rt : int option =
   match rt.free_slots with
   | s :: tl ->
       rt.free_slots <- tl;
-      s
+      Some s
+  | [] when rt.next_slot > last_slot -> None
   | [] ->
       let s = rt.next_slot in
       rt.next_slot <- s + 1;
-      s
+      Some s
 
 (* ------------------------------------------------------------------ *)
 (* Loading                                                             *)
@@ -310,7 +315,11 @@ let load rt ?(arg = 0L) ~(personality : Proc.personality)
                     Lfi_verifier.Verifier.pp_violation (List.hd vs)
                     (List.length vs - 1))))
   end;
-  let slot = if native then 0 else alloc_slot rt in
+  let slot =
+    match if native then Some 0 else alloc_slot rt with
+    | Some s -> s
+    | None -> raise (Load_error "slot table full")
+  in
   let base = Lfi_core.Layout.slot_base slot in
   if not native then install_rtcall_table rt base;
   (* Map and copy the segments. *)
@@ -445,8 +454,9 @@ let switch_cost rt (p : Proc.t) =
 
 let do_fork rt (parent : Proc.t) : int =
   if parent.Proc.personality <> Proc.Lfi then Vfs.einval
-  else begin
-    let slot = alloc_slot rt in
+  else begin match alloc_slot rt with
+  | None -> Vfs.eagain
+  | Some slot ->
     let base = Lfi_core.Layout.slot_base slot in
     install_rtcall_table rt base;
     (* Copy every mapped page of the parent slot (eager copy; the paper

@@ -54,6 +54,7 @@ let enoent = -2
 let ebadf = -9
 let efault = -14
 let einval = -22
+let eagain = -11
 let epipe = -32
 
 type open_result = (fd_object, int) result

@@ -49,16 +49,12 @@ type snapshot = {
   tc_misses : int;
   tlb_hits : int;
   tlb_misses : int;  (** every miss is a page walk *)
-  (* superblock engine (unconditional machine counters; nonzero only
-     when block dispatch actually ran — metrics-armed runs deopt to
-     the step path, so a metrics run reports its own deopt count and
-     zero executions) *)
+  (* superblock engine (unconditional machine counters; observers
+     never change dispatch, so they read the same armed or not) *)
   blk_execs : int;  (** blocks entered *)
   blk_builds : int;  (** blocks built (cache misses + rebuilds) *)
   blk_insns : int;  (** instructions retired under block dispatch *)
-  blk_deopts : int;
-      (** quantum tails + metrics/profile/overhead deopts (the escape
-          oracle and flight recorder run inside blocks) *)
+  blk_deopts : int;  (** quantum tails single-stepped *)
 }
 
 let hit_rate ~hits ~misses =

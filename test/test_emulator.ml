@@ -331,38 +331,7 @@ let test_golden_differential () =
         (String.split_on_char ' ' got))
     (List.combine (golden_programs ()) expected)
 
-(* With the superblock engine the same 100 programs must produce
-   byte-identical result lines (exit code, cycles to six decimals,
-   instruction count) whether dispatch runs lowered blocks or the
-   legacy single-step path: the block layer is a pure perf layer. *)
-let test_golden_mode_equivalence () =
-  let programs = golden_programs () in
-  let in_mode v f =
-    let saved = !Machine.superblocks_default in
-    Machine.superblocks_default := v;
-    Fun.protect ~finally:(fun () -> Machine.superblocks_default := saved) f
-  in
-  List.iteri
-    (fun idx prog ->
-      let blocks = in_mode true (fun () -> golden_line idx prog) in
-      let stepped = in_mode false (fun () -> golden_line idx prog) in
-      Alcotest.(check string)
-        (Printf.sprintf "program %d: block vs step dispatch" idx)
-        stepped blocks)
-    programs
-
 (* ---------------- decode-cache invalidation ---------------- *)
-
-(* Run [f] once with superblock dispatch armed and once with every
-   machine forced onto the single-step path, so invalidation coverage
-   exercises both the block cache and the decode cache. *)
-let both_modes (f : unit -> unit) =
-  List.iter
-    (fun v ->
-      let saved = !Machine.superblocks_default in
-      Machine.superblocks_default := v;
-      Fun.protect ~finally:(fun () -> Machine.superblocks_default := saved) f)
-    [ true; false ]
 
 (* Assemble a tiny program that puts [n] in x0 and stops at svc #1. *)
 let tiny_img n =
@@ -380,7 +349,6 @@ let run_to_svc m =
    instructions.  A pc-keyed decode cache without an invalidation hook
    serves the stale decode here. *)
 let test_decode_remap () =
-  both_modes @@ fun () ->
   let mem = Memory.create () in
   let m = Machine.create mem in
   let base = 0x10000L in
@@ -399,7 +367,6 @@ let test_decode_remap () =
 
 (* A store into a writable+executable page must also drop the decode. *)
 let test_decode_wx_write () =
-  both_modes @@ fun () ->
   let mem = Memory.create () in
   let m = Machine.create mem in
   let base = 0x10000L in
@@ -422,7 +389,6 @@ let test_decode_wx_write () =
    through a W+X mapping) must drop the block even though its entry pc
    lives on the first page. *)
 let test_block_straddle_invalidation () =
-  both_modes @@ fun () ->
   let mem = Memory.create () in
   let m = Machine.create mem in
   let base = 0x10000L in
@@ -441,8 +407,7 @@ let test_block_straddle_invalidation () =
   run_to_svc m;
   check64 "first page half" 1L m.Machine.regs.(0);
   check64 "second page half" 7L m.Machine.regs.(1);
-  if m.Machine.blocks_enabled then
-    checkb "block dispatch ran" true (m.Machine.blk_execs > 0);
+  checkb "block dispatch ran" true (m.Machine.blk_execs > 0);
   (* patch the movz x1 word, which lives on the second page *)
   let patched =
     (Assemble.assemble_string "_start:\n\tmovz x1, #9\n").Assemble.text
@@ -467,7 +432,6 @@ let test_block_straddle_invalidation () =
 (* Revoking execute permission must fault the next fetch even though
    the page's instructions were already decoded and cached. *)
 let test_fetch_after_protect () =
-  both_modes @@ fun () ->
   let mem = Memory.create () in
   let m = Machine.create mem in
   let base = 0x10000L in
@@ -487,8 +451,9 @@ let test_fetch_after_protect () =
 
 (* The program golden above covers only the encodings the MiniC
    compiler emits.  This population pins every non-branch instruction
-   form the decoder produces, and is the reference both dispatch modes
-   are checked against:
+   form the decoder produces, and is the reference both runners — the
+   block engine ([Exec.run]) and single steps ([step_run]) — are
+   checked against:
    - the equivalence engine's straight-line streams ([Gen_insn.stream],
      memory through x19/x20);
    - streams drawn from every non-branch class of [Gen_insn.insn],
@@ -633,7 +598,20 @@ let ig_population () : (int list * ig_state) list =
 
 let ig_svc = Result.get_ok (Encode.encode (Insn.Svc 1))
 
-let ig_exec ((words, st) : int list * ig_state) : Machine.t * Exec.event =
+(* The differential reference: [Exec.step] one instruction at a time,
+   so no superblock is ever built, with [Exec.run]'s contract — stop at
+   the first event or after [quantum] instructions. *)
+let step_run (m : Machine.t) ~(quantum : int) : Exec.event =
+  let rec go n =
+    if n <= 0 then Exec.Quantum_expired
+    else match Exec.step m with None -> go (n - 1) | Some e -> e
+  in
+  go quantum
+
+let runners = [ ("blocks", Exec.run); ("step", step_run) ]
+
+let ig_exec ?(drive = Exec.run) ((words, st) : int list * ig_state) :
+    Machine.t * Exec.event =
   let mem = Memory.create () in
   let m = Machine.create mem in
   Memory.map mem ~addr:ig_text ~len:Memory.page_size ~perm:Memory.perm_rw;
@@ -659,10 +637,10 @@ let ig_exec ((words, st) : int list * ig_state) : Machine.t * Exec.event =
   Array.blit st.g_vlo 0 m.Machine.vlo 0 32;
   Array.blit st.g_vhi 0 m.Machine.vhi 0 32;
   m.Machine.pc <- ig_text;
-  (m, Exec.run m ~quantum:1000)
+  (m, drive m ~quantum:1000)
 
-let ig_line idx case =
-  let m, ev = ig_exec case in
+let ig_line ?drive idx case =
+  let m, ev = ig_exec ?drive case in
   let b = Buffer.create (ig_data_pages * Memory.page_size + 1024) in
   let add64 = Buffer.add_int64_le b in
   Array.iter add64 m.Machine.regs;
@@ -704,14 +682,15 @@ let test_insn_golden () =
   let population = ig_population () in
   checki "insn golden population" (List.length population)
     (List.length expected);
-  both_modes @@ fun () ->
-  let mode = if !Machine.superblocks_default then "blocks" else "step" in
-  List.iteri
-    (fun idx (case, line) ->
-      Alcotest.(check string)
-        (Printf.sprintf "stream %d (%s dispatch)" idx mode)
-        line (ig_line idx case))
-    (List.combine population expected)
+  List.iter
+    (fun (name, drive) ->
+      List.iteri
+        (fun idx (case, line) ->
+          Alcotest.(check string)
+            (Printf.sprintf "stream %d (%s runner)" idx name)
+            line (ig_line ~drive idx case))
+        (List.combine population expected))
+    runners
 
 (* Every form the golden must pin, as a predicate on the decoded
    instruction; each must be retired (not faulted) at least once. *)
@@ -823,6 +802,162 @@ let test_insn_coverage () =
       checkb (name ^ " retired by the population") true (List.exists p !retired))
     insn_forms
 
+(* ---------------- observers inside superblocks ---------------- *)
+
+(* Metrics, the pc profiler and per-site overhead attribution observe
+   each run of instructions the block engine retires, so arming them
+   changes no dispatch decision, and what they record must equal what
+   the one-instruction-at-a-time reference records.  Each stream is
+   rewritten at O0, so it carries a site table, and runs on a bare
+   machine at base 0 whose runtime-call table (page 0) sends [svc] to
+   the host region. *)
+let od_faults m = (Option.get m.Machine.metrics).Lfi_telemetry.Metrics.faults
+
+let od_dropped m =
+  (Option.get m.Machine.metrics).Lfi_telemetry.Metrics.decode_invalidations
+
+(* name, W+X text, source, and what its block-engine run must end with *)
+let od_streams =
+  [
+    ( "sited loop", false,
+      "_start:\n\tmovz x0, #40\n\tadr x1, buf\nloop:\n\tstr x0, [x1]\n\
+       \tldr x2, [x1]\n\tadd x3, x3, x2\n\tsub x0, x0, #1\n\tcbnz x0, loop\n\
+       \tsvc #1\n.data\nbuf:\n\t.quad 0\n",
+      fun m -> check64 "x3 = 40 + 39 + ... + 1" 820L m.Machine.regs.(3) );
+    (* the store walks off the data page in the middle of a block *)
+    ( "mid-block data fault", false,
+      "_start:\n\tmovz x0, #40\n\tadr x1, buf\nloop:\n\tstr x0, [x1]\n\
+       \tadd x1, x1, #1024\n\tsub x0, x0, #1\n\tcbnz x0, loop\n\tsvc #1\n\
+       .data\nbuf:\n\t.quad 0\n",
+      fun m -> checki "one data fault" 1 (od_faults m) );
+    (* every iteration bumps the immediate of [patch], two instructions
+       ahead in its own block, so x6 ends at 2 + 3 + ... + 13 = 90 *)
+    ( "w+x self-modifying store", true,
+      "_start:\n\tmovz x0, #12\n\tadr x1, patch\n\tldr w4, [x1]\nloop:\n\
+       \tadd w4, w4, #1024\n\tstr w4, [x1]\n\tadd x5, x5, #1\npatch:\n\
+       \tadd x6, x6, #1\n\tsub x0, x0, #1\n\tcbnz x0, loop\n\tsvc #1\n",
+      fun m ->
+        check64 "patched code ran" 90L m.Machine.regs.(6);
+        checkb "code page dropped every iteration" true (od_dropped m >= 12) );
+  ]
+
+let od_machine ~wx asm =
+  let native = Parser.parse_string_exn asm in
+  let rewritten, stats =
+    Lfi_core.Rewriter.rewrite ~config:Lfi_core.Config.o0 native
+  in
+  let sites =
+    Lfi_core.Rewriter.resolve_sites ~input:native ~output:rewritten stats
+  in
+  let img = Assemble.assemble rewritten in
+  let mem = Memory.create () in
+  let m = Machine.create mem in
+  let load addr perm write =
+    let addr = Int64.of_int addr in
+    Memory.map mem ~addr ~len:Memory.page_size ~perm:Memory.perm_rw;
+    write addr;
+    Memory.protect mem ~addr ~len:Memory.page_size ~perm
+  in
+  load 0 Memory.perm_r (fun _ ->
+      for k = 0 to Lfi_core.Layout.rtcall_entry_count - 1 do
+        let entry = Int64.of_int (8 * k) in
+        Memory.write mem entry 8 (Int64.add Machine.host_region_start entry)
+      done);
+  load img.Assemble.origin
+    (if wx then { Memory.r = true; w = true; x = true } else Memory.perm_rx)
+    (fun a -> Memory.write_bytes mem a img.Assemble.text);
+  load img.Assemble.data_origin Memory.perm_rw (fun a ->
+      Memory.write_bytes mem a img.Assemble.data);
+  m.Machine.pc <- Int64.of_int img.Assemble.entry;
+  m.Machine.metrics <- Some (Lfi_telemetry.Metrics.create_emu ());
+  m.Machine.profile <- Some (Lfi_telemetry.Profile.create ~period:4 ());
+  m.Machine.overhead <- Some (Lfi_telemetry.Overhead.create ~base:0 sites);
+  m.Machine.flight <- Some (Lfi_telemetry.Flight.create ());
+  m
+
+(* Everything the observers and the machine recorded, one labelled
+   string per aspect; floats in hex so equality is bit-exact. *)
+let od_record (m : Machine.t) (ev : Exec.event) : (string * string) list =
+  let open Lfi_telemetry in
+  let e = Option.get m.Machine.metrics in
+  let p = Option.get m.Machine.profile in
+  let a = Option.get m.Machine.overhead in
+  let ints l = String.concat " " (List.map string_of_int l) in
+  let floats l = String.concat " " (List.map (Printf.sprintf "%h") l) in
+  let samples =
+    Hashtbl.fold (fun pc n acc -> (pc, n) :: acc) p.Profile.samples []
+    |> List.sort compare
+    |> List.map (fun (pc, n) -> Printf.sprintf "%x=%d" pc n)
+    |> String.concat " "
+  in
+  [
+    ( "metrics",
+      Metrics.(
+        ints
+          [ e.decode_hits; e.decode_misses; e.decode_invalidations; e.faults;
+            e.loads; e.stores; e.branches; e.guards; e.other ]) );
+    ("profile samples", Printf.sprintf "%d: %s" p.Profile.total samples);
+    ("overhead execs", ints (Array.to_list a.Overhead.execs));
+    ("overhead cycles", floats (Array.to_list a.Overhead.cycles));
+    ("overhead attributed", floats [ Overhead.attributed_cycles a ]);
+    ( "flight",
+      String.concat " "
+        (List.map
+           (fun (f : Flight.event) ->
+             Printf.sprintf "%d:%x:%x" f.Flight.kind f.Flight.pc f.Flight.arg)
+           (Flight.events (Option.get m.Machine.flight))) );
+    ( "machine",
+      Printf.sprintf "cycles %h insns %d pc %Lx regs %s event %s"
+        (Machine.cycles m) m.Machine.insns m.Machine.pc
+        (String.concat ","
+           (Array.to_list (Array.map Int64.to_string m.Machine.regs)))
+        (match ev with
+        | Exec.Quantum_expired -> "quantum expired"
+        | Exec.Runtime_entry pc -> Printf.sprintf "runtime entry 0x%Lx" pc
+        | Exec.Trap t -> Format.asprintf "%a" Exec.pp_trap t) );
+  ]
+
+let od_run drive ~quantum ~wx asm =
+  let m = od_machine ~wx asm in
+  let rec go fuel =
+    match drive m ~quantum with
+    | Exec.Quantum_expired when fuel > 0 -> go (fuel - 1)
+    | ev -> ev
+  in
+  let ev = go 10_000 in
+  (m, od_record m ev)
+
+(* A 7-instruction quantum forces chaining and quantum tails; a
+   1000-instruction one lets the fault and the W+X store land inside a
+   block, where the engine repairs or stops early. *)
+let test_observer_differential () =
+  List.iter
+    (fun (name, wx, asm, expect) ->
+      let ms, stepped = od_run step_run ~quantum:7 ~wx asm in
+      checki (name ^ ": the reference built no block") 0 ms.Machine.blk_execs;
+      List.iter
+        (fun quantum ->
+          let name = Printf.sprintf "%s, quantum %d" name quantum in
+          let mb, blocks = od_run Exec.run ~quantum ~wx asm in
+          checkb (name ^ ": blocks dispatched with observers armed") true
+            (mb.Machine.blk_execs > 0);
+          List.iter2
+            (fun (what, s) (_, b) ->
+              Alcotest.(check string) (Printf.sprintf "%s: %s" name what) s b)
+            stepped blocks;
+          let e = Option.get mb.Machine.metrics in
+          checki (name ^ ": hits + misses = insns") mb.Machine.insns
+            Lfi_telemetry.Metrics.(e.decode_hits + e.decode_misses);
+          checkb (name ^ ": profile sampled") true
+            ((Option.get mb.Machine.profile).Lfi_telemetry.Profile.total > 0);
+          checkb (name ^ ": sites charged") true
+            (Lfi_telemetry.Overhead.attributed_cycles
+               (Option.get mb.Machine.overhead)
+            > 0.0);
+          expect mb)
+        [ 7; 1000 ])
+    od_streams
+
 (* protect with len = 0 touches no pages (and must not fault on an
    unmapped address); negative lengths are rejected. *)
 let test_protect_len_zero () =
@@ -837,10 +972,9 @@ let test_protect_len_zero () =
   | _ -> Alcotest.fail "negative length accepted"
 
 (* An indirect branch to a target outside [0, 2^62) retires, then takes
-   the fetch fault at the unmodified target in both dispatch modes:
+   the fetch fault at the unmodified target (a quantum tail steps it):
    never truncated, and never aliased onto the code at 0x20000. *)
 let test_wild_branch_target () =
-  both_modes @@ fun () ->
   List.iter
     (fun target ->
       let mem = Memory.create () in
@@ -933,11 +1067,11 @@ let () =
       ( "differential",
         [
           Alcotest.test_case "golden reference" `Slow test_golden_differential;
-          Alcotest.test_case "block vs step dispatch" `Slow
-            test_golden_mode_equivalence;
           Alcotest.test_case "instruction golden, both modes" `Quick
             test_insn_golden;
           Alcotest.test_case "instruction golden coverage" `Quick
             test_insn_coverage;
+          Alcotest.test_case "observers inside superblocks" `Quick
+            test_observer_differential;
         ] );
     ]

@@ -119,36 +119,10 @@ let test_soundness_smoke () =
 let test_complete_smoke () =
   report_ok (Fuzz.Complete.run ~seed:42 ~count:80 ~minic_count:10 ())
 
-let in_mode v f =
-  let saved = !Lfi_emulator.Machine.superblocks_default in
-  Lfi_emulator.Machine.superblocks_default := v;
-  Fun.protect
-    ~finally:(fun () -> Lfi_emulator.Machine.superblocks_default := saved)
-    f
-
-(* The escape oracle checks inside the lowered code, so the soundness
-   engine's oracle-armed runs dispatch superblocks like production
-   does.  Run the engine in both dispatch modes and require
-   byte-identical reports: the oracle must observe the same escapes,
-   at the same pcs, either way. *)
-let test_soundness_blocks () =
-  let show r = Format.asprintf "%a" Fuzz.Report.pp r in
-  let blocks =
-    in_mode true (fun () ->
-        let r = Fuzz.Soundness.run ~seed:42 ~count:200 () in
-        report_ok r;
-        show r)
-  in
-  let stepped =
-    in_mode false (fun () -> show (Fuzz.Soundness.run ~seed:42 ~count:200 ()))
-  in
-  checks "soundness report identical across dispatch modes" stepped blocks
-
-(* Arming the oracle deopts nothing: this loop runs under it as lowered
-   blocks, and finishes inside one quantum, so not even a quantum tail
-   sends it to the step loop. *)
+(* The oracle checks inside the lowered code: this loop runs under it
+   as blocks, and finishes inside one quantum, so not even a quantum
+   tail sends it to the step loop. *)
 let test_oracle_runs_blocks () =
-  in_mode true @@ fun () ->
   let elf =
     assemble_text
       ".text\n_start:\n\tmovz x1, #100\n\tmovz x0, #0\nloop:\n\tadd x0, x0, #3\n\tsub x1, x1, #1\n\tcbnz x1, loop\n\tsvc #1\n"
@@ -166,8 +140,8 @@ let test_oracle_runs_blocks () =
   checki "deopts" 0 m.Lfi_emulator.Machine.blk_deopts
 
 (* A planted escape: an unguarded load below the data window, in the
-   middle of a straight-line block.  Both dispatch modes must record it
-   with the load's own pc and the address it resolved. *)
+   middle of a straight-line block.  The oracle must record it with the
+   load's own pc and the address it resolved. *)
 let test_oracle_planted_escape () =
   let elf =
     assemble_text
@@ -189,18 +163,12 @@ let test_oracle_planted_escape () =
           esc_addr = Int64.sub sandbox_base 0xD000L;
           esc_kind = Lfi_emulator.Machine.Eload } ]
   in
-  let run blocks =
-    in_mode blocks @@ fun () ->
-    let sbx = Fuzz.Sandbox.load ~base:sandbox_base elf in
-    ignore (Fuzz.Sandbox.install_oracle sbx);
-    let out = Fuzz.Sandbox.run sbx in
-    if blocks then
-      checkb "blocks dispatched" true
-        (sbx.Fuzz.Sandbox.machine.Lfi_emulator.Machine.blk_execs > 0);
-    show out.Fuzz.Sandbox.escapes
-  in
-  checks "escape recorded by block dispatch" expected (run true);
-  checks "escape recorded by the step loop" expected (run false)
+  let sbx = Fuzz.Sandbox.load ~base:sandbox_base elf in
+  ignore (Fuzz.Sandbox.install_oracle sbx);
+  let out = Fuzz.Sandbox.run sbx in
+  checkb "blocks dispatched" true
+    (sbx.Fuzz.Sandbox.machine.Lfi_emulator.Machine.blk_execs > 0);
+  checks "escape recorded" expected (show out.Fuzz.Sandbox.escapes)
 
 let test_determinism () =
   (* same seed, same outcome — byte-for-byte identical reports *)
@@ -352,7 +320,6 @@ let () =
         [
           mk "equiv smoke" test_equiv_smoke;
           mk "soundness smoke" test_soundness_smoke;
-          mk "soundness with superblocks" test_soundness_blocks;
           mk "oracle runs lowered blocks" test_oracle_runs_blocks;
           mk "oracle planted escape" test_oracle_planted_escape;
           mk "complete smoke" test_complete_smoke;

@@ -432,32 +432,23 @@ let test_runaway_budget () =
   | Ok _ -> Alcotest.fail "runaway not killed"
   | Error e -> Alcotest.failf "wrong error: %s" (Api.error_to_string e)
 
-(* The budget check runs at quantum boundaries and block dispatch never
-   overruns a quantum (a block longer than the remainder deopts to the
-   step path), so a runaway must be killed after the exact same number
-   of sandboxed instructions in both dispatch modes. *)
-let test_runaway_budget_mode_parity () =
-  let kill_insns v =
-    let saved = !Lfi_emulator.Machine.superblocks_default in
-    Lfi_emulator.Machine.superblocks_default := v;
-    Fun.protect
-      ~finally:(fun () -> Lfi_emulator.Machine.superblocks_default := saved)
-      (fun () ->
-        let rt = make_rt () in
-        let inst = Instance.create ~insn_budget:20_000 rt (Lazy.force xz_lib) in
-        match
-          Instance.call inst "checksum"
-            [ Api.In (Bytes.make 20_000 'x'); Api.I 20_000L ]
-        with
-        | Error (Api.Killed why) ->
-            (why, rt.Runtime.machine.Lfi_emulator.Machine.insns)
-        | Ok _ -> Alcotest.fail "runaway not killed"
-        | Error e -> Alcotest.failf "wrong error: %s" (Api.error_to_string e))
-  in
-  let why_b, insns_b = kill_insns true in
-  let why_s, insns_s = kill_insns false in
-  checks "same kill reason" why_s why_b;
-  checki "killed at identical instruction count" insns_s insns_b
+(* The budget check runs at quantum boundaries and a quantum retires
+   exactly its instruction count (a block longer than the remainder is
+   single-stepped), so a runaway is killed at an exact, pinned count:
+   the first 100k-instruction quantum overruns the 20k budget. *)
+let test_runaway_budget_exact () =
+  let rt = make_rt () in
+  let inst = Instance.create ~insn_budget:20_000 rt (Lazy.force xz_lib) in
+  match
+    Instance.call inst "checksum"
+      [ Api.In (Bytes.make 20_000 'x'); Api.I 20_000L ]
+  with
+  | Error (Api.Killed why) ->
+      checks "kill reason" "library call instruction budget exceeded" why;
+      checki "killed at the quantum boundary" 100_000
+        rt.Runtime.machine.Lfi_emulator.Machine.insns
+  | Ok _ -> Alcotest.fail "runaway not killed"
+  | Error e -> Alcotest.failf "wrong error: %s" (Api.error_to_string e)
 
 (* ---------------- serve ---------------- *)
 
@@ -902,8 +893,7 @@ let () =
           mk "round robin" test_pool_round_robin;
           mk "crash containment" test_crash_containment;
           mk "runaway budget" test_runaway_budget;
-          mk "budget parity across dispatch modes"
-            test_runaway_budget_mode_parity;
+          mk "runaway budget exact kill" test_runaway_budget_exact;
         ] );
       ( "serve",
         [

@@ -1,8 +1,8 @@
 (* Tests for the SFI overhead-attribution profiler: the [.lfi_sites]
    ELF sidecar round-trip, the per-site cycle accumulator (off by
-   default, deterministic across dispatch modes, reconcilable with the
-   aggregate guard counter), the byte-stable [lfi-overhead/v1] report,
-   and the lfi_objdump site annotations. *)
+   default, reconcilable with the aggregate guard counter), the
+   byte-stable [lfi-overhead/v1] report, and the lfi_objdump site
+   annotations. *)
 
 open Lfi_arm64
 module Overhead = Lfi_telemetry.Overhead
@@ -103,11 +103,8 @@ let test_sitefree_unchanged () =
 
 (* ---------------- accumulator ---------------- *)
 
-let run_loop ?(blocks = None) ~overhead () =
+let run_loop ~overhead () =
   let rt = Lfi_runtime.Runtime.create () in
-  (match blocks with
-  | Some b -> rt.Lfi_runtime.Runtime.machine.Lfi_emulator.Machine.blocks_enabled <- b
-  | None -> ());
   let elf = build_sited ~config:o0 loop_asm in
   let p = Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi elf in
   if overhead then ignore (Lfi_runtime.Runtime.enable_overhead rt p);
@@ -129,25 +126,6 @@ let test_off_by_default () =
       (* attribution observes the run, it must not perturb it *)
       checkb "cycle count unperturbed" (c0 = c1) true;
       checki "insn count unperturbed" i0 i1
-
-let accounting_string blocks =
-  let rt, _, _, _ = run_loop ~blocks:(Some blocks) ~overhead:true () in
-  match Lfi_runtime.Runtime.overhead_acc rt with
-  | None -> Alcotest.fail "no accumulator"
-  | Some a ->
-      String.concat ","
-        (Array.to_list
-           (Array.mapi
-              (fun i (s : Overhead.site) ->
-                Printf.sprintf "%x=%d:%.4f" s.Overhead.pc
-                  a.Overhead.execs.(i) a.Overhead.cycles.(i))
-              a.Overhead.sites))
-
-let test_dispatch_determinism () =
-  (* arming overhead deopts the superblock engine, so both settings of
-     the kill switch must produce bit-identical per-site accounting *)
-  checks "identical accounting across dispatch modes"
-    (accounting_string true) (accounting_string false)
 
 let test_guard_reconciliation () =
   let rt = Lfi_runtime.Runtime.create () in
@@ -260,8 +238,6 @@ let () =
       ( "accumulator",
         [
           Alcotest.test_case "off by default" `Quick test_off_by_default;
-          Alcotest.test_case "dispatch determinism" `Quick
-            test_dispatch_determinism;
           Alcotest.test_case "guard reconciliation" `Quick
             test_guard_reconciliation;
         ] );

@@ -213,27 +213,6 @@ let test_postmortem_golden_json () =
     (contains (Lfi_telemetry.Postmortem.to_text a) "fault")
     true
 
-let test_postmortem_mode_parity () =
-  (* superblock dispatch replicates the flight recorder's per-insn
-     events inside lowered closures, so the full crash report — flight
-     history, registers, fault context, instruction counts — must be
-     byte-identical whether the crash ran under block or step
-     dispatch *)
-  let in_mode v f =
-    let saved = !Lfi_emulator.Machine.superblocks_default in
-    Lfi_emulator.Machine.superblocks_default := v;
-    Fun.protect
-      ~finally:(fun () -> Lfi_emulator.Machine.superblocks_default := saved)
-      f
-  in
-  let blocks = in_mode true crash_run and stepped = in_mode false crash_run in
-  checks "postmortem JSON identical across dispatch modes"
-    (Lfi_telemetry.Postmortem.to_json stepped)
-    (Lfi_telemetry.Postmortem.to_json blocks);
-  checks "postmortem text identical across dispatch modes"
-    (Lfi_telemetry.Postmortem.to_text stepped)
-    (Lfi_telemetry.Postmortem.to_text blocks)
-
 let test_flight_recorder_off () =
   (* with the recorder disabled the hot path must not log anything,
      and the postmortem still assembles (with an empty history) *)
@@ -283,7 +262,5 @@ let () =
         [
           Alcotest.test_case "structure" `Quick test_postmortem_structure;
           Alcotest.test_case "golden json" `Quick test_postmortem_golden_json;
-          Alcotest.test_case "block vs step parity" `Quick
-            test_postmortem_mode_parity;
         ] );
     ]

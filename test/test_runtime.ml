@@ -259,6 +259,28 @@ let test_slot_reuse () =
   (* two forks, but the second reuses the first child's slot *)
   checki "slots used" 3 rt.Lfi_runtime.Runtime.next_slot
 
+(* The slot table stops below the host region: slot 32512's base is
+   [Machine.host_region_start], where every pc reads as a runtime
+   entry.  The last slot loads; the next load and a fork fail closed. *)
+let test_slot_table_full () =
+  let rt = Lfi_runtime.Runtime.create () in
+  rt.Lfi_runtime.Runtime.next_slot <- 32511;
+  let elf = build "_start:\n\tsvc #7\n\tsvc #1\n\tb _start\n" in
+  let load () =
+    Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi elf
+  in
+  let p = load () in
+  checkb "last slot ends at the host region" true
+    (Int64.add p.Lfi_runtime.Proc.base
+       (Int64.of_int Lfi_core.Layout.sandbox_size)
+    = Lfi_emulator.Machine.host_region_start);
+  (match load () with
+  | exception Lfi_runtime.Runtime.Load_error _ -> ()
+  | _ -> Alcotest.fail "loaded a sandbox into the host region");
+  match Lfi_runtime.Runtime.run_one rt p with
+  | Lfi_runtime.Runtime.Exited c, _, _, _ -> checki "fork: EAGAIN" (-11) c
+  | Lfi_runtime.Runtime.Killed why, _, _, _ -> Alcotest.failf "killed: %s" why
+
 (* ---------------- fd table allocation ---------------- *)
 
 let test_fd_alloc_reuse () =
@@ -357,6 +379,7 @@ let () =
         [
           mk "fork pids" test_fork_pids;
           mk "fork isolation" test_fork_isolation;
+          mk "slot table full" test_slot_table_full;
           mk "wait echild" test_wait_echild;
           mk "pipe blocking" test_pipe_blocking;
         ] );
