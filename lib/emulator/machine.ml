@@ -464,9 +464,6 @@ let[@inline] set (m : t) (r : Reg.t) (v : int64) =
   | Reg.SP Reg.W64 -> m.sp <- v
   | Reg.SP Reg.W32 -> m.sp <- Int64.logand v mask32
 
-let get_fp_lo (m : t) (f : Reg.Fp.t) = m.vlo.(f.Reg.Fp.n)
-let set_fp_lo (m : t) (f : Reg.Fp.t) v = m.vlo.(f.Reg.Fp.n) <- v
-
 (** The double (or single, widened) value held by an FP register. *)
 let get_float (m : t) (f : Reg.Fp.t) : float =
   match f.Reg.Fp.size with

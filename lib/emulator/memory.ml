@@ -315,19 +315,6 @@ let read_bytes m (addr : int64) (len : int) : bytes =
   Bytes.init len (fun i ->
       Char.chr (read_u8 m (Int64.add addr (Int64.of_int i))))
 
-(** Copy [len] bytes between two mapped regions (used by fork). *)
-let copy m ~src ~dst ~len =
-  for i = 0 to len - 1 do
-    let o = Int64.of_int i in
-    write_u8 m (Int64.add dst o) (read_u8 m (Int64.add src o))
-  done
-
-(** List of mapped page indices (ascending); used by fork to copy a
-    sandbox without touching unmapped guard regions. *)
-let mapped_pages m =
-  Hashtbl.fold (fun idx p acc -> (idx, p) :: acc) m.pages []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
 let page_data (p : page) = p.data
 let page_perm (p : page) = p.perm
 let page_clear_dirty (p : page) = p.dirty <- false
@@ -354,6 +341,5 @@ let changed_pages m = Array.to_list (Array.sub m.changes 0 m.n_changes)
 (** Find a mapped page by index (used by fork's bulk copy). *)
 let find_page_by_index m (idx : int) = Hashtbl.find_opt m.pages idx
 
-(** Unordered iteration over mapped pages, for order-insensitive scans
-    that should not pay {!mapped_pages}' sort and list allocation. *)
+(** Unordered iteration over the mapped pages and their indices. *)
 let iter_pages m (f : int -> page -> unit) = Hashtbl.iter f m.pages

@@ -1,19 +1,20 @@
 (** Bare-machine program execution for the fuzzing engines
     (DESIGN.md §5d).
 
-    The engines cannot use {!Lfi_runtime.Runtime} to run candidate
-    binaries: the runtime reschedules forever on [Quantum_expired] (an
+    The engines cannot use {!Lfi_runtime.Runtime}'s scheduler to run
+    candidate binaries: it reschedules forever on [Quantum_expired] (an
     infinite-loop mutant would hang the fuzzer), refuses unverifiable
     images, and its host-side system-call handlers touch sandbox
     memory in ways a mutated binary could confuse.  Instead this
-    module mirrors the runtime's loader — runtime-call table, segment
-    mapping with W^X protection, stack, {!Lfi_runtime.Runtime.initial_snapshot}
-    register state — onto a fresh machine, optionally installs the
-    emulator's escape oracle, and drives execution with a *mini
-    runtime*: a bounded instruction budget, [exit] handled, and every
-    other runtime call answered with 0.  Loading performs **no
-    verification**: the soundness engine feeds this module exactly
-    the mutants the verifier accepted, and the oracle is the judge. *)
+    module uses the runtime's loader steps — runtime-call table,
+    segment mapping with W^X protection and stack
+    ({!Lfi_runtime.Runtime.map_image}), initial register state — on a
+    fresh machine, optionally installs the emulator's escape oracle,
+    and drives execution with a *mini runtime*: a bounded instruction
+    budget, [exit] handled, and every other runtime call answered with
+    0.  Loading performs **no verification**: the soundness engine
+    feeds this module exactly the mutants the verifier accepted, and
+    the oracle is the judge. *)
 
 open Lfi_emulator
 
@@ -44,68 +45,27 @@ type t = {
   data_origin : int64;  (** absolute address of the data section *)
 }
 
-let page = Memory.page_size
-let align_down v = v / page * page
-let align_up v = (v + page - 1) / page * page
-
-let map_range mem (base : int64) ~(off : int) ~(len : int) ~perm =
-  let lo = align_down off and hi = align_up (off + len) in
-  Memory.map mem
-    ~addr:(Int64.add base (Int64.of_int lo))
-    ~len:(hi - lo) ~perm
-
-(* Mirror of Runtime.install_rtcall_table: entries 1..Sysno.count-1
-   hold host entry addresses, everything else points into the unmapped
-   guard region so a stray call traps. *)
-let install_rtcall_table mem (base : int64) =
-  map_range mem base ~off:0 ~len:Lfi_core.Layout.rtcall_table_size
-    ~perm:Memory.perm_rw;
-  let guard_trap =
-    Int64.add base (Int64.of_int Lfi_core.Layout.rtcall_table_size)
-  in
-  for k = 0 to Lfi_core.Layout.rtcall_entry_count - 1 do
-    let value =
-      if k >= 1 && k < Lfi_runtime.Sysno.count then
-        Int64.add Machine.host_region_start (Int64.of_int (8 * k))
-      else guard_trap
-    in
-    Memory.write mem
-      (Int64.add base (Int64.of_int (Lfi_core.Layout.rtcall_entry_offset k)))
-      8 value
-  done;
-  Memory.protect mem ~addr:base ~len:Lfi_core.Layout.rtcall_table_size
-    ~perm:Memory.perm_r
-
-exception Load_error of string
-
 (** Load [elf] at [base] (any multiple of the sandbox size, including
-    0 for a native run) on a fresh machine. *)
+    0 for a native run) on a fresh machine, through the runtime's own
+    loader steps: call table, {!Lfi_runtime.Runtime.map_image} and the
+    initial register state.  A malformed image raises
+    {!Lfi_runtime.Runtime.Load_error}. *)
 let load ?(stack_size = 1 lsl 20) ~(base : int64) (elf : Lfi_elf.Elf.t) : t =
   let mem = Memory.create () in
   let machine = Machine.create mem in
-  install_rtcall_table mem base;
-  let data_origin = ref 0L in
-  List.iter
-    (fun (s : Lfi_elf.Elf.segment) ->
-      let len = s.Lfi_elf.Elf.memsz in
-      if s.vaddr < Lfi_core.Layout.code_origin then
-        raise (Load_error "segment below code origin");
-      map_range mem base ~off:s.vaddr ~len ~perm:Memory.perm_rw;
-      Memory.write_bytes mem (Int64.add base (Int64.of_int s.vaddr)) s.data;
-      if s.flags land Lfi_elf.Elf.pf_x <> 0 then
-        Memory.protect mem
-          ~addr:(Int64.add base (Int64.of_int (align_down s.vaddr)))
-          ~len:(align_up (s.vaddr + len) - align_down s.vaddr)
-          ~perm:Memory.perm_rx
-      else data_origin := Int64.add base (Int64.of_int s.vaddr))
-    elf.Lfi_elf.Elf.segments;
-  map_range mem base
-    ~off:(Lfi_core.Layout.stack_top - stack_size)
-    ~len:stack_size ~perm:Memory.perm_rw;
+  Lfi_runtime.Runtime.install_rtcall_table mem base;
+  ignore (Lfi_runtime.Runtime.map_image mem base ~stack_size elf);
   Machine.restore machine
     (Lfi_runtime.Runtime.initial_snapshot base ~entry:elf.Lfi_elf.Elf.entry
        ~arg:0L);
-  { mem; machine; base; data_origin = !data_origin }
+  let data_origin =
+    List.fold_left
+      (fun acc (s : Lfi_elf.Elf.segment) ->
+        if s.flags land Lfi_elf.Elf.pf_x <> 0 then acc
+        else Int64.add base (Int64.of_int s.vaddr))
+      0L elf.Lfi_elf.Elf.segments
+  in
+  { mem; machine; base; data_origin }
 
 (** Install the escape oracle for the sandbox at [t.base]: data
     accesses may spill into the adjacent guard regions (that is what

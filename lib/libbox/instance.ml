@@ -1,21 +1,24 @@
 (** A warm library instance: one loaded sandbox plus everything needed
     to call into it and wind it back.
 
-    {b Calling.}  A call builds a register snapshot — arguments in
-    x0..x7, pc at the export, x30 at the return trampoline — anchors it
-    to the slot with {!Lfi_runtime.Runtime.anchor_snapshot} (the same
-    helper load and fork use), and drives the emulator until the
+    {b Calling.}  A call installs the runtime's entry register state
+    ({!Lfi_runtime.Runtime.entry_snapshot}: arguments in x0..x7, pc at
+    the export, x30 at the return trampoline, anchored to the slot)
+    and runs the scheduler's own run step,
+    {!Lfi_runtime.Runtime.slice} with [~box:true], until the
     trampoline surfaces through the runtime-call table
-    ([Sysno.box_ret]).  Runtime calls the export makes along the way go
-    through the ordinary {!Lfi_runtime.Runtime.handle_call}; faults
-    take the ordinary kill path (postmortem included) and retire the
-    instance.  The transition cost — call-gate entry + exit plus buffer
+    ([Sysno.box_ret]).  Instructions are credited to the process,
+    runtime calls the export makes along the way are served and
+    observed exactly as for a scheduled program, and faults take the
+    ordinary kill path (postmortem included) and retire the instance.
+    The transition cost — call-gate entry + exit plus buffer
     marshalling, everything except the sandboxed execution itself — is
     accounted per call into a log2 histogram.
 
     {b Reset.}  At creation (after the optional init export) the
     instance captures a baseline: a copy of every mapped page of its
-    slot plus the heap break, with the pages' dirty flags cleared.  The
+    slot ({!Lfi_runtime.Runtime.slot_pages}) plus the heap break, with
+    the pages' dirty flags cleared.  The
     first change to a clean page — a store, a permission change, an
     unmap — appends it to the address space's change log
     ({!Memory.drain_changes}), so [reset] visits exactly the pages the
@@ -52,10 +55,8 @@ type t = {
 }
 
 let page = Memory.page_size
-let pages_per_slot = Lfi_core.Layout.sandbox_size / page
-let align_page v = (v + page - 1) / page * page
 let slot_first (p : Proc.t) = Memory.page_index p.Proc.base
-let slot_last (p : Proc.t) = slot_first p + pages_per_slot
+let slot_last (p : Proc.t) = slot_first p + Runtime.pages_per_slot
 let addr_of_idx idx = Int64.shift_left (Int64.of_int idx) Memory.page_bits
 
 (* Most baseline pages (the stack, the BSS) are all zeros: they share
@@ -68,19 +69,18 @@ let zero_page = Bytes.make page '\000'
     whose slot this one reuses) are dropped first. *)
 let capture_baseline (inst : t) =
   let mem = inst.rt.Runtime.mem in
-  let first = slot_first inst.p and last = slot_last inst.p in
-  Memory.drain_changes mem ~lo:first ~hi:last ignore;
+  Memory.drain_changes mem ~lo:(slot_first inst.p) ~hi:(slot_last inst.p)
+    ignore;
   Hashtbl.reset inst.pristine;
-  Memory.iter_pages mem (fun idx pg ->
-      if idx >= first && idx < last then begin
-        let data = Memory.page_data pg in
-        Hashtbl.replace inst.pristine idx
-          { pg_bytes =
-              (if Bytes.equal data zero_page then zero_page
-               else Bytes.copy data);
-            pg_perm = Memory.page_perm pg };
-        Memory.page_clear_dirty pg
-      end);
+  List.iter
+    (fun (idx, pg) ->
+      let data = Memory.page_data pg in
+      Hashtbl.replace inst.pristine idx
+        { pg_bytes =
+            (if Bytes.equal data zero_page then zero_page else Bytes.copy data);
+          pg_perm = Memory.page_perm pg };
+      Memory.page_clear_dirty pg)
+    (Runtime.slot_pages mem inst.p.Proc.base);
   inst.heap_end0 <- inst.p.Proc.heap_end;
   inst.baseline <- inst.p.Proc.snapshot
 
@@ -207,18 +207,17 @@ let marshal (inst : t) (args : Api.arg list) :
   let regs = go args in
   (regs, List.rev !outs, !cost)
 
-(** Retire the instance through the runtime's ordinary kill path: the
-    postmortem is assembled while the machine still holds the dead
-    call's register state, then the slot is released for reuse. *)
-let kill (inst : t) ?fault (reason : string) : Api.error =
-  Runtime.kill_proc inst.rt ?fault inst.p reason;
-  Runtime.remove_proc inst.rt inst.p;
-  inst.alive <- false;
-  Api.Killed reason
-
 let retire (inst : t) =
   Runtime.remove_proc inst.rt inst.p;
   inst.alive <- false
+
+(** Retire the instance through the runtime's ordinary kill path: the
+    postmortem is assembled while the machine still holds the dead
+    call's register state, then the slot is released for reuse. *)
+let kill (inst : t) (reason : string) : Api.error =
+  Runtime.kill_proc inst.rt inst.p reason;
+  retire inst;
+  Api.Killed reason
 
 (** Call [name] with [args]; on success the reply carries the return
     value, the [Out] buffers, and the per-call cycle accounting. *)
@@ -243,23 +242,9 @@ let call (inst : t) (name : string) (args : Api.arg list) :
               let gate = ref marshal_in in
               Lfi_telemetry.Span.set inst.span Lfi_telemetry.Span.Marshal_in
                 marshal_in;
-              (* entry snapshot: args in x0.., x30 at the trampoline,
-                 everything anchored to the slot *)
-              let regs = Array.make 31 0L in
-              List.iteri (fun i v -> regs.(i) <- v) reg_args;
-              regs.(30) <- Int64.of_int inst.lib.Library.trampoline;
-              let snap =
-                Runtime.anchor_snapshot p.Proc.base
-                  {
-                    Machine.s_pc = Int64.of_int entry;
-                    s_regs = regs;
-                    s_sp = Int64.of_int Lfi_core.Layout.stack_top;
-                    s_flags = (false, false, false, false);
-                    s_vlo = Array.make 32 0L;
-                    s_vhi = Array.make 32 0L;
-                  }
-              in
-              Machine.restore m snap;
+              Machine.restore m
+                (Runtime.entry_snapshot p.Proc.base ~pc:entry ~args:reg_args
+                   ~link:inst.lib.Library.trampoline);
               m.Machine.flight <-
                 (if rt.Runtime.cfg.Runtime.flight_recorder then
                    Some p.Proc.flight
@@ -275,59 +260,30 @@ let call (inst : t) (name : string) (args : Api.arg list) :
                 if m.Machine.insns - i0 > inst.insn_budget then
                   Error (kill inst "library call instruction budget exceeded")
                 else
-                  match Exec.run m ~quantum:rt.Runtime.cfg.Runtime.quantum with
-                  | Exec.Quantum_expired -> drive ()
-                  | Exec.Runtime_entry pc ->
-                      let k =
-                        Int64.to_int (Int64.sub pc Machine.host_region_start)
-                        / 8
-                      in
-                      m.Machine.pc <- m.Machine.regs.(30);
-                      if k = Sysno.box_ret then begin
-                        Lfi_telemetry.Span.set inst.span
-                          Lfi_telemetry.Span.Exec
-                          (Machine.cycles m -. t0
-                          -. u.Cost_model.lfi_runtime_call_entry);
-                        (* sandbox→host gate *)
-                        Machine.add_cycles m
-                          u.Cost_model.lfi_runtime_call_entry;
-                        gate := !gate +. u.Cost_model.lfi_runtime_call_entry;
-                        Lfi_telemetry.Span.set inst.span
-                          Lfi_telemetry.Span.Gate_out
-                          u.Cost_model.lfi_runtime_call_entry;
-                        Ok m.Machine.regs.(0)
-                      end
-                      else begin
-                        match Runtime.handle_call rt p k with
-                        | Runtime.Continue -> drive ()
-                        | Runtime.Switch ->
-                            ignore
-                              (kill inst
-                                 "blocking runtime call in library call");
-                            Error Api.Blocked
-                        | Runtime.Died (Runtime.Exited c) ->
-                            retire inst;
-                            Error (Api.Exited c)
-                        | Runtime.Died (Runtime.Killed why) ->
-                            Error (kill inst why)
-                      end
-                  | Exec.Trap (Exec.Svc_trap _) ->
-                      Error (kill inst "svc from sandboxed code")
-                  | Exec.Trap (Exec.Mem_fault f) ->
+                  match Runtime.slice ~box:true rt p with
+                  | Runtime.Preempted | Runtime.Continue -> drive ()
+                  | Runtime.Returned -> Ok m.Machine.regs.(0)
+                  | Runtime.Switch ->
+                      ignore (kill inst "blocking runtime call in library call");
+                      Error Api.Blocked
+                  | Runtime.Died reason ->
+                      retire inst;
                       Error
-                        (kill inst ~fault:f
-                           (Format.asprintf "%a" Memory.pp_fault f))
-                  | Exec.Trap (Exec.Undefined pc) ->
-                      Error
-                        (kill inst
-                           (Printf.sprintf "undefined instruction at 0x%Lx" pc))
+                        (match reason with
+                        | Runtime.Exited c -> Api.Exited c
+                        | Runtime.Killed why -> Api.Killed why)
               in
-              let insns_of () = m.Machine.insns - i0 in
               match drive () with
-              | Error e ->
-                  p.Proc.user_insns <- p.Proc.user_insns + insns_of ();
-                  Error e
+              | Error e -> Error e
               | Ok ret -> (
+                  Lfi_telemetry.Span.set inst.span Lfi_telemetry.Span.Exec
+                    (Machine.cycles m -. t0
+                    -. u.Cost_model.lfi_runtime_call_entry);
+                  (* sandbox→host gate *)
+                  Machine.add_cycles m u.Cost_model.lfi_runtime_call_entry;
+                  gate := !gate +. u.Cost_model.lfi_runtime_call_entry;
+                  Lfi_telemetry.Span.set inst.span Lfi_telemetry.Span.Gate_out
+                    u.Cost_model.lfi_runtime_call_entry;
                   (* copy-out, in argument order *)
                   let mout = ref 0.0 in
                   let rec collect acc = function
@@ -346,9 +302,8 @@ let call (inst : t) (name : string) (args : Api.arg list) :
                   match collect [] outs with
                   | Error e -> Error e
                   | Ok out_bufs ->
-                      let call_insns = insns_of () in
+                      let call_insns = m.Machine.insns - i0 in
                       let total = Machine.cycles m -. t0 in
-                      p.Proc.user_insns <- p.Proc.user_insns + call_insns;
                       p.Proc.rtcalls <- p.Proc.rtcalls + 1;
                       inst.calls <- inst.calls + 1;
                       inst.call_insns <- inst.call_insns + call_insns;
@@ -384,7 +339,7 @@ let call (inst : t) (name : string) (args : Api.arg list) :
 let create ?(arena = 1 lsl 16) ?(insn_budget = 200_000_000) ?init
     (rt : Runtime.t) (lib : Library.t) : t =
   let p = Runtime.load rt ~personality:Proc.Lfi lib.Library.elf in
-  let arena_len = align_page (max arena 1) in
+  let arena_len = Runtime.align_up (max arena 1) in
   let arena_base = p.Proc.heap_end in
   Memory.map rt.Runtime.mem ~addr:arena_base ~len:arena_len
     ~perm:Memory.perm_rw;

@@ -101,7 +101,6 @@ let create ?(config = default_config) () =
 
 let cycles rt = Machine.cycles rt.machine
 let insns rt = rt.machine.Machine.insns
-let proc rt pid = Hashtbl.find_opt rt.procs pid
 let stdout_of p = Buffer.contents p.Proc.stdout
 
 (* ------------------------------------------------------------------ *)
@@ -196,21 +195,24 @@ let overhead_acc rt = rt.machine.Machine.overhead
 (* ------------------------------------------------------------------ *)
 
 let page = Memory.page_size
+let pages_per_slot = Lfi_core.Layout.sandbox_size / page
 
 let align_down v = v / page * page
 let align_up v = (v + page - 1) / page * page
 
-let map_range rt (base : int64) ~(off : int) ~(len : int) ~perm =
+exception Load_error of string
+
+let map_range mem (base : int64) ~(off : int) ~(len : int) ~perm =
   let lo = align_down off and hi = align_up (off + len) in
-  Memory.map rt.mem
+  Memory.map mem
     ~addr:(Int64.add base (Int64.of_int lo))
     ~len:(hi - lo) ~perm
 
 (** Build the read-only runtime-call table in the slot's first page.
     Entries hold host entry addresses; unused entries point into the
     (unmapped) guard region so a stray call traps. *)
-let install_rtcall_table rt (base : int64) =
-  map_range rt base ~off:0 ~len:Lfi_core.Layout.rtcall_table_size
+let install_rtcall_table mem (base : int64) =
+  map_range mem base ~off:0 ~len:Lfi_core.Layout.rtcall_table_size
     ~perm:Memory.perm_rw;
   let guard_trap = Int64.add base (Int64.of_int Lfi_core.Layout.rtcall_table_size) in
   for k = 0 to Lfi_core.Layout.rtcall_entry_count - 1 do
@@ -219,12 +221,52 @@ let install_rtcall_table rt (base : int64) =
         Int64.add Machine.host_region_start (Int64.of_int (8 * k))
       else guard_trap
     in
-    Memory.write rt.mem
+    Memory.write mem
       (Int64.add base (Int64.of_int (Lfi_core.Layout.rtcall_entry_offset k)))
       8 value
   done;
-  Memory.protect rt.mem ~addr:base ~len:Lfi_core.Layout.rtcall_table_size
+  Memory.protect mem ~addr:base ~len:Lfi_core.Layout.rtcall_table_size
     ~perm:Memory.perm_r
+
+(** Map [elf]'s segments into the slot at [base] — memsz mapped, filesz
+    copied, executable segments then made read+execute (W^X) — and a
+    [stack_size] stack below the top guard region.  Returns the slot
+    offset where the highest segment ends (the initial heap break). *)
+let map_image mem (base : int64) ~(stack_size : int) (elf : Lfi_elf.Elf.t) :
+    int =
+  let data_end = ref Lfi_core.Layout.code_origin in
+  List.iter
+    (fun (s : Lfi_elf.Elf.segment) ->
+      let len = s.Lfi_elf.Elf.memsz in
+      if s.vaddr < Lfi_core.Layout.code_origin then
+        raise (Load_error "segment below code origin");
+      if s.flags land Lfi_elf.Elf.pf_x <> 0
+         && s.vaddr + len > Lfi_core.Layout.code_limit
+      then raise (Load_error "executable segment in the top 128MiB");
+      map_range mem base ~off:s.vaddr ~len ~perm:Memory.perm_rw;
+      Memory.write_bytes mem (Int64.add base (Int64.of_int s.vaddr)) s.data;
+      if s.flags land Lfi_elf.Elf.pf_x <> 0 then
+        Memory.protect mem
+          ~addr:(Int64.add base (Int64.of_int (align_down s.vaddr)))
+          ~len:(align_up (s.vaddr + len) - align_down s.vaddr)
+          ~perm:Memory.perm_rx;
+      data_end := max !data_end (s.vaddr + len))
+    elf.Lfi_elf.Elf.segments;
+  map_range mem base
+    ~off:(Lfi_core.Layout.stack_top - stack_size)
+    ~len:stack_size ~perm:Memory.perm_rw;
+  !data_end
+
+(** The mapped pages of the slot at [base], ascending by page index:
+    what fork copies, reaping unmaps, postmortems describe and libbox
+    baselines capture. *)
+let slot_pages mem (base : int64) : (int * Memory.page) list =
+  let first = Memory.page_index base in
+  let acc = ref [] in
+  Memory.iter_pages mem (fun idx pg ->
+      if idx >= first && idx < first + pages_per_slot then
+        acc := (idx, pg) :: !acc);
+  List.sort (fun (a, _) (b, _) -> compare a b) !acc
 
 (* the last slot below the host region, where every pc is a runtime entry *)
 let last_slot =
@@ -245,8 +287,6 @@ let alloc_slot rt : int option =
 (* Loading                                                             *)
 (* ------------------------------------------------------------------ *)
 
-exception Load_error of string
-
 (** Rebase a slot-anchored value into [base]'s slot by replacing its
     top 32 bits — valid because sandbox pointers are 32-bit offsets
     (§5.3; exactly what the hardware guard would do). *)
@@ -263,8 +303,8 @@ let reserved_regs = [ 18; 21; 23; 24; 30 ]
     and sp get their top bits replaced with the slot base, everything
     else is carried over verbatim (stray values heal through the
     address guards).  The one place snapshot construction happens —
-    initial load, fork's child state, and libbox's call/reset snapshots
-    all go through here. *)
+    fork's child state here, program and library-call entry through
+    {!entry_snapshot}. *)
 let anchor_snapshot (base : int64) (snap : Machine.snapshot) :
     Machine.snapshot =
   let regs = Array.copy snap.Machine.s_regs in
@@ -274,20 +314,72 @@ let anchor_snapshot (base : int64) (snap : Machine.snapshot) :
     s_pc = rebase base snap.Machine.s_pc;
     s_sp = rebase base snap.Machine.s_sp }
 
-let initial_snapshot (base : int64) ~(entry : int) ~(arg : int64) :
-    Machine.snapshot =
+(** The register state at a sandbox entry: [args] in x0.., pc at [pc],
+    x30 at [link], sp at the stack top, everything anchored to [base].
+    A program starts with its entry as link; a library call links to
+    the return trampoline. *)
+let entry_snapshot (base : int64) ~(pc : int) ~(args : int64 list)
+    ~(link : int) : Machine.snapshot =
   let regs = Array.make 31 0L in
-  regs.(0) <- arg;
-  regs.(30) <- Int64.of_int entry;
+  List.iteri (fun i v -> regs.(i) <- v) args;
+  regs.(30) <- Int64.of_int link;
   anchor_snapshot base
     {
-      Machine.s_pc = Int64.of_int entry;
+      Machine.s_pc = Int64.of_int pc;
       s_regs = regs;
       s_sp = Int64.of_int Lfi_core.Layout.stack_top;
       s_flags = (false, false, false, false);
       s_vlo = Array.make 32 0L;
       s_vhi = Array.make 32 0L;
     }
+
+let initial_snapshot base ~entry ~arg =
+  entry_snapshot base ~pc:entry ~args:[ arg ] ~link:entry
+
+(** Create a runnable process in [slot] and queue it — the one place a
+    process is built, for load and fork alike.  A forked child
+    inherits [parent]'s descriptor table; any other process starts
+    with the standard descriptors. *)
+let spawn rt ~(parent : Proc.t option) ~slot ~base ~personality ~snapshot
+    ~heap_end ~symbols ~sites : Proc.t =
+  let pid = rt.next_pid in
+  rt.next_pid <- pid + 1;
+  let p =
+    {
+      Proc.pid;
+      slot;
+      base;
+      personality;
+      state = Proc.Runnable;
+      snapshot;
+      fds = Hashtbl.create 8;
+      next_fd = 3;
+      heap_end;
+      parent = Option.map (fun (q : Proc.t) -> q.Proc.pid) parent;
+      children = [];
+      stdout = Buffer.create 256;
+      user_insns = 0;
+      rtcalls = 0;
+      symbols;
+      sites;
+      flight = Lfi_telemetry.Flight.create ();
+    }
+  in
+  (match parent with
+  | None -> Proc.install_std_fds p
+  | Some q ->
+      Proc.dup_fds q p;
+      q.Proc.children <- pid :: q.Proc.children);
+  Hashtbl.replace rt.procs pid p;
+  Lfi_sched.Runq.push rt.runq pid;
+  (match rt.trace with
+  | None -> ()
+  | Some t ->
+      Lfi_telemetry.Trace.thread_name t ~pid:trace_pid ~tid:pid
+        ~name:
+          (Printf.sprintf "sandbox %d (%s)" pid
+             (Proc.personality_name personality)));
+  p
 
 (** Load an ELF image into a fresh slot and create the process.
     Sandboxed programs ([`Lfi]) are statically verified first; native
@@ -321,69 +413,14 @@ let load rt ?(arg = 0L) ~(personality : Proc.personality)
     | None -> raise (Load_error "slot table full")
   in
   let base = Lfi_core.Layout.slot_base slot in
-  if not native then install_rtcall_table rt base;
-  (* Map and copy the segments. *)
-  let data_end = ref Lfi_core.Layout.code_origin in
-  List.iter
-    (fun (s : Lfi_elf.Elf.segment) ->
-      let len = s.Lfi_elf.Elf.memsz in
-      if s.vaddr < Lfi_core.Layout.code_origin then
-        raise (Load_error "segment below code origin");
-      if s.flags land Lfi_elf.Elf.pf_x <> 0
-         && s.vaddr + len > Lfi_core.Layout.code_limit
-      then raise (Load_error "executable segment in the top 128MiB");
-      (* map memsz (the BSS tail is zero pages), copy filesz *)
-      map_range rt base ~off:s.vaddr ~len ~perm:Memory.perm_rw;
-      Memory.write_bytes rt.mem (Int64.add base (Int64.of_int s.vaddr)) s.data;
-      if s.flags land Lfi_elf.Elf.pf_x <> 0 then
-        Memory.protect rt.mem
-          ~addr:(Int64.add base (Int64.of_int (align_down s.vaddr)))
-          ~len:(align_up (s.vaddr + len) - align_down s.vaddr)
-          ~perm:Memory.perm_rx;
-      data_end := max !data_end (s.vaddr + len))
-    elf.Lfi_elf.Elf.segments;
-  (* Stack below the top guard region. *)
-  map_range rt base
-    ~off:(Lfi_core.Layout.stack_top - rt.cfg.stack_size)
-    ~len:rt.cfg.stack_size ~perm:Memory.perm_rw;
-  let pid = rt.next_pid in
-  rt.next_pid <- pid + 1;
+  if not native then install_rtcall_table rt.mem base;
+  let data_end = map_image rt.mem base ~stack_size:rt.cfg.stack_size elf in
   if native then rt.native_loaded <- true;
-  let p =
-    {
-      Proc.pid;
-      slot;
-      base;
-      personality;
-      state = Proc.Runnable;
-      snapshot = initial_snapshot base ~entry:elf.Lfi_elf.Elf.entry ~arg;
-      fds = Hashtbl.create 8;
-      next_fd = 3;
-      heap_end = Int64.add base (Int64.of_int (align_up !data_end));
-      parent = None;
-      children = [];
-      stdout = Buffer.create 256;
-      user_insns = 0;
-      rtcalls = 0;
-      symbols = Lfi_telemetry.Profile.sym_table elf.Lfi_elf.Elf.symbols;
-      sites = elf.Lfi_elf.Elf.sites;
-      flight = Lfi_telemetry.Flight.create ();
-    }
-  in
-  Proc.install_std_fds p;
-  Hashtbl.replace rt.procs pid p;
-  Lfi_sched.Runq.push rt.runq pid;
-  (match rt.trace with
-  | None -> ()
-  | Some t ->
-      Lfi_telemetry.Trace.thread_name t ~pid:trace_pid ~tid:pid
-        ~name:
-          (Printf.sprintf "sandbox %d (%s)" pid
-             (Proc.personality_name personality)));
-  p
-
-let load_image rt ?arg ~personality (img : Lfi_arm64.Assemble.image) =
-  load rt ?arg ~personality (Lfi_elf.Elf.of_image img)
+  spawn rt ~parent:None ~slot ~base ~personality
+    ~snapshot:(initial_snapshot base ~entry:elf.Lfi_elf.Elf.entry ~arg)
+    ~heap_end:(Int64.add base (Int64.of_int (align_up data_end)))
+    ~symbols:(Lfi_telemetry.Profile.sym_table elf.Lfi_elf.Elf.symbols)
+    ~sites:elf.Lfi_elf.Elf.sites
 
 (* ------------------------------------------------------------------ *)
 (* Runtime-call helpers                                                *)
@@ -458,66 +495,39 @@ let do_fork rt (parent : Proc.t) : int =
   | None -> Vfs.eagain
   | Some slot ->
     let base = Lfi_core.Layout.slot_base slot in
-    install_rtcall_table rt base;
+    install_rtcall_table rt.mem base;
     (* Copy every mapped page of the parent slot (eager copy; the paper
        also describes copy-on-write via memfd, which we do not model). *)
-    let parent_first = Int64.to_int (Int64.shift_right_logical parent.Proc.base Memory.page_bits) in
-    let pages_per_slot = Lfi_core.Layout.sandbox_size / page in
+    let parent_first = Memory.page_index parent.Proc.base in
     List.iter
       (fun (idx, pg) ->
-        if idx >= parent_first && idx < parent_first + pages_per_slot
-           && idx > parent_first (* skip the call table page; freshly built *)
+        if idx > parent_first (* skip the call table page; freshly built *)
         then begin
           let off = (idx - parent_first) * page in
           let child_addr = Int64.add base (Int64.of_int off) in
           Memory.map rt.mem ~addr:child_addr ~len:page ~perm:Memory.perm_rw;
-          let child_idx =
-            Int64.to_int (Int64.shift_right_logical child_addr Memory.page_bits)
-          in
+          let child_idx = Memory.page_index child_addr in
           (match Memory.find_page_by_index rt.mem child_idx with
           | Some cp ->
               Bytes.blit (Memory.page_data pg) 0 (Memory.page_data cp) 0 page;
               Memory.set_page_perm rt.mem child_idx (Memory.page_perm pg)
           | None -> assert false)
         end)
-      (Memory.mapped_pages rt.mem);
+      (slot_pages rt.mem parent.Proc.base);
     (* Child registers: parent's current state anchored to the child
        slot; everything non-reserved heals via guards. *)
     let snap = Machine.snapshot rt.machine in
     snap.Machine.s_regs.(0) <- 0L (* fork returns 0 in the child *);
-    let child_snap = anchor_snapshot base snap in
-    let pid = rt.next_pid in
-    rt.next_pid <- pid + 1;
     let child =
-      {
-        Proc.pid;
-        slot;
-        base;
-        personality = Proc.Lfi;
-        state = Proc.Runnable;
-        snapshot = child_snap;
-        fds = Hashtbl.create 8;
-        next_fd = 3;
-        heap_end = rebase base parent.Proc.heap_end;
-        parent = Some parent.Proc.pid;
-        children = [];
-        stdout = Buffer.create 256;
-        user_insns = 0;
-        rtcalls = 0;
-        symbols = parent.Proc.symbols;
-        sites = parent.Proc.sites;
-        flight = Lfi_telemetry.Flight.create ();
-      }
+      spawn rt ~parent:(Some parent) ~slot ~base ~personality:Proc.Lfi
+        ~snapshot:(anchor_snapshot base snap)
+        ~heap_end:(rebase base parent.Proc.heap_end)
+        ~symbols:parent.Proc.symbols ~sites:parent.Proc.sites
     in
-    Proc.dup_fds parent child;
-    parent.Proc.children <- pid :: parent.Proc.children;
-    Hashtbl.replace rt.procs pid child;
-    Lfi_sched.Runq.push rt.runq pid;
+    let pid = child.Proc.pid in
     (match rt.trace with
     | None -> ()
     | Some t ->
-        Lfi_telemetry.Trace.thread_name t ~pid:trace_pid ~tid:pid
-          ~name:(Printf.sprintf "sandbox %d (lfi)" pid);
         Lfi_telemetry.Trace.instant t ~name:"fork" ~cat:"proc"
           ~ts:(Machine.cycles rt.machine) ~pid:trace_pid
           ~tid:parent.Proc.pid
@@ -540,15 +550,12 @@ let find_zombie_child rt (p : Proc.t) : (int * int) option =
 
 let release_slot rt (child : Proc.t) =
   (* unmap the whole slot and recycle it *)
-  let first = Int64.to_int (Int64.shift_right_logical child.Proc.base Memory.page_bits) in
-  let pages_per_slot = Lfi_core.Layout.sandbox_size / page in
   List.iter
     (fun (idx, _) ->
-      if idx >= first && idx < first + pages_per_slot then
-        Memory.unmap rt.mem
-          ~addr:(Int64.shift_left (Int64.of_int idx) Memory.page_bits)
-          ~len:page)
-    (Memory.mapped_pages rt.mem);
+      Memory.unmap rt.mem
+        ~addr:(Int64.shift_left (Int64.of_int idx) Memory.page_bits)
+        ~len:page)
+    (slot_pages rt.mem child.Proc.base);
   if child.Proc.slot <> 0 then
     rt.free_slots <- child.Proc.slot :: rt.free_slots;
   (* the clamp audit outlives the process table entry *)
@@ -622,7 +629,14 @@ let try_wake rt (p : Proc.t) =
 (* Runtime call dispatch                                               *)
 (* ------------------------------------------------------------------ *)
 
-type outcome = Continue | Switch | Died of exit_reason
+(** How a process's turn on the machine ended.  {!handle_call} yields
+    the first three; {!slice} adds the last two. *)
+type outcome =
+  | Continue  (** a runtime call returned; the process runs on *)
+  | Switch  (** it blocked or yielded *)
+  | Died of exit_reason  (** it exited, or was killed *)
+  | Preempted  (** its quantum ran out *)
+  | Returned  (** a library call's trampoline reached [box_ret] *)
 
 let do_exit rt (p : Proc.t) (code : int) : outcome =
   Proc.close_all p;
@@ -917,7 +931,7 @@ let fault_pages rt (p : Proc.t) (addr : int64) :
     Lfi_telemetry.Postmortem.page_info list =
   let idx = Memory.page_index addr in
   let lo_idx = Memory.page_index p.Proc.base in
-  let hi_idx = lo_idx + (Lfi_core.Layout.sandbox_size / Memory.page_size) in
+  let hi_idx = lo_idx + pages_per_slot in
   List.filter_map
     (fun d ->
       let i = idx + d in
@@ -937,14 +951,10 @@ let fault_pages rt (p : Proc.t) (addr : int64) :
     heuristic labels from {!Lfi_core.Layout}. *)
 let sandbox_layout rt (p : Proc.t) : Lfi_telemetry.Postmortem.region list =
   let first = Memory.page_index p.Proc.base in
-  let count = Lfi_core.Layout.sandbox_size / Memory.page_size in
   let pages =
-    Memory.mapped_pages rt.mem
-    |> List.filter_map (fun (idx, pg) ->
-           if idx >= first && idx < first + count then
-             Some (idx, perm_string (Memory.page_perm pg))
-           else None)
-    |> List.sort compare
+    List.map
+      (fun (idx, pg) -> (idx, perm_string (Memory.page_perm pg)))
+      (slot_pages rt.mem p.Proc.base)
   in
   let addr_of_idx i = Int64.shift_left (Int64.of_int i) Memory.page_bits in
   let label lo_off perm =
@@ -1062,6 +1072,81 @@ let total_clamps rt : int =
     (fun _ p acc -> acc + Lfi_telemetry.Flight.clamps p.Proc.flight)
     rt.procs rt.clamps_reaped
 
+(** Serve runtime call [k] for [p], instrumented: flight-recorder
+    enter/exit events, a trace slice and the per-call latency
+    histogram around {!handle_call}. *)
+let serve_call rt (p : Proc.t) (k : int) : outcome =
+  let m = rt.machine in
+  let t0 = Machine.cycles m in
+  (match m.Machine.flight with
+  | None -> ()
+  | Some f ->
+      Lfi_telemetry.Flight.record f Lfi_telemetry.Flight.k_rt_enter
+        (Int64.to_int m.Machine.pc) k);
+  let outcome = handle_call rt p k in
+  (match m.Machine.flight with
+  | None -> ()
+  | Some f ->
+      Lfi_telemetry.Flight.record f Lfi_telemetry.Flight.k_rt_exit
+        (Int64.to_int m.Machine.pc) k);
+  let dur = Machine.cycles m -. t0 in
+  (match rt.trace with
+  | None -> ()
+  | Some t ->
+      Lfi_telemetry.Trace.complete t ~name:(Sysno.name k) ~cat:"rtcall"
+        ~ts:t0 ~dur ~pid:trace_pid ~tid:p.Proc.pid
+        ~args:[ ("result", Lfi_telemetry.Trace.I64 m.Machine.regs.(0)) ]);
+  (match rt.call_hist with
+  | None -> ()
+  | Some hs ->
+      if k >= 0 && k < Sysno.count then
+        Lfi_telemetry.Histogram.observe hs.(k) dur);
+  outcome
+
+let die rt ?fault (p : Proc.t) reason =
+  kill_proc rt ?fault p reason;
+  Died (Killed reason)
+
+(** Run [p], whose registers are on the machine, for one quantum and
+    say how it ended — the one run step, shared by the scheduler and
+    libbox's library calls.  The instructions retired are credited to
+    [p] before anything else happens, a runtime call is served through
+    {!serve_call}, and a trap kills [p] through {!kill_proc}.  With
+    [~box:true] (inside a library call) the [box_ret] entry ends the
+    call with [Returned]; otherwise it is an ordinary, unknown runtime
+    call (ENOSYS). *)
+let slice ~(box : bool) rt (p : Proc.t) : outcome =
+  let m = rt.machine in
+  let i0 = m.Machine.insns in
+  let ev = Exec.run m ~quantum:rt.cfg.quantum in
+  p.Proc.user_insns <- p.Proc.user_insns + (m.Machine.insns - i0);
+  (* overhead counter track: one sample per quantum keeps the trace
+     linear in scheduling events, not instructions *)
+  (match (rt.trace, m.Machine.overhead) with
+  | Some t, Some a ->
+      Lfi_telemetry.Trace.counter t ~name:"sfi-overhead-cycles"
+        ~cat:"overhead" ~ts:(Machine.cycles m) ~pid:trace_pid
+        ~args:
+          [ ( "attributed",
+              Lfi_telemetry.Trace.Float
+                (Lfi_telemetry.Overhead.attributed_cycles a) ) ]
+  | _ -> ());
+  match ev with
+  | Exec.Quantum_expired -> Preempted
+  | Exec.Runtime_entry pc ->
+      let k = Int64.to_int (Int64.sub pc Machine.host_region_start) / 8 in
+      (* return address: blr x30 left it in x30 *)
+      m.Machine.pc <- m.Machine.regs.(30);
+      if box && k = Sysno.box_ret then Returned else serve_call rt p k
+  | Exec.Trap (Exec.Svc_trap k) ->
+      (* a verified binary can never reach here *)
+      if p.Proc.personality = Proc.Lfi then die rt p "svc from sandboxed code"
+      else serve_call rt p k
+  | Exec.Trap (Exec.Mem_fault f) ->
+      die rt ~fault:f p (Format.asprintf "%a" Memory.pp_fault f)
+  | Exec.Trap (Exec.Undefined pc) ->
+      die rt p (Printf.sprintf "undefined instruction at 0x%Lx" pc)
+
 (** Run until every process has exited.  Returns the exit log (most
     recent first). *)
 let run rt : (int * exit_reason) list =
@@ -1097,24 +1182,9 @@ let run rt : (int * exit_reason) list =
         execute p;
         schedule ()
   and execute (p : Proc.t) =
-    let start_insns = m.Machine.insns in
-    let finish () =
-      p.Proc.user_insns <- p.Proc.user_insns + (m.Machine.insns - start_insns)
-    in
-    let ev = Exec.run m ~quantum:rt.cfg.quantum in
-    (* overhead counter track: one sample per scheduler quantum keeps
-       the trace linear in scheduling events, not instructions *)
-    (match (rt.trace, m.Machine.overhead) with
-    | Some t, Some a ->
-        Lfi_telemetry.Trace.counter t ~name:"sfi-overhead-cycles"
-          ~cat:"overhead" ~ts:(Machine.cycles m) ~pid:trace_pid
-          ~args:
-            [ ( "attributed",
-                Lfi_telemetry.Trace.Float
-                  (Lfi_telemetry.Overhead.attributed_cycles a) ) ]
-    | _ -> ());
-    match ev with
-    | Exec.Quantum_expired ->
+    match slice ~box:false rt p with
+    | Continue -> execute p
+    | Preempted ->
         (* timer preemption (setitimer in the real runtime) *)
         rt.preemptions <- rt.preemptions + 1;
         (match m.Machine.flight with
@@ -1122,61 +1192,11 @@ let run rt : (int * exit_reason) list =
         | Some f ->
             Lfi_telemetry.Flight.record f Lfi_telemetry.Flight.k_preempt
               (Int64.to_int m.Machine.pc) p.Proc.pid);
-        p.Proc.snapshot <- Machine.snapshot m;
-        finish ()
-    | Exec.Runtime_entry pc ->
-        let k =
-          Int64.to_int (Int64.sub pc Machine.host_region_start) / 8
-        in
-        (* return address: blr x30 left it in x30 *)
-        m.Machine.pc <- m.Machine.regs.(30);
-        run_call p k ~finish
-    | Exec.Trap (Exec.Svc_trap k) ->
-        if p.Proc.personality = Proc.Lfi then begin
-          (* a verified binary can never reach here *)
-          p.Proc.snapshot <- Machine.snapshot m;
-          finish ();
-          kill p "svc from sandboxed code"
-        end
-        else run_call p k ~finish
-    | Exec.Trap (Exec.Mem_fault f) ->
-        finish ();
-        kill p ~fault:f (Format.asprintf "%a" Memory.pp_fault f)
-    | Exec.Trap (Exec.Undefined pc) ->
-        finish ();
-        kill p (Printf.sprintf "undefined instruction at 0x%Lx" pc)
-  and run_call (p : Proc.t) (k : int) ~finish =
-    let t0 = Machine.cycles m in
-    (match m.Machine.flight with
-    | None -> ()
-    | Some f ->
-        Lfi_telemetry.Flight.record f Lfi_telemetry.Flight.k_rt_enter
-          (Int64.to_int m.Machine.pc) k);
-    let outcome = handle_call rt p k in
-    (match m.Machine.flight with
-    | None -> ()
-    | Some f ->
-        Lfi_telemetry.Flight.record f Lfi_telemetry.Flight.k_rt_exit
-          (Int64.to_int m.Machine.pc) k);
-    let dur = Machine.cycles m -. t0 in
-    (match rt.trace with
-    | None -> ()
-    | Some t ->
-        Lfi_telemetry.Trace.complete t ~name:(Sysno.name k) ~cat:"rtcall"
-          ~ts:t0 ~dur ~pid:trace_pid ~tid:p.Proc.pid
-          ~args:[ ("result", Lfi_telemetry.Trace.I64 m.Machine.regs.(0)) ]);
-    (match rt.call_hist with
-    | None -> ()
-    | Some hs ->
-        if k >= 0 && k < Sysno.count then
-          Lfi_telemetry.Histogram.observe hs.(k) dur);
-    match outcome with
-    | Continue -> execute p
-    | Switch ->
-        p.Proc.snapshot <- Machine.snapshot m;
-        finish ()
-    | Died _ -> finish ()
-  and kill ?fault (p : Proc.t) reason = kill_proc rt ?fault p reason in
+        p.Proc.snapshot <- Machine.snapshot m
+    | Switch -> p.Proc.snapshot <- Machine.snapshot m
+    | Died _ -> ()
+    | Returned -> assert false (* only under ~box:true *)
+  in
   schedule ();
   rt.exit_log
 

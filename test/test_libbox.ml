@@ -36,6 +36,26 @@ let crash_lib =
        ~exports:[ "poke"; "corrupt" ]
        Libs.crashbox.Api.l_program)
 
+(* a library whose exports make runtime calls, for the outcomes of a
+   runtime call inside a library call *)
+let rtcall_lib =
+  lazy
+    (let open Lfi_minic.Ast in
+     let open Lfi_minic.Ast.Dsl in
+     Library.create ~name:"rtcallbox"
+       ~exports:[ "pid"; "yield"; "quit"; "load" ]
+       {
+         globals = [];
+         funcs =
+           [
+             func "pid" [ ret (sys_getpid ()) ];
+             func "yield" [ expr (sys_yield ()); ret (i 0) ];
+             func "quit" [ sys_exit (i 7); ret (i 0) ];
+             func "load" ~params:[ ("a", Int) ] [ ret (ld I64 (v "a")) ];
+             func "main" [ ret (i 0) ];
+           ];
+       })
+
 let make_rt () =
   Runtime.create ~config:{ Runtime.default_config with verify = false } ()
 
@@ -238,10 +258,7 @@ let show_op = function
   | Grow -> "Grow"
 
 let slot_pages (inst : Instance.t) =
-  let first = Instance.slot_first inst.Instance.p
-  and last = Instance.slot_last inst.Instance.p in
-  Memory.mapped_pages inst.Instance.rt.Runtime.mem
-  |> List.filter (fun (idx, _) -> idx >= first && idx < last)
+  Runtime.slot_pages inst.Instance.rt.Runtime.mem inst.Instance.p.Proc.base
   |> List.map (fun (idx, pg) ->
          (idx, Bytes.to_string (Memory.page_data pg), Memory.page_perm pg))
 
@@ -416,6 +433,78 @@ let test_crash_containment () =
   checki "survivor serves" 0 (Int64.to_int (ret_of r));
   let _, r = Pool.dispatch pool "poke" [ Api.I scratch ] in
   checki "and keeps serving" 0 (Int64.to_int (ret_of r))
+
+(* the instructions a killed call retired are credited before the kill,
+   so its postmortem counts them *)
+let test_postmortem_counts_call_insns () =
+  let rt = make_rt () in
+  let inst = Instance.create rt (Lazy.force crash_lib) in
+  (match Instance.call inst "corrupt" [] with
+  | Error (Api.Killed _) -> ()
+  | Ok _ -> Alcotest.fail "corrupt did not fault"
+  | Error e -> Alcotest.failf "wrong error: %s" (Api.error_to_string e));
+  match Runtime.postmortem_for rt inst.Instance.p.Proc.pid with
+  | None -> Alcotest.fail "no postmortem"
+  | Some pm ->
+      checki "postmortem insns = user_insns" inst.Instance.p.Proc.user_insns
+        pm.Lfi_telemetry.Postmortem.insns;
+      checki "the call's instructions" 20 pm.Lfi_telemetry.Postmortem.insns
+
+(* a blocking runtime call or exit ends a library call and retires the
+   instance; a blocking call also kills it, with a postmortem *)
+let test_call_ends_instance () =
+  List.iter
+    (fun (export, expected, killed) ->
+      let rt = make_rt () in
+      let inst = Instance.create rt (Lazy.force rtcall_lib) in
+      (match Instance.call inst export [] with
+      | Error e when e = expected -> ()
+      | Ok _ -> Alcotest.failf "%s returned" export
+      | Error e -> Alcotest.failf "%s: %s" export (Api.error_to_string e));
+      checkb (export ^ " retired the instance") false inst.Instance.alive;
+      checkb (export ^ " kill reason")
+        true
+        (Option.map
+           (fun pm -> pm.Lfi_telemetry.Postmortem.reason)
+           (Runtime.postmortem_for rt inst.Instance.p.Proc.pid)
+        = killed))
+    [
+      ("yield", Api.Blocked, Some "blocking runtime call in library call");
+      ("quit", Api.Exited 7, None);
+    ]
+
+(* a runtime call inside a library call is observed like one in a
+   scheduled program: latency histogram and flight recorder *)
+let test_call_rtcall_observed () =
+  let rt = make_rt () in
+  ignore (Runtime.enable_metrics rt);
+  let inst = Instance.create rt (Lazy.force rtcall_lib) in
+  checki "getpid is the instance's pid" inst.Instance.p.Proc.pid
+    (Int64.to_int (ret_of (Instance.call inst "pid" [])));
+  (match rt.Runtime.call_hist with
+  | Some hs ->
+      checki "getpid latency observed" 1
+        hs.(Lfi_runtime.Sysno.getpid).Lfi_telemetry.Histogram.count
+  | None -> Alcotest.fail "metrics not armed");
+  (* a read in the guard region, below the code origin *)
+  (match Instance.call inst "load" [ Api.I 20000L ] with
+  | Error (Api.Killed _) -> ()
+  | Ok _ -> Alcotest.fail "load did not fault"
+  | Error e -> Alcotest.failf "wrong error: %s" (Api.error_to_string e));
+  match Runtime.postmortem_for rt inst.Instance.p.Proc.pid with
+  | None -> Alcotest.fail "no postmortem"
+  | Some pm ->
+      let has kind =
+        List.exists
+          (fun (e : Lfi_telemetry.Flight.event) ->
+            e.Lfi_telemetry.Flight.kind = kind
+            && e.Lfi_telemetry.Flight.arg = Lfi_runtime.Sysno.getpid)
+          pm.Lfi_telemetry.Postmortem.flight
+      in
+      checkb "flight ring holds getpid's rt_enter" true
+        (has Lfi_telemetry.Flight.k_rt_enter);
+      checkb "flight ring holds getpid's rt_exit" true
+        (has Lfi_telemetry.Flight.k_rt_exit)
 
 let test_runaway_budget () =
   let rt = make_rt () in
@@ -894,6 +983,12 @@ let () =
           mk "crash containment" test_crash_containment;
           mk "runaway budget" test_runaway_budget;
           mk "runaway budget exact kill" test_runaway_budget_exact;
+          mk "postmortem counts call insns" test_postmortem_counts_call_insns;
+        ] );
+      ( "rtcalls",
+        [
+          mk "getpid observed like a program's" test_call_rtcall_observed;
+          mk "yield and exit end the instance" test_call_ends_instance;
         ] );
       ( "serve",
         [

@@ -38,6 +38,11 @@ let test_write_stdout () =
 let test_getpid () =
   checki "pid" 1 (exit_code (run_lfi "_start:\n\tsvc #10\n\tsvc #1\n\tb _start\n"))
 
+(* box_ret ends a library call; a program that calls it gets ENOSYS *)
+let test_box_ret_outside_library () =
+  checki "ENOSYS" (-38)
+    (exit_code (run_lfi "_start:\n\tmovz x0, #5\n\tsvc #16\n\tsvc #1\n\tb _start\n"))
+
 let test_unknown_syscall () =
   (* rewriter maps svc #40 to table entry 40 which is within Sysno
      range? 40 >= count -> unmapped entry -> trap *)
@@ -359,6 +364,7 @@ let () =
           mk "exit" test_exit;
           mk "write stdout" test_write_stdout;
           mk "getpid" test_getpid;
+          mk "box_ret outside a library is ENOSYS" test_box_ret_outside_library;
           mk "unused table entry traps" test_unknown_syscall;
         ] );
       ( "loading",
