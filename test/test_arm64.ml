@@ -279,6 +279,222 @@ let prop_bitmask =
           | Some v2 -> QCheck.Test.fail_reportf "%x -> %x" v v2
           | None -> QCheck.Test.fail_reportf "%x: decode failed" v))
 
+(* ---------------- encoding golden ---------------- *)
+
+(* test/encode_golden.txt pins the ISA as bytes, in three parts:
+   - a fixed-seed draw from [Gen.insn] plus [golden_extra] (forms the
+     generator does not draw), one line each: hex word and printed asm;
+   - [golden_unencodable], each marked [error] (only Ok or Error is
+     recorded, never the message);
+   - one decode digest per op0 value (bits 28:25): the accepted count
+     and an MD5 of the printed decodings of 2^16 seeded words of that
+     op0 plus every single-bit flip of every golden word that lands
+     there.  The flips probe the should-be-zero/one bits that the
+     verifier's whitelist depends on.
+
+   Regenerate (only deliberately: this redefines the ISA) with:
+     LFI_GOLDEN_OUT=$PWD/test/encode_golden.txt \
+       dune exec test/test_arm64.exe *)
+
+let golden_draws = 2500
+
+let golden_extra =
+  [
+    "nop"; "dmb ish"; "svc #0"; "svc #65535"; "udf #0"; "udf #4660";
+    "mrs x0, tpidr_el0"; "msr tpidr_el0, x1"; "mrs x2, scxtnum_el0";
+    "msr fpcr, x3"; "add sp, sp, #16"; "sub sp, sp, #1, lsl #12"; "mov sp, x9";
+    "mov x29, sp"; "mov w22, wsp"; "add sp, x21, x22";
+    "add x0, sp, x1, uxtx #3"; "adds x0, sp, #1"; "cmp sp, #0";
+    "and sp, x0, #255"; "orr x0, xzr, #1"; "tst x1, #3"; "tst w1, w2";
+    "mvn x0, x1"; "neg w0, w1"; "negs x0, x1"; "add x0, x1, w2, sxtb #1";
+    "sub x0, x1, x2, sxtx #4"; "adds w0, w1, w2, uxth #2";
+    "str xzr, [sp, #8]"; "ldr x0, [sp, x1, lsl #3]"; "ldrsw x0, [x1, #-4]";
+    "ldrb w0, [x1, x2]"; "ldr q0, [sp, #-16]!"; "stp q0, q1, [sp, #-32]!";
+    "ret"; "ret x1"; "br x16"; "blr x9"; "b.al .+8"; "tbnz x1, #63, .-4";
+    "tbz w0, #0, .+8"; "cset w0, eq"; "csetm x0, ne"; "cneg x0, x1, mi";
+    "adr x0, .+0"; "adrp x1, .-4096"; "adrp x1, .+4294963200";
+    "movk x0, #65535, lsl #48"; "movn w0, #0"; "smull x0, w1, w2";
+    "umull x3, w4, w5"; "mneg x0, x1, x2"; "fcmp s0, #0.0";
+    "fmov d0, d1"; "scvtf d0, w1"; "ucvtf s2, w3"; "fcvtzs w0, d1";
+    "fcvtzu w4, s5"; "mul w0, w1, w2"; "fmadd s0, s1, s2, s3";
+    "madd w0, w1, w2, w3"; "sdiv w3, w4, w5"; "lsl w0, w1, w2";
+    "csel w0, w1, w2, eq"; "clz w0, w1"; "rbit w0, w1"; "rev w0, w1";
+    "smulh x0, x1, x2"; "extr w0, w1, w2, #3"; "fmsub d0, d1, d2, d3";
+    "fcmp d0, d1";
+  ]
+
+let golden_unencodable : Insn.t list =
+  let r n = Reg.x n and w n = Reg.w n in
+  List.map parse
+    [
+      "add x0, x1, #4096"; "and x0, x1, #77"; "ldr x0, [x1, #32768]";
+      "ldp x0, x1, [x2, #4]"; "b .+2"; "movz x0, #65536";
+      "tbz x0, #64, .+8"; "add x0, x1, #1, lsl #4"; "orr x0, x1, #0";
+      "eor w0, w1, #-1"; "bic x0, x1, #1"; "movz w0, #1, lsl #32";
+      "ubfm w0, w1, #32, #0"; "sbfm x0, x1, #0, #64";
+      "extr w0, w1, w2, #32"; "ldr x0, [x1, #-257]"; "ldr x0, [x1, #256]!";
+      "str w0, [x1], #-257"; "ldp x0, x1, [x2, #512]";
+      "ldp w0, w1, [x2], #-260"; "ldr x0, [x1, x2, lsl #2]";
+      "ldr w0, [x1, w2, sxtb]"; "ldr x0, [x1, w2, uxtw #1]";
+      "strb w0, [x1, #4096]"; "b .+134217728"; "bl .-134217732";
+      "b.eq .+1048576"; "cbz x0, .+1048576"; "tbz w0, #3, .+32768";
+      "adr x0, .+1048576"; "adrp x0, .+4097"; "svc #65536"; "svc #-1";
+      "udf #65536"; "mrs x0, nzcv"; "msr daif, x0"; "fadd q0, q1, q2";
+      "fcvt d0, d1"; "fmov d0, w1"; "fmov s0, x1"; "ccmp x0, #32, #0, eq";
+      "ccmp x0, x1, #16, eq"; "add x0, x1, x2, lsl #64";
+      "add w0, w1, w2, lsl #32"; "add x0, x1, x2, ror #3";
+      "add x0, x1, w2, uxtw #5"; "orr x0, x1, w2, uxtw";
+      "smulh w0, w1, w2"; "smull w0, w1, w2"; "ldr x0, [xzr]";
+      "add xzr, x1, #1"; "adds sp, x1, #1"; "orr sp, x1, x2";
+      "ands sp, x1, #1"; "adr x0, label"; "b label"; "scvtf q0, x1";
+      "fcmp q0, q1"; "ldr q0, [x1, #4097]"; "ldp q0, q1, [x0, #8]";
+      "ldp s0, d1, [x0]";
+    ]
+  @ Insn.
+      [
+        Ldr { sz = X; signed = true; dst = r 0; addr = Imm_off (r 1, 0) };
+        Str { sz = B; src = r 0; addr = Imm_off (r 1, 0) };
+        Rev { bytes = 8; dst = w 0; src = w 1 };
+        Rev { bytes = 3; dst = r 0; src = r 1 };
+        Alu { op = ORR; flags = true; dst = r 0; src = r 1;
+              op2 = Imm (1, 0) };
+        Alu { op = EOR; flags = true; dst = r 0; src = r 1;
+              op2 = Sh (r 2, Lsl, 0) };
+        Fcvt { dst = Reg.Fp.v Reg.Fp.Q 0; src = Reg.Fp.v Reg.Fp.S 0 };
+        Ldp { w = Reg.W64; r1 = r 0; r2 = r 1;
+              addr = Reg_off (r 2, r 3, Uxtx, 0) };
+      ]
+
+let golden_population () =
+  let rand = Random.State.make [| 0xE7C0; 21 |] in
+  QCheck.Gen.generate ~rand ~n:golden_draws Gen.insn
+  @ List.map parse golden_extra
+
+(* xorshift32: a seeded word stream that does not depend on the
+   standard library's generator *)
+let xorshift32 x =
+  let x = x lxor ((x lsl 13) land 0xFFFFFFFF) in
+  let x = x lxor (x lsr 17) in
+  x lxor ((x lsl 5) land 0xFFFFFFFF)
+
+let decode_digest golden_words op0 =
+  let buf = Buffer.create (1 lsl 22) in
+  let n = ref 0 and accepted = ref 0 in
+  let visit w =
+    incr n;
+    let i = Decode.decode w in
+    (match i with Insn.Udf _ -> () | _ -> incr accepted);
+    Buffer.add_string buf (Printer.to_string i);
+    Buffer.add_char buf '\n'
+  in
+  let x = ref (0x2545F491 + op0) in
+  for _ = 1 to 1 lsl 16 do
+    x := xorshift32 !x;
+    visit (!x land lnot (0xF lsl 25) lor (op0 lsl 25))
+  done;
+  List.iter
+    (fun w ->
+      for b = 0 to 31 do
+        let f = w lxor (1 lsl b) in
+        if (f lsr 25) land 0xF = op0 then visit f
+      done)
+    golden_words;
+  Printf.sprintf "op0 %X: %d words, %d accepted, md5 %s" op0 !n !accepted
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let golden_line i =
+  match Encode.encode i with
+  | Ok w -> Printf.sprintf "%08X  %s" w (Printer.to_string i)
+  | Error _ -> Printf.sprintf "error     %s" (Printer.to_string i)
+
+let golden_lines () =
+  let population = golden_population () in
+  let words =
+    List.map
+      (fun i ->
+        match Encode.encode i with
+        | Ok w -> w
+        | Error e -> failwith (Printer.to_string i ^ ": " ^ e))
+      population
+  in
+  List.map golden_line (population @ golden_unencodable)
+  @ List.init 16 (decode_digest words)
+
+let write_encode_golden path =
+  let oc = open_out path in
+  List.iter (fun l -> output_string oc (l ^ "\n")) (golden_lines ());
+  close_out oc;
+  Printf.printf "wrote the encoding golden to %s\n%!" path
+
+let read_lines path =
+  let ic = open_in path in
+  let rec go acc =
+    match input_line ic with
+    | l -> go (l :: acc)
+    | exception End_of_file ->
+        close_in ic;
+        List.rev acc
+  in
+  go []
+
+let test_encode_golden () =
+  let expected = read_lines "encode_golden.txt" in
+  let got = golden_lines () in
+  checki "golden lines" (List.length expected) (List.length got);
+  List.iteri
+    (fun k (e, g) -> checks (Printf.sprintf "line %d" (k + 1)) e g)
+    (List.combine expected got)
+
+(* The population reaches every constructor and every addressing and
+   operand form. *)
+let test_golden_coverage () =
+  let population = golden_population () in
+  let ctor (i : Insn.t) =
+    let r = Obj.repr i in
+    if Obj.is_int r then -1 - (Obj.obj r : int) else Obj.tag r
+  in
+  let ctors = List.sort_uniq compare (List.map ctor population) in
+  checki "constructors" 50 (List.length ctors);
+  let open Insn in
+  let forms =
+    [
+      ("imm", function Alu { op2 = Imm _; _ } -> true | _ -> false);
+      ("ext", function Alu { op2 = Ext _; _ } -> true | _ -> false);
+      ("ccmp reg", function Ccmp { op2 = CReg _; _ } -> true | _ -> false);
+      ("ccmp imm", function Ccmp { op2 = CImm _; _ } -> true | _ -> false);
+      ("fcmp zero", function Fcmp { src2 = None; _ } -> true | _ -> false);
+    ]
+    @ List.map
+        (fun (name, k) ->
+          ( name,
+            function Alu { op2 = Sh (_, k', _); _ } -> k = k' | _ -> false ))
+        [ ("lsl", Lsl); ("lsr", Lsr); ("asr", Asr); ("ror", Ror) ]
+    @ List.concat_map
+        (fun (name, ctor_of) ->
+          List.map
+            (fun (mode, p) ->
+              ( name ^ " " ^ mode,
+                fun i ->
+                  match Insn.addr_of i with
+                  | Some a -> ctor_of i && p a
+                  | None -> false ))
+            [
+              ("offset", function Imm_off _ -> true | _ -> false);
+              ("pre", function Pre _ -> true | _ -> false);
+              ("post", function Post _ -> true | _ -> false);
+              ("reg", function Reg_off _ -> true | _ -> false);
+            ])
+        [
+          ("ldr", function Ldr _ -> true | _ -> false);
+          ("str", function Str _ -> true | _ -> false);
+          ("fldr", function Fldr _ -> true | _ -> false);
+          ("fstr", function Fstr _ -> true | _ -> false);
+        ]
+  in
+  List.iter
+    (fun (name, p) -> checkb name true (List.exists p population))
+    forms
+
 (* ---------------- assembler ---------------- *)
 
 let test_assemble_branches () =
@@ -353,6 +569,9 @@ let test_elf_roundtrip () =
   | _ -> Alcotest.fail "bad magic accepted"
 
 let () =
+  match Sys.getenv_opt "LFI_GOLDEN_OUT" with
+  | Some path -> write_encode_golden path
+  | None ->
   Alcotest.run "arm64"
     [
       ( "reg",
@@ -382,6 +601,8 @@ let () =
           Alcotest.test_case "golden encodings" `Quick test_golden_encodings;
           Alcotest.test_case "golden decodings" `Quick test_golden_decodings;
           Alcotest.test_case "rejects" `Quick test_encode_rejects;
+          Alcotest.test_case "golden" `Quick test_encode_golden;
+          Alcotest.test_case "golden coverage" `Quick test_golden_coverage;
           Alcotest.test_case "unknown decodes to udf" `Quick test_decode_unknown;
           QCheck_alcotest.to_alcotest prop_encode_decode;
           QCheck_alcotest.to_alcotest prop_bitmask;
