@@ -65,7 +65,7 @@ let run input annotate =
           Printf.eprintf "%s: no executable segment\n" input;
           exit 2
       | Some seg ->
-          let insns = Decode.decode_all seg.Lfi_elf.Elf.data in
+          let insns = Isa.decode_all seg.Lfi_elf.Elf.data in
           let syms =
             Lfi_telemetry.Profile.sym_table elf.Lfi_elf.Elf.symbols
           in

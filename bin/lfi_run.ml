@@ -66,7 +66,7 @@ let decode_at (elf : Lfi_elf.Elf.t) (pc : int) : Lfi_arm64.Insn.t option =
           (Bytes.get_int32_le s.Lfi_elf.Elf.data (pc - s.Lfi_elf.Elf.vaddr))
         land 0xffffffff
       in
-      try Some (Lfi_arm64.Decode.decode word) with _ -> None)
+      try Some (Lfi_arm64.Isa.decode word) with _ -> None)
   | _ -> None
 
 (* The fundamental guard pattern, exactly as [Metrics] classifies it

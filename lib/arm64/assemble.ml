@@ -195,7 +195,7 @@ let assemble ?(origin = default_origin) (src : Source.t) : image =
                     Insn.Off (a - pc))
               i
           in
-          match Encode.encode resolved with
+          match Isa.encode resolved with
           | Ok w ->
               Bytes.set_int32_le text !tpos (Int32.of_int w);
               tpos := !tpos + 4

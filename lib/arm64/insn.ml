@@ -16,29 +16,26 @@
 type cond =
   | EQ | NE | CS | CC | MI | PL | VS | VC | HI | LS | GE | LT | GT | LE | AL
 
-let cond_to_string = function
-  | EQ -> "eq" | NE -> "ne" | CS -> "cs" | CC -> "cc" | MI -> "mi"
-  | PL -> "pl" | VS -> "vs" | VC -> "vc" | HI -> "hi" | LS -> "ls"
-  | GE -> "ge" | LT -> "lt" | GT -> "gt" | LE -> "le" | AL -> "al"
+(* Each operand enum is listed once, as (value, assembler name,
+   encoding); the printer and the parser derive every conversion from
+   these lists with [name] and [of_name], and {!Isa} its fields. *)
 
+let name l v = match List.find (fun (x, _, _) -> x = v) l with _, n, _ -> n
+
+let of_name l s =
+  List.find_map (fun (x, n, _) -> if n = s then Some x else None) l
+
+let conds =
+  [ (EQ, "eq", 0); (NE, "ne", 1); (CS, "cs", 2); (CC, "cc", 3);
+    (MI, "mi", 4); (PL, "pl", 5); (VS, "vs", 6); (VC, "vc", 7);
+    (HI, "hi", 8); (LS, "ls", 9); (GE, "ge", 10); (LT, "lt", 11);
+    (GT, "gt", 12); (LE, "le", 13); (AL, "al", 14) ]
+
+(** [hs] and [lo] are the assembler's aliases of [cs] and [cc]. *)
 let cond_of_string = function
-  | "eq" -> Some EQ | "ne" -> Some NE | "cs" | "hs" -> Some CS
-  | "cc" | "lo" -> Some CC | "mi" -> Some MI | "pl" -> Some PL
-  | "vs" -> Some VS | "vc" -> Some VC | "hi" -> Some HI | "ls" -> Some LS
-  | "ge" -> Some GE | "lt" -> Some LT | "gt" -> Some GT | "le" -> Some LE
-  | "al" -> Some AL | _ -> None
-
-let cond_number = function
-  | EQ -> 0 | NE -> 1 | CS -> 2 | CC -> 3 | MI -> 4 | PL -> 5 | VS -> 6
-  | VC -> 7 | HI -> 8 | LS -> 9 | GE -> 10 | LT -> 11 | GT -> 12 | LE -> 13
-  | AL -> 14
-
-let cond_of_number = function
-  | 0 -> Some EQ | 1 -> Some NE | 2 -> Some CS | 3 -> Some CC | 4 -> Some MI
-  | 5 -> Some PL | 6 -> Some VS | 7 -> Some VC | 8 -> Some HI | 9 -> Some LS
-  | 10 -> Some GE | 11 -> Some LT | 12 -> Some GT | 13 -> Some LE
-  | 14 -> Some AL
-  | _ -> None
+  | "hs" -> Some CS
+  | "lo" -> Some CC
+  | s -> of_name conds s
 
 let invert_cond = function
   | EQ -> NE | NE -> EQ | CS -> CC | CC -> CS | MI -> PL | PL -> MI
@@ -47,19 +44,15 @@ let invert_cond = function
 
 type shift = Lsl | Lsr | Asr | Ror
 
-let shift_to_string = function
-  | Lsl -> "lsl" | Lsr -> "lsr" | Asr -> "asr" | Ror -> "ror"
+let shifts =
+  [ (Lsl, "lsl", 0); (Lsr, "lsr", 1); (Asr, "asr", 2); (Ror, "ror", 3) ]
 
 type extend = Uxtb | Uxth | Uxtw | Uxtx | Sxtb | Sxth | Sxtw | Sxtx
 
-let extend_to_string = function
-  | Uxtb -> "uxtb" | Uxth -> "uxth" | Uxtw -> "uxtw" | Uxtx -> "uxtx"
-  | Sxtb -> "sxtb" | Sxth -> "sxth" | Sxtw -> "sxtw" | Sxtx -> "sxtx"
-
-let extend_of_string = function
-  | "uxtb" -> Some Uxtb | "uxth" -> Some Uxth | "uxtw" -> Some Uxtw
-  | "uxtx" -> Some Uxtx | "sxtb" -> Some Sxtb | "sxth" -> Some Sxth
-  | "sxtw" -> Some Sxtw | "sxtx" -> Some Sxtx | _ -> None
+let extends =
+  [ (Uxtb, "uxtb", 0); (Uxth, "uxth", 1); (Uxtw, "uxtw", 2);
+    (Uxtx, "uxtx", 3); (Sxtb, "sxtb", 4); (Sxth, "sxth", 5);
+    (Sxtw, "sxtw", 6); (Sxtx, "sxtx", 7) ]
 
 (** Second operand of an ALU instruction. *)
 type operand2 =
@@ -89,6 +82,9 @@ type target = Sym of string | Off of int
 
 type mem_size = B | H | W | X
 
+(** The code is the size field, log2 of the access's bytes. *)
+let mem_sizes = [ (B, "b", 0); (H, "h", 1); (W, "w", 2); (X, "x", 3) ]
+
 let mem_bytes = function B -> 1 | H -> 2 | W -> 4 | X -> 8
 
 type alu_op = ADD | SUB | AND | ORR | EOR | BIC | ORN | EON
@@ -99,27 +95,30 @@ let alu_op_to_string = function
 
 type csel_op = CSEL | CSINC | CSINV | CSNEG
 
-let csel_op_to_string = function
-  | CSEL -> "csel" | CSINC -> "csinc" | CSINV -> "csinv" | CSNEG -> "csneg"
+(** The code is op:o2 (bits 30 and 10). *)
+let csel_ops =
+  [ (CSEL, "csel", 0); (CSINC, "csinc", 1); (CSINV, "csinv", 2);
+    (CSNEG, "csneg", 3) ]
 
 type fop2 = FADD | FSUB | FMUL | FDIV | FMIN | FMAX
 
-let fop2_to_string = function
-  | FADD -> "fadd" | FSUB -> "fsub" | FMUL -> "fmul" | FDIV -> "fdiv"
-  | FMIN -> "fmin" | FMAX -> "fmax"
+let fop2s =
+  [ (FMUL, "fmul", 0); (FDIV, "fdiv", 1); (FADD, "fadd", 2);
+    (FSUB, "fsub", 3); (FMAX, "fmax", 4); (FMIN, "fmin", 5) ]
 
 type fop1 = FNEG | FABS | FSQRT | FMOV
 
-let fop1_to_string = function
-  | FNEG -> "fneg" | FABS -> "fabs" | FSQRT -> "fsqrt" | FMOV -> "fmov"
+let fop1s =
+  [ (FMOV, "fmov", 0); (FABS, "fabs", 1); (FNEG, "fneg", 2);
+    (FSQRT, "fsqrt", 3) ]
 
 type movk = MOVZ | MOVN | MOVK
 
-let mov_to_string = function MOVZ -> "movz" | MOVN -> "movn" | MOVK -> "movk"
+let movs = [ (MOVN, "movn", 0); (MOVZ, "movz", 2); (MOVK, "movk", 3) ]
 
 type bf_op = UBFM | SBFM | BFM
 
-let bf_to_string = function UBFM -> "ubfm" | SBFM -> "sbfm" | BFM -> "bfm"
+let bf_ops = [ (SBFM, "sbfm", 0); (BFM, "bfm", 1); (UBFM, "ubfm", 2) ]
 
 (** Second operand of a conditional compare: a register or a 5-bit
     unsigned immediate. *)

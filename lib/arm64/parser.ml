@@ -70,25 +70,18 @@ type operand =
   | OExt of extend * int option
   | OSym of string
 
-let shift_of_string = function
-  | "lsl" -> Some Lsl
-  | "lsr" -> Some Lsr
-  | "asr" -> Some Asr
-  | "ror" -> Some Ror
-  | _ -> None
-
 (** Parse the space-separated modifier forms "lsl #3", "uxtw", "uxtw #2". *)
 let parse_modifier (s : string) : operand option =
   match String.index_opt s ' ' with
   | None -> (
-      match extend_of_string s with
+      match of_name extends s with
       | Some e -> Some (OExt (e, None))
       | None -> None)
   | Some i -> (
       let kw = String.sub s 0 i
       and rest = String.trim (String.sub s (i + 1) (String.length s - i - 1))
       in
-      match (shift_of_string kw, extend_of_string kw, parse_imm rest) with
+      match (of_name shifts kw, of_name extends kw, parse_imm rest) with
       | Some k, _, Some n -> Some (OShift (k, n))
       | _, Some e, Some n -> Some (OExt (e, Some n))
       | _ -> None)
@@ -192,7 +185,7 @@ let alu op flags dst src rest =
         match (op, op2) with
         | (ADD | SUB), Sh (r, Lsl, 0)
           when Reg.is_sp dst || Reg.is_sp src ->
-            Ext (Reg.with_width Reg.W64 r, Uxtx, 0)
+            Ext (Reg.with_width (Reg.width dst) r, Uxtx, 0)
         | _ -> op2
       in
       Ok (Alu { op; flags; dst; src; op2 })
@@ -215,6 +208,13 @@ let mem_ops mnemonic ops =
   | [ OReg d1; OReg d2; OMem a ] -> Ok (`GP (d1, d2, a))
   | [ OFp d1; OFp d2; OMem a ] -> Ok (`FP (d1, d2, a))
   | _ -> Error (Printf.sprintf "bad %s operands" mnemonic)
+
+(* ldxr, stxr, ldar and stlr: a b or h suffix names the access size,
+   else the register's width does *)
+let excl_size m r =
+  match of_name mem_sizes (String.sub m 4 (String.length m - 4)) with
+  | Some sz -> sz
+  | None -> if w64 r then X else W
 
 let build (mnemonic : string) (ops : operand list) : (t, string) result =
   let m = mnemonic in
@@ -273,7 +273,7 @@ let build (mnemonic : string) (ops : operand list) : (t, string) result =
         Ok (Mov { op = MOVN; dst; imm = lnot v; hw = 0 })
       else err
   | ("movz" | "movn" | "movk"), OReg dst :: OImm v :: rest -> (
-      let op = match m with "movz" -> MOVZ | "movn" -> MOVN | _ -> MOVK in
+      let op = Option.get (of_name movs m) in
       match rest with
       | [] -> Ok (Mov { op; dst; imm = v; hw = 0 })
       | [ OShift (Lsl, s) ] when s mod 16 = 0 ->
@@ -281,10 +281,7 @@ let build (mnemonic : string) (ops : operand list) : (t, string) result =
       | _ -> err)
   (* --- shifts and bitfields --- *)
   | ("lsl" | "lsr" | "asr" | "ror"), [ OReg dst; OReg src; OReg amount ] ->
-      let op =
-        match m with "lsl" -> Lsl | "lsr" -> Lsr | "asr" -> Asr | _ -> Ror
-      in
-      Ok (Shiftv { op; dst; src; amount })
+      Ok (Shiftv { op = Option.get (of_name shifts m); dst; src; amount })
   | "lsl", [ OReg dst; OReg src; OImm n ] ->
       let bits = wbits dst in
       if n < 0 || n >= bits then err
@@ -299,8 +296,8 @@ let build (mnemonic : string) (ops : operand list) : (t, string) result =
       Ok (Extr { dst; src1 = src; src2 = src; lsb = n })
   | ("ubfm" | "sbfm" | "bfm"), [ OReg dst; OReg src; OImm immr; OImm imms ]
     ->
-      let op = match m with "ubfm" -> UBFM | "sbfm" -> SBFM | _ -> BFM in
-      Ok (Bitfield { op; dst; src; immr; imms })
+      Ok (Bitfield { op = Option.get (of_name bf_ops m); dst; src; immr;
+                     imms })
   | ("ubfx" | "sbfx"), [ OReg dst; OReg src; OImm lsb; OImm width ] ->
       let op = if m = "ubfx" then UBFM else SBFM in
       Ok (Bitfield { op; dst; src; immr = lsb; imms = lsb + width - 1 })
@@ -358,14 +355,8 @@ let build (mnemonic : string) (ops : operand list) : (t, string) result =
     [ OReg dst; OReg src1; OReg src2; OSym c ] -> (
       match cond_of_string c with
       | Some cond ->
-          let op =
-            match m with
-            | "csel" -> CSEL
-            | "csinc" -> CSINC
-            | "csinv" -> CSINV
-            | _ -> CSNEG
-          in
-          Ok (Csel { op; dst; src1; src2; cond })
+          Ok (Csel { op = Option.get (of_name csel_ops m); dst; src1; src2;
+                     cond })
       | None -> err)
   | "cset", [ OReg dst; OSym c ] -> (
       match cond_of_string c with
@@ -453,37 +444,13 @@ let build (mnemonic : string) (ops : operand list) : (t, string) result =
       | Ok (`FP (r1, r2, a)) -> Ok (Fstp { r1; r2; addr = a })
       | _ -> err)
   | ("ldxr" | "ldxrb" | "ldxrh"), [ OReg d; OMem (Imm_off (b, 0)) ] ->
-      let sz : mem_size =
-        match m with
-        | "ldxrb" -> B
-        | "ldxrh" -> H
-        | _ -> if w64 d then X else W
-      in
-      Ok (Ldxr { sz; dst = d; base = b })
+      Ok (Ldxr { sz = excl_size m d; dst = d; base = b })
   | ("stxr" | "stxrb" | "stxrh"), [ OReg st; OReg s; OMem (Imm_off (b, 0)) ] ->
-      let sz : mem_size =
-        match m with
-        | "stxrb" -> B
-        | "stxrh" -> H
-        | _ -> if w64 s then X else W
-      in
-      Ok (Stxr { sz; status = st; src = s; base = b })
+      Ok (Stxr { sz = excl_size m s; status = st; src = s; base = b })
   | ("ldar" | "ldarb" | "ldarh"), [ OReg d; OMem (Imm_off (b, 0)) ] ->
-      let sz : mem_size =
-        match m with
-        | "ldarb" -> B
-        | "ldarh" -> H
-        | _ -> if w64 d then X else W
-      in
-      Ok (Ldar { sz; dst = d; base = b })
+      Ok (Ldar { sz = excl_size m d; dst = d; base = b })
   | ("stlr" | "stlrb" | "stlrh"), [ OReg s; OMem (Imm_off (b, 0)) ] ->
-      let sz : mem_size =
-        match m with
-        | "stlrb" -> B
-        | "stlrh" -> H
-        | _ -> if w64 s then X else W
-      in
-      Ok (Stlr { sz; src = s; base = b })
+      Ok (Stlr { sz = excl_size m s; src = s; base = b })
   (* --- branches --- *)
   | "b", [ OSym s ] -> (
       match parse_target s with Some t -> Ok (B t) | None -> err)
@@ -508,19 +475,9 @@ let build (mnemonic : string) (ops : operand list) : (t, string) result =
   (* --- floating point --- *)
   | ("fadd" | "fsub" | "fmul" | "fdiv" | "fmin" | "fmax"),
     [ OFp dst; OFp src1; OFp src2 ] ->
-      let op =
-        match m with
-        | "fadd" -> FADD
-        | "fsub" -> FSUB
-        | "fmul" -> FMUL
-        | "fdiv" -> FDIV
-        | "fmin" -> FMIN
-        | _ -> FMAX
-      in
-      Ok (Fop2 { op; dst; src1; src2 })
+      Ok (Fop2 { op = Option.get (of_name fop2s m); dst; src1; src2 })
   | ("fneg" | "fabs" | "fsqrt"), [ OFp dst; OFp src ] ->
-      let op = match m with "fneg" -> FNEG | "fabs" -> FABS | _ -> FSQRT in
-      Ok (Fop1 { op; dst; src })
+      Ok (Fop1 { op = Option.get (of_name fop1s m); dst; src })
   | ("fmadd" | "fmsub"), [ OFp dst; OFp src1; OFp src2; OFp acc ] ->
       Ok (Fmadd { sub = m = "fmsub"; dst; src1; src2; acc })
   | "fcmp", [ OFp src1; OFp src2 ] -> Ok (Fcmp { src1; src2 = Some src2 })

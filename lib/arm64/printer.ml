@@ -19,10 +19,10 @@ let operand2_to_string = function
   | Imm (v, 0) -> Printf.sprintf "#%d" v
   | Imm (v, sh) -> Printf.sprintf "#%d, lsl #%d" v sh
   | Sh (r, Lsl, 0) -> buf_reg r
-  | Sh (r, k, a) -> Printf.sprintf "%s, %s #%d" (buf_reg r) (shift_to_string k) a
-  | Ext (r, e, 0) -> Printf.sprintf "%s, %s" (buf_reg r) (extend_to_string e)
+  | Sh (r, k, a) -> Printf.sprintf "%s, %s #%d" (buf_reg r) (name shifts k) a
+  | Ext (r, e, 0) -> Printf.sprintf "%s, %s" (buf_reg r) (name extends e)
   | Ext (r, e, a) ->
-      Printf.sprintf "%s, %s #%d" (buf_reg r) (extend_to_string e) a
+      Printf.sprintf "%s, %s #%d" (buf_reg r) (name extends e) a
 
 let addr_to_string = function
   | Imm_off (r, 0) -> Printf.sprintf "[%s]" (buf_reg r)
@@ -33,10 +33,10 @@ let addr_to_string = function
   | Reg_off (r, m, Uxtx, a) ->
       Printf.sprintf "[%s, %s, lsl #%d]" (buf_reg r) (buf_reg m) a
   | Reg_off (r, m, e, 0) ->
-      Printf.sprintf "[%s, %s, %s]" (buf_reg r) (buf_reg m) (extend_to_string e)
+      Printf.sprintf "[%s, %s, %s]" (buf_reg r) (buf_reg m) (name extends e)
   | Reg_off (r, m, e, a) ->
       Printf.sprintf "[%s, %s, %s #%d]" (buf_reg r) (buf_reg m)
-        (extend_to_string e) a
+        (name extends e) a
 
 let ld_mnemonic (sz : mem_size) signed (dstw : Reg.width) =
   match (sz, signed, dstw) with
@@ -83,14 +83,14 @@ let to_string (i : t) : string =
         (if flags then "s" else "")
         (buf_reg dst) (buf_reg src) (operand2_to_string op2)
   | Shiftv { op; dst; src; amount } ->
-      s "%s %s, %s, %s" (shift_to_string op) (buf_reg dst) (buf_reg src)
+      s "%s %s, %s, %s" (name shifts op) (buf_reg dst) (buf_reg src)
         (buf_reg amount)
   | Mov { op; dst; imm; hw = 0 } ->
-      s "%s %s, #%d" (mov_to_string op) (buf_reg dst) imm
+      s "%s %s, #%d" (name movs op) (buf_reg dst) imm
   | Mov { op; dst; imm; hw } ->
-      s "%s %s, #%d, lsl #%d" (mov_to_string op) (buf_reg dst) imm (hw * 16)
+      s "%s %s, #%d, lsl #%d" (name movs op) (buf_reg dst) imm (hw * 16)
   | Bitfield { op; dst; src; immr; imms } ->
-      s "%s %s, %s, #%d, #%d" (bf_to_string op) (buf_reg dst) (buf_reg src)
+      s "%s %s, %s, #%d, #%d" (name bf_ops op) (buf_reg dst) (buf_reg src)
         immr imms
   | Extr { dst; src1; src2; lsb } ->
       s "extr %s, %s, %s, #%d" (buf_reg dst) (buf_reg src1) (buf_reg src2) lsb
@@ -114,7 +114,7 @@ let to_string (i : t) : string =
         (if cmn then "ccmn" else "ccmp")
         (buf_reg src)
         (match op2 with CReg r -> buf_reg r | CImm v -> Printf.sprintf "#%d" v)
-        nzcv (cond_to_string cond)
+        nzcv (name conds cond)
   | Smulh { signed; dst; src1; src2 } ->
       s "%s %s, %s, %s"
         (if signed then "smulh" else "umulh")
@@ -124,8 +124,8 @@ let to_string (i : t) : string =
         (if signed then "sdiv" else "udiv")
         (buf_reg dst) (buf_reg src1) (buf_reg src2)
   | Csel { op; dst; src1; src2; cond } ->
-      s "%s %s, %s, %s, %s" (csel_op_to_string op) (buf_reg dst)
-        (buf_reg src1) (buf_reg src2) (cond_to_string cond)
+      s "%s %s, %s, %s, %s" (name csel_ops op) (buf_reg dst)
+        (buf_reg src1) (buf_reg src2) (name conds cond)
   | Cls { count_zero; dst; src } ->
       s "%s %s, %s" (if count_zero then "clz" else "cls") (buf_reg dst)
         (buf_reg src)
@@ -165,7 +165,7 @@ let to_string (i : t) : string =
       s "stlr%s %s, [%s]" (sz_suffix sz) (buf_reg src) (buf_reg base)
   | B t -> s "b %s" (target_to_string t)
   | Bl t -> s "bl %s" (target_to_string t)
-  | Bcond (c, t) -> s "b.%s %s" (cond_to_string c) (target_to_string t)
+  | Bcond (c, t) -> s "b.%s %s" (name conds c) (target_to_string t)
   | Cbz { nz; reg; target } ->
       s "%s %s, %s" (if nz then "cbnz" else "cbz") (buf_reg reg)
         (target_to_string target)
@@ -177,8 +177,8 @@ let to_string (i : t) : string =
   | Ret (Reg.R (Reg.W64, 30)) -> "ret"
   | Ret r -> s "ret %s" (buf_reg r)
   | Fop2 { op; dst; src1; src2 } ->
-      s "%s %s, %s, %s" (fop2_to_string op) (fp dst) (fp src1) (fp src2)
-  | Fop1 { op; dst; src } -> s "%s %s, %s" (fop1_to_string op) (fp dst) (fp src)
+      s "%s %s, %s, %s" (name fop2s op) (fp dst) (fp src1) (fp src2)
+  | Fop1 { op; dst; src } -> s "%s %s, %s" (name fop1s op) (fp dst) (fp src)
   | Fmadd { sub; dst; src1; src2; acc } ->
       s "%s %s, %s, %s, %s"
         (if sub then "fmsub" else "fmadd")

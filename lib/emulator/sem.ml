@@ -1192,7 +1192,7 @@ let exec_term (m : Machine.t) (t : bterm) : int =
     copies it into a block.  With metrics armed the slot is marked
     fresh: its next retirement counts the decode miss. *)
 let fill (m : Machine.t) (pci : int) (s : int) : Machine.op =
-  let i = Decode.decode (Memory.fetch m.mem (Int64.of_int pci)) in
+  let i = Isa.decode (Memory.fetch m.mem (Int64.of_int pci)) in
   let op = slot pci i in
   let p = m.dc_page in
   Array.unsafe_set p.d_insn s i;

@@ -114,7 +114,7 @@ let write_repro ~(dir : string) ~(engine : string) ~(expect : expect)
 (** Disassemble machine code back to parseable assembly text (for
     repros of byte-level mutants). *)
 let disassemble (code : bytes) : string =
-  let insns = Lfi_arm64.Decode.decode_all code in
+  let insns = Lfi_arm64.Isa.decode_all code in
   let b = Buffer.create 256 in
   Array.iteri
     (fun i insn ->

@@ -55,7 +55,7 @@ let bitmask_imm datasize =
     int_range 1 (esize - 1) >>= fun ones ->
     int_range 0 (esize - 1) >>= fun rot ->
     let run = (1 lsl ones) - 1 in
-    let elt = Encode.ror_e esize run rot in
+    let elt = Isa.ror_e esize run rot in
     let rec replicate acc i =
       if i >= datasize then acc else replicate (acc lor (elt lsl i)) (i + esize)
     in

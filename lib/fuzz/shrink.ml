@@ -14,7 +14,7 @@
       that preserve the failure. *)
 
 let nop_word =
-  match Lfi_arm64.Encode.encode Lfi_arm64.Insn.Nop with
+  match Lfi_arm64.Isa.encode Lfi_arm64.Insn.Nop with
   | Ok w -> w
   | Error _ -> assert false
 

@@ -79,7 +79,7 @@ let witness_insns (i : Insn.t) : Insn.t list option =
 (** Concretize the hole [word] and run it under the escape oracle with
     the (weakened) [config] that accepted it. *)
 let confirm ~(config : Verifier.config) (word : int) : confirmation =
-  match witness_insns (Decode.decode word) with
+  match witness_insns (Isa.decode word) with
   | None -> Not_concretizable
   | Some body -> (
       let elf = Lfi_fuzz.Soundness.build_seed (source_of (body @ exit_tail)) in

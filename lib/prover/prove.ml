@@ -97,7 +97,7 @@ let check_program ?(config = Verifier.default_config)
   match Verifier.verify ~config ~origin ~code () with
   | Error vs -> Error vs
   | Ok _ ->
-      let insns = Decode.decode_all code in
+      let insns = Isa.decode_all code in
       let holes = ref [] in
       Array.iteri
         (fun idx i ->
@@ -160,7 +160,7 @@ let word_bytes (words : int list) : bytes =
 let encode_all (insns : Insn.t list) : int list option =
   List.fold_left
     (fun acc i ->
-      match (acc, Encode.encode i) with
+      match (acc, Isa.encode i) with
       | Some ws, Ok w -> Some (w :: ws)
       | _ -> None)
     (Some []) insns
@@ -175,7 +175,7 @@ let run_stratum ~(config : Verifier.config) ~(tier : Strata.tier)
   List.iter
     (fun word ->
       incr candidates;
-      let head = Decode.decode word in
+      let head = Isa.decode word in
       let fails = ref [] and ok = ref false in
       List.iter
         (fun suffix ->
@@ -187,7 +187,7 @@ let run_stratum ~(config : Verifier.config) ~(tier : Strata.tier)
               | Error _ -> ()
               | Ok _ ->
                   ok := true;
-                  let insns = Decode.decode_all code in
+                  let insns = Isa.decode_all code in
                   fails := !fails @ prove_window ~origin:code_origin insns 0))
         (completions head);
       if not !ok then incr rejected

@@ -27,7 +27,7 @@ type stratum = { name : string; desc : string; words : tier -> int list }
 (* ---- helpers ---- *)
 
 let enc (i : Insn.t) : int list =
-  match Encode.encode i with Ok w -> [ w ] | Error _ -> []
+  match Isa.encode i with Ok w -> [ w ] | Error _ -> []
 
 let cross (xs : 'a list) (f : 'a -> int list) : int list = List.concat_map f xs
 
@@ -216,7 +216,9 @@ let branch_words tier =
                   enc (Insn.Cbz { nz; reg; target = Insn.Off d })
                   @ enc
                       (Insn.Tbz
-                         { nz; reg; bit = 3; target = Insn.Off d }))))
+                         (* a bit below 32 tests the register's w form *)
+                         { nz; reg = Reg.with_width Reg.W32 reg; bit = 3;
+                           target = Insn.Off d }))))
   in
   (* br/blr/ret over every Rn, as raw words so Rn=31 (xzr) is covered *)
   let indirect =

@@ -895,7 +895,7 @@ let disasm_context rt (p : Proc.t) (pc : int64) :
         | w ->
             let word = Int64.to_int w in
             let text =
-              match Lfi_arm64.Decode.decode word with
+              match Lfi_arm64.Isa.decode word with
               | i -> Lfi_arm64.Printer.to_string i
               | exception _ -> Printf.sprintf ".word 0x%08x" word
             in

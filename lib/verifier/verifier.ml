@@ -157,7 +157,7 @@ let is_sp_based_access (i : Insn.t) =
 
 let verify ?(config = default_config) ?(origin = 0) ~(code : bytes) () :
     (result_ok, violation list) result =
-  let insns = Decode.decode_all code in
+  let insns = Isa.decode_all code in
   let n = Array.length insns in
   let violations = ref [] in
   let fail index rule =

@@ -14,7 +14,7 @@ let pin op0 =
   for hi = 0 to 7 do
     let base = (hi lsl 29) lor (op0 lsl 25) in
     for lo = 0 to (1 lsl 25) - 1 do
-      let i = Decode.decode (base lor lo) in
+      let i = Isa.decode (base lor lo) in
       (match i with Insn.Udf _ -> () | _ -> incr accepted);
       sum := ((!sum * 0x100000001B3) lxor Hashtbl.hash_param 64 128 i)
              land 0xFFFF_FFFF_FFFF

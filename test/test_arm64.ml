@@ -215,7 +215,7 @@ let golden =
 let test_golden_encodings () =
   List.iter
     (fun (asm, word) ->
-      match Encode.encode (parse asm) with
+      match Isa.encode (parse asm) with
       | Ok w ->
           if w <> word then
             Alcotest.failf "%s: got %08X, want %08X" asm w word
@@ -225,14 +225,14 @@ let test_golden_encodings () =
 let test_golden_decodings () =
   List.iter
     (fun (asm, word) ->
-      let i = Decode.decode word in
+      let i = Isa.decode word in
       checks asm (Printer.to_string (parse asm)) (Printer.to_string i))
     golden
 
 let test_encode_rejects () =
   List.iter
     (fun s ->
-      match Encode.encode (parse s) with
+      match Isa.encode (parse s) with
       | Ok w -> Alcotest.failf "%S should not encode (got %08X)" s w
       | Error _ -> ())
     [
@@ -243,13 +243,27 @@ let test_encode_rejects () =
       "b .+2" (* misaligned branch *);
       "movz x0, #65536";
       "tbz x0, #64, .+8";
+      (* operands of mixed width set the shared sf or type bits twice *)
+      "mul x0, w1, w2";
+      "fmadd d0, s1, d2, d3";
+      "madd x0, x1, w2, x3";
+      "sdiv x0, w1, x2";
+      "lsl x0, x1, w2";
+      "csel x0, w1, x2, eq";
+      "clz x0, w1";
+      "rbit w0, x1";
+      "rev x0, w1";
+      "smulh x0, w1, x2";
+      "extr x0, x1, w2, #3";
+      "fmsub s0, s1, d2, s3";
+      "fcmp d0, s1";
     ]
 
 let test_decode_unknown () =
   (* SVE and other unsupported encodings must decode to Udf *)
   List.iter
     (fun w ->
-      match Decode.decode w with
+      match Isa.decode w with
       | Insn.Udf _ -> ()
       | i -> Alcotest.failf "%08X decoded to %s" w (Printer.to_string i))
     [ 0xE5804000 (* SVE st1w *); 0x00000012; 0xFFFFFFFF ]
@@ -257,24 +271,127 @@ let test_decode_unknown () =
 let prop_encode_decode =
   QCheck.Test.make ~count:3000 ~name:"decode (encode i) = i"
     Gen.arbitrary_insn (fun i ->
-      match Encode.encode i with
+      match Isa.encode i with
       | Error e ->
           QCheck.Test.fail_reportf "%s: encode error %s" (Printer.to_string i) e
       | Ok w -> (
-          match Decode.decode w with
+          match Isa.decode w with
           | i2 when Insn.equal i i2 -> true
           | i2 ->
               QCheck.Test.fail_reportf "%s -> %08X -> %s"
                 (Printer.to_string i) w (Printer.to_string i2)))
 
+(* [f] and [g] applied to every general and FP register operand *)
+let map_regs g f (i : Insn.t) : Insn.t =
+  let open Insn in
+  let addr = function
+    | Imm_off (b, o) -> Imm_off (g b, o)
+    | Pre (b, o) -> Pre (g b, o)
+    | Post (b, o) -> Post (g b, o)
+    | Reg_off (b, m, e, a) -> Reg_off (g b, g m, e, a)
+  in
+  match i with
+  | Alu r ->
+      let op2 =
+        match r.op2 with
+        | Imm _ as x -> x
+        | Sh (m, k, a) -> Sh (g m, k, a)
+        | Ext (m, e, a) -> Ext (g m, e, a)
+      in
+      Alu { r with dst = g r.dst; src = g r.src; op2 }
+  | Shiftv r -> Shiftv { r with dst = g r.dst; src = g r.src; amount = g r.amount }
+  | Mov r -> Mov { r with dst = g r.dst }
+  | Bitfield r -> Bitfield { r with dst = g r.dst; src = g r.src }
+  | Extr r -> Extr { r with dst = g r.dst; src1 = g r.src1; src2 = g r.src2 }
+  | Madd r ->
+      Madd { r with dst = g r.dst; src1 = g r.src1; src2 = g r.src2;
+                    acc = g r.acc }
+  | Smulh r -> Smulh { r with dst = g r.dst; src1 = g r.src1; src2 = g r.src2 }
+  | Maddl r ->
+      Maddl { r with dst = g r.dst; src1 = g r.src1; src2 = g r.src2;
+                     acc = g r.acc }
+  | Div r -> Div { r with dst = g r.dst; src1 = g r.src1; src2 = g r.src2 }
+  | Csel r -> Csel { r with dst = g r.dst; src1 = g r.src1; src2 = g r.src2 }
+  | Ccmp r ->
+      let op2 = match r.op2 with CReg m -> CReg (g m) | c -> c in
+      Ccmp { r with src = g r.src; op2 }
+  | Cls r -> Cls { r with dst = g r.dst; src = g r.src }
+  | Rbit r -> Rbit { dst = g r.dst; src = g r.src }
+  | Rev r -> Rev { r with dst = g r.dst; src = g r.src }
+  | Adr r -> Adr { r with dst = g r.dst }
+  | Ldr r -> Ldr { r with dst = g r.dst; addr = addr r.addr }
+  | Str r -> Str { r with src = g r.src; addr = addr r.addr }
+  | Ldp r -> Ldp { r with r1 = g r.r1; r2 = g r.r2; addr = addr r.addr }
+  | Stp r -> Stp { r with r1 = g r.r1; r2 = g r.r2; addr = addr r.addr }
+  | Fldr r -> Fldr { dst = f r.dst; addr = addr r.addr }
+  | Fstr r -> Fstr { src = f r.src; addr = addr r.addr }
+  | Fldp r -> Fldp { r1 = f r.r1; r2 = f r.r2; addr = addr r.addr }
+  | Fstp r -> Fstp { r1 = f r.r1; r2 = f r.r2; addr = addr r.addr }
+  | Ldxr r -> Ldxr { r with dst = g r.dst; base = g r.base }
+  | Stxr r ->
+      Stxr { r with status = g r.status; src = g r.src; base = g r.base }
+  | Ldar r -> Ldar { r with dst = g r.dst; base = g r.base }
+  | Stlr r -> Stlr { r with src = g r.src; base = g r.base }
+  | Cbz r -> Cbz { r with reg = g r.reg }
+  | Tbz r -> Tbz { r with reg = g r.reg }
+  | Br r -> Br (g r)
+  | Blr r -> Blr (g r)
+  | Ret r -> Ret (g r)
+  | Fop2 r -> Fop2 { r with dst = f r.dst; src1 = f r.src1; src2 = f r.src2 }
+  | Fop1 r -> Fop1 { r with dst = f r.dst; src = f r.src }
+  | Fmadd r ->
+      Fmadd { r with dst = f r.dst; src1 = f r.src1; src2 = f r.src2;
+                     acc = f r.acc }
+  | Fcmp r -> Fcmp { src1 = f r.src1; src2 = Option.map f r.src2 }
+  | Fcvt r -> Fcvt { dst = f r.dst; src = f r.src }
+  | Scvtf r -> Scvtf { r with dst = f r.dst; src = g r.src }
+  | Fcvtzs r -> Fcvtzs { r with dst = g r.dst; src = f r.src }
+  | Fmov_to_fp r -> Fmov_to_fp { dst = f r.dst; src = g r.src }
+  | Fmov_from_fp r -> Fmov_from_fp { dst = g r.dst; src = f r.src }
+  | Mrs r -> Mrs { r with dst = g r.dst }
+  | Msr r -> Msr { r with src = g r.src }
+  | (B _ | Bl _ | Bcond _ | Nop | Svc _ | Dmb | Udf _) as i -> i
+
+(* An encodable instruction whose operands then each get an
+   independently drawn width (or FP size), and now and then zr or sp in
+   place of a numbered register. *)
+let mixed_insn =
+  QCheck.Gen.(
+    pair Gen.insn int >|= fun (i, seed) ->
+    let st = Random.State.make [| seed |] in
+    let pick l = List.nth l (Random.State.int st (List.length l)) in
+    let g r =
+      let w = pick [ Reg.W32; Reg.W64 ] in
+      match (Random.State.int st 8, r) with
+      | 0, _ -> Reg.ZR w
+      | 1, _ -> Reg.SP w
+      | _, Reg.R (_, n) -> Reg.R (w, n)
+      | _, r -> Reg.with_width w r
+    in
+    let f (x : Reg.Fp.t) =
+      Reg.Fp.v (pick [ Reg.Fp.S; Reg.Fp.D; Reg.Fp.Q ]) x.Reg.Fp.n
+    in
+    map_regs g f i)
+
+let prop_encode_total =
+  QCheck.Test.make ~count:5000 ~name:"encode i = Ok w => decode w = i"
+    (QCheck.make ~print:Printer.to_string mixed_insn) (fun i ->
+      match Isa.encode i with
+      | Error _ -> true
+      | Ok w ->
+          let i2 = Isa.decode w in
+          Insn.equal i i2
+          || QCheck.Test.fail_reportf "%s -> %08X -> %s" (Printer.to_string i)
+               w (Printer.to_string i2))
+
 let prop_bitmask =
   QCheck.Test.make ~count:1000 ~name:"bitmask imm encode/decode"
     (QCheck.make (Gen.bitmask_imm 64))
     (fun v ->
-      match Encode.encode_bitmask ~datasize:64 v with
+      match Isa.encode_bitmask ~datasize:64 v with
       | Error e -> QCheck.Test.fail_reportf "%d: %s" v e
       | Ok (n, immr, imms) -> (
-          match Encode.decode_bitmask ~datasize:64 ~n ~immr ~imms with
+          match Isa.decode_bitmask ~datasize:64 ~n ~immr ~imms with
           | Some v2 when v2 = v -> true
           | Some v2 -> QCheck.Test.fail_reportf "%x -> %x" v v2
           | None -> QCheck.Test.fail_reportf "%x: decode failed" v))
@@ -382,7 +499,7 @@ let decode_digest golden_words op0 =
   let n = ref 0 and accepted = ref 0 in
   let visit w =
     incr n;
-    let i = Decode.decode w in
+    let i = Isa.decode w in
     (match i with Insn.Udf _ -> () | _ -> incr accepted);
     Buffer.add_string buf (Printer.to_string i);
     Buffer.add_char buf '\n'
@@ -403,7 +520,7 @@ let decode_digest golden_words op0 =
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 let golden_line i =
-  match Encode.encode i with
+  match Isa.encode i with
   | Ok w -> Printf.sprintf "%08X  %s" w (Printer.to_string i)
   | Error _ -> Printf.sprintf "error     %s" (Printer.to_string i)
 
@@ -412,7 +529,7 @@ let golden_lines () =
   let words =
     List.map
       (fun i ->
-        match Encode.encode i with
+        match Isa.encode i with
         | Ok w -> w
         | Error e -> failwith (Printer.to_string i ^ ": " ^ e))
       population
@@ -436,6 +553,45 @@ let read_lines path =
         List.rev acc
   in
   go []
+
+(* The first row of [w]'s bucket that decodes it. *)
+let decoded_by w =
+  List.concat_map
+    (fun (op0s, rows) -> if List.mem ((w lsr 25) land 0xF) op0s then rows else [])
+    Isa.table
+  |> List.find_opt (fun (r : Isa.row) ->
+         w land r.mask = r.fixed
+         && match r.dec w with _ -> true | exception Isa.Reserved -> false)
+
+(* Every row's fixed mask and field masks are pairwise disjoint and
+   cover all 32 bits, and every row decodes some golden word (no row is
+   shadowed by an earlier one in its bucket). *)
+let test_table_self_check () =
+  let words =
+    List.filter_map
+      (fun i -> Result.to_option (Isa.encode i))
+      (golden_population ())
+  in
+  let hit = List.filter_map decoded_by words in
+  List.iter
+    (fun (_, rows) ->
+      List.iter
+        (fun (r : Isa.row) ->
+          let cover =
+            List.fold_left
+              (fun acc (Isa.F f) ->
+                let m = f.Isa.mask in
+                if acc land m <> 0 then
+                  Alcotest.failf "%s: field %08X overlaps" r.name m;
+                acc lor m)
+              r.mask r.fields
+          in
+          checki (r.name ^ " covers all 32 bits") 0xFFFFFFFF cover;
+          checki (r.name ^ " fixed bits inside the mask") 0
+            (r.fixed land lnot r.mask);
+          checkb (r.name ^ " decodes a golden word") true (List.memq r hit))
+        rows)
+    Isa.table
 
 let test_encode_golden () =
   let expected = read_lines "encode_golden.txt" in
@@ -603,6 +759,8 @@ let () =
           Alcotest.test_case "rejects" `Quick test_encode_rejects;
           Alcotest.test_case "golden" `Quick test_encode_golden;
           Alcotest.test_case "golden coverage" `Quick test_golden_coverage;
+          Alcotest.test_case "table self-check" `Quick test_table_self_check;
+          QCheck_alcotest.to_alcotest prop_encode_total;
           Alcotest.test_case "unknown decodes to udf" `Quick test_decode_unknown;
           QCheck_alcotest.to_alcotest prop_encode_decode;
           QCheck_alcotest.to_alcotest prop_bitmask;

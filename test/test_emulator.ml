@@ -556,7 +556,7 @@ let ig_extras =
   ]
 
 let ig_words (insns : Insn.t list) : int list =
-  List.filter_map (fun i -> Result.to_option (Encode.encode i)) insns
+  List.filter_map (fun i -> Result.to_option (Isa.encode i)) insns
 
 let asm_words (body : string) : int list =
   let t = (Assemble.assemble_string ("_start:\n\t" ^ body)).Assemble.text in
@@ -596,7 +596,7 @@ let ig_population () : (int list * ig_state) list =
   in
   streams @ classes @ extras
 
-let ig_svc = Result.get_ok (Encode.encode (Insn.Svc 1))
+let ig_svc = Result.get_ok (Isa.encode (Insn.Svc 1))
 
 (* The differential reference: [Exec.step] one instruction at a time,
    so no superblock is ever built, with [Exec.run]'s contract — stop at
@@ -794,7 +794,7 @@ let test_insn_coverage () =
         | _ -> m.Machine.insns
       in
       List.iteri
-        (fun k w -> if k < completed then retired := Decode.decode w :: !retired)
+        (fun k w -> if k < completed then retired := Isa.decode w :: !retired)
         words)
     (ig_population ());
   List.iter

@@ -243,7 +243,7 @@ let test_shrink_items () =
 let test_shrink_words () =
   (* four instructions; only word 2 is load-bearing *)
   let enc i =
-    match Encode.encode i with Ok w -> w | Error _ -> assert false
+    match Isa.encode i with Ok w -> w | Error _ -> assert false
   in
   let words =
     [

@@ -59,7 +59,7 @@ let decode_at (elf : Lfi_elf.Elf.t) (pc : int) : Insn.t option =
           (Bytes.get_int32_le s.Lfi_elf.Elf.data (pc - s.Lfi_elf.Elf.vaddr))
         land 0xffffffff
       in
-      try Some (Decode.decode word) with _ -> None)
+      try Some (Isa.decode word) with _ -> None)
   | _ -> None
 
 let is_guard_insn (elf : Lfi_elf.Elf.t) (pc : int) : bool =
