@@ -1,7 +1,7 @@
 (** QCheck generators for the ARM64 instruction subset.
 
     [insn] generates only *encodable* instructions (operand widths and
-    immediate ranges within what {!Lfi_arm64.Encode} accepts), so the
+    immediate ranges within what {!Lfi_arm64.Isa.encode} accepts), so the
     round-trip properties [decode (encode i) = i] and
     [parse (print i) = i] can require success rather than skip.
 

@@ -10,7 +10,7 @@
     by construction.  The memory families are generated as raw words
     (covering mis-encodings and reserved patterns that no [Insn.t]
     value round-trips through); everything else is built with
-    {!Encode} from instruction templates.
+    {!Lfi_arm64.Isa.encode} from instruction templates.
 
     [Smoke] keeps each grid small enough for a per-push CI gate;
     [Full] widens every register and immediate axis for the nightly
