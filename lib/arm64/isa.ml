@@ -500,8 +500,8 @@ let movw =
     (fun dst op hw imm -> Mov { op; dst; imm; hw })
     (function Mov { op; dst; imm; hw } -> Some (dst, op, hw, imm) | _ -> None)
 
-(* a 32-bit immr or imms above 31 decodes (as it always has) but does
-   not encode *)
+(* decode admits a 32-bit immr or imms above 31, which the architecture
+   reserves (the exhaustive decode pin holds it); encode does not *)
 let bitfield =
   let op = at 29 2 (Enum (named bf_ops)) in
   row5 "bitfield" 0x1F800000 0x13000000 [ F sfn ]
