@@ -171,11 +171,7 @@ and slot = Zr | Sp
     which passes it to [gp_as], [fp_as] and [put_as]. *)
 and 'w src = By of 'w field | Fixed of 'w | Given
 
-and 'a enum = {
-  codes : ('a * int) list;
-  table : 'a option array;
-  index : ('a, int) Hashtbl.t;
-}
+and 'a enum = { codes : ('a * int) list; table : 'a option array }
 
 let field parts kind =
   let len = List.fold_left (fun n (_, l) -> n + l) 0 parts in
@@ -190,7 +186,7 @@ let at lo len kind = field [ (lo, len) ] kind
 let enum codes =
   let table = Array.make 64 None in
   List.iter (fun (v, c) -> if c < 64 then table.(c) <- Some v) codes;
-  { codes; table; index = Hashtbl.of_seq (List.to_seq codes) }
+  { codes; table }
 
 let named l = enum (List.map (fun (v, _, c) -> (v, c)) l)
 
@@ -278,6 +274,15 @@ let write a f v =
   a.word <- a.word lor bits;
   a.set <- a.set lor f.mask
 
+(* an enum value's code, or -1; constant constructors match physically *)
+let code_of x codes =
+  let rec find eq = function
+    | [] -> -1
+    | (v, c) :: rest -> if eq v x then c else find eq rest
+  in
+  let c = find ( == ) codes in
+  if c >= 0 then c else find ( = ) codes
+
 (** Write [x] into field [f].  A field that sets a width shared with
     another is written after it, or checked against it. *)
 let rec put : type a. acc -> a field -> a -> unit =
@@ -315,15 +320,10 @@ let rec put : type a. acc -> a field -> a -> unit =
       write a f x
   | Bit -> write a f (Bool.to_int x)
   | Width -> write a f (if x = Reg.W32 then 0 else (1 lsl f.len) - 1)
-  | Enum e -> (
-      (* immediate values match physically, others by hashing *)
-      match
-        match List.find_opt (fun (v, _) -> v == x) e.codes with
-        | Some (_, c) -> Some c
-        | None -> Hashtbl.find_opt e.index x
-      with
-      | Some c -> write a f c
-      | None -> fail "operand not encodable here")
+  | Enum e ->
+      let c = code_of x e.codes in
+      if c < 0 then fail "operand not encodable here";
+      write a f c
   | Bitmask -> (
       match encode_bitmask ~datasize:(if sf32 a.word then 32 else 64) x with
       | Ok (n, immr, imms) -> write a f ((n lsl 12) lor (immr lsl 6) lor imms)
@@ -547,37 +547,32 @@ let addsub_ext flags =
           put a ext e; put a amount amt; true
       | _ -> false)
 
-let addsub_shifted =
-  let op = at 29 2 (Enum (enum [ ((ADD, false), 0); ((ADD, true), 1);
-                                 ((SUB, false), 2); ((SUB, true), 3) ])) in
+let addsub_shifted flags =
   let shifts = List.filter (fun (k, _, _) -> k <> Ror) shifts in
-  row6 "add-shifted" 0x1F200000 0x0B000000 [ F sf ]
-    (rd, rn, rm, op, at 22 2 (Enum (named shifts)), imm6)
-    (fun dst src r (op, flags) k a ->
-      Alu { op; flags; dst; src; op2 = Sh (r, k, a) })
+  row6 (if flags then "adds-shifted" else "add-shifted") 0x3F200000
+    (0x0B000000 lor (Bool.to_int flags lsl 29))
+    [ F sf ] (rd, rn, rm, addsub, at 22 2 (Enum (named shifts)), imm6)
+    (fun dst src r op k a -> Alu { op; flags; dst; src; op2 = Sh (r, k, a) })
     (function
-      | Alu { op = (ADD | SUB) as op; flags; dst; src; op2 = Sh (r, k, a) } ->
-          Some (dst, src, r, (op, flags), k, a)
+      | Alu { op = (ADD | SUB) as op; flags = f; dst; src; op2 = Sh (r, k, a) }
+        when f = flags -> Some (dst, src, r, op, k, a)
       | _ -> None)
 
-(* opc:N (bits 30:29 and 21) names the operation and whether it sets
-   flags *)
-let logical_shifted =
-  let op =
-    field [ (29, 2); (21, 1) ]
-      (Enum
-         (enum
-            [ ((AND, false), 0); ((BIC, false), 1); ((ORR, false), 2);
-              ((ORN, false), 3); ((EOR, false), 4); ((EON, false), 5);
-              ((AND, true), 6); ((BIC, true), 7) ]))
+(* opc:N (bits 30:29 and 21) names the operation; opc 11 (ands, bics)
+   sets flags *)
+let logical_shifted flags =
+  let ops = if flags then [ (AND, 6); (BIC, 7) ]
+    else [ (AND, 0); (BIC, 1); (ORR, 2); (ORN, 3); (EOR, 4); (EON, 5) ]
   in
-  row6 "logical-shifted" 0x1F000000 0x0A000000 [ F sf ]
-    (rd, rn, rm, op, at 22 2 (Enum (named shifts)), imm6)
-    (fun dst src r (op, flags) k a ->
-      Alu { op; flags; dst; src; op2 = Sh (r, k, a) })
+  row6 (if flags then "ands-shifted" else "logical-shifted") 0x1F000000
+    0x0A000000 [ F sf ]
+    (rd, rn, rm, field [ (29, 2); (21, 1) ] (Enum (enum ops)),
+     at 22 2 (Enum (named shifts)), imm6)
+    (fun dst src r op k a -> Alu { op; flags; dst; src; op2 = Sh (r, k, a) })
     (function
-      | Alu { op = (AND | BIC | ORR | ORN | EOR | EON) as op; flags; dst; src;
-              op2 = Sh (r, k, a) } -> Some (dst, src, r, (op, flags), k, a)
+      | Alu { op = (AND | BIC | ORR | ORN | EOR | EON) as op; flags = f; dst;
+              src; op2 = Sh (r, k, a) } when f = flags ->
+          Some (dst, src, r, op, k, a)
       | _ -> None)
 
 let madd =
@@ -719,10 +714,12 @@ let singles =
 let ldst = field [ (30, 2); (26, 1); (22, 2) ] (Enum (enum singles))
 let index l = Hashtbl.of_seq (List.to_seq l)
 
-(* what moves -> its scale and code *)
+(* what moves -> its code *)
 let single_codes :
     ([ `Ld of _ | `St of _ | `Fld of _ | `Fst of _ ], _) Hashtbl.t =
-  index (List.map (fun ((x, s), c) -> (x, (s, c))) singles)
+  index (List.map (fun ((x, _), c) -> (x, c)) singles)
+
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
 
 (* Rt is a general or an FP register, as the transfer says *)
 let single name mask fixed fields addr put_addr =
@@ -737,17 +734,21 @@ let single name mask fixed fields addr put_addr =
       | `Fst size -> Fstr { src = fp_as rt_f w size; addr })
     (fun a i ->
       let go x addr =
+        put_addr a (log2 (access_bytes i)) addr
+        &&
         match Hashtbl.find_opt single_codes x with
         | None -> fail "invalid load/store form"
-        | Some (scale, c) -> put_addr a scale addr && (write a ldst c; true)
+        | Some c -> write a ldst c; true
       in
       match i with
-      | Ldr { sz; signed; dst; addr } ->
-          put a rt_g dst; go (`Ld (sz, signed, Reg.width dst)) addr
-      | Str { sz; src; addr } ->
-          put a rt_g src; go (`St (sz, Reg.width src)) addr
-      | Fldr { dst; addr } -> put a rt_f dst; go (`Fld dst.Reg.Fp.size) addr
-      | Fstr { src; addr } -> put a rt_f src; go (`Fst src.Reg.Fp.size) addr
+      | Ldr { sz; signed; dst = r; addr } ->
+          go (`Ld (sz, signed, Reg.width r)) addr && (put a rt_g r; true)
+      | Str { sz; src = r; addr } ->
+          go (`St (sz, Reg.width r)) addr && (put a rt_g r; true)
+      | Fldr { dst = f; addr } ->
+          go (`Fld f.Reg.Fp.size) addr && (put a rt_f f; true)
+      | Fstr { src = f; addr } ->
+          go (`Fst f.Reg.Fp.size) addr && (put a rt_f f; true)
       | _ -> false)
 
 let scaled scale v =
@@ -774,24 +775,22 @@ let ld_imm9 name fixed mk un =
       | Some (b, o) -> put a base b; put a imm9 o; true
       | None -> false)
 
-(* register offset: option selects the extend and Rm's width, S shifts
-   Rm by the access size *)
+(* register offset: option selects the extend, which sets Rm's width;
+   S shifts Rm by the access size *)
 let ld_reg =
   let ext =
-    at 13 3
-      (Enum
-         (enum
-            [ ((Uxtw, Reg.W32), 2); ((Uxtx, Reg.W64), 3);
-              ((Sxtw, Reg.W32), 6); ((Sxtx, Reg.W64), 7) ]))
+    at 13 3 (Enum (enum [ (Uxtw, 2); (Uxtx, 3); (Sxtw, 6); (Sxtx, 7) ]))
   in
   let shifted = at 12 1 Bit in
+  let width e = if e = Uxtx || e = Sxtx then Reg.W64 else Reg.W32 in
   single "ldst-reg" 0x3B200C00 0x38200800 [ F rm_g; F ext; F shifted ]
     (fun b w scale ->
-      let e, wd = get ext w in
-      Reg_off (b, gp_as rm_g w wd, e, if get shifted w then scale else 0))
+      let e = get ext w in
+      Reg_off (b, gp_as rm_g w (width e), e,
+               if get shifted w then scale else 0))
     (fun a scale -> function
       | Reg_off (b, m, e, amt) ->
-          put a base b; put a rm_g m; put a ext (e, Reg.width m);
+          put a base b; put a ext e; put_as a rm_g (width e) m;
           if amt <> 0 && amt <> scale then fail "register-offset shift %d" amt;
           put a shifted (amt <> 0); true
       | _ -> false)
@@ -971,7 +970,8 @@ let table =
       [ addsub_imm false; addsub_imm true; adr false; adr true; logical_imm;
         ands_imm; movw; bitfield; extr ] );
     ( [ 0x5; 0xD ],
-      [ addsub_ext false; addsub_ext true; addsub_shifted; logical_shifted;
+      [ addsub_ext false; addsub_ext true; addsub_shifted false;
+        addsub_shifted true; logical_shifted false; logical_shifted true;
         madd; smulh; maddl; div; shiftv; rbit; rev; cls; csel;
         ccmp "ccmp-reg" 0x3A400000 rm (fun r -> CReg r)
           (function CReg r -> Some r | CImm _ -> None);

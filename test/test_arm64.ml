@@ -299,7 +299,8 @@ let map_regs g f (i : Insn.t) : Insn.t =
         | Ext (m, e, a) -> Ext (g m, e, a)
       in
       Alu { r with dst = g r.dst; src = g r.src; op2 }
-  | Shiftv r -> Shiftv { r with dst = g r.dst; src = g r.src; amount = g r.amount }
+  | Shiftv r ->
+      Shiftv { r with dst = g r.dst; src = g r.src; amount = g r.amount }
   | Mov r -> Mov { r with dst = g r.dst }
   | Bitfield r -> Bitfield { r with dst = g r.dst; src = g r.src }
   | Extr r -> Extr { r with dst = g r.dst; src1 = g r.src1; src2 = g r.src2 }
@@ -557,7 +558,8 @@ let read_lines path =
 (* The first row of [w]'s bucket that decodes it. *)
 let decoded_by w =
   List.concat_map
-    (fun (op0s, rows) -> if List.mem ((w lsr 25) land 0xF) op0s then rows else [])
+    (fun (op0s, rows) ->
+      if List.mem ((w lsr 25) land 0xF) op0s then rows else [])
     Isa.table
   |> List.find_opt (fun (r : Isa.row) ->
          w land r.mask = r.fixed
