@@ -3,9 +3,10 @@
     Each row of {!table} states one instruction class once: its fixed
     bits and mask, its operand fields (a bit position plus a kind) and
     its mapping to and from the {!Insn.t} constructor.  The encoder and
-    the decoder are both derived from the rows, so that the static
-    verifier, like the paper's, checks real A64 words decoded from an
-    ELF text segment rather than a trusted AST.
+    the decoder are both derived from the rows, so the two directions
+    cannot drift apart.  They produce and read real A64 words, so that
+    the static verifier, like the paper's, checks machine code decoded
+    from an ELF text segment rather than a trusted AST.
 
     - [decode] is total.  It tries the rows of the word's op0 bucket
       (bits 28:25) in order, reading each field straight from the word,
@@ -650,7 +651,7 @@ let csel =
 
 (* ccmp/ccmn with a register (bit 11 clear) or a 5-bit immediate *)
 let ccmp name fixed op2 mk un =
-  row5 name 0x3FE00C10 fixed [ F sf ] (rn, at 30 1 Bit, at 0 4 u, cond12, op2)
+  row5 name 0x3FE00C10 fixed [ F sf ] (rn, at 30 1 Bit, nzcv, cond12, op2)
     (fun src op nzcv cond v ->
       Ccmp { cmn = not op; src; op2 = mk v; nzcv; cond })
     (function
