@@ -209,10 +209,10 @@ let mem_ops mnemonic ops =
   | [ OFp d1; OFp d2; OMem a ] -> Ok (`FP (d1, d2, a))
   | _ -> Error (Printf.sprintf "bad %s operands" mnemonic)
 
-(* ldxr, stxr, ldar and stlr: a b or h suffix names the access size,
-   else the register's width does *)
-let excl_size m r =
-  match of_name mem_sizes (String.sub m 4 (String.length m - 4)) with
+(* The access size named by mnemonic [m]'s suffix after its first [n]
+   characters (b, h or w), else by the register's width *)
+let suffix_size m n r =
+  match of_name mem_sizes (String.sub m n (String.length m - n)) with
   | Some sz -> sz
   | None -> if w64 r then X else W
 
@@ -414,22 +414,19 @@ let build (mnemonic : string) (ops : operand list) : (t, string) result =
   | ("ldrb" | "ldrh"), _ -> (
       match mem_ops m ops with
       | Ok (`G (d, a)) when not (w64 d) ->
-          Ok (Ldr { sz = (if m = "ldrb" then B else H); signed = false;
-                    dst = d; addr = a })
+          Ok (Ldr { sz = suffix_size m 3 d; signed = false; dst = d; addr = a })
       | _ -> err)
   | ("ldrsb" | "ldrsh" | "ldrsw"), _ -> (
       match mem_ops m ops with
       | Ok (`G (d, a)) ->
-          let sz : mem_size =
-            match m with "ldrsb" -> B | "ldrsh" -> H | _ -> W
-          in
           if m = "ldrsw" && not (w64 d) then err
-          else Ok (Ldr { sz; signed = true; dst = d; addr = a })
+          else Ok (Ldr { sz = suffix_size m 4 d; signed = true; dst = d;
+                         addr = a })
       | _ -> err)
   | ("strb" | "strh"), _ -> (
       match mem_ops m ops with
       | Ok (`G (d, a)) when not (w64 d) ->
-          Ok (Str { sz = (if m = "strb" then B else H); src = d; addr = a })
+          Ok (Str { sz = suffix_size m 3 d; src = d; addr = a })
       | _ -> err)
   | "ldp", _ -> (
       match mem_ops m ops with
@@ -444,13 +441,13 @@ let build (mnemonic : string) (ops : operand list) : (t, string) result =
       | Ok (`FP (r1, r2, a)) -> Ok (Fstp { r1; r2; addr = a })
       | _ -> err)
   | ("ldxr" | "ldxrb" | "ldxrh"), [ OReg d; OMem (Imm_off (b, 0)) ] ->
-      Ok (Ldxr { sz = excl_size m d; dst = d; base = b })
+      Ok (Ldxr { sz = suffix_size m 4 d; dst = d; base = b })
   | ("stxr" | "stxrb" | "stxrh"), [ OReg st; OReg s; OMem (Imm_off (b, 0)) ] ->
-      Ok (Stxr { sz = excl_size m s; status = st; src = s; base = b })
+      Ok (Stxr { sz = suffix_size m 4 s; status = st; src = s; base = b })
   | ("ldar" | "ldarb" | "ldarh"), [ OReg d; OMem (Imm_off (b, 0)) ] ->
-      Ok (Ldar { sz = excl_size m d; dst = d; base = b })
+      Ok (Ldar { sz = suffix_size m 4 d; dst = d; base = b })
   | ("stlr" | "stlrb" | "stlrh"), [ OReg s; OMem (Imm_off (b, 0)) ] ->
-      Ok (Stlr { sz = excl_size m s; src = s; base = b })
+      Ok (Stlr { sz = suffix_size m 4 s; src = s; base = b })
   (* --- branches --- *)
   | "b", [ OSym s ] -> (
       match parse_target s with Some t -> Ok (B t) | None -> err)
