@@ -1048,7 +1048,7 @@ let decode_all (b : bytes) : t array =
   Array.init n (fun i ->
       decode (Int32.to_int (Bytes.get_int32_le b (i * 4)) land 0xFFFFFFFF))
 
-(* the bucket whose rows take [i] *)
+(* the op0 bucket whose rows can take [i]: encode tries only those *)
 let bucket_of = function
   | Alu { op2 = Imm _; _ } | Adr _ | Mov _ | Bitfield _ | Extr _ -> 0x8
   | Alu _ | Shiftv _ | Madd _ | Smulh _ | Maddl _ | Div _ | Csel _ | Ccmp _
