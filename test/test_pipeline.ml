@@ -155,9 +155,90 @@ let test_interp_matches_expected () =
   checki "shift mod" 2 (run1 (shl (i 1) (i 65)));
   checki "ftoi nan" 0 (run1 (ftoi (f 0.0 /. f 0.0)))
 
+(* ---------------- ELF golden ---------------- *)
+
+(* test/elf_golden.txt pins the build path's output bytes: for every
+   registry program, coremark, each library with its return trampoline
+   and a few seeded generated programs, native and rewritten at O2, one
+   line with the MD5 of [Elf.write (Elf.of_image (Assemble.assemble
+   src))], the entry point and a digest of the sorted symbol table.
+   Regenerate it only deliberately, with
+     LFI_GOLDEN_OUT=$PWD/test/elf_golden.txt \
+       dune exec test/test_pipeline.exe *)
+
+let golden_seeds = [ 1; 2; 3; 4; 5 ]
+
+let golden_programs () : (string * Ast.program) list =
+  List.map
+    (fun (w : Lfi_workloads.Common.t) ->
+      (w.Lfi_workloads.Common.short, w.Lfi_workloads.Common.program))
+    (Lfi_workloads.Registry.all @ [ Lfi_workloads.Coremark.workload ])
+  @ List.map
+      (fun (s : Lfi_libbox.Api.lib_spec) ->
+        ( s.Lfi_libbox.Api.l_short,
+          Lfi_libbox.Library.with_trampoline s.Lfi_libbox.Api.l_program ))
+      Lfi_workloads.Libs.all
+  @ List.map
+      (fun seed ->
+        ( Printf.sprintf "gen%d" seed,
+          QCheck.Gen.generate1 ~rand:(Random.State.make [| seed |]) gen_program
+        ))
+      golden_seeds
+
+let elf_line name level src =
+  let img = Lfi_arm64.Assemble.assemble src in
+  let bytes = Lfi_elf.Elf.write (Lfi_elf.Elf.of_image img) in
+  let syms =
+    Hashtbl.fold (fun n v acc -> (v, n) :: acc) img.Lfi_arm64.Assemble.symbols []
+    |> List.sort compare
+    |> List.map (fun (v, n) -> Printf.sprintf "%x %s\n" v n)
+    |> String.concat ""
+  in
+  Printf.sprintf "%s %s md5=%s bytes=%d entry=0x%x syms=%s" name level
+    (Digest.to_hex (Digest.bytes bytes))
+    (Bytes.length bytes) img.Lfi_arm64.Assemble.entry
+    (Digest.to_hex (Digest.string syms))
+
+let elf_golden_lines () =
+  List.concat_map
+    (fun (name, prog) ->
+      let native = Compile.compile prog in
+      let o2, _ = Lfi_core.Rewriter.rewrite ~config:Lfi_core.Config.o2 native in
+      [ elf_line name "native" native; elf_line name "o2" o2 ])
+    (golden_programs ())
+
+let write_elf_golden path =
+  let oc = open_out path in
+  List.iter (fun l -> output_string oc (l ^ "\n")) (elf_golden_lines ());
+  close_out oc;
+  Printf.printf "wrote the ELF golden to %s\n%!" path
+
+let read_lines path =
+  let ic = open_in path in
+  let rec go acc =
+    match input_line ic with
+    | l -> go (l :: acc)
+    | exception End_of_file ->
+        close_in ic;
+        List.rev acc
+  in
+  go []
+
+let test_elf_golden () =
+  let expected = read_lines "elf_golden.txt" in
+  let got = elf_golden_lines () in
+  checki "golden lines" (List.length expected) (List.length got);
+  List.iteri
+    (fun k (e, g) ->
+      Alcotest.(check string) (Printf.sprintf "line %d" (k + 1)) e g)
+    (List.combine expected got)
+
 let mk name f = Alcotest.test_case name `Quick f
 
 let () =
+  match Sys.getenv_opt "LFI_GOLDEN_OUT" with
+  | Some path -> write_elf_golden path
+  | None ->
   Alcotest.run "pipeline"
     [
       ( "differential",
@@ -174,4 +255,5 @@ let () =
           mk "stack discipline" test_wasm_stack_discipline;
           mk "serialization" test_wasm_serialization;
         ] );
+      ("elf", [ mk "golden" test_elf_golden ]);
     ]
