@@ -1,5 +1,6 @@
-(** Two-pass assembler: resolves labels, lays out text and data, and
-    encodes instructions to machine code.
+(** Assembler: one layout walk gives every label its address and sizes
+    text and data, then one emission walk encodes instructions to
+    machine code and writes the data.
 
     All addresses are *sandbox-relative*: the image is linked at
     [origin] (by default 64KiB, the start of code in the LFI sandbox
@@ -29,6 +30,10 @@ type image = {
   text : bytes;
   data_origin : int;
   data : bytes;
+  data_init : int;
+      (** how far the byte-writing data directives reach: every byte of
+          [data] from here on is zero fill (.zero, .skip, .space, .align),
+          so ELF packaging looks for the BSS boundary only below it *)
   symbols : (string, int) Hashtbl.t;
       (** symbol -> sandbox-relative address *)
   entry : int;  (** address of [_start] (or the first instruction) *)
@@ -110,74 +115,81 @@ let section_of_directive name args =
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Assembly                                                            *)
+(* Layout                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(** Assemble a parsed source file into an image. *)
-let assemble ?(origin = default_origin) (src : Source.t) : image =
-  let symbols : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  (* Pass 1: layout. *)
-  let text_size = ref 0 and data_size = ref 0 in
-  let sizes = Hashtbl.create 64 in
-  (* item index -> (section, offset) *)
-  let places = Hashtbl.create 64 in
-  let section = ref Text in
-  List.iteri
-    (fun idx item ->
-      let cursor = match !section with Text -> text_size | Data -> data_size in
-      match item with
-      | Source.Label l ->
-          if Hashtbl.mem symbols l then errorf idx "duplicate label %S" l;
-          Hashtbl.replace symbols l 0 (* real address assigned below *)
-      | Source.Insn _ ->
-          if !section <> Text then
-            errorf idx "instruction outside .text section";
-          Hashtbl.replace places idx (Text, !cursor);
-          cursor := !cursor + 4
-      | Source.Directive (name, args) -> (
-          match section_of_directive name args with
-          | Some s -> section := s
-          | None ->
-              let sz = directive_size idx ~at:!cursor name args in
-              Hashtbl.replace sizes idx sz;
-              Hashtbl.replace places idx (!section, !cursor);
-              cursor := !cursor + sz))
-    src;
-  ignore places;
-  (* Recompute symbol addresses properly with a second labelling pass
-     (avoiding the Obj.magic placeholder hack above). *)
-  Hashtbl.reset symbols;
-  (* The data section starts on its own 16KiB page so that the loader
-     can give text and data different page protections (W^X). *)
-  let data_origin = align_up (origin + !text_size) 16384 in
+type layout = {
+  labels : (string, int) Hashtbl.t;  (** label -> sandbox-relative address *)
+  text_size : int;
+  data_size : int;
+  data_addr : int;  (** the data section's address, 16KiB-aligned *)
+}
+
+(** The layout walk: one pass over [src] that gives every label its
+    address, rejects duplicate labels and instructions outside .text,
+    and sizes both sections.  [on_insn] sees the text offset of every
+    instruction, in order.  Data labels are recorded as section offsets
+    and rebased once the text size fixes the data origin. *)
+let layout ~origin ?(on_insn = ignore) (src : Source.t) : layout =
+  let labels : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  let data_labels = ref [] in
   let tpos = ref 0 and dpos = ref 0 in
   let section = ref Text in
   List.iteri
     (fun idx item ->
-      let cursor = match !section with Text -> tpos | Data -> dpos in
-      let addr () =
-        match !section with
-        | Text -> origin + !cursor
-        | Data -> data_origin + !cursor
-      in
       match item with
-      | Source.Label l -> Hashtbl.replace symbols l (addr ())
-      | Source.Insn _ -> cursor := !cursor + 4
+      | Source.Label l -> (
+          if Hashtbl.mem labels l then errorf idx "duplicate label %S" l;
+          match !section with
+          | Text -> Hashtbl.add labels l (origin + !tpos)
+          | Data ->
+              Hashtbl.add labels l !dpos;
+              data_labels := (l, !dpos) :: !data_labels)
+      | Source.Insn _ ->
+          if !section <> Text then
+            errorf idx "instruction outside .text section";
+          on_insn !tpos;
+          tpos := !tpos + 4
       | Source.Directive (name, args) -> (
           match section_of_directive name args with
           | Some s -> section := s
           | None ->
+              let cursor = match !section with Text -> tpos | Data -> dpos in
               cursor := !cursor + directive_size idx ~at:!cursor name args))
     src;
-  (* Pass 2: emission. *)
-  let text = Bytes.make !text_size '\000'
-  and data = Bytes.make !data_size '\000' in
+  (* The data section starts on its own 16KiB page so that the loader
+     can give text and data different page protections (W^X). *)
+  let data_addr = align_up (origin + !tpos) 16384 in
+  List.iter
+    (fun (l, off) -> Hashtbl.replace labels l (data_addr + off))
+    !data_labels;
+  { labels; text_size = !tpos; data_size = !dpos; data_addr }
+
+(* ------------------------------------------------------------------ *)
+(* Assembly                                                            *)
+(* ------------------------------------------------------------------ *)
+
+let float_arg idx a =
+  match float_of_string_opt a with
+  | Some f -> f
+  | None -> errorf idx "bad floating-point value %S" a
+
+(** Assemble a parsed source file into an image: the layout walk, then
+    one emission walk that encodes instructions and writes data. *)
+let assemble ?(origin = default_origin) (src : Source.t) : image =
+  let { labels = symbols; text_size; data_size; data_addr = data_origin } =
+    layout ~origin src
+  in
+  let text = Bytes.make text_size '\000'
+  and data = Bytes.make data_size '\000' in
   let resolve idx name =
     match Hashtbl.find_opt symbols name with
     | Some a -> a
     | None -> errorf idx "undefined symbol %S" name
   in
   let tpos = ref 0 and dpos = ref 0 in
+  (* how far the byte-writing directives reach into [data] *)
+  let data_init = ref 0 in
   let section = ref Text in
   List.iteri
     (fun idx item ->
@@ -212,7 +224,7 @@ let assemble ?(origin = default_origin) (src : Source.t) : image =
               in
               let emit_int size v =
                 for k = 0 to size - 1 do
-                  Bytes.set_uint8 buf (!cursor + k) ((v lsr (8 * k)) land 0xff)
+                  Bytes.set_uint8 buf (!cursor + k) ((v asr (8 * k)) land 0xff)
                 done;
                 cursor := !cursor + size
               in
@@ -224,85 +236,96 @@ let assemble ?(origin = default_origin) (src : Source.t) : image =
                        address (optionally with +offset) *)
                     let sym, off =
                       match String.index_opt arg '+' with
-                      | Some i ->
-                          ( String.trim (String.sub arg 0 i),
-                            int_of_string
-                              (String.trim
-                                 (String.sub arg (i + 1)
-                                    (String.length arg - i - 1))) )
+                      | Some i -> (
+                          let off =
+                            String.trim
+                              (String.sub arg (i + 1)
+                                 (String.length arg - i - 1))
+                          in
+                          match int_of_string_opt off with
+                          | Some o -> (String.trim (String.sub arg 0 i), o)
+                          | None -> errorf idx "bad symbol offset in %S" arg)
                       | None -> (arg, 0)
                     in
                     emit_int size (resolve idx sym + off)
               in
-              (match name with
-              | ".quad" | ".xword" | ".dword" ->
-                  List.iter (emit_value 8) (split_args args)
-              | ".word" | ".long" | ".4byte" ->
-                  List.iter (emit_value 4) (split_args args)
-              | ".short" | ".hword" | ".2byte" ->
-                  List.iter (emit_value 2) (split_args args)
-              | ".byte" -> List.iter (emit_value 1) (split_args args)
-              | ".double" ->
-                  List.iter
-                    (fun a ->
-                      let v = Int64.bits_of_float (float_of_string a) in
-                      Bytes.set_int64_le buf !cursor v;
-                      cursor := !cursor + 8)
-                    (split_args args)
-              | ".float" ->
-                  List.iter
-                    (fun a ->
-                      let f = float_of_string a in
-                      emit_int 4 (Int32.to_int (Int32.bits_of_float f) land 0xFFFFFFFF))
-                    (split_args args)
-              | ".asciz" | ".string" ->
-                  let s = parse_string_lit idx args in
-                  Bytes.blit_string s 0 buf !cursor (String.length s);
-                  cursor := !cursor + String.length s + 1
-              | ".ascii" ->
-                  let s = parse_string_lit idx args in
-                  Bytes.blit_string s 0 buf !cursor (String.length s);
-                  cursor := !cursor + String.length s
-              | ".zero" | ".skip" | ".space" ->
-                  cursor := !cursor + int_of_string (String.trim args)
-              | ".align" | ".p2align" | ".balign" ->
-                  cursor :=
-                    !cursor + directive_size idx ~at:!cursor name args
-              | _ -> ())))
+              let writes =
+                match name with
+                | ".quad" | ".xword" | ".dword" ->
+                    List.iter (emit_value 8) (split_args args);
+                    true
+                | ".word" | ".long" | ".4byte" ->
+                    List.iter (emit_value 4) (split_args args);
+                    true
+                | ".short" | ".hword" | ".2byte" ->
+                    List.iter (emit_value 2) (split_args args);
+                    true
+                | ".byte" ->
+                    List.iter (emit_value 1) (split_args args);
+                    true
+                | ".double" ->
+                    List.iter
+                      (fun a ->
+                        let v = Int64.bits_of_float (float_arg idx a) in
+                        Bytes.set_int64_le buf !cursor v;
+                        cursor := !cursor + 8)
+                      (split_args args);
+                    true
+                | ".float" ->
+                    List.iter
+                      (fun a ->
+                        let f = float_arg idx a in
+                        emit_int 4
+                          (Int32.to_int (Int32.bits_of_float f) land 0xFFFFFFFF))
+                      (split_args args);
+                    true
+                | ".asciz" | ".string" ->
+                    let s = parse_string_lit idx args in
+                    Bytes.blit_string s 0 buf !cursor (String.length s);
+                    cursor := !cursor + String.length s + 1;
+                    true
+                | ".ascii" ->
+                    let s = parse_string_lit idx args in
+                    Bytes.blit_string s 0 buf !cursor (String.length s);
+                    cursor := !cursor + String.length s;
+                    true
+                | _ ->
+                    (* zero fill (.zero/.skip/.space/.align) and
+                       ignored directives *)
+                    cursor :=
+                      !cursor + directive_size idx ~at:!cursor name args;
+                    false
+              in
+              if writes && !section = Data then data_init := !dpos))
     src;
   let entry =
     match Hashtbl.find_opt symbols "_start" with
     | Some a -> a
     | None -> origin
   in
-  { origin; text; data_origin; data; symbols; entry }
+  { origin; text; data_origin; data; data_init = !data_init; symbols; entry }
 
-(** Assemble straight from assembly text. *)
+(** Assemble straight from assembly text.  A parse error is reported as
+    {!Error} too, with the source line in [index]. *)
 let assemble_string ?origin text =
-  assemble ?origin (Parser.parse_string_exn text)
+  match Parser.parse_string text with
+  | Ok src -> assemble ?origin src
+  | Error { Parser.line; msg } -> errorf line "parse error at line %d: %s" line msg
 
 (** Sandbox-relative address of every instruction in [src], in item
-    order, without encoding anything: replays the layout pass only.
+    order, without encoding anything: the layout walk of {!assemble}.
     Used by the rewriter to resolve its site table (instruction index
     -> pc) against the exact addresses {!assemble} will assign. *)
 let insn_addresses ?(origin = default_origin) (src : Source.t) : int array =
-  let out = ref [] in
-  let tpos = ref 0 and dpos = ref 0 in
-  let section = ref Text in
-  List.iteri
-    (fun idx item ->
-      let cursor = match !section with Text -> tpos | Data -> dpos in
-      match item with
-      | Source.Label _ -> ()
-      | Source.Insn _ ->
-          out := (origin + !tpos) :: !out;
-          tpos := !tpos + 4
-      | Source.Directive (name, args) -> (
-          match section_of_directive name args with
-          | Some s -> section := s
-          | None -> cursor := !cursor + directive_size idx ~at:!cursor name args))
-    src;
-  Array.of_list (List.rev !out)
+  let n = List.fold_left (fun n -> function Source.Insn _ -> n + 1 | _ -> n) 0 src in
+  let pcs = Array.make n 0 and k = ref 0 in
+  ignore
+    (layout ~origin
+       ~on_insn:(fun off ->
+         pcs.(!k) <- origin + off;
+         incr k)
+       src);
+  pcs
 
 let symbol_address img name = Hashtbl.find_opt img.symbols name
 

@@ -710,6 +710,91 @@ let test_assemble_errors () =
   fails "dup:\ndup:\n\tret\n";
   fails "_start:\n\tadd x0, x1, #99999\n"
 
+(* Malformed directive arguments fail closed: [Assemble.Error] naming
+   the directive's item, never an escaped [Failure]. *)
+let fails_at index text =
+  match Assemble.assemble_string text with
+  | exception Assemble.Error e -> checki "error index" index e.Assemble.index
+  | _ -> Alcotest.failf "should not assemble: %s" text
+
+(* items: _start, ret, .data, d, the directive *)
+let test_bad_symbol_offset () =
+  fails_at 4 "_start:\n\tret\n.data\nd:\n\t.quad d+bar\n"
+
+let test_bad_double () = fails_at 4 "_start:\n\tret\n.data\nd:\n\t.double xyz\n"
+let test_bad_float () = fails_at 4 "_start:\n\tret\n.data\nd:\n\t.float 1.0.0\n"
+
+(* a parse error is an [Assemble.Error] too, carrying the source line *)
+let test_parse_error () = fails_at 2 "_start:\n\tfrobnicate x0\n"
+
+(* ---------------- layout ---------------- *)
+
+let test_label_after_data () =
+  let img =
+    Assemble.assemble_string
+      "_start:\n\tret\n.data\nd:\n\t.quad 1\n.text\nlate:\n\tret\n"
+  in
+  checki "text" 8 (Bytes.length img.Assemble.text);
+  checkb "late" true
+    (Assemble.symbol_address img "late" = Some (img.Assemble.origin + 4));
+  checkb "d" true
+    (Assemble.symbol_address img "d" = Some img.Assemble.data_origin)
+
+(* the writable segment of [data], as ELF packaging lays it out:
+   (file bytes, memory size) *)
+let data_segment data =
+  let img = Assemble.assemble_string ("_start:\n\tret\n.data\n" ^ data) in
+  match
+    List.find_opt
+      (fun (s : Lfi_elf.Elf.segment) -> s.Lfi_elf.Elf.flags land Lfi_elf.Elf.pf_w <> 0)
+      (Lfi_elf.Elf.of_image img).Lfi_elf.Elf.segments
+  with
+  | Some s -> (s.Lfi_elf.Elf.data, s.Lfi_elf.Elf.memsz)
+  | None -> Alcotest.fail "no data segment"
+
+let test_explicit_zero_tail () =
+  (* the file keeps up to the last nonzero byte: the 5 *)
+  let data, memsz = data_segment "\t.quad 5\n\t.quad 0\n\t.zero 4096\n" in
+  checki "file bytes" 1 (Bytes.length data);
+  checki "value" 5 (Bytes.get_uint8 data 0);
+  checki "memsz" 4112 memsz
+
+(* -1 also pins the sign byte: every byte of the quad is 0xff *)
+let test_value_after_zero () =
+  let data, memsz = data_segment "\t.quad 1\n\t.zero 8192\n\t.quad -1\n" in
+  checki "file bytes" 8208 (Bytes.length data);
+  checkb "last" true (Int64.equal (Bytes.get_int64_le data 8200) (-1L));
+  checki "memsz" 8208 memsz
+
+let test_align_after_init () =
+  let data, memsz = data_segment "\t.byte 1\n\t.align 4\n" in
+  checki "file bytes" 1 (Bytes.length data);
+  checki "memsz" 16 memsz
+
+(* [insn_addresses] is the layout walk of [assemble]: each address holds
+   the instruction's own encoding, across text-section data and
+   alignment *)
+let test_insn_addresses () =
+  let text =
+    "_start:\n\tnop\n\t.balign 16\n\tret\n\t.quad 3\n\t.byte 1\n\t.align 2\n\
+     \tmovz x1, #9\n.data\n\t.quad 4\n.text\n\tb _start\n"
+  in
+  let src = Lfi_arm64.Parser.parse_string_exn text in
+  let img = Assemble.assemble src in
+  let pcs = Assemble.insn_addresses src in
+  checkb "pcs" true
+    (Array.to_list pcs = List.map (( + ) img.Assemble.origin) [ 0; 16; 32; 36 ]);
+  List.iteri
+    (fun k i ->
+      let w =
+        Int32.to_int (Bytes.get_int32_le img.Assemble.text (pcs.(k) - img.Assemble.origin))
+        land 0xFFFFFFFF
+      in
+      match i with
+      | Insn.B _ -> checki "b _start" 0x17FFFFF7 w
+      | i -> checkb (Printer.to_string i) true (Isa.encode i = Ok w))
+    (Lfi_arm64.Source.insns src)
+
 let test_elf_roundtrip () =
   let img = Assemble.assemble_string "_start:\n\tret\n.data\nd:\n\t.quad 9\n" in
   let elf = Lfi_elf.Elf.of_image img in
@@ -775,5 +860,17 @@ let () =
           Alcotest.test_case "adr" `Quick test_assemble_adr;
           Alcotest.test_case "errors" `Quick test_assemble_errors;
           Alcotest.test_case "elf roundtrip" `Quick test_elf_roundtrip;
+          Alcotest.test_case "bad symbol offset" `Quick test_bad_symbol_offset;
+          Alcotest.test_case "bad double" `Quick test_bad_double;
+          Alcotest.test_case "bad float" `Quick test_bad_float;
+          Alcotest.test_case "parse error" `Quick test_parse_error;
+        ] );
+      ( "layout",
+        [
+          Alcotest.test_case "label after data" `Quick test_label_after_data;
+          Alcotest.test_case "explicit zero tail" `Quick test_explicit_zero_tail;
+          Alcotest.test_case "value after zero fill" `Quick test_value_after_zero;
+          Alcotest.test_case "align after init" `Quick test_align_after_init;
+          Alcotest.test_case "insn addresses" `Quick test_insn_addresses;
         ] );
     ]
