@@ -207,12 +207,6 @@ let elf_golden_lines () =
       [ elf_line name "native" native; elf_line name "o2" o2 ])
     (golden_programs ())
 
-let write_elf_golden path =
-  let oc = open_out path in
-  List.iter (fun l -> output_string oc (l ^ "\n")) (elf_golden_lines ());
-  close_out oc;
-  Printf.printf "wrote the ELF golden to %s\n%!" path
-
 let read_lines path =
   let ic = open_in path in
   let rec go acc =
@@ -233,11 +227,109 @@ let test_elf_golden () =
       Alcotest.(check string) (Printf.sprintf "line %d" (k + 1)) e g)
     (List.combine expected got)
 
+(* ---------------- rewrite golden ---------------- *)
+
+(* test/rewrite_golden.txt pins the rewriter's output: for every ELF
+   golden program, a ~200 KiB program of many generated functions and
+   an assembly program whose tbz, cbz and b.cond targets the guards push
+   out of range, at O0, O1 and O2, one line with the MD5 of the printed
+   output, the six stats counters and the MD5 of the site table.
+   Regenerate it only deliberately, with
+     LFI_GOLDEN_OUT=$PWD/test/rewrite_golden.txt \
+       dune exec test/test_pipeline.exe *)
+
+(* Many functions whose bodies come from the fuzz generator's MiniC
+   statements, the shape of perfbench's synthetic build program. *)
+let many_functions_program () : Ast.program =
+  let rand = Random.State.make [| 7 |] in
+  let stmts = QCheck.Gen.list_size (QCheck.Gen.int_range 4 10) (gen_stmt 2) in
+  let f k =
+    let body = QCheck.Gen.generate1 ~rand stmts in
+    let result = QCheck.Gen.generate1 ~rand (gen_expr 2) in
+    Ast.{ name = Printf.sprintf "s%d" k;
+          params = [ ("x", Int); ("y", Int); ("z", Int) ]; ret = Int;
+          body = body @ [ Return result ] }
+  in
+  (* the generated statements call the generator's [mix] helper *)
+  let helper =
+    (QCheck.Gen.generate1 ~rand gen_program).Ast.funcs
+    |> List.filter (fun (fn : Ast.func) -> fn.name = "mix")
+  in
+  let main =
+    Ast.{ name = "main"; params = []; ret = Int; body = [ Return (Int 0) ] }
+  in
+  Ast.{ globals = [ Zeroed ("g", 512) ];
+        funcs = helper @ List.init 400 f @ [ main ] }
+
+(* Register-offset loads cannot be hoisted, so each one grows by its
+   guard at every level: 3000 of them push a tbz out of its +-32 KiB
+   reach, and 140000 more push cbz and b.cond (+-1 MiB) out of theirs,
+   forwards and backwards. *)
+let far_branches_source () : Lfi_arm64.Source.t =
+  let p = Lfi_arm64.Parser.parse_string_exn in
+  let loads n = List.concat (List.init n (fun _ -> p "\tldr x1, [x2, x3]\n")) in
+  List.concat
+    [ p "f:\n\ttbz x0, #3, t_far\n\tcbz x0, c_far\n\tb.eq c_far\n";
+      loads 3000;
+      p "t_far:\n\ttbnz x0, #1, f\n";
+      loads 140000;
+      p "c_far:\n\tcbnz x0, f\n\tb.ne t_far\n\tret\n" ]
+
+let rewrite_golden_inputs () : (string * Lfi_arm64.Source.t) list =
+  List.map
+    (fun (name, prog) -> (name, Compile.compile prog))
+    (golden_programs () @ [ ("many", many_functions_program ()) ])
+  @ [ ("far", far_branches_source ()) ]
+
+let rewrite_line name (config : Lfi_core.Config.t) src =
+  let out, st = Lfi_core.Rewriter.rewrite ~config src in
+  let sites =
+    List.map
+      (fun (s : Lfi_core.Rewriter.site) ->
+        Printf.sprintf "%d %s %b %d\n" s.s_out
+          (Lfi_telemetry.Overhead.category_name s.s_cat) s.s_inserted s.s_orig)
+      st.Lfi_core.Rewriter.sites
+    |> String.concat ""
+  in
+  Printf.sprintf
+    "%s %s md5=%s in=%d out=%d guards=%d hoists=%d sp_elided=%d relaxed=%d \
+     sites=%s"
+    name (Lfi_core.Config.opt_level_to_string config.Lfi_core.Config.opt)
+    (Digest.to_hex (Digest.string (Lfi_arm64.Source.to_string out)))
+    st.input_insns st.output_insns st.guards st.hoists st.sp_guards_elided
+    st.branches_relaxed
+    (Digest.to_hex (Digest.string sites))
+
+let rewrite_golden_lines () =
+  List.concat_map
+    (fun (name, src) ->
+      List.map
+        (fun config -> rewrite_line name config src)
+        Lfi_core.Config.[ o0; o1; o2 ])
+    (rewrite_golden_inputs ())
+
+let write_golden lines path =
+  let oc = open_out path in
+  List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+  close_out oc;
+  Printf.printf "wrote %s\n%!" path
+
+let test_rewrite_golden () =
+  let expected = read_lines "rewrite_golden.txt" in
+  let got = rewrite_golden_lines () in
+  checki "golden lines" (List.length expected) (List.length got);
+  List.iteri
+    (fun k (e, g) ->
+      Alcotest.(check string) (Printf.sprintf "line %d" (k + 1)) e g)
+    (List.combine expected got)
+
 let mk name f = Alcotest.test_case name `Quick f
 
 let () =
   match Sys.getenv_opt "LFI_GOLDEN_OUT" with
-  | Some path -> write_elf_golden path
+  | Some path when Filename.basename path = "rewrite_golden.txt" ->
+      write_golden (rewrite_golden_lines ()) path
+  | Some path -> write_golden (elf_golden_lines ()) path
   | None ->
   Alcotest.run "pipeline"
     [
@@ -256,4 +348,5 @@ let () =
           mk "serialization" test_wasm_serialization;
         ] );
       ("elf", [ mk "golden" test_elf_golden ]);
+      ("rewrite", [ mk "golden" test_rewrite_golden ]);
     ]
