@@ -30,10 +30,11 @@ type image = {
   text : bytes;
   data_origin : int;
   data : bytes;
-  data_init : int;
-      (** how far the byte-writing data directives reach: every byte of
-          [data] from here on is zero fill (.zero, .skip, .space, .align),
-          so ELF packaging looks for the BSS boundary only below it *)
+      (** the initialised prefix of the data section: it ends where the
+          last byte-writing directive does, and everything after it is
+          zero fill (.zero, .skip, .space, .align) that is never
+          allocated *)
+  data_size : int;  (** the data section's full size, BSS included *)
   symbols : (string, int) Hashtbl.t;
       (** symbol -> sandbox-relative address *)
   entry : int;  (** address of [_start] (or the first instruction) *)
@@ -75,6 +76,15 @@ let parse_string_lit index (s : string) =
     done;
     Buffer.contents buf
   end
+
+(** Does the directive write bytes?  The others are zero fill or
+    ignored. *)
+let writes_bytes = function
+  | ".quad" | ".xword" | ".dword" | ".word" | ".long" | ".4byte" | ".short"
+  | ".hword" | ".2byte" | ".byte" | ".double" | ".float" | ".asciz"
+  | ".string" | ".ascii" ->
+      true
+  | _ -> false
 
 (** Size in bytes contributed by a directive, for the layout pass.
     [at] is the current offset within the section (needed by .align). *)
@@ -122,18 +132,21 @@ type layout = {
   labels : (string, int) Hashtbl.t;  (** label -> sandbox-relative address *)
   text_size : int;
   data_size : int;
+  data_init : int;
+      (** end of the last byte-writing directive in the data section *)
   data_addr : int;  (** the data section's address, 16KiB-aligned *)
 }
 
 (** The layout walk: one pass over [src] that gives every label its
     address, rejects duplicate labels and instructions outside .text,
-    and sizes both sections.  [on_insn] sees the text offset of every
+    and sizes both sections and the data section's initialised prefix.
+    [on_insn] sees the text offset of every
     instruction, in order.  Data labels are recorded as section offsets
     and rebased once the text size fixes the data origin. *)
 let layout ~origin ?(on_insn = ignore) (src : Source.t) : layout =
   let labels : (string, int) Hashtbl.t = Hashtbl.create 64 in
   let data_labels = ref [] in
-  let tpos = ref 0 and dpos = ref 0 in
+  let tpos = ref 0 and dpos = ref 0 and data_init = ref 0 in
   let section = ref Text in
   List.iteri
     (fun idx item ->
@@ -153,9 +166,12 @@ let layout ~origin ?(on_insn = ignore) (src : Source.t) : layout =
       | Source.Directive (name, args) -> (
           match section_of_directive name args with
           | Some s -> section := s
-          | None ->
-              let cursor = match !section with Text -> tpos | Data -> dpos in
-              cursor := !cursor + directive_size idx ~at:!cursor name args))
+          | None -> (
+              match !section with
+              | Text -> tpos := !tpos + directive_size idx ~at:!tpos name args
+              | Data ->
+                  dpos := !dpos + directive_size idx ~at:!dpos name args;
+                  if writes_bytes name then data_init := !dpos)))
     src;
   (* The data section starts on its own 16KiB page so that the loader
      can give text and data different page protections (W^X). *)
@@ -163,7 +179,8 @@ let layout ~origin ?(on_insn = ignore) (src : Source.t) : layout =
   List.iter
     (fun (l, off) -> Hashtbl.replace labels l (data_addr + off))
     !data_labels;
-  { labels; text_size = !tpos; data_size = !dpos; data_addr }
+  { labels; text_size = !tpos; data_size = !dpos; data_init = !data_init;
+    data_addr }
 
 (* ------------------------------------------------------------------ *)
 (* Assembly                                                            *)
@@ -174,22 +191,33 @@ let float_arg idx a =
   | Some f -> f
   | None -> errorf idx "bad floating-point value %S" a
 
+(** A data directive's integer argument, up to full 64-bit width (hex
+    constants up to 0xFFFFFFFFFFFFFFFF); [None] for a symbol reference.
+    A token that starts like a number must be one. *)
+let int_arg idx a =
+  match Int64.of_string_opt a with
+  | Some v -> Some v
+  | None when a <> "" && (a.[0] = '-' || (a.[0] >= '0' && a.[0] <= '9')) ->
+      errorf idx "bad integer %S" a
+  | None -> None
+
 (** Assemble a parsed source file into an image: the layout walk, then
-    one emission walk that encodes instructions and writes data. *)
+    one emission walk that encodes instructions and writes data.  Only
+    the data section's initialised prefix is allocated; the BSS after
+    it is carried as [data_size]. *)
 let assemble ?(origin = default_origin) (src : Source.t) : image =
-  let { labels = symbols; text_size; data_size; data_addr = data_origin } =
+  let { labels = symbols; text_size; data_size; data_init;
+        data_addr = data_origin } =
     layout ~origin src
   in
   let text = Bytes.make text_size '\000'
-  and data = Bytes.make data_size '\000' in
+  and data = Bytes.make data_init '\000' in
   let resolve idx name =
     match Hashtbl.find_opt symbols name with
     | Some a -> a
     | None -> errorf idx "undefined symbol %S" name
   in
   let tpos = ref 0 and dpos = ref 0 in
-  (* how far the byte-writing directives reach into [data] *)
-  let data_init = ref 0 in
   let section = ref Text in
   List.iteri
     (fun idx item ->
@@ -222,15 +250,17 @@ let assemble ?(origin = default_origin) (src : Source.t) : image =
                 | Text -> (text, tpos)
                 | Data -> (data, dpos)
               in
-              let emit_int size v =
-                for k = 0 to size - 1 do
-                  Bytes.set_uint8 buf (!cursor + k) ((v asr (8 * k)) land 0xff)
-                done;
+              let emit_int64 size v =
+                (match size with
+                | 8 -> Bytes.set_int64_le buf !cursor v
+                | 4 -> Bytes.set_int32_le buf !cursor (Int64.to_int32 v)
+                | 2 -> Bytes.set_uint16_le buf !cursor (Int64.to_int v land 0xffff)
+                | _ -> Bytes.set_uint8 buf !cursor (Int64.to_int v land 0xff));
                 cursor := !cursor + size
               in
               let emit_value size arg =
-                match int_of_string_opt arg with
-                | Some v -> emit_int size v
+                match int_arg idx arg with
+                | Some v -> emit_int64 size v
                 | None ->
                     (* a symbol reference: store its sandbox-relative
                        address (optionally with +offset) *)
@@ -247,63 +277,47 @@ let assemble ?(origin = default_origin) (src : Source.t) : image =
                           | None -> errorf idx "bad symbol offset in %S" arg)
                       | None -> (arg, 0)
                     in
-                    emit_int size (resolve idx sym + off)
+                    emit_int64 size (Int64.of_int (resolve idx sym + off))
               in
-              let writes =
-                match name with
-                | ".quad" | ".xword" | ".dword" ->
-                    List.iter (emit_value 8) (split_args args);
-                    true
-                | ".word" | ".long" | ".4byte" ->
-                    List.iter (emit_value 4) (split_args args);
-                    true
-                | ".short" | ".hword" | ".2byte" ->
-                    List.iter (emit_value 2) (split_args args);
-                    true
-                | ".byte" ->
-                    List.iter (emit_value 1) (split_args args);
-                    true
-                | ".double" ->
-                    List.iter
-                      (fun a ->
-                        let v = Int64.bits_of_float (float_arg idx a) in
-                        Bytes.set_int64_le buf !cursor v;
-                        cursor := !cursor + 8)
-                      (split_args args);
-                    true
-                | ".float" ->
-                    List.iter
-                      (fun a ->
-                        let f = float_arg idx a in
-                        emit_int 4
-                          (Int32.to_int (Int32.bits_of_float f) land 0xFFFFFFFF))
-                      (split_args args);
-                    true
-                | ".asciz" | ".string" ->
-                    let s = parse_string_lit idx args in
-                    Bytes.blit_string s 0 buf !cursor (String.length s);
-                    cursor := !cursor + String.length s + 1;
-                    true
-                | ".ascii" ->
-                    let s = parse_string_lit idx args in
-                    Bytes.blit_string s 0 buf !cursor (String.length s);
-                    cursor := !cursor + String.length s;
-                    true
-                | _ ->
-                    (* zero fill (.zero/.skip/.space/.align) and
-                       ignored directives *)
-                    cursor :=
-                      !cursor + directive_size idx ~at:!cursor name args;
-                    false
-              in
-              if writes && !section = Data then data_init := !dpos))
+              match name with
+              | ".quad" | ".xword" | ".dword" ->
+                  List.iter (emit_value 8) (split_args args)
+              | ".word" | ".long" | ".4byte" ->
+                  List.iter (emit_value 4) (split_args args)
+              | ".short" | ".hword" | ".2byte" ->
+                  List.iter (emit_value 2) (split_args args)
+              | ".byte" -> List.iter (emit_value 1) (split_args args)
+              | ".double" ->
+                  List.iter
+                    (fun a ->
+                      emit_int64 8 (Int64.bits_of_float (float_arg idx a)))
+                    (split_args args)
+              | ".float" ->
+                  List.iter
+                    (fun a ->
+                      emit_int64 4
+                        (Int64.of_int32 (Int32.bits_of_float (float_arg idx a))))
+                    (split_args args)
+              | ".asciz" | ".string" ->
+                  let s = parse_string_lit idx args in
+                  Bytes.blit_string s 0 buf !cursor (String.length s);
+                  cursor := !cursor + String.length s + 1
+              | ".ascii" ->
+                  let s = parse_string_lit idx args in
+                  Bytes.blit_string s 0 buf !cursor (String.length s);
+                  cursor := !cursor + String.length s
+              | _ ->
+                  (* zero fill (.zero/.skip/.space/.align), which in the
+                     data section lies past [data] when it ends the
+                     section, and ignored directives *)
+                  cursor := !cursor + directive_size idx ~at:!cursor name args))
     src;
   let entry =
     match Hashtbl.find_opt symbols "_start" with
     | Some a -> a
     | None -> origin
   in
-  { origin; text; data_origin; data; data_init = !data_init; symbols; entry }
+  { origin; text; data_origin; data; data_size; symbols; entry }
 
 (** Assemble straight from assembly text.  A parse error is reported as
     {!Error} too, with the source line in [index]. *)
@@ -331,4 +345,4 @@ let symbol_address img name = Hashtbl.find_opt img.symbols name
 
 (** Total image size in bytes (text + alignment padding + data). *)
 let image_size img =
-  img.data_origin - img.origin + Bytes.length img.data
+  img.data_origin - img.origin + img.data_size

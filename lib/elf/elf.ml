@@ -329,24 +329,18 @@ let read (b : bytes) : t =
 (* Bridges                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(** Trailing zero bytes of a writable segment become BSS (zero file
-    size, nonzero memory size), as a real linker would arrange.  Every
-    byte from [init] on is known to be zero, so the search for the last
-    nonzero byte starts there. *)
-let trim_bss ~(init : int) (data : bytes) : bytes * int =
-  let n = Bytes.length data in
+(** The file contents of a writable segment: its initialised bytes
+    without their trailing zeros, which join the BSS (zero file size,
+    nonzero memory size), as a real linker would arrange. *)
+let trim_bss (data : bytes) : bytes =
   let rec last k = if k > 0 && Bytes.get data (k - 1) = '\000' then last (k - 1) else k in
-  let keep = last (min init n) in
-  (Bytes.sub data 0 keep, n)
+  Bytes.sub data 0 (last (Bytes.length data))
 
 (** Package an assembled image as an ELF executable, carrying the
     assembler's label table as ELF symbols (sorted by address, then
     name, so the written bytes are deterministic) and, when the image
     came out of the rewriter, its overhead site table ([?sites]). *)
 let of_image ?(sites = []) (img : Lfi_arm64.Assemble.image) : t =
-  let data, data_memsz =
-    trim_bss ~init:img.Lfi_arm64.Assemble.data_init img.Lfi_arm64.Assemble.data
-  in
   let symbols =
     Hashtbl.fold (fun n v acc -> (n, v) :: acc) img.Lfi_arm64.Assemble.symbols []
     |> List.sort (fun (n1, v1) (n2, v2) ->
@@ -357,8 +351,8 @@ let of_image ?(sites = []) (img : Lfi_arm64.Assemble.image) : t =
     segments =
       [ { vaddr = img.origin; flags = pf_r lor pf_x; data = img.text;
           memsz = Bytes.length img.text };
-        { vaddr = img.data_origin; flags = pf_r lor pf_w; data;
-          memsz = data_memsz } ];
+        { vaddr = img.data_origin; flags = pf_r lor pf_w;
+          data = trim_bss img.data; memsz = img.data_size } ];
     symbols;
     sites;
   }

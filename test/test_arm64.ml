@@ -771,6 +771,48 @@ let test_align_after_init () =
   checki "file bytes" 1 (Bytes.length data);
   checki "memsz" 16 memsz
 
+(* BSS is a size, not bytes: a megabyte of trailing .zero allocates
+   nothing, and the ELF file is the one the zero-filling assembler
+   wrote (its MD5 was recorded from that assembler) *)
+let test_bss_is_a_size () =
+  let src =
+    Lfi_arm64.Parser.parse_string_exn
+      "_start:\n\tret\n.data\n\t.quad 1\n\t.zero 1048576\n"
+  in
+  let before = Gc.allocated_bytes () in
+  let img = Assemble.assemble src in
+  let allocated = Gc.allocated_bytes () -. before in
+  checki "data bytes" 8 (Bytes.length img.Assemble.data);
+  checki "data size" 1048584 img.Assemble.data_size;
+  checkb (Printf.sprintf "allocated %.0f bytes" allocated) true
+    (allocated < 65536.0);
+  let elf = Lfi_elf.Elf.of_image img in
+  (match List.rev elf.Lfi_elf.Elf.segments with
+  | d :: _ ->
+      checki "file bytes" 1 (Bytes.length d.Lfi_elf.Elf.data);
+      checki "memsz" 1048584 d.Lfi_elf.Elf.memsz
+  | [] -> Alcotest.fail "no segments");
+  Alcotest.(check string) "elf md5" "61b6b9341ecce5dd07391e1d18d19f7b"
+    (Digest.to_hex (Digest.bytes (Lfi_elf.Elf.write elf)))
+
+(* data directives take full-width 64-bit constants *)
+let test_full_width_constants () =
+  let d text =
+    (Assemble.assemble_string ("_start:\n\tret\n.data\n" ^ text)).Assemble.data
+  in
+  Alcotest.(check string) "quad all ones" (String.make 8 '\xff')
+    (Bytes.to_string (d "\t.quad 0xFFFFFFFFFFFFFFFF\n"));
+  Alcotest.(check string) "word all ones" (String.make 4 '\xff')
+    (Bytes.to_string (d "\t.word 0xFFFFFFFF\n"))
+
+(* a token that starts like a number must be one, not a symbol *)
+let test_bad_integer () =
+  match Assemble.assemble_string "_start:\n\tret\n.data\nd:\n\t.quad 12abc\n" with
+  | exception Assemble.Error e ->
+      checki "error index" 4 e.Assemble.index;
+      Alcotest.(check string) "message" "bad integer \"12abc\"" e.Assemble.msg
+  | _ -> Alcotest.fail ".quad 12abc should not assemble"
+
 (* [insn_addresses] is the layout walk of [assemble]: each address holds
    the instruction's own encoding, across text-section data and
    alignment *)
@@ -864,6 +906,8 @@ let () =
           Alcotest.test_case "bad double" `Quick test_bad_double;
           Alcotest.test_case "bad float" `Quick test_bad_float;
           Alcotest.test_case "parse error" `Quick test_parse_error;
+          Alcotest.test_case "full-width constants" `Quick test_full_width_constants;
+          Alcotest.test_case "bad integer" `Quick test_bad_integer;
         ] );
       ( "layout",
         [
@@ -871,6 +915,7 @@ let () =
           Alcotest.test_case "explicit zero tail" `Quick test_explicit_zero_tail;
           Alcotest.test_case "value after zero fill" `Quick test_value_after_zero;
           Alcotest.test_case "align after init" `Quick test_align_after_init;
+          Alcotest.test_case "bss is a size" `Quick test_bss_is_a_size;
           Alcotest.test_case "insn addresses" `Quick test_insn_addresses;
         ] );
     ]
