@@ -331,8 +331,7 @@ let assemble_string ?origin text =
     Used by the rewriter to resolve its site table (instruction index
     -> pc) against the exact addresses {!assemble} will assign. *)
 let insn_addresses ?(origin = default_origin) (src : Source.t) : int array =
-  let n = List.fold_left (fun n -> function Source.Insn _ -> n + 1 | _ -> n) 0 src in
-  let pcs = Array.make n 0 and k = ref 0 in
+  let pcs = Array.make (Source.insn_count src) 0 and k = ref 0 in
   ignore
     (layout ~origin
        ~on_insn:(fun off ->

@@ -342,14 +342,37 @@ let writes insn : [ `R of Reg.width * int | `Sp ] list =
   | Mrs { dst; _ } -> reg dst []
   | Nop | Svc _ | Msr _ | Dmb | Udf _ -> []
 
-(** True if the instruction writes architectural register number [n]
-    (0-30) through any name or side effect. *)
-let writes_reg_number insn n =
-  List.exists
-    (function `R (_, m) -> m = n | `Sp -> false)
-    (writes insn)
+(* Does the instruction write register number [n], with 31 standing
+   for sp?  The same cases as {!writes}, without building the list. *)
+let writes_number insn n =
+  let is r = match r with Reg.R (_, m) -> m = n | Reg.SP _ -> n = 31 | Reg.ZR _ -> false in
+  let wb = function Pre (b, _) | Post (b, _) -> is b | Imm_off _ | Reg_off _ -> false in
+  match insn with
+  | Alu { dst; _ } | Shiftv { dst; _ } | Mov { dst; _ } | Bitfield { dst; _ }
+  | Extr { dst; _ } | Madd { dst; _ } | Smulh { dst; _ } | Maddl { dst; _ }
+  | Div { dst; _ } | Csel { dst; _ } | Cls { dst; _ } | Rbit { dst; _ }
+  | Rev { dst; _ } | Adr { dst; _ } | Ldxr { dst; _ } | Ldar { dst; _ }
+  | Fcvtzs { dst; _ } | Fmov_from_fp { dst; _ } | Mrs { dst; _ } ->
+      is dst
+  | Ldr { dst; addr; _ } -> is dst || wb addr
+  | Ldp { r1; r2; addr; _ } -> is r1 || is r2 || wb addr
+  | Str { addr; _ } | Stp { addr; _ } | Fldr { addr; _ } | Fstr { addr; _ }
+  | Fldp { addr; _ } | Fstp { addr; _ } ->
+      wb addr
+  | Stxr { status; _ } -> is status
+  | Bl _ | Blr _ -> n = 30
+  | Ccmp _ | Stlr _ | B _ | Bcond _ | Cbz _ | Tbz _ | Br _ | Ret _ | Fop2 _
+  | Fop1 _ | Fmadd _ | Fcmp _ | Fcvt _ | Scvtf _ | Fmov_to_fp _ | Nop | Svc _
+  | Msr _ | Dmb | Udf _ ->
+      false
 
-let writes_sp insn = List.mem `Sp (writes insn)
+(** True if the instruction writes architectural register number [n]
+    (0-30) through any name or side effect: a member of {!writes}, found
+    without allocating. *)
+let writes_reg_number insn n = n <> 31 && writes_number insn n
+
+(** True if the instruction writes sp (a [`Sp] member of {!writes}). *)
+let writes_sp insn = writes_number insn 31
 
 (** Every general register that appears as an operand (read or written,
     explicitly).  Used by the rewriter to reject input that touches the

@@ -45,10 +45,10 @@ let with_width w = function
     names one of x0-x30, regardless of operand width. *)
 let number_of = function R (_, n) -> Some n | ZR _ | SP _ -> None
 
-let is_reserved r =
-  match number_of r with
-  | Some n -> List.mem n reserved_numbers
-  | None -> false
+(** [n] is one of {!reserved_numbers}. *)
+let is_reserved_number = function 18 | 21 | 22 | 23 | 24 -> true | _ -> false
+
+let is_reserved = function R (_, n) -> is_reserved_number n | ZR _ | SP _ -> false
 
 let is_sp = function SP _ -> true | R _ | ZR _ -> false
 let is_zr = function ZR _ -> true | R _ | SP _ -> false

@@ -30,4 +30,5 @@ let insns (src : t) =
   List.filter_map (function Insn i -> Some i | _ -> None) src
 
 (** Number of instructions (each is 4 bytes of text segment). *)
-let insn_count src = List.length (insns src)
+let insn_count src =
+  List.fold_left (fun n -> function Insn _ -> n + 1 | _ -> n) 0 src

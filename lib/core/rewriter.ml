@@ -61,7 +61,6 @@ let w22 = Reg.w 22
 let wsp = Reg.wsp
 let sp = Reg.sp
 let x30 = Reg.x 30
-let w30 = Reg.w 30
 let hoist_regs = [| Reg.x 23; Reg.x 24 |]
 
 let w_of r =
@@ -79,43 +78,27 @@ let addr_guard dst src_base =
 
 (** The x30 guard inserted after instructions that load the link
     register from memory. *)
-let lr_guard = addr_guard x30 x30
+let lr_guard = Source.Insn (addr_guard x30 x30)
 
 (** The two-instruction stack-pointer guard of §4.2:
     [mov w22, wsp; add sp, x21, x22]. *)
-let sp_guard =
-  [ Insn.Alu { op = Insn.ADD; flags = false; dst = w22; src = wsp;
-               op2 = Insn.Imm (0, 0) };
-    Insn.Alu { op = Insn.ADD; flags = false; dst = sp; src = x21;
-               op2 = Insn.Ext (Reg.x 22, Insn.Uxtx, 0) } ]
+let sp_guard_mov =
+  Insn.Alu { op = Insn.ADD; flags = false; dst = w22; src = wsp;
+             op2 = Insn.Imm (0, 0) }
 
-(** Is this instruction exactly the guarded write [add xR, x21, wN,
-    uxtw] for reserved register [r]? (Shared with the verifier.) *)
-let is_addr_guard_for (r : Reg.t) = function
-  | Insn.Alu
-      { op = Insn.ADD; flags = false; dst;
-        src = Reg.R (Reg.W64, 21);
-        op2 = Insn.Ext (Reg.R (Reg.W32, _), Insn.Uxtw, 0) } ->
-      Reg.equal dst r
-  | _ -> false
+let sp_guard_add =
+  Insn.Alu { op = Insn.ADD; flags = false; dst = sp; src = x21;
+             op2 = Insn.Ext (Reg.x 22, Insn.Uxtx, 0) }
 
 (* ------------------------------------------------------------------ *)
 (* Input validation                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let reserved_mentioned (i : Insn.t) =
-  List.find_opt
-    (fun r ->
-      match Reg.number_of r with
-      | Some n -> List.mem n Reg.reserved_numbers
-      | None -> false)
-    (Insn.regs_mentioned i)
-
-let check_input (src : Source.t) =
-  List.iter
+let check_input (items : Source.item array) =
+  Array.iter
     (function
       | Source.Insn i -> (
-          match reserved_mentioned i with
+          match List.find_opt Reg.is_reserved (Insn.regs_mentioned i) with
           | Some r ->
               errorf
                 "input uses reserved register %s in %S (compile with \
@@ -124,7 +107,72 @@ let check_input (src : Source.t) =
                 (Reg.to_string r) (Printer.to_string i)
           | None -> ())
       | _ -> ())
-    src
+    items
+
+(* ------------------------------------------------------------------ *)
+(* Output buffer                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(** Tag attached to every emitted instruction: [None] for instructions
+    passed through untouched, [Some (category, inserted)] for
+    rewriter-created or rewriter-modified ones.  Tags become the site
+    table. *)
+type tag = (Overhead.category * bool) option
+
+(* Tag shorthands: a guard instruction the rewriter added, an original
+   instruction rewritten in place to a guarded form, an inserted w22
+   address computation, and so on for the other categories. *)
+let tg_guard : tag = Some (Overhead.Guard, true)
+let tg_guarded : tag = Some (Overhead.Guard, false)
+let tg_clamp : tag = Some (Overhead.Clamp, true)
+let tg_sp : tag = Some (Overhead.Sp_anchor, true)
+let tg_sp_mod : tag = Some (Overhead.Sp_anchor, false)
+let tg_retag : tag = Some (Overhead.Retag, true)
+
+(** The rewritten program as it grows: every output item with the input
+    instruction it descends from (its ordinal among the input's
+    instructions; -1 for labels and directives) and its tag. *)
+type buf = {
+  mutable items : Source.item array;
+  mutable origs : int array;
+  mutable tags : tag array;
+  mutable len : int;
+  mutable insns : int;  (** instructions among the items *)
+}
+
+let create_buf cap =
+  { items = Array.make cap (Source.Label ""); origs = Array.make cap 0;
+    tags = Array.make cap None; len = 0; insns = 0 }
+
+let push b it ord tag =
+  if b.len = Array.length b.items then begin
+    let grow a fill =
+      let a' = Array.make ((2 * b.len) + 16) fill in
+      Array.blit a 0 a' 0 b.len;
+      a'
+    in
+    b.items <- grow b.items (Source.Label "");
+    b.origs <- grow b.origs 0;
+    b.tags <- grow b.tags None
+  end;
+  b.items.(b.len) <- it;
+  b.origs.(b.len) <- ord;
+  b.tags.(b.len) <- tag;
+  b.len <- b.len + 1;
+  match it with Source.Insn _ -> b.insns <- b.insns + 1 | _ -> ()
+
+(** Emit instruction [i] (whose item is [it]).  Loads that write the
+    link register are followed by the x30 guard (§4.2), except the
+    runtime-call table load, which [blr x30] follows. *)
+let emit_item b ord it (i : Insn.t) tag =
+  push b it ord tag;
+  if Insn.is_memory i && Insn.writes_reg_number i 30 then
+    match i with
+    | Insn.Ldr { dst = Reg.R (Reg.W64, 30);
+                 addr = Insn.Imm_off (Reg.R (Reg.W64, 21), _); _ } -> ()
+    | _ -> push b lr_guard ord tg_retag
+
+let emit b ord i tag = emit_item b ord (Source.Insn i) i tag
 
 (* ------------------------------------------------------------------ *)
 (* Small helpers                                                       *)
@@ -132,19 +180,20 @@ let check_input (src : Source.t) =
 
 (** Emit [w22 := wBase + i] using one or two 32-bit add/sub immediates
     (Table 3 uses a single add; larger offsets take two). *)
-let materialize_offset32 (base : Reg.t) (i : int) : Insn.t list =
-  let wb = w_of base in
-  let mk op v src =
-    Insn.Alu { op; flags = false; dst = w22; src; op2 = Insn.Imm (v, 0) }
+let materialize_offset32 b ord (base : Reg.t) (i : int) =
+  let mk sh v src =
+    let op = if i >= 0 then Insn.ADD else Insn.SUB in
+    emit b ord
+      (Insn.Alu { op; flags = false; dst = w22; src; op2 = Insn.Imm (v, sh) })
+      tg_clamp
   in
-  let mk_hi op v src =
-    Insn.Alu { op; flags = false; dst = w22; src; op2 = Insn.Imm (v, 12) }
-  in
-  let op, v = if i >= 0 then (Insn.ADD, i) else (Insn.SUB, -i) in
-  if v < 4096 then [ mk op v wb ]
-  else if v land 0xfff = 0 && v lsr 12 < 4096 then [ mk_hi op (v lsr 12) wb ]
-  else if v lsr 12 < 4096 then
-    [ mk_hi op (v lsr 12) wb; mk op (v land 0xfff) w22 ]
+  let v = abs i in
+  if v < 4096 then mk 0 v (w_of base)
+  else if v land 0xfff = 0 && v lsr 12 < 4096 then mk 12 (v lsr 12) (w_of base)
+  else if v lsr 12 < 4096 then begin
+    mk 12 (v lsr 12) (w_of base);
+    mk 0 (v land 0xfff) w22
+  end
   else errorf "memory offset %d out of range" i
 
 (** The guarded addressing mode [\[x21, w22, uxtw\]]. *)
@@ -156,6 +205,16 @@ let add_imm_to (dst : Reg.t) (i : int) : Insn.t =
   let op, v = if i >= 0 then (Insn.ADD, i) else (Insn.SUB, -i) in
   if v >= 4096 then errorf "index offset %d out of range" i;
   Insn.Alu { op; flags = false; dst; src = dst; op2 = Insn.Imm (v, 0) }
+
+(** [w22 := wBase + (offset register m, extended)] for a register-offset
+    access. *)
+let combine_w22 (base : Reg.t) m (e : Insn.extend) a =
+  let op2 =
+    match e with
+    | Insn.Uxtx | Insn.Sxtx -> Insn.Sh (w_of m, Insn.Lsl, a)
+    | e -> Insn.Ext (w_of m, e, a)
+  in
+  Insn.Alu { op = Insn.ADD; flags = false; dst = w22; src = w_of base; op2 }
 
 (** True when the addressing mode supports the register-offset guard
     form directly (only basic single-register loads/stores do). *)
@@ -170,122 +229,58 @@ let base_is_reserved_addr b =
 (* Memory access transformation                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** Tag attached to every emitted instruction: [None] for instructions
-    passed through untouched, [Some (category, inserted)] for
-    rewriter-created or rewriter-modified ones.  Tags become the site
-    table. *)
-type tag = (Overhead.category * bool) option
-
-(* Tag shorthands: a guard instruction the rewriter added, an original
-   instruction rewritten in place to a guarded form, and an inserted
-   w22 address computation. *)
-let tg_guard : tag = Some (Overhead.Guard, true)
-let tg_guarded : tag = Some (Overhead.Guard, false)
-let tg_clamp : tag = Some (Overhead.Clamp, true)
-
-(** Rewrite one guarded memory access with general base [b].  Returns
-    the replacement (instruction, tag) list.  [o1] selects the Table 3
-    zero/one-instruction guards; otherwise the O0 basic guard through
-    x18 is used. *)
-let transform_general_mem ~o1 (insn : Insn.t) (addr : Insn.addr)
-    (b : Reg.t) : (Insn.t * tag) list =
-  let via_x18 ~guard ~pre ~post addr_for_x18 =
-    (* O0 / specialized instructions: guard an address into x18 and
-       access through it *)
-    pre @ ((guard, tg_guard) :: (Insn.with_addr insn addr_for_x18, tg_guarded)
-           :: post)
-  in
+(** Rewrite one guarded memory access with general base [base].  [o1]
+    selects the Table 3 zero/one-instruction guards; otherwise the O0
+    basic guard through x18 is used. *)
+let transform_general_mem ~o1 b ord (insn : Insn.t) (addr : Insn.addr)
+    (base : Reg.t) =
+  let access a tag = emit b ord (Insn.with_addr insn a) tag in
   if o1 && has_reg_offset_form insn then
     match addr with
-    | Insn.Imm_off (_, 0) -> [ (Insn.with_addr insn (guarded_reg b), tg_guarded) ]
+    | Insn.Imm_off (_, 0) -> access (guarded_reg base) tg_guarded
     | Insn.Imm_off (_, i) ->
-        List.map (fun g -> (g, tg_clamp)) (materialize_offset32 b i)
-        @ [ (Insn.with_addr insn guarded_w22, tg_guarded) ]
+        materialize_offset32 b ord base i;
+        access guarded_w22 tg_guarded
     | Insn.Pre (_, i) ->
-        [ (add_imm_to b i, tg_clamp);
-          (Insn.with_addr insn (guarded_reg b), tg_guarded) ]
+        emit b ord (add_imm_to base i) tg_clamp;
+        access (guarded_reg base) tg_guarded
     | Insn.Post (_, i) ->
-        [ (Insn.with_addr insn (guarded_reg b), tg_guarded);
-          (add_imm_to b i, tg_clamp) ]
+        access (guarded_reg base) tg_guarded;
+        emit b ord (add_imm_to base i) tg_clamp
     | Insn.Reg_off (_, m, e, a) ->
-        let op2 =
-          match e with
-          | Insn.Uxtx -> Insn.Sh (w_of m, Insn.Lsl, a)
-          | Insn.Uxtw -> Insn.Ext (w_of m, Insn.Uxtw, a)
-          | Insn.Sxtw -> Insn.Ext (w_of m, Insn.Sxtw, a)
-          | Insn.Sxtx -> Insn.Sh (w_of m, Insn.Lsl, a)
-          | e -> Insn.Ext (w_of m, e, a)
-        in
-        [ (Insn.Alu { op = Insn.ADD; flags = false; dst = w22; src = w_of b;
-                      op2 }, tg_clamp);
-          (Insn.with_addr insn guarded_w22, tg_guarded) ]
-  else
-    (* Basic scheme: the two-cycle guard into x18.  Immediates up to
-       the 32KiB encoding limit stay within the 48KiB guard region, so
-       they may remain as offsets from the guarded base. *)
+        emit b ord (combine_w22 base m e a) tg_clamp;
+        access guarded_w22 tg_guarded
+  else begin
+    (* Basic scheme: the two-cycle guard into x18, accessed through.
+       Immediates up to the 32KiB encoding limit stay within the 48KiB
+       guard region, so they may remain as offsets from the guarded
+       base. *)
+    let via_x18 guarded off =
+      emit b ord (addr_guard x18 guarded) tg_guard;
+      access (Insn.Imm_off (x18, off)) tg_guarded
+    in
     match addr with
     | Insn.Imm_off (_, i)
       when i >= 0 && i + Insn.access_bytes insn <= Layout.max_mem_immediate
            || i < 0 ->
-        via_x18 ~guard:(addr_guard x18 b) ~pre:[] ~post:[]
-          (Insn.Imm_off (x18, i))
+        via_x18 base i
     | Insn.Imm_off (_, i) ->
         (* scaled q-register offsets can reach 65520 bytes, past the
            guard margin the verifier accepts: fold the offset into w22
            and guard the combined address instead *)
-        via_x18
-          ~guard:(addr_guard x18 (Reg.x 22))
-          ~pre:(List.map (fun g -> (g, tg_clamp)) (materialize_offset32 b i))
-          ~post:[]
-          (Insn.Imm_off (x18, 0))
+        materialize_offset32 b ord base i;
+        via_x18 (Reg.x 22) 0
     | Insn.Pre (_, i) ->
-        via_x18 ~guard:(addr_guard x18 b)
-          ~pre:[ (add_imm_to b i, tg_clamp) ] ~post:[]
-          (Insn.Imm_off (x18, 0))
+        emit b ord (add_imm_to base i) tg_clamp;
+        via_x18 base 0
     | Insn.Post (_, i) ->
-        via_x18 ~guard:(addr_guard x18 b) ~pre:[]
-          ~post:[ (add_imm_to b i, tg_clamp) ]
-          (Insn.Imm_off (x18, 0))
+        via_x18 base 0;
+        emit b ord (add_imm_to base i) tg_clamp
     | Insn.Reg_off (_, m, e, a) ->
-        let op2 =
-          match e with
-          | Insn.Uxtx | Insn.Sxtx -> Insn.Sh (w_of m, Insn.Lsl, a)
-          | e -> Insn.Ext (w_of m, e, a)
-        in
         (* combine base and offset in 32 bits, then guard the result *)
-        via_x18
-          ~guard:(addr_guard x18 (Reg.x 22))
-          ~pre:
-            [ (Insn.Alu
-                 { op = Insn.ADD; flags = false; dst = w22; src = w_of b;
-                   op2 }, tg_clamp) ]
-          ~post:[]
-          (Insn.Imm_off (x18, 0))
-
-(* ------------------------------------------------------------------ *)
-(* Basic blocks                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(** Index ranges [(start, stop))] of basic blocks over the item array.
-    Labels and directives start new blocks; branches end them. *)
-let basic_blocks (items : Source.item array) : (int * int) list =
-  let n = Array.length items in
-  let blocks = ref [] in
-  let start = ref 0 in
-  let flush stop = if stop > !start then blocks := (!start, stop) :: !blocks in
-  for i = 0 to n - 1 do
-    match items.(i) with
-    | Source.Label _ | Source.Directive _ ->
-        flush i;
-        start := i + 1
-    | Source.Insn insn ->
-        if Insn.is_branch insn then begin
-          flush (i + 1);
-          start := i + 1
-        end
-  done;
-  flush n;
-  List.rev !blocks
+        emit b ord (combine_w22 base m e a) tg_clamp;
+        via_x18 (Reg.x 22) 0
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Redundant guard elimination (§4.3)                                  *)
@@ -300,84 +295,65 @@ let hoistable_base ~sandbox_loads (i : Insn.t) : (int * int) option =
   else
     match Insn.addr_of i with
     | Some (Insn.Imm_off (Reg.R (Reg.W64, n), off))
-      when (not (List.mem n Reg.reserved_numbers))
+      when (not (Reg.is_reserved_number n))
            && n <> 30
            && abs off < Layout.max_mem_immediate ->
         Some (n, off)
     | _ -> None
 
-(** Plan hoisting for one basic block: returns
-    [(guard_insertions, base_substitutions)] keyed by item index. *)
-let plan_hoisting ~sandbox_loads (items : Source.item array) (bstart : int)
-    (bstop : int) (stats : stats) :
-    (int, Reg.t * int) Hashtbl.t * (int, Reg.t) Hashtbl.t =
-  let guards = Hashtbl.create 8 and subs = Hashtbl.create 8 in
-  (* Count future hoistable uses of base [b] with a nonzero offset,
-     starting at [i], before [b] is redefined.  Zero-offset accesses are
-     free at O1 (the guarded addressing mode), so only nonzero offsets
-     pay for the hoisting guard: hoist when at least two would save
-     their add instructions. *)
-  let future_paying_uses b i =
-    let rec go i acc =
-      if i >= bstop then acc
-      else
-        match items.(i) with
-        | Source.Insn insn ->
-            let acc =
-              match hoistable_base ~sandbox_loads insn with
-              | Some (bb, off) when bb = b && off <> 0 -> acc + 1
-              | _ -> acc
-            in
-            if Insn.writes_reg_number insn b then acc else go (i + 1) acc
-        | _ -> acc
-    in
-    go i 0
+(** Hoistable uses of base [base] with a nonzero offset from item [i]
+    to the end of its basic block (labels and directives start blocks,
+    branches end them), before [base] is redefined.  Zero-offset
+    accesses are free at O1 (the guarded addressing mode), so only
+    nonzero offsets pay for the hoisting guard. *)
+let future_paying_uses ~sandbox_loads (items : Source.item array) base i =
+  let rec go j acc =
+    if j >= Array.length items then acc
+    else
+      match items.(j) with
+      | Source.Insn insn ->
+          let acc =
+            match hoistable_base ~sandbox_loads insn with
+            | Some (bb, off) when bb = base && off <> 0 -> acc + 1
+            | _ -> acc
+          in
+          if Insn.writes_reg_number insn base || Insn.is_branch insn then acc
+          else go (j + 1) acc
+      | _ -> acc
   in
-  let active = Array.make 2 None in
-  let deactivate b =
-    Array.iteri
-      (fun k -> function
-        | Some (bb, _) when bb = b -> active.(k) <- None
-        | _ -> ())
-      active
+  go i 0
+
+(** Redundant guard elimination for instruction [insn] at item [i]:
+    [hoisted.(k)] is the base register number that [hoist_regs.(k)]
+    holds a guarded copy of within the current basic block, or -1.  An
+    access through a hoisted base is redirected at its hoisting
+    register; a base without one gets a free register and its hoisting
+    guard when at least two accesses would save their add.  Returns the
+    register to substitute for [insn]'s base, if any. *)
+let hoist ~sandbox_loads b ord items (hoisted : int array) stats i insn =
+  let sub =
+    match hoistable_base ~sandbox_loads insn with
+    | None -> None
+    | Some (base, _) ->
+        if hoisted.(0) = base then Some hoist_regs.(0)
+        else if hoisted.(1) = base then Some hoist_regs.(1)
+        else
+          let k = if hoisted.(0) < 0 then 0 else if hoisted.(1) < 0 then 1 else -1 in
+          if k >= 0 && future_paying_uses ~sandbox_loads items base i >= 2
+          then begin
+            hoisted.(k) <- base;
+            emit b ord (addr_guard hoist_regs.(k) (Reg.x base)) tg_guard;
+            stats.hoists <- stats.hoists + 1;
+            Some hoist_regs.(k)
+          end
+          else None
   in
-  for i = bstart to bstop - 1 do
-    match items.(i) with
-    | Source.Insn insn ->
-        (match hoistable_base ~sandbox_loads insn with
-        | Some (b, _) -> (
-            let existing =
-              Array.to_list active
-              |> List.find_opt (function
-                   | Some (bb, _) -> bb = b
-                   | None -> false)
-            in
-            match existing with
-            | Some (Some (_, reg)) -> Hashtbl.replace subs i reg
-            | _ -> (
-                (* allocate a hoist register if this base is reused *)
-                match
-                  Array.to_list active
-                  |> List.mapi (fun k v -> (k, v))
-                  |> List.find_opt (fun (_, v) -> v = None)
-                with
-                | Some (k, None) when future_paying_uses b i >= 2 ->
-                    let reg = hoist_regs.(k) in
-                    active.(k) <- Some (b, reg);
-                    Hashtbl.replace guards i (reg, b);
-                    Hashtbl.replace subs i reg;
-                    stats.hoists <- stats.hoists + 1
-                | _ -> ()))
-        | None -> ());
-        (* a write to the base register invalidates the hoisted copy *)
-        Array.iter
-          (function
-            | Some (b, _) when Insn.writes_reg_number insn b -> deactivate b
-            | _ -> ())
-          active
-    | _ -> ()
+  (* a write to the base register invalidates the hoisted copy *)
+  for k = 0 to 1 do
+    if hoisted.(k) >= 0 && Insn.writes_reg_number insn hoisted.(k) then
+      hoisted.(k) <- -1
   done;
-  (guards, subs)
+  sub
 
 (* ------------------------------------------------------------------ *)
 (* Stack pointer handling (§4.2)                                       *)
@@ -393,9 +369,9 @@ let is_sp_based_access (i : Insn.t) =
     unnecessary?  Yes iff the next sp-touching instruction in the same
     basic block is an sp-based memory access (which traps in a guard
     page) — a second unguarded adjustment would let sp drift. *)
-let sp_guard_elidable (items : Source.item array) (i : int) (n : int) : bool =
+let sp_guard_elidable (items : Source.item array) (i : int) : bool =
   let rec go j =
-    if j >= n then false
+    if j >= Array.length items then false
     else
       match items.(j) with
       | Source.Label _ | Source.Directive _ -> false
@@ -411,287 +387,250 @@ let sp_guard_elidable (items : Source.item array) (i : int) (n : int) : bool =
 (* Main pass                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let transform_insn (cfg : Config.t) (stats : stats)
-    (items : Source.item array) (idx : int) (insn : Insn.t) :
-    (Insn.t * tag) list =
-  let o1 = cfg.opt <> Config.O0 in
-  let tg_sp : tag = Some (Overhead.Sp_anchor, true) in
-  let tg_sp_mod : tag = Some (Overhead.Sp_anchor, false) in
-  let out =
-    match insn with
-    (* ---- system calls -> runtime calls (§4.4) ---- *)
-    | Insn.Svc n ->
-        if n < 0 || n >= Layout.rtcall_entry_count then
-          errorf "runtime call number %d out of range" n;
-        [ (Insn.Ldr
-             { sz = Insn.X; signed = false; dst = x30;
-               addr = Insn.Imm_off (x21, Layout.rtcall_entry_offset n) },
-           Some (Overhead.Rtcall_gate, true));
-          (Insn.Blr x30, Some (Overhead.Rtcall_gate, false)) ]
-    (* ---- indirect branches ---- *)
-    | Insn.Br r -> [ (addr_guard x18 r, tg_guard); (Insn.Br x18, tg_guarded) ]
-    | Insn.Blr r -> [ (addr_guard x18 r, tg_guard); (Insn.Blr x18, tg_guarded) ]
-    | Insn.Ret (Reg.R (Reg.W64, 30)) -> [ (insn, None) ]
-    | Insn.Ret r -> [ (addr_guard x18 r, tg_guard); (Insn.Ret x18, tg_guarded) ]
-    (* ---- stack pointer writes ---- *)
-    | Insn.Alu { dst = Reg.SP Reg.W64; op; flags = false; src; op2 } -> (
-        match (op, src, op2) with
-        | (Insn.ADD | Insn.SUB), Reg.SP Reg.W64, Insn.Imm (v, 0)
-          when cfg.sp_block_optimization
-               && v < Layout.max_sp_drift
-               && sp_guard_elidable items idx (Array.length items) ->
-            stats.sp_guards_elided <- stats.sp_guards_elided + 1;
-            [ (insn, None) ]
-        | (Insn.ADD | Insn.SUB), Reg.SP Reg.W64, Insn.Imm _ ->
-            (insn, None) :: List.map (fun g -> (g, tg_sp)) sp_guard
-        | Insn.ADD, _, Insn.Imm (0, 0) ->
-            (* mov sp, xN *)
-            [ (Insn.Alu
-                 { op = Insn.ORR; flags = false; dst = w22;
-                   src = Reg.ZR Reg.W32;
-                   op2 = Insn.Sh (w_of src, Insn.Lsl, 0) }, tg_sp_mod);
-              (List.nth sp_guard 1, tg_sp) ]
-        | (Insn.ADD | Insn.SUB), _, Insn.Ext (m, _, a) ->
-            (* variable adjustment (e.g. alloca): compute in 32 bits,
-               then guard *)
-            [ (Insn.Alu
-                 { op; flags = false; dst = w22; src = w_of src;
-                   op2 = Insn.Ext (w_of m, Insn.Uxtw, a) }, tg_sp_mod);
-              (List.nth sp_guard 1, tg_sp) ]
-        | _ -> errorf "unsupported sp write %S" (Printer.to_string insn))
-    | _ when Insn.writes_sp insn && not (Insn.is_memory insn) ->
-        errorf "unsupported sp write %S" (Printer.to_string insn)
-    (* ---- exclusives ---- *)
-    | (Insn.Ldxr _ | Insn.Stxr _ | Insn.Ldar _ | Insn.Stlr _)
-      when not cfg.allow_exclusives ->
-        errorf "LL/SC and acquire/release disabled by configuration (§7.1)"
-    (* ---- memory accesses ---- *)
-    | _ when Insn.is_memory insn -> (
-        let addr = Option.get (Insn.addr_of insn) in
-        let b = Insn.addr_base addr in
-        let needs_guard =
-          Insn.is_store insn || (Insn.is_load insn && cfg.sandbox_loads)
-        in
-        if Reg.is_sp b then
-          (* sp-based: immediate and pre/post modes are safe as-is;
-             register offsets are rare and rewritten through w22 *)
-          match addr with
-          | Insn.Imm_off _ | Insn.Pre _ | Insn.Post _ -> [ (insn, None) ]
-          | Insn.Reg_off (_, m, e, a) when needs_guard ->
-              let ext =
-                match e with
-                | Insn.Uxtx | Insn.Sxtx -> Insn.Uxtw
-                | e -> e
-              in
-              [ (Insn.Alu
-                   { op = Insn.ADD; flags = false; dst = w22; src = wsp;
-                     op2 = Insn.Ext (w_of m, ext, a) }, tg_clamp);
-                (Insn.with_addr insn guarded_w22, tg_guarded) ]
-          | Insn.Reg_off _ -> [ (insn, None) ]
-        else if base_is_reserved_addr b || Reg.equal b x21 then [ (insn, None) ]
-        else if not needs_guard then [ (insn, None) ]
-        else transform_general_mem ~o1 insn addr b)
-    | _ -> [ (insn, None) ]
-  in
-  (* Loads that wrote the link register must be followed by the x30
-     guard (§4.2); bl/blr/guards are exempt by construction. *)
-  let needs_lr_guard i =
-    Insn.writes_reg_number i 30
-    && (not (Insn.is_branch i))
-    && not (is_addr_guard_for x30 i)
-  in
-  let rec fix = function
-    | [] -> []
-    | (i, t) :: tl when needs_lr_guard i && Insn.is_memory i ->
-        (* exception: the runtime-call table load is immediately
-           followed by blr x30 *)
-        let is_table_load =
-          match i with
-          | Insn.Ldr { dst = Reg.R (Reg.W64, 30);
-                       addr = Insn.Imm_off (Reg.R (Reg.W64, 21), _); _ } ->
-              true
-          | _ -> false
-        in
-        if is_table_load then (i, t) :: fix tl
-        else (i, t) :: (lr_guard, Some (Overhead.Retag, true)) :: fix tl
-    | it :: tl -> it :: fix tl
-  in
-  fix out
+(** Emit the rewrite of [insn], item [idx] of the input and its
+    instruction number [ord].  When the instruction itself goes out, it
+    goes out as [it] with tag [keep_tag]. *)
+let transform_insn (cfg : Config.t) stats b (items : Source.item array) idx
+    ord (insn : Insn.t) ~it ~keep_tag =
+  let keep () = emit_item b ord it insn keep_tag in
+  match insn with
+  (* ---- system calls -> runtime calls (§4.4) ---- *)
+  | Insn.Svc n ->
+      if n < 0 || n >= Layout.rtcall_entry_count then
+        errorf "runtime call number %d out of range" n;
+      emit b ord
+        (Insn.Ldr
+           { sz = Insn.X; signed = false; dst = x30;
+             addr = Insn.Imm_off (x21, Layout.rtcall_entry_offset n) })
+        (Some (Overhead.Rtcall_gate, true));
+      emit b ord (Insn.Blr x30) (Some (Overhead.Rtcall_gate, false))
+  (* ---- indirect branches ---- *)
+  | Insn.Br r ->
+      emit b ord (addr_guard x18 r) tg_guard;
+      emit b ord (Insn.Br x18) tg_guarded
+  | Insn.Blr r ->
+      emit b ord (addr_guard x18 r) tg_guard;
+      emit b ord (Insn.Blr x18) tg_guarded
+  | Insn.Ret (Reg.R (Reg.W64, 30)) -> keep ()
+  | Insn.Ret r ->
+      emit b ord (addr_guard x18 r) tg_guard;
+      emit b ord (Insn.Ret x18) tg_guarded
+  (* ---- stack pointer writes ---- *)
+  | Insn.Alu { dst = Reg.SP Reg.W64; op; flags = false; src; op2 } -> (
+      match (op, src, op2) with
+      | (Insn.ADD | Insn.SUB), Reg.SP Reg.W64, Insn.Imm (v, 0)
+        when cfg.sp_block_optimization
+             && v < Layout.max_sp_drift
+             && sp_guard_elidable items idx ->
+          stats.sp_guards_elided <- stats.sp_guards_elided + 1;
+          keep ()
+      | (Insn.ADD | Insn.SUB), Reg.SP Reg.W64, Insn.Imm _ ->
+          keep ();
+          emit b ord sp_guard_mov tg_sp;
+          emit b ord sp_guard_add tg_sp
+      | Insn.ADD, _, Insn.Imm (0, 0) ->
+          (* mov sp, xN *)
+          emit b ord
+            (Insn.Alu
+               { op = Insn.ORR; flags = false; dst = w22;
+                 src = Reg.ZR Reg.W32;
+                 op2 = Insn.Sh (w_of src, Insn.Lsl, 0) })
+            tg_sp_mod;
+          emit b ord sp_guard_add tg_sp
+      | (Insn.ADD | Insn.SUB), _, Insn.Ext (m, _, a) ->
+          (* variable adjustment (e.g. alloca): compute in 32 bits,
+             then guard *)
+          emit b ord
+            (Insn.Alu
+               { op; flags = false; dst = w22; src = w_of src;
+                 op2 = Insn.Ext (w_of m, Insn.Uxtw, a) })
+            tg_sp_mod;
+          emit b ord sp_guard_add tg_sp
+      | _ -> errorf "unsupported sp write %S" (Printer.to_string insn))
+  | _ when Insn.writes_sp insn && not (Insn.is_memory insn) ->
+      errorf "unsupported sp write %S" (Printer.to_string insn)
+  (* ---- exclusives ---- *)
+  | (Insn.Ldxr _ | Insn.Stxr _ | Insn.Ldar _ | Insn.Stlr _)
+    when not cfg.allow_exclusives ->
+      errorf "LL/SC and acquire/release disabled by configuration (§7.1)"
+  (* ---- memory accesses ---- *)
+  | _ when Insn.is_memory insn -> (
+      let addr = Option.get (Insn.addr_of insn) in
+      let base = Insn.addr_base addr in
+      let needs_guard =
+        Insn.is_store insn || (Insn.is_load insn && cfg.sandbox_loads)
+      in
+      if Reg.is_sp base then
+        (* sp-based: immediate and pre/post modes are safe as-is;
+           register offsets are rare and rewritten through w22 *)
+        match addr with
+        | Insn.Reg_off (_, m, e, a) when needs_guard ->
+            let ext =
+              match e with
+              | Insn.Uxtx | Insn.Sxtx -> Insn.Uxtw
+              | e -> e
+            in
+            emit b ord
+              (Insn.Alu
+                 { op = Insn.ADD; flags = false; dst = w22; src = wsp;
+                   op2 = Insn.Ext (w_of m, ext, a) })
+              tg_clamp;
+            emit b ord (Insn.with_addr insn guarded_w22) tg_guarded
+        | _ -> keep ()
+      else if base_is_reserved_addr base || Reg.equal base x21
+              || not needs_guard
+      then keep ()
+      else
+        let o1 = match cfg.opt with Config.O0 -> false | _ -> true in
+        transform_general_mem ~o1 b ord insn addr base)
+  | _ -> keep ()
 
 (* ------------------------------------------------------------------ *)
 (* Branch range relaxation                                             *)
 (* ------------------------------------------------------------------ *)
 
-(** An output item carrying its attribution: which input instruction
-    it descends from, and whether (and how) the rewriter touched it. *)
-type stamped = { it : Source.item; orig : int; tag : tag }
+let tbz_range = 4096 - 64 (* ±32KiB in instructions, with margin *)
+let cond_range = (1 lsl 18) - 64
+
+let beyond offsets here range l =
+  match Hashtbl.find_opt offsets l with
+  | Some target -> abs (target - here) > range
+  | None -> false
+
+(** The inverted short branch and the label of a tbz/cbz/b.cond at
+    instruction offset [here] whose target is out of its reach. *)
+let far_branch offsets here = function
+  | Insn.Tbz ({ target = Insn.Sym l; _ } as r)
+    when beyond offsets here tbz_range l ->
+      Some (Insn.Tbz { r with nz = not r.nz; target = Insn.Off 8 }, l)
+  | Insn.Cbz ({ target = Insn.Sym l; _ } as r)
+    when beyond offsets here cond_range l ->
+      Some (Insn.Cbz { r with nz = not r.nz; target = Insn.Off 8 }, l)
+  | Insn.Bcond (c, Insn.Sym l) when beyond offsets here cond_range l ->
+      Some (Insn.Bcond (Insn.invert_cond c, Insn.Off 8), l)
+  | _ -> None
 
 (** Replace out-of-range tbz/cbz/b.cond with an inverted short branch
-    over an unconditional one.  Iterates to a fixpoint because each
-    relaxation adds an instruction.  Both halves of a relaxation are
+    over an unconditional one.  Each pass measures the targets from one
+    scan of the label offsets and rebuilds the buffer from its first
+    out-of-range branch on, if it has one; it iterates to a fixpoint
+    because each relaxation adds an instruction.  Text no longer than
+    tbz's reach has nothing to relax.  Both halves of a relaxation are
     [Trampoline] sites: the inverted branch is the original one
     modified, the unconditional [b] is inserted. *)
-let relax_branches (stats : stats) (src : stamped list) : stamped list =
-  let offsets (items : stamped list) =
-    let tbl = Hashtbl.create 64 in
-    let off = ref 0 in
-    List.iter
-      (fun { it; _ } ->
-        match it with
-        | Source.Label l -> Hashtbl.replace tbl l !off
-        | Source.Insn _ -> incr off
-        | Source.Directive _ -> ())
-      items;
-    tbl
-  in
-  let tbz_range = 4096 - 64 (* ±32KiB in instructions, with margin *)
-  and cond_range = (1 lsl 18) - 64 in
-  let rec pass items =
-    let tbl = offsets items in
-    let changed = ref false in
-    let off = ref 0 in
-    let out =
-      List.concat_map
-        (fun stamp ->
-          match stamp.it with
-          | Source.Insn insn ->
-              let here = !off in
-              incr off;
-              let dist l =
-                match Hashtbl.find_opt tbl l with
-                | Some target -> Some (target - here)
-                | None -> None
-              in
-              let relax mk_inverted target_sym =
-                changed := true;
-                stats.branches_relaxed <- stats.branches_relaxed + 1;
-                off := !off + 1;
-                [ { stamp with
-                    it = Source.Insn (mk_inverted (Insn.Off 8));
-                    tag = Some (Overhead.Trampoline, false) };
-                  { stamp with
-                    it = Source.Insn (Insn.B (Insn.Sym target_sym));
-                    tag = Some (Overhead.Trampoline, true) } ]
-              in
-              (match insn with
-              | Insn.Tbz ({ target = Insn.Sym l; _ } as r) -> (
-                  match dist l with
-                  | Some d when abs d > tbz_range ->
-                      relax
-                        (fun t -> Insn.Tbz { r with nz = not r.nz; target = t })
-                        l
-                  | _ -> [ stamp ])
-              | Insn.Cbz ({ target = Insn.Sym l; _ } as r) -> (
-                  match dist l with
-                  | Some d when abs d > cond_range ->
-                      relax
-                        (fun t -> Insn.Cbz { r with nz = not r.nz; target = t })
-                        l
-                  | _ -> [ stamp ])
-              | Insn.Bcond (c, Insn.Sym l) -> (
-                  match dist l with
-                  | Some d when abs d > cond_range ->
-                      relax (fun t -> Insn.Bcond (Insn.invert_cond c, t)) l
-                  | _ -> [ stamp ])
-              | _ -> [ stamp ])
-          | _ -> [ stamp ])
-        items
-    in
-    if !changed then pass out else out
-  in
-  pass src
+let rec relax_branches stats (b : buf) : buf =
+  if b.insns <= tbz_range then b
+  else begin
+    let offsets = Hashtbl.create 64 and off = ref 0 in
+    for k = 0 to b.len - 1 do
+      match b.items.(k) with
+      | Source.Label l -> Hashtbl.replace offsets l !off
+      | Source.Insn _ -> incr off
+      | Source.Directive _ -> ()
+    done;
+    (* [here] counts the instructions before item [k] in the output *)
+    let out = ref None and here = ref 0 in
+    for k = 0 to b.len - 1 do
+      let far =
+        match b.items.(k) with
+        | Source.Insn i -> far_branch offsets !here i
+        | _ -> None
+      in
+      (match (far, !out) with
+      | None, None -> ()
+      | None, Some o -> push o b.items.(k) b.origs.(k) b.tags.(k)
+      | Some (short, l), _ ->
+          let o =
+            match !out with
+            | Some o -> o
+            | None ->
+                let o = create_buf (b.len + 16) in
+                for j = 0 to k - 1 do
+                  push o b.items.(j) b.origs.(j) b.tags.(j)
+                done;
+                out := Some o;
+                o
+          in
+          stats.branches_relaxed <- stats.branches_relaxed + 1;
+          push o (Source.Insn short) b.origs.(k)
+            (Some (Overhead.Trampoline, false));
+          push o (Source.Insn (Insn.B (Insn.Sym l))) b.origs.(k)
+            (Some (Overhead.Trampoline, true));
+          incr here);
+      match b.items.(k) with Source.Insn _ -> incr here | _ -> ()
+    done;
+    match !out with Some o -> relax_branches stats o | None -> b
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(** Rewrite a parsed assembly file into its sandboxed equivalent. *)
+(** Rewrite a parsed assembly file into its sandboxed equivalent: one
+    walk over the input emits into one buffer, relaxation rebuilds it
+    only if a branch is out of range, and one walk back over it builds
+    the result and the site table (indices into the input/output
+    instruction streams; see {!resolve_sites}). *)
 let rewrite ?(config = Config.default) (src : Source.t) :
     Source.t * stats =
-  check_input src;
-  let stats = empty_stats () in
-  stats.input_insns <- Source.insn_count src;
   let items = Array.of_list src in
-  (* Plan redundant guard elimination per basic block (O2 only). *)
-  let guards = Hashtbl.create 16 and subs = Hashtbl.create 16 in
-  if config.opt = Config.O2 then
-    List.iter
-      (fun (bstart, bstop) ->
-        let g, s =
-          plan_hoisting ~sandbox_loads:config.sandbox_loads items bstart
-            bstop stats
+  check_input items;
+  let stats = empty_stats () in
+  let n = Array.length items in
+  let b = create_buf (n + (n / 8) + 16) in
+  (* redundant guard elimination (O2 only), reset at each block start *)
+  let hoisted = [| -1; -1 |] in
+  let ord = ref 0 in
+  for idx = 0 to n - 1 do
+    match items.(idx) with
+    | (Source.Label _ | Source.Directive _) as it ->
+        hoisted.(0) <- -1;
+        hoisted.(1) <- -1;
+        push b it (-1) None
+    | Source.Insn insn as it ->
+        let sub =
+          match config.opt with
+          | Config.O2 ->
+              hoist ~sandbox_loads:config.sandbox_loads b !ord items hoisted
+                stats idx insn
+          | _ -> None
         in
-        Hashtbl.iter (Hashtbl.replace guards) g;
-        Hashtbl.iter (Hashtbl.replace subs) s)
-      (basic_blocks items);
-  let out = ref [] in
-  Array.iteri
-    (fun idx item ->
-      match item with
-      | Source.Label _ | Source.Directive _ ->
-          out := { it = item; orig = idx; tag = None } :: !out
-      | Source.Insn insn ->
-          (match Hashtbl.find_opt guards idx with
-          | Some (reg, base_n) ->
-              out :=
-                { it = Source.Insn (addr_guard reg (Reg.x base_n));
-                  orig = idx; tag = tg_guard }
-                :: !out
-          | None -> ());
-          let subbed = Hashtbl.mem subs idx in
-          let insn =
-            match Hashtbl.find_opt subs idx with
-            | Some reg -> (
-                match Insn.addr_of insn with
-                | Some (Insn.Imm_off (_, i)) ->
-                    Insn.with_addr insn (Insn.Imm_off (reg, i))
-                | _ -> insn)
-            | None -> insn
-          in
-          List.iter
-            (fun (i, tag) ->
-              (* an access redirected at a hoisted base is a modified
-                 guard site even though the rewrite leaves it alone *)
-              let tag =
-                if subbed && tag = None then tg_guarded else tag
-              in
-              out := { it = Source.Insn i; orig = idx; tag } :: !out)
-            (transform_insn config stats items idx insn))
-    items;
-  let stamped = relax_branches stats (List.rev !out) in
-  (* Flatten: split items from stamps, and turn tags into the site
-     table (indices into the input/output instruction streams; see
-     {!resolve_sites}). *)
-  let result = List.map (fun s -> s.it) stamped in
-  let in_insn_index = Array.make (Array.length items) (-1) in
-  let k = ref 0 in
-  Array.iteri
-    (fun idx item ->
-      match item with
-      | Source.Insn _ ->
-          in_insn_index.(idx) <- !k;
-          incr k
-      | _ -> ())
-    items;
-  let sites = ref [] and out_idx = ref 0 in
-  List.iter
-    (fun s ->
-      match s.it with
-      | Source.Insn _ ->
-          (match s.tag with
-          | Some (cat, inserted) ->
-              sites :=
-                { s_out = !out_idx; s_cat = cat; s_inserted = inserted;
-                  s_orig = in_insn_index.(s.orig) }
-                :: !sites
-          | None -> ());
-          incr out_idx
-      | _ -> ())
-    stamped;
-  stats.sites <- List.rev !sites;
-  stats.output_insns <- Source.insn_count result;
-  stats.guards <- stats.output_insns - stats.input_insns;
-  (result, stats)
+        (match (sub, Insn.addr_of insn) with
+        | Some reg, Some (Insn.Imm_off (_, i)) ->
+            (* an access redirected at a hoisted base is a modified
+               guard site even though the rewrite leaves it alone *)
+            let subbed = Insn.with_addr insn (Insn.Imm_off (reg, i)) in
+            transform_insn config stats b items idx !ord subbed
+              ~it:(Source.Insn subbed) ~keep_tag:tg_guarded
+        | _ -> transform_insn config stats b items idx !ord insn ~it ~keep_tag:None);
+        if Insn.is_branch insn then begin
+          hoisted.(0) <- -1;
+          hoisted.(1) <- -1
+        end;
+        incr ord
+  done;
+  let b = relax_branches stats b in
+  let result = ref [] and sites = ref [] and out_idx = ref b.insns in
+  for k = b.len - 1 downto 0 do
+    let it = b.items.(k) in
+    result := it :: !result;
+    match it with
+    | Source.Insn _ -> (
+        decr out_idx;
+        match b.tags.(k) with
+        | Some (cat, inserted) ->
+            sites :=
+              { s_out = !out_idx; s_cat = cat; s_inserted = inserted;
+                s_orig = b.origs.(k) }
+              :: !sites
+        | None -> ())
+    | _ -> ()
+  done;
+  stats.input_insns <- !ord;
+  stats.output_insns <- b.insns;
+  stats.guards <- b.insns - !ord;
+  stats.sites <- !sites;
+  (!result, stats)
 
 (** Resolve the site table of a finished rewrite to sandbox-relative
     addresses, by replaying the assembler's layout over both the input

@@ -41,7 +41,7 @@ let witness_insns (i : Insn.t) : Insn.t list option =
   | Some (Insn.Reg_off (Reg.R (Reg.W64, 21), Reg.R (_, m), e, _))
     when Insn.is_memory i
          && (not (List.mem m [ 18; 21; 22; 23; 24; 30 ]))
-         && not (Prove.writes_x30 i) -> (
+         && not (Insn.writes_reg_number i 30) -> (
       (* maximal index for the (unchecked) extension *)
       match e with
       | Insn.Uxtw ->

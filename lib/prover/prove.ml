@@ -26,13 +26,10 @@ module Verifier = Lfi_verifier.Verifier
 
 let code_origin = Lfi_core.Layout.code_origin
 
-let writes_x30 i =
-  List.exists (function `R (_, 30) -> true | _ -> false) (Insn.writes i)
-
 (** Writes x30 in a way the verifier only accepts with the guard as
     the next instruction. *)
 let needs_x30_guard i =
-  writes_x30 i
+  Insn.writes_reg_number i 30
   && (match i with Insn.Bl _ | Insn.Blr _ -> false | _ -> true)
   && (not (Verifier.is_x30_guard i))
   && not (Verifier.is_table_load i)
