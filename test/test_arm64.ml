@@ -80,6 +80,19 @@ let test_writes_sp () =
   checkb "pre-index" true (Insn.writes_sp (parse "str x0, [sp, #-16]!"));
   checkb "plain store" false (Insn.writes_sp (parse "str x0, [sp, #8]"))
 
+(* the non-allocating register-write queries answer as the writes list
+   does, for every general register *)
+let prop_writes_queries =
+  QCheck.Test.make ~count:5000 ~name:"writes_reg_number, writes_sp = writes"
+    Gen.arbitrary_insn (fun i ->
+      let ws = Insn.writes i in
+      Insn.writes_sp i = List.mem `Sp ws
+      && List.for_all
+           (fun n ->
+             Insn.writes_reg_number i n
+             = List.exists (function `R (_, m) -> m = n | `Sp -> false) ws)
+           (List.init 31 Fun.id))
+
 let test_branch_classes () =
   checkb "b" true (Insn.is_branch (parse "b lbl"));
   checkb "ret" true (Insn.is_indirect_branch (parse "ret"));
@@ -871,6 +884,7 @@ let () =
         [
           Alcotest.test_case "writes" `Quick test_writes;
           Alcotest.test_case "writes sp" `Quick test_writes_sp;
+          QCheck_alcotest.to_alcotest prop_writes_queries;
           Alcotest.test_case "branch classes" `Quick test_branch_classes;
           Alcotest.test_case "access bytes" `Quick test_access_bytes;
         ] );

@@ -10,7 +10,7 @@ module Gen = Lfi_fuzz.Gen_insn
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
-let _checks = Alcotest.(check string)
+let checks = Alcotest.(check string)
 
 let rewrite_body ?(config = Lfi_core.Config.o2) (asm : string) : string list =
   let src = Parser.parse_string_exn ("f:\n" ^ asm) in
@@ -192,6 +192,64 @@ let test_branch_relaxation () =
   checkb "relaxed" true (stats.branches_relaxed >= 1);
   (* and the result must still assemble (all offsets in range) *)
   ignore (Assemble.assemble out)
+
+(* [f:], the [head] instructions, [gap] nops, [far:], the [tail]
+   instructions.  Nops pass through the rewriter, so input and output
+   offsets agree until a branch is relaxed. *)
+let far_program head gap tail =
+  let p = Parser.parse_string_exn in
+  p ("f:\n" ^ head)
+  @ List.init gap (fun _ -> Source.Insn Insn.Nop)
+  @ p ("far:\n" ^ tail)
+
+let relax src =
+  let out, stats = Lfi_core.Rewriter.rewrite src in
+  checki "output insns"
+    (stats.input_insns + stats.branches_relaxed)
+    stats.output_insns;
+  (* every branch of the result is in reach *)
+  ignore (Assemble.assemble out);
+  (Source.insns out, stats.branches_relaxed)
+
+let test_far_cbz_bcond () =
+  (* cbz and b.eq more than 1 MiB before their target, cbnz and b.ne
+     more than 1 MiB after theirs *)
+  let insns, relaxed =
+    relax
+      (far_program "\tcbz x0, far\n\tb.eq far\n" 262100
+         "\tcbnz x1, f\n\tb.ne f\n\tret\n")
+  in
+  checki "relaxed" 4 relaxed;
+  let printed k = Printer.to_string (List.nth insns k) in
+  checks "cbz inverted" "cbnz x0, .+8" (printed 0);
+  checks "cbz veneer" "b far" (printed 1);
+  checks "b.eq inverted" "b.ne .+8" (printed 2);
+  checks "b.eq veneer" "b far" (printed 3);
+  (* the reach is exact: a target (1 lsl 18) - 64 instructions away is
+     in range, one more is not *)
+  let at d = snd (relax (far_program "\tcbz x0, far\n" (d - 1) "\tret\n")) in
+  checki "at the reach" 0 (at ((1 lsl 18) - 64));
+  checki "past the reach" 1 (at ((1 lsl 18) - 63));
+  let tbz d = snd (relax (far_program "\ttbz x0, #3, far\n" (d - 1) "\tret\n")) in
+  checki "tbz at the reach" 0 (tbz (4096 - 64));
+  checki "tbz past the reach" 1 (tbz (4096 - 63))
+
+let test_relaxation_cascade () =
+  (* the first tbz's target is exactly at its reach; relaxing the
+     second (far) tbz, which lies between them, adds an instruction that
+     pushes the first out of range on the next pass *)
+  let src =
+    Parser.parse_string_exn "f:\n\ttbz x0, #1, near\n\ttbz x0, #2, far\n"
+    @ List.init (4096 - 64 - 2) (fun _ -> Source.Insn Insn.Nop)
+    @ Parser.parse_string_exn "near:\n"
+    @ List.init 5000 (fun _ -> Source.Insn Insn.Nop)
+    @ Parser.parse_string_exn "far:\n\tret\n"
+  in
+  let insns, relaxed = relax src in
+  checki "relaxed" 2 relaxed;
+  checks "first inverted" "tbnz w0, #1, .+8"
+    (Printer.to_string (List.nth insns 0));
+  checks "first veneer" "b near" (Printer.to_string (List.nth insns 1))
 
 let test_svc_out_of_range () =
   match
@@ -393,7 +451,12 @@ let () =
           mk "figure 2" test_hoisting;
           mk "group ends at base write" test_hoisting_not_across_write;
         ] );
-      ("rewriter-relaxation", [ mk "far tbz" test_branch_relaxation ]);
+      ( "rewriter-relaxation",
+        [
+          mk "far tbz" test_branch_relaxation;
+          mk "far cbz and b.cond" test_far_cbz_bcond;
+          mk "cascade" test_relaxation_cascade;
+        ] );
       ( "verifier",
         [
           mk "accepts rewritten" test_verifier_accepts_rewritten;
