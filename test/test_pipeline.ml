@@ -218,27 +218,29 @@ let read_lines path =
   in
   go []
 
-let test_elf_golden () =
-  let expected = read_lines "elf_golden.txt" in
-  let got = elf_golden_lines () in
+let check_golden file got =
+  let expected = read_lines file in
   checki "golden lines" (List.length expected) (List.length got);
   List.iteri
     (fun k (e, g) ->
       Alcotest.(check string) (Printf.sprintf "line %d" (k + 1)) e g)
     (List.combine expected got)
 
+let test_elf_golden () = check_golden "elf_golden.txt" (elf_golden_lines ())
+
 (* ---------------- rewrite golden ---------------- *)
 
 (* test/rewrite_golden.txt pins the rewriter's output: for every ELF
-   golden program, a ~200 KiB program of many generated functions and
-   an assembly program whose tbz, cbz and b.cond targets the guards push
-   out of range, at O0, O1 and O2, one line with the MD5 of the printed
-   output, the six stats counters and the MD5 of the site table.
+   golden program, a program of 400 generated functions (~300 KiB of
+   text) and an assembly program whose tbz, cbz and b.cond targets the
+   guards push out of range, at O0, O1 and O2, one line with the MD5 of
+   the printed output, the six stats counters and the MD5 of the site
+   table.
    Regenerate it only deliberately, with
      LFI_GOLDEN_OUT=$PWD/test/rewrite_golden.txt \
        dune exec test/test_pipeline.exe *)
 
-(* Many functions whose bodies come from the fuzz generator's MiniC
+(* 400 functions whose bodies come from the fuzz generator's MiniC
    statements, the shape of perfbench's synthetic build program. *)
 let many_functions_program () : Ast.program =
   let rand = Random.State.make [| 7 |] in
@@ -315,13 +317,7 @@ let write_golden lines path =
   Printf.printf "wrote %s\n%!" path
 
 let test_rewrite_golden () =
-  let expected = read_lines "rewrite_golden.txt" in
-  let got = rewrite_golden_lines () in
-  checki "golden lines" (List.length expected) (List.length got);
-  List.iteri
-    (fun k (e, g) ->
-      Alcotest.(check string) (Printf.sprintf "line %d" (k + 1)) e g)
-    (List.combine expected got)
+  check_golden "rewrite_golden.txt" (rewrite_golden_lines ())
 
 let mk name f = Alcotest.test_case name `Quick f
 
