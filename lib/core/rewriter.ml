@@ -328,15 +328,18 @@ let future_paying_uses ~sandbox_loads (items : Source.item array) base i =
     holds a guarded copy of within the current basic block, or -1.  An
     access through a hoisted base is redirected at its hoisting
     register; a base without one gets a free register and its hoisting
-    guard when at least two accesses would save their add.  Returns the
-    register to substitute for [insn]'s base, if any. *)
+    guard when at least two accesses would save their add.  Returns
+    [insn] redirected at its hoisting register, if it has one. *)
 let hoist ~sandbox_loads b ord items (hoisted : int array) stats i insn =
   let sub =
     match hoistable_base ~sandbox_loads insn with
     | None -> None
-    | Some (base, _) ->
-        if hoisted.(0) = base then Some hoist_regs.(0)
-        else if hoisted.(1) = base then Some hoist_regs.(1)
+    | Some (base, off) ->
+        let redirect k =
+          Some (Insn.with_addr insn (Insn.Imm_off (hoist_regs.(k), off)))
+        in
+        if hoisted.(0) = base then redirect 0
+        else if hoisted.(1) = base then redirect 1
         else
           let k = if hoisted.(0) < 0 then 0 else if hoisted.(1) < 0 then 1 else -1 in
           if k >= 0 && future_paying_uses ~sandbox_loads items base i >= 2
@@ -344,7 +347,7 @@ let hoist ~sandbox_loads b ord items (hoisted : int array) stats i insn =
             hoisted.(k) <- base;
             emit b ord (addr_guard hoist_regs.(k) (Reg.x base)) tg_guard;
             stats.hoists <- stats.hoists + 1;
-            Some hoist_regs.(k)
+            redirect k
           end
           else None
   in
@@ -588,21 +591,22 @@ let rewrite ?(config = Config.default) (src : Source.t) :
         hoisted.(1) <- -1;
         push b it (-1) None
     | Source.Insn insn as it ->
-        let sub =
+        let redirected =
           match config.opt with
           | Config.O2 ->
               hoist ~sandbox_loads:config.sandbox_loads b !ord items hoisted
                 stats idx insn
           | _ -> None
         in
-        (match (sub, Insn.addr_of insn) with
-        | Some reg, Some (Insn.Imm_off (_, i)) ->
+        (match redirected with
+        | Some r ->
             (* an access redirected at a hoisted base is a modified
                guard site even though the rewrite leaves it alone *)
-            let subbed = Insn.with_addr insn (Insn.Imm_off (reg, i)) in
-            transform_insn config stats b items idx !ord subbed
-              ~it:(Source.Insn subbed) ~keep_tag:tg_guarded
-        | _ -> transform_insn config stats b items idx !ord insn ~it ~keep_tag:None);
+            transform_insn config stats b items idx !ord r
+              ~it:(Source.Insn r) ~keep_tag:tg_guarded
+        | None ->
+            transform_insn config stats b items idx !ord insn ~it
+              ~keep_tag:None);
         if Insn.is_branch insn then begin
           hoisted.(0) <- -1;
           hoisted.(1) <- -1
