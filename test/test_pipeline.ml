@@ -319,12 +319,108 @@ let write_golden lines path =
 let test_rewrite_golden () =
   check_golden "rewrite_golden.txt" (rewrite_golden_lines ())
 
+(* ---------------- verify golden ---------------- *)
+
+(* test/verify_golden.txt pins the verifier's verdicts: one line per
+   input with Ok's [checked]/[bytes], or the violation count and the MD5
+   of every violation's [pp_violation] report (pc, rule and the +-2
+   instruction context).  The inputs are the native, O0, O1 and O2
+   images of the registry programs, coremark, the libraries and the
+   many-function program, every test/corpus/*.s assembled as written,
+   and 200 seeded single-bit flips of each O2 image but the
+   many-function one, as one digest of the 200 verdicts per image.
+   Regenerate it only deliberately, with
+     LFI_GOLDEN_OUT=$PWD/test/verify_golden.txt \
+       dune exec test/test_pipeline.exe *)
+
+let verdict ~origin code =
+  match Lfi_verifier.Verifier.verify ~origin ~code () with
+  | Ok r -> Printf.sprintf "ok checked=%d bytes=%d" r.checked r.bytes
+  | Error vs ->
+      let report =
+        List.map (Format.asprintf "%a@." Lfi_verifier.Verifier.pp_violation) vs
+      in
+      Printf.sprintf "error violations=%d md5=%s" (List.length vs)
+        (Digest.to_hex (Digest.string (String.concat "" report)))
+
+let flip_count = 200
+
+(* One digest of the verdicts on [flip_count] copies of [code], each
+   with one seeded bit flipped. *)
+let flips_digest ~origin code =
+  let rand = Random.State.make [| 11 |] in
+  let code = Bytes.copy code in
+  let lines =
+    List.init flip_count (fun _ ->
+        let bit = Random.State.int rand (8 * Bytes.length code) in
+        let flip () =
+          Bytes.set_uint8 code (bit / 8)
+            (Bytes.get_uint8 code (bit / 8) lxor (1 lsl (bit mod 8)))
+        in
+        flip ();
+        let v = verdict ~origin code in
+        flip ();
+        Printf.sprintf "%d %s\n" bit v)
+  in
+  Digest.to_hex (Digest.string (String.concat "" lines))
+
+let verify_golden_lines () =
+  let image src = Lfi_arm64.Assemble.assemble src in
+  let line name level (img : Lfi_arm64.Assemble.image) =
+    Printf.sprintf "%s %s %s" name level
+      (verdict ~origin:img.origin img.text)
+  in
+  let levels name native =
+    let rewritten config = image (fst (Lfi_core.Rewriter.rewrite ~config native)) in
+    let o2 = rewritten Lfi_core.Config.o2 in
+    ( [ line name "native" (image native);
+        line name "o0" (rewritten Lfi_core.Config.o0);
+        line name "o1" (rewritten Lfi_core.Config.o1);
+        line name "o2" o2 ],
+      o2 )
+  in
+  let programs =
+    List.filter
+      (fun (name, _) -> not (String.starts_with ~prefix:"gen" name))
+      (golden_programs ())
+  in
+  let compiled =
+    List.map (fun (name, prog) -> levels name (Compile.compile prog)) programs
+  in
+  let many, _ = levels "many" (Compile.compile (many_functions_program ())) in
+  (* the test runs in test/, a regeneration from the repo root *)
+  let dir = if Sys.file_exists "corpus" then "corpus" else "test/corpus" in
+  let corpus =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".s")
+    |> List.sort compare
+    |> List.map (fun f ->
+           let ic = open_in_bin (Filename.concat dir f) in
+           let text = really_input_string ic (in_channel_length ic) in
+           close_in ic;
+           line f "as-written"
+             (image (Lfi_arm64.Parser.parse_string_exn text)))
+  in
+  let flips =
+    List.map2
+      (fun (name, _) (_, (o2 : Lfi_arm64.Assemble.image)) ->
+        Printf.sprintf "%s o2 flips=%d md5=%s" name flip_count
+          (flips_digest ~origin:o2.origin o2.text))
+      programs compiled
+  in
+  List.concat_map fst compiled @ many @ corpus @ flips
+
+let test_verify_golden () =
+  check_golden "verify_golden.txt" (verify_golden_lines ())
+
 let mk name f = Alcotest.test_case name `Quick f
 
 let () =
   match Sys.getenv_opt "LFI_GOLDEN_OUT" with
   | Some path when Filename.basename path = "rewrite_golden.txt" ->
       write_golden (rewrite_golden_lines ()) path
+  | Some path when Filename.basename path = "verify_golden.txt" ->
+      write_golden (verify_golden_lines ()) path
   | Some path -> write_golden (elf_golden_lines ()) path
   | None ->
   Alcotest.run "pipeline"
@@ -345,4 +441,5 @@ let () =
         ] );
       ("elf", [ mk "golden" test_elf_golden ]);
       ("rewrite", [ mk "golden" test_rewrite_golden ]);
+      ("verify", [ mk "golden" test_verify_golden ]);
     ]
