@@ -492,7 +492,7 @@ let transform_insn (cfg : Config.t) stats b (items : Source.item array) idx
 (* Branch range relaxation                                             *)
 (* ------------------------------------------------------------------ *)
 
-let tbz_range = 4096 - 64 (* ±32KiB in instructions, with margin *)
+let tbz_range = 8192 - 64 (* imm14: ±32KiB = ±8192 instructions, with margin *)
 let cond_range = (1 lsl 18) - 64
 
 let beyond offsets here range l =

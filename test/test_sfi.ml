@@ -231,8 +231,8 @@ let test_far_cbz_bcond () =
   checki "at the reach" 0 (at ((1 lsl 18) - 64));
   checki "past the reach" 1 (at ((1 lsl 18) - 63));
   let tbz d = snd (relax (far_program "\ttbz x0, #3, far\n" (d - 1) "\tret\n")) in
-  checki "tbz at the reach" 0 (tbz (4096 - 64));
-  checki "tbz past the reach" 1 (tbz (4096 - 63))
+  checki "tbz at the reach" 0 (tbz (8192 - 64));
+  checki "tbz past the reach" 1 (tbz (8192 - 63))
 
 let test_relaxation_cascade () =
   (* the first tbz's target is exactly at its reach; relaxing the
@@ -240,7 +240,7 @@ let test_relaxation_cascade () =
      pushes the first out of range on the next pass *)
   let src =
     Parser.parse_string_exn "f:\n\ttbz x0, #1, near\n\ttbz x0, #2, far\n"
-    @ List.init (4096 - 64 - 2) (fun _ -> Source.Insn Insn.Nop)
+    @ List.init (8192 - 64 - 2) (fun _ -> Source.Insn Insn.Nop)
     @ Parser.parse_string_exn "near:\n"
     @ List.init 5000 (fun _ -> Source.Insn Insn.Nop)
     @ Parser.parse_string_exn "far:\n\tret\n"
