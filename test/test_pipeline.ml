@@ -264,7 +264,7 @@ let many_functions_program () : Ast.program =
         funcs = helper @ List.init 400 f @ [ main ] }
 
 (* Register-offset loads cannot be hoisted, so each one grows by its
-   guard at every level: 3000 of them push a tbz out of its +-32 KiB
+   guard at every level: 5000 of them push a tbz out of its +-32 KiB
    reach, and 140000 more push cbz and b.cond (+-1 MiB) out of theirs,
    forwards and backwards. *)
 let far_branches_source () : Lfi_arm64.Source.t =
@@ -272,7 +272,7 @@ let far_branches_source () : Lfi_arm64.Source.t =
   let loads n = List.concat (List.init n (fun _ -> p "\tldr x1, [x2, x3]\n")) in
   List.concat
     [ p "f:\n\ttbz x0, #3, t_far\n\tcbz x0, c_far\n\tb.eq c_far\n";
-      loads 3000;
+      loads 5000;
       p "t_far:\n\ttbnz x0, #1, f\n";
       loads 140000;
       p "c_far:\n\tcbnz x0, f\n\tb.ne t_far\n\tret\n" ]
