@@ -198,23 +198,18 @@ let lookup e c =
   in
   match v with Some v -> v | None -> raise_notrace Reserved
 
-(* Decoded registers are shared, so decoding allocates none. *)
-let gp_regs =
-  Array.init 128 (fun i ->
-      let w = if i land 64 = 0 then Reg.W32 else Reg.W64 and n = i land 31 in
-      if n < 31 then Reg.R (w, n)
-      else if i land 32 = 0 then Reg.ZR w
-      else Reg.SP w)
+(* Decoded registers are {!Reg}'s shared values, so decoding allocates
+   none. *)
+let gp slot wd n =
+  if n < 31 then Reg.gp wd n
+  else
+    match (slot, wd) with
+    | Sp, Reg.W64 -> Reg.sp
+    | Sp, Reg.W32 -> Reg.wsp
+    | Zr, Reg.W64 -> Reg.xzr
+    | Zr, Reg.W32 -> Reg.wzr
 
-let gp slot w n =
-  gp_regs.((if w = Reg.W64 then 64 else 0) + (if slot = Sp then 32 else 0) + n)
-
-let fp_regs =
-  Array.init 96 (fun i ->
-      Reg.Fp.(v (match i / 32 with 0 -> S | 1 -> D | _ -> Q) (i land 31)))
-
-let fp size n =
-  fp_regs.(Reg.Fp.(match size with S -> 0 | D -> 32 | Q -> 64) + n)
+let fp size n = Reg.Fp.v size n
 
 let rec bits w v = function
   | [] -> v

@@ -19,14 +19,35 @@ type t =
 
 let equal (a : t) (b : t) = a = b
 
+(* Every register value comes from these tables, so naming a register
+   allocates nothing and equal registers are usually the same block. *)
+let xs = Array.init 31 (fun n -> R (W64, n))
+let ws = Array.init 31 (fun n -> R (W32, n))
+
+let xzr = ZR W64
+let wzr = ZR W32
+let sp = SP W64
+let wsp = SP W32
+
+let x n =
+  if n < 0 || n > 30 then invalid_arg "Reg.x";
+  Array.unsafe_get xs n
+
+let w n =
+  if n < 0 || n > 30 then invalid_arg "Reg.w";
+  Array.unsafe_get ws n
+
+(** [gp w n] is [x n] or [w n] by width. *)
+let gp wd n = match wd with W64 -> x n | W32 -> w n
+
 (* LFI reserved registers (Section 3 of the paper). *)
 
-let base = R (W64, 21)     (* x21: sandbox base address, never written   *)
-let addr = R (W64, 18)     (* x18: always a valid sandbox address        *)
-let scratch32 = R (W64, 22)(* x22: always holds a 32-bit value           *)
-let hoist1 = R (W64, 23)   (* x23: hoisting register (valid address)     *)
-let hoist2 = R (W64, 24)   (* x24: hoisting register (valid address)     *)
-let lr = R (W64, 30)       (* x30: link register, always a valid target  *)
+let base = x 21     (* x21: sandbox base address, never written   *)
+let addr = x 18     (* x18: always a valid sandbox address        *)
+let scratch32 = x 22(* x22: always holds a 32-bit value           *)
+let hoist1 = x 23   (* x23: hoisting register (valid address)     *)
+let hoist2 = x 24   (* x24: hoisting register (valid address)     *)
+let lr = x 30       (* x30: link register, always a valid target  *)
 
 let reserved_numbers = [ 18; 21; 22; 23; 24 ]
 
@@ -36,10 +57,10 @@ let encoding_number = function R (_, n) -> n | ZR _ -> 31 | SP _ -> 31
 
 let width = function R (w, _) | ZR w | SP w -> w
 
-let with_width w = function
-  | R (_, n) -> R (w, n)
-  | ZR _ -> ZR w
-  | SP _ -> SP w
+let with_width wd = function
+  | R (_, n) -> gp wd n
+  | ZR _ -> ( match wd with W64 -> xzr | W32 -> wzr)
+  | SP _ -> ( match wd with W64 -> sp | W32 -> wsp)
 
 (** [number_of r] is the architectural register number of [r] when [r]
     names one of x0-x30, regardless of operand width. *)
@@ -52,19 +73,6 @@ let is_reserved = function R (_, n) -> is_reserved_number n | ZR _ | SP _ -> fal
 
 let is_sp = function SP _ -> true | R _ | ZR _ -> false
 let is_zr = function ZR _ -> true | R _ | SP _ -> false
-
-let x n =
-  if n < 0 || n > 30 then invalid_arg "Reg.x";
-  R (W64, n)
-
-let w n =
-  if n < 0 || n > 30 then invalid_arg "Reg.w";
-  R (W32, n)
-
-let xzr = ZR W64
-let wzr = ZR W32
-let sp = SP W64
-let wsp = SP W32
 
 let to_string = function
   | R (W64, n) -> Printf.sprintf "x%d" n
@@ -80,11 +88,11 @@ let pp fmt r = Format.pp_print_string fmt (to_string r)
     anything else. *)
 let of_string s =
   match s with
-  | "xzr" -> Some (ZR W64)
-  | "wzr" -> Some (ZR W32)
-  | "sp" -> Some (SP W64)
-  | "wsp" -> Some (SP W32)
-  | "lr" -> Some (R (W64, 30))
+  | "xzr" -> Some xzr
+  | "wzr" -> Some wzr
+  | "sp" -> Some sp
+  | "wsp" -> Some wsp
+  | "lr" -> Some lr
   | _ ->
       let len = String.length s in
       if len < 2 || len > 3 then None
@@ -96,7 +104,7 @@ let of_string s =
         | None -> None
         | Some wd -> (
             match int_of_string_opt (String.sub s 1 (len - 1)) with
-            | Some n when n >= 0 && n <= 30 -> Some (R (wd, n))
+            | Some n when n >= 0 && n <= 30 -> Some (gp wd n)
             | Some _ | None -> None)
 
 (** SIMD/FP registers.  The subset uses scalar [s]/[d] views and the
@@ -106,9 +114,13 @@ module Fp = struct
 
   type t = { size : size; n : int }  (** invariant: 0 <= n <= 31 *)
 
+  let table =
+    Array.init 96 (fun i ->
+        { size = (match i / 32 with 0 -> S | 1 -> D | _ -> Q); n = i land 31 })
+
   let v size n =
     if n < 0 || n > 31 then invalid_arg "Reg.Fp.v";
-    { size; n }
+    Array.unsafe_get table ((match size with S -> 0 | D -> 32 | Q -> 64) + n)
 
   let equal (a : t) (b : t) = a = b
 
@@ -133,7 +145,7 @@ module Fp = struct
       | None -> None
       | Some size -> (
           match int_of_string_opt (String.sub s 1 (len - 1)) with
-          | Some n when n >= 0 && n <= 31 -> Some { size; n }
+          | Some n when n >= 0 && n <= 31 -> Some (v size n)
           | Some _ | None -> None)
 
   let bytes { size; _ } = match size with S -> 4 | D -> 8 | Q -> 16
