@@ -288,83 +288,61 @@ let is_branch = function
 
 let is_indirect_branch = function Br _ | Blr _ | Ret _ -> true | _ -> false
 
-(** General registers written by the instruction, as architectural
-    register numbers (0-30; writes to zr are dropped, writes to sp are
-    reported as [`Sp]).  Includes implicit writes: the base register of
-    pre/post-indexed modes, x30 for [bl]/[blr], the status register of
-    [stxr]. *)
-let writes insn : [ `R of Reg.width * int | `Sp ] list =
-  let reg r acc =
-    match r with
-    | Reg.R (w, n) -> `R (w, n) :: acc
-    | Reg.SP _ -> `Sp :: acc
-    | Reg.ZR _ -> acc
-  in
-  let wb addr acc =
-    match addr with
-    | Pre (b, _) | Post (b, _) -> reg b acc
-    | Imm_off _ | Reg_off _ -> acc
-  in
-  match insn with
-  | Alu { dst; flags = _; _ } -> reg dst []
-  | Shiftv { dst; _ }
-  | Mov { dst; _ }
-  | Bitfield { dst; _ }
-  | Extr { dst; _ }
-  | Madd { dst; _ }
-  | Smulh { dst; _ }
-  | Maddl { dst; _ }
-  | Div { dst; _ }
-  | Csel { dst; _ }
-  | Cls { dst; _ }
-  | Rbit { dst; _ }
-  | Rev { dst; _ }
-  | Adr { dst; _ } ->
-      reg dst []
-  | Ccmp _ -> []
-  | Ldr { dst; addr; _ } -> reg dst (wb addr [])
-  | Str { addr; _ } -> wb addr []
-  | Ldp { r1; r2; addr; _ } -> reg r1 (reg r2 (wb addr []))
-  | Stp { addr; _ } -> wb addr []
-  | Fldr { addr; _ } | Fstr { addr; _ } | Fldp { addr; _ } | Fstp { addr; _ }
-    ->
-      wb addr []
-  | Ldxr { dst; _ } -> reg dst []
-  | Stxr { status; _ } -> reg status []
-  | Ldar { dst; _ } -> reg dst []
-  | Stlr _ -> []
-  | Bl _ | Blr _ -> [ `R (Reg.W64, 30) ]
-  | B _ | Bcond _ | Cbz _ | Tbz _ | Br _ | Ret _ -> []
-  | Fop2 _ | Fop1 _ | Fmadd _ | Fcmp _ | Fcvt _ | Scvtf _ -> []
-  | Fcvtzs { dst; _ } -> reg dst []
-  | Fmov_to_fp _ -> []
-  | Fmov_from_fp { dst; _ } -> reg dst []
-  | Mrs { dst; _ } -> reg dst []
-  | Nop | Svc _ | Msr _ | Dmb | Udf _ -> []
+(** [fold_writes f acc insn] folds [f] over the general registers the
+    instruction writes, in operand order: the destinations, then the
+    base register of a pre/post-indexed mode, x30 for [bl]/[blr], the
+    status register of [stxr].  Writes to zr are skipped.  The walk
+    allocates nothing, so a closed [f] makes a query that allocates
+    nothing either. *)
+let fold_write f acc = function Reg.ZR _ -> acc | r -> f acc r
 
-(* Does the instruction write register number [n], with 31 standing
-   for sp?  The same cases as {!writes}, without building the list. *)
-let writes_number insn n =
-  let is r = match r with Reg.R (_, m) -> m = n | Reg.SP _ -> n = 31 | Reg.ZR _ -> false in
-  let wb = function Pre (b, _) | Post (b, _) -> is b | Imm_off _ | Reg_off _ -> false in
+let fold_writeback f acc = function
+  | Pre (b, _) | Post (b, _) -> fold_write f acc b
+  | Imm_off _ | Reg_off _ -> acc
+
+let fold_writes f acc insn =
   match insn with
   | Alu { dst; _ } | Shiftv { dst; _ } | Mov { dst; _ } | Bitfield { dst; _ }
   | Extr { dst; _ } | Madd { dst; _ } | Smulh { dst; _ } | Maddl { dst; _ }
   | Div { dst; _ } | Csel { dst; _ } | Cls { dst; _ } | Rbit { dst; _ }
   | Rev { dst; _ } | Adr { dst; _ } | Ldxr { dst; _ } | Ldar { dst; _ }
   | Fcvtzs { dst; _ } | Fmov_from_fp { dst; _ } | Mrs { dst; _ } ->
-      is dst
-  | Ldr { dst; addr; _ } -> is dst || wb addr
-  | Ldp { r1; r2; addr; _ } -> is r1 || is r2 || wb addr
+      fold_write f acc dst
+  | Ldr { dst; addr; _ } -> fold_writeback f (fold_write f acc dst) addr
+  | Ldp { r1; r2; addr; _ } ->
+      fold_writeback f (fold_write f (fold_write f acc r1) r2) addr
   | Str { addr; _ } | Stp { addr; _ } | Fldr { addr; _ } | Fstr { addr; _ }
   | Fldp { addr; _ } | Fstp { addr; _ } ->
-      wb addr
-  | Stxr { status; _ } -> is status
-  | Bl _ | Blr _ -> n = 30
+      fold_writeback f acc addr
+  | Stxr { status; _ } -> fold_write f acc status
+  | Bl _ | Blr _ -> f acc Reg.lr
   | Ccmp _ | Stlr _ | B _ | Bcond _ | Cbz _ | Tbz _ | Br _ | Ret _ | Fop2 _
   | Fop1 _ | Fmadd _ | Fcmp _ | Fcvt _ | Scvtf _ | Fmov_to_fp _ | Nop | Svc _
   | Msr _ | Dmb | Udf _ ->
-      false
+      acc
+
+(** General registers written by the instruction, as architectural
+    register numbers (0-30; writes to zr are dropped, writes to sp are
+    reported as [`Sp]): the members of {!fold_writes}, in its order. *)
+let writes insn : [ `R of Reg.width * int | `Sp ] list =
+  List.rev
+    (fold_writes
+       (fun acc r ->
+         match r with
+         | Reg.R (w, n) -> `R (w, n) :: acc
+         | Reg.SP _ | Reg.ZR _ (* never passed *) -> `Sp :: acc)
+       [] insn)
+
+(* Does the instruction write register number [n], with 31 standing
+   for sp?  The fold carries [n] and turns it into -1 once a written
+   register matches, so its function is closed and nothing is
+   allocated. *)
+let writes_number insn n =
+  n >= 0
+  && fold_writes
+    (fun m r -> if m = Reg.encoding_number r then -1 else m)
+    n insn
+  < 0
 
 (** True if the instruction writes architectural register number [n]
     (0-30) through any name or side effect: a member of {!writes}, found
