@@ -155,50 +155,126 @@ let is_sp_based_access (i : Insn.t) =
 
 (* ------------------------------------------------------------------ *)
 
+let is_udf = function Insn.Udf _ -> true | _ -> false
+
+(* What re-anchors sp first after an sp-modifying instruction (§4.2)?
+   [`Guard]  — the full sp guard overwrites sp with a valid address,
+               which heals *any* prior modification;
+   [`Access] — an sp-based access traps in a guard page, which only
+               covers small-immediate drift;
+   [`Nothing] — a branch, another sp write, or an undefined encoding
+               comes first (as does the end of the code): unsafe;
+   [`Open] — none of these: look at the next instruction. *)
+let sp_anchor i =
+  if is_sp_guard i then `Guard
+  else if is_sp_based_access i then `Access
+  else if Insn.writes_sp i || Insn.is_branch i || is_udf i then `Nothing
+  else `Open
+
+(* Is an [`Access] anchor enough for the sp write [i]? *)
+let sp_drift_ok config = function
+  | Insn.Alu
+      { op = Insn.ADD | Insn.SUB; flags = false; dst = Reg.SP Reg.W64;
+        src = Reg.SP Reg.W64; op2 = Insn.Imm (v, sh) } ->
+      (sh = 0 && v < Lfi_core.Layout.max_sp_drift)
+      (* fuzzing-only hole: trusts any immediate drift, so a [lsl #12]
+         bit flip walks sp past the guard *)
+      || config.unsafe_no_sp_drift_check
+  | _ -> false
+
+(** One pass that decodes each word when the walk reaches it and keeps
+    no decoded text: the current instruction, the next one (for the
+    rules that look one ahead) and at most one sp write whose anchor
+    the walk has not reached yet.  Violations found while an sp write
+    is pending are held back and reported after its own, so the order
+    is that of the instructions.  Only a violation's context decodes
+    its neighbours again. *)
 let verify ?(config = default_config) ?(origin = 0) ~(code : bytes) () :
     (result_ok, violation list) result =
-  let insns = Isa.decode_all code in
-  let n = Array.length insns in
-  let violations = ref [] in
-  let fail index rule =
-    let lo = max 0 (index - 2) and hi = min (n - 1) (index + 2) in
-    let context =
-      List.init (hi - lo + 1) (fun k ->
-          let j = lo + k in
-          (origin + (j * 4), insns.(j)))
-    in
-    violations :=
-      { index; offset = index * 4; pc = origin + (index * 4);
-        insn = insns.(index); rule; context }
-      :: !violations
+  let n = Bytes.length code / 4 in
+  let decode j =
+    Isa.decode (Int32.to_int (Bytes.get_int32_le code (j * 4)) land 0xFFFFFFFF)
   in
-  let next_is index p = index + 1 < n && p insns.(index + 1) in
-
-  (* Forward scan for the §4.2 sp rules.  After an sp-modifying
-     instruction, what re-anchors sp first?
-     [`Guard]  — the full sp guard overwrites sp with a valid address,
-                 which heals *any* prior modification;
-     [`Access] — an sp-based access traps in a guard page, which only
-                 covers small-immediate drift;
-     [`Nothing] — a branch, another sp write, or the end of code is
-                 reached first: unsafe. *)
-  let sp_anchor index =
-    let rec go j =
-      if j >= n then `Nothing
-      else
-        let i = insns.(j) in
-        if is_sp_guard i then `Guard
-        else if is_sp_based_access i then `Access
-        else if Insn.writes_sp i then `Nothing
-        else if Insn.is_branch i then `Nothing
-        else if (match i with Insn.Udf _ -> true | _ -> false) then `Nothing
-        else go (j + 1)
-    in
-    go (index + 1)
+  let report index rule =
+    let lo = max 0 (index - 2) and hi = min (n - 1) (index + 2) in
+    { index; offset = index * 4; pc = origin + (index * 4);
+      insn = decode index; rule;
+      context =
+        List.init (hi - lo + 1) (fun k ->
+            let j = lo + k in
+            (origin + (j * 4), decode j)) }
+  in
+  (* both reversed; [held] are the violations after the pending sp
+     write *)
+  let violations = ref [] and held = ref [] in
+  let pending = ref (-1) and pending_drift_ok = ref false in
+  let fail index rule =
+    if !pending < 0 then violations := report index rule :: !violations
+    else held := report index rule :: !held
+  in
+  let resolve anchor =
+    let p = !pending in
+    pending := -1;
+    (match anchor with
+    | `Guard -> ()
+    | `Access ->
+        if not !pending_drift_ok then
+          fail p "sp drift too large for the guard region"
+    | `Nothing -> fail p "unguarded write to sp");
+    violations := !held @ !violations;
+    held := []
+  in
+  (* the instruction at [idx] and the one after it, or [Nop] past the
+     end (never looked at: [next_is] checks the bound) *)
+  let cur = ref Insn.Nop and next = ref (if n > 0 then decode 0 else Insn.Nop) in
+  let next_is idx p = idx + 1 < n && p !next in
+  (* ---- rule 2: reserved register writes, one written register [r]
+     of the instruction at [idx] ---- *)
+  let check_write idx r =
+    let i = !cur in
+    (match r with
+    | Reg.SP _ ->
+        if is_sp_guard i then ()
+        else if is_sp_based_access i then
+          (* sp-based pre/post indexing: immediate capped at 256 bytes
+             by the encoding, within guard-region drift *)
+          ()
+        else (
+          (* decided when the walk reaches what anchors sp *)
+          pending := idx;
+          pending_drift_ok := sp_drift_ok config i)
+    | Reg.R (w, rn) -> (
+        match rn with
+        | 21 -> fail idx "write to x21 (sandbox base) forbidden"
+        | 18 | 23 | 24 ->
+            if not (is_guard_write_to rn i) then
+              fail idx
+                (Printf.sprintf "x%d may only be written by its guard" rn)
+        | 22 -> if w <> Reg.W32 then fail idx "x22 must be written as w22 (32-bit)"
+        | 30 -> (
+            match i with
+            | Insn.Bl _ | Insn.Blr _ -> ()
+            | _ when is_x30_guard i -> ()
+            | _ when is_table_load i ->
+                if not (next_is idx is_blr_x30) then
+                  fail idx "runtime-table load must be followed by blr x30"
+            | _ ->
+                if not (next_is idx is_x30_guard) then
+                  fail idx "write to x30 must be followed by its guard")
+        | _ -> ())
+    | Reg.ZR _ -> ());
+    idx
   in
 
   for idx = 0 to n - 1 do
-    let i = insns.(idx) in
+    let i = !next in
+    cur := i;
+    next := if idx + 1 < n then decode (idx + 1) else Insn.Nop;
+    (* an sp write waiting for its anchor: is it this instruction? *)
+    (if !pending >= 0 then
+       match sp_anchor i with
+       | `Open -> ()
+       | (`Guard | `Access | `Nothing) as anchor -> resolve anchor);
     (* ---- rule 3: instruction allow-list ---- *)
     (match i with
     | Insn.Udf _ -> fail idx "undefined or unsupported encoding"
@@ -246,65 +322,7 @@ let verify ?(config = default_config) ?(origin = 0) ~(code : bytes) () :
                  (Printf.sprintf "unguarded memory access via %s"
                     (Reg.to_string base))))
     ;
-    (* ---- rule 2: reserved register writes ---- *)
-    List.iter
-      (function
-        | `Sp ->
-            if is_sp_guard i then ()
-            else if is_sp_based_access i then
-              (* sp-based pre/post indexing: immediate capped at 256
-                 bytes by the encoding, within guard-region drift *)
-              ()
-            else (
-              match (i, sp_anchor idx) with
-              | _, `Guard ->
-                  (* the full guard re-anchors sp before any use *)
-                  ()
-              | Insn.Alu
-                  { op = Insn.ADD | Insn.SUB; flags = false;
-                    dst = Reg.SP Reg.W64; src = Reg.SP Reg.W64;
-                    op2 = Insn.Imm (v, 0) },
-                `Access
-                when v < Lfi_core.Layout.max_sp_drift ->
-                  (* small drift, trapped by the next sp access *)
-                  ()
-              | Insn.Alu
-                  { op = Insn.ADD | Insn.SUB; flags = false;
-                    dst = Reg.SP Reg.W64; src = Reg.SP Reg.W64;
-                    op2 = Insn.Imm _ },
-                `Access
-                when config.unsafe_no_sp_drift_check ->
-                  (* fuzzing-only hole: trusts any immediate drift, so
-                     a [lsl #12] bit flip walks sp past the guard *)
-                  ()
-              | _, `Access ->
-                  fail idx "sp drift too large for the guard region"
-              | _, `Nothing -> fail idx "unguarded write to sp")
-        | `R (w, rn) -> (
-            match rn with
-            | 21 -> fail idx "write to x21 (sandbox base) forbidden"
-            | 18 | 23 | 24 ->
-                if not (is_guard_write_to rn i) then
-                  fail idx
-                    (Printf.sprintf "x%d may only be written by its guard"
-                       rn)
-            | 22 ->
-                if w <> Reg.W32 then
-                  fail idx "x22 must be written as w22 (32-bit)"
-            | 30 -> (
-                match i with
-                | Insn.Bl _ | Insn.Blr _ -> ()
-                | _ when is_x30_guard i -> ()
-                | _ when is_table_load i ->
-                    if not (next_is idx is_blr_x30) then
-                      fail idx
-                        "runtime-table load must be followed by blr x30"
-                | _ ->
-                    if not (next_is idx is_x30_guard) then
-                      fail idx
-                        "write to x30 must be followed by its guard")
-            | _ -> ()))
-      (Insn.writes i);
+    ignore (Insn.fold_writes check_write idx i : int);
     (* ---- rule 1 (branches) + rule 4 ---- *)
     (match i with
     | Insn.Br r | Insn.Blr r | Insn.Ret r -> (
@@ -324,6 +342,8 @@ let verify ?(config = default_config) ?(origin = 0) ~(code : bytes) () :
         | Insn.Sym _ -> fail idx "unresolved symbol in machine code")
     | _ -> ())
   done;
+  (* the end of the code anchors nothing *)
+  if !pending >= 0 then resolve `Nothing;
   if !violations = [] then Ok { checked = n; bytes = Bytes.length code }
   else Error (List.rev !violations)
 
