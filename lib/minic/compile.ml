@@ -55,6 +55,7 @@ type fctx = {
 
 let emit ctx i = ctx.out <- Source.Insn i :: ctx.out
 let emit_label ctx l = ctx.out <- Source.Label l :: ctx.out
+let emit_directive ctx d arg = ctx.out <- Source.Directive (d, arg) :: ctx.out
 
 let fresh_label ctx prefix =
   ctx.label_counter <- ctx.label_counter + 1;
@@ -901,8 +902,10 @@ let variable_scores (f : func) : (string, float) Hashtbl.t =
   List.iter (fun (n, _) -> bump n 0.5) f.params;
   scores
 
-let compile_func (prog : program) (fenv : (string * ty) list) (f : func) :
-    Source.item list =
+(** Compile [f] onto [out], the program's items so far in reverse, and
+    return them with [f]'s (and its float constant pool's) in front. *)
+let compile_func (prog : program) (fenv : (string * ty) list)
+    (out : Source.item list) (f : func) : Source.item list =
   (* variable homes, hottest variables first *)
   let scores = variable_scores f in
   let score n = Option.value (Hashtbl.find_opt scores n) ~default:0.0 in
@@ -966,7 +969,7 @@ let compile_func (prog : program) (fenv : (string * ty) list) (f : func) :
       temp_base;
       temp_used = 0;
       label_counter = 0;
-      out = [];
+      out;
       loop_stack = [];
       float_pool = Hashtbl.create 8;
       float_pool_order = [];
@@ -1022,63 +1025,55 @@ let compile_func (prog : program) (fenv : (string * ty) list) (f : func) :
                 op2 = Insn.Imm (frame, 0) });
   emit ctx (Insn.Ret (Reg.x 30));
   (* local float constant pool lives in .data *)
-  let pool =
-    if ctx.float_pool_order = [] then []
-    else
-      Source.Directive (".data", "")
-      :: List.concat_map
-           (fun (lbl, v) ->
-             [ Source.Label lbl;
-               Source.Directive (".double", Printf.sprintf "%h" v) ])
-           (List.rev ctx.float_pool_order)
-      @ [ Source.Directive (".text", "") ]
-  in
-  List.rev ctx.out @ pool
+  if ctx.float_pool_order <> [] then begin
+    emit_directive ctx ".data" "";
+    List.iter
+      (fun (lbl, v) ->
+        emit_label ctx lbl;
+        emit_directive ctx ".double" (Printf.sprintf "%h" v))
+      (List.rev ctx.float_pool_order);
+    emit_directive ctx ".text" ""
+  end;
+  ctx.out
 
 (** Compile a whole program to assembly source.  The entry point calls
     [main] and exits with its return value. *)
 let compile (prog : program) : Source.t =
   let fenv = List.map (fun f -> (f.name, f.ret)) prog.funcs in
   if not (List.mem_assoc "main" fenv) then raise (Error "no main function");
+  (* one reversed accumulator for the whole program *)
   let start =
-    [ Source.Directive (".text", "");
-      Source.Label "_start";
-      Source.Insn (Insn.Bl (Insn.Sym "main"));
-      Source.Insn (Insn.Svc Lfi_runtime.Sysno.exit);
-      Source.Insn (Insn.B (Insn.Sym "_start")) ]
+    List.rev
+      [ Source.Directive (".text", "");
+        Source.Label "_start";
+        Source.Insn (Insn.Bl (Insn.Sym "main"));
+        Source.Insn (Insn.Svc Lfi_runtime.Sysno.exit);
+        Source.Insn (Insn.B (Insn.Sym "_start")) ]
   in
-  let funcs = List.concat_map (compile_func prog fenv) prog.funcs in
-  let globals =
-    if prog.globals = [] then []
-    else
-      Source.Directive (".data", "")
-      :: List.concat_map
-           (fun g ->
-             match g with
-             | Zeroed (name, size) ->
-                 [ Source.Directive (".balign", "16");
-                   Source.Label name;
-                   Source.Directive (".zero", string_of_int size) ]
-             | Init64 (name, words) ->
-                 Source.Directive (".balign", "16")
-                 :: Source.Label name
-                 :: List.map
-                      (fun wv -> Source.Directive (".quad", string_of_int wv))
-                      words
-             | InitF64 (name, vals) ->
-                 Source.Directive (".balign", "16")
-                 :: Source.Label name
-                 :: List.map
-                      (fun fv ->
-                        Source.Directive (".double", Printf.sprintf "%h" fv))
-                      vals
-             | Str (name, s) ->
-                 [ Source.Label name;
-                   Source.Directive
-                     (".asciz", Printf.sprintf "%S" s) ])
-           prog.globals
+  let out = List.fold_left (compile_func prog fenv) start prog.funcs in
+  let data d arg out = Source.Directive (d, arg) :: out in
+  let global out = function
+    | Zeroed (name, size) ->
+        data ".zero" (string_of_int size)
+          (Source.Label name :: data ".balign" "16" out)
+    | Init64 (name, words) ->
+        List.fold_left
+          (fun out wv -> data ".quad" (string_of_int wv) out)
+          (Source.Label name :: data ".balign" "16" out)
+          words
+    | InitF64 (name, vals) ->
+        List.fold_left
+          (fun out fv -> data ".double" (Printf.sprintf "%h" fv) out)
+          (Source.Label name :: data ".balign" "16" out)
+          vals
+    | Str (name, s) ->
+        data ".asciz" (Printf.sprintf "%S" s) (Source.Label name :: out)
   in
-  start @ funcs @ globals
+  let out =
+    if prog.globals = [] then out
+    else List.fold_left global (data ".data" "" out) prog.globals
+  in
+  List.rev out
 
 (** Compile to assembly text. *)
 let compile_string prog = Source.to_string (compile prog)
