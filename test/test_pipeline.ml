@@ -240,29 +240,6 @@ let test_elf_golden () = check_golden "elf_golden.txt" (elf_golden_lines ())
      LFI_GOLDEN_OUT=$PWD/test/rewrite_golden.txt \
        dune exec test/test_pipeline.exe *)
 
-(* 400 functions whose bodies come from the fuzz generator's MiniC
-   statements, the shape of perfbench's synthetic build program. *)
-let many_functions_program () : Ast.program =
-  let rand = Random.State.make [| 7 |] in
-  let stmts = QCheck.Gen.list_size (QCheck.Gen.int_range 4 10) (gen_stmt 2) in
-  let f k =
-    let body = QCheck.Gen.generate1 ~rand stmts in
-    let result = QCheck.Gen.generate1 ~rand (gen_expr 2) in
-    Ast.{ name = Printf.sprintf "s%d" k;
-          params = [ ("x", Int); ("y", Int); ("z", Int) ]; ret = Int;
-          body = body @ [ Return result ] }
-  in
-  (* the generated statements call the generator's [mix] helper *)
-  let helper =
-    (QCheck.Gen.generate1 ~rand gen_program).Ast.funcs
-    |> List.filter (fun (fn : Ast.func) -> fn.name = "mix")
-  in
-  let main =
-    Ast.{ name = "main"; params = []; ret = Int; body = [ Return (Int 0) ] }
-  in
-  Ast.{ globals = [ Zeroed ("g", 512) ];
-        funcs = helper @ List.init 400 f @ [ main ] }
-
 (* Register-offset loads cannot be hoisted, so each one grows by its
    guard at every level: 5000 of them push a tbz out of its +-32 KiB
    reach, and 140000 more push cbz and b.cond (+-1 MiB) out of theirs,
@@ -280,7 +257,7 @@ let far_branches_source () : Lfi_arm64.Source.t =
 let rewrite_golden_inputs () : (string * Lfi_arm64.Source.t) list =
   List.map
     (fun (name, prog) -> (name, Compile.compile prog))
-    (golden_programs () @ [ ("many", many_functions_program ()) ])
+    (golden_programs () @ [ ("many", Synthetic.many_functions_program ()) ])
   @ [ ("far", far_branches_source ()) ]
 
 let rewrite_line name (config : Lfi_core.Config.t) src =
@@ -387,7 +364,7 @@ let verify_golden_lines () =
   let compiled =
     List.map (fun (name, prog) -> levels name (Compile.compile prog)) programs
   in
-  let many, _ = levels "many" (Compile.compile (many_functions_program ())) in
+  let many, _ = levels "many" (Compile.compile (Synthetic.many_functions_program ())) in
   (* the test runs in test/, a regeneration from the repo root *)
   let dir = if Sys.file_exists "corpus" then "corpus" else "test/corpus" in
   let corpus =

@@ -251,6 +251,101 @@ let test_relaxation_cascade () =
     (Printer.to_string (List.nth insns 0));
   checks "first veneer" "b near" (Printer.to_string (List.nth insns 1))
 
+(* ---------------- verifier bounds ---------------- *)
+
+let o2_text src =
+  let out, _ = Lfi_core.Rewriter.rewrite ~config:Lfi_core.Config.o2 src in
+  (Assemble.assemble out).Assemble.text
+
+let many_o2_text () =
+  o2_text (Lfi_minic.Compile.compile (Synthetic.many_functions_program ()))
+
+(* The verifier keeps no decoded text, so verifying the ~320 KiB
+   many-function image promotes next to nothing; an array of its
+   decoded instructions is about 616k words. *)
+let test_verifier_promotes_little () =
+  let code = many_o2_text () in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.promoted_words in
+  let r = Lfi_verifier.Verifier.verify ~code () in
+  Gc.minor ();
+  let promoted = (Gc.quick_stat ()).Gc.promoted_words -. before in
+  checkb "verifies" true (Result.is_ok r);
+  checkb
+    (Printf.sprintf "%.0f promoted words < 16k" promoted)
+    true (promoted < 16384.)
+
+let minor_words_per_insn code =
+  let before = Gc.minor_words () in
+  let r = Lfi_verifier.Verifier.verify ~code () in
+  (r, (Gc.minor_words () -. before) /. float_of_int (Bytes.length code / 4))
+
+let words asm =
+  List.map
+    (fun i ->
+      match Isa.encode i with Ok w -> w | Error e -> Alcotest.fail e)
+    (Source.insns (Parser.parse_string_exn asm))
+
+(* 256 sp writes, each followed by 1024 ALU instructions that neither
+   branch nor touch sp.  The even blocks end with an sp access, which
+   anchors their small drift; each odd block's write runs into the next
+   block's (or the end of the text) and is rejected.  However far an sp
+   write is from its anchor, verification must decode each word once:
+   it may take no more minor words per instruction than the same text
+   with [sub x15, x15, #16] for each sp write, beyond the 128 violation
+   reports (about 0.04 words per instruction; a second decode of the
+   runs would add about 8). *)
+let test_verifier_long_sp_runs () =
+  let access = words "\tstr x0, [sp, #8]\n"
+  and alu =
+    Array.of_list
+      (words
+         "\tadd x0, x0, #1\n\teor x1, x2, x3\n\tmadd x4, x5, x6, x7\n\
+          \tlsl x8, x9, #3\n\tmov x10, x11\n\tsub w12, w13, w14, uxtb\n")
+  in
+  let blocks = 256 and run = 1024 in
+  let text drift =
+    let ws =
+      List.concat
+        (List.init blocks (fun b ->
+             drift
+             @ List.init run (fun k -> alu.(k mod Array.length alu))
+             @ if b mod 2 = 0 then access else []))
+    in
+    let code = Bytes.create (4 * List.length ws) in
+    List.iteri (fun k w -> Bytes.set_int32_le code (4 * k) (Int32.of_int w)) ws;
+    code
+  in
+  let code = text (words "\tsub sp, sp, #16\n") in
+  checkb "at least 256k instructions" true (Bytes.length code >= 4 * 256 * 1024);
+  (* block [b] starts after [b] drifts, [b] runs and [(b + 1) / 2]
+     accesses *)
+  let expected =
+    List.filter_map
+      (fun b ->
+        if b mod 2 = 1 then Some ((b * (1 + run)) + ((b + 1) / 2)) else None)
+      (List.init blocks Fun.id)
+  in
+  let ordinary =
+    match minor_words_per_insn (text (words "\tsub x15, x15, #16\n")) with
+    | Ok _, w -> w
+    | Error _, _ -> Alcotest.fail "the text without sp writes is rejected"
+  in
+  match minor_words_per_insn code with
+  | Ok _, _ -> Alcotest.fail "unanchored sp writes verified"
+  | Error vs, per_insn ->
+      Alcotest.(check (list int)) "rejected sp writes" expected
+        (List.map (fun (v : Lfi_verifier.Verifier.violation) -> v.index) vs);
+      List.iter
+        (fun (v : Lfi_verifier.Verifier.violation) ->
+          checks "rule" "unguarded write to sp" v.rule)
+        vs;
+      checkb
+        (Printf.sprintf "%.2f minor words per insn <= %.2f + 0.1" per_insn
+           ordinary)
+        true
+        (per_insn <= ordinary +. 0.1)
+
 let test_svc_out_of_range () =
   match
     Lfi_core.Rewriter.rewrite (Parser.parse_string_exn "f:\n\tsvc #3000\n")
@@ -465,6 +560,8 @@ let () =
           mk "exclusives config" test_verifier_exclusives_config;
           mk "no-loads config" test_verifier_no_loads_config;
           QCheck_alcotest.to_alcotest prop_rewrite_verifies;
+          mk "promotes little" test_verifier_promotes_little;
+          mk "long sp runs" test_verifier_long_sp_runs;
         ] );
       ("layout", [ mk "constants" test_layout_constants ]);
     ]
