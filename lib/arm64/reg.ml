@@ -19,8 +19,8 @@ type t =
 
 let equal (a : t) (b : t) = a = b
 
-(* Every register value comes from these tables, so naming a register
-   allocates nothing and equal registers are usually the same block. *)
+(* [x], [w], [gp], [with_width], [of_string] and [Fp.v] return values
+   from fixed tables, so naming a register allocates nothing. *)
 let xs = Array.init 31 (fun n -> R (W64, n))
 let ws = Array.init 31 (fun n -> R (W32, n))
 
@@ -42,12 +42,12 @@ let gp wd n = match wd with W64 -> x n | W32 -> w n
 
 (* LFI reserved registers (Section 3 of the paper). *)
 
-let base = x 21     (* x21: sandbox base address, never written   *)
-let addr = x 18     (* x18: always a valid sandbox address        *)
-let scratch32 = x 22(* x22: always holds a 32-bit value           *)
-let hoist1 = x 23   (* x23: hoisting register (valid address)     *)
-let hoist2 = x 24   (* x24: hoisting register (valid address)     *)
-let lr = x 30       (* x30: link register, always a valid target  *)
+let base = x 21      (* x21: sandbox base address, never written   *)
+let addr = x 18      (* x18: always a valid sandbox address        *)
+let scratch32 = x 22 (* x22: always holds a 32-bit value           *)
+let hoist1 = x 23    (* x23: hoisting register (valid address)     *)
+let hoist2 = x 24    (* x24: hoisting register (valid address)     *)
+let lr = x 30        (* x30: link register, always a valid target  *)
 
 let reserved_numbers = [ 18; 21; 22; 23; 24 ]
 

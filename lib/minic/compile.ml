@@ -1041,39 +1041,49 @@ let compile_func (prog : program) (fenv : (string * ty) list)
 let compile (prog : program) : Source.t =
   let fenv = List.map (fun f -> (f.name, f.ret)) prog.funcs in
   if not (List.mem_assoc "main" fenv) then raise (Error "no main function");
-  (* one reversed accumulator for the whole program *)
   let start =
-    List.rev
-      [ Source.Directive (".text", "");
-        Source.Label "_start";
-        Source.Insn (Insn.Bl (Insn.Sym "main"));
-        Source.Insn (Insn.Svc Lfi_runtime.Sysno.exit);
-        Source.Insn (Insn.B (Insn.Sym "_start")) ]
+    [ Source.Directive (".text", "");
+      Source.Label "_start";
+      Source.Insn (Insn.Bl (Insn.Sym "main"));
+      Source.Insn (Insn.Svc Lfi_runtime.Sysno.exit);
+      Source.Insn (Insn.B (Insn.Sym "_start")) ]
   in
-  let out = List.fold_left (compile_func prog fenv) start prog.funcs in
-  let data d arg out = Source.Directive (d, arg) :: out in
-  let global out = function
-    | Zeroed (name, size) ->
-        data ".zero" (string_of_int size)
-          (Source.Label name :: data ".balign" "16" out)
-    | Init64 (name, words) ->
-        List.fold_left
-          (fun out wv -> data ".quad" (string_of_int wv) out)
-          (Source.Label name :: data ".balign" "16" out)
-          words
-    | InitF64 (name, vals) ->
-        List.fold_left
-          (fun out fv -> data ".double" (Printf.sprintf "%h" fv) out)
-          (Source.Label name :: data ".balign" "16" out)
-          vals
-    | Str (name, s) ->
-        data ".asciz" (Printf.sprintf "%S" s) (Source.Label name :: out)
-  in
+  (* start and the functions, in reverse: one accumulator through every
+     function *)
   let out =
-    if prog.globals = [] then out
-    else List.fold_left global (data ".data" "" out) prog.globals
+    List.fold_left (compile_func prog fenv) (List.rev start) prog.funcs
   in
-  List.rev out
+  let globals =
+    if prog.globals = [] then []
+    else
+      Source.Directive (".data", "")
+      :: List.concat_map
+           (fun g ->
+             match g with
+             | Zeroed (name, size) ->
+                 [ Source.Directive (".balign", "16");
+                   Source.Label name;
+                   Source.Directive (".zero", string_of_int size) ]
+             | Init64 (name, words) ->
+                 Source.Directive (".balign", "16")
+                 :: Source.Label name
+                 :: List.map
+                      (fun wv -> Source.Directive (".quad", string_of_int wv))
+                      words
+             | InitF64 (name, vals) ->
+                 Source.Directive (".balign", "16")
+                 :: Source.Label name
+                 :: List.map
+                      (fun fv ->
+                        Source.Directive (".double", Printf.sprintf "%h" fv))
+                      vals
+             | Str (name, s) ->
+                 [ Source.Label name;
+                   Source.Directive
+                     (".asciz", Printf.sprintf "%S" s) ])
+           prog.globals
+  in
+  List.rev_append out globals
 
 (** Compile to assembly text. *)
 let compile_string prog = Source.to_string (compile prog)

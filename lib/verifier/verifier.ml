@@ -250,7 +250,8 @@ let verify ?(config = default_config) ?(origin = 0) ~(code : bytes) () :
             if not (is_guard_write_to rn i) then
               fail idx
                 (Printf.sprintf "x%d may only be written by its guard" rn)
-        | 22 -> if w <> Reg.W32 then fail idx "x22 must be written as w22 (32-bit)"
+        | 22 ->
+            if w <> Reg.W32 then fail idx "x22 must be written as w22 (32-bit)"
         | 30 -> (
             match i with
             | Insn.Bl _ | Insn.Blr _ -> ()
