@@ -80,6 +80,27 @@ let test_writes_sp () =
   checkb "pre-index" true (Insn.writes_sp (parse "str x0, [sp, #-16]!"));
   checkb "plain store" false (Insn.writes_sp (parse "str x0, [sp, #8]"))
 
+(* the register-write queries are folds over the written registers
+   that allocate nothing *)
+let test_write_queries_allocate_nothing () =
+  let insns =
+    List.map parse
+      [ "ldp x4, x5, [sp, #16]"; "str x0, [sp, #-16]!"; "bl f";
+        "add x0, x1, #4"; "cmp x1, x2" ]
+  in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    List.iter
+      (fun i ->
+        ignore
+          (Sys.opaque_identity
+             (Insn.writes_sp i || Insn.writes_reg_number i 5)))
+      insns
+  done;
+  let words = Gc.minor_words () -. before in
+  checkb (Printf.sprintf "%.0f words for 10000 queries" words) true
+    (words < 100.)
+
 (* the non-allocating register-write queries answer as the writes list
    does, for every general register *)
 let prop_writes_queries =
@@ -423,9 +444,10 @@ let prop_bitmask =
      there.  The flips probe the should-be-zero/one bits that the
      verifier's whitelist depends on.
 
-   Regenerate (only deliberately: this redefines the ISA) with:
-     LFI_GOLDEN_OUT=$PWD/test/encode_golden.txt \
-       dune exec test/test_arm64.exe *)
+   Regenerate (only deliberately: this redefines the ISA) with
+   `make goldens`, which runs this executable with
+   LFI_GOLDEN_OUT=$PWD/test/encode_golden.txt, and review
+   `git diff test/`. *)
 
 let golden_draws = 2500
 
@@ -884,6 +906,8 @@ let () =
         [
           Alcotest.test_case "writes" `Quick test_writes;
           Alcotest.test_case "writes sp" `Quick test_writes_sp;
+          Alcotest.test_case "write queries allocate nothing" `Quick
+            test_write_queries_allocate_nothing;
           QCheck_alcotest.to_alcotest prop_writes_queries;
           Alcotest.test_case "branch classes" `Quick test_branch_classes;
           Alcotest.test_case "access bytes" `Quick test_access_bytes;
