@@ -1,4 +1,4 @@
-.PHONY: all build check test bench bench-json serve-bench serve-trace-demo crash-demo trace-demo fuzz-smoke fuzz prove-smoke prove clean
+.PHONY: all build check test goldens bench bench-json serve-bench serve-trace-demo crash-demo trace-demo fuzz-smoke fuzz prove-smoke prove clean
 
 all: build
 
@@ -9,6 +9,19 @@ check: build
 	dune runtest
 
 test: check
+
+# Regenerate every golden reference the test executables write when
+# LFI_GOLDEN_OUT names the file (ISA encode/decode, emulator, per-form
+# instruction semantics, ELF, rewriter and verifier output), then
+# review the change with `git diff test/`. A golden redefines what the
+# tests accept, so refresh them only deliberately.
+goldens: build
+	LFI_GOLDEN_OUT=$(CURDIR)/test/encode_golden.txt dune exec test/test_arm64.exe
+	LFI_GOLDEN_OUT=$(CURDIR)/test/emulator_golden.txt dune exec test/test_emulator.exe
+	LFI_GOLDEN_OUT=$(CURDIR)/test/insn_golden.txt dune exec test/test_emulator.exe
+	LFI_GOLDEN_OUT=$(CURDIR)/test/elf_golden.txt dune exec test/test_pipeline.exe
+	LFI_GOLDEN_OUT=$(CURDIR)/test/rewrite_golden.txt dune exec test/test_pipeline.exe
+	LFI_GOLDEN_OUT=$(CURDIR)/test/verify_golden.txt dune exec test/test_pipeline.exe
 
 # Full experiment suite: every table and figure of the paper's
 # evaluation (E1-E9 and CoreMark).

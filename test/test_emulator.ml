@@ -232,9 +232,9 @@ let semantics_cases =
    the pre-refactor step path.  Any divergence means the rewritten
    fetch/decode/execute path changed architectural semantics.
 
-   Regenerate with:
-     LFI_GOLDEN_OUT=$PWD/test/emulator_golden.txt \
-       dune exec test/test_emulator.exe *)
+   Regenerate with `make goldens`, which runs this executable with
+   LFI_GOLDEN_OUT=$PWD/test/emulator_golden.txt, and review
+   `git diff test/`. *)
 
 let golden_count = 100
 
@@ -469,9 +469,10 @@ let test_fetch_after_protect () =
    event.  [test_insn_coverage] checks that the population retires
    every form in [insn_forms].
 
-   Regenerate (this redefines the reference semantics) with:
-     LFI_GOLDEN_OUT=$PWD/test/insn_golden.txt \
-       dune exec test/test_emulator.exe *)
+   Regenerate (this redefines the reference semantics) with
+   `make goldens`, which runs this executable with
+   LFI_GOLDEN_OUT=$PWD/test/insn_golden.txt, and review
+   `git diff test/`. *)
 
 let ig_text = 0x10000L
 let ig_data = 0x100000L

@@ -162,9 +162,9 @@ let test_interp_matches_expected () =
    and a few seeded generated programs, native and rewritten at O2, one
    line with the MD5 of [Elf.write (Elf.of_image (Assemble.assemble
    src))], the entry point and a digest of the sorted symbol table.
-   Regenerate it only deliberately, with
-     LFI_GOLDEN_OUT=$PWD/test/elf_golden.txt \
-       dune exec test/test_pipeline.exe *)
+   Regenerate it only deliberately, with `make goldens` (which runs
+   this executable with LFI_GOLDEN_OUT=$PWD/test/elf_golden.txt), and
+   review `git diff test/`. *)
 
 let golden_seeds = [ 1; 2; 3; 4; 5 ]
 
@@ -236,9 +236,9 @@ let test_elf_golden () = check_golden "elf_golden.txt" (elf_golden_lines ())
    guards push out of range, at O0, O1 and O2, one line with the MD5 of
    the printed output, the six stats counters and the MD5 of the site
    table.
-   Regenerate it only deliberately, with
-     LFI_GOLDEN_OUT=$PWD/test/rewrite_golden.txt \
-       dune exec test/test_pipeline.exe *)
+   Regenerate it only deliberately, with `make goldens` (which runs
+   this executable with LFI_GOLDEN_OUT=$PWD/test/rewrite_golden.txt), and
+   review `git diff test/`. *)
 
 (* Register-offset loads cannot be hoisted, so each one grows by its
    guard at every level: 5000 of them push a tbz out of its +-32 KiB
@@ -306,9 +306,9 @@ let test_rewrite_golden () =
    many-function program, every test/corpus/*.s assembled as written,
    and 200 seeded single-bit flips of each O2 image but the
    many-function one, as one digest of the 200 verdicts per image.
-   Regenerate it only deliberately, with
-     LFI_GOLDEN_OUT=$PWD/test/verify_golden.txt \
-       dune exec test/test_pipeline.exe *)
+   Regenerate it only deliberately, with `make goldens` (which runs
+   this executable with LFI_GOLDEN_OUT=$PWD/test/verify_golden.txt), and
+   review `git diff test/`. *)
 
 let verdict ~origin code =
   match Lfi_verifier.Verifier.verify ~origin ~code () with
