@@ -168,7 +168,8 @@ let test_interp_matches_expected () =
 
 let golden_seeds = [ 1; 2; 3; 4; 5 ]
 
-let golden_programs () : (string * Ast.program) list =
+(* the registry programs, coremark and the libraries *)
+let named_programs () : (string * Ast.program) list =
   List.map
     (fun (w : Lfi_workloads.Common.t) ->
       (w.Lfi_workloads.Common.short, w.Lfi_workloads.Common.program))
@@ -178,6 +179,9 @@ let golden_programs () : (string * Ast.program) list =
         ( s.Lfi_libbox.Api.l_short,
           Lfi_libbox.Library.with_trampoline s.Lfi_libbox.Api.l_program ))
       Lfi_workloads.Libs.all
+
+let golden_programs () : (string * Ast.program) list =
+  named_programs ()
   @ List.map
       (fun seed ->
         ( Printf.sprintf "gen%d" seed,
@@ -348,7 +352,9 @@ let verify_golden_lines () =
       (verdict ~origin:img.origin img.text)
   in
   let levels name native =
-    let rewritten config = image (fst (Lfi_core.Rewriter.rewrite ~config native)) in
+    let rewritten config =
+      image (fst (Lfi_core.Rewriter.rewrite ~config native))
+    in
     let o2 = rewritten Lfi_core.Config.o2 in
     ( [ line name "native" (image native);
         line name "o0" (rewritten Lfi_core.Config.o0);
@@ -356,15 +362,13 @@ let verify_golden_lines () =
         line name "o2" o2 ],
       o2 )
   in
-  let programs =
-    List.filter
-      (fun (name, _) -> not (String.starts_with ~prefix:"gen" name))
-      (golden_programs ())
-  in
+  let programs = named_programs () in
   let compiled =
     List.map (fun (name, prog) -> levels name (Compile.compile prog)) programs
   in
-  let many, _ = levels "many" (Compile.compile (Synthetic.many_functions_program ())) in
+  let many, _ =
+    levels "many" (Compile.compile (Synthetic.many_functions_program ()))
+  in
   (* the test runs in test/, a regeneration from the repo root *)
   let dir = if Sys.file_exists "corpus" then "corpus" else "test/corpus" in
   let corpus =

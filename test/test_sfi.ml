@@ -253,12 +253,10 @@ let test_relaxation_cascade () =
 
 (* ---------------- verifier bounds ---------------- *)
 
-let o2_text src =
+let many_o2_text () =
+  let src = Lfi_minic.Compile.compile (Synthetic.many_functions_program ()) in
   let out, _ = Lfi_core.Rewriter.rewrite ~config:Lfi_core.Config.o2 src in
   (Assemble.assemble out).Assemble.text
-
-let many_o2_text () =
-  o2_text (Lfi_minic.Compile.compile (Synthetic.many_functions_program ()))
 
 (* The verifier keeps no decoded text, so verifying the ~320 KiB
    many-function image promotes next to nothing; an array of its
