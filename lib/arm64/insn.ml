@@ -288,18 +288,18 @@ let is_branch = function
 
 let is_indirect_branch = function Br _ | Blr _ | Ret _ -> true | _ -> false
 
-(** [fold_writes f acc insn] folds [f] over the general registers the
-    instruction writes, in operand order: the destinations, then the
-    base register of a pre/post-indexed mode, x30 for [bl]/[blr], the
-    status register of [stxr].  Writes to zr are skipped.  The walk
-    allocates nothing, so a closed [f] makes a query that allocates
-    nothing either. *)
 let fold_write f acc = function Reg.ZR _ -> acc | r -> f acc r
 
 let fold_writeback f acc = function
   | Pre (b, _) | Post (b, _) -> fold_write f acc b
   | Imm_off _ | Reg_off _ -> acc
 
+(** [fold_writes f acc insn] folds [f] over the general registers the
+    instruction writes, in operand order: the destinations, then the
+    base register of a pre/post-indexed mode, x30 for [bl]/[blr], the
+    status register of [stxr].  Writes to zr are skipped.  The walk
+    allocates nothing, so a closed [f] makes a query that allocates
+    nothing either. *)
 let fold_writes f acc insn =
   match insn with
   | Alu { dst; _ } | Shiftv { dst; _ } | Mov { dst; _ } | Bitfield { dst; _ }
@@ -338,11 +338,8 @@ let writes insn : [ `R of Reg.width * int | `Sp ] list =
    register matches, so its function is closed and nothing is
    allocated. *)
 let writes_number insn n =
-  n >= 0
-  && fold_writes
-    (fun m r -> if m = Reg.encoding_number r then -1 else m)
-    n insn
-  < 0
+  let matched m r = if m = Reg.encoding_number r then -1 else m in
+  n >= 0 && fold_writes matched n insn < 0
 
 (** True if the instruction writes architectural register number [n]
     (0-30) through any name or side effect: a member of {!writes}, found
