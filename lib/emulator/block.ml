@@ -1,7 +1,7 @@
 (** Superblock engine: block cache and threaded dispatch.
 
     The single-step loop in {!Interp} pays a fixed per-instruction tax
-    — decode-cache probe, host-region check, a [m.pc] write — that
+    — decode-cache probe, host-region check, a pc-slot write — that
     dominates once the decode cache hits every time.  This module
     removes it structurally: straight-line runs of lowered instructions
     ({!Sem}) are grouped into blocks keyed by entry pc and executed
@@ -19,7 +19,7 @@
       associative and TLB-walk charges interleave with them;
     - [m.insns] advances by the block's retired count at block
       boundaries, and a {!Memory.Fault} mid-block repairs both the
-      count and [m.pc] from [m.blk_i] before re-raising;
+      count and the pc from [m.blk_i] before re-raising;
     - a block invalidated by its own store (self-modifying code on a
       W+X page) stops after the offending instruction, exactly where
       the step loop would re-fetch;
@@ -44,16 +44,16 @@ let block_page (m : Machine.t) (idx : int) : bpage =
 
 (** Collect and register the block entered at [pci] from the decode
     slots, filling them on a miss.  Building is the execution attempt
-    at that pc: the dispatch loop does not maintain [m.pc], so
+    at that pc: the dispatch loop does not maintain the pc slot, so
     materialize it here first — a fetch fault (misaligned or unmapped
-    entry) must leave [m.pc] at the faulting instruction, exactly like
+    entry) must leave the pc at the faulting instruction, exactly like
     a step-loop fetch.  A fetch that would fault at [k > 0] ends the
     block cleanly before it: the step loop executes the preceding
     instructions first. *)
 let build (m : Machine.t) (pci : int) : blk =
   m.blk_builds <- m.blk_builds + 1;
   let pc = Int64.of_int pci in
-  m.pc <- pc;
+  set64u m.regs pc_off pc;
   if pci land 3 <> 0 then Sem.fetch_fault pc;
   let ops = Array.make max_block_len Sem.ignore_op in
   let costs = Array.make (max_block_len + 1) 0.0 in
@@ -148,7 +148,7 @@ let rec body_loop (m : Machine.t) (b : blk) (body : (Machine.t -> unit) array)
     (costs : float array) (n : int) (i : int) : int =
   if i >= n then n
   else begin
-    add_cycles m (Array.unsafe_get costs i);
+    charge m costs i;
     m.blk_i <- i;
     (Array.unsafe_get body i) m;
     if b.b_valid then body_loop m b body costs n (i + 1) else i + 1
@@ -161,7 +161,7 @@ let rec body_loop (m : Machine.t) (b : blk) (body : (Machine.t -> unit) array)
 let rec body_fast (m : Machine.t) (body : (Machine.t -> unit) array)
     (costs : float array) (n : int) (i : int) : unit =
   if i < n then begin
-    add_cycles m (Array.unsafe_get costs i);
+    charge m costs i;
     m.blk_i <- i;
     (Array.unsafe_get body i) m;
     body_fast m body costs n (i + 1)
@@ -182,12 +182,12 @@ let[@inline] finish_block (m : Machine.t) (b : blk) (n : int) : int =
       retire m b n;
       next
   | term ->
-      add_cycles m (Array.unsafe_get b.b_costs n);
+      charge m b.b_costs n;
       retire m b (n + 1);
       Sem.exec_term m term
 
 (** Run one block to completion (or to its self-invalidation point);
-    returns the next pc as an untagged int, or -1 when [m.pc] holds it
+    returns the next pc as an untagged int, or -1 when the pc slot holds it
     (see {!Sem.exec_term}).  On a memory fault the
     instruction count and pc are repaired to the faulting instruction
     — bit-identical to the step loop, which counts an instruction
@@ -215,8 +215,76 @@ let exec_block (m : Machine.t) (b : blk) : int =
   with Memory.Fault _ as e ->
     let k = m.blk_i in
     retire m b (k + 1);
-    m.pc <- Int64.of_int (b.b_pci + (4 * k));
+    set64u m.regs pc_off (Int64.of_int (b.b_pci + (4 * k)));
     raise e
+
+(* The dispatch loop {!run} drives: top-level functions over [m], so a
+   quantum allocates no closures. *)
+let rec dispatch (m : Machine.t) (pci : int) (remaining : int) : Interp.event =
+  if remaining <= 0 then begin
+    set64u m.regs pc_off (Int64.of_int pci);
+    Interp.Quantum_expired
+  end
+  else if pci >= host_region_start_i then begin
+    let pc = Int64.of_int pci in
+    set64u m.regs pc_off pc;
+    Interp.Runtime_entry pc
+  end
+  else enter m (lookup m pci) pci remaining
+
+and chain (m : Machine.t) (prev : blk) (pci : int) (remaining : int) :
+    Interp.event =
+  if remaining <= 0 then begin
+    set64u m.regs pc_off (Int64.of_int pci);
+    Interp.Quantum_expired
+  end
+  else if pci >= host_region_start_i then begin
+    let pc = Int64.of_int pci in
+    set64u m.regs pc_off pc;
+    Interp.Runtime_entry pc
+  end
+  else begin
+    let s0 = prev.b_succ0 in
+    if s0.b_valid && s0.b_pci = pci then enter m s0 pci remaining
+    else
+      let s1 = prev.b_succ1 in
+      if s1.b_valid && s1.b_pci = pci then enter m s1 pci remaining
+      else begin
+        let nb = lookup m pci in
+        if not prev.b_succ0.b_valid then prev.b_succ0 <- nb
+        else prev.b_succ1 <- nb;
+        enter m nb pci remaining
+      end
+  end
+
+and enter (m : Machine.t) (b : blk) (pci : int) (remaining : int) :
+    Interp.event =
+  if b.b_len <= remaining then begin
+    let before = m.insns in
+    let npc = exec_block m b in
+    if npc >= 0 then chain m b npc (remaining - (m.insns - before))
+    else
+      match b.b_term with
+      | Tsvc { n; _ } -> Interp.Trap (Interp.Svc_trap n)
+      | Tudf { pc } -> Interp.Trap (Interp.Undefined pc)
+      | _ ->
+          (* a branch out of [0, 2^62): the pc slot holds its target,
+             which the step loop faults on exactly as in step mode *)
+          tail m (remaining - (m.insns - before))
+  end
+  else begin
+    (* quantum tail: not enough budget for the whole block *)
+    m.blk_deopts <- m.blk_deopts + 1;
+    set64u m.regs pc_off (Int64.of_int pci);
+    tail m remaining
+  end
+
+and tail (m : Machine.t) (remaining : int) : Interp.event =
+  if remaining <= 0 then Interp.Quantum_expired
+  else
+    match Interp.step_raw m with
+    | None -> tail m (remaining - 1)
+    | Some e -> e
 
 (** Run until an event occurs or [quantum] instructions have executed
     ({!Exec.run}).
@@ -228,70 +296,10 @@ let exec_block (m : Machine.t) (b : blk) : int =
     retires exactly [quantum] instructions and per-call instruction
     budgets (libbox) kill at an exact count. *)
 let run (m : Machine.t) ~(quantum : int) : Interp.event =
-  let rec dispatch (pci : int) (remaining : int) : Interp.event =
-    if remaining <= 0 then begin
-      m.pc <- Int64.of_int pci;
-      Interp.Quantum_expired
-    end
-    else if pci >= host_region_start_i then begin
-      let pc = Int64.of_int pci in
-      m.pc <- pc;
-      Interp.Runtime_entry pc
-    end
-    else enter (lookup m pci) pci remaining
-  and chain (prev : blk) (pci : int) (remaining : int) : Interp.event =
-    if remaining <= 0 then begin
-      m.pc <- Int64.of_int pci;
-      Interp.Quantum_expired
-    end
-    else if pci >= host_region_start_i then begin
-      let pc = Int64.of_int pci in
-      m.pc <- pc;
-      Interp.Runtime_entry pc
-    end
-    else begin
-      let s0 = prev.b_succ0 in
-      if s0.b_valid && s0.b_pci = pci then enter s0 pci remaining
-      else
-        let s1 = prev.b_succ1 in
-        if s1.b_valid && s1.b_pci = pci then enter s1 pci remaining
-        else begin
-          let nb = lookup m pci in
-          if not prev.b_succ0.b_valid then prev.b_succ0 <- nb
-          else prev.b_succ1 <- nb;
-          enter nb pci remaining
-        end
-    end
-  and enter (b : blk) (pci : int) (remaining : int) : Interp.event =
-    if b.b_len <= remaining then begin
-      let before = m.insns in
-      let npc = exec_block m b in
-      if npc >= 0 then chain b npc (remaining - (m.insns - before))
-      else
-        match b.b_term with
-        | Tsvc { n; _ } -> Interp.Trap (Interp.Svc_trap n)
-        | Tudf { pc } -> Interp.Trap (Interp.Undefined pc)
-        | _ ->
-            (* a branch out of [0, 2^62): [m.pc] holds its target, which
-               the step loop faults on exactly as in step mode *)
-            tail (remaining - (m.insns - before))
-    end
-    else begin
-      (* quantum tail: not enough budget for the whole block *)
-      m.blk_deopts <- m.blk_deopts + 1;
-      m.pc <- Int64.of_int pci;
-      tail remaining
-    end
-  and tail (remaining : int) : Interp.event =
-    if remaining <= 0 then Interp.Quantum_expired
-    else
-      match Interp.step_raw m with
-      | None -> tail (remaining - 1)
-      | Some e -> e
-  in
   try
-    if Sem.pc_fits m.pc then dispatch (Int64.to_int m.pc) quantum
-    else tail quantum
+    let pc = get64u m.regs pc_off in
+    if Sem.pc_fits pc then dispatch m (Int64.to_int pc) quantum
+    else tail m quantum
   with Memory.Fault f ->
     Interp.count_fault m;
     Interp.Trap (Interp.Mem_fault f)

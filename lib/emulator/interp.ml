@@ -10,8 +10,9 @@
     they retire, so arming an observer never changes dispatch.  An
     escape to the host — memory fault, [svc], undefined instruction,
     runtime-region pc — is an {!event} for the runtime to interpret.
-    A straight-line step allocates nothing: its fall-through pc is
-    pre-boxed in its slot (a terminator boxes its next pc). *)
+    A step that raises no event allocates nothing: the pc is a slot of
+    the unboxed register file, written from the fall-through pc kept
+    in the decode slot. *)
 
 open Lfi_arm64
 open Machine
@@ -94,7 +95,7 @@ let observe (m : Machine.t) (pci : int) (n : int) (dp0 : dpage)
     Returns [None] for normal completion (pc already updated) or
     [Some event]. *)
 let step_raw (m : Machine.t) : event option =
-  let pc = m.pc in
+  let pc = get64u m.regs pc_off in
   if not (Sem.pc_fits pc) then Sem.fetch_fault pc;
   let pci = Int64.to_int pc in
   if pci >= host_region_start_i then Some (Runtime_entry pc)
@@ -105,18 +106,18 @@ let step_raw (m : Machine.t) : event option =
     if m.dc_idx <> pidx then Machine.decode_page m pidx;
     let cached = Array.unsafe_get m.dc_op s in
     let op = if cached != Machine.undecoded then cached else Sem.fill m pci s in
-    add_cycles m (Array.unsafe_get m.dc_cost s);
+    charge m m.dc_cost s;
     m.insns <- m.insns + 1;
     if observed m then observe m pci 1 m.dc_page m.dc_page;
     match op with
     | Body (f, next) ->
         f m;
-        m.pc <- next;
+        set64u m.regs pc_off next;
         None
     | Term t -> (
         let npc = Sem.exec_term m t in
         if npc >= 0 then begin
-          m.pc <- Int64.of_int npc;
+          set64u m.regs pc_off (Int64.of_int npc);
           None
         end
         else

@@ -1,10 +1,27 @@
 (** Architectural state of one emulated ARM64 hardware thread.
 
-    Register values are [int64]; the 32 SIMD/FP registers are stored as
-    a low and a high 64-bit half (the subset only computes on the low
-    half; [q] loads/stores move both).  The machine also carries the
-    cycle accounting state: a cost model, an optional TLB, and the
-    running cycle counter that every experiment reports.
+    {2 Register file}
+
+    The whole architectural state lives in one unboxed register file,
+    [regs], a [Bytes.t] of {!regs_bytes} bytes holding 98 64-bit slots
+    in host byte order (DESIGN.md §5a): x0–x30 in slots 0–30, sp in 31,
+    pc in 32, NZCV (N=8, Z=4, C=2, V=1) in 33, the low halves of v0–v31
+    in 34–65 and their high halves in 66–97 (the subset only computes
+    on the low half; [q] loads/stores move both).  A register write is
+    an unboxed store into the file: no [Int64] box, no write barrier.
+    A {!snapshot} is a copy of the file, so a context switch is a byte
+    copy, and an entry state is a few stores into a cleared file.  The
+    lowered closures ({!Sem}) and the dispatch loops read and write
+    slots directly ({!get64u}/{!set64u}, unchecked, at offsets
+    resolved at lowering time); every other reader — the runtime,
+    libbox, the fuzzers, postmortem, tests — goes through the one
+    accessor family ({!x}, {!sp}, {!pc}, {!nzcv}, {!vlo}, {!vhi} and
+    their setters), which works on the live file and on a snapshot
+    alike.
+
+    The machine also carries the cycle accounting state: a cost model,
+    an optional TLB, and the running cycle counter that every
+    experiment reports.
 
     {2 Superblock cache}
 
@@ -106,6 +123,30 @@ let record_escape (o : oracle) ~(pc : int64) ~(addr : int64)
     o.o_escapes <-
       { esc_pc = pc; esc_addr = addr; esc_kind = kind } :: o.o_escapes
 
+(* ---------------- register file ---------------- *)
+
+(** Slots of the register file (8 bytes each): x[n] is slot [n]. *)
+let slot_sp = 31
+let slot_pc = 32
+let slot_nzcv = 33
+let slot_vlo = 34
+let slot_vhi = 66
+
+(** Size of the register file, and of a {!snapshot}, in bytes. *)
+let regs_bytes = 98 * 8
+
+(** Unchecked host-order access to the 8 bytes at byte offset [o]:
+    the lowered code's and the dispatch loops' direct access to the
+    file, at offsets resolved at lowering time (a register number from
+    a decoded operand, or one of the slots above).  Primitives, so
+    they compile to one load or store in every module that uses them,
+    and the value never goes through a box. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(** Byte offset of the pc slot. *)
+let pc_off = slot_pc * 8
+
 (* ---------------- superblocks ---------------- *)
 
 (** Number of instructions a block may cover (body + terminator).
@@ -113,15 +154,9 @@ let record_escape (o : oracle) ~(pc : int64) ~(addr : int64)
 let max_block_len = 64
 
 type t = {
-  mutable pc : int64;
-  regs : int64 array;  (** x0 .. x30 *)
-  mutable sp : int64;
-  mutable flag_n : bool;
-  mutable flag_z : bool;
-  mutable flag_c : bool;
-  mutable flag_v : bool;
-  vlo : int64 array;
-  vhi : int64 array;
+  regs : Bytes.t;
+      (** the register file: x0–x30, sp, pc, NZCV, v0–v31 low and high
+          halves, 8 bytes each (see the layout above) *)
   mutable exclusive : int64 option;  (** local exclusive monitor *)
   mem : Memory.t;
   uarch : Cost_model.t;
@@ -184,13 +219,13 @@ and dpage = {
   d_fresh : Bytes.t }
 
 (** The lowered form of one instruction, what both dispatch paths
-    execute: a straight-line instruction's effect with its pre-boxed
+    execute: a straight-line instruction's effect with its
     fall-through pc, or a terminator. *)
 and op = Body of (t -> unit) * int64 | Term of bterm
 
 (** One lowered basic block.  [b_body] holds the straight-line
-    instructions as pre-resolved closures (operands resolved to array
-    indices, immediates pre-extended and pre-boxed); [b_term] is the
+    instructions as pre-resolved closures (operands resolved to slots
+    of the register file, immediates pre-extended); [b_term] is the
     control-flow decision that ends the block.  [b_costs] keeps each
     instruction's cost under the machine's cost model ([b_costs.(i)]
     for body op [i], last slot for the terminator) — the dispatch loop
@@ -220,10 +255,10 @@ and blk = {
 
 (** Block terminators.  Branch targets, fall-through pcs, and the
     terminator's own pc ([ti], for the flight recorder) are untagged
-    ints: the dispatch loop threads the pc as an int and only
-    materializes the boxed [pc] field at exit points.  The link value
-    ([bl]/[blr]) and the trap pcs stay pre-boxed [int64]s — they are
-    stored into the register file / [pc] directly. *)
+    ints: the dispatch loop threads the pc as an int and only stores
+    it into the file's pc slot at exit points.  The link value
+    ([bl]/[blr]) and the trap pcs stay [int64] constants, stored into
+    the file as they are. *)
 and bterm =
   | Tb of { target : int; ti : int }
   | Tbl of { target : int; ti : int; link : int64 }
@@ -364,15 +399,7 @@ let invalidate_code (m : t) (addr : int64) (len : int) =
 let create ?(uarch = Cost_model.m1) (mem : Memory.t) =
   let m =
     {
-      pc = 0L;
-      regs = Array.make 31 0L;
-      sp = 0L;
-      flag_n = false;
-      flag_z = false;
-      flag_c = false;
-      flag_v = false;
-      vlo = Array.make 32 0L;
-      vhi = Array.make 32 0L;
+      regs = Bytes.make regs_bytes '\000';
       exclusive = None;
       mem;
       uarch;
@@ -443,69 +470,62 @@ let[@inline] add_cycles (m : t) (c : float) =
 
 let set_cycles (m : t) (c : float) = m.cycle_acc.(0) <- c
 
+(** Charge [costs.(i)], an instruction's cost: the charge both dispatch
+    paths make per instruction.  It takes the cost's array and index,
+    not the float, so the float is never boxed across a call. *)
+let[@inline] charge (m : t) (costs : float array) (i : int) =
+  Array.unsafe_set m.cycle_acc 0
+    (Array.unsafe_get m.cycle_acc 0 +. Array.unsafe_get costs i)
+
 let mask32 = 0xFFFFFFFFL
 
-(** Read a general register operand. *)
-let[@inline] get (m : t) (r : Reg.t) : int64 =
-  match r with
-  | Reg.R (Reg.W64, n) -> m.regs.(n)
-  | Reg.R (Reg.W32, n) -> Int64.logand m.regs.(n) mask32
-  | Reg.ZR _ -> 0L
-  | Reg.SP Reg.W64 -> m.sp
-  | Reg.SP Reg.W32 -> Int64.logand m.sp mask32
+(* ---------------- the one accessor ---------------- *)
 
-(** Write a general register operand; 32-bit writes zero the top half
-    (the property the LFI guard depends on). *)
-let[@inline] set (m : t) (r : Reg.t) (v : int64) =
-  match r with
-  | Reg.R (Reg.W64, n) -> m.regs.(n) <- v
-  | Reg.R (Reg.W32, n) -> m.regs.(n) <- Int64.logand v mask32
-  | Reg.ZR _ -> ()
-  | Reg.SP Reg.W64 -> m.sp <- v
-  | Reg.SP Reg.W32 -> m.sp <- Int64.logand v mask32
+(* Checked reads and writes of a register file — the machine's live
+   [regs] or a {!snapshot}, which share one layout.  Every reader
+   outside the lowered code goes through these: x[n] for n in 0..30,
+   v[n] for n in 0..31. *)
 
-(** The double (or single, widened) value held by an FP register. *)
-let get_float (m : t) (f : Reg.Fp.t) : float =
-  match f.Reg.Fp.size with
-  | Reg.Fp.D | Reg.Fp.Q -> Int64.float_of_bits m.vlo.(f.Reg.Fp.n)
-  | Reg.Fp.S ->
-      Int32.float_of_bits (Int64.to_int32 (Int64.logand m.vlo.(f.Reg.Fp.n) mask32))
+let[@inline] x (f : Bytes.t) (n : int) : int64 =
+  if n < 0 || n > 30 then invalid_arg "Machine.x";
+  Bytes.get_int64_ne f (n lsl 3)
 
-let set_float (m : t) (f : Reg.Fp.t) (v : float) =
-  match f.Reg.Fp.size with
-  | Reg.Fp.D | Reg.Fp.Q -> m.vlo.(f.Reg.Fp.n) <- Int64.bits_of_float v
-  | Reg.Fp.S ->
-      m.vlo.(f.Reg.Fp.n) <-
-        Int64.logand (Int64.of_int32 (Int32.bits_of_float v)) mask32
+let[@inline] set_x (f : Bytes.t) (n : int) (v : int64) =
+  if n < 0 || n > 30 then invalid_arg "Machine.set_x";
+  Bytes.set_int64_ne f (n lsl 3) v
 
-let[@inline] cond_holds (m : t) (c : Insn.cond) : bool =
-  let n = m.flag_n and z = m.flag_z and cf = m.flag_c and v = m.flag_v in
-  match c with
-  | Insn.EQ -> z
-  | Insn.NE -> not z
-  | Insn.CS -> cf
-  | Insn.CC -> not cf
-  | Insn.MI -> n
-  | Insn.PL -> not n
-  | Insn.VS -> v
-  | Insn.VC -> not v
-  | Insn.HI -> cf && not z
-  | Insn.LS -> not (cf && not z)
-  | Insn.GE -> n = v
-  | Insn.LT -> n <> v
-  | Insn.GT -> (not z) && n = v
-  | Insn.LE -> z || n <> v
-  | Insn.AL -> true
+let[@inline] sp (f : Bytes.t) = Bytes.get_int64_ne f (slot_sp lsl 3)
+let[@inline] set_sp (f : Bytes.t) v = Bytes.set_int64_ne f (slot_sp lsl 3) v
+let[@inline] pc (f : Bytes.t) = Bytes.get_int64_ne f (slot_pc lsl 3)
+let[@inline] set_pc (f : Bytes.t) v = Bytes.set_int64_ne f (slot_pc lsl 3) v
 
-let[@inline] set_nzcv (m : t) ~n ~z ~c ~v =
-  m.flag_n <- n;
-  m.flag_z <- z;
-  m.flag_c <- c;
-  m.flag_v <- v
+(** The flags as an [nzcv] immediate: N=8, Z=4, C=2, V=1. *)
+let[@inline] nzcv (f : Bytes.t) : int =
+  Int64.to_int (Bytes.get_int64_ne f (slot_nzcv lsl 3))
 
-(** Charge TLB cost for a data access. *)
-let[@inline] charge_tlb (m : t) (addr : int64) =
-  if not (Tlb.access m.tlb addr) then begin
+let[@inline] set_nzcv (f : Bytes.t) (bits : int) =
+  Bytes.set_int64_ne f (slot_nzcv lsl 3) (Int64.of_int (bits land 15))
+
+let[@inline] vlo (f : Bytes.t) (n : int) : int64 =
+  if n < 0 || n > 31 then invalid_arg "Machine.vlo";
+  Bytes.get_int64_ne f ((slot_vlo + n) lsl 3)
+
+let[@inline] vhi (f : Bytes.t) (n : int) : int64 =
+  if n < 0 || n > 31 then invalid_arg "Machine.vhi";
+  Bytes.get_int64_ne f ((slot_vhi + n) lsl 3)
+
+let[@inline] set_vlo (f : Bytes.t) (n : int) (v : int64) =
+  if n < 0 || n > 31 then invalid_arg "Machine.set_vlo";
+  Bytes.set_int64_ne f ((slot_vlo + n) lsl 3) v
+
+let[@inline] set_vhi (f : Bytes.t) (n : int) (v : int64) =
+  if n < 0 || n > 31 then invalid_arg "Machine.set_vhi";
+  Bytes.set_int64_ne f ((slot_vhi + n) lsl 3) v
+
+(** Charge TLB cost for a data access to page number [page] (the
+    address as an untagged int, shifted right by [Memory.page_bits]). *)
+let[@inline] charge_tlb (m : t) (page : int) =
+  if not (Tlb.access m.tlb page) then begin
     let walk = m.uarch.Cost_model.tlb_walk_cycles in
     let walk =
       if m.nested_paging then walk *. m.uarch.Cost_model.nested_walk_factor
@@ -514,32 +534,27 @@ let[@inline] charge_tlb (m : t) (addr : int64) =
     add_cycles m walk
   end
 
-(** Snapshot of the register state (used by fork and context switch). *)
-type snapshot = {
-  s_pc : int64;
-  s_regs : int64 array;
-  s_sp : int64;
-  s_flags : bool * bool * bool * bool;
-  s_vlo : int64 array;
-  s_vhi : int64 array;
-}
+(** A copy of the register file: the state of a process that is not
+    on the machine (context switch, fork's child) and the entry state
+    of a program.  It has the file's layout, so the accessors above
+    read and write it, {!snapshot} is one allocation and one copy,
+    and {!restore} is one [Bytes.blit] with no write barrier. *)
+type snapshot = Bytes.t
 
-let snapshot (m : t) : snapshot =
-  {
-    s_pc = m.pc;
-    s_regs = Array.copy m.regs;
-    s_sp = m.sp;
-    s_flags = (m.flag_n, m.flag_z, m.flag_c, m.flag_v);
-    s_vlo = Array.copy m.vlo;
-    s_vhi = Array.copy m.vhi;
-  }
+let snapshot (m : t) : snapshot = Bytes.copy m.regs
 
+(** An all-zero register file, to write an entry state into. *)
+let empty_snapshot () : snapshot = Bytes.make regs_bytes '\000'
+
+(** Install [s] as the machine's register state and clear the
+    exclusive monitor. *)
 let restore (m : t) (s : snapshot) =
-  m.pc <- s.s_pc;
-  Array.blit s.s_regs 0 m.regs 0 31;
-  m.sp <- s.s_sp;
-  (let n, z, c, v = s.s_flags in
-   set_nzcv m ~n ~z ~c ~v);
-  Array.blit s.s_vlo 0 m.vlo 0 32;
-  Array.blit s.s_vhi 0 m.vhi 0 32;
+  Bytes.blit s 0 m.regs 0 regs_bytes;
+  m.exclusive <- None
+
+(** Zero the whole register file (every register, pc, flags and
+    vectors) and clear the exclusive monitor: the state an entry
+    starts from. *)
+let clear (m : t) =
+  Bytes.fill m.regs 0 regs_bytes '\000';
   m.exclusive <- None

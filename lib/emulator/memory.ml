@@ -238,6 +238,39 @@ let[@inline] get_page m (addr : int64) (access : access) : page =
         p
   end
 
+(** The bytes of page [idx] when the translation cache holds it with
+    read permission, counting the hit as [get_page] would; otherwise
+    [Bytes.empty], counting nothing, and the caller takes {!read},
+    which counts, faults and reads as usual.  The emulator's loads
+    inline their hit path on this: the page index is an untagged int
+    and the result a pointer, so no address or value is boxed. *)
+let[@inline] read_hit m (idx : int) : Bytes.t =
+  let slot = idx land tc_mask in
+  if
+    Array.unsafe_get m.tc_idx slot = idx
+    && Array.unsafe_get m.tc_bits slot land pb_r <> 0
+  then begin
+    m.tc_hits <- m.tc_hits + 1;
+    (Array.unsafe_get m.tc_page slot).data
+  end
+  else Bytes.empty
+
+(** The same for a store: the page must be cached writable, not
+    executable and already dirty, so that the store needs neither the
+    change log nor a decode-cache invalidation; otherwise the caller
+    takes {!write}. *)
+let[@inline] write_hit m (idx : int) : Bytes.t =
+  let slot = idx land tc_mask in
+  if
+    Array.unsafe_get m.tc_idx slot = idx
+    && Array.unsafe_get m.tc_bits slot land (pb_w lor pb_x) = pb_w
+    && (Array.unsafe_get m.tc_page slot).dirty
+  then begin
+    m.tc_hits <- m.tc_hits + 1;
+    (Array.unsafe_get m.tc_page slot).data
+  end
+  else Bytes.empty
+
 (* Writes into an executable page must invalidate decoded instructions
    covering it.  Pages are almost never writable+executable, so the
    check is a single bit test in practice. *)

@@ -2,8 +2,8 @@
     instruction lowered, once, to what both dispatch paths run.
 
     A non-branch instruction becomes a closure over the machine
-    ({!lower}): register operands resolved to array indices,
-    immediates pre-extended and pre-boxed, and the instructions that
+    ({!lower}): register operands resolved to slots of the register
+    file, immediates pre-extended, and the instructions that
     dominate rewriter output (W64/W32 register and immediate ALU, the
     x21 guard add, mov-immediates, [adr], immediate-offset and guarded
     loads/stores) specialized into monomorphic fast paths.  A branch,
@@ -13,8 +13,11 @@
     ({!Interp}) and the superblock engine ({!Block}) both execute it
     from there, so there is one definition of what an instruction does.
 
-    Lowered code never reads [m.pc]: the instruction's own pc is
-    captured at lowering time.  The flight recorder's events
+    Lowered code reads and writes the machine's unboxed register file
+    directly and allocates nothing: every value stays an unboxed
+    [int64] or [float] inside the one closure that computes it.  It
+    never reads the pc slot: the instruction's own pc is captured at
+    lowering time.  The flight recorder's events
     (taken branches, guard-clamp audits) and the escape oracle's
     checks (every data access in {!bread}/{!bwrite}, every taken
     branch in {!exec_term}) are made here, against that pc, so every
@@ -24,21 +27,97 @@ open Lfi_arm64
 open Machine
 
 (* ------------------------------------------------------------------ *)
+(* The register file                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Lowered code reads and writes the machine's register file directly
+   ({!Machine.regs}, slot [s] at byte [8 * s]).  Everything here and
+   below that takes or returns an [int64] or a [float] is inlined, so
+   the value stays unboxed inside the one lowered closure that uses
+   it: a helper called out of line, or one in another module, would
+   box its argument or result on every execution. *)
+
+let[@inline] rd (f : Bytes.t) (s : int) : int64 = get64u f (s lsl 3)
+let[@inline] wr (f : Bytes.t) (s : int) (v : int64) = set64u f (s lsl 3) v
+
+(** Read a general register operand. *)
+let[@inline] get (f : Bytes.t) (r : Reg.t) : int64 =
+  match r with
+  | Reg.R (Reg.W64, n) -> rd f n
+  | Reg.R (Reg.W32, n) -> Int64.logand (rd f n) mask32
+  | Reg.ZR _ -> 0L
+  | Reg.SP Reg.W64 -> rd f slot_sp
+  | Reg.SP Reg.W32 -> Int64.logand (rd f slot_sp) mask32
+
+(** Write a general register operand; 32-bit writes zero the top half
+    (the property the LFI guard depends on). *)
+let[@inline] set (f : Bytes.t) (r : Reg.t) (v : int64) =
+  match r with
+  | Reg.R (Reg.W64, n) -> wr f n v
+  | Reg.R (Reg.W32, n) -> wr f n (Int64.logand v mask32)
+  | Reg.ZR _ -> ()
+  | Reg.SP Reg.W64 -> wr f slot_sp v
+  | Reg.SP Reg.W32 -> wr f slot_sp (Int64.logand v mask32)
+
+(** The double (or single, widened) value held by an FP register. *)
+let[@inline] get_float (f : Bytes.t) (r : Reg.Fp.t) : float =
+  match r.Reg.Fp.size with
+  | Reg.Fp.D | Reg.Fp.Q -> Int64.float_of_bits (rd f (slot_vlo + r.Reg.Fp.n))
+  | Reg.Fp.S ->
+      Int32.float_of_bits
+        (Int64.to_int32 (Int64.logand (rd f (slot_vlo + r.Reg.Fp.n)) mask32))
+
+let[@inline] set_float (f : Bytes.t) (r : Reg.Fp.t) (v : float) =
+  match r.Reg.Fp.size with
+  | Reg.Fp.D | Reg.Fp.Q -> wr f (slot_vlo + r.Reg.Fp.n) (Int64.bits_of_float v)
+  | Reg.Fp.S ->
+      wr f (slot_vlo + r.Reg.Fp.n)
+        (Int64.logand (Int64.of_int32 (Int32.bits_of_float v)) mask32)
+
+let[@inline] cond_holds (f : Bytes.t) (c : Insn.cond) : bool =
+  let fl = Int64.to_int (rd f slot_nzcv) in
+  let n = fl land 8 <> 0 and z = fl land 4 <> 0 in
+  let cf = fl land 2 <> 0 and v = fl land 1 <> 0 in
+  match c with
+  | Insn.EQ -> z
+  | Insn.NE -> not z
+  | Insn.CS -> cf
+  | Insn.CC -> not cf
+  | Insn.MI -> n
+  | Insn.PL -> not n
+  | Insn.VS -> v
+  | Insn.VC -> not v
+  | Insn.HI -> cf && not z
+  | Insn.LS -> not (cf && not z)
+  | Insn.GE -> n = v
+  | Insn.LT -> n <> v
+  | Insn.GT -> (not z) && n = v
+  | Insn.LE -> z || n <> v
+  | Insn.AL -> true
+
+(** Set all four flags. *)
+let[@inline] set_flags (f : Bytes.t) ~n ~z ~c ~v =
+  wr f slot_nzcv
+    (Int64.of_int
+       ((if n then 8 else 0) lor (if z then 4 else 0) lor (if c then 2 else 0)
+       lor if v then 1 else 0))
+
+(* ------------------------------------------------------------------ *)
 (* Arithmetic helpers                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let mask_w (w : Reg.width) v =
+let[@inline] mask_w (w : Reg.width) v =
   match w with Reg.W64 -> v | Reg.W32 -> Int64.logand v mask32
 
-let sext32 v =
+let[@inline] sext32 v =
   Int64.shift_right (Int64.shift_left v 32) 32
 
-let sign_bit (w : Reg.width) v =
+let[@inline] sign_bit (w : Reg.width) v =
   match w with
   | Reg.W64 -> Int64.compare v 0L < 0
   | Reg.W32 -> Int64.logand v 0x80000000L <> 0L
 
-let extend_value (e : Insn.extend) (v : int64) : int64 =
+let[@inline] extend_value (e : Insn.extend) (v : int64) : int64 =
   match e with
   | Insn.Uxtb -> Int64.logand v 0xFFL
   | Insn.Uxth -> Int64.logand v 0xFFFFL
@@ -49,7 +128,8 @@ let extend_value (e : Insn.extend) (v : int64) : int64 =
   | Insn.Sxtw -> sext32 v
   | Insn.Sxtx -> v
 
-let shift_value (w : Reg.width) (k : Insn.shift) (v : int64) (a : int) : int64 =
+let[@inline] shift_value (w : Reg.width) (k : Insn.shift) (v : int64) (a : int)
+    : int64 =
   let bits = match w with Reg.W64 -> 64 | Reg.W32 -> 32 in
   let a = a mod bits in
   if a = 0 then mask_w w v
@@ -69,9 +149,11 @@ let shift_value (w : Reg.width) (k : Insn.shift) (v : int64) (a : int) : int64 =
              (Int64.shift_right_logical v a)
              (Int64.shift_left v (bits - a)))
 
-(** Add/sub with NZCV computation at the given width. *)
-let arith_flags (m : Machine.t) (w : Reg.width) ~sub (a : int64) (b : int64) :
-    int64 =
+(** Set [f]'s flags to the NZCV of an add/sub at the given width.
+    Returns unit, so a compare that only wants the flags boxes
+    nothing. *)
+let[@inline] set_arith_flags (f : Bytes.t) (w : Reg.width) ~sub (a : int64)
+    (b : int64) =
   let a = mask_w w a and b = mask_w w b in
   let r = if sub then Int64.sub a b else Int64.add a b in
   let r_masked = mask_w w r in
@@ -88,15 +170,21 @@ let arith_flags (m : Machine.t) (w : Reg.width) ~sub (a : int64) (b : int64) :
   and sb = sign_bit w b
   and sr = sign_bit w r_masked in
   let v = if sub then sa <> sb && sr <> sa else sa = sb && sr <> sa in
-  set_nzcv m ~n ~z ~c ~v;
-  r_masked
+  set_flags f ~n ~z ~c ~v
 
-let logic_flags (m : Machine.t) (w : Reg.width) (r : int64) =
-  set_nzcv m ~n:(sign_bit w r) ~z:(Int64.equal (mask_w w r) 0L) ~c:false
+(** Add/sub with NZCV computation at the given width: set the flags,
+    return the result masked to the width. *)
+let[@inline] arith_flags (f : Bytes.t) (w : Reg.width) ~sub (a : int64)
+    (b : int64) : int64 =
+  set_arith_flags f w ~sub a b;
+  mask_w w (if sub then Int64.sub a b else Int64.add a b)
+
+let[@inline] logic_flags (f : Bytes.t) (w : Reg.width) (r : int64) =
+  set_flags f ~n:(sign_bit w r) ~z:(Int64.equal (mask_w w r) 0L) ~c:false
     ~v:false
 
 (* 128-bit multiply high half. *)
-let mulh ~signed (a : int64) (b : int64) : int64 =
+let[@inline] mulh ~signed (a : int64) (b : int64) : int64 =
   let open Int64 in
   let mask = 0xFFFFFFFFL in
   let alo = logand a mask and ahi = shift_right_logical a 32 in
@@ -118,16 +206,34 @@ let mulh ~signed (a : int64) (b : int64) : int64 =
     let uhi = if compare a 0L < 0 then sub uhi b else uhi in
     if compare b 0L < 0 then sub uhi a else uhi
 
-let bitfield_result (w : Reg.width) (op : Insn.bf_op) ~(dst_old : int64)
-    ~(src : int64) ~(immr : int) ~(imms : int) : int64 =
+(* A W register's value widened to 64 bits ([smaddl]/[umaddl]). *)
+let[@inline] widen32 ~signed (v : int64) : int64 =
+  if signed then sext32 (Int64.logand v mask32) else Int64.logand v mask32
+
+(* [Int64.unsigned_div], inlined; [d] is non-zero. *)
+let[@inline] udiv64 (n : int64) (d : int64) : int64 =
+  if Int64.compare d 0L < 0 then
+    if Int64.unsigned_compare n d < 0 then 0L else 1L
+  else
+    let q = Int64.shift_left (Int64.div (Int64.shift_right_logical n 1) d) 1 in
+    let r = Int64.sub n (Int64.mul q d) in
+    if Int64.unsigned_compare r d >= 0 then Int64.succ q else q
+
+(* The low [n] bits set. *)
+let[@inline] low_mask n =
+  if n >= 64 then -1L else Int64.sub (Int64.shift_left 1L n) 1L
+
+let[@inline] bitfield_result (w : Reg.width) (op : Insn.bf_op)
+    ~(dst_old : int64) ~(src : int64) ~(immr : int) ~(imms : int) : int64 =
   let bits = match w with Reg.W64 -> 64 | Reg.W32 -> 32 in
-  let mask n = if n >= 64 then -1L else Int64.sub (Int64.shift_left 1L n) 1L in
   let src = mask_w w src in
   let result =
     if imms >= immr then begin
       (* extract field src[imms:immr] at bit 0 *)
       let width = imms - immr + 1 in
-      let fld = Int64.logand (Int64.shift_right_logical src immr) (mask width) in
+      let fld =
+        Int64.logand (Int64.shift_right_logical src immr) (low_mask width)
+      in
       match op with
       | Insn.UBFM -> fld
       | Insn.SBFM ->
@@ -135,21 +241,21 @@ let bitfield_result (w : Reg.width) (op : Insn.bf_op) ~(dst_old : int64)
           Int64.shift_right (Int64.shift_left fld sh) sh
       | Insn.BFM ->
           Int64.logor
-            (Int64.logand dst_old (Int64.lognot (mask width)))
+            (Int64.logand dst_old (Int64.lognot (low_mask width)))
             fld
     end
     else begin
       (* insert field src[imms:0] at bit (bits - immr) *)
       let width = imms + 1 in
       let lsb = bits - immr in
-      let fld = Int64.logand src (mask width) in
+      let fld = Int64.logand src (low_mask width) in
       match op with
       | Insn.UBFM -> Int64.shift_left fld lsb
       | Insn.SBFM ->
           let sh = 64 - width in
           Int64.shift_left (Int64.shift_right (Int64.shift_left fld sh) sh) lsb
       | Insn.BFM ->
-          let hole = Int64.shift_left (mask width) lsb in
+          let hole = Int64.shift_left (low_mask width) lsb in
           Int64.logor
             (Int64.logand dst_old (Int64.lognot hole))
             (Int64.shift_left fld lsb)
@@ -157,28 +263,31 @@ let bitfield_result (w : Reg.width) (op : Insn.bf_op) ~(dst_old : int64)
   in
   mask_w w result
 
-let clz_value (w : Reg.width) (v : int64) =
-  let bits = match w with Reg.W64 -> 64 | Reg.W32 -> 32 in
-  let rec go i =
-    if i < 0 then bits
-    else if Int64.logand (Int64.shift_right_logical v i) 1L = 1L then
-      bits - 1 - i
-    else go (i - 1)
-  in
-  go (bits - 1)
+(* The bit-scanning helpers below are loops over unboxed locals: a
+   local recursive function would capture [v] and allocate a closure
+   per execution. *)
 
-let cls_value (w : Reg.width) (v : int64) =
+let[@inline] clz_value (w : Reg.width) (v : int64) =
+  let bits = match w with Reg.W64 -> 64 | Reg.W32 -> 32 in
+  let i = ref (bits - 1) in
+  while !i >= 0 && Int64.logand (Int64.shift_right_logical v !i) 1L = 0L do
+    decr i
+  done;
+  bits - 1 - !i
+
+let[@inline] cls_value (w : Reg.width) (v : int64) =
   let bits = match w with Reg.W64 -> 64 | Reg.W32 -> 32 in
   let sign = Int64.logand (Int64.shift_right_logical v (bits - 1)) 1L in
-  let rec go i acc =
-    if i < 0 then acc
-    else if Int64.logand (Int64.shift_right_logical v i) 1L = sign then
-      go (i - 1) (acc + 1)
-    else acc
-  in
-  go (bits - 2) 0
+  let i = ref (bits - 2) in
+  while
+    !i >= 0
+    && Int64.equal (Int64.logand (Int64.shift_right_logical v !i) 1L) sign
+  do
+    decr i
+  done;
+  bits - 2 - !i
 
-let rbit_value (w : Reg.width) (v : int64) =
+let[@inline] rbit_value (w : Reg.width) (v : int64) =
   let bits = match w with Reg.W64 -> 64 | Reg.W32 -> 32 in
   let r = ref 0L in
   for i = 0 to bits - 1 do
@@ -187,7 +296,7 @@ let rbit_value (w : Reg.width) (v : int64) =
   done;
   !r
 
-let rev_value (w : Reg.width) (group : int) (v : int64) =
+let[@inline] rev_value (w : Reg.width) (group : int) (v : int64) =
   let bits = match w with Reg.W64 -> 64 | Reg.W32 -> 32 in
   let nbytes = bits / 8 in
   let out = ref 0L in
@@ -204,8 +313,8 @@ let rev_value (w : Reg.width) (group : int) (v : int64) =
   done;
   !out
 
-let ld_result (sz : Insn.mem_size) ~signed (w : Reg.width) (raw : int64) :
-    int64 =
+let[@inline] ld_result (sz : Insn.mem_size) ~signed (w : Reg.width)
+    (raw : int64) : int64 =
   if not signed then raw
   else
     let shift = 64 - (8 * Insn.mem_bytes sz) in
@@ -216,12 +325,12 @@ let ld_result (sz : Insn.mem_size) ~signed (w : Reg.width) (raw : int64) :
 (* Floating point                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let round_to_size (f : Reg.Fp.t) (v : float) : float =
+let[@inline] round_to_size (f : Reg.Fp.t) (v : float) : float =
   match f.Reg.Fp.size with
   | Reg.Fp.S -> Int32.float_of_bits (Int32.bits_of_float v)
   | Reg.Fp.D | Reg.Fp.Q -> v
 
-let fcvtzs_value ~signed (w : Reg.width) (v : float) : int64 =
+let[@inline] fcvtzs_value ~signed (w : Reg.width) (v : float) : int64 =
   if Float.is_nan v then 0L
   else
     match (w, signed) with
@@ -244,7 +353,7 @@ let fcvtzs_value ~signed (w : Reg.width) (v : float) : int64 =
         else if v >= 4294967295.0 then 0xFFFFFFFFL
         else Int64.of_float v
 
-let ucvtf_value (v : int64) : float =
+let[@inline] ucvtf_value (v : int64) : float =
   if Int64.compare v 0L >= 0 then Int64.to_float v
   else Int64.to_float v +. 1.8446744073709552e19
 
@@ -276,23 +385,63 @@ let oracle_branch (o : Machine.oracle) (pci : int) (t : int64) =
       || in_window o.o_host_lo o.o_host_hi)
   then Machine.record_escape o ~pc:(Int64.of_int pci) ~addr:t Machine.Ebranch
 
+(* The TLB's page number of a data address (see {!Tlb.access}). *)
+let[@inline] tlb_page (a : int64) = Int64.to_int a lsr Memory.page_bits
+
 (** The data access every load runs: oracle check, TLB charge, read.
-    With the oracle off the check is one [None] test. *)
+    With the oracle off the check is one [None] test.  A read within
+    one page whose translation is cached ({!Memory.read_hit}) is
+    served here from the page's bytes, so address and value stay
+    unboxed; anything else — a translation miss, a missing permission,
+    a page-crossing access — goes to {!Memory.read}, which counts,
+    faults and reads exactly as it always does. *)
 let[@inline] bread (m : Machine.t) (pci : int) (a : int64) (size : int) :
     int64 =
   (match m.escape_oracle with
   | None -> ()
   | Some o -> oracle_data o pci a size Machine.Eload);
-  charge_tlb m a;
-  Memory.read m.mem a size
+  charge_tlb m (tlb_page a);
+  let off = Int64.to_int a land (Memory.page_size - 1) in
+  let d =
+    if off + size <= Memory.page_size then
+      Memory.read_hit m.mem
+        (Int64.to_int (Int64.shift_right_logical a Memory.page_bits))
+    else Bytes.empty
+  in
+  (* an if chain, not a [match]: a match on an int joins its arms
+     through a boxed value *)
+  if d == Bytes.empty then
+    (* [logor 0L] makes this arm an unboxed result like the others: a
+       bare call would box every arm wherever the load is let-bound *)
+    Int64.logor (Memory.read m.mem a size) 0L
+  else if size = 8 then Bytes.get_int64_le d off
+  else if size = 4 then
+    Int64.logand (Int64.of_int32 (Bytes.get_int32_le d off)) mask32
+  else if size = 2 then Int64.of_int (Bytes.get_uint16_le d off)
+  else Int64.of_int (Bytes.get_uint8 d off)
 
+(** The data access every store runs, like {!bread}: a store within
+    one page that {!Memory.write_hit} finds cached writable, not
+    executable and dirty is made here; every other store is
+    {!Memory.write}. *)
 let[@inline] bwrite (m : Machine.t) (pci : int) (a : int64) (size : int)
     (v : int64) =
   (match m.escape_oracle with
   | None -> ()
   | Some o -> oracle_data o pci a size Machine.Estore);
-  charge_tlb m a;
-  Memory.write m.mem a size v
+  charge_tlb m (tlb_page a);
+  let off = Int64.to_int a land (Memory.page_size - 1) in
+  let d =
+    if off + size <= Memory.page_size then
+      Memory.write_hit m.mem
+        (Int64.to_int (Int64.shift_right_logical a Memory.page_bits))
+    else Bytes.empty
+  in
+  if d == Bytes.empty then Memory.write m.mem a size v
+  else if size = 8 then Bytes.set_int64_le d off v
+  else if size = 4 then Bytes.set_int32_le d off (Int64.to_int32 v)
+  else if size = 2 then Bytes.set_uint16_le d off (Int64.to_int v land 0xffff)
+  else Bytes.set_uint8 d off (Int64.to_int v land 0xff)
 
 (** Guard-clamp audit for the [\[x21, wN, uxtw\]] addressing form.  A
     well-formed index is either a sandbox-relative offset (upper 32
@@ -314,80 +463,132 @@ let[@inline] clamp_audit (m : Machine.t) (pci : int) (base : int64)
 (** Effective address of an addressing mode.  Base-register writeback
     (pre/post-index) is applied separately by {!writeback}, so the pair
     never materializes as an allocated [(addr, closure)] value. *)
-let[@inline] addr_of (m : Machine.t) (pci : int) (a : Insn.addr) : int64 =
+let[@inline] addr_of (m : Machine.t) (f : Bytes.t) (pci : int) (a : Insn.addr)
+    : int64 =
   match a with
   | Insn.Imm_off (b, i) | Insn.Pre (b, i) ->
-      Int64.add (get m b) (Int64.of_int i)
-  | Insn.Post (b, _) -> get m b
+      Int64.add (get f b) (Int64.of_int i)
+  | Insn.Post (b, _) -> get f b
   | Insn.Reg_off (Reg.R (Reg.W64, 21), Reg.R (_, n), Insn.Uxtw, amt) ->
-      let base = Array.unsafe_get m.regs 21 in
-      let raw = Array.unsafe_get m.regs n in
+      let base = rd f 21 in
+      let raw = rd f n in
       clamp_audit m pci base raw;
       Int64.add base (Int64.shift_left (Int64.logand raw mask32) amt)
   | Insn.Reg_off (b, r, e, amt) ->
-      Int64.add (get m b) (Int64.shift_left (extend_value e (get m r)) amt)
+      Int64.add (get f b) (Int64.shift_left (extend_value e (get f r)) amt)
 
 (** Apply the base-register update of [a], given the effective address
     previously computed by {!addr_of}. *)
-let[@inline] writeback (m : Machine.t) (a : Insn.addr) (addr : int64) =
+let[@inline] writeback (f : Bytes.t) (a : Insn.addr) (addr : int64) =
   match a with
   | Insn.Imm_off _ | Insn.Reg_off _ -> ()
-  | Insn.Pre (b, _) -> set m b addr
-  | Insn.Post (b, i) -> set m b (Int64.add addr (Int64.of_int i))
+  | Insn.Pre (b, _) -> set f b addr
+  | Insn.Post (b, i) -> set f b (Int64.add addr (Int64.of_int i))
+
+(** One register of an FP load pair from [a]: a q register takes both
+    halves (the low one written before the high one is read), a
+    narrower one the low half, zeroing the high half. *)
+let[@inline] fldp_one (m : Machine.t) (f : Bytes.t) (pci : int) (n : int)
+    (bytes : int) (a : int64) =
+  if bytes = 16 then begin
+    wr f (slot_vlo + n) (bread m pci a 8);
+    wr f (slot_vhi + n) (bread m pci (Int64.add a 8L) 8)
+  end
+  else begin
+    wr f (slot_vlo + n) (bread m pci a bytes);
+    wr f (slot_vhi + n) 0L
+  end
+
+(** Store FP register [n] at [a]: both halves of a q register, else
+    the low [bytes] of the low half. *)
+let[@inline] fp_store (m : Machine.t) (f : Bytes.t) (pci : int) (n : int)
+    (bytes : int) (a : int64) =
+  if bytes = 16 then begin
+    bwrite m pci a 8 (rd f (slot_vlo + n));
+    bwrite m pci (Int64.add a 8L) 8 (rd f (slot_vhi + n))
+  end
+  else
+    bwrite m pci a bytes
+      (if bytes = 4 then Int64.logand (rd f (slot_vlo + n)) mask32
+       else rd f (slot_vlo + n))
 
 (* ------------------------------------------------------------------ *)
 (* Lowering                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(** Pre-resolve an ALU second operand.  Immediates become a captured
-    pre-shifted boxed constant; a plain W64 register becomes an
-    unchecked array load. *)
-let lower_operand2 (w : Reg.width) (op2 : Insn.operand2) : Machine.t -> int64 =
+(** An ALU second operand's value, evaluated inside the closure that
+    uses it so that it stays unboxed. *)
+let[@inline] operand2 (f : Bytes.t) (w : Reg.width) (op2 : Insn.operand2) :
+    int64 =
   match op2 with
-  | Insn.Imm (v, sh) ->
-      let c = Int64.shift_left (Int64.of_int v) sh in
-      fun _ -> c
+  | Insn.Imm (v, sh) -> Int64.shift_left (Int64.of_int v) sh
   | Insn.Sh (Reg.R (Reg.W64, n), _, 0) ->
       (* shift by 0 is the identity at W64 for every shift kind *)
-      fun m -> Array.unsafe_get m.regs n
-  | Insn.Sh (r, k, a) -> fun m -> shift_value w k (get m r) a
+      rd f n
+  | Insn.Sh (r, k, a) -> shift_value w k (get f r) a
   | Insn.Ext (r, e, a) ->
-      fun m -> mask_w w (Int64.shift_left (extend_value e (get m r)) a)
+      mask_w w (Int64.shift_left (extend_value e (get f r)) a)
 
 (** Semi-generic ALU lowering: the op/flags dispatch and the operand
     shape are resolved at lowering time, leaving only the arithmetic
     in the closure.  [get]/[set] apply the operand and destination
-    width masks. *)
+    width masks; {!operand2} is evaluated in place. *)
 let lower_alu (op : Insn.alu_op) (flags : bool) (dst : Reg.t) (src : Reg.t)
     (op2 : Insn.operand2) : Machine.t -> unit =
   let w = Reg.width dst in
-  let o2 = lower_operand2 w op2 in
   match (op, flags) with
-  | Insn.ADD, false -> fun m -> set m dst (Int64.add (get m src) (o2 m))
-  | Insn.SUB, false -> fun m -> set m dst (Int64.sub (get m src) (o2 m))
+  | Insn.ADD, false ->
+      fun m ->
+        let f = m.regs in
+        set f dst (Int64.add (get f src) (operand2 f w op2))
+  | Insn.SUB, false ->
+      fun m ->
+        let f = m.regs in
+        set f dst (Int64.sub (get f src) (operand2 f w op2))
   | Insn.ADD, true ->
-      fun m -> set m dst (arith_flags m w ~sub:false (get m src) (o2 m))
+      fun m ->
+        let f = m.regs in
+        set f dst (arith_flags f w ~sub:false (get f src) (operand2 f w op2))
   | Insn.SUB, true ->
-      fun m -> set m dst (arith_flags m w ~sub:true (get m src) (o2 m))
-  | Insn.AND, false -> fun m -> set m dst (Int64.logand (get m src) (o2 m))
+      fun m ->
+        let f = m.regs in
+        set f dst (arith_flags f w ~sub:true (get f src) (operand2 f w op2))
+  | Insn.AND, false ->
+      fun m ->
+        let f = m.regs in
+        set f dst (Int64.logand (get f src) (operand2 f w op2))
   | Insn.AND, true ->
       fun m ->
-        let r = Int64.logand (get m src) (o2 m) in
-        logic_flags m w r;
-        set m dst (mask_w w r)
-  | Insn.ORR, _ -> fun m -> set m dst (Int64.logor (get m src) (o2 m))
-  | Insn.EOR, _ -> fun m -> set m dst (Int64.logxor (get m src) (o2 m))
+        let f = m.regs in
+        let r = Int64.logand (get f src) (operand2 f w op2) in
+        logic_flags f w r;
+        set f dst (mask_w w r)
+  | Insn.ORR, _ ->
+      fun m ->
+        let f = m.regs in
+        set f dst (Int64.logor (get f src) (operand2 f w op2))
+  | Insn.EOR, _ ->
+      fun m ->
+        let f = m.regs in
+        set f dst (Int64.logxor (get f src) (operand2 f w op2))
   | Insn.BIC, false ->
-      fun m -> set m dst (Int64.logand (get m src) (Int64.lognot (o2 m)))
+      fun m ->
+        let f = m.regs in
+        set f dst (Int64.logand (get f src) (Int64.lognot (operand2 f w op2)))
   | Insn.BIC, true ->
       fun m ->
-        let r = Int64.logand (get m src) (Int64.lognot (o2 m)) in
-        logic_flags m w r;
-        set m dst (mask_w w r)
+        let f = m.regs in
+        let r = Int64.logand (get f src) (Int64.lognot (operand2 f w op2)) in
+        logic_flags f w r;
+        set f dst (mask_w w r)
   | Insn.ORN, _ ->
-      fun m -> set m dst (Int64.logor (get m src) (Int64.lognot (o2 m)))
+      fun m ->
+        let f = m.regs in
+        set f dst (Int64.logor (get f src) (Int64.lognot (operand2 f w op2)))
   | Insn.EON, _ ->
-      fun m -> set m dst (Int64.logxor (get m src) (Int64.lognot (o2 m)))
+      fun m ->
+        let f = m.regs in
+        set f dst (Int64.logxor (get f src) (Int64.lognot (operand2 f w op2)))
 
 let ignore_op : Machine.t -> unit = fun _ -> ()
 
@@ -410,9 +611,10 @@ let lower_bitfield (op : Insn.bf_op) (dst : Reg.t) (src : Reg.t) (immr : int)
          strips any bits the W32 source mask would have stripped *)
       let fmask = mk (imms - immr + 1) in
       fun m ->
-        Array.unsafe_set m.regs d
+        let f = m.regs in
+        wr f d
           (Int64.logand
-             (Int64.shift_right_logical (Array.unsafe_get m.regs s) immr)
+             (Int64.shift_right_logical (rd f s) immr)
              fmask)
   | Insn.UBFM, Reg.R (_, d), Reg.R (_, s) when ok ->
       (* insert src[imms:0] at bit (bits - immr); width + lsb <= bits,
@@ -421,8 +623,9 @@ let lower_bitfield (op : Insn.bf_op) (dst : Reg.t) (src : Reg.t) (immr : int)
       let fmask = mk (imms + 1) in
       let lsb = bits - immr in
       fun m ->
-        Array.unsafe_set m.regs d
-          (Int64.shift_left (Int64.logand (Array.unsafe_get m.regs s) fmask)
+        let f = m.regs in
+        wr f d
+          (Int64.shift_left (Int64.logand (rd f s) fmask)
              lsb)
   | Insn.SBFM, Reg.R (_, d), Reg.R (_, s) when ok && imms >= immr -> (
       let width = imms - immr + 1 in
@@ -431,21 +634,23 @@ let lower_bitfield (op : Insn.bf_op) (dst : Reg.t) (src : Reg.t) (immr : int)
       match w with
       | Reg.W64 ->
           fun m ->
+            let f = m.regs in
             let fld =
               Int64.logand
-                (Int64.shift_right_logical (Array.unsafe_get m.regs s) immr)
+                (Int64.shift_right_logical (rd f s) immr)
                 fmask
             in
-            Array.unsafe_set m.regs d
+            wr f d
               (Int64.shift_right (Int64.shift_left fld sh) sh)
       | Reg.W32 ->
           fun m ->
+            let f = m.regs in
             let fld =
               Int64.logand
-                (Int64.shift_right_logical (Array.unsafe_get m.regs s) immr)
+                (Int64.shift_right_logical (rd f s) immr)
                 fmask
             in
-            Array.unsafe_set m.regs d
+            wr f d
               (Int64.logand mask32
                  (Int64.shift_right (Int64.shift_left fld sh) sh)))
   | Insn.SBFM, Reg.R (_, d), Reg.R (_, s) when ok -> (
@@ -455,15 +660,17 @@ let lower_bitfield (op : Insn.bf_op) (dst : Reg.t) (src : Reg.t) (immr : int)
       match w with
       | Reg.W64 ->
           fun m ->
-            let fld = Int64.logand (Array.unsafe_get m.regs s) fmask in
-            Array.unsafe_set m.regs d
+            let f = m.regs in
+            let fld = Int64.logand (rd f s) fmask in
+            wr f d
               (Int64.shift_left
                  (Int64.shift_right (Int64.shift_left fld sh) sh)
                  lsb)
       | Reg.W32 ->
           fun m ->
-            let fld = Int64.logand (Array.unsafe_get m.regs s) fmask in
-            Array.unsafe_set m.regs d
+            let f = m.regs in
+            let fld = Int64.logand (rd f s) fmask in
+            wr f d
               (Int64.logand mask32
                  (Int64.shift_left
                     (Int64.shift_right (Int64.shift_left fld sh) sh)
@@ -471,8 +678,9 @@ let lower_bitfield (op : Insn.bf_op) (dst : Reg.t) (src : Reg.t) (immr : int)
   | _ ->
       (* BFM (reads the old destination), or a ZR/SP operand *)
       fun m ->
-        set m dst
-          (bitfield_result w op ~dst_old:(get m dst) ~src:(get m src) ~immr
+        let f = m.regs in
+        set f dst
+          (bitfield_result w op ~dst_old:(get f dst) ~src:(get f src) ~immr
              ~imms)
 
 (** Lower the non-branch instruction at [pci] into a closure.
@@ -491,9 +699,8 @@ let lower (pci : int) (insn : Insn.t) : Machine.t -> unit =
         src = Reg.R (Reg.W64, 21); op2 = Insn.Ext (Reg.R (_, n), Insn.Uxtw, 0)
       } ->
       fun m ->
-        Array.unsafe_set m.regs d
-          (Int64.add (Array.unsafe_get m.regs 21)
-             (Int64.logand (Array.unsafe_get m.regs n) mask32))
+        let f = m.regs in
+        wr f d (Int64.add (rd f 21) (Int64.logand (rd f n) mask32))
   (* --- W64 reg/reg ALU, unshifted --- *)
   | Insn.Alu
       { op; flags = false; dst = Reg.R (Reg.W64, d); src = Reg.R (Reg.W64, s);
@@ -501,44 +708,36 @@ let lower (pci : int) (insn : Insn.t) : Machine.t -> unit =
       match op with
       | Insn.ADD ->
           fun m ->
-            Array.unsafe_set m.regs d
-              (Int64.add (Array.unsafe_get m.regs s)
-                 (Array.unsafe_get m.regs s2))
+            let f = m.regs in
+            wr f d (Int64.add (rd f s) (rd f s2))
       | Insn.SUB ->
           fun m ->
-            Array.unsafe_set m.regs d
-              (Int64.sub (Array.unsafe_get m.regs s)
-                 (Array.unsafe_get m.regs s2))
+            let f = m.regs in
+            wr f d (Int64.sub (rd f s) (rd f s2))
       | Insn.AND ->
           fun m ->
-            Array.unsafe_set m.regs d
-              (Int64.logand (Array.unsafe_get m.regs s)
-                 (Array.unsafe_get m.regs s2))
+            let f = m.regs in
+            wr f d (Int64.logand (rd f s) (rd f s2))
       | Insn.ORR ->
           fun m ->
-            Array.unsafe_set m.regs d
-              (Int64.logor (Array.unsafe_get m.regs s)
-                 (Array.unsafe_get m.regs s2))
+            let f = m.regs in
+            wr f d (Int64.logor (rd f s) (rd f s2))
       | Insn.EOR ->
           fun m ->
-            Array.unsafe_set m.regs d
-              (Int64.logxor (Array.unsafe_get m.regs s)
-                 (Array.unsafe_get m.regs s2))
+            let f = m.regs in
+            wr f d (Int64.logxor (rd f s) (rd f s2))
       | Insn.BIC ->
           fun m ->
-            Array.unsafe_set m.regs d
-              (Int64.logand (Array.unsafe_get m.regs s)
-                 (Int64.lognot (Array.unsafe_get m.regs s2)))
+            let f = m.regs in
+            wr f d (Int64.logand (rd f s) (Int64.lognot (rd f s2)))
       | Insn.ORN ->
           fun m ->
-            Array.unsafe_set m.regs d
-              (Int64.logor (Array.unsafe_get m.regs s)
-                 (Int64.lognot (Array.unsafe_get m.regs s2)))
+            let f = m.regs in
+            wr f d (Int64.logor (rd f s) (Int64.lognot (rd f s2)))
       | Insn.EON ->
           fun m ->
-            Array.unsafe_set m.regs d
-              (Int64.logxor (Array.unsafe_get m.regs s)
-                 (Int64.lognot (Array.unsafe_get m.regs s2))))
+            let f = m.regs in
+            wr f d (Int64.logxor (rd f s) (Int64.lognot (rd f s2))))
   (* --- W64 reg/imm add/sub (address arithmetic) --- *)
   | Insn.Alu
       { op = (Insn.ADD | Insn.SUB) as op; flags = false;
@@ -547,10 +746,12 @@ let lower (pci : int) (insn : Insn.t) : Machine.t -> unit =
       let c = Int64.shift_left (Int64.of_int iv) sh in
       if op = Insn.ADD then
         fun m ->
-          Array.unsafe_set m.regs d (Int64.add (Array.unsafe_get m.regs s) c)
+          let f = m.regs in
+          wr f d (Int64.add (rd f s) c)
       else
         fun m ->
-          Array.unsafe_set m.regs d (Int64.sub (Array.unsafe_get m.regs s) c)
+          let f = m.regs in
+          wr f d (Int64.sub (rd f s) c)
   (* --- W32 reg/reg ALU, unshifted: one final mask replaces the
          per-operand masks (the low 32 result bits of +/-/logic depend
          only on the low 32 operand bits) --- *)
@@ -560,52 +761,42 @@ let lower (pci : int) (insn : Insn.t) : Machine.t -> unit =
       match op with
       | Insn.ADD ->
           fun m ->
-            Array.unsafe_set m.regs d
-              (Int64.logand mask32
-                 (Int64.add (Array.unsafe_get m.regs s)
-                    (Array.unsafe_get m.regs s2)))
+            let f = m.regs in
+            wr f d (Int64.logand mask32 (Int64.add (rd f s) (rd f s2)))
       | Insn.SUB ->
           fun m ->
-            Array.unsafe_set m.regs d
-              (Int64.logand mask32
-                 (Int64.sub (Array.unsafe_get m.regs s)
-                    (Array.unsafe_get m.regs s2)))
+            let f = m.regs in
+            wr f d (Int64.logand mask32 (Int64.sub (rd f s) (rd f s2)))
       | Insn.AND ->
           fun m ->
-            Array.unsafe_set m.regs d
-              (Int64.logand mask32
-                 (Int64.logand (Array.unsafe_get m.regs s)
-                    (Array.unsafe_get m.regs s2)))
+            let f = m.regs in
+            wr f d (Int64.logand mask32 (Int64.logand (rd f s) (rd f s2)))
       | Insn.ORR ->
           fun m ->
-            Array.unsafe_set m.regs d
-              (Int64.logand mask32
-                 (Int64.logor (Array.unsafe_get m.regs s)
-                    (Array.unsafe_get m.regs s2)))
+            let f = m.regs in
+            wr f d (Int64.logand mask32 (Int64.logor (rd f s) (rd f s2)))
       | Insn.EOR ->
           fun m ->
-            Array.unsafe_set m.regs d
-              (Int64.logand mask32
-                 (Int64.logxor (Array.unsafe_get m.regs s)
-                    (Array.unsafe_get m.regs s2)))
+            let f = m.regs in
+            wr f d (Int64.logand mask32 (Int64.logxor (rd f s) (rd f s2)))
       | Insn.BIC ->
           fun m ->
-            Array.unsafe_set m.regs d
+            let f = m.regs in
+            wr f d
               (Int64.logand mask32
-                 (Int64.logand (Array.unsafe_get m.regs s)
-                    (Int64.lognot (Array.unsafe_get m.regs s2))))
+                 (Int64.logand (rd f s) (Int64.lognot (rd f s2))))
       | Insn.ORN ->
           fun m ->
-            Array.unsafe_set m.regs d
+            let f = m.regs in
+            wr f d
               (Int64.logand mask32
-                 (Int64.logor (Array.unsafe_get m.regs s)
-                    (Int64.lognot (Array.unsafe_get m.regs s2))))
+                 (Int64.logor (rd f s) (Int64.lognot (rd f s2))))
       | Insn.EON ->
           fun m ->
-            Array.unsafe_set m.regs d
+            let f = m.regs in
+            wr f d
               (Int64.logand mask32
-                 (Int64.logxor (Array.unsafe_get m.regs s)
-                    (Int64.lognot (Array.unsafe_get m.regs s2)))))
+                 (Int64.logxor (rd f s) (Int64.lognot (rd f s2)))))
   (* --- W32 reg/imm add/sub --- *)
   | Insn.Alu
       { op = (Insn.ADD | Insn.SUB) as op; flags = false;
@@ -614,14 +805,14 @@ let lower (pci : int) (insn : Insn.t) : Machine.t -> unit =
       let c = Int64.shift_left (Int64.of_int iv) sh in
       if op = Insn.ADD then
         fun m ->
-          Array.unsafe_set m.regs d
-            (Int64.logand mask32 (Int64.add (Array.unsafe_get m.regs s) c))
+          let f = m.regs in
+          wr f d (Int64.logand mask32 (Int64.add (rd f s) c))
       else
         fun m ->
-          Array.unsafe_set m.regs d
-            (Int64.logand mask32 (Int64.sub (Array.unsafe_get m.regs s) c))
+          let f = m.regs in
+          wr f d (Int64.logand mask32 (Int64.sub (rd f s) c))
   (* --- cmp/cmn (flag-setting add/sub into the zero register):
-         arith_flags masks its operands itself, so raw register reads
+         set_arith_flags masks its operands itself, so raw register reads
          are fine --- *)
   | Insn.Alu
       { op = (Insn.ADD | Insn.SUB) as op; flags = true; dst = Reg.ZR w;
@@ -629,51 +820,72 @@ let lower (pci : int) (insn : Insn.t) : Machine.t -> unit =
     when w2 = w ->
       let sub = op = Insn.SUB in
       fun m ->
-        ignore
-          (arith_flags m w ~sub (Array.unsafe_get m.regs s)
-             (Array.unsafe_get m.regs s2))
+        let f = m.regs in
+        set_arith_flags f w ~sub (rd f s) (rd f s2)
   | Insn.Alu
       { op = (Insn.ADD | Insn.SUB) as op; flags = true; dst = Reg.ZR w;
         src = Reg.R (_, s); op2 = Insn.Imm (iv, sh) } ->
       let c = Int64.shift_left (Int64.of_int iv) sh in
       let sub = op = Insn.SUB in
-      fun m -> ignore (arith_flags m w ~sub (Array.unsafe_get m.regs s) c)
+      fun m ->
+        let f = m.regs in
+        set_arith_flags f w ~sub (rd f s) c
   | Insn.Alu { op; flags; dst; src; op2 } -> lower_alu op flags dst src op2
-  (* --- move-immediates: fold to a pre-boxed constant --- *)
+  (* --- move-immediates: fold to a constant --- *)
   | Insn.Mov { op = Insn.MOVZ; dst; imm; hw } -> (
       let k = Int64.shift_left (Int64.of_int imm) (hw * 16) in
       match dst with
-      | Reg.R (Reg.W64, d) -> fun m -> Array.unsafe_set m.regs d k
-      | _ -> fun m -> set m dst k)
+      | Reg.R (Reg.W64, d) ->
+          fun m ->
+            let f = m.regs in
+            wr f d k
+      | _ ->
+          fun m ->
+            let f = m.regs in
+            set f dst k)
   | Insn.Mov { op = Insn.MOVN; dst; imm; hw } -> (
       let w = Reg.width dst in
       let k =
         mask_w w (Int64.lognot (Int64.shift_left (Int64.of_int imm) (hw * 16)))
       in
       match dst with
-      | Reg.R (Reg.W64, d) -> fun m -> Array.unsafe_set m.regs d k
-      | _ -> fun m -> set m dst k)
+      | Reg.R (Reg.W64, d) ->
+          fun m ->
+            let f = m.regs in
+            wr f d k
+      | _ ->
+          fun m ->
+            let f = m.regs in
+            set f dst k)
   | Insn.Mov { op = Insn.MOVK; dst; imm; hw } ->
       let w = Reg.width dst in
       let v = Int64.shift_left (Int64.of_int imm) (hw * 16) in
       let keep = Int64.lognot (Int64.shift_left 0xFFFFL (hw * 16)) in
-      fun m -> set m dst (mask_w w (Int64.logor (Int64.logand (get m dst) keep) v))
+      fun m ->
+        let f = m.regs in
+        set f dst (mask_w w (Int64.logor (Int64.logand (get f dst) keep) v))
   (* --- adr/adrp: the result is a lowering-time constant --- *)
   | Insn.Adr { page; dst; target = Insn.Off off } -> (
       let pc = Int64.of_int pci in
       let base = if page then Int64.logand pc (Int64.lognot 0xFFFL) else pc in
       let k = Int64.add base (Int64.of_int off) in
       match dst with
-      | Reg.R (Reg.W64, d) -> fun m -> Array.unsafe_set m.regs d k
-      | _ -> fun m -> set m dst k)
+      | Reg.R (Reg.W64, d) ->
+          fun m ->
+            let f = m.regs in
+            wr f d k
+      | _ ->
+          fun m ->
+            let f = m.regs in
+            set f dst k)
   (* --- unsigned loads, immediate offset --- *)
   | Insn.Ldr
       { sz = Insn.X; signed = false; dst = Reg.R (Reg.W64, d);
         addr = Insn.Imm_off (Reg.R (Reg.W64, bn), off) } ->
       let o = Int64.of_int off in
       fun m ->
-        Array.unsafe_set m.regs d
-          (bread m pci (Int64.add (Array.unsafe_get m.regs bn) o) 8)
+        let f = m.regs in
+        wr f d (bread m pci (Int64.add (rd f bn) o) 8)
   | Insn.Ldr
       { sz = (Insn.W | Insn.H | Insn.B) as sz; signed = false;
         dst = Reg.R (Reg.W32, d); addr = Insn.Imm_off (Reg.R (Reg.W64, bn), off)
@@ -681,10 +893,10 @@ let lower (pci : int) (insn : Insn.t) : Machine.t -> unit =
       let o = Int64.of_int off in
       let bytes = Insn.mem_bytes sz in
       fun m ->
+        let f = m.regs in
         (* a read of <= 4 bytes is already < 2^32: the W32 write mask
            is the identity *)
-        Array.unsafe_set m.regs d
-          (bread m pci (Int64.add (Array.unsafe_get m.regs bn) o) bytes)
+        wr f d (bread m pci (Int64.add (rd f bn) o) bytes)
   (* --- guarded unsigned loads: ldr rD, [x21, wN, uxtw #s] --- *)
   | Insn.Ldr
       { sz; signed = false; dst = Reg.R (dw, d);
@@ -696,20 +908,21 @@ let lower (pci : int) (insn : Insn.t) : Machine.t -> unit =
          | _ -> false) ->
       let bytes = Insn.mem_bytes sz in
       fun m ->
-        let base = Array.unsafe_get m.regs 21 in
-        let raw = Array.unsafe_get m.regs n in
+        let f = m.regs in
+        let base = rd f 21 in
+        let raw = rd f n in
         clamp_audit m pci base raw;
         let a =
           Int64.add base (Int64.shift_left (Int64.logand raw mask32) amt)
         in
-        Array.unsafe_set m.regs d (bread m pci a bytes)
+        wr f d (bread m pci a bytes)
   (* --- stores, immediate offset --- *)
   | Insn.Str { sz; src; addr = Insn.Imm_off (Reg.R (Reg.W64, bn), off) } ->
       let o = Int64.of_int off in
       let bytes = Insn.mem_bytes sz in
       fun m ->
-        bwrite m pci (Int64.add (Array.unsafe_get m.regs bn) o) bytes
-          (get m src)
+        let f = m.regs in
+        bwrite m pci (Int64.add (rd f bn) o) bytes (get f src)
   (* --- guarded stores: str rS, [x21, wN, uxtw #s] --- *)
   | Insn.Str
       { sz; src;
@@ -717,139 +930,128 @@ let lower (pci : int) (insn : Insn.t) : Machine.t -> unit =
       } ->
       let bytes = Insn.mem_bytes sz in
       fun m ->
-        let base = Array.unsafe_get m.regs 21 in
-        let raw = Array.unsafe_get m.regs n in
+        let f = m.regs in
+        let base = rd f 21 in
+        let raw = rd f n in
         clamp_audit m pci base raw;
         let a =
           Int64.add base (Int64.shift_left (Int64.logand raw mask32) amt)
         in
-        bwrite m pci a bytes (get m src)
+        bwrite m pci a bytes (get f src)
   (* --- remaining loads/stores: shape-resolved addressing --- *)
   | Insn.Ldr { sz; signed; dst; addr } ->
       let bytes = Insn.mem_bytes sz in
       let w = Reg.width dst in
       fun m ->
-        let a = addr_of m pci addr in
+        let f = m.regs in
+        let a = addr_of m f pci addr in
         let raw = bread m pci a bytes in
-        writeback m addr a;
-        set m dst (ld_result sz ~signed w raw)
+        writeback f addr a;
+        set f dst (ld_result sz ~signed w raw)
   | Insn.Str { sz; src; addr } ->
       let bytes = Insn.mem_bytes sz in
       fun m ->
-        let a = addr_of m pci addr in
-        bwrite m pci a bytes (get m src);
-        writeback m addr a
+        let f = m.regs in
+        let a = addr_of m f pci addr in
+        bwrite m pci a bytes (get f src);
+        writeback f addr a
   | Insn.Ldp { w; r1; r2; addr } ->
       let size = match w with Reg.W64 -> 8 | Reg.W32 -> 4 in
       let szL = Int64.of_int size in
       fun m ->
-        let a = addr_of m pci addr in
+        let f = m.regs in
+        let a = addr_of m f pci addr in
         let v1 = bread m pci a size in
         let v2 = bread m pci (Int64.add a szL) size in
-        writeback m addr a;
-        set m r1 v1;
-        set m r2 v2
+        writeback f addr a;
+        set f r1 v1;
+        set f r2 v2
   | Insn.Stp { w; r1; r2; addr } ->
       let size = match w with Reg.W64 -> 8 | Reg.W32 -> 4 in
       let szL = Int64.of_int size in
       fun m ->
-        let a = addr_of m pci addr in
-        bwrite m pci a size (get m r1);
-        bwrite m pci (Int64.add a szL) size (get m r2);
-        writeback m addr a
+        let f = m.regs in
+        let a = addr_of m f pci addr in
+        bwrite m pci a size (get f r1);
+        bwrite m pci (Int64.add a szL) size (get f r2);
+        writeback f addr a
   | Insn.Fldr { dst; addr } ->
       let bytes = Reg.Fp.bytes dst in
       let n = dst.Reg.Fp.n in
       if bytes = 16 then
         fun m ->
-          let a = addr_of m pci addr in
+          let f = m.regs in
+          let a = addr_of m f pci addr in
           let lo = bread m pci a 8 in
           let hi = bread m pci (Int64.add a 8L) 8 in
-          Array.unsafe_set m.vlo n lo;
-          Array.unsafe_set m.vhi n hi;
-          writeback m addr a
+          wr f (slot_vlo + n) lo;
+          wr f (slot_vhi + n) hi;
+          writeback f addr a
       else
         fun m ->
-          let a = addr_of m pci addr in
+          let f = m.regs in
+          let a = addr_of m f pci addr in
           let v = bread m pci a bytes in
-          Array.unsafe_set m.vlo n v;
-          Array.unsafe_set m.vhi n 0L;
-          writeback m addr a
+          wr f (slot_vlo + n) v;
+          wr f (slot_vhi + n) 0L;
+          writeback f addr a
   | Insn.Fstr { src; addr } ->
       let bytes = Reg.Fp.bytes src in
       let n = src.Reg.Fp.n in
       fun m ->
-        let a = addr_of m pci addr in
-        (if bytes = 16 then begin
-           bwrite m pci a 8 (Array.unsafe_get m.vlo n);
-           bwrite m pci (Int64.add a 8L) 8 (Array.unsafe_get m.vhi n)
-         end
-         else
-           bwrite m pci a bytes
-             (if bytes = 4 then Int64.logand (Array.unsafe_get m.vlo n) mask32
-              else Array.unsafe_get m.vlo n));
-        writeback m addr a
+        let f = m.regs in
+        let a = addr_of m f pci addr in
+        fp_store m f pci n bytes a;
+        writeback f addr a
   | Insn.Fldp { r1; r2; addr } ->
       let bytes = Reg.Fp.bytes r1 in
       let szL = Int64.of_int bytes in
       let n1 = r1.Reg.Fp.n and n2 = r2.Reg.Fp.n in
       fun m ->
-        let a = addr_of m pci addr in
-        let rd n a =
-          if bytes = 16 then begin
-            Array.unsafe_set m.vlo n (bread m pci a 8);
-            Array.unsafe_set m.vhi n (bread m pci (Int64.add a 8L) 8)
-          end
-          else begin
-            Array.unsafe_set m.vlo n (bread m pci a bytes);
-            Array.unsafe_set m.vhi n 0L
-          end
-        in
-        rd n1 a;
-        rd n2 (Int64.add a szL);
-        writeback m addr a
+        let f = m.regs in
+        let a = addr_of m f pci addr in
+        fldp_one m f pci n1 bytes a;
+        fldp_one m f pci n2 bytes (Int64.add a szL);
+        writeback f addr a
   | Insn.Fstp { r1; r2; addr } ->
       let bytes = Reg.Fp.bytes r1 in
       let szL = Int64.of_int bytes in
       let n1 = r1.Reg.Fp.n and n2 = r2.Reg.Fp.n in
       fun m ->
-        let a = addr_of m pci addr in
-        let wr n a =
-          if bytes = 16 then begin
-            bwrite m pci a 8 (Array.unsafe_get m.vlo n);
-            bwrite m pci (Int64.add a 8L) 8 (Array.unsafe_get m.vhi n)
-          end
-          else
-            bwrite m pci a bytes
-              (if bytes = 4 then Int64.logand (Array.unsafe_get m.vlo n) mask32
-               else Array.unsafe_get m.vlo n)
-        in
-        wr n1 a;
-        wr n2 (Int64.add a szL);
-        writeback m addr a
+        let f = m.regs in
+        let a = addr_of m f pci addr in
+        fp_store m f pci n1 bytes a;
+        fp_store m f pci n2 bytes (Int64.add a szL);
+        writeback f addr a
   | Insn.Ldxr { sz; dst; base } ->
       let bytes = Insn.mem_bytes sz in
       fun m ->
-        let a = get m base in
+        let f = m.regs in
+        let a = get f base in
         let v = bread m pci a bytes in
         m.exclusive <- Some a;
-        set m dst v
+        set f dst v
   | Insn.Stxr { sz; status; src; base } ->
       let bytes = Insn.mem_bytes sz in
       fun m ->
-        let a = get m base in
+        let f = m.regs in
+        let a = get f base in
         (match m.exclusive with
         | Some e when Int64.equal e a ->
-            bwrite m pci a bytes (get m src);
-            set m status 0L
-        | _ -> set m status 1L);
+            bwrite m pci a bytes (get f src);
+            set f status 0L
+        | _ -> set f status 1L);
         m.exclusive <- None
   | Insn.Ldar { sz; dst; base } ->
       let bytes = Insn.mem_bytes sz in
-      fun m -> set m dst (bread m pci (get m base) bytes)
+      fun m ->
+        let f = m.regs in
+        set f dst (bread m pci (get f base) bytes)
   | Insn.Stlr { sz; src; base } ->
       let bytes = Insn.mem_bytes sz in
-      fun m -> bwrite m pci (get m base) bytes (get m src)
+      fun m ->
+        let f = m.regs in
+        bwrite m pci (get f base) bytes (get f src)
   (* --- integer data-processing, shape-resolved --- *)
   | Insn.Shiftv { op; dst; src; amount } ->
       let w = Reg.width dst in
@@ -857,15 +1059,17 @@ let lower (pci : int) (insn : Insn.t) : Machine.t -> unit =
         Int64.of_int ((match w with Reg.W64 -> 64 | Reg.W32 -> 32) - 1)
       in
       fun m ->
-        let a = Int64.to_int (Int64.logand (get m amount) bmask) in
-        set m dst (shift_value w op (get m src) a)
+        let f = m.regs in
+        let a = Int64.to_int (Int64.logand (get f amount) bmask) in
+        set f dst (shift_value w op (get f src) a)
   | Insn.Bitfield { op; dst; src; immr; imms } ->
       lower_bitfield op dst src immr imms
   | Insn.Extr { dst; src1; src2; lsb } ->
       let w = Reg.width dst in
       let bits = match w with Reg.W64 -> 64 | Reg.W32 -> 32 in
       fun m ->
-        let hi = mask_w w (get m src1) and lo = mask_w w (get m src2) in
+        let f = m.regs in
+        let hi = mask_w w (get f src1) and lo = mask_w w (get f src2) in
         let r =
           if lsb = 0 then lo
           else
@@ -873,42 +1077,49 @@ let lower (pci : int) (insn : Insn.t) : Machine.t -> unit =
               (Int64.shift_right_logical lo lsb)
               (Int64.shift_left hi (bits - lsb))
         in
-        set m dst (mask_w w r)
+        set f dst (mask_w w r)
   | Insn.Madd { sub; dst; src1; src2; acc } ->
       let w = Reg.width dst in
       if sub then
         fun m ->
-          let p = Int64.mul (get m src1) (get m src2) in
-          set m dst (mask_w w (Int64.sub (get m acc) p))
+          let f = m.regs in
+          let p = Int64.mul (get f src1) (get f src2) in
+          set f dst (mask_w w (Int64.sub (get f acc) p))
       else
         fun m ->
-          let p = Int64.mul (get m src1) (get m src2) in
-          set m dst (mask_w w (Int64.add (get m acc) p))
+          let f = m.regs in
+          let p = Int64.mul (get f src1) (get f src2) in
+          set f dst (mask_w w (Int64.add (get f acc) p))
   | Insn.Smulh { signed; dst; src1; src2 } ->
-      fun m -> set m dst (mulh ~signed (get m src1) (get m src2))
-  | Insn.Maddl { signed; sub; dst; src1; src2; acc } ->
-      let widen v =
-        if signed then sext32 (Int64.logand v mask32) else Int64.logand v mask32
-      in
       fun m ->
-        let p = Int64.mul (widen (get m src1)) (widen (get m src2)) in
-        let r =
-          if sub then Int64.sub (get m acc) p else Int64.add (get m acc) p
+        let f = m.regs in
+        set f dst (mulh ~signed (get f src1) (get f src2))
+  | Insn.Maddl { signed; sub; dst; src1; src2; acc } ->
+      fun m ->
+        let f = m.regs in
+        let p =
+          Int64.mul
+            (widen32 ~signed (get f src1))
+            (widen32 ~signed (get f src2))
         in
-        set m dst r
+        let r =
+          if sub then Int64.sub (get f acc) p else Int64.add (get f acc) p
+        in
+        set f dst r
   | Insn.Ccmp { cmn; src; op2; nzcv; cond } ->
       let w = Reg.width src in
       fun m ->
-        if cond_holds m cond then begin
+        let f = m.regs in
+        if cond_holds f cond then begin
           let b =
             match op2 with
-            | Insn.CReg r -> get m r
+            | Insn.CReg r -> get f r
             | Insn.CImm v -> Int64.of_int v
           in
-          ignore (arith_flags m w ~sub:(not cmn) (get m src) b)
+          set_arith_flags f w ~sub:(not cmn) (get f src) b
         end
         else
-          set_nzcv m
+          set_flags f
             ~n:(nzcv land 8 <> 0)
             ~z:(nzcv land 4 <> 0)
             ~c:(nzcv land 2 <> 0)
@@ -916,7 +1127,8 @@ let lower (pci : int) (insn : Insn.t) : Machine.t -> unit =
   | Insn.Div { signed; dst; src1; src2 } ->
       let w = Reg.width dst in
       fun m ->
-        let a = get m src1 and b = get m src2 in
+        let f = m.regs in
+        let a = get f src1 and b = get f src2 in
         let a, b =
           match w with
           | Reg.W64 -> (a, b)
@@ -929,133 +1141,175 @@ let lower (pci : int) (insn : Insn.t) : Machine.t -> unit =
             if Int64.equal a Int64.min_int && Int64.equal b (-1L) then
               Int64.min_int
             else Int64.div a b
-          else Int64.unsigned_div a b
+          else udiv64 a b
         in
-        set m dst (mask_w w r)
+        set f dst (mask_w w r)
   | Insn.Csel
       { op = Insn.CSINC; dst = Reg.R (_, d); src1 = Reg.ZR _;
         src2 = Reg.ZR _; cond } ->
       (* cset: materialize the (inverted) condition as 0/1 *)
       fun m ->
-        Array.unsafe_set m.regs d (if cond_holds m cond then 0L else 1L)
+        let f = m.regs in
+        wr f d (if cond_holds f cond then 0L else 1L)
   | Insn.Csel { op; dst; src1; src2; cond } ->
       let w = Reg.width dst in
       fun m ->
+        let f = m.regs in
         let r =
-          if cond_holds m cond then mask_w w (get m src1)
+          if cond_holds f cond then mask_w w (get f src1)
           else
-            let b = mask_w w (get m src2) in
+            let b = mask_w w (get f src2) in
             match op with
             | Insn.CSEL -> b
             | Insn.CSINC -> mask_w w (Int64.add b 1L)
             | Insn.CSINV -> mask_w w (Int64.lognot b)
             | Insn.CSNEG -> mask_w w (Int64.neg b)
         in
-        set m dst r
+        set f dst r
   | Insn.Cls { count_zero; dst; src } ->
       let w = Reg.width dst in
       fun m ->
-        let v = mask_w w (get m src) in
-        set m dst
+        let f = m.regs in
+        let v = mask_w w (get f src) in
+        set f dst
           (Int64.of_int (if count_zero then clz_value w v else cls_value w v))
   | Insn.Rbit { dst; src } ->
       let w = Reg.width dst in
-      fun m -> set m dst (rbit_value w (mask_w w (get m src)))
+      fun m ->
+        let f = m.regs in
+        set f dst (rbit_value w (mask_w w (get f src)))
   | Insn.Rev { bytes; dst; src } ->
       let w = Reg.width dst in
-      fun m -> set m dst (mask_w w (rev_value w bytes (mask_w w (get m src))))
+      fun m ->
+        let f = m.regs in
+        set f dst (mask_w w (rev_value w bytes (mask_w w (get f src))))
   (* --- floating point, op resolved at lowering time --- *)
   | Insn.Fop2 { op; dst; src1; src2 } -> (
       match op with
       | Insn.FADD ->
           fun m ->
-            set_float m dst
-              (round_to_size dst (get_float m src1 +. get_float m src2))
+            let f = m.regs in
+            set_float f dst
+              (round_to_size dst (get_float f src1 +. get_float f src2))
       | Insn.FSUB ->
           fun m ->
-            set_float m dst
-              (round_to_size dst (get_float m src1 -. get_float m src2))
+            let f = m.regs in
+            set_float f dst
+              (round_to_size dst (get_float f src1 -. get_float f src2))
       | Insn.FMUL ->
           fun m ->
-            set_float m dst
-              (round_to_size dst (get_float m src1 *. get_float m src2))
+            let f = m.regs in
+            set_float f dst
+              (round_to_size dst (get_float f src1 *. get_float f src2))
       | Insn.FDIV ->
           fun m ->
-            set_float m dst
-              (round_to_size dst (get_float m src1 /. get_float m src2))
+            let f = m.regs in
+            set_float f dst
+              (round_to_size dst (get_float f src1 /. get_float f src2))
       | Insn.FMIN ->
           fun m ->
-            set_float m dst
+            let f = m.regs in
+            set_float f dst
               (round_to_size dst
-                 (Float.min (get_float m src1) (get_float m src2)))
+                 (Float.min (get_float f src1) (get_float f src2)))
       | Insn.FMAX ->
           fun m ->
-            set_float m dst
+            let f = m.regs in
+            set_float f dst
               (round_to_size dst
-                 (Float.max (get_float m src1) (get_float m src2))))
+                 (Float.max (get_float f src1) (get_float f src2))))
   | Insn.Fop1 { op; dst; src } -> (
       match op with
       | Insn.FNEG ->
-          fun m -> set_float m dst (round_to_size dst (-.(get_float m src)))
+          fun m ->
+            let f = m.regs in
+            set_float f dst (round_to_size dst (-.(get_float f src)))
       | Insn.FABS ->
-          fun m -> set_float m dst (round_to_size dst (Float.abs (get_float m src)))
+          fun m ->
+            let f = m.regs in
+            set_float f dst (round_to_size dst (Float.abs (get_float f src)))
       | Insn.FSQRT ->
           fun m ->
-            set_float m dst (round_to_size dst (Float.sqrt (get_float m src)))
-      | Insn.FMOV -> fun m -> set_float m dst (round_to_size dst (get_float m src)))
+            let f = m.regs in
+            set_float f dst (round_to_size dst (Float.sqrt (get_float f src)))
+      | Insn.FMOV ->
+          fun m ->
+            let f = m.regs in
+            set_float f dst (round_to_size dst (get_float f src)))
   | Insn.Fmadd { sub; dst; src1; src2; acc } ->
       if sub then
         fun m ->
-          let a = get_float m src1
-          and b = get_float m src2
-          and c = get_float m acc in
-          set_float m dst (round_to_size dst (c -. (a *. b)))
+          let f = m.regs in
+          let a = get_float f src1
+          and b = get_float f src2
+          and c = get_float f acc in
+          set_float f dst (round_to_size dst (c -. (a *. b)))
       else
         fun m ->
-          let a = get_float m src1
-          and b = get_float m src2
-          and c = get_float m acc in
-          set_float m dst (round_to_size dst (c +. (a *. b)))
+          let f = m.regs in
+          let a = get_float f src1
+          and b = get_float f src2
+          and c = get_float f acc in
+          set_float f dst (round_to_size dst (c +. (a *. b)))
   | Insn.Fcmp { src1; src2 } ->
       fun m ->
-        let a = get_float m src1 in
-        let b = match src2 with Some r -> get_float m r | None -> 0.0 in
+        let f = m.regs in
+        let a = get_float f src1 in
+        let b = match src2 with Some r -> get_float f r | None -> 0.0 in
         if Float.is_nan a || Float.is_nan b then
-          set_nzcv m ~n:false ~z:false ~c:true ~v:true
-        else if a < b then set_nzcv m ~n:true ~z:false ~c:false ~v:false
-        else if a = b then set_nzcv m ~n:false ~z:true ~c:true ~v:false
-        else set_nzcv m ~n:false ~z:false ~c:true ~v:false
+          set_flags f ~n:false ~z:false ~c:true ~v:true
+        else if a < b then set_flags f ~n:true ~z:false ~c:false ~v:false
+        else if a = b then set_flags f ~n:false ~z:true ~c:true ~v:false
+        else set_flags f ~n:false ~z:false ~c:true ~v:false
   | Insn.Fcvt { dst; src } ->
-      fun m -> set_float m dst (round_to_size dst (get_float m src))
+      fun m ->
+        let f = m.regs in
+        set_float f dst (round_to_size dst (get_float f src))
   | Insn.Scvtf { signed; dst; src } ->
       let sw = Reg.width src in
       fun m ->
-        let v = get m src in
+        let f = m.regs in
+        let v = get f src in
         let v =
           match sw with
           | Reg.W64 -> v
           | Reg.W32 -> if signed then sext32 v else Int64.logand v mask32
         in
-        let f = if signed then Int64.to_float v else ucvtf_value v in
-        set_float m dst (round_to_size dst f)
+        let x = if signed then Int64.to_float v else ucvtf_value v in
+        set_float f dst (round_to_size dst x)
   | Insn.Fcvtzs { signed; dst; src } ->
       let w = Reg.width dst in
-      fun m -> set m dst (fcvtzs_value ~signed w (get_float m src))
+      fun m ->
+        let f = m.regs in
+        set f dst (fcvtzs_value ~signed w (get_float f src))
   | Insn.Fmov_to_fp { dst; src } -> (
       let n = dst.Reg.Fp.n in
       match dst.Reg.Fp.size with
-      | Reg.Fp.D | Reg.Fp.Q -> fun m -> Array.unsafe_set m.vlo n (get m src)
+      | Reg.Fp.D | Reg.Fp.Q ->
+          fun m ->
+            let f = m.regs in
+            wr f (slot_vlo + n) (get f src)
       | Reg.Fp.S ->
-          fun m -> Array.unsafe_set m.vlo n (Int64.logand (get m src) mask32))
+          fun m ->
+            let f = m.regs in
+            wr f (slot_vlo + n) (Int64.logand (get f src) mask32))
   | Insn.Fmov_from_fp { dst; src } -> (
       let n = src.Reg.Fp.n in
       match src.Reg.Fp.size with
-      | Reg.Fp.D | Reg.Fp.Q -> fun m -> set m dst (Array.unsafe_get m.vlo n)
+      | Reg.Fp.D | Reg.Fp.Q ->
+          fun m ->
+            let f = m.regs in
+            set f dst (rd f (slot_vlo + n))
       | Reg.Fp.S ->
-          fun m -> set m dst (Int64.logand (Array.unsafe_get m.vlo n) mask32))
+          fun m ->
+            let f = m.regs in
+            set f dst (Int64.logand (rd f (slot_vlo + n)) mask32))
   (* --- system --- *)
   | Insn.Nop | Insn.Dmb | Insn.Msr _ -> ignore_op
-  | Insn.Mrs { dst; _ } -> fun m -> set m dst 0L
+  | Insn.Mrs { dst; _ } ->
+      fun m ->
+        let f = m.regs in
+        set f dst 0L
   (* --- a symbolic target has no address to run with: the
          instruction fails when executed (decoded code never has one) --- *)
   | Insn.Adr { target = Insn.Sym s; _ }
@@ -1075,7 +1329,7 @@ let lower (pci : int) (insn : Insn.t) : Machine.t -> unit =
 
 (** The lowered form of the instruction at [pci]: a terminator for a
     branch with a resolved target, [svc] or [udf]; otherwise {!lower}'s
-    closure with the pre-boxed fall-through pc. *)
+    closure with the fall-through pc. *)
 let slot (pci : int) (insn : Insn.t) : Machine.op =
   let next = pci + 4 in
   match insn with
@@ -1113,7 +1367,7 @@ let fetch_fault (pc : int64) =
 
 (* A taken branch from [ti]: log it into the escape oracle and the
    flight recorder (one [None] test each when they are off), then
-   return its target as the next pc, or store it in [m.pc] and return
+   return its target as the next pc, or store it in the pc slot and return
    -1 when it lies outside [0, 2^62).  A direct target is an untagged
    int, negative when the branch leaves the address space below 0. *)
 let[@inline] direct (m : Machine.t) (kind : int) (ti : int) (target : int) :
@@ -1126,7 +1380,7 @@ let[@inline] direct (m : Machine.t) (kind : int) (ti : int) (target : int) :
   | Some f -> Lfi_telemetry.Flight.record f kind ti target);
   if target >= 0 then target
   else begin
-    m.pc <- Int64.of_int target;
+    wr m.regs slot_pc (Int64.of_int target);
     -1
   end
 
@@ -1139,45 +1393,46 @@ let[@inline] indirect (m : Machine.t) (kind : int) (ti : int) (t : int64) : int
   | Some f -> Lfi_telemetry.Flight.record f kind ti (Int64.to_int t));
   if pc_fits t then Int64.to_int t
   else begin
-    m.pc <- t;
+    wr m.regs slot_pc t;
     -1
   end
 
 (** Execute a terminator: write the link register, log the branch, and
     return the next pc as an untagged int in [0, 2^62).  When there is
     no such pc — a trap ([svc]/[udf]) or a branch target outside
-    [0, 2^62) — store the next pc in [m.pc] and return -1; the caller
+    [0, 2^62) — store the next pc in the pc slot and return -1; the caller
     tells the two apart by the terminator.  Never faults. *)
 let exec_term (m : Machine.t) (t : bterm) : int =
+  let f = m.regs in
   match t with
   | Tb { target; ti } -> direct m Lfi_telemetry.Flight.k_branch ti target
   | Tbl { target; ti; link } ->
-      Array.unsafe_set m.regs 30 link;
+      wr f 30 link;
       direct m Lfi_telemetry.Flight.k_call ti target
   | Tbcond { cond; target; ti; next } ->
-      if cond_holds m cond then direct m Lfi_telemetry.Flight.k_branch ti target
+      if cond_holds f cond then direct m Lfi_telemetry.Flight.k_branch ti target
       else next
   | Tcbz { nz; reg; target; ti; next } ->
-      let zero = Int64.equal (get m reg) 0L in
+      let zero = Int64.equal (get f reg) 0L in
       if zero <> nz then direct m Lfi_telemetry.Flight.k_branch ti target
       else next
   | Ttbz { nz; reg; bit; target; ti; next } ->
       let one =
-        Int64.logand (Int64.shift_right_logical (get m reg) bit) 1L = 1L
+        Int64.logand (Int64.shift_right_logical (get f reg) bit) 1L = 1L
       in
       if one = nz then direct m Lfi_telemetry.Flight.k_branch ti target
       else next
-  | Tbr { reg; ti } -> indirect m Lfi_telemetry.Flight.k_branch ti (get m reg)
+  | Tbr { reg; ti } -> indirect m Lfi_telemetry.Flight.k_branch ti (get f reg)
   | Tblr { reg; ti; link } ->
-      let t = get m reg in
-      Array.unsafe_set m.regs 30 link;
+      let t = get f reg in
+      wr f 30 link;
       indirect m Lfi_telemetry.Flight.k_call ti t
-  | Tret { reg; ti } -> indirect m Lfi_telemetry.Flight.k_ret ti (get m reg)
+  | Tret { reg; ti } -> indirect m Lfi_telemetry.Flight.k_ret ti (get f reg)
   | Tsvc { next; _ } ->
-      m.pc <- next;
+      wr f slot_pc next;
       -1
   | Tudf { pc } ->
-      m.pc <- pc;
+      wr f slot_pc pc;
       -1
   | Tfall _ -> assert false
 

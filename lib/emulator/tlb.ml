@@ -32,10 +32,11 @@ let clear t =
   t.hits <- 0;
   t.misses <- 0
 
-(** Look up the page of [addr]; returns [true] on a hit and installs
-    the translation on a miss. *)
-let[@inline] access (t : t) (addr : int64) : bool =
-  let page = Int64.to_int addr lsr Memory.page_bits in
+(** Look up page number [page] — a data address as an untagged int,
+    shifted right by [Memory.page_bits] — and return [true] on a hit;
+    install the translation on a miss.  An int argument, so the
+    emulator's per-access lookup never boxes the address. *)
+let[@inline] access (t : t) (page : int) : bool =
   let slot = page land t.mask in
   if Array.unsafe_get t.entries slot = page then begin
     t.hits <- t.hits + 1;

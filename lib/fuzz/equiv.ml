@@ -81,27 +81,16 @@ let stream_compared_regs =
 
 let compare_stream_state ~(native : Sandbox.t) ~(lfi : Sandbox.t) :
     string option =
-  let mn = native.Sandbox.machine and ml = lfi.Sandbox.machine in
+  let module M = Lfi_emulator.Machine in
+  let fn = native.Sandbox.machine.M.regs and fl = lfi.Sandbox.machine.M.regs in
   let reg_mismatch =
-    List.find_opt
-      (fun n ->
-        mn.Lfi_emulator.Machine.regs.(n) <> ml.Lfi_emulator.Machine.regs.(n))
-      stream_compared_regs
+    List.find_opt (fun n -> M.x fn n <> M.x fl n) stream_compared_regs
   in
-  let rel m (sbx : Sandbox.t) =
-    Int64.sub m.Lfi_emulator.Machine.regs.(19) sbx.Sandbox.base
-  in
-  let flags m =
-    Lfi_emulator.Machine.
-      (m.flag_n, m.flag_z, m.flag_c, m.flag_v)
-  in
+  let rel f (sbx : Sandbox.t) = Int64.sub (M.x f 19) sbx.Sandbox.base in
   let fp_mismatch =
     let rec go i =
       if i >= 32 then None
-      else if
-        mn.Lfi_emulator.Machine.vlo.(i) <> ml.Lfi_emulator.Machine.vlo.(i)
-        || mn.Lfi_emulator.Machine.vhi.(i) <> ml.Lfi_emulator.Machine.vhi.(i)
-      then Some i
+      else if M.vlo fn i <> M.vlo fl i || M.vhi fn i <> M.vhi fl i then Some i
       else go (i + 1)
     in
     go 0
@@ -109,14 +98,14 @@ let compare_stream_state ~(native : Sandbox.t) ~(lfi : Sandbox.t) :
   match reg_mismatch with
   | Some n ->
       Some
-        (Printf.sprintf "x%d: native 0x%Lx, sandboxed 0x%Lx" n
-           mn.Lfi_emulator.Machine.regs.(n) ml.Lfi_emulator.Machine.regs.(n))
+        (Printf.sprintf "x%d: native 0x%Lx, sandboxed 0x%Lx" n (M.x fn n)
+           (M.x fl n))
   | None ->
-      if rel mn native <> rel ml lfi then
+      if rel fn native <> rel fl lfi then
         Some
           (Printf.sprintf "x19-base: native 0x%Lx, sandboxed 0x%Lx"
-             (rel mn native) (rel ml lfi))
-      else if flags mn <> flags ml then Some "flags differ"
+             (rel fn native) (rel fl lfi))
+      else if M.nzcv fn <> M.nzcv fl then Some "flags differ"
       else (
         match fp_mismatch with
         | Some i -> Some (Printf.sprintf "v%d differs" i)

@@ -108,17 +108,19 @@ let run ?(budget = 500_000) (t : t) : outcome =
       | Exec.Quantum_expired -> go ()
       | Exec.Trap (Exec.Svc_trap k) when k = Lfi_runtime.Sysno.exit ->
           (* native (un-rewritten) programs exit by direct svc *)
-          Exit m.Machine.regs.(0)
+          Exit (Machine.x m.Machine.regs 0)
       | Exec.Trap tr -> Trapped (Format.asprintf "%a" Exec.pp_trap tr)
       | Exec.Runtime_entry pc ->
           let off = Int64.to_int pc - host_start_int in
           let k = off / 8 in
           if off < 0 || off mod 8 <> 0 || k >= Lfi_runtime.Sysno.count then
             Stray_call pc
-          else if k = Lfi_runtime.Sysno.exit then Exit m.Machine.regs.(0)
+          else if k = Lfi_runtime.Sysno.exit then
+            Exit (Machine.x m.Machine.regs 0)
           else begin
-            m.Machine.regs.(0) <- 0L;
-            m.Machine.pc <- m.Machine.regs.(30);
+            let f = m.Machine.regs in
+            Machine.set_x f 0 0L;
+            Machine.set_pc f (Machine.x f 30);
             go ()
           end
   in

@@ -1,10 +1,12 @@
 (** A warm library instance: one loaded sandbox plus everything needed
     to call into it and wind it back.
 
-    {b Calling.}  A call installs the runtime's entry register state
-    ({!Lfi_runtime.Runtime.entry_snapshot}: arguments in x0..x7, pc at
-    the export, x30 at the return trampoline, anchored to the slot)
-    and runs the scheduler's own run step,
+    {b Calling.}  A call writes its entry register state straight into
+    the machine's register file (arguments in x0..x7, then
+    {!Lfi_runtime.Runtime.entry_snapshot}: pc at the export, x30 at
+    the return trampoline, anchored to the slot, everything else zero
+    — a few stores, no snapshot) and runs the scheduler's own run
+    step,
     {!Lfi_runtime.Runtime.slice} with [~box:true], until the
     trampoline surfaces through the runtime-call table
     ([Sysno.box_ret]).  Instructions are credited to the process,
@@ -40,6 +42,10 @@ type t = {
   arena_len : int;
   insn_budget : int;  (** per-call runaway limit *)
   pristine : (int, pristine) Hashtbl.t;  (** page index → baseline copy *)
+  recorder : Lfi_telemetry.Flight.t option;
+      (** what a call installs as the machine's flight recorder: the
+          process's, or [None] when the runtime runs without one —
+          built once, so a call allocates no option *)
   mutable baseline : Machine.snapshot;
   mutable heap_end0 : int64;
   mutable alive : bool;
@@ -169,43 +175,48 @@ let copy_out (inst : t) (addr : int64) (len : int) :
 
 exception Marshal_error of Api.error
 
-(** Place the arguments: scalars pass through, buffers are bump-
-    allocated in the arena (8-byte aligned) and replaced by their
-    sandbox-relative address.  Returns the register images and the
-    [(addr, len)] list of [Out] reservations, plus marshalling cost. *)
-let marshal (inst : t) (args : Api.arg list) :
-    int64 list * (int64 * int) list * float =
-  let u = inst.rt.Runtime.cfg.Runtime.uarch in
-  let cursor = ref 0 and cost = ref 0.0 and outs = ref [] in
-  let reserve len =
-    let off = !cursor in
-    if len < 0 || off + len > inst.arena_len then
-      raise (Marshal_error Api.Arena_overflow);
-    cursor := (off + len + 7) / 8 * 8;
-    Int64.add inst.arena_base (Int64.of_int off)
-  in
-  let rec go = function
-    | [] -> []
-    | a :: tl ->
-        let r =
-          match a with
-          | Api.I v -> v
-          | Api.In b ->
-              let addr = reserve (Bytes.length b) in
-              (match copy_in inst addr b with
-              | Ok () -> ()
-              | Error e -> raise (Marshal_error e));
-              cost := !cost +. marshal_cycles u (Bytes.length b);
-              Int64.sub addr inst.p.Proc.base
-          | Api.Out len ->
-              let addr = reserve len in
-              outs := (addr, len) :: !outs;
-              Int64.sub addr inst.p.Proc.base
-        in
-        r :: go tl
-  in
-  let regs = go args in
-  (regs, List.rev !outs, !cost)
+(* The arena address of a [len]-byte reservation at offset [off]. *)
+let arena_addr (inst : t) (off : int) (len : int) : int64 =
+  if len < 0 || off + len > inst.arena_len then
+    raise (Marshal_error Api.Arena_overflow);
+  Int64.add inst.arena_base (Int64.of_int off)
+
+let align8 n = (n + 7) / 8 * 8
+
+(** Place the arguments straight into the entry registers: argument
+    [i] goes to x[i] of the register file [f].  Scalars pass through;
+    buffers are bump-allocated in the arena (8-byte aligned, from
+    offset [cursor]) and passed by their sandbox-relative address.
+    The marshalling cost goes to the span's marshal-in phase; returns
+    the [(addr, len)] [Out] reservations, last first. *)
+let rec place (inst : t) (u : Cost_model.t) (f : Bytes.t) (i : int)
+    (cursor : int) (cost : float) (outs : (int64 * int) list) :
+    Api.arg list -> (int64 * int) list = function
+  | [] ->
+      Lfi_telemetry.Span.set inst.span Lfi_telemetry.Span.Marshal_in cost;
+      outs
+  | Api.I v :: tl ->
+      Machine.set_x f i v;
+      place inst u f (i + 1) cursor cost outs tl
+  | Api.In b :: tl ->
+      let len = Bytes.length b in
+      let addr = arena_addr inst cursor len in
+      (match copy_in inst addr b with
+      | Ok () -> ()
+      | Error e -> raise (Marshal_error e));
+      Machine.set_x f i (Int64.sub addr inst.p.Proc.base);
+      place inst u f (i + 1)
+        (align8 (cursor + len))
+        (cost +. marshal_cycles u len)
+        outs tl
+  | Api.Out len :: tl ->
+      let addr = arena_addr inst cursor len in
+      Machine.set_x f i (Int64.sub addr inst.p.Proc.base);
+      place inst u f (i + 1)
+        (align8 (cursor + len))
+        cost
+        ((addr, len) :: outs)
+        tl
 
 let retire (inst : t) =
   Runtime.remove_proc inst.rt inst.p;
@@ -219,8 +230,59 @@ let kill (inst : t) (reason : string) : Api.error =
   retire inst;
   Api.Killed reason
 
+(** Run the entered call to its return: the runtime's run step
+    ({!Runtime.slice} with [~box:true]) until the trampoline's
+    [box_ret], under the instance's instruction budget; [i0] is the
+    machine's instruction count at entry.  The return value is x0. *)
+let rec drive (inst : t) (m : Machine.t) (i0 : int) :
+    (int64, Api.error) result =
+  if m.Machine.insns - i0 > inst.insn_budget then
+    Error (kill inst "library call instruction budget exceeded")
+  else
+    match Runtime.slice ~box:true inst.rt inst.p with
+    | Runtime.Preempted | Runtime.Continue -> drive inst m i0
+    | Runtime.Returned -> Ok (Machine.x m.Machine.regs 0)
+    | Runtime.Switch ->
+        ignore (kill inst "blocking runtime call in library call");
+        Error Api.Blocked
+    | Runtime.Died reason ->
+        retire inst;
+        Error
+          (match reason with
+          | Runtime.Exited c -> Api.Exited c
+          | Runtime.Killed why -> Api.Killed why)
+
+(** Copy the [Out] buffers back, in argument order, charging each;
+    [mout] is the copy-out cost so far. *)
+let rec copy_outs (inst : t) (m : Machine.t) (u : Cost_model.t) (mout : float)
+    (acc : bytes list) : (int64 * int) list -> (bytes list, Api.error) result =
+  function
+  | [] ->
+      Lfi_telemetry.Span.set inst.span Lfi_telemetry.Span.Marshal_out mout;
+      Ok (List.rev acc)
+  | (addr, len) :: tl -> (
+      let c = marshal_cycles u len in
+      Machine.add_cycles m c;
+      match copy_out inst addr len with
+      | Ok b -> copy_outs inst m u (mout +. c) (b :: acc) tl
+      | Error e -> Error e)
+
+(* [gate] plus the copy-out cost of every [Out] buffer, in order. *)
+let rec add_copy_out (u : Cost_model.t) (gate : float) = function
+  | [] -> gate
+  | (_, len) :: tl -> add_copy_out u (gate +. marshal_cycles u len) tl
+
 (** Call [name] with [args]; on success the reply carries the return
-    value, the [Out] buffers, and the per-call cycle accounting. *)
+    value, the [Out] buffers, and the per-call cycle accounting.
+
+    The entry state is written straight into the machine's register
+    file: {!Machine.clear}, the arguments into x0.. as they are
+    marshalled, then {!Runtime.entry_snapshot}'s stores (x30 at the
+    return trampoline, pc at the export, sp at the stack top, the
+    reserved registers anchored to the slot).  No snapshot is built,
+    so entering costs a few stores and allocates nothing.  A
+    marshalling error leaves that half-written state behind; nothing
+    reads it before the next entry overwrites it. *)
 let call (inst : t) (name : string) (args : Api.arg list) :
     (Api.reply, Api.error) result =
   if not inst.alive then Error (Api.Killed "instance already retired")
@@ -230,84 +292,49 @@ let call (inst : t) (name : string) (args : Api.arg list) :
     | Some entry -> (
         if List.length args > 8 then Error Api.Too_many_args
         else
-          match
-            Lfi_telemetry.Span.start inst.span name;
-            marshal inst args
-          with
+          let rt = inst.rt and p = inst.p in
+          let m = rt.Runtime.machine in
+          let u = rt.Runtime.cfg.Runtime.uarch in
+          Lfi_telemetry.Span.start inst.span name;
+          Machine.clear m;
+          match place inst u m.Machine.regs 0 0 0.0 [] args with
           | exception Marshal_error e -> Error e
-          | reg_args, outs, marshal_in -> (
-              let rt = inst.rt and p = inst.p in
-              let m = rt.Runtime.machine in
-              let u = rt.Runtime.cfg.Runtime.uarch in
-              let gate = ref marshal_in in
-              Lfi_telemetry.Span.set inst.span Lfi_telemetry.Span.Marshal_in
-                marshal_in;
-              Machine.restore m
-                (Runtime.entry_snapshot p.Proc.base ~pc:entry ~args:reg_args
-                   ~link:inst.lib.Library.trampoline);
-              m.Machine.flight <-
-                (if rt.Runtime.cfg.Runtime.flight_recorder then
-                   Some p.Proc.flight
-                 else None);
+          | outs -> (
+              let outs = List.rev outs in
+              Runtime.entry_snapshot m.Machine.regs p.Proc.base ~pc:entry
+                ~link:inst.lib.Library.trampoline;
+              m.Machine.flight <- inst.recorder;
               let t0 = Machine.cycles m and i0 = m.Machine.insns in
+              let gate_cost = u.Cost_model.lfi_runtime_call_entry in
               (* host→sandbox gate: same price as a runtime-call entry *)
-              Machine.add_cycles m u.Cost_model.lfi_runtime_call_entry;
-              gate := !gate +. u.Cost_model.lfi_runtime_call_entry;
+              Machine.add_cycles m gate_cost;
+              let gate =
+                Lfi_telemetry.Span.get inst.span Lfi_telemetry.Span.Marshal_in
+                +. gate_cost
+              in
               inst.span.Lfi_telemetry.Span.t0 <- t0;
               Lfi_telemetry.Span.set inst.span Lfi_telemetry.Span.Gate_in
-                u.Cost_model.lfi_runtime_call_entry;
-              let rec drive () =
-                if m.Machine.insns - i0 > inst.insn_budget then
-                  Error (kill inst "library call instruction budget exceeded")
-                else
-                  match Runtime.slice ~box:true rt p with
-                  | Runtime.Preempted | Runtime.Continue -> drive ()
-                  | Runtime.Returned -> Ok m.Machine.regs.(0)
-                  | Runtime.Switch ->
-                      ignore (kill inst "blocking runtime call in library call");
-                      Error Api.Blocked
-                  | Runtime.Died reason ->
-                      retire inst;
-                      Error
-                        (match reason with
-                        | Runtime.Exited c -> Api.Exited c
-                        | Runtime.Killed why -> Api.Killed why)
-              in
-              match drive () with
+                gate_cost;
+              match drive inst m i0 with
               | Error e -> Error e
               | Ok ret -> (
                   Lfi_telemetry.Span.set inst.span Lfi_telemetry.Span.Exec
-                    (Machine.cycles m -. t0
-                    -. u.Cost_model.lfi_runtime_call_entry);
+                    (Machine.cycles m -. t0 -. gate_cost);
                   (* sandbox→host gate *)
-                  Machine.add_cycles m u.Cost_model.lfi_runtime_call_entry;
-                  gate := !gate +. u.Cost_model.lfi_runtime_call_entry;
+                  Machine.add_cycles m gate_cost;
+                  let gate = gate +. gate_cost in
                   Lfi_telemetry.Span.set inst.span Lfi_telemetry.Span.Gate_out
-                    u.Cost_model.lfi_runtime_call_entry;
-                  (* copy-out, in argument order *)
-                  let mout = ref 0.0 in
-                  let rec collect acc = function
-                    | [] ->
-                        Lfi_telemetry.Span.set inst.span
-                          Lfi_telemetry.Span.Marshal_out !mout;
-                        Ok (List.rev acc)
-                    | (addr, len) :: tl -> (
-                        gate := !gate +. marshal_cycles u len;
-                        mout := !mout +. marshal_cycles u len;
-                        Machine.add_cycles m (marshal_cycles u len);
-                        match copy_out inst addr len with
-                        | Ok b -> collect (b :: acc) tl
-                        | Error e -> Error e)
-                  in
-                  match collect [] outs with
+                    gate_cost;
+                  match copy_outs inst m u 0.0 [] outs with
                   | Error e -> Error e
                   | Ok out_bufs ->
+                      let gate = add_copy_out u gate outs in
                       let call_insns = m.Machine.insns - i0 in
                       let total = Machine.cycles m -. t0 in
                       p.Proc.rtcalls <- p.Proc.rtcalls + 1;
                       inst.calls <- inst.calls + 1;
                       inst.call_insns <- inst.call_insns + call_insns;
-                      Lfi_telemetry.Histogram.observe inst.gate_hist !gate;
+                      Lfi_telemetry.Histogram.observe inst.gate_hist gate;
                       Lfi_telemetry.Histogram.observe inst.call_hist total;
                       (match rt.Runtime.trace with
                       | None -> ()
@@ -318,15 +345,15 @@ let call (inst : t) (name : string) (args : Api.arg list) :
                             ~args:
                               [ ("ret", Lfi_telemetry.Trace.I64 ret);
                                 ( "gate_cycles",
-                                  Lfi_telemetry.Trace.Int
-                                    (int_of_float !gate) ) ]);
+                                  Lfi_telemetry.Trace.Int (int_of_float gate)
+                                ) ]);
                       Ok
                         {
                           Api.ret;
                           outs = out_bufs;
                           stats =
                             {
-                              Api.gate_cycles = !gate;
+                              Api.gate_cycles = gate;
                               total_cycles = total;
                               call_insns;
                             };
@@ -353,6 +380,9 @@ let create ?(arena = 1 lsl 16) ?(insn_budget = 200_000_000) ?init
       arena_len;
       insn_budget;
       pristine = Hashtbl.create 64;
+      recorder =
+        (if rt.Runtime.cfg.Runtime.flight_recorder then Some p.Proc.flight
+         else None);
       baseline = p.Proc.snapshot;
       heap_end0 = p.Proc.heap_end;
       alive = true;

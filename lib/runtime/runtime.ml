@@ -299,42 +299,46 @@ let rebase (base : int64) (v : int64) =
     owning slot. *)
 let reserved_regs = [ 18; 21; 23; 24; 30 ]
 
-(** Anchor a register snapshot to [base]: the reserved registers, pc
-    and sp get their top bits replaced with the slot base, everything
-    else is carried over verbatim (stray values heal through the
-    address guards).  The one place snapshot construction happens —
-    fork's child state here, program and library-call entry through
+let rec anchor_regs (base : int64) (f : Machine.snapshot) = function
+  | [] -> ()
+  | n :: tl ->
+      Machine.set_x f n (rebase base (Machine.x f n));
+      anchor_regs base f tl
+
+(** Anchor register file [f] to [base], in place: the reserved
+    registers, pc and sp get their top bits replaced with the slot
+    base, everything else is left as it is (stray values heal through
+    the address guards).  [f] is a snapshot or the machine's live file
+    — they share one layout.  The one place anchoring happens: fork's
+    child state here, program and library-call entry through
     {!entry_snapshot}. *)
-let anchor_snapshot (base : int64) (snap : Machine.snapshot) :
-    Machine.snapshot =
-  let regs = Array.copy snap.Machine.s_regs in
-  List.iter (fun n -> regs.(n) <- rebase base regs.(n)) reserved_regs;
-  { snap with
-    Machine.s_regs = regs;
-    s_pc = rebase base snap.Machine.s_pc;
-    s_sp = rebase base snap.Machine.s_sp }
+let anchor_snapshot (base : int64) (f : Machine.snapshot) =
+  anchor_regs base f reserved_regs;
+  Machine.set_pc f (rebase base (Machine.pc f));
+  Machine.set_sp f (rebase base (Machine.sp f))
 
-(** The register state at a sandbox entry: [args] in x0.., pc at [pc],
-    x30 at [link], sp at the stack top, everything anchored to [base].
-    A program starts with its entry as link; a library call links to
-    the return trampoline. *)
-let entry_snapshot (base : int64) ~(pc : int) ~(args : int64 list)
-    ~(link : int) : Machine.snapshot =
-  let regs = Array.make 31 0L in
-  List.iteri (fun i v -> regs.(i) <- v) args;
-  regs.(30) <- Int64.of_int link;
-  anchor_snapshot base
-    {
-      Machine.s_pc = Int64.of_int pc;
-      s_regs = regs;
-      s_sp = Int64.of_int Lfi_core.Layout.stack_top;
-      s_flags = (false, false, false, false);
-      s_vlo = Array.make 32 0L;
-      s_vhi = Array.make 32 0L;
-    }
+(** Write the register state at a sandbox entry into [f], in place:
+    pc at [pc], x30 at [link], sp at the stack top, all anchored to
+    [base].  [f] must hold zeros but for the arguments in x0..
+    ({!Machine.empty_snapshot} or the live file after {!Machine.clear},
+    then the arguments), so an entry is a handful of stores.  A
+    program starts with its entry as link; a library call links to the
+    return trampoline and writes straight into the machine, allocating
+    nothing. *)
+let entry_snapshot (f : Machine.snapshot) (base : int64) ~(pc : int)
+    ~(link : int) =
+  Machine.set_x f 30 (Int64.of_int link);
+  Machine.set_pc f (Int64.of_int pc);
+  Machine.set_sp f (Int64.of_int Lfi_core.Layout.stack_top);
+  anchor_snapshot base f
 
-let initial_snapshot base ~entry ~arg =
-  entry_snapshot base ~pc:entry ~args:[ arg ] ~link:entry
+(** A program's first register state, as a fresh snapshot: [arg] in
+    x0. *)
+let initial_snapshot base ~entry ~arg : Machine.snapshot =
+  let s = Machine.empty_snapshot () in
+  Machine.set_x s 0 arg;
+  entry_snapshot s base ~pc:entry ~link:entry;
+  s
 
 (** Create a runnable process in [slot] and queue it — the one place a
     process is built, for load and fork alike.  A forked child
@@ -517,10 +521,11 @@ let do_fork rt (parent : Proc.t) : int =
     (* Child registers: parent's current state anchored to the child
        slot; everything non-reserved heals via guards. *)
     let snap = Machine.snapshot rt.machine in
-    snap.Machine.s_regs.(0) <- 0L (* fork returns 0 in the child *);
+    Machine.set_x snap 0 0L (* fork returns 0 in the child *);
+    anchor_snapshot base snap;
     let child =
       spawn rt ~parent:(Some parent) ~slot ~base ~personality:Proc.Lfi
-        ~snapshot:(anchor_snapshot base snap)
+        ~snapshot:snap
         ~heap_end:(rebase base parent.Proc.heap_end)
         ~symbols:parent.Proc.symbols ~sites:parent.Proc.sites
     in
@@ -580,7 +585,7 @@ let reap rt (parent : Proc.t) (cpid : int) (code : int)
 
 (** Try to complete a blocked process's pending operation. *)
 let try_wake rt (p : Proc.t) =
-  let set_result v = p.Proc.snapshot.Machine.s_regs.(0) <- v in
+  let set_result v = Machine.set_x p.Proc.snapshot 0 v in
   match p.Proc.state with
   | Proc.Blocked (Proc.On_read { fd; addr; len }) -> (
       match Proc.fd p fd with
@@ -646,9 +651,9 @@ let do_exit rt (p : Proc.t) (code : int) : outcome =
 
 let handle_call rt (p : Proc.t) (k : int) : outcome =
   let m = rt.machine in
-  let arg n = m.Machine.regs.(n) in
+  let arg n = Machine.x m.Machine.regs n in
   let ret v =
-    m.Machine.regs.(0) <- v;
+    Machine.set_x m.Machine.regs 0 v;
     Continue
   in
   let reti v = ret (Int64.of_int v) in
@@ -749,7 +754,7 @@ let handle_call rt (p : Proc.t) (k : int) : outcome =
     match find_zombie_child rt p with
     | Some (cpid, code) ->
         reap rt p cpid code ~status_addr ~set_result:(fun v ->
-            m.Machine.regs.(0) <- v);
+            Machine.set_x m.Machine.regs 0 v);
         Continue
     | None ->
         if p.Proc.children = [] then reti (-10 (* ECHILD *))
@@ -993,13 +998,12 @@ let postmortem rt (p : Proc.t) ~(reason : string)
     ?(fault : Memory.fault option) () : Lfi_telemetry.Postmortem.t =
   let m = rt.machine in
   let fl = p.Proc.flight in
-  let pc = m.Machine.pc in
+  let f = m.Machine.regs in
+  let pc = Machine.pc f in
   let flags =
-    Printf.sprintf "%c%c%c%c"
-      (if m.Machine.flag_n then 'N' else '-')
-      (if m.Machine.flag_z then 'Z' else '-')
-      (if m.Machine.flag_c then 'C' else '-')
-      (if m.Machine.flag_v then 'V' else '-')
+    let nzcv = Machine.nzcv f in
+    String.init 4 (fun i ->
+        if nzcv land (8 lsr i) <> 0 then "NZCV".[i] else '-')
   in
   let fault_addr =
     match fault with Some f -> Some f.Memory.addr | None -> None
@@ -1019,10 +1023,10 @@ let postmortem rt (p : Proc.t) ~(reason : string)
     fault_addr;
     fault_access;
     pc;
-    sp = m.Machine.sp;
-    regs = Array.copy m.Machine.regs;
+    sp = Machine.sp f;
+    regs = Array.init 31 (Machine.x f);
     flags;
-    backtrace = backtrace rt p ~pc ~fp:m.Machine.regs.(29);
+    backtrace = backtrace rt p ~pc ~fp:(Machine.x f 29);
     disasm = disasm_context rt p pc;
     hexdump =
       (match fault_addr with
@@ -1082,20 +1086,21 @@ let serve_call rt (p : Proc.t) (k : int) : outcome =
   | None -> ()
   | Some f ->
       Lfi_telemetry.Flight.record f Lfi_telemetry.Flight.k_rt_enter
-        (Int64.to_int m.Machine.pc) k);
+        (Int64.to_int (Machine.pc m.Machine.regs)) k);
   let outcome = handle_call rt p k in
   (match m.Machine.flight with
   | None -> ()
   | Some f ->
       Lfi_telemetry.Flight.record f Lfi_telemetry.Flight.k_rt_exit
-        (Int64.to_int m.Machine.pc) k);
+        (Int64.to_int (Machine.pc m.Machine.regs)) k);
   let dur = Machine.cycles m -. t0 in
   (match rt.trace with
   | None -> ()
   | Some t ->
       Lfi_telemetry.Trace.complete t ~name:(Sysno.name k) ~cat:"rtcall"
         ~ts:t0 ~dur ~pid:trace_pid ~tid:p.Proc.pid
-        ~args:[ ("result", Lfi_telemetry.Trace.I64 m.Machine.regs.(0)) ]);
+        ~args:
+          [ ("result", Lfi_telemetry.Trace.I64 (Machine.x m.Machine.regs 0)) ]);
   (match rt.call_hist with
   | None -> ()
   | Some hs ->
@@ -1136,7 +1141,7 @@ let slice ~(box : bool) rt (p : Proc.t) : outcome =
   | Exec.Runtime_entry pc ->
       let k = Int64.to_int (Int64.sub pc Machine.host_region_start) / 8 in
       (* return address: blr x30 left it in x30 *)
-      m.Machine.pc <- m.Machine.regs.(30);
+      Machine.set_pc m.Machine.regs (Machine.x m.Machine.regs 30);
       if box && k = Sysno.box_ret then Returned else serve_call rt p k
   | Exec.Trap (Exec.Svc_trap k) ->
       (* a verified binary can never reach here *)
@@ -1178,7 +1183,7 @@ let run rt : (int * exit_reason) list =
         | None -> ()
         | Some f ->
             Lfi_telemetry.Flight.record f Lfi_telemetry.Flight.k_ctx_switch
-              (Int64.to_int m.Machine.pc) p.Proc.pid);
+              (Int64.to_int (Machine.pc m.Machine.regs)) p.Proc.pid);
         execute p;
         schedule ()
   and execute (p : Proc.t) =
@@ -1191,7 +1196,7 @@ let run rt : (int * exit_reason) list =
         | None -> ()
         | Some f ->
             Lfi_telemetry.Flight.record f Lfi_telemetry.Flight.k_preempt
-              (Int64.to_int m.Machine.pc) p.Proc.pid);
+              (Int64.to_int (Machine.pc m.Machine.regs)) p.Proc.pid);
         p.Proc.snapshot <- Machine.snapshot m
     | Switch -> p.Proc.snapshot <- Machine.snapshot m
     | Died _ -> ()

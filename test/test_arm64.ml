@@ -579,16 +579,6 @@ let write_encode_golden path =
   close_out oc;
   Printf.printf "wrote the encoding golden to %s\n%!" path
 
-let read_lines path =
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | l -> go (l :: acc)
-    | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-  in
-  go []
 
 (* The first row of [w]'s bucket that decodes it. *)
 let decoded_by w =
@@ -631,7 +621,7 @@ let test_table_self_check () =
     Isa.table
 
 let test_encode_golden () =
-  let expected = read_lines "encode_golden.txt" in
+  let expected = Golden.read_lines "encode_golden.txt" in
   let got = golden_lines () in
   checki "golden lines" (List.length expected) (List.length got);
   List.iteri

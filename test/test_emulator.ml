@@ -77,18 +77,20 @@ let test_memory_bit63 () =
 
 let test_tlb () =
   let t = Tlb.create ~entries:4 in
-  checkb "first miss" false (Tlb.access t 0x10000L);
-  checkb "then hit" true (Tlb.access t 0x10008L);
+  let page a = a lsr Memory.page_bits in
+  checkb "first miss" false (Tlb.access t (page 0x10000));
+  checkb "then hit" true (Tlb.access t (page 0x10008));
   (* 5 distinct pages in a 4-entry direct-mapped TLB: conflict *)
   for k = 0 to 4 do
-    ignore (Tlb.access t (Int64.of_int (k * Memory.page_size * 4)))
+    ignore (Tlb.access t (page (k * Memory.page_size * 4)))
   done;
   checkb "miss rate > 0" true (Tlb.miss_rate t > 0.0)
 
 (* ---------------- semantics via small programs ---------------- *)
 
-(* Assemble [body] at origin, run until svc #1, return x0. *)
-let run_asm ?(steps = 100000) (body : string) : int64 =
+(* A machine with [body] assembled at 0x10000 (then [svc #1]), pc
+   there, 64 KiB of data at 0x40000 and sp at its top. *)
+let asm_machine (body : string) : Machine.t =
   let img = Assemble.assemble_string ("_start:\n" ^ body ^ "\tsvc #1\n\tb _start\n") in
   let mem = Memory.create () in
   let m = Machine.create mem in
@@ -102,10 +104,15 @@ let run_asm ?(steps = 100000) (body : string) : int64 =
   (* data + stack *)
   Memory.map mem ~addr:0x40000L ~len:(4 * Memory.page_size) ~perm:Memory.perm_rw;
   Memory.write_bytes mem (Int64.of_int img.Assemble.data_origin |> fun v -> (Memory.map mem ~addr:(Int64.logand v (Int64.lognot (Int64.of_int (Memory.page_size - 1)))) ~len:(2*Memory.page_size) ~perm:Memory.perm_rw; v)) img.Assemble.data;
-  m.Machine.pc <- Int64.of_int base;
-  m.Machine.sp <- 0x48000L;
+  Machine.set_pc m.Machine.regs (Int64.of_int base);
+  Machine.set_sp m.Machine.regs 0x48000L;
+  m
+
+(* Assemble [body] at origin, run until svc #1, return x0. *)
+let run_asm ?(steps = 100000) (body : string) : int64 =
+  let m = asm_machine body in
   match Exec.run m ~quantum:steps with
-  | Exec.Trap (Exec.Svc_trap 1) -> m.Machine.regs.(0)
+  | Exec.Trap (Exec.Svc_trap 1) -> Machine.x m.Machine.regs 0
   | e -> Alcotest.failf "unexpected event: %s"
            (match e with
             | Exec.Quantum_expired -> "quantum expired"
@@ -285,16 +292,6 @@ let write_golden path =
   close_out oc;
   Printf.printf "wrote %d golden lines to %s\n%!" golden_count path
 
-let read_lines path =
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | line -> go (line :: acc)
-    | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-  in
-  go []
 
 (* exit codes and instruction counts must match exactly; cycles within
    0.1% (the acceptance tolerance — in practice they are identical). *)
@@ -321,7 +318,7 @@ let check_golden_cells idx (expected : string list) (got : string list) =
   | _ -> Alcotest.failf "program %d: empty golden line" idx
 
 let test_golden_differential () =
-  let expected = read_lines "emulator_golden.txt" in
+  let expected = Golden.read_lines "emulator_golden.txt" in
   checki "golden population" golden_count (List.length expected);
   List.iteri
     (fun idx (prog, exp_line) ->
@@ -355,15 +352,15 @@ let test_decode_remap () =
   Memory.map mem ~addr:base ~len:Memory.page_size ~perm:Memory.perm_rw;
   Memory.write_bytes mem base (tiny_img 1);
   Memory.protect mem ~addr:base ~len:Memory.page_size ~perm:Memory.perm_rx;
-  m.Machine.pc <- base;
+  Machine.set_pc m.Machine.regs base;
   run_to_svc m;
-  check64 "original code" 1L m.Machine.regs.(0);
+  check64 "original code" 1L (Machine.x m.Machine.regs 0);
   Memory.protect mem ~addr:base ~len:Memory.page_size ~perm:Memory.perm_rw;
   Memory.write_bytes mem base (tiny_img 2);
   Memory.protect mem ~addr:base ~len:Memory.page_size ~perm:Memory.perm_rx;
-  m.Machine.pc <- base;
+  Machine.set_pc m.Machine.regs base;
   run_to_svc m;
-  check64 "rewritten code" 2L m.Machine.regs.(0)
+  check64 "rewritten code" 2L (Machine.x m.Machine.regs 0)
 
 (* A store into a writable+executable page must also drop the decode. *)
 let test_decode_wx_write () =
@@ -373,16 +370,16 @@ let test_decode_wx_write () =
   let rwx = { Memory.r = true; w = true; x = true } in
   Memory.map mem ~addr:base ~len:Memory.page_size ~perm:rwx;
   Memory.write_bytes mem base (tiny_img 1);
-  m.Machine.pc <- base;
+  Machine.set_pc m.Machine.regs base;
   run_to_svc m;
-  check64 "original code" 1L m.Machine.regs.(0);
+  check64 "original code" 1L (Machine.x m.Machine.regs 0);
   (* patch just the movz word in place *)
   let patched = tiny_img 3 in
   Memory.write mem base 4
     (Int64.logand (Bytes.get_int64_le patched 0) 0xFFFFFFFFL);
-  m.Machine.pc <- base;
+  Machine.set_pc m.Machine.regs base;
   run_to_svc m;
-  check64 "patched code" 3L m.Machine.regs.(0)
+  check64 "patched code" 3L (Machine.x m.Machine.regs 0)
 
 (* A superblock whose body straddles a page boundary is registered on
    both pages, so invalidating the *second* page (here by patching it
@@ -403,10 +400,10 @@ let test_block_straddle_invalidation () =
       .Assemble.text
   in
   Memory.write_bytes mem entry code;
-  m.Machine.pc <- entry;
+  Machine.set_pc m.Machine.regs entry;
   run_to_svc m;
-  check64 "first page half" 1L m.Machine.regs.(0);
-  check64 "second page half" 7L m.Machine.regs.(1);
+  check64 "first page half" 1L (Machine.x m.Machine.regs 0);
+  check64 "second page half" 7L (Machine.x m.Machine.regs 1);
   checkb "block dispatch ran" true (m.Machine.blk_execs > 0);
   (* patch the movz x1 word, which lives on the second page *)
   let patched =
@@ -415,9 +412,9 @@ let test_block_straddle_invalidation () =
   let boundary = Int64.add base (Int64.of_int Memory.page_size) in
   let word b = Int64.logand (Int64.of_int32 (Bytes.get_int32_le b 0)) 0xFFFFFFFFL in
   Memory.write mem boundary 4 (word patched);
-  m.Machine.pc <- entry;
+  Machine.set_pc m.Machine.regs entry;
   run_to_svc m;
-  check64 "straddler dropped" 9L m.Machine.regs.(1);
+  check64 "straddler dropped" 9L (Machine.x m.Machine.regs 1);
   (* same again via a remap of the second page only *)
   Memory.protect mem ~addr:boundary ~len:Memory.page_size ~perm:Memory.perm_rw;
   let patched2 =
@@ -425,9 +422,9 @@ let test_block_straddle_invalidation () =
   in
   Memory.write mem boundary 4 (word patched2);
   Memory.protect mem ~addr:boundary ~len:Memory.page_size ~perm:rwx;
-  m.Machine.pc <- entry;
+  Machine.set_pc m.Machine.regs entry;
   run_to_svc m;
-  check64 "straddler dropped after remap" 11L m.Machine.regs.(1)
+  check64 "straddler dropped after remap" 11L (Machine.x m.Machine.regs 1)
 
 (* Revoking execute permission must fault the next fetch even though
    the page's instructions were already decoded and cached. *)
@@ -438,10 +435,10 @@ let test_fetch_after_protect () =
   Memory.map mem ~addr:base ~len:Memory.page_size ~perm:Memory.perm_rw;
   Memory.write_bytes mem base (tiny_img 1);
   Memory.protect mem ~addr:base ~len:Memory.page_size ~perm:Memory.perm_rx;
-  m.Machine.pc <- base;
+  Machine.set_pc m.Machine.regs base;
   run_to_svc m;
   Memory.protect mem ~addr:base ~len:Memory.page_size ~perm:Memory.perm_rw;
-  m.Machine.pc <- base;
+  Machine.set_pc m.Machine.regs base;
   match Exec.step m with
   | Some (Exec.Trap (Exec.Mem_fault f)) ->
       checkb "fetch fault" true (f.Memory.access = Memory.Fetch)
@@ -631,30 +628,32 @@ let ig_exec ?(drive = Exec.run) ((words, st) : int list * ig_state) :
           Memory.page_size
     | None -> assert false
   done;
-  Array.blit st.g_regs 0 m.Machine.regs 0 31;
-  m.Machine.sp <- st.g_sp;
-  Machine.set_nzcv m ~n:(st.g_nzcv land 8 <> 0) ~z:(st.g_nzcv land 4 <> 0)
-    ~c:(st.g_nzcv land 2 <> 0) ~v:(st.g_nzcv land 1 <> 0);
-  Array.blit st.g_vlo 0 m.Machine.vlo 0 32;
-  Array.blit st.g_vhi 0 m.Machine.vhi 0 32;
-  m.Machine.pc <- ig_text;
+  let f = m.Machine.regs in
+  Array.iteri (Machine.set_x f) st.g_regs;
+  Machine.set_sp f st.g_sp;
+  Machine.set_nzcv f st.g_nzcv;
+  Array.iteri (Machine.set_vlo f) st.g_vlo;
+  Array.iteri (Machine.set_vhi f) st.g_vhi;
+  Machine.set_pc f ig_text;
   (m, drive m ~quantum:1000)
 
 let ig_line ?drive idx case =
   let m, ev = ig_exec ?drive case in
   let b = Buffer.create (ig_data_pages * Memory.page_size + 1024) in
   let add64 = Buffer.add_int64_le b in
-  Array.iter add64 m.Machine.regs;
-  add64 m.Machine.sp;
-  add64 m.Machine.pc;
+  let f = m.Machine.regs in
+  for n = 0 to 30 do add64 (Machine.x f n) done;
+  add64 (Machine.sp f);
+  add64 (Machine.pc f);
   List.iter
-    (fun f -> Buffer.add_char b (if f then '1' else '0'))
-    [ m.Machine.flag_n; m.Machine.flag_z; m.Machine.flag_c; m.Machine.flag_v ];
+    (fun bit ->
+      Buffer.add_char b (if Machine.nzcv f land bit <> 0 then '1' else '0'))
+    [ 8; 4; 2; 1 ];
   (match m.Machine.exclusive with
   | None -> Buffer.add_char b '-'
   | Some a -> add64 a);
-  Array.iter add64 m.Machine.vlo;
-  Array.iter add64 m.Machine.vhi;
+  for n = 0 to 31 do add64 (Machine.vlo f n) done;
+  for n = 0 to 31 do add64 (Machine.vhi f n) done;
   for p = 0 to ig_data_pages - 1 do
     match Memory.find_page_by_index m.Machine.mem (Memory.page_index ig_data + p) with
     | Some pg -> Buffer.add_bytes b (Memory.page_data pg)
@@ -679,7 +678,7 @@ let write_insn_golden path =
   Printf.printf "wrote the instruction golden to %s\n%!" path
 
 let test_insn_golden () =
-  let expected = read_lines "insn_golden.txt" in
+  let expected = Golden.read_lines "insn_golden.txt" in
   let population = ig_population () in
   checki "insn golden population" (List.length population)
     (List.length expected);
@@ -824,7 +823,8 @@ let od_streams =
       "_start:\n\tmovz x0, #40\n\tadr x1, buf\nloop:\n\tstr x0, [x1]\n\
        \tldr x2, [x1]\n\tadd x3, x3, x2\n\tsub x0, x0, #1\n\tcbnz x0, loop\n\
        \tsvc #1\n.data\nbuf:\n\t.quad 0\n",
-      fun m -> check64 "x3 = 40 + 39 + ... + 1" 820L m.Machine.regs.(3) );
+      fun m ->
+        check64 "x3 = 40 + 39 + ... + 1" 820L (Machine.x m.Machine.regs 3) );
     (* the store walks off the data page in the middle of a block *)
     ( "mid-block data fault", false,
       "_start:\n\tmovz x0, #40\n\tadr x1, buf\nloop:\n\tstr x0, [x1]\n\
@@ -838,7 +838,7 @@ let od_streams =
        \tadd w4, w4, #1024\n\tstr w4, [x1]\n\tadd x5, x5, #1\npatch:\n\
        \tadd x6, x6, #1\n\tsub x0, x0, #1\n\tcbnz x0, loop\n\tsvc #1\n",
       fun m ->
-        check64 "patched code ran" 90L m.Machine.regs.(6);
+        check64 "patched code ran" 90L (Machine.x m.Machine.regs 6);
         checkb "code page dropped every iteration" true (od_dropped m >= 12) );
   ]
 
@@ -869,7 +869,7 @@ let od_machine ~wx asm =
     (fun a -> Memory.write_bytes mem a img.Assemble.text);
   load img.Assemble.data_origin Memory.perm_rw (fun a ->
       Memory.write_bytes mem a img.Assemble.data);
-  m.Machine.pc <- Int64.of_int img.Assemble.entry;
+  Machine.set_pc m.Machine.regs (Int64.of_int img.Assemble.entry);
   m.Machine.metrics <- Some (Lfi_telemetry.Metrics.create_emu ());
   m.Machine.profile <- Some (Lfi_telemetry.Profile.create ~period:4 ());
   m.Machine.overhead <- Some (Lfi_telemetry.Overhead.create ~base:0 sites);
@@ -909,9 +909,10 @@ let od_record (m : Machine.t) (ev : Exec.event) : (string * string) list =
            (Flight.events (Option.get m.Machine.flight))) );
     ( "machine",
       Printf.sprintf "cycles %h insns %d pc %Lx regs %s event %s"
-        (Machine.cycles m) m.Machine.insns m.Machine.pc
+        (Machine.cycles m) m.Machine.insns (Machine.pc m.Machine.regs)
         (String.concat ","
-           (Array.to_list (Array.map Int64.to_string m.Machine.regs)))
+           (List.init 31 (fun n ->
+                Int64.to_string (Machine.x m.Machine.regs n))))
         (match ev with
         | Exec.Quantum_expired -> "quantum expired"
         | Exec.Runtime_entry pc -> Printf.sprintf "runtime entry 0x%Lx" pc
@@ -988,15 +989,15 @@ let test_wild_branch_target () =
       in
       load 0x10000L "\tbr x0\n";
       load 0x20000L "\tmovz x1, #42\n\tsvc #1\n";
-      m.Machine.regs.(0) <- target;
-      m.Machine.pc <- 0x10000L;
+      Machine.set_x m.Machine.regs 0 target;
+      Machine.set_pc m.Machine.regs 0x10000L;
       match Exec.run m ~quantum:100 with
       | Exec.Trap (Exec.Mem_fault f) ->
           check64 "fault address" target f.Memory.addr;
           checkb "fetch fault" true (f.Memory.access = Memory.Fetch);
-          check64 "pc" target m.Machine.pc;
+          check64 "pc" target (Machine.pc m.Machine.regs);
           checki "insns" 1 m.Machine.insns;
-          check64 "code at 0x20000 not run" 0L m.Machine.regs.(1)
+          check64 "code at 0x20000 not run" 0L (Machine.x m.Machine.regs 1)
       | e ->
           Alcotest.failf "br to 0x%Lx: %s" target
             (match e with
@@ -1012,7 +1013,7 @@ let test_undefined_trap () =
   Memory.map mem ~addr:0x10000L ~len:Memory.page_size ~perm:Memory.perm_rw;
   Memory.write_bytes mem 0x10000L img.Assemble.text;
   Memory.protect mem ~addr:0x10000L ~len:Memory.page_size ~perm:Memory.perm_rx;
-  m.Machine.pc <- 0x10000L;
+  Machine.set_pc m.Machine.regs 0x10000L;
   match Exec.run m ~quantum:10 with
   | Exec.Trap (Exec.Undefined _) -> ()
   | _ -> Alcotest.fail "expected undefined trap"
@@ -1020,7 +1021,7 @@ let test_undefined_trap () =
 let test_runtime_entry () =
   let mem = Memory.create () in
   let m = Machine.create mem in
-  m.Machine.pc <- Machine.host_region_start;
+  Machine.set_pc m.Machine.regs (Machine.host_region_start);
   match Exec.step m with
   | Some (Exec.Runtime_entry pc) -> check64 "pc" Machine.host_region_start pc
   | _ -> Alcotest.fail "expected runtime entry"
@@ -1028,6 +1029,73 @@ let test_runtime_entry () =
 let test_cost_accumulates () =
   let v = run_asm "\tmovz x0, #1\n\tadd x0, x0, #1\n" in
   checkb "result" true (Int64.equal v 2L)
+
+
+(* ---------------- the register file ---------------- *)
+
+(* The ROADMAP's allocation target: a straight-line loop of guarded
+   ALU, load and store instructions — what rewritten code mostly
+   runs — allocates under 0.1 minor words per retired instruction
+   through [Exec.run].  Register values live unboxed in the register
+   file, so only the quantum's own bookkeeping allocates. *)
+let test_guarded_loop_allocates_little () =
+  let m =
+    asm_machine
+      "\tmovz x21, #0x4, lsl #16\n\tmovz x6, #50000\n\
+       loop:\n\
+       \tadd w1, w1, #8\n\tand w1, w1, #0xff8\n\tadd x2, x21, w1, uxtw\n\
+       \tldr x3, [x21, w1, uxtw]\n\tadd x3, x3, x4\n\
+       \tstr x3, [x21, w1, uxtw]\n\tldr w5, [x2, #8]\n\tstr w5, [x2, #16]\n\
+       \teor x4, x4, x3\n\tsubs x6, x6, #1\n\tb.ne loop\n"
+  in
+  let before = Gc.minor_words () in
+  (match Exec.run m ~quantum:10_000_000 with
+  | Exec.Trap (Exec.Svc_trap 1) -> ()
+  | _ -> Alcotest.fail "the loop did not reach svc #1");
+  let words = Gc.minor_words () -. before in
+  let per_insn = words /. float_of_int m.Machine.insns in
+  checki "retired" 550_003 m.Machine.insns;
+  checkb
+    (Printf.sprintf "%.4f minor words per instruction < 0.1" per_insn)
+    true (per_insn < 0.1)
+
+(* A random architectural state: every register, sp, pc, NZCV and both
+   halves of every vector register. *)
+let arch_state =
+  QCheck.Gen.(
+    quad (array_repeat 31 ui64) (pair ui64 ui64) (int_range 0 15)
+      (pair (array_repeat 32 ui64) (array_repeat 32 ui64)))
+
+let set_arch (m : Machine.t) (regs, (sp, pc), nzcv, (vlo, vhi)) =
+  let f = m.Machine.regs in
+  Array.iteri (Machine.set_x f) regs;
+  Machine.set_sp f sp;
+  Machine.set_pc f pc;
+  Machine.set_nzcv f nzcv;
+  Array.iteri (Machine.set_vlo f) vlo;
+  Array.iteri (Machine.set_vhi f) vhi
+
+let get_arch (m : Machine.t) =
+  let f = m.Machine.regs in
+  ( Array.init 31 (Machine.x f),
+    (Machine.sp f, Machine.pc f),
+    Machine.nzcv f,
+    (Array.init 32 (Machine.vlo f), Array.init 32 (Machine.vhi f)) )
+
+(* [snapshot] then [restore] brings back every bit of the state, after
+   the machine was overwritten with another state, and clears the
+   exclusive monitor. *)
+let prop_snapshot_round_trip =
+  QCheck.Test.make ~count:200 ~name:"snapshot, overwrite, restore"
+    (QCheck.make QCheck.Gen.(pair arch_state arch_state))
+    (fun (s1, s2) ->
+      let m = Machine.create (Memory.create ()) in
+      set_arch m s1;
+      let snap = Machine.snapshot m in
+      set_arch m s2;
+      m.Machine.exclusive <- Some 0x40000L;
+      Machine.restore m snap;
+      get_arch m = s1 && m.Machine.exclusive = None)
 
 let () =
   match Sys.getenv_opt "LFI_GOLDEN_OUT" with
@@ -1064,6 +1132,12 @@ let () =
             test_wild_branch_target;
           Alcotest.test_case "runtime entry" `Quick test_runtime_entry;
           Alcotest.test_case "cost" `Quick test_cost_accumulates;
+        ] );
+      ( "register file",
+        [
+          Alcotest.test_case "guarded loop allocates little" `Quick
+            test_guarded_loop_allocates_little;
+          QCheck_alcotest.to_alcotest prop_snapshot_round_trip;
         ] );
       ( "differential",
         [

@@ -198,6 +198,36 @@ let test_reset_restores_globals () =
   checki "pristine after reset" 0
     (Int64.to_int (ret_of (Instance.call inst "peek_global" [])))
 
+(* A warm call enters by writing its entry registers into the machine's
+   register file in place, and reset rewinds only the page the poke
+   dirtied, so a poke or peek plus its reset allocates little: about
+   140 minor words, under this bound.  With the register state in
+   boxed [int64] arrays (a fresh entry snapshot and its restore every
+   call) the same pair took about 490. *)
+let call_reset_words_bound = 175.
+
+let test_call_allocates_little () =
+  let inst = make_inst () in
+  let once () =
+    ignore (ret_of (Instance.call inst "poke_global" [ Api.I 42L ]));
+    Instance.reset inst;
+    ignore (ret_of (Instance.call inst "peek_global" []));
+    Instance.reset inst
+  in
+  once ();
+  once ();
+  let n = 200 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    once ()
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int (2 * n) in
+  checkb
+    (Printf.sprintf "%.1f words per call and reset <= %.0f" per_call
+       call_reset_words_bound)
+    true
+    (per_call <= call_reset_words_bound)
+
 let test_init_survives_reset () =
   let inst = make_inst () in
   let d1 = ret_of (Instance.call inst "dict_sum" []) in
@@ -972,6 +1002,7 @@ let () =
           mk "dirty accounting" test_reset_dirty_accounting;
           mk "mmap growth undone" test_reset_undoes_mmap_growth;
           mk "change log bounded" test_change_log_bounded;
+          mk "call and reset allocate little" test_call_allocates_little;
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 0x5e7 |])
             prop_reset_restores_baseline;

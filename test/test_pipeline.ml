@@ -211,19 +211,9 @@ let elf_golden_lines () =
       [ elf_line name "native" native; elf_line name "o2" o2 ])
     (golden_programs ())
 
-let read_lines path =
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | l -> go (l :: acc)
-    | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-  in
-  go []
 
 let check_golden file got =
-  let expected = read_lines file in
+  let expected = Golden.read_lines file in
   checki "golden lines" (List.length expected) (List.length got);
   List.iteri
     (fun k (e, g) ->

@@ -192,6 +192,76 @@ let test_fork_isolation () =
   (* parent: own cell (5) << 8 | child status (6) = 0x506 *)
   checki "isolation" 0x506 (exit_code (run_lfi code))
 
+(* fork returns 0 in the child's x0 whatever x0 held before, and the
+   child inherits every other register: the child exits with x0 + x5
+   = 0 + 9, the parent with the child's pid. *)
+let test_fork_child_x0 () =
+  let code =
+    "_start:\n\tmovz x0, #77\n\tmovz x5, #9\n\tsvc #7\n\tcbnz x0, \
+     parent\n\tadd x0, x0, x5\n\tsvc #1\nparent:\n\tsvc #1\n\tb _start\n"
+  in
+  let rt = Lfi_runtime.Runtime.create () in
+  let p =
+    Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi (build code)
+  in
+  let log = Lfi_runtime.Runtime.run rt in
+  (match List.assoc_opt p.Lfi_runtime.Proc.pid log with
+  | Some (Lfi_runtime.Runtime.Exited c) -> checki "parent sees child pid" 2 c
+  | _ -> Alcotest.fail "parent did not exit");
+  match List.assoc_opt 2 log with
+  | Some (Lfi_runtime.Runtime.Exited c) -> checki "child: x0 = 0, x5 kept" 9 c
+  | _ -> Alcotest.fail "child did not exit"
+
+(* A library call's entry is written in place: [Machine.clear], the
+   arguments, then [Runtime.entry_snapshot] on the live register file.
+   It leaves exactly the state the anchored entry snapshot always
+   described: args in x0..x7, x18/x21/x23/x24 at the slot base, x30 at
+   the link, pc and sp rebased into the slot, every other register,
+   the flags and both halves of every vector zero, whatever the file
+   held before; and the same bytes as an entry built on a fresh
+   snapshot. *)
+let test_entry_in_place () =
+  let module M = Lfi_emulator.Machine in
+  let base = Lfi_core.Layout.slot_base 3 in
+  let args = [ 1L; -2L; 0x1234_5678_9abc_def0L; 4L; 5L; 6L; 7L; 8L ] in
+  let pc = 0x10040 and link = 0x2_0000_0100 in
+  let m = M.create (Lfi_emulator.Memory.create ()) in
+  let f = m.M.regs in
+  for n = 0 to 30 do M.set_x f n (Int64.of_int (0x1111 * (n + 1))) done;
+  M.set_sp f 0xdead_beefL;
+  M.set_pc f 0xfeedL;
+  M.set_nzcv f 0b1011;
+  for n = 0 to 31 do
+    M.set_vlo f n (Int64.of_int (n + 1));
+    M.set_vhi f n (Int64.of_int (-n - 1))
+  done;
+  m.M.exclusive <- Some 0x40L;
+  M.clear m;
+  List.iteri (M.set_x f) args;
+  Lfi_runtime.Runtime.entry_snapshot f base ~pc ~link;
+  let in_slot v = Int64.logor base (Int64.logand v 0xFFFF_FFFFL) in
+  let check64 what = Alcotest.(check int64) what in
+  List.iteri (fun i v -> check64 (Printf.sprintf "x%d" i) v (M.x f i)) args;
+  for n = 8 to 29 do
+    check64 (Printf.sprintf "x%d" n)
+      (if List.mem n [ 18; 21; 23; 24 ] then base else 0L)
+      (M.x f n)
+  done;
+  check64 "x30" (in_slot (Int64.of_int link)) (M.x f 30);
+  check64 "pc" (in_slot (Int64.of_int pc)) (M.pc f);
+  check64 "sp" (in_slot (Int64.of_int Lfi_core.Layout.stack_top)) (M.sp f);
+  checki "flags" 0 (M.nzcv f);
+  for n = 0 to 31 do
+    check64 (Printf.sprintf "v%d" n) 0L (M.vlo f n);
+    check64 (Printf.sprintf "v%d high" n) 0L (M.vhi f n)
+  done;
+  checkb "exclusive monitor cleared" true (m.M.exclusive = None);
+  let fresh = M.empty_snapshot () in
+  List.iteri (M.set_x fresh) args;
+  Lfi_runtime.Runtime.entry_snapshot fresh base ~pc ~link;
+  checkb "same bytes as a fresh entry snapshot" true
+    (Bytes.equal fresh (M.snapshot m))
+
 let test_wait_echild () =
   let code = "_start:\n\tmovz x0, #0\n\tsvc #8\n\tsvc #1\n\tb _start\n" in
   checki "echild" (-10) (exit_code (run_lfi code))
@@ -385,6 +455,8 @@ let () =
         [
           mk "fork pids" test_fork_pids;
           mk "fork isolation" test_fork_isolation;
+          mk "fork returns 0 in the child" test_fork_child_x0;
+          mk "library-call entry in place" test_entry_in_place;
           mk "slot table full" test_slot_table_full;
           mk "wait echild" test_wait_echild;
           mk "pipe blocking" test_pipe_blocking;
