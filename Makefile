@@ -12,9 +12,10 @@ test: check
 
 # Regenerate every golden reference the test executables write when
 # LFI_GOLDEN_OUT names the file (ISA encode/decode, emulator, per-form
-# instruction semantics, ELF, rewriter and verifier output), then
-# review the change with `git diff test/`. A golden redefines what the
-# tests accept, so refresh them only deliberately.
+# instruction semantics, ELF, rewriter and verifier output) and the
+# prover's smoke report, then review the change with `git diff test/`.
+# A golden redefines what the tests accept, so refresh them only
+# deliberately.
 goldens: build
 	LFI_GOLDEN_OUT=$(CURDIR)/test/encode_golden.txt dune exec test/test_arm64.exe
 	LFI_GOLDEN_OUT=$(CURDIR)/test/emulator_golden.txt dune exec test/test_emulator.exe
@@ -22,6 +23,7 @@ goldens: build
 	LFI_GOLDEN_OUT=$(CURDIR)/test/elf_golden.txt dune exec test/test_pipeline.exe
 	LFI_GOLDEN_OUT=$(CURDIR)/test/rewrite_golden.txt dune exec test/test_pipeline.exe
 	LFI_GOLDEN_OUT=$(CURDIR)/test/verify_golden.txt dune exec test/test_pipeline.exe
+	dune exec bin/lfi_prove.exe -- --json $(CURDIR)/test/prove_golden.json
 
 # Full experiment suite: every table and figure of the paper's
 # evaluation (E1-E9 and CoreMark).
@@ -92,9 +94,9 @@ prove-smoke:
 	dune exec bin/lfi_prove.exe
 	dune exec bin/lfi_prove.exe -- --demo-weakened
 
-# Full per-instruction enumeration (nightly): ~5M candidate encodings
-# across all strata, still zero holes expected; writes the byte-stable
-# lfi-prove/v1 report.
+# Full per-instruction enumeration (nightly): ~140M candidate encodings,
+# every register number in every register field, still zero holes
+# expected; writes the byte-stable lfi-prove/v1 report.
 prove:
 	dune exec bin/lfi_prove.exe -- --full --json PROVE_full.json
 

@@ -1,9 +1,9 @@
 (* lfi-prove: symbolic soundness prover for the LFI verifier
    (DESIGN.md §5i).
 
-   Enumerates candidate instruction encodings stratified over the
-   encoding fields the verifier branches on, completes each with the
-   bounded forward window its local rule assumes, and symbolically
+   Enumerates candidate instruction encodings, one stratum per row of
+   the ISA table (boundary values of every field), completes each with
+   the bounded forward window its local rule assumes, and symbolically
    proves that every encoding the verifier *accepts* preserves the
    sandbox invariant.  An accepted-but-unprovable encoding is reported
    as a soundness hole with its encoding, disassembly, and the

@@ -3,12 +3,14 @@
     {2 Register file}
 
     The whole architectural state lives in one unboxed register file,
-    [regs], a [Bytes.t] of {!regs_bytes} bytes holding 98 64-bit slots
+    [regs], a [Bytes.t] of {!regs_bytes} bytes holding 99 64-bit slots
     in host byte order (DESIGN.md §5a): x0–x30 in slots 0–30, sp in 31,
     pc in 32, NZCV (N=8, Z=4, C=2, V=1) in 33, the low halves of v0–v31
     in 34–65 and their high halves in 66–97 (the subset only computes
-    on the low half; [q] loads/stores move both).  A register write is
-    an unboxed store into the file: no [Int64] box, no write barrier.
+    on the low half; [q] loads/stores move both), and in 98 the address
+    the exclusive monitor holds while [exclusive] is set.  A register
+    write is an unboxed store into the file: no [Int64] box, no write
+    barrier.
     A {!snapshot} is a copy of the file, so a context switch is a byte
     copy, and an entry state is a few stores into a cleared file.  The
     lowered closures ({!Sem}) and the dispatch loops read and write
@@ -131,9 +133,10 @@ let slot_pc = 32
 let slot_nzcv = 33
 let slot_vlo = 34
 let slot_vhi = 66
+let slot_excl = 98
 
 (** Size of the register file, and of a {!snapshot}, in bytes. *)
-let regs_bytes = 98 * 8
+let regs_bytes = 99 * 8
 
 (** Unchecked host-order access to the 8 bytes at byte offset [o]:
     the lowered code's and the dispatch loops' direct access to the
@@ -157,7 +160,9 @@ type t = {
   regs : Bytes.t;
       (** the register file: x0–x30, sp, pc, NZCV, v0–v31 low and high
           halves, 8 bytes each (see the layout above) *)
-  mutable exclusive : int64 option;  (** local exclusive monitor *)
+  mutable exclusive : bool;
+      (** the local exclusive monitor is set, on the address in slot
+          {!slot_excl} *)
   mem : Memory.t;
   uarch : Cost_model.t;
   tlb : Tlb.t;
@@ -400,7 +405,7 @@ let create ?(uarch = Cost_model.m1) (mem : Memory.t) =
   let m =
     {
       regs = Bytes.make regs_bytes '\000';
-      exclusive = None;
+      exclusive = false;
       mem;
       uarch;
       tlb = Tlb.create ~entries:uarch.Cost_model.tlb_entries;
@@ -522,6 +527,16 @@ let[@inline] set_vhi (f : Bytes.t) (n : int) (v : int64) =
   if n < 0 || n > 31 then invalid_arg "Machine.set_vhi";
   Bytes.set_int64_ne f ((slot_vhi + n) lsl 3) v
 
+(** The address the exclusive monitor holds, if it is set. *)
+let monitor (m : t) : int64 option =
+  if m.exclusive then Some (Bytes.get_int64_ne m.regs (slot_excl lsl 3))
+  else None
+
+(** Set the exclusive monitor on [a], as an [ldxr] from [a] does. *)
+let set_monitor (m : t) (a : int64) =
+  Bytes.set_int64_ne m.regs (slot_excl lsl 3) a;
+  m.exclusive <- true
+
 (** Charge TLB cost for a data access to page number [page] (the
     address as an untagged int, shifted right by [Memory.page_bits]). *)
 let[@inline] charge_tlb (m : t) (page : int) =
@@ -550,11 +565,11 @@ let empty_snapshot () : snapshot = Bytes.make regs_bytes '\000'
     exclusive monitor. *)
 let restore (m : t) (s : snapshot) =
   Bytes.blit s 0 m.regs 0 regs_bytes;
-  m.exclusive <- None
+  m.exclusive <- false
 
 (** Zero the whole register file (every register, pc, flags and
     vectors) and clear the exclusive monitor: the state an entry
     starts from. *)
 let clear (m : t) =
   Bytes.fill m.regs 0 regs_bytes '\000';
-  m.exclusive <- None
+  m.exclusive <- false

@@ -1029,19 +1029,20 @@ let lower (pci : int) (insn : Insn.t) : Machine.t -> unit =
         let f = m.regs in
         let a = get f base in
         let v = bread m pci a bytes in
-        m.exclusive <- Some a;
+        wr f slot_excl a;
+        m.exclusive <- true;
         set f dst v
   | Insn.Stxr { sz; status; src; base } ->
       let bytes = Insn.mem_bytes sz in
       fun m ->
         let f = m.regs in
         let a = get f base in
-        (match m.exclusive with
-        | Some e when Int64.equal e a ->
-            bwrite m pci a bytes (get f src);
-            set f status 0L
-        | _ -> set f status 1L);
-        m.exclusive <- None
+        if m.exclusive && Int64.equal (rd f slot_excl) a then begin
+          bwrite m pci a bytes (get f src);
+          set f status 0L
+        end
+        else set f status 1L;
+        m.exclusive <- false
   | Insn.Ldar { sz; dst; base } ->
       let bytes = Insn.mem_bytes sz in
       fun m ->

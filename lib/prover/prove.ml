@@ -123,45 +123,38 @@ let sp_guard_insn =
 let anchor_store off =
   Insn.Str { sz = Insn.X; src = Reg.xzr; addr = Insn.Imm_off (Reg.sp, off) }
 
+(* A completion: the window's tail as instructions, and as the bytes
+   that follow the candidate word. *)
+let tail insns =
+  (Array.of_list insns,
+   match Isa.encode_all insns with Ok b -> b | Error m -> invalid_arg m)
+
+let table_tail = [ tail [ blr_x30 ] ]
+
+let drift_tails =
+  [ tail [ anchor_store 0 ];
+    tail [ anchor_store (Lfi_core.Layout.max_mem_immediate - 8) ];
+    tail [ sp_guard_insn ] ]
+
+let x30_tail = [ tail [ Verifier.x30_guard ] ]
+let branch_tail = [ tail [ Insn.Nop; Insn.Nop; Insn.Nop ] ]
+let no_tail = [ tail [] ]
+
 (** Completion variants for a candidate head: every bounded forward
     window under which the verifier may accept it.  A candidate is a
     hole if *any* accepted variant is unprovable.  The sp drift gets
     three anchors — zero-offset store, maximal-offset store, and the
     full guard — because a drift that is safe before a near access can
     still overrun the guard before a far one. *)
-let completions (i : Insn.t) : Insn.t list list =
-  if Verifier.is_table_load i then [ [ blr_x30 ] ]
-  else if Transfer.is_sp_drift i then
-    [ [ anchor_store 0 ];
-      [ anchor_store (Lfi_core.Layout.max_mem_immediate - 8) ];
-      [ sp_guard_insn ] ]
-  else if needs_x30_guard i then [ [ Verifier.x30_guard ] ]
-  else if
+let completions (i : Insn.t) =
+  if Verifier.is_table_load i then table_tail
+  else if Transfer.is_sp_drift i then drift_tails
+  else if needs_x30_guard i then x30_tail
+  else
     match i with
-    | Insn.B _ | Insn.Bl _ | Insn.Bcond _ | Insn.Cbz _ | Insn.Tbz _ -> true
-    | _ -> false
-  then [ [ Insn.Nop; Insn.Nop; Insn.Nop ] ]
-  else [ [] ]
-
-let word_bytes (words : int list) : bytes =
-  let b = Bytes.create (4 * List.length words) in
-  List.iteri
-    (fun k w ->
-      Bytes.set b (4 * k) (Char.chr (w land 0xFF));
-      Bytes.set b ((4 * k) + 1) (Char.chr ((w lsr 8) land 0xFF));
-      Bytes.set b ((4 * k) + 2) (Char.chr ((w lsr 16) land 0xFF));
-      Bytes.set b ((4 * k) + 3) (Char.chr ((w lsr 24) land 0xFF)))
-    words;
-  b
-
-let encode_all (insns : Insn.t list) : int list option =
-  List.fold_left
-    (fun acc i ->
-      match (acc, Isa.encode i) with
-      | Some ws, Ok w -> Some (w :: ws)
-      | _ -> None)
-    (Some []) insns
-  |> Option.map List.rev
+    | Insn.B _ | Insn.Bl _ | Insn.Bcond _ | Insn.Cbz _ | Insn.Tbz _ ->
+        branch_tail
+    | _ -> no_tail
 
 let hole_cap = 5
 
@@ -169,23 +162,22 @@ let run_stratum ~(config : Verifier.config) ~(tier : Strata.tier)
     (s : Strata.stratum) : Report.stratum_result =
   let candidates = ref 0 and rejected = ref 0 and accepted = ref 0 in
   let proved = ref 0 and holes = ref 0 and samples = ref [] in
-  List.iter
+  Seq.iter
     (fun word ->
       incr candidates;
       let head = Isa.decode word in
       let fails = ref [] and ok = ref false in
       List.iter
-        (fun suffix ->
-          match encode_all suffix with
-          | None -> ()
-          | Some tail -> (
-              let code = word_bytes (word :: tail) in
-              match Verifier.verify ~config ~origin:code_origin ~code () with
-              | Error _ -> ()
-              | Ok _ ->
-                  ok := true;
-                  let insns = Isa.decode_all code in
-                  fails := !fails @ prove_window ~origin:code_origin insns 0))
+        (fun (insns, bytes) ->
+          let code = Bytes.create (4 + Bytes.length bytes) in
+          Bytes.set_int32_le code 0 (Int32.of_int word);
+          Bytes.blit bytes 0 code 4 (Bytes.length bytes);
+          match Verifier.verify ~config ~origin:code_origin ~code () with
+          | Error _ -> ()
+          | Ok _ ->
+              ok := true;
+              let insns = Array.append [| head |] insns in
+              fails := !fails @ prove_window ~origin:code_origin insns 0)
         (completions head);
       if not !ok then incr rejected
       else begin

@@ -204,25 +204,25 @@ let step (st : V.state) ~(pc_off : int) (i : Insn.t) : fail list =
          special dst (V.Abs (imm lsl sh, imm lsl sh))
    | _ -> ());
   (* apply the write set: special value if computed, else blanket by
-     width.  A register written twice in one instruction (e.g. a load
-     whose destination is its own writeback base) degrades to Top. *)
+     width.  A register written twice in one instruction keeps only
+     what both writes share: [u32] if both are w writes (ldp w22, w22),
+     else Top (a load whose destination is its own writeback base). *)
   let written = Hashtbl.create 4 in
   List.iter
     (fun w ->
-      let key, blanket =
+      let key, w32 =
         match w with
-        | `R (Reg.W32, n) -> (KR n, V.u32)
-        | `R (Reg.W64, n) -> (KR n, V.Top)
-        | `Sp -> (KSp, V.Top)
+        | `R (wd, n) -> (KR n, wd = Reg.W32)
+        | `Sp -> (KSp, false)
       in
-      let v =
-        if Hashtbl.mem written key then V.Top
-        else
-          match List.assoc_opt key !specials with
-          | Some v -> v
-          | None -> blanket
+      let v, all_w32 =
+        match Hashtbl.find_opt written key with
+        | Some prev -> if prev && w32 then (V.u32, true) else (V.Top, false)
+        | None ->
+            let blanket = if w32 then V.u32 else V.Top in
+            (Option.value (List.assoc_opt key !specials) ~default:blanket, w32)
       in
-      Hashtbl.replace written key ();
+      Hashtbl.replace written key all_w32;
       match key with
       | KR n -> st.V.regs.(n) <- v
       | KSp -> st.V.sp <- v)

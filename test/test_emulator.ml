@@ -649,7 +649,7 @@ let ig_line ?drive idx case =
     (fun bit ->
       Buffer.add_char b (if Machine.nzcv f land bit <> 0 then '1' else '0'))
     [ 8; 4; 2; 1 ];
-  (match m.Machine.exclusive with
+  (match Machine.monitor m with
   | None -> Buffer.add_char b '-'
   | Some a -> add64 a);
   for n = 0 to 31 do add64 (Machine.vlo f n) done;
@@ -1059,6 +1059,31 @@ let test_guarded_loop_allocates_little () =
     (Printf.sprintf "%.4f minor words per instruction < 0.1" per_insn)
     true (per_insn < 0.1)
 
+(* An ldxr/stxr increment loop, bounded like the guarded loop: the
+   exclusive monitor is an address slot of the register file plus a
+   flag, so an ldxr allocates nothing.  A boxed monitor address costs
+   5 words per ldxr, one per retired instruction here. *)
+let test_exclusive_loop_allocates_little () =
+  let m =
+    asm_machine
+      "\tmovz x21, #0x4, lsl #16\n\tmovz x6, #50000\n\
+       loop:\n\
+       \tldxr x3, [x21]\n\tadd x3, x3, #1\n\tstxr w7, x3, [x21]\n\
+       \tsubs x6, x6, #1\n\tb.ne loop\n\tldr x0, [x21]\n"
+  in
+  let before = Gc.minor_words () in
+  (match Exec.run m ~quantum:10_000_000 with
+  | Exec.Trap (Exec.Svc_trap 1) -> ()
+  | _ -> Alcotest.fail "the loop did not reach svc #1");
+  let words = Gc.minor_words () -. before in
+  let per_insn = words /. float_of_int m.Machine.insns in
+  checki "retired" 250_004 m.Machine.insns;
+  checki "every stxr succeeded" 50_000
+    (Int64.to_int (Machine.x m.Machine.regs 0));
+  checkb
+    (Printf.sprintf "%.4f minor words per instruction < 0.1" per_insn)
+    true (per_insn < 0.1)
+
 (* A random architectural state: every register, sp, pc, NZCV and both
    halves of every vector register. *)
 let arch_state =
@@ -1093,9 +1118,9 @@ let prop_snapshot_round_trip =
       set_arch m s1;
       let snap = Machine.snapshot m in
       set_arch m s2;
-      m.Machine.exclusive <- Some 0x40000L;
+      Machine.set_monitor m 0x40000L;
       Machine.restore m snap;
-      get_arch m = s1 && m.Machine.exclusive = None)
+      get_arch m = s1 && Machine.monitor m = None)
 
 let () =
   match Sys.getenv_opt "LFI_GOLDEN_OUT" with
@@ -1137,6 +1162,8 @@ let () =
         [
           Alcotest.test_case "guarded loop allocates little" `Quick
             test_guarded_loop_allocates_little;
+          Alcotest.test_case "exclusive loop allocates little" `Quick
+            test_exclusive_loop_allocates_little;
           QCheck_alcotest.to_alcotest prop_snapshot_round_trip;
         ] );
       ( "differential",

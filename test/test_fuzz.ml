@@ -93,7 +93,7 @@ let replay_complete (e : Fuzz.Corpus.entry) =
   | Fuzz.Complete.Vfail why -> Alcotest.failf "%s: %s" e.path why
 
 let test_corpus () =
-  let entries = Fuzz.Corpus.load_dir "corpus" in
+  let entries = Fuzz.Corpus.load_dir (Golden.path "corpus") in
   checkb "corpus is not empty" true (List.length entries >= 8);
   List.iter
     (fun (e : Fuzz.Corpus.entry) ->
@@ -263,13 +263,6 @@ let test_shrink_words () =
 
 (* ---------------- lfi_verify CLI golden ---------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let write_file path (b : bytes) =
   let oc = open_out_bin path in
   output_bytes oc b;
@@ -279,8 +272,7 @@ let write_file path (b : bytes) =
    interface (scripts and CI parse them): compare byte-for-byte
    against a committed golden transcript. *)
 let test_verify_cli_golden () =
-  let exe = Filename.concat Filename.parent_dir_name
-      (Filename.concat "bin" "lfi_verify.exe") in
+  let exe = Filename.quote (Golden.path "../bin/lfi_verify.exe") in
   write_file "cli_ok.elf"
     (Lfi_elf.Elf.write
        (assemble_text "f:\n\tldr x0, [x21, w1, uxtw]\n\tnop\n"));
@@ -298,14 +290,15 @@ let test_verify_cli_golden () =
       checki (file ^ ": exit code") expected_code code;
       Buffer.add_string transcript
         (Printf.sprintf "$ lfi_verify %s (exit %d)\n" file code);
-      Buffer.add_string transcript (read_file "cli_out.tmp");
-      Buffer.add_string transcript (read_file "cli_err.tmp"))
+      Buffer.add_string transcript (Golden.read_file "cli_out.tmp");
+      Buffer.add_string transcript (Golden.read_file "cli_err.tmp"))
     [ ("cli_ok.elf", 0); ("cli_bad.elf", 1); ("cli_garbage.elf", 2) ];
   (* on mismatch, the fresh transcript is left next to the golden file
      for inspection / regeneration *)
   write_file "verify_cli_golden.actual"
     (Bytes.of_string (Buffer.contents transcript));
-  checks "CLI transcript is byte-stable" (read_file "verify_cli_golden.txt")
+  checks "CLI transcript is byte-stable"
+    (Golden.read_file "verify_cli_golden.txt")
     (Buffer.contents transcript)
 
 (* ---------------- suite ---------------- *)

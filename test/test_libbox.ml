@@ -14,11 +14,6 @@ let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
 let pretty (r : Serve.report) = Json.to_pretty r.Serve.json
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
 let member_line k (r : Serve.report) = Json.to_line (Json.member k r.Serve.json)
 
 let xz_exports =
@@ -638,7 +633,7 @@ let test_serve_snapshot_golden () =
   in
   let lines = List.map Json.to_line r.Serve.snapshots in
   checki "three frames" 3 (List.length lines);
-  checks "byte-stable frames" (read_file "serve_snap_golden.txt")
+  checks "byte-stable frames" (Golden.read_file "serve_snap_golden.txt")
     (String.concat "\n" lines ^ "\n");
   let view = Snapshot.render (List.nth lines 2) in
   checkb "alert rendered" true (contains view "ALERT");
@@ -674,7 +669,7 @@ module Arrival = Lfi_sched.Arrival
    committed BENCH_serve.json (the --suite members come from other
    runs), so tier-1 pins the whole v3 report, not just a fixture *)
 let test_serve_matches_bench () =
-  let bench = Json.parse (read_file "../BENCH_serve.json") in
+  let bench = Json.parse (Golden.read_file "../BENCH_serve.json") in
   let r = Serve.run ~spec:Libs.xzbox ~pool:4 ~requests:1000 ~seed:1 () in
   List.iter
     (fun (k, v) ->
@@ -803,22 +798,23 @@ let v3_golden_runs () =
 
 let test_serve_v3_golden () =
   checks "open + closed reports and frames"
-    (read_file "serve_v3_golden.json")
+    (Golden.read_file "serve_v3_golden.json")
     (Json.to_pretty (v3_golden_runs ()))
 
 (* lfi_top's view of every committed frame: the anchor stream, the
    slowbox alert frames and the multi-tenant frames *)
 let test_lfi_top_golden () =
   let lines path =
-    List.filter (fun l -> l <> "") (String.split_on_char '\n' (read_file path))
+    List.filter (fun l -> l <> "")
+      (String.split_on_char '\n' (Golden.read_file path))
   in
-  let v3 = Json.parse (read_file "serve_v3_golden.json") in
+  let v3 = Json.parse (Golden.read_file "serve_v3_golden.json") in
   let frames name = List.map Json.to_line (Json.to_list (Json.member name v3)) in
   let all =
     lines "../BENCH_serve_snap.jsonl" @ lines "serve_snap_golden.txt"
     @ frames "open_frames" @ frames "closed_frames"
   in
-  checks "rendered frames" (read_file "lfi_top_golden.txt")
+  checks "rendered frames" (Golden.read_file "lfi_top_golden.txt")
     (String.concat "\n" (List.map Snapshot.render all))
 
 (* an open loop that sheds ends short of its offered count; its closing

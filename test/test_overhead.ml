@@ -151,13 +151,6 @@ let test_guard_reconciliation () =
 
 (* ---------------- report ---------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let write_file path (s : string) =
   let oc = open_out_bin path in
   output_string oc s;
@@ -187,7 +180,7 @@ let test_report_golden () =
   let r = report_of_run () in
   checks "two runs render identically" r (report_of_run ());
   write_file "overhead_golden.actual" r;
-  checks "report is byte-stable" (read_file "overhead_golden.json") r
+  checks "report is byte-stable" (Golden.read_file "overhead_golden.json") r
 
 (* a workload path with a quote, a backslash, UTF-8 and a tab must
    survive as valid JSON, escaped exactly once *)
@@ -203,10 +196,7 @@ let test_report_escapes_workload () =
    [~guard] = modified in place); byte-compare the whole transcript,
    as the verify CLI golden does. *)
 let test_objdump_golden () =
-  let exe =
-    Filename.concat Filename.parent_dir_name
-      (Filename.concat "bin" "lfi_objdump.exe")
-  in
+  let exe = Filename.quote (Golden.path "../bin/lfi_objdump.exe") in
   let elf = build_sited ~config:o0 loop_asm in
   let oc = open_out_bin "objdump_in.elf" in
   output_bytes oc (Lfi_elf.Elf.write elf);
@@ -218,11 +208,12 @@ let test_objdump_golden () =
   in
   checki "objdump exits 0" 0 code;
   let transcript =
-    "$ lfi_objdump --annotate objdump_in.elf\n" ^ read_file "objdump_out.tmp"
+    "$ lfi_objdump --annotate objdump_in.elf\n"
+    ^ Golden.read_file "objdump_out.tmp"
   in
   write_file "objdump_golden.actual" transcript;
   checks "objdump transcript is byte-stable"
-    (read_file "objdump_golden.txt") transcript
+    (Golden.read_file "objdump_golden.txt") transcript
 
 (* ---------------- suite ---------------- *)
 

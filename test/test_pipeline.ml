@@ -359,16 +359,13 @@ let verify_golden_lines () =
   let many, _ =
     levels "many" (Compile.compile (Synthetic.many_functions_program ()))
   in
-  (* the test runs in test/, a regeneration from the repo root *)
-  let dir = if Sys.file_exists "corpus" then "corpus" else "test/corpus" in
+  let dir = Golden.path "corpus" in
   let corpus =
     Sys.readdir dir |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".s")
     |> List.sort compare
     |> List.map (fun f ->
-           let ic = open_in_bin (Filename.concat dir f) in
-           let text = really_input_string ic (in_channel_length ic) in
-           close_in ic;
+           let text = Golden.read_file (Filename.concat dir f) in
            line f "as-written"
              (image (Lfi_arm64.Parser.parse_string_exn text)))
   in

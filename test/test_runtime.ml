@@ -235,7 +235,7 @@ let test_entry_in_place () =
     M.set_vlo f n (Int64.of_int (n + 1));
     M.set_vhi f n (Int64.of_int (-n - 1))
   done;
-  m.M.exclusive <- Some 0x40L;
+  M.set_monitor m 0x40L;
   M.clear m;
   List.iteri (M.set_x f) args;
   Lfi_runtime.Runtime.entry_snapshot f base ~pc ~link;
@@ -255,7 +255,7 @@ let test_entry_in_place () =
     check64 (Printf.sprintf "v%d" n) 0L (M.vlo f n);
     check64 (Printf.sprintf "v%d high" n) 0L (M.vhi f n)
   done;
-  checkb "exclusive monitor cleared" true (m.M.exclusive = None);
+  checkb "exclusive monitor cleared" true (M.monitor m = None);
   let fresh = M.empty_snapshot () in
   List.iteri (M.set_x fresh) args;
   Lfi_runtime.Runtime.entry_snapshot fresh base ~pc ~link;

@@ -361,18 +361,12 @@ let test_verifier_report_format () =
 
 (* ---------------- json codec ---------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 (* every committed JSON artifact is in canonical form: printing its
    parse gives back the same bytes *)
 let test_json_canonical () =
   List.iter
     (fun f ->
-      let s = read_file f in
+      let s = Golden.read_file f in
       checks f s (Json.to_pretty (Json.parse s)))
     [
       "../BENCH_serve.json";
@@ -384,7 +378,7 @@ let test_json_canonical () =
     ];
   List.iter
     (fun f ->
-      String.split_on_char '\n' (read_file f)
+      String.split_on_char '\n' (Golden.read_file f)
       |> List.filter (( <> ) "")
       |> List.iter (fun l -> checks f l (Json.to_line (Json.parse l))))
     [ "../BENCH_serve_snap.jsonl"; "serve_snap_golden.txt" ]
