@@ -125,21 +125,15 @@ let write_json file =
   Printf.printf "measuring SFI overhead vs native...\n%!";
   let overhead = each_pair overhead_rows in
   (* rewriter counts and verified text size on the mcf proxy *)
-  let native_src = Lfi_minic.Compile.compile (program "mcf") in
-  let rewritten, (rstats : Lfi_core.Rewriter.stats) =
-    Lfi_core.Rewriter.rewrite native_src
+  let elf, (rstats : Lfi_core.Rewriter.stats) =
+    Lfi_core.Build.sandboxed Lfi_core.Config.default
+      (Lfi_minic.Compile.compile (program "mcf"))
   in
-  let code =
-    match
-      Lfi_elf.Elf.text_segment
-        (Lfi_elf.Elf.of_image (Lfi_arm64.Assemble.assemble rewritten))
-    with
-    | Some seg -> seg.Lfi_elf.Elf.data
-    | None -> assert false
+  let text_bytes =
+    match Lfi_verifier.Verifier.verify_elf elf with
+    | Ok r -> r.bytes
+    | Error _ -> failwith "verifier rejected the mcf proxy"
   in
-  (match Lfi_verifier.Verifier.verify ~code () with
-  | Ok _ -> ()
-  | Error _ -> failwith "verifier rejected the mcf proxy");
   let json =
     J.Obj
       [
@@ -155,7 +149,7 @@ let write_json file =
               ("branches_relaxed", Int rstats.branches_relaxed);
             ] );
         ( "verifier",
-          Obj [ ("input", Str "mcf"); ("text_bytes", Int (Bytes.length code)) ]
+          Obj [ ("input", Str "mcf"); ("text_bytes", Int text_bytes) ]
         );
       ]
   in

@@ -28,30 +28,28 @@ let run input output emit_asm native opt run_now =
       Printf.eprintf "%s: compile error: %s\n" input msg;
       exit 1
   in
-  let asm =
-    if native then asm
-    else begin
-      let config =
+  let config =
+    if native then None
+    else
+      Some
         { Lfi_core.Config.default with
           Lfi_core.Config.opt =
             (match opt with
             | 0 -> Lfi_core.Config.O0
             | 1 -> Lfi_core.Config.O1
             | _ -> Lfi_core.Config.O2) }
-      in
-      fst (Lfi_core.Rewriter.rewrite ~config asm)
-    end
   in
   if run_now then begin
-    let config =
-      { Lfi_runtime.Runtime.default_config with echo_stdout = true }
+    let elf = Lfi_core.Build.elf config asm in
+    let rt =
+      Lfi_runtime.Runtime.create
+        ~config:{ Lfi_runtime.Runtime.default_config with echo_stdout = true }
+        ()
     in
-    let rt = Lfi_runtime.Runtime.create ~config () in
     let personality =
       if native then Lfi_runtime.Proc.Native_in_lfi_runtime
       else Lfi_runtime.Proc.Lfi
     in
-    let elf = Lfi_elf.Elf.of_image (Lfi_arm64.Assemble.assemble asm) in
     let p = Lfi_runtime.Runtime.load rt ~personality elf in
     match Lfi_runtime.Runtime.run_one rt p with
     | Lfi_runtime.Runtime.Exited c, _, _, _ -> exit (c land 0xff)
@@ -67,11 +65,14 @@ let run input output emit_asm native opt run_now =
           Filename.remove_extension input ^ if emit_asm then ".s" else ".elf"
     in
     let oc = open_out_bin out_path in
-    (if emit_asm then output_string oc (Lfi_arm64.Source.to_string asm)
-     else
-       output_bytes oc
-         (Lfi_elf.Elf.write
-            (Lfi_elf.Elf.of_image (Lfi_arm64.Assemble.assemble asm))));
+    (if emit_asm then
+       let asm =
+         match config with
+         | None -> asm
+         | Some config -> fst (Lfi_core.Rewriter.rewrite ~config asm)
+       in
+       output_string oc (Lfi_arm64.Source.to_string asm)
+     else output_bytes oc (Lfi_elf.Elf.write (Lfi_core.Build.elf config asm)));
     close_out oc;
     Printf.printf "%s -> %s\n" input out_path
   end

@@ -19,24 +19,12 @@ let read_bytes path =
   close_in ic;
   b
 
-(** Rewrite [src] (unless [native]) and package it as an ELF, carrying
-    the site table so overhead attribution can find it later. *)
-let elf_of_source ?config ~native (src : Lfi_arm64.Source.t) : Lfi_elf.Elf.t =
-  if native then Lfi_elf.Elf.of_image (Lfi_arm64.Assemble.assemble src)
-  else begin
-    let out, stats = Lfi_core.Rewriter.rewrite ?config src in
-    let sites =
-      Lfi_core.Rewriter.resolve_sites ~input:src ~output:out stats
-    in
-    Lfi_elf.Elf.of_image ~sites (Lfi_arm64.Assemble.assemble out)
-  end
-
-let load_input ~asm ~native path : Lfi_elf.Elf.t =
-  if asm then begin
-    let text = Bytes.to_string (read_bytes path) in
-    let src = Lfi_arm64.Parser.parse_string_exn text in
-    elf_of_source ~native src
-  end
+(** [path], or with [asm] the assembly file at [path] built at
+    [config] ([None]: native). *)
+let load_input ~asm ~config path : Lfi_elf.Elf.t =
+  if asm then
+    Lfi_core.Build.elf config
+      (Lfi_arm64.Parser.parse_string_exn (Bytes.to_string (read_bytes path)))
   else Lfi_elf.Elf.read (read_bytes path)
 
 let workload_source name : Lfi_arm64.Source.t =
@@ -50,40 +38,7 @@ let workload_source name : Lfi_arm64.Source.t =
       exit 2
   | Some w -> Lfi_minic.Compile.compile w.Lfi_workloads.Common.program
 
-let build_workload ?config ~native name : Lfi_elf.Elf.t =
-  elf_of_source ?config ~native (workload_source name)
-
 (* ---------------- overhead attribution ---------------- *)
-
-let decode_at (elf : Lfi_elf.Elf.t) (pc : int) : Lfi_arm64.Insn.t option =
-  match Lfi_elf.Elf.text_segment elf with
-  | Some s
-    when pc >= s.Lfi_elf.Elf.vaddr
-         && pc + 4 <= s.Lfi_elf.Elf.vaddr + Bytes.length s.Lfi_elf.Elf.data
-    -> (
-      let word =
-        Int32.to_int
-          (Bytes.get_int32_le s.Lfi_elf.Elf.data (pc - s.Lfi_elf.Elf.vaddr))
-        land 0xffffffff
-      in
-      try Some (Lfi_arm64.Isa.decode word) with _ -> None)
-  | _ -> None
-
-(* The fundamental guard pattern, exactly as [Metrics] classifies it
-   at fetch time — the report's [guard_insn_execs] must reconcile with
-   the aggregate guard counter. *)
-let is_guard_insn (elf : Lfi_elf.Elf.t) (pc : int) : bool =
-  match decode_at elf pc with
-  | Some
-      (Lfi_arm64.Insn.Alu
-        { op = Lfi_arm64.Insn.ADD; flags = false;
-          src = Lfi_arm64.Reg.R (Lfi_arm64.Reg.W64, 21);
-          op2 =
-            Lfi_arm64.Insn.Ext
-              (_, (Lfi_arm64.Insn.Uxtw | Lfi_arm64.Insn.Uxtx), 0);
-          _ }) ->
-      true
-  | _ -> false
 
 (** Run [elf] to completion in a fresh, silent runtime and return its
     cycle count — the paired-run primitive behind percent-over-native. *)
@@ -123,14 +78,14 @@ let write_overhead rt ~dest ~uarch ~uarch_name ~source images =
               { Lfi_telemetry.Overhead.lv_name = name;
                 lv_cycles =
                   quiet_cycles ~uarch ~native:false
-                    (elf_of_source ~config ~native:false src) }
+                    (Lfi_core.Build.elf (Some config) src) }
             in
             ( [ lv "O0" Lfi_core.Config.o0;
                 lv "O1" Lfi_core.Config.o1;
                 lv "O2" Lfi_core.Config.o2 ],
               Some
                 (quiet_cycles ~uarch ~native:true
-                   (elf_of_source ~native:true src)) )
+                   (Lfi_core.Build.elf None src)) )
       in
       let tbl = Lfi_telemetry.Profile.sym_table elf.Lfi_elf.Elf.symbols in
       let report =
@@ -140,10 +95,13 @@ let write_overhead rt ~dest ~uarch ~uarch_name ~source images =
           ~native_cycles ~levels
           ~symbol_of:(Lfi_telemetry.Profile.pp_sym tbl)
           ~disasm_of:(fun pc ->
-            match decode_at elf pc with
+            match Lfi_elf.Elf.decode_at elf pc with
             | Some i -> Lfi_arm64.Printer.to_string i
             | None -> "?")
-          ~guard_insn:(is_guard_insn elf) acc
+          ~guard_insn:(fun pc ->
+            Option.fold ~none:false ~some:Lfi_arm64.Insn.is_guard
+              (Lfi_elf.Elf.decode_at elf pc))
+          acc
       in
       if dest = "-" then print_string report
       else begin
@@ -198,11 +156,15 @@ let run inputs workload native asm uarch_name quantum stats metrics_file
     if native then Lfi_runtime.Proc.Native_in_lfi_runtime
     else Lfi_runtime.Proc.Lfi
   in
+  let build_config = if native then None else Some Lfi_core.Config.default in
   let images =
     (match workload with
-    | Some name -> [ (name, build_workload ~native name) ]
+    | Some name ->
+        [ (name, Lfi_core.Build.elf build_config (workload_source name)) ]
     | None -> [])
-    @ List.map (fun path -> (path, load_input ~asm ~native path)) inputs
+    @ List.map
+        (fun path -> (path, load_input ~asm ~config:build_config path))
+        inputs
   in
   if images = [] then begin
     Printf.eprintf "nothing to run: give a BINARY or --workload NAME\n";

@@ -36,14 +36,12 @@ let hostile : (string * string) list =
 
 let check_rejected (label, asm) =
   let src = Lfi_arm64.Parser.parse_string_exn ("_start:\n\t" ^ asm ^ "\n") in
-  let img = Lfi_arm64.Assemble.assemble src in
-  match Lfi_verifier.Verifier.verify ~code:img.Lfi_arm64.Assemble.text () with
-  | Ok _ ->
+  match Lfi_verifier.Verifier.verify_elf (Lfi_core.Build.elf None src) with
+  | Error (Lfi_verifier.Verifier.Rejected (v :: _)) ->
+      Format.printf "  rejected %-50s (%s)@." label v.Lfi_verifier.Verifier.rule
+  | _ ->
       Printf.printf "  !! NOT REJECTED: %s\n" label;
       exit 1
-  | Error (v :: _) ->
-      Format.printf "  rejected %-50s (%s)@." label v.Lfi_verifier.Verifier.rule
-  | Error [] -> assert false
 
 (* A verified program that tries to escape: it takes a legitimate
    pointer to its own "cell" variable, adds 4GiB so that it points at
@@ -77,8 +75,7 @@ let () =
 
   print_endline "\nPart 2: guards contain a verified escape attempt";
   let src = Lfi_arm64.Parser.parse_string_exn escape_attempt in
-  let guarded, _ = Lfi_core.Rewriter.rewrite src in
-  let elf = Lfi_elf.Elf.of_image (Lfi_arm64.Assemble.assemble guarded) in
+  let elf = Lfi_core.Build.elf (Some Lfi_core.Config.default) src in
   let rt = Lfi_runtime.Runtime.create () in
   (* two sandboxes side by side: the victim holds a secret at the same
      offset the attacker targets *)
@@ -88,8 +85,7 @@ let () =
         "_start:\n\tmovz x0, #0\n\tsvc #1\n\tb _start\n.data\ncell:\n\t.quad 0xBEEF\n"
     in
     Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi
-      (Lfi_elf.Elf.of_image
-         (Lfi_arm64.Assemble.assemble (fst (Lfi_core.Rewriter.rewrite src))))
+      (Lfi_core.Build.elf (Some Lfi_core.Config.default) src)
   in
   let attacker = Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi elf in
   ignore victim;

@@ -68,9 +68,10 @@ let program : program =
   { globals = [ Zeroed ("pool", pool_bytes); Zeroed ("status", 8) ]; funcs = [ main ] }
 
 let () =
-  let asm = Lfi_minic.Compile.compile program in
-  let guarded, _ = Lfi_core.Rewriter.rewrite asm in
-  let elf = Lfi_elf.Elf.of_image (Lfi_arm64.Assemble.assemble guarded) in
+  let elf =
+    Lfi_core.Build.elf (Some Lfi_core.Config.default)
+      (Lfi_minic.Compile.compile program)
+  in
   let rt = Lfi_runtime.Runtime.create () in
   let parent = Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi elf in
   let log = Lfi_runtime.Runtime.run rt in

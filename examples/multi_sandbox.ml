@@ -13,9 +13,8 @@
 open Lfi_minic.Ast
 
 let build prog =
-  let asm = Lfi_minic.Compile.compile prog in
-  let guarded, _ = Lfi_core.Rewriter.rewrite asm in
-  Lfi_elf.Elf.of_image (Lfi_arm64.Assemble.assemble guarded)
+  Lfi_core.Build.elf (Some Lfi_core.Config.default)
+    (Lfi_minic.Compile.compile prog)
 
 (* ---- Part A ---- *)
 

@@ -3,7 +3,8 @@
    1. compile a MiniC program to ARM64 assembly (stand-in for
       "clang -ffixed-x18 ... -S"),
    2. rewrite the assembly with SFI guards (lfi-rewrite),
-   3. assemble and package as ELF,
+   3. assemble and package as ELF (steps 2 and 3 are one call,
+      [Lfi_core.Build.sandboxed], the build path every tool uses),
    4. statically verify the machine code (lfi-verify),
    5. load into a 4GiB sandbox slot and run it (lfi-run).
 
@@ -36,28 +37,21 @@ let () =
   Printf.printf "1. compiled: %d instructions of ARM64 assembly\n"
     (Lfi_arm64.Source.insn_count assembly);
 
-  (* 2. rewrite with SFI guards *)
-  let guarded, stats = Lfi_core.Rewriter.rewrite assembly in
+  (* 2. rewrite with SFI guards, 3. assemble + ELF *)
+  let elf, stats = Lfi_core.Build.sandboxed Lfi_core.Config.default assembly in
   Printf.printf "2. rewritten: %d -> %d instructions (%d hoisting groups)\n"
     stats.input_insns stats.output_insns stats.hoists;
-
-  (* 3. assemble + ELF *)
-  let image = Lfi_arm64.Assemble.assemble guarded in
-  let elf = Lfi_elf.Elf.of_image image in
   Printf.printf "3. assembled: %d-byte text segment, %d-byte ELF\n"
     (Lfi_elf.Elf.text_size elf)
     (Bytes.length (Lfi_elf.Elf.write elf));
 
   (* 4. verify the machine code *)
-  (match Lfi_elf.Elf.text_segment elf with
-  | Some seg -> (
-      match Lfi_verifier.Verifier.verify ~code:seg.Lfi_elf.Elf.data () with
-      | Ok r -> Printf.printf "4. verified: %d instructions, all safe\n" r.checked
-      | Error vs ->
-          Format.printf "4. VERIFICATION FAILED: %a@."
-            Lfi_verifier.Verifier.pp_violation (List.hd vs);
-          exit 1)
-  | None -> failwith "no text segment");
+  (match Lfi_verifier.Verifier.verify_elf elf with
+  | Ok r -> Printf.printf "4. verified: %d instructions, all safe\n" r.checked
+  | Error e ->
+      Printf.printf "4. VERIFICATION FAILED: %s\n"
+        (Lfi_verifier.Verifier.elf_error_message e);
+      exit 1);
 
   (* 5. run in a sandbox *)
   let rt =

@@ -288,6 +288,17 @@ let is_branch = function
 
 let is_indirect_branch = function Br _ | Blr _ | Ret _ -> true | _ -> false
 
+(** The rewriter's guard, an x21-based add: the fundamental
+    [add xD, x21, wN, uxtw] or the sp re-anchor [add sp, x21, x22, uxtx].
+    The metrics' guard count and the overhead report both classify by
+    it, so the two reconcile. *)
+let is_guard = function
+  | Alu
+      { op = ADD; flags = false; src = Reg.R (Reg.W64, 21);
+        op2 = Ext (_, (Uxtw | Uxtx), 0); _ } ->
+      true
+  | _ -> false
+
 let fold_write f acc = function Reg.ZR _ -> acc | r -> f acc r
 
 let fold_writeback f acc = function

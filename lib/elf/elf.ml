@@ -369,6 +369,17 @@ let find_symbol (t : t) (name : string) : int option =
 let text_segment (t : t) : segment option =
   List.find_opt (fun s -> s.flags land pf_x <> 0) t.segments
 
+(** The instruction at address [pc] of the executable segment, if
+    [pc] lies in it. *)
+let decode_at (t : t) (pc : int) : Lfi_arm64.Insn.t option =
+  match text_segment t with
+  | Some s when pc >= s.vaddr && pc + 4 <= s.vaddr + Bytes.length s.data ->
+      Some
+        (Lfi_arm64.Isa.decode
+           (Int32.to_int (Bytes.get_int32_le s.data (pc - s.vaddr))
+           land 0xffffffff))
+  | _ -> None
+
 let text_size (t : t) =
   match text_segment t with Some s -> Bytes.length s.data | None -> 0
 

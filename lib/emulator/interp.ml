@@ -33,19 +33,14 @@ let pp_trap fmt = function
   | Svc_trap n -> Format.fprintf fmt "svc #%d" n
 
 (** Telemetry: decode-cache outcome plus the instruction-class mix of
-    one retired instruction, counted in one pass.  A guard is the
-    rewriter's x21-based add — either the
-    fundamental [add xD, x21, wN, uxtw] or the sp re-anchor
-    [add sp, x21, x22, uxtx]. *)
+    one retired instruction ({!Insn.is_guard} for a guard), counted in
+    one pass. *)
 let count_fetch (t : Lfi_telemetry.Metrics.emu) ~(hit : bool) (i : Insn.t) =
   let open Lfi_telemetry.Metrics in
   if hit then t.decode_hits <- t.decode_hits + 1
   else t.decode_misses <- t.decode_misses + 1;
   match i with
-  | Insn.Alu
-      { op = Insn.ADD; flags = false; src = Reg.R (Reg.W64, 21);
-        op2 = Insn.Ext (_, (Insn.Uxtw | Insn.Uxtx), 0); _ } ->
-      t.guards <- t.guards + 1
+  | _ when Insn.is_guard i -> t.guards <- t.guards + 1
   | Insn.Ldr _ | Insn.Ldp _ | Insn.Fldr _ | Insn.Fldp _ | Insn.Ldxr _
   | Insn.Ldar _ ->
       t.loads <- t.loads + 1

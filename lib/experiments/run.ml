@@ -32,20 +32,12 @@ exception Run_failure of string
 
 (** Compile [prog] for [system] and return the ELF image. *)
 let build (system : system) (prog : Lfi_minic.Ast.program) : Lfi_elf.Elf.t =
-  let source, sites =
-    match system with
-    | Native | Native_kvm -> (Lfi_minic.Compile.compile prog, [])
-    | Lfi config ->
-        let native = Lfi_minic.Compile.compile prog in
-        let rewritten, stats = Lfi_core.Rewriter.rewrite ~config native in
-        ( rewritten,
-          Lfi_core.Rewriter.resolve_sites ~input:native ~output:rewritten
-            stats )
+  let config = match system with Lfi c -> Some c | _ -> None in
+  Lfi_core.Build.elf config
+    (match system with
     | Wasm engine ->
-        let m = Lfi_wasm.From_minic.lower prog in
-        (Lfi_wasm.Compile_wasm.compile engine m, [])
-  in
-  Lfi_elf.Elf.of_image ~sites (Lfi_arm64.Assemble.assemble source)
+        Lfi_wasm.Compile_wasm.compile engine (Lfi_wasm.From_minic.lower prog)
+    | Native | Native_kvm | Lfi _ -> Lfi_minic.Compile.compile prog)
 
 let personality = function
   | Native | Native_kvm | Wasm _ -> Lfi_runtime.Proc.Native_in_lfi_runtime
@@ -60,10 +52,7 @@ let execute_rt ?(uarch = Cost_model.m1) ?(metrics = false)
     result * Lfi_runtime.Runtime.t =
   let verifier_config =
     match system with
-    | Lfi c ->
-        { Lfi_verifier.Verifier.default_config with
-          sandbox_loads = c.Lfi_core.Config.sandbox_loads;
-          allow_exclusives = c.Lfi_core.Config.allow_exclusives }
+    | Lfi c -> Lfi_verifier.Verifier.config_of c
     | _ -> Lfi_verifier.Verifier.default_config
   in
   let config =

@@ -14,9 +14,7 @@ let lfi_config uarch =
   { Lfi_runtime.Runtime.default_config with uarch }
 
 let build config prog =
-  let native = Lfi_minic.Compile.compile prog in
-  let rewritten, _ = Lfi_core.Rewriter.rewrite ~config native in
-  Lfi_elf.Elf.of_image (Lfi_arm64.Assemble.assemble rewritten)
+  Lfi_core.Build.elf (Some config) (Lfi_minic.Compile.compile prog)
 
 (** Per-getpid cost under LFI: runtime-call loop minus the same loop
     without the call. *)

@@ -19,34 +19,26 @@ let opt_levels = Equiv.opt_levels
 
 type verdict = Vpass | Vfail of string
 
-(** Rewrite [src] at [config] and verify the assembled text. *)
+(** Build [src] at [config] and verify the image. *)
 let check_level ~(name : string) (config : Lfi_core.Config.t)
     (src : Source.t) : verdict =
-  match Lfi_core.Rewriter.rewrite ~config src with
+  match Lfi_core.Build.elf (Some config) src with
   | exception Lfi_core.Rewriter.Error e ->
       Vfail (Printf.sprintf "%s: rewriter error: %s" name e)
-  | rewritten, _ -> (
-      match Assemble.assemble rewritten with
-      | exception e ->
+  | exception e ->
+      Vfail
+        (Printf.sprintf "%s: rewriter output unassemblable: %s" name
+           (Printexc.to_string e))
+  | elf -> (
+      match Lfi_verifier.Verifier.verify_elf elf with
+      | Ok _ -> Vpass
+      | Error Lfi_verifier.Verifier.No_executable_segment ->
+          Vfail (name ^ ": no text segment")
+      | Error (Lfi_verifier.Verifier.Rejected violations) ->
           Vfail
-            (Printf.sprintf "%s: rewriter output unassemblable: %s" name
-               (Printexc.to_string e))
-      | img -> (
-          let elf = Lfi_elf.Elf.of_image img in
-          match Lfi_elf.Elf.text_segment elf with
-          | None -> Vfail (name ^ ": no text segment")
-          | Some seg -> (
-              match
-                Lfi_verifier.Verifier.verify
-                  ~origin:seg.Lfi_elf.Elf.vaddr ~code:seg.Lfi_elf.Elf.data ()
-              with
-              | Ok _ -> Vpass
-              | Error violations ->
-                  Vfail
-                    (Format.asprintf "%s: %d violations, first: %a" name
-                       (List.length violations)
-                       Lfi_verifier.Verifier.pp_violation
-                       (List.hd violations)))))
+            (Format.asprintf "%s: %d violations, first: %a" name
+               (List.length violations) Lfi_verifier.Verifier.pp_violation
+               (List.hd violations)))
 
 let check_source (src : Source.t) : verdict =
   let rec go = function

@@ -56,9 +56,6 @@ let opt_levels =
 
 let lfi_base = Lfi_core.Layout.slot_base 1
 
-let build (src : Source.t) : Lfi_elf.Elf.t =
-  Lfi_elf.Elf.of_image (Assemble.assemble src)
-
 let run_at ~(base : int64) (elf : Lfi_elf.Elf.t) : Sandbox.t * Sandbox.outcome =
   let sbx = Sandbox.load ~base elf in
   let out = Sandbox.run sbx in
@@ -125,7 +122,7 @@ type case_result = Pass | Skip of string | Fail of string
     called on matching exits for the deeper state comparison. *)
 let check_source ~(compare_state : native:Sandbox.t -> lfi:Sandbox.t -> string option)
     (src : Source.t) : case_result =
-  match build src with
+  match Lfi_core.Build.elf None src with
   | exception e -> Skip ("native build failed: " ^ Printexc.to_string e)
   | native_elf -> (
       let native_sbx, native_out = run_at ~base:0L native_elf in
@@ -137,31 +134,29 @@ let check_source ~(compare_state : native:Sandbox.t -> lfi:Sandbox.t -> string o
           let rec levels = function
             | [] -> Pass
             | (name, config) :: tl -> (
-                match Lfi_core.Rewriter.rewrite ~config src with
+                match Lfi_core.Build.elf (Some config) src with
                 | exception Lfi_core.Rewriter.Error e ->
                     Fail (Printf.sprintf "%s: rewriter error: %s" name e)
-                | rewritten, _ -> (
-                    match build rewritten with
-                    | exception e ->
+                | exception e ->
+                    Fail
+                      (Printf.sprintf "%s: rewritten output unassemblable: %s"
+                         name (Printexc.to_string e))
+                | elf -> (
+                    let sbx, out = run_at ~base:lfi_base elf in
+                    match out.Sandbox.stop with
+                    | Sandbox.Exit v when v = native_exit -> (
+                        match compare_state ~native:native_sbx ~lfi:sbx with
+                        | Some why -> Fail (Printf.sprintf "%s: %s" name why)
+                        | None -> levels tl)
+                    | Sandbox.Exit v ->
                         Fail
-                          (Printf.sprintf "%s: rewritten output unassemblable: %s"
-                             name (Printexc.to_string e))
-                    | elf -> (
-                        let sbx, out = run_at ~base:lfi_base elf in
-                        match out.Sandbox.stop with
-                        | Sandbox.Exit v when v = native_exit -> (
-                            match compare_state ~native:native_sbx ~lfi:sbx with
-                            | Some why -> Fail (Printf.sprintf "%s: %s" name why)
-                            | None -> levels tl)
-                        | Sandbox.Exit v ->
-                            Fail
-                              (Printf.sprintf
-                                 "%s: exit value 0x%Lx, native 0x%Lx" name v
-                                 native_exit)
-                        | other ->
-                            Fail
-                              (Format.asprintf "%s: %a, native exit(0x%Lx)"
-                                 name Sandbox.pp_stop other native_exit))))
+                          (Printf.sprintf
+                             "%s: exit value 0x%Lx, native 0x%Lx" name v
+                             native_exit)
+                    | other ->
+                        Fail
+                          (Format.asprintf "%s: %a, native exit(0x%Lx)"
+                             name Sandbox.pp_stop other native_exit)))
           in
           levels opt_levels)
 

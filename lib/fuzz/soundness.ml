@@ -89,21 +89,14 @@ let text_of (elf : Lfi_elf.Elf.t) : Lfi_elf.Elf.segment =
   | Some s -> s
   | None -> invalid_arg "seed has no text segment"
 
-let verifies ~(config : Lfi_verifier.Verifier.config) (elf : Lfi_elf.Elf.t)
-    (code : bytes) : bool =
-  let seg = text_of elf in
-  match
-    Lfi_verifier.Verifier.verify ~config ~origin:seg.Lfi_elf.Elf.vaddr
-      ~code ()
-  with
-  | Ok _ -> true
-  | Error _ -> false
+let verifies ~(config : Lfi_verifier.Verifier.config) (elf : Lfi_elf.Elf.t) :
+    bool =
+  Result.is_ok (Lfi_verifier.Verifier.verify_elf ~config elf)
 
-(** Execute [code] in place of [elf]'s text with the oracle installed;
-    returns the escape records. *)
-let escapes_of (elf : Lfi_elf.Elf.t) (code : bytes) :
-    Machine.escape list * int =
-  let sbx = Sandbox.load ~base (with_text elf code) in
+(** Execute [elf] with the oracle installed; returns the escape
+    records. *)
+let escapes_of (elf : Lfi_elf.Elf.t) : Machine.escape list * int =
+  let sbx = Sandbox.load ~base elf in
   ignore (Sandbox.install_oracle sbx);
   let out = Sandbox.run ~budget:200_000 sbx in
   (out.Sandbox.escapes, out.Sandbox.escape_count)
@@ -188,9 +181,6 @@ let demo_seed_source : Lfi_verifier.Verifier.weakening -> Source.t = function
   | Lfi_verifier.Verifier.No_uxtw_check -> uxtw_demo_source
   | Lfi_verifier.Verifier.No_sp_drift_check -> sp_drift_demo_source
 
-let build_seed (src : Source.t) : Lfi_elf.Elf.t =
-  Lfi_elf.Elf.of_image (Assemble.assemble src)
-
 (** Deterministic seed pool: the crafted demo seed plus [n] rewritten
     (O2) random streams — i.e. real verifier-accepted binaries. *)
 let seed_pool ~seed ~(n : int) : Lfi_elf.Elf.t list =
@@ -198,13 +188,10 @@ let seed_pool ~seed ~(n : int) : Lfi_elf.Elf.t list =
     List.init n (fun j ->
         let rand = Random.State.make [| seed; 1_000_000 + j |] in
         let stream = QCheck.Gen.generate1 ~rand Gen_insn.stream in
-        let src = Equiv.stream_program stream in
-        let rewritten, _ =
-          Lfi_core.Rewriter.rewrite ~config:Lfi_core.Config.o2 src
-        in
-        build_seed rewritten)
+        Lfi_core.Build.elf (Some Lfi_core.Config.o2)
+          (Equiv.stream_program stream))
   in
-  build_seed uxtw_demo_source :: streams
+  Lfi_core.Build.elf None uxtw_demo_source :: streams
 
 (* ------------------------------------------------------------------ *)
 (* The engine                                                          *)
@@ -228,7 +215,7 @@ let run ?(seed = 0) ?(count = 200) ?(pool = 6)
   let seeds =
     Array.of_list
       (List.filter
-         (fun elf -> verifies ~config elf (text_of elf).Lfi_elf.Elf.data)
+         (fun elf -> verifies ~config elf)
          (Array.to_list seeds))
   in
   let failures = ref [] in
@@ -240,15 +227,17 @@ let run ?(seed = 0) ?(count = 200) ?(pool = 6)
     let nwords = Bytes.length orig / 4 in
     let m = QCheck.Gen.generate1 ~rand (gen_mutation nwords) in
     let code = apply_mutation orig m in
+    let mutant = with_text elf code in
     incr cases;
-    if not (verifies ~config elf code) then incr rejected
+    if not (verifies ~config mutant) then incr rejected
     else
-      let escs, total = escapes_of elf code in
+      let escs, total = escapes_of mutant in
       if total > 0 then begin
         (* soundness bug: minimize to the words needed to both verify
            and escape, then write the repro *)
         let still_fails b =
-          verifies ~config elf b && snd (escapes_of elf b) > 0
+          let m = with_text elf b in
+          verifies ~config m && snd (escapes_of m) > 0
         in
         let small, live = Shrink.words code ~still_fails in
         let desc =
@@ -305,11 +294,10 @@ let bit_flip_audit ?(weakening = Lfi_verifier.Verifier.No_uxtw_check)
   let weakened_escapes = ref 0 and real_escapes = ref 0 in
   for word = 0 to nwords - 1 do
     for bit = 0 to 31 do
-      let code = apply_mutation orig (Bit_flip { word; bit }) in
-      let escaped () = snd (escapes_of elf code) > 0 in
-      if verifies ~config:weak elf code && escaped () then
-        incr weakened_escapes;
-      if verifies ~config:real elf code && escaped () then incr real_escapes
+      let mutant = with_text elf (apply_mutation orig (Bit_flip { word; bit })) in
+      let escaped () = snd (escapes_of mutant) > 0 in
+      if verifies ~config:weak mutant && escaped () then incr weakened_escapes;
+      if verifies ~config:real mutant && escaped () then incr real_escapes
     done
   done;
   { weakened_escapes = !weakened_escapes; real_escapes = !real_escapes }
@@ -319,5 +307,6 @@ let bit_flip_audit ?(weakening = Lfi_verifier.Verifier.No_uxtw_check)
 let demo_weakened () : (Lfi_verifier.Verifier.weakening * demo) list =
   List.map
     (fun w ->
-      (w, bit_flip_audit ~weakening:w (build_seed (demo_seed_source w))))
+      (w, bit_flip_audit ~weakening:w
+              (Lfi_core.Build.elf None (demo_seed_source w))))
     Lfi_verifier.Verifier.all_weakenings

@@ -45,29 +45,18 @@ let with_trampoline (prog : Lfi_minic.Ast.program) : Lfi_minic.Ast.program =
 
 let create ?(config = Lfi_core.Config.o2) ~(name : string)
     ~(exports : string list) (prog : Lfi_minic.Ast.program) : t =
-  let native = Lfi_minic.Compile.compile (with_trampoline prog) in
-  let rewritten, _stats = Lfi_core.Rewriter.rewrite ~config native in
-  let elf = Lfi_elf.Elf.of_image (Lfi_arm64.Assemble.assemble rewritten) in
-  (* Verify once; instances load with verification off. *)
-  let vconfig =
-    { Lfi_verifier.Verifier.default_config with
-      sandbox_loads = config.Lfi_core.Config.sandbox_loads;
-      allow_exclusives = config.Lfi_core.Config.allow_exclusives }
+  let elf =
+    Lfi_core.Build.elf (Some config)
+      (Lfi_minic.Compile.compile (with_trampoline prog))
   in
-  (match Lfi_elf.Elf.text_segment elf with
-  | None -> raise (Error (name ^ ": no executable segment"))
-  | Some seg -> (
-      match
-        Lfi_verifier.Verifier.verify ~config:vconfig
-          ~origin:seg.Lfi_elf.Elf.vaddr ~code:seg.Lfi_elf.Elf.data ()
-      with
-      | Ok _ -> ()
-      | Error vs ->
-          raise
-            (Error
-               (Format.asprintf "%s: verification failed: %a (+%d more)" name
-                  Lfi_verifier.Verifier.pp_violation (List.hd vs)
-                  (List.length vs - 1)))));
+  (* Verify once; instances load with verification off. *)
+  (match
+     Lfi_verifier.Verifier.(verify_elf ~config:(config_of config) elf)
+   with
+  | Ok _ -> ()
+  | Error e ->
+      raise
+        (Error (name ^ ": " ^ Lfi_verifier.Verifier.elf_error_message e)));
   let resolve n =
     match Lfi_elf.Elf.find_symbol elf n with
     | Some a -> a

@@ -82,16 +82,8 @@ let confirm ~(config : Verifier.config) (word : int) : confirmation =
   match witness_insns (Isa.decode word) with
   | None -> Not_concretizable
   | Some body -> (
-      let elf = Lfi_fuzz.Soundness.build_seed (source_of (body @ exit_tail)) in
-      match Lfi_elf.Elf.text_segment elf with
-      | None -> Not_concretizable
-      | Some seg ->
-          if
-            not
-              (Lfi_fuzz.Soundness.verifies ~config elf seg.Lfi_elf.Elf.data)
-          then Not_concretizable
-          else
-            let _, n =
-              Lfi_fuzz.Soundness.escapes_of elf seg.Lfi_elf.Elf.data
-            in
-            if n > 0 then Escapes n else Clean)
+      let elf = Lfi_core.Build.elf None (source_of (body @ exit_tail)) in
+      if not (Lfi_fuzz.Soundness.verifies ~config elf) then Not_concretizable
+      else
+        let _, n = Lfi_fuzz.Soundness.escapes_of elf in
+        if n > 0 then Escapes n else Clean)

@@ -396,20 +396,12 @@ let load rt ?(arg = 0L) ~(personality : Proc.personality)
     raise (Load_error "only one native process is supported (slot 0)");
   (* Verification: the trust boundary of the whole system. *)
   if rt.cfg.verify && not native then begin
-    match Lfi_elf.Elf.text_segment elf with
-    | None -> raise (Load_error "no executable segment")
-    | Some seg -> (
-        match
-          Lfi_verifier.Verifier.verify ~config:rt.cfg.verifier_config
-            ~origin:seg.Lfi_elf.Elf.vaddr ~code:seg.Lfi_elf.Elf.data ()
-        with
-        | Ok _ -> ()
-        | Error vs ->
-            raise
-              (Load_error
-                 (Format.asprintf "verification failed: %a (+%d more)"
-                    Lfi_verifier.Verifier.pp_violation (List.hd vs)
-                    (List.length vs - 1))))
+    match
+      Lfi_verifier.Verifier.verify_elf ~config:rt.cfg.verifier_config elf
+    with
+    | Ok _ -> ()
+    | Error e ->
+        raise (Load_error (Lfi_verifier.Verifier.elf_error_message e))
   end;
   let slot =
     match if native then Some 0 else alloc_slot rt with

@@ -47,6 +47,12 @@ let default_config =
   { sandbox_loads = true; allow_exclusives = true;
     unsafe_no_uxtw_check = false; unsafe_no_sp_drift_check = false }
 
+(** The verifier config that checks what the rewriter emits at [c]. *)
+let config_of (c : Lfi_core.Config.t) : config =
+  { default_config with
+    sandbox_loads = c.Lfi_core.Config.sandbox_loads;
+    allow_exclusives = c.Lfi_core.Config.allow_exclusives }
+
 (** The deliberate weakenings as an enumerable set, so the soundness
     fuzzer, the symbolic prover and the tests all iterate the same
     list instead of hard-coding one knob (DESIGN.md §5d, §5i). *)
@@ -348,17 +354,23 @@ let verify ?(config = default_config) ?(origin = 0) ~(code : bytes) () :
   if !violations = [] then Ok { checked = n; bytes = Bytes.length code }
   else Error (List.rev !violations)
 
-(** Verify and raise on failure (for loaders). *)
-let verify_exn ?config ?origin ~code () =
-  match verify ?config ?origin ~code () with
-  | Ok r -> r
-  | Error vs ->
-      let b = Buffer.create 256 in
-      List.iteri
-        (fun k v ->
-          if k < 10 then
-            Buffer.add_string b (Format.asprintf "%a@." pp_violation v))
-        vs;
-      failwith
-        (Printf.sprintf "verification failed (%d violations):\n%s"
-           (List.length vs) (Buffer.contents b))
+type elf_error =
+  | No_executable_segment
+  | Rejected of violation list  (** never empty *)
+
+(** Verify an ELF's executable segment at its load address, so
+    violation pcs match the disassembler's and the runtime's. *)
+let verify_elf ?config (elf : Lfi_elf.Elf.t) : (result_ok, elf_error) result =
+  match Lfi_elf.Elf.text_segment elf with
+  | None -> Error No_executable_segment
+  | Some seg ->
+      verify ?config ~origin:seg.Lfi_elf.Elf.vaddr ~code:seg.Lfi_elf.Elf.data ()
+      |> Result.map_error (fun vs -> Rejected vs)
+
+(** One line for a loader's error: the first violation and how many
+    more there are. *)
+let elf_error_message = function
+  | No_executable_segment -> "no executable segment"
+  | Rejected vs ->
+      Format.asprintf "verification failed: %a (+%d more)" pp_violation
+        (List.hd vs) (List.length vs - 1)

@@ -21,14 +21,7 @@ let checks = Alcotest.(check string)
 let sandbox_base = Lfi_core.Layout.slot_base 1
 
 let assemble_text (text : string) : Lfi_elf.Elf.t =
-  Lfi_elf.Elf.of_image (Assemble.assemble (Parser.parse_string_exn text))
-
-let verify_elf ?config (elf : Lfi_elf.Elf.t) =
-  match Lfi_elf.Elf.text_segment elf with
-  | None -> Alcotest.fail "corpus entry has no text segment"
-  | Some seg ->
-      Lfi_verifier.Verifier.verify ?config ~origin:seg.Lfi_elf.Elf.vaddr
-        ~code:seg.Lfi_elf.Elf.data ()
+  Lfi_core.Build.elf None (Parser.parse_string_exn text)
 
 (* ---------------- corpus replay ---------------- *)
 
@@ -36,16 +29,15 @@ let replay_soundness (e : Fuzz.Corpus.entry) =
   let elf = assemble_text e.Fuzz.Corpus.text in
   match e.Fuzz.Corpus.expect with
   | Fuzz.Corpus.Reject -> (
-      match verify_elf elf with
+      match Lfi_verifier.Verifier.verify_elf elf with
       | Ok _ -> Alcotest.failf "%s: verified but must be rejected" e.path
       | Error _ -> ())
   | Fuzz.Corpus.Accept -> (
-      (match verify_elf elf with
+      (match Lfi_verifier.Verifier.verify_elf elf with
       | Ok _ -> ()
-      | Error (v :: _) ->
+      | Error err ->
           Alcotest.failf "%s: rejected: %s" e.path
-            (Format.asprintf "%a" Lfi_verifier.Verifier.pp_violation v)
-      | Error [] -> assert false);
+            (Lfi_verifier.Verifier.elf_error_message err));
       (* accepted entries must also run clean under the escape oracle *)
       let sbx = Fuzz.Sandbox.load ~base:sandbox_base elf in
       ignore (Fuzz.Sandbox.install_oracle sbx);
@@ -58,7 +50,7 @@ let replay_soundness (e : Fuzz.Corpus.entry) =
             (Format.asprintf "%a" Fuzz.Sandbox.pp_stop other))
   | Fuzz.Corpus.Accept_escape_weakened ->
       (* the oracle's regression seed: see test_weakened_demo *)
-      (match verify_elf elf with
+      (match Lfi_verifier.Verifier.verify_elf elf with
       | Ok _ -> ()
       | Error _ -> Alcotest.failf "%s: seed itself must verify" e.path);
       let audits =

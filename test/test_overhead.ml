@@ -33,48 +33,22 @@ let loop_asm =
 
 let o0 = { Lfi_core.Config.default with Lfi_core.Config.opt = Lfi_core.Config.O0 }
 
-(** Rewrite [asm] and build an ELF carrying its [.lfi_sites] table. *)
-let build_sited ?config asm =
-  let native = Parser.parse_string_exn asm in
-  let rewritten, stats = Lfi_core.Rewriter.rewrite ?config native in
-  let sites =
-    Lfi_core.Rewriter.resolve_sites ~input:native ~output:rewritten stats
-  in
-  Lfi_elf.Elf.of_image ~sites (Assemble.assemble rewritten)
+(** [loop_asm] rewritten at O0, carrying its [.lfi_sites] table. *)
+let loop_elf () = Lfi_core.Build.elf (Some o0) (Parser.parse_string_exn loop_asm)
 
 let show_site (s : Overhead.site) =
   Printf.sprintf "%x:%s:%b:%x" s.Overhead.pc
     (Overhead.category_name s.Overhead.category)
     s.Overhead.inserted s.Overhead.orig_pc
 
-(* same closures lfi_run hands to [Overhead.report] *)
-let decode_at (elf : Lfi_elf.Elf.t) (pc : int) : Insn.t option =
-  match Lfi_elf.Elf.text_segment elf with
-  | Some s
-    when pc >= s.Lfi_elf.Elf.vaddr
-         && pc + 4 <= s.Lfi_elf.Elf.vaddr + Bytes.length s.Lfi_elf.Elf.data
-    -> (
-      let word =
-        Int32.to_int
-          (Bytes.get_int32_le s.Lfi_elf.Elf.data (pc - s.Lfi_elf.Elf.vaddr))
-        land 0xffffffff
-      in
-      try Some (Isa.decode word) with _ -> None)
-  | _ -> None
-
+(* the guard classifier lfi_run hands to [Overhead.report] *)
 let is_guard_insn (elf : Lfi_elf.Elf.t) (pc : int) : bool =
-  match decode_at elf pc with
-  | Some
-      (Insn.Alu
-        { op = Insn.ADD; flags = false; src = Reg.R (Reg.W64, 21);
-          op2 = Insn.Ext (_, (Insn.Uxtw | Insn.Uxtx), 0); _ }) ->
-      true
-  | _ -> false
+  Option.fold ~none:false ~some:Insn.is_guard (Lfi_elf.Elf.decode_at elf pc)
 
 (* ---------------- ELF sidecar ---------------- *)
 
 let test_sites_roundtrip () =
-  let elf = build_sited ~config:o0 loop_asm in
+  let elf = loop_elf () in
   checkb "rewriter produced sites" (elf.Lfi_elf.Elf.sites <> []) true;
   let elf' = Lfi_elf.Elf.read (Lfi_elf.Elf.write elf) in
   checks "sites survive write/read"
@@ -86,7 +60,7 @@ let test_sites_roundtrip () =
     elf'.Lfi_elf.Elf.symbols
 
 let test_sitefree_unchanged () =
-  let elf = build_sited ~config:o0 loop_asm in
+  let elf = loop_elf () in
   (* no symbols and no sites: no section headers at all, as the seed
      writer produced *)
   let bare = { elf with Lfi_elf.Elf.symbols = []; sites = [] } in
@@ -105,7 +79,7 @@ let test_sitefree_unchanged () =
 
 let run_loop ~overhead () =
   let rt = Lfi_runtime.Runtime.create () in
-  let elf = build_sited ~config:o0 loop_asm in
+  let elf = loop_elf () in
   let p = Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi elf in
   if overhead then ignore (Lfi_runtime.Runtime.enable_overhead rt p);
   let _reason, _out, cycles, insns = Lfi_runtime.Runtime.run_one rt p in
@@ -130,7 +104,7 @@ let test_off_by_default () =
 let test_guard_reconciliation () =
   let rt = Lfi_runtime.Runtime.create () in
   let e = Lfi_runtime.Runtime.enable_metrics rt in
-  let elf = build_sited ~config:o0 loop_asm in
+  let elf = loop_elf () in
   let p = Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi elf in
   (match Lfi_runtime.Runtime.enable_overhead rt p with
   | None -> Alcotest.fail "no sites to arm"
@@ -168,7 +142,7 @@ let report_of_run ?(workload = "loop") () =
     ~total_insns:insns ~native_cycles:None ~levels:[]
     ~symbol_of:(Lfi_telemetry.Profile.pp_sym syms)
     ~disasm_of:(fun pc ->
-      match decode_at elf pc with
+      match Lfi_elf.Elf.decode_at elf pc with
       | Some i -> Printer.to_string i
       | None -> "?")
     ~guard_insn:(is_guard_insn elf) a
@@ -197,7 +171,7 @@ let test_report_escapes_workload () =
    as the verify CLI golden does. *)
 let test_objdump_golden () =
   let exe = Filename.quote (Golden.path "../bin/lfi_objdump.exe") in
-  let elf = build_sited ~config:o0 loop_asm in
+  let elf = loop_elf () in
   let oc = open_out_bin "objdump_in.elf" in
   output_bytes oc (Lfi_elf.Elf.write elf);
   close_out oc;

@@ -10,9 +10,9 @@ let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
 
 let build ?(rewrite = true) asm =
-  let src = Parser.parse_string_exn asm in
-  let src = if rewrite then fst (Lfi_core.Rewriter.rewrite src) else src in
-  Lfi_elf.Elf.of_image (Assemble.assemble src)
+  Lfi_core.Build.elf
+    (if rewrite then Some Lfi_core.Config.default else None)
+    (Parser.parse_string_exn asm)
 
 (* cheap substring check, so the tests need no JSON parser *)
 let contains s sub =
@@ -126,10 +126,9 @@ let crash_run () =
     | Some w -> w
     | None -> Alcotest.fail "crashy workload not registered"
   in
-  let src = Lfi_minic.Compile.compile w.Lfi_workloads.Common.program in
   let elf =
-    Lfi_elf.Elf.of_image
-      (Assemble.assemble (fst (Lfi_core.Rewriter.rewrite src)))
+    Lfi_core.Build.elf (Some Lfi_core.Config.default)
+      (Lfi_minic.Compile.compile w.Lfi_workloads.Common.program)
   in
   let rt = Lfi_runtime.Runtime.create () in
   let p = Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi elf in

@@ -232,9 +232,7 @@ let check_proves label elf =
             h.Prover.Prove.p_index h.Prover.Prove.p_disasm
             h.Prover.Prove.p_clause h.Prover.Prove.p_detail
       | Error _ -> Alcotest.failf "%s: verifier rejected the program" label);
-      let _, escapes =
-        Fuzz.Soundness.escapes_of elf seg.Lfi_elf.Elf.data
-      in
+      let _, escapes = Fuzz.Soundness.escapes_of elf in
       checki (label ^ ": escape-oracle clean") 0 escapes
 
 let test_seed_pool_agreement () =
@@ -243,7 +241,7 @@ let test_seed_pool_agreement () =
     (Fuzz.Soundness.seed_pool ~seed:11 ~n:4)
 
 let assemble_text (text : string) : Lfi_elf.Elf.t =
-  Lfi_elf.Elf.of_image (Assemble.assemble (Parser.parse_string_exn text))
+  Lfi_core.Build.elf None (Parser.parse_string_exn text)
 
 let test_corpus_agreement () =
   List.iter
@@ -277,10 +275,9 @@ let test_corpus_agreement () =
         let src = Parser.parse_string_exn e.Fuzz.Corpus.text in
         List.iter
           (fun (level, config) ->
-            let rewritten, _ = Lfi_core.Rewriter.rewrite ~config src in
             check_proves
               (Printf.sprintf "%s [%s]" e.Fuzz.Corpus.path level)
-              (Fuzz.Soundness.build_seed rewritten))
+              (Lfi_core.Build.elf (Some config) src))
           [
             ("O0", Lfi_core.Config.o0);
             ("O1", Lfi_core.Config.o1);
@@ -319,22 +316,17 @@ let test_adversarial_rules () =
   List.iter
     (fun (asm, rule) ->
       let text = "\t" ^ asm ^ "\n" in
-      let elf = assemble_text text in
-      match Lfi_elf.Elf.text_segment elf with
-      | None -> Alcotest.failf "%s: no text segment" asm
-      | Some seg -> (
-          match
-            Verifier.verify ~origin:seg.Lfi_elf.Elf.vaddr
-              ~code:seg.Lfi_elf.Elf.data ()
-          with
-          | Ok _ -> Alcotest.failf "%s: verified but must be rejected" asm
-          | Error vs ->
-              checkb
-                (Printf.sprintf "%s trips %S" asm rule)
-                true
-                (List.exists
-                   (fun (v : Verifier.violation) -> v.Verifier.rule = rule)
-                   vs)))
+      match Verifier.verify_elf (assemble_text text) with
+      | Ok _ -> Alcotest.failf "%s: verified but must be rejected" asm
+      | Error Verifier.No_executable_segment ->
+          Alcotest.failf "%s: no text segment" asm
+      | Error (Verifier.Rejected vs) ->
+          checkb
+            (Printf.sprintf "%s trips %S" asm rule)
+            true
+            (List.exists
+               (fun (v : Verifier.violation) -> v.Verifier.rule = rule)
+               vs))
     adversarial_cases
 
 (* ---------------- suite ---------------- *)

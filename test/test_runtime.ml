@@ -8,9 +8,9 @@ let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
 
 let build ?(rewrite = true) asm =
-  let src = Parser.parse_string_exn asm in
-  let src = if rewrite then fst (Lfi_core.Rewriter.rewrite src) else src in
-  Lfi_elf.Elf.of_image (Assemble.assemble src)
+  Lfi_core.Build.elf
+    (if rewrite then Some Lfi_core.Config.default else None)
+    (Parser.parse_string_exn asm)
 
 let run_lfi ?config asm =
   let rt = Lfi_runtime.Runtime.create ?config () in

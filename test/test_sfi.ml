@@ -362,14 +362,14 @@ let test_verifier_accepts_rewritten () =
   List.iter
     (fun (name, asm, _) ->
       let src = Parser.parse_string_exn ("f:\n" ^ asm) in
-      let out, _ = Lfi_core.Rewriter.rewrite src in
-      let img = Assemble.assemble out in
-      match Lfi_verifier.Verifier.verify ~code:img.Assemble.text () with
+      match
+        Lfi_verifier.Verifier.verify_elf
+          (Lfi_core.Build.elf (Some Lfi_core.Config.default) src)
+      with
       | Ok _ -> ()
-      | Error (v :: _) ->
+      | Error e ->
           Alcotest.failf "%s: %s" name
-            (Format.asprintf "%a" Lfi_verifier.Verifier.pp_violation v)
-      | Error [] -> assert false)
+            (Lfi_verifier.Verifier.elf_error_message e))
     (table3_cases @ sp_cases @ misc_cases)
 
 let violations =
@@ -484,18 +484,18 @@ let prop_rewrite_verifies =
       in
       let insns = List.filter ok_input insns in
       let src = List.map (fun i -> Source.Insn i) insns in
-      match Lfi_core.Rewriter.rewrite (Source.Label "f" :: src) with
-      | exception Lfi_core.Rewriter.Error _ -> true (* rejected inputs are fine *)
-      | out, _ -> (
-          match Assemble.assemble out with
-          | exception Assemble.Error _ -> true
-          | img -> (
-              match Lfi_verifier.Verifier.verify ~code:img.Assemble.text () with
-              | Ok _ -> true
-              | Error (v :: _) ->
-                  QCheck.Test.fail_reportf "%s"
-                    (Format.asprintf "%a" Lfi_verifier.Verifier.pp_violation v)
-              | Error [] -> false)))
+      match
+        Lfi_core.Build.elf (Some Lfi_core.Config.default)
+          (Source.Label "f" :: src)
+      with
+      (* rejected inputs are fine *)
+      | exception (Lfi_core.Rewriter.Error _ | Assemble.Error _) -> true
+      | elf -> (
+          match Lfi_verifier.Verifier.verify_elf elf with
+          | Ok _ -> true
+          | Error e ->
+              QCheck.Test.fail_reportf "%s"
+                (Lfi_verifier.Verifier.elf_error_message e)))
 
 let test_stats_accounting () =
   let src = Parser.parse_string_exn "f:\n\tldr x0, [x1, #8]\n\tret\n" in

@@ -8,10 +8,10 @@ let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
 
-let build ?(rewrite = true) ?config asm =
-  let src = Parser.parse_string_exn asm in
-  let src = if rewrite then fst (Lfi_core.Rewriter.rewrite ?config src) else src in
-  Lfi_elf.Elf.of_image (Assemble.assemble src)
+let build ?(rewrite = true) ?(config = Lfi_core.Config.default) asm =
+  Lfi_core.Build.elf
+    (if rewrite then Some config else None)
+    (Parser.parse_string_exn asm)
 
 (* O0 keeps one explicit guard instruction per sandboxed access, which
    the golden test below wants to see in the instruction mix. *)
@@ -320,7 +320,7 @@ let test_elf_symbol_roundtrip () =
 
 let test_elf_no_symbols_unchanged () =
   let elf = build loop_asm in
-  let bare = { elf with Lfi_elf.Elf.symbols = [] } in
+  let bare = { elf with Lfi_elf.Elf.symbols = []; sites = [] } in
   let bytes = Lfi_elf.Elf.write bare in
   checki "no section headers when symbol-free"
     (Lfi_elf.Elf.total_size bare) (Bytes.length bytes);
@@ -340,12 +340,9 @@ let test_verifier_report_format () =
      \tmovz x0, #0\n\
      \tmovz x3, #3\n"
   in
-  let img = Assemble.assemble (Parser.parse_string_exn asm) in
-  match
-    Lfi_verifier.Verifier.verify ~origin:0x10000 ~code:img.Assemble.text ()
-  with
-  | Ok _ -> Alcotest.fail "unguarded store verified"
-  | Error [ v ] ->
+  (* verify_elf reports pcs at the text segment's load address *)
+  match Lfi_verifier.Verifier.verify_elf (build ~rewrite:false asm) with
+  | Error (Lfi_verifier.Verifier.Rejected [ v ]) ->
       checki "pc" 0x10008 v.Lfi_verifier.Verifier.pc;
       checki "offset" 0x8 v.Lfi_verifier.Verifier.offset;
       let msg = Format.asprintf "%a" Lfi_verifier.Verifier.pp_violation v in
@@ -357,7 +354,7 @@ let test_verifier_report_format () =
          \    0x1000c:  movz x0, #0\n\
          \    0x10010:  movz x3, #3")
         msg
-  | Error vs -> Alcotest.failf "expected 1 violation, got %d" (List.length vs)
+  | _ -> Alcotest.fail "expected exactly 1 violation"
 
 (* ---------------- json codec ---------------- *)
 
