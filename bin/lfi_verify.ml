@@ -16,38 +16,34 @@ let read_bytes path =
 
 let run input no_loads no_exclusives quiet =
   let config =
-    { Lfi_verifier.Verifier.default_config with
-      sandbox_loads = not no_loads;
-      allow_exclusives = not no_exclusives }
+    Lfi_verifier.Verifier.config_of
+      { Lfi_core.Config.default with
+        sandbox_loads = not no_loads;
+        allow_exclusives = not no_exclusives }
   in
   match Lfi_elf.Elf.read (read_bytes input) with
   | exception Lfi_elf.Elf.Bad_elf msg ->
       Printf.eprintf "%s: bad ELF: %s\n" input msg;
       exit 2
   | elf -> (
-      match Lfi_elf.Elf.text_segment elf with
-      | None ->
+      match Lfi_verifier.Verifier.verify_elf ~config elf with
+      | Ok r ->
+          if not quiet then
+            Printf.printf "%s: OK (%d instructions, %d bytes)\n" input
+              r.checked r.bytes;
+          exit 0
+      | Error Lfi_verifier.Verifier.No_executable_segment ->
           Printf.eprintf "%s: no executable segment\n" input;
           exit 2
-      | Some seg -> (
-          match
-            Lfi_verifier.Verifier.verify ~config ~code:seg.Lfi_elf.Elf.data ()
-          with
-          | Ok r ->
-              if not quiet then
-                Printf.printf "%s: OK (%d instructions, %d bytes)\n" input
-                  r.checked r.bytes;
-              exit 0
-          | Error violations ->
-              Printf.eprintf "%s: REJECTED (%d violations)\n" input
-                (List.length violations);
-              List.iteri
-                (fun k v ->
-                  if k < 20 then
-                    Format.eprintf "  %a@." Lfi_verifier.Verifier.pp_violation
-                      v)
-                violations;
-              exit 1))
+      | Error (Lfi_verifier.Verifier.Rejected violations) ->
+          Printf.eprintf "%s: REJECTED (%d violations)\n" input
+            (List.length violations);
+          List.iteri
+            (fun k v ->
+              if k < 20 then
+                Format.eprintf "  %a@." Lfi_verifier.Verifier.pp_violation v)
+            violations;
+          exit 1)
 
 let cmd =
   let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"BINARY") in
