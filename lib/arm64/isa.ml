@@ -163,7 +163,6 @@ and _ kind =
   | Width : Reg.width kind  (** sf (or sf:N): all ones for 64-bit *)
   | Enum : 'a enum -> 'a kind  (** a code outside the list is reserved *)
   | Bitmask : int kind  (** N:immr:imms logical immediate of the sf width *)
-  | Ignored : unit kind  (** bits the decoder accepts with any value *)
 
 and slot = Zr | Sp
 
@@ -246,7 +245,6 @@ let rec get : type a. a field -> int -> a =
       with
       | Some x -> x
       | None -> raise_notrace Reserved)
-  | Ignored -> ()
 
 let gp_as (f : Reg.t field) w wd =
   match f.kind with
@@ -324,7 +322,6 @@ let rec put : type a. acc -> a field -> a -> unit =
       match encode_bitmask ~datasize:(if sf32 a.word then 32 else 64) x with
       | Ok (n, immr, imms) -> write a f ((n lsl 12) lor (immr lsl 6) lor imms)
       | Error m -> fail "%s" m)
-  | Ignored -> ()
 
 let put_as a f wd r =
   if Reg.width r <> wd then fail "mixed operand widths";
@@ -496,18 +493,13 @@ let movw =
     (fun dst op hw imm -> Mov { op; dst; imm; hw })
     (function Mov { op; dst; imm; hw } -> Some (dst, op, hw, imm) | _ -> None)
 
-(* decode admits a 32-bit immr or imms above 31, which the architecture
-   reserves (the exhaustive decode pin holds it); encode does not *)
 let bitfield =
   let op = at 29 2 (Enum (named bf_ops)) in
   row5 "bitfield" 0x1F800000 0x13000000 [ F sfn ]
-    (rd_n, rn_n, op, at 16 6 u, at 10 6 u)
+    (rd_n, rn_n, op, at 16 6 (Lim32 32), imm6)
     (fun dst src op immr imms -> Bitfield { op; dst; src; immr; imms })
     (function
-      | Bitfield { op; dst; src; immr; imms } ->
-          let bits = if Reg.width dst = Reg.W64 then 64 else 32 in
-          if immr >= bits || imms >= bits then fail "bitfield out of range";
-          Some (dst, src, op, immr, imms)
+      | Bitfield { op; dst; src; immr; imms } -> Some (dst, src, op, immr, imms)
       | _ -> None)
 
 let extr =
@@ -944,14 +936,14 @@ let fcvt name fixed size =
       | Fcvt { dst; src } when src.Reg.Fp.size <> size -> Some (dst, src)
       | _ -> None)
 
-(* fcmp against a register or against +0.0; bits 15:14 go unchecked *)
+(* fcmp against a register or against +0.0 *)
 let fcmp =
-  row2 "fcmp" 0xFF203C1F 0x1E202000 [ F ftype; F (at 14 2 Ignored) ] (fn, fm)
+  row2 "fcmp" 0xFF20FC1F 0x1E202000 [ F ftype ] (fn, fm)
     (fun src1 r -> Fcmp { src1; src2 = Some r })
     (function Fcmp { src1; src2 = Some r } -> Some (src1, r) | _ -> None)
 
 let fcmp_zero =
-  row1 "fcmp-zero" 0xFF3F3C1F 0x1E202008 [ F ftype; F (at 14 2 Ignored) ] fn
+  row1 "fcmp-zero" 0xFF3FFC1F 0x1E202008 [ F ftype ] fn
     (fun src1 -> Fcmp { src1; src2 = None })
     (function Fcmp { src1; src2 = None } -> Some src1 | _ -> None)
 

@@ -71,7 +71,6 @@ let values tier (Isa.F f) : int list =
   match f.Isa.kind with
   | Isa.Gp _ -> registers tier
   | Isa.Fp _ -> [ 0; 31 ]
-  | Isa.Ignored -> [ 0; (1 lsl len) - 1 ]
   | Isa.Imm { signed; _ } when len > 4 -> immediates ~len ~signed
   | (Isa.Lim32 _ | Isa.Bitmask) when len > 4 ->
       immediates ~len ~signed:false

@@ -300,7 +300,9 @@ let test_decode_unknown () =
       match Isa.decode w with
       | Insn.Udf _ -> ()
       | i -> Alcotest.failf "%08X decoded to %s" w (Printer.to_string i))
-    [ 0xE5804000 (* SVE st1w *); 0x00000012; 0xFFFFFFFF ]
+    [ 0xE5804000 (* SVE st1w *); 0x00000012; 0xFFFFFFFF;
+      0x53281C20 (* ubfm w0, w1, #40, #7: 32-bit immr above 31 *);
+      0x1E706240 (* fcmp d18, d16 with bit 14 set *) ]
 
 let prop_encode_decode =
   QCheck.Test.make ~count:3000 ~name:"decode (encode i) = i"
