@@ -294,7 +294,9 @@ let bit_flip_audit ?(weakening = Lfi_verifier.Verifier.No_uxtw_check)
   let weakened_escapes = ref 0 and real_escapes = ref 0 in
   for word = 0 to nwords - 1 do
     for bit = 0 to 31 do
-      let mutant = with_text elf (apply_mutation orig (Bit_flip { word; bit })) in
+      let mutant =
+        with_text elf (apply_mutation orig (Bit_flip { word; bit }))
+      in
       let escaped () = snd (escapes_of mutant) > 0 in
       if verifies ~config:weak mutant && escaped () then incr weakened_escapes;
       if verifies ~config:real mutant && escaped () then incr real_escapes

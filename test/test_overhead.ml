@@ -34,7 +34,8 @@ let loop_asm =
 let o0 = { Lfi_core.Config.default with Lfi_core.Config.opt = Lfi_core.Config.O0 }
 
 (** [loop_asm] rewritten at O0, carrying its [.lfi_sites] table. *)
-let loop_elf () = Lfi_core.Build.elf (Some o0) (Parser.parse_string_exn loop_asm)
+let loop_elf () =
+  Lfi_core.Build.elf (Some o0) (Parser.parse_string_exn loop_asm)
 
 let show_site (s : Overhead.site) =
   Printf.sprintf "%x:%s:%b:%x" s.Overhead.pc
@@ -189,6 +190,34 @@ let test_objdump_golden () =
   checks "objdump transcript is byte-stable"
     (Golden.read_file "objdump_golden.txt") transcript
 
+(* ---------------- lfi_cc output is attributable ---------------- *)
+
+(* lfi_cc writes the image through the one build path, so its site
+   table is there for lfi_run --overhead to attribute. *)
+let test_cc_overhead () =
+  let bin name = Filename.quote (Golden.path ("../bin/" ^ name ^ ".exe")) in
+  checki "lfi_cc exits 0" 0
+    (Sys.command
+       (Printf.sprintf "%s %s -o cli_cc_primes.elf > cli_cc_out.tmp"
+          (bin "lfi_cc")
+          (Filename.quote (Golden.path "../examples/primes.mc"))));
+  (* primes exits with its count, 168, so lfi_run exits 1 *)
+  checki "lfi_run exits 1" 1
+    (Sys.command
+       (Printf.sprintf
+          "%s cli_cc_primes.elf --overhead - > cli_run_out.tmp \
+           2> cli_run_err.tmp"
+          (bin "lfi_run")));
+  let contains s sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
+  let out = Golden.read_file "cli_run_out.tmp" in
+  checkb "report printed" true (contains out "\"schema\": \"lfi-overhead/v1\"");
+  checkb "no missing-table warning" false
+    (contains (Golden.read_file "cli_run_err.tmp") "no .lfi_sites table")
+
 (* ---------------- suite ---------------- *)
 
 let () =
@@ -214,4 +243,7 @@ let () =
         ] );
       ( "objdump",
         [ Alcotest.test_case "golden" `Quick test_objdump_golden ] );
+      ( "cli",
+        [ Alcotest.test_case "lfi_cc then lfi_run --overhead" `Quick
+            test_cc_overhead ] );
     ]
