@@ -1,4 +1,4 @@
-.PHONY: all build check test goldens bench bench-json serve-bench serve-trace-demo crash-demo trace-demo fuzz-smoke fuzz prove-smoke prove clean
+.PHONY: all build check test goldens decode-pin bench bench-json serve-bench serve-trace-demo crash-demo trace-demo fuzz-smoke fuzz prove-smoke prove clean
 
 all: build
 
@@ -24,6 +24,19 @@ goldens: build
 	LFI_GOLDEN_OUT=$(CURDIR)/test/rewrite_golden.txt dune exec test/test_pipeline.exe
 	LFI_GOLDEN_OUT=$(CURDIR)/test/verify_golden.txt dune exec test/test_pipeline.exe
 	dune exec bin/lfi_prove.exe -- --json $(CURDIR)/test/prove_golden.json
+
+# Exhaustive decode pin: decode all 2^32 words (about 4 CPU-minutes),
+# op0 0-7 and 8-f in two parallel processes, and rewrite
+# test/decode_pin_expected.txt; review the change with `git diff`.
+# Like a golden, it redefines what the decoder must do.
+decode-pin:
+	dune build test/decode_pin.exe
+	set -e; \
+	./_build/default/test/decode_pin.exe 0 1 2 3 4 5 6 7 > decode_pin_lo.txt & lo=$$!; \
+	./_build/default/test/decode_pin.exe 8 9 a b c d e f > decode_pin_hi.txt; \
+	wait $$lo; \
+	cat decode_pin_lo.txt decode_pin_hi.txt > test/decode_pin_expected.txt; \
+	rm decode_pin_lo.txt decode_pin_hi.txt
 
 # Full experiment suite: every table and figure of the paper's
 # evaluation (E1-E9 and CoreMark).
