@@ -8,16 +8,10 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let run input output emit_asm native opt run_now =
   let prog =
-    try Lfi_minic.Minic_parser.parse (read_file input)
+    let text = In_channel.with_open_bin input In_channel.input_all in
+    try Lfi_minic.Minic_parser.parse text
     with Lfi_minic.Minic_parser.Parse_error { line; msg } ->
       Printf.eprintf "%s:%d: %s\n" input line msg;
       exit 1
@@ -33,11 +27,7 @@ let run input output emit_asm native opt run_now =
     else
       Some
         { Lfi_core.Config.default with
-          Lfi_core.Config.opt =
-            (match opt with
-            | 0 -> Lfi_core.Config.O0
-            | 1 -> Lfi_core.Config.O1
-            | _ -> Lfi_core.Config.O2) }
+          opt = Lfi_core.Config.opt_level_of_int opt }
   in
   if run_now then begin
     let elf = Lfi_core.Build.elf config asm in

@@ -12,14 +12,6 @@
 open Cmdliner
 open Lfi_arm64
 
-let read_bytes path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let b = Bytes.create n in
-  really_input ic b 0 n;
-  close_in ic;
-  b
-
 let classify (i : Insn.t) : string =
   match i with
   | Insn.Alu
@@ -55,7 +47,8 @@ let branch_target (addr : int) (i : Insn.t) : int option =
   | _ -> None
 
 let run input annotate =
-  match Lfi_elf.Elf.read (read_bytes input) with
+  let bytes = In_channel.with_open_bin input In_channel.input_all in
+  match Lfi_elf.Elf.read (Bytes.of_string bytes) with
   | exception Lfi_elf.Elf.Bad_elf msg ->
       Printf.eprintf "%s: bad ELF: %s\n" input msg;
       exit 2

@@ -6,13 +6,6 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let write_out path text =
   match path with
   | None -> print_string text
@@ -25,16 +18,13 @@ let run input output opt no_loads no_exclusives stats =
   let config =
     {
       Lfi_core.Config.default with
-      Lfi_core.Config.opt =
-        (match opt with
-        | 0 -> Lfi_core.Config.O0
-        | 1 -> Lfi_core.Config.O1
-        | _ -> Lfi_core.Config.O2);
+      Lfi_core.Config.opt = Lfi_core.Config.opt_level_of_int opt;
       sandbox_loads = not no_loads;
       allow_exclusives = not no_exclusives;
     }
   in
-  match Lfi_arm64.Parser.parse_string (read_file input) with
+  let text = In_channel.with_open_bin input In_channel.input_all in
+  match Lfi_arm64.Parser.parse_string text with
   | Error { line; msg } ->
       Printf.eprintf "%s:%d: %s\n" input line msg;
       exit 1

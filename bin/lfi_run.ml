@@ -11,21 +11,15 @@
 
 open Cmdliner
 
-let read_bytes path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let b = Bytes.create n in
-  really_input ic b 0 n;
-  close_in ic;
-  b
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (** [path], or with [asm] the assembly file at [path] built at
     [config] ([None]: native). *)
 let load_input ~asm ~config path : Lfi_elf.Elf.t =
   if asm then
     Lfi_core.Build.elf config
-      (Lfi_arm64.Parser.parse_string_exn (Bytes.to_string (read_bytes path)))
-  else Lfi_elf.Elf.read (read_bytes path)
+      (Lfi_arm64.Parser.parse_string_exn (read_file path))
+  else Lfi_elf.Elf.read (Bytes.of_string (read_file path))
 
 let workload_source name : Lfi_arm64.Source.t =
   match Lfi_workloads.Registry.find name with
@@ -40,15 +34,19 @@ let workload_source name : Lfi_arm64.Source.t =
 
 (* ---------------- overhead attribution ---------------- *)
 
-(** Run [elf] to completion in a fresh, silent runtime and return its
-    cycle count — the paired-run primitive behind percent-over-native. *)
-let quiet_cycles ~uarch ~native (elf : Lfi_elf.Elf.t) : float =
-  let config = { Lfi_runtime.Runtime.default_config with uarch } in
-  let rt = Lfi_runtime.Runtime.create ~config () in
+(** Build [src] at [config] ([None]: native), run it to completion in a
+    fresh, silent runtime and return its cycle count — the paired-run
+    primitive behind percent-over-native. *)
+let quiet_cycles ~uarch config src : float =
+  let rt =
+    Lfi_runtime.Runtime.create
+      ~config:{ Lfi_runtime.Runtime.default_config with uarch } ()
+  in
   let personality =
-    if native then Lfi_runtime.Proc.Native_in_lfi_runtime
+    if config = None then Lfi_runtime.Proc.Native_in_lfi_runtime
     else Lfi_runtime.Proc.Lfi
   in
+  let elf = Lfi_core.Build.elf config src in
   let p = Lfi_runtime.Runtime.load rt ~personality elf in
   let _reason, _out, cycles, _insns = Lfi_runtime.Runtime.run_one rt p in
   cycles
@@ -76,16 +74,12 @@ let write_overhead rt ~dest ~uarch ~uarch_name ~source images =
         | Some src ->
             let lv name config =
               { Lfi_telemetry.Overhead.lv_name = name;
-                lv_cycles =
-                  quiet_cycles ~uarch ~native:false
-                    (Lfi_core.Build.elf (Some config) src) }
+                lv_cycles = quiet_cycles ~uarch (Some config) src }
             in
             ( [ lv "O0" Lfi_core.Config.o0;
                 lv "O1" Lfi_core.Config.o1;
                 lv "O2" Lfi_core.Config.o2 ],
-              Some
-                (quiet_cycles ~uarch ~native:true
-                   (Lfi_core.Build.elf None src)) )
+              Some (quiet_cycles ~uarch None src) )
       in
       let tbl = Lfi_telemetry.Profile.sym_table elf.Lfi_elf.Elf.symbols in
       let report =
@@ -95,9 +89,8 @@ let write_overhead rt ~dest ~uarch ~uarch_name ~source images =
           ~native_cycles ~levels
           ~symbol_of:(Lfi_telemetry.Profile.pp_sym tbl)
           ~disasm_of:(fun pc ->
-            match Lfi_elf.Elf.decode_at elf pc with
-            | Some i -> Lfi_arm64.Printer.to_string i
-            | None -> "?")
+            Option.fold ~none:"?" ~some:Lfi_arm64.Printer.to_string
+              (Lfi_elf.Elf.decode_at elf pc))
           ~guard_insn:(fun pc ->
             Option.fold ~none:false ~some:Lfi_arm64.Insn.is_guard
               (Lfi_elf.Elf.decode_at elf pc))
@@ -247,9 +240,7 @@ let run inputs workload native asm uarch_name quantum stats metrics_file
           match (workload, inputs) with
           | Some name, _ -> Some (workload_source name)
           | None, path :: _ when asm ->
-              Some
-                (Lfi_arm64.Parser.parse_string_exn
-                   (Bytes.to_string (read_bytes path)))
+              Some (Lfi_arm64.Parser.parse_string_exn (read_file path))
           | _ -> None
       in
       write_overhead rt ~dest ~uarch ~uarch_name ~source images);

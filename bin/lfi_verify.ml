@@ -6,14 +6,6 @@
 
 open Cmdliner
 
-let read_bytes path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let b = Bytes.create n in
-  really_input ic b 0 n;
-  close_in ic;
-  b
-
 let run input no_loads no_exclusives quiet =
   let config =
     Lfi_verifier.Verifier.config_of
@@ -21,29 +13,31 @@ let run input no_loads no_exclusives quiet =
         sandbox_loads = not no_loads;
         allow_exclusives = not no_exclusives }
   in
-  match Lfi_elf.Elf.read (read_bytes input) with
+  let bytes = In_channel.with_open_bin input In_channel.input_all in
+  match
+    Lfi_verifier.Verifier.verify_elf ~config
+      (Lfi_elf.Elf.read (Bytes.of_string bytes))
+  with
   | exception Lfi_elf.Elf.Bad_elf msg ->
       Printf.eprintf "%s: bad ELF: %s\n" input msg;
       exit 2
-  | elf -> (
-      match Lfi_verifier.Verifier.verify_elf ~config elf with
-      | Ok r ->
-          if not quiet then
-            Printf.printf "%s: OK (%d instructions, %d bytes)\n" input
-              r.checked r.bytes;
-          exit 0
-      | Error Lfi_verifier.Verifier.No_executable_segment ->
-          Printf.eprintf "%s: no executable segment\n" input;
-          exit 2
-      | Error (Lfi_verifier.Verifier.Rejected violations) ->
-          Printf.eprintf "%s: REJECTED (%d violations)\n" input
-            (List.length violations);
-          List.iteri
-            (fun k v ->
-              if k < 20 then
-                Format.eprintf "  %a@." Lfi_verifier.Verifier.pp_violation v)
-            violations;
-          exit 1)
+  | Ok r ->
+      if not quiet then
+        Printf.printf "%s: OK (%d instructions, %d bytes)\n" input r.checked
+          r.bytes;
+      exit 0
+  | Error Lfi_verifier.Verifier.No_executable_segment ->
+      Printf.eprintf "%s: no executable segment\n" input;
+      exit 2
+  | Error (Lfi_verifier.Verifier.Rejected violations) ->
+      Printf.eprintf "%s: REJECTED (%d violations)\n" input
+        (List.length violations);
+      List.iteri
+        (fun k v ->
+          if k < 20 then
+            Format.eprintf "  %a@." Lfi_verifier.Verifier.pp_violation v)
+        violations;
+      exit 1
 
 let cmd =
   let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"BINARY") in

@@ -341,7 +341,3 @@ let insn_addresses ?(origin = default_origin) (src : Source.t) : int array =
   pcs
 
 let symbol_address img name = Hashtbl.find_opt img.symbols name
-
-(** Total image size in bytes (text + alignment padding + data). *)
-let image_size img =
-  img.data_origin - img.origin + img.data_size

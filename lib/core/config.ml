@@ -10,6 +10,10 @@ type opt_level =
 
 let opt_level_to_string = function O0 -> "O0" | O1 -> "O1" | O2 -> "O2"
 
+(** The level a command line's [-O n] asks for: 0, 1, or 2 for any
+    other number. *)
+let opt_level_of_int = function 0 -> O0 | 1 -> O1 | _ -> O2
+
 type t = {
   opt : opt_level;
   sandbox_loads : bool;

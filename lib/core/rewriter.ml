@@ -664,9 +664,3 @@ let site_counts (stats : stats) :
         stats.sites;
       (cat, !ins, !md))
     Overhead.all_categories
-
-(** Convenience: rewrite assembly text to assembly text. *)
-let rewrite_string ?config (text : string) : string =
-  let src = Parser.parse_string_exn text in
-  let out, _ = rewrite ?config src in
-  Source.to_string out

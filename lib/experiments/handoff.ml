@@ -40,9 +40,7 @@ let measure (uarch : Cost_model.t) : result =
       ~config:{ Lfi_runtime.Runtime.default_config with uarch }
       ()
   in
-  let elf =
-    Table5.build Lfi_core.Config.o2 Lfi_workloads.Microbench.yield_prog
-  in
+  let elf = Table5.build Lfi_workloads.Microbench.yield_prog in
   let p1 =
     Lfi_runtime.Runtime.load rt ~arg:2L ~personality:Lfi_runtime.Proc.Lfi elf
   in

@@ -23,7 +23,7 @@ let measure_syscall_with config =
     let rt = Lfi_runtime.Runtime.create ~config () in
     let p =
       Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi
-        (Table5.build Lfi_core.Config.o2 prog)
+        (Table5.build prog)
     in
     let _, _, cycles, _ = Lfi_runtime.Runtime.run_one rt p in
     cycles
@@ -34,7 +34,7 @@ let measure_syscall_with config =
 
 let measure_yield_with config =
   let rt = Lfi_runtime.Runtime.create ~config () in
-  let elf = Table5.build Lfi_core.Config.o2 Lfi_workloads.Microbench.yield_prog in
+  let elf = Table5.build Lfi_workloads.Microbench.yield_prog in
   let p1 = Lfi_runtime.Runtime.load rt ~arg:2L ~personality:Lfi_runtime.Proc.Lfi elf in
   let _p2 = Lfi_runtime.Runtime.load rt ~arg:1L ~personality:Lfi_runtime.Proc.Lfi elf in
   let _, _, cycles, _ = Lfi_runtime.Runtime.run_one rt p1 in

@@ -13,8 +13,8 @@ open Lfi_emulator
 let lfi_config uarch =
   { Lfi_runtime.Runtime.default_config with uarch }
 
-let build config prog =
-  Lfi_core.Build.elf (Some config) (Lfi_minic.Compile.compile prog)
+(** A microbenchmark's image, rewritten at O2. *)
+let build = Run.build (Run.Lfi Lfi_core.Config.o2)
 
 (** Per-getpid cost under LFI: runtime-call loop minus the same loop
     without the call. *)
@@ -23,7 +23,7 @@ let measure_syscall uarch : float =
     let rt = Lfi_runtime.Runtime.create ~config:(lfi_config uarch) () in
     let p =
       Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi
-        (build Lfi_core.Config.o2 prog)
+        (build prog)
     in
     let _, _, cycles, _ = Lfi_runtime.Runtime.run_one rt p in
     cycles
@@ -41,7 +41,7 @@ let measure_pipe uarch : float =
   let rt = Lfi_runtime.Runtime.create ~config:(lfi_config uarch) () in
   let p =
     Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi
-      (build Lfi_core.Config.o2 Lfi_workloads.Microbench.pipe_prog)
+      (build Lfi_workloads.Microbench.pipe_prog)
   in
   let _, _, cycles, _ = Lfi_runtime.Runtime.run_one rt p in
   Cost_model.cycles_to_ns uarch
@@ -51,7 +51,7 @@ let measure_pipe uarch : float =
     sandboxes. *)
 let measure_yield uarch : float =
   let rt = Lfi_runtime.Runtime.create ~config:(lfi_config uarch) () in
-  let elf = build Lfi_core.Config.o2 Lfi_workloads.Microbench.yield_prog in
+  let elf = build Lfi_workloads.Microbench.yield_prog in
   let p1 = Lfi_runtime.Runtime.load rt ~arg:2L ~personality:Lfi_runtime.Proc.Lfi elf in
   let _p2 = Lfi_runtime.Runtime.load rt ~arg:1L ~personality:Lfi_runtime.Proc.Lfi elf in
   let _, _, cycles, _ = Lfi_runtime.Runtime.run_one rt p1 in

@@ -22,14 +22,9 @@ type verdict = Vpass | Vfail of string
 (** Build [src] at [config] and verify the image. *)
 let check_level ~(name : string) (config : Lfi_core.Config.t)
     (src : Source.t) : verdict =
-  match Lfi_core.Build.elf (Some config) src with
-  | exception Lfi_core.Rewriter.Error e ->
-      Vfail (Printf.sprintf "%s: rewriter error: %s" name e)
-  | exception e ->
-      Vfail
-        (Printf.sprintf "%s: rewriter output unassemblable: %s" name
-           (Printexc.to_string e))
-  | elf -> (
+  match Equiv.build_level ~name config src with
+  | Error why -> Vfail why
+  | Ok elf -> (
       match Lfi_verifier.Verifier.verify_elf elf with
       | Ok _ -> Vpass
       | Error Lfi_verifier.Verifier.No_executable_segment ->
@@ -41,14 +36,10 @@ let check_level ~(name : string) (config : Lfi_core.Config.t)
                (List.hd violations)))
 
 let check_source (src : Source.t) : verdict =
-  let rec go = function
-    | [] -> Vpass
-    | (name, config) :: tl -> (
-        match check_level ~name config src with
-        | Vpass -> go tl
-        | Vfail _ as f -> f)
-  in
-  go opt_levels
+  List.fold_left
+    (fun v (name, config) ->
+      if v = Vpass then check_level ~name config src else v)
+    Vpass opt_levels
 
 (** [run ~seed ~count ~minic_count ()] — rewriter outputs for [count]
     raw streams and [minic_count] MiniC programs must all verify. *)

@@ -60,15 +60,8 @@ let header_value line key =
             (String.length line - String.length prefix)))
   else None
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let load_file (path : string) : entry =
-  let text = read_file path in
+  let text = In_channel.with_open_bin path In_channel.input_all in
   let engine = ref None and expect = ref None in
   List.iter
     (fun line ->

@@ -118,6 +118,18 @@ let compare_stream_state ~(native : Sandbox.t) ~(lfi : Sandbox.t) :
 
 type case_result = Pass | Skip of string | Fail of string
 
+(** [src] built at [config], or why it could not be: the rewriter
+    refused it or its output does not assemble. *)
+let build_level ~name config src =
+  match Lfi_core.Build.elf (Some config) src with
+  | elf -> Ok elf
+  | exception Lfi_core.Rewriter.Error e ->
+      Error (Printf.sprintf "%s: rewriter error: %s" name e)
+  | exception e ->
+      Error
+        (Printf.sprintf "%s: rewriter output unassemblable: %s" name
+           (Printexc.to_string e))
+
 (** Run [src] natively and at every opt level, with [compare_extra]
     called on matching exits for the deeper state comparison. *)
 let check_source ~(compare_state : native:Sandbox.t -> lfi:Sandbox.t -> string option)
@@ -131,34 +143,28 @@ let check_source ~(compare_state : native:Sandbox.t -> lfi:Sandbox.t -> string o
       | Sandbox.Trapped why -> Skip ("native run trapped: " ^ why)
       | Sandbox.Stray_call _ -> Skip "native stray call"
       | Sandbox.Exit native_exit ->
-          let rec levels = function
-            | [] -> Pass
-            | (name, config) :: tl -> (
-                match Lfi_core.Build.elf (Some config) src with
-                | exception Lfi_core.Rewriter.Error e ->
-                    Fail (Printf.sprintf "%s: rewriter error: %s" name e)
-                | exception e ->
-                    Fail
-                      (Printf.sprintf "%s: rewritten output unassemblable: %s"
-                         name (Printexc.to_string e))
-                | elf -> (
-                    let sbx, out = run_at ~base:lfi_base elf in
-                    match out.Sandbox.stop with
-                    | Sandbox.Exit v when v = native_exit -> (
-                        match compare_state ~native:native_sbx ~lfi:sbx with
-                        | Some why -> Fail (Printf.sprintf "%s: %s" name why)
-                        | None -> levels tl)
-                    | Sandbox.Exit v ->
-                        Fail
-                          (Printf.sprintf
-                             "%s: exit value 0x%Lx, native 0x%Lx" name v
-                             native_exit)
-                    | other ->
-                        Fail
-                          (Format.asprintf "%s: %a, native exit(0x%Lx)"
-                             name Sandbox.pp_stop other native_exit)))
+          (* the first level that fails, and why *)
+          let failure (name, config) =
+            match build_level ~name config src with
+            | Error why -> Some why
+            | Ok elf -> (
+                let sbx, out = run_at ~base:lfi_base elf in
+                match out.Sandbox.stop with
+                | Sandbox.Exit v when v = native_exit ->
+                    compare_state ~native:native_sbx ~lfi:sbx
+                    |> Option.map (Printf.sprintf "%s: %s" name)
+                | Sandbox.Exit v ->
+                    Some
+                      (Printf.sprintf "%s: exit value 0x%Lx, native 0x%Lx"
+                         name v native_exit)
+                | other ->
+                    Some
+                      (Format.asprintf "%s: %a, native exit(0x%Lx)" name
+                         Sandbox.pp_stop other native_exit))
           in
-          levels opt_levels)
+          match List.find_map failure opt_levels with
+          | None -> Pass
+          | Some why -> Fail why)
 
 let minic_compare ~(native : Sandbox.t) ~(lfi : Sandbox.t) : string option =
   (* compiled code keeps real pointers in registers; compare the global

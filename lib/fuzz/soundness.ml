@@ -214,9 +214,7 @@ let run ?(seed = 0) ?(count = 200) ?(pool = 6)
      mutating an unverifiable binary proves nothing *)
   let seeds =
     Array.of_list
-      (List.filter
-         (fun elf -> verifies ~config elf)
-         (Array.to_list seeds))
+      (List.filter (verifies ~config) (Array.to_list seeds))
   in
   let failures = ref [] in
   let cases = ref 0 and rejected = ref 0 in
@@ -309,6 +307,6 @@ let bit_flip_audit ?(weakening = Lfi_verifier.Verifier.No_uxtw_check)
 let demo_weakened () : (Lfi_verifier.Verifier.weakening * demo) list =
   List.map
     (fun w ->
-      (w, bit_flip_audit ~weakening:w
-              (Lfi_core.Build.elf None (demo_seed_source w))))
+      let seed = Lfi_core.Build.elf None (demo_seed_source w) in
+      (w, bit_flip_audit ~weakening:w seed))
     Lfi_verifier.Verifier.all_weakenings

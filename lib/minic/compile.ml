@@ -1084,6 +1084,3 @@ let compile (prog : program) : Source.t =
            prog.globals
   in
   List.rev_append out globals
-
-(** Compile to assembly text. *)
-let compile_string prog = Source.to_string (compile prog)

@@ -843,14 +843,9 @@ let od_streams =
   ]
 
 let od_machine ~wx asm =
-  let native = Parser.parse_string_exn asm in
-  let rewritten, stats =
-    Lfi_core.Rewriter.rewrite ~config:Lfi_core.Config.o0 native
+  let elf =
+    Lfi_core.Build.elf (Some Lfi_core.Config.o0) (Parser.parse_string_exn asm)
   in
-  let sites =
-    Lfi_core.Rewriter.resolve_sites ~input:native ~output:rewritten stats
-  in
-  let img = Assemble.assemble rewritten in
   let mem = Memory.create () in
   let m = Machine.create mem in
   let load addr perm write =
@@ -864,15 +859,18 @@ let od_machine ~wx asm =
         let entry = Int64.of_int (8 * k) in
         Memory.write mem entry 8 (Int64.add Machine.host_region_start entry)
       done);
-  load img.Assemble.origin
-    (if wx then { Memory.r = true; w = true; x = true } else Memory.perm_rx)
-    (fun a -> Memory.write_bytes mem a img.Assemble.text);
-  load img.Assemble.data_origin Memory.perm_rw (fun a ->
-      Memory.write_bytes mem a img.Assemble.data);
-  Machine.set_pc m.Machine.regs (Int64.of_int img.Assemble.entry);
+  List.iter
+    (fun (seg : Lfi_elf.Elf.segment) ->
+      load seg.vaddr
+        (if seg.flags land Lfi_elf.Elf.pf_x = 0 then Memory.perm_rw
+         else if wx then { Memory.r = true; w = true; x = true }
+         else Memory.perm_rx)
+        (fun a -> Memory.write_bytes mem a seg.data))
+    elf.Lfi_elf.Elf.segments;
+  Machine.set_pc m.Machine.regs (Int64.of_int elf.Lfi_elf.Elf.entry);
   m.Machine.metrics <- Some (Lfi_telemetry.Metrics.create_emu ());
   m.Machine.profile <- Some (Lfi_telemetry.Profile.create ~period:4 ());
-  m.Machine.overhead <- Some (Lfi_telemetry.Overhead.create ~base:0 sites);
+  m.Machine.overhead <- Some (Lfi_telemetry.Overhead.create ~base:0 elf.Lfi_elf.Elf.sites);
   m.Machine.flight <- Some (Lfi_telemetry.Flight.create ());
   m
 

@@ -383,96 +383,71 @@ let test_verify_golden () =
 
 (* ---------------- the one build path ---------------- *)
 
-let text_of (elf : Lfi_elf.Elf.t) =
-  match Lfi_elf.Elf.text_segment elf with
-  | Some s -> Bytes.to_string s.Lfi_elf.Elf.data
-  | None -> Alcotest.fail "no text segment"
-
-let without_text (elf : Lfi_elf.Elf.t) =
-  { elf with
-    Lfi_elf.Elf.segments =
-      List.filter
-        (fun (s : Lfi_elf.Elf.segment) ->
-          s.Lfi_elf.Elf.flags land Lfi_elf.Elf.pf_x = 0)
-        elf.Lfi_elf.Elf.segments }
-
-let hostile_elf () =
+(* An ELF that writes x21, and the same ELF without its segments. *)
+let hostile () =
   Lfi_core.Build.elf None
     (Lfi_arm64.Parser.parse_string_exn "_start:\n\tmovz x21, #0\n\tsvc #1\n")
 
-let test_verify_elf_no_text () =
-  let elf = without_text (hostile_elf ()) in
-  checkb "typed error, no exception" true
-    (match Lfi_verifier.Verifier.verify_elf elf with
-    | Error Lfi_verifier.Verifier.No_executable_segment -> true
-    | _ -> false)
+let textless () = { (hostile ()) with Lfi_elf.Elf.segments = [] }
 
-(* The loader keeps its two messages: the missing segment, and the
-   first violation at its load address. *)
+let test_verify_elf_no_text () =
+  checkb "typed error, no exception" true
+    (Lfi_verifier.Verifier.verify_elf (textless ())
+    = Error Lfi_verifier.Verifier.No_executable_segment)
+
+(* The loader keeps its two messages, now with ELF addresses. *)
 let test_load_errors () =
   let load elf =
     match
-      Lfi_runtime.Runtime.load (Lfi_runtime.Runtime.create ())
-        ~personality:Lfi_runtime.Proc.Lfi elf
+      Lfi_runtime.Runtime.(load (create ()) ~personality:Lfi_runtime.Proc.Lfi)
+        elf
     with
-    | exception Lfi_runtime.Runtime.Load_error m -> m
+    | exception Lfi_runtime.Runtime.Load_error m ->
+        List.hd (String.split_on_char '\n' m)
     | _ -> Alcotest.fail "loaded"
   in
-  Alcotest.(check string) "no text" "no executable segment"
-    (load (without_text (hostile_elf ())));
+  Alcotest.(check string) "no text" "no executable segment" (load (textless ()));
   Alcotest.(check string) "rejected"
     "verification failed: 0x10000 (+0x0): movz x21, #0: write to x21 \
      (sandbox base) forbidden"
-    (List.hd (String.split_on_char '\n' (load (hostile_elf ()))))
+    (load (hostile ()))
 
-(* One program through Run.build, through the lfi_cc CLI and, with its
-   return trampoline, through Library.create: the same text and site
-   table either way. *)
+(* primes.mc through Run.build and through lfi_cc, and with its return
+   trampoline through Library.create: the same text and sites. *)
 let test_one_path () =
-  let src = Golden.path "../examples/primes.mc" in
   let prog = Minic_parser.parse (Golden.read_file "../examples/primes.mc") in
   let run_build = Lfi_experiments.Run.(build (Lfi Lfi_core.Config.o2)) in
-  let exe = Filename.quote (Golden.path "../bin/lfi_cc.exe") in
   checki "lfi_cc exits 0" 0
     (Sys.command
-       (Printf.sprintf "%s %s -o cli_primes.elf > cli_cc.tmp" exe
-          (Filename.quote src)));
-  let cc =
-    Lfi_elf.Elf.read (Bytes.of_string (Golden.read_file "cli_primes.elf"))
+       (Printf.sprintf "%s %s -o cli_primes.elf > cli_cc.tmp"
+          (Filename.quote (Golden.path "../bin/lfi_cc.exe"))
+          (Filename.quote (Golden.path "../examples/primes.mc"))));
+  let same label (a : Lfi_elf.Elf.t) (b : Lfi_elf.Elf.t) =
+    checkb (label ^ " text") true
+      (Lfi_elf.Elf.text_segment a = Lfi_elf.Elf.text_segment b);
+    checkb (label ^ " sites") true (a.sites <> [] && a.sites = b.sites)
   in
-  let run = run_build prog in
-  Alcotest.(check string) "lfi_cc text = Run.build text" (text_of run)
-    (text_of cc);
-  checkb "lfi_cc carries the site table" true
-    (cc.Lfi_elf.Elf.sites <> []
-    && cc.Lfi_elf.Elf.sites = run.Lfi_elf.Elf.sites);
-  let lib = Lfi_libbox.Library.create ~name:"primes" ~exports:[ "main" ] prog in
-  let run = run_build (Lfi_libbox.Library.with_trampoline prog) in
-  Alcotest.(check string) "Library.create text = Run.build text"
-    (text_of run) (text_of lib.Lfi_libbox.Library.elf);
-  checkb "same site table" true
-    (lib.Lfi_libbox.Library.elf.Lfi_elf.Elf.sites = run.Lfi_elf.Elf.sites)
+  same "lfi_cc" (run_build prog)
+    (Lfi_elf.Elf.read (Bytes.of_string (Golden.read_file "cli_primes.elf")));
+  same "Library.create"
+    (run_build (Lfi_libbox.Library.with_trampoline prog))
+    (Lfi_libbox.Library.create ~name:"primes" ~exports:[] prog)
+      .Lfi_libbox.Library.elf
 
-(* A library image carries one site per rewrite site, through
-   Elf.write and Elf.read. *)
+(* A library image has one site per rewrite site, through Elf.write
+   and Elf.read. *)
 let test_library_sites () =
-  let spec = List.hd Lfi_workloads.Libs.all in
-  let lib =
-    Lfi_libbox.Library.create ~name:spec.Lfi_libbox.Api.l_short ~exports:[]
-      spec.Lfi_libbox.Api.l_program
-  in
-  let elf = lib.Lfi_libbox.Library.elf in
+  let prog = Lfi_workloads.Libs.xzbox_program in
+  let elf = (Lfi_libbox.Library.create ~name:"xz" ~exports:[] prog).elf in
   let _, stats =
-    Lfi_core.Rewriter.rewrite ~config:Lfi_core.Config.o2
-      (Compile.compile
-         (Lfi_libbox.Library.with_trampoline spec.Lfi_libbox.Api.l_program))
+    Lfi_core.Rewriter.rewrite
+      (Compile.compile (Lfi_libbox.Library.with_trampoline prog))
   in
   checki "one site per rewrite site"
     (List.length stats.Lfi_core.Rewriter.sites)
     (List.length elf.Lfi_elf.Elf.sites);
   checkb "sites survive write/read" true
-    ((Lfi_elf.Elf.read (Lfi_elf.Elf.write elf)).Lfi_elf.Elf.sites
-    = elf.Lfi_elf.Elf.sites)
+    ((Lfi_elf.Elf.read (Lfi_elf.Elf.write elf)).sites = elf.sites)
 
 let mk name f = Alcotest.test_case name `Quick f
 

@@ -13,10 +13,6 @@ let build ?(rewrite = true) ?(config = Lfi_core.Config.default) asm =
     (if rewrite then Some config else None)
     (Parser.parse_string_exn asm)
 
-(* O0 keeps one explicit guard instruction per sandboxed access, which
-   the golden test below wants to see in the instruction mix. *)
-let o0 = { Lfi_core.Config.default with Lfi_core.Config.opt = Lfi_core.Config.O0 }
-
 (* A small deterministic workload: a counted store/load loop plus one
    write runtime call, exercising the decode cache, the TLB and every
    instruction class the mix counters distinguish. *)
@@ -61,9 +57,11 @@ let test_metrics_off_by_default () =
 let run_with_metrics () =
   let rt = Lfi_runtime.Runtime.create () in
   let e = Lfi_runtime.Runtime.enable_metrics rt in
+  (* O0 keeps one explicit guard instruction per sandboxed access,
+     which the golden test below wants to see in the instruction mix *)
   let p =
     Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi
-      (build ~config:o0 loop_asm)
+      (build ~config:Lfi_core.Config.o0 loop_asm)
   in
   ignore (Lfi_runtime.Runtime.run_one rt p);
   (rt, e)
