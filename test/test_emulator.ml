@@ -870,7 +870,8 @@ let od_machine ~wx asm =
   Machine.set_pc m.Machine.regs (Int64.of_int elf.Lfi_elf.Elf.entry);
   m.Machine.metrics <- Some (Lfi_telemetry.Metrics.create_emu ());
   m.Machine.profile <- Some (Lfi_telemetry.Profile.create ~period:4 ());
-  m.Machine.overhead <- Some (Lfi_telemetry.Overhead.create ~base:0 elf.Lfi_elf.Elf.sites);
+  m.Machine.overhead <-
+    Some (Lfi_telemetry.Overhead.create ~base:0 elf.Lfi_elf.Elf.sites);
   m.Machine.flight <- Some (Lfi_telemetry.Flight.create ());
   m
 

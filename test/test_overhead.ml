@@ -33,7 +33,8 @@ let loop_asm =
 
 (** [loop_asm] rewritten at O0, carrying its [.lfi_sites] table. *)
 let loop_elf () =
-  Lfi_core.Build.elf (Some Lfi_core.Config.o0) (Parser.parse_string_exn loop_asm)
+  Lfi_core.Build.elf (Some Lfi_core.Config.o0)
+    (Parser.parse_string_exn loop_asm)
 
 let show_site (s : Overhead.site) =
   Printf.sprintf "%x:%s:%b:%x" s.Overhead.pc

@@ -406,7 +406,8 @@ let test_load_errors () =
         List.hd (String.split_on_char '\n' m)
     | _ -> Alcotest.fail "loaded"
   in
-  Alcotest.(check string) "no text" "no executable segment" (load (textless ()));
+  Alcotest.(check string) "no text" "no executable segment"
+    (load (textless ()));
   Alcotest.(check string) "rejected"
     "verification failed: 0x10000 (+0x0): movz x21, #0: write to x21 \
      (sandbox base) forbidden"
