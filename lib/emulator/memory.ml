@@ -16,13 +16,21 @@
     translations and stale decoded instructions are impossible by
     construction.
 
-    Each page also carries a dirty flag, and the space keeps a change
-    log of the pages that changed while clean (see [page.dirty]):
-    snapshot-based reset drains it to rewind exactly the pages a
-    request changed. *)
+    Each page also carries a clean mask, one bit per 512-byte chunk,
+    and the space keeps a change log of the pages that changed while
+    wholly clean (see [page.clean]): snapshot-based reset drains it to
+    visit exactly the pages a request changed, and rewrites only the
+    chunks whose bit the request cleared, so a reset costs O(bytes
+    changed), not O(pages changed) x 16 KiB. *)
 
 let page_bits = 14
 let page_size = 1 lsl page_bits (* 16 KiB *)
+
+(* Clean-mask geometry: 32 chunks of 512 bytes per page. *)
+let chunk_bits = 9
+let chunk_size = 1 lsl chunk_bits
+let chunks_per_page = page_size / chunk_size
+let all_clean = (1 lsl chunks_per_page) - 1
 
 type perm = { r : bool; w : bool; x : bool }
 
@@ -33,16 +41,20 @@ let perm_rx = { r = true; w = false; x = true }
 type page = {
   mutable perm : perm;
   data : Bytes.t;
-  mutable dirty : bool;
-      (** [false] only on a page a consumer declared clean: snapshot-
-          based reset (see [lib/libbox]) clears it at its baseline.
-          The first change to a clean page — a store, a permission
-          change through [map] / [protect] / [set_page_perm], or an
-          [unmap] — sets it and appends the page's index to the space's
-          change log, so the consumer finds every page changed since
-          its baseline without walking its pages.  Pages are born
-          dirty, so a space nobody cleans logs nothing, and the store
-          path pays one test of this flag. *)
+  mutable clean : int;
+      (** Bit [c] is set while chunk [c] (bytes [c * chunk_size] up to
+          the next chunk) is unchanged since a consumer's baseline:
+          snapshot-based reset (see [lib/libbox]) sets all
+          [chunks_per_page] bits at its baseline.  A store clears the
+          bits of the chunks it touches; a permission change through
+          [map] / [protect] / [set_page_perm], or an [unmap], clears
+          them all.  The first change to a wholly clean page also
+          appends the page's index to the space's change log, so the
+          consumer finds every page changed since its baseline without
+          walking its pages, and within each page the chunks to
+          rewrite.  [0] means the whole page is dirty; pages are born
+          that way, so a space nobody cleans logs nothing, and the
+          store path pays one mask test. *)
 }
 
 type access = Read | Write | Fetch
@@ -80,7 +92,7 @@ let tc_mask = tc_size - 1
 let dummy_page =
   { perm = { r = false; w = false; x = false };
     data = Bytes.create 0;
-    dirty = false }
+    clean = 0 }
 
 type t = {
   pages : (int, page) Hashtbl.t;
@@ -127,22 +139,31 @@ let tc_flush m = Array.fill m.tc_idx 0 tc_size (-1)
 
 let code_changed m (addr : int64) (len : int) = m.on_code_change addr len
 
-(* The first change to clean page [p] at index [idx]: mark it dirty and
-   append it to the change log.  Callers test [p.dirty] first, so the
-   common case never leaves the store path. *)
-let[@inline never] log_change m (p : page) (idx : int) =
-  p.dirty <- true;
-  if m.n_changes = Array.length m.changes then begin
-    let grown = Array.make (max 16 (2 * m.n_changes)) 0 in
-    Array.blit m.changes 0 grown 0 m.n_changes;
-    m.changes <- grown
+(** The clean-mask bits of the chunks holding the first and the last
+    byte of a [size]-byte access at page offset [off]: every chunk it
+    touches, since an access spans at most two chunks. *)
+let[@inline] chunk_mask (off : int) (size : int) =
+  (1 lsl (off lsr chunk_bits)) lor (1 lsl ((off + size - 1) lsr chunk_bits))
+
+(* A change to clean chunks [mask] of page [p] at index [idx]: clear
+   their bits, and if the page was wholly clean append it to the change
+   log.  Callers test [p.clean land mask] first, so the common case
+   never leaves the store path. *)
+let[@inline never] log_change m (p : page) (idx : int) (mask : int) =
+  if p.clean = all_clean then begin
+    if m.n_changes = Array.length m.changes then begin
+      let grown = Array.make (max 16 (2 * m.n_changes)) 0 in
+      Array.blit m.changes 0 grown 0 m.n_changes;
+      m.changes <- grown
+    end;
+    m.changes.(m.n_changes) <- idx;
+    m.n_changes <- m.n_changes + 1
   end;
-  m.changes.(m.n_changes) <- idx;
-  m.n_changes <- m.n_changes + 1
+  p.clean <- p.clean land lnot mask
 
 let set_perm m (idx : int) (p : page) (perm : perm) =
   if p.perm <> perm then begin
-    if not p.dirty then log_change m p idx;
+    if p.clean <> 0 then log_change m p idx all_clean;
     p.perm <- perm
   end
 
@@ -157,7 +178,7 @@ let map m ~(addr : int64) ~(len : int) ~(perm : perm) =
     | Some p -> set_perm m i p perm
     | None ->
         Hashtbl.replace m.pages i
-          { perm; data = Bytes.make page_size '\000'; dirty = true }
+          { perm; data = Bytes.make page_size '\000'; clean = 0 }
   done;
   tc_flush m;
   code_changed m addr len
@@ -168,7 +189,7 @@ let unmap m ~(addr : int64) ~(len : int) =
   let first = page_index addr in
   for i = first to first + (len / page_size) - 1 do
     (match Hashtbl.find_opt m.pages i with
-    | Some p when not p.dirty -> log_change m p i
+    | Some p when p.clean <> 0 -> log_change m p i all_clean
     | _ -> ());
     Hashtbl.remove m.pages i
   done;
@@ -255,16 +276,20 @@ let[@inline] read_hit m (idx : int) : Bytes.t =
   end
   else Bytes.empty
 
-(** The same for a store: the page must be cached writable, not
-    executable and already dirty, so that the store needs neither the
-    change log nor a decode-cache invalidation; otherwise the caller
-    takes {!write}. *)
-let[@inline] write_hit m (idx : int) : Bytes.t =
+(** The same for a [size]-byte store at page offset [off]: the page
+    must be cached writable and not executable, and the chunks of the
+    store's first and last byte already dirty, so that the store needs
+    neither the clean mask, the change log nor a decode-cache
+    invalidation; otherwise the caller takes {!write}.  A page nobody
+    cleaned (mask 0) skips the chunk arithmetic. *)
+let[@inline] write_hit m (idx : int) (off : int) (size : int) : Bytes.t =
   let slot = idx land tc_mask in
   if
     Array.unsafe_get m.tc_idx slot = idx
     && Array.unsafe_get m.tc_bits slot land (pb_w lor pb_x) = pb_w
-    && (Array.unsafe_get m.tc_page slot).dirty
+    &&
+    let clean = (Array.unsafe_get m.tc_page slot).clean in
+    clean = 0 || clean land chunk_mask off size = 0
   then begin
     m.tc_hits <- m.tc_hits + 1;
     (Array.unsafe_get m.tc_page slot).data
@@ -285,9 +310,11 @@ let read_u8 m addr =
 
 let write_u8 m addr v =
   let p = get_page m addr Write in
-  if not p.dirty then log_change m p (page_index addr);
+  let off = page_offset addr in
+  let mask = 1 lsl (off lsr chunk_bits) in
+  if p.clean land mask <> 0 then log_change m p (page_index addr) mask;
   wx_invalidate m p addr 1;
-  Bytes.set_uint8 p.data (page_offset addr) v
+  Bytes.set_uint8 p.data off v
 
 (** Read [size] (1/2/4/8) bytes little-endian as an unsigned Int64
     (fully represented; 8-byte reads use the native int64 range). *)
@@ -316,7 +343,8 @@ let write m (addr : int64) (size : int) (v : int64) =
   let off = page_offset addr in
   if off + size <= page_size then begin
     let p = get_page m addr Write in
-    if not p.dirty then log_change m p (page_index addr);
+    let mask = chunk_mask off size in
+    if p.clean land mask <> 0 then log_change m p (page_index addr) mask;
     wx_invalidate m p addr size;
     match size with
     | 8 -> Bytes.set_int64_le p.data off v
@@ -350,12 +378,14 @@ let read_bytes m (addr : int64) (len : int) : bytes =
 
 let page_data (p : page) = p.data
 let page_perm (p : page) = p.perm
-let page_clear_dirty (p : page) = p.dirty <- false
+let page_clean (p : page) = p.clean
+let page_mark_clean (p : page) = p.clean <- all_clean
 
 (** Take every page index in [\[lo, hi)] out of the change log, calling
     [f] on each in log order; entries outside the range stay.  [f] must
-    leave its page dirty until it is done with it (clearing the flag
-    last), so that nothing it does appends to the log being drained. *)
+    leave some chunk of its page dirty until it is done with it
+    (marking it clean last), so that nothing it does appends to the log
+    being drained. *)
 let drain_changes m ~(lo : int) ~(hi : int) (f : int -> unit) =
   let kept = ref 0 in
   for k = 0 to m.n_changes - 1 do

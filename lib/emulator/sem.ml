@@ -422,8 +422,8 @@ let[@inline] bread (m : Machine.t) (pci : int) (a : int64) (size : int) :
 
 (** The data access every store runs, like {!bread}: a store within
     one page that {!Memory.write_hit} finds cached writable, not
-    executable and dirty is made here; every other store is
-    {!Memory.write}. *)
+    executable and with the chunks it touches already dirty is made
+    here; every other store is {!Memory.write}. *)
 let[@inline] bwrite (m : Machine.t) (pci : int) (a : int64) (size : int)
     (v : int64) =
   (match m.escape_oracle with
@@ -435,6 +435,7 @@ let[@inline] bwrite (m : Machine.t) (pci : int) (a : int64) (size : int)
     if off + size <= Memory.page_size then
       Memory.write_hit m.mem
         (Int64.to_int (Int64.shift_right_logical a Memory.page_bits))
+        off size
     else Bytes.empty
   in
   if d == Bytes.empty then Memory.write m.mem a size v

@@ -20,14 +20,16 @@
     {b Reset.}  At creation (after the optional init export) the
     instance captures a baseline: a copy of every mapped page of its
     slot ({!Lfi_runtime.Runtime.slot_pages}) plus the heap break, with
-    the pages' dirty flags cleared.  The
+    the pages marked clean.  The
     first change to a clean page — a store, a permission change, an
     unmap — appends it to the address space's change log
-    ({!Memory.drain_changes}), so [reset] visits exactly the pages the
-    request changed: it remaps, re-protects and rewrites each from the
-    baseline, unmaps pages the request mapped, and rewinds the fd table
-    and heap break — so no request can observe a previous request's
-    writes (test-enforced). *)
+    ({!Memory.drain_changes}), and every store clears the clean bits of
+    the 512-byte chunks it touches, so [reset] visits exactly the pages
+    the request changed and rewrites only their changed chunks: it
+    remaps, re-protects and rewrites each from the baseline, unmaps
+    pages the request mapped, and rewinds the fd table and heap break —
+    so no request can observe a previous request's writes
+    (test-enforced). *)
 
 open Lfi_emulator
 open Lfi_runtime
@@ -69,8 +71,8 @@ let addr_of_idx idx = Int64.shift_left (Int64.of_int idx) Memory.page_bits
    this one copy, which is only ever read. *)
 let zero_page = Bytes.make page '\000'
 
-(** Snapshot the slot's current memory as the reset baseline and clear
-    the dirty flags, so [reset] touches only pages changed since.  Log
+(** Snapshot the slot's current memory as the reset baseline and mark
+    its pages clean, so [reset] touches only what changed since.  Log
     entries left in the slot by an earlier occupant (a killed instance
     whose slot this one reuses) are dropped first. *)
 let capture_baseline (inst : t) =
@@ -85,30 +87,45 @@ let capture_baseline (inst : t) =
         { pg_bytes =
             (if Bytes.equal data zero_page then zero_page else Bytes.copy data);
           pg_perm = Memory.page_perm pg };
-      Memory.page_clear_dirty pg)
+      Memory.page_mark_clean pg)
     (Runtime.slot_pages mem inst.p.Proc.base);
   inst.heap_end0 <- inst.p.Proc.heap_end;
   inst.baseline <- inst.p.Proc.snapshot
 
-(** Wind the instance back to its baseline: rewind every page the
-    request changed from its pristine copy, drop pages it mapped,
-    rewind the heap break, and rebuild the std fd table.
+(* Rewrite the chunks of [dst] whose bit is clear in [clean] from
+   [src]: all of it when [clean] is 0 (a re-protected, unmapped or
+   remapped page, or one stored to in every chunk). *)
+let restore_chunks (src : bytes) (dst : bytes) (clean : int) =
+  if clean = 0 then Bytes.blit src 0 dst 0 page
+  else
+    for c = 0 to Memory.chunks_per_page - 1 do
+      if clean land (1 lsl c) = 0 then begin
+        let off = c lsl Memory.chunk_bits in
+        Bytes.blit src off dst off Memory.chunk_size
+      end
+    done
 
-    Cost is O(pages changed since the baseline), never O(pages of the
-    slot or of the runtime): the slot's entries in the change log are
-    exactly its baseline pages the request stored to, re-protected or
-    unmapped, and any page the request mapped beyond the baseline must
-    sit in [heap_end0, heap_end) because both [mmap] and [brk]
-    bump-allocate at the break — so with hundreds of resident
-    instances a reset still touches only what its own request
+(** Wind the instance back to its baseline: rewind every chunk the
+    request changed from its pristine copy, drop pages it mapped,
+    rewind the heap break, and rebuild the std fd table if the request
+    touched it.
+
+    Cost is O(bytes changed since the baseline), rounded up to 512-byte
+    chunks, never O(pages of the slot or of the runtime): the slot's
+    entries in the change log are exactly its baseline pages the
+    request stored to, re-protected or unmapped, each page's clean mask
+    names the chunks it stored to, and any page the request mapped
+    beyond the baseline must sit in [heap_end0, heap_end) because both
+    [mmap] and [brk] bump-allocate at the break — so with hundreds of
+    resident instances a reset still touches only what its own request
     changed. *)
 let reset (inst : t) =
   let mem = inst.rt.Runtime.mem in
   let restored = ref 0 in
   (* each changed baseline page: bring it back if unmapped, restore its
-     permission, rewrite its bytes (a straight blit: only data pages
-     are writable, so no decode-cache entry can go stale), and clear
-     its flag last (see [Memory.drain_changes]) *)
+     permission, rewrite its changed chunks (straight blits: only data
+     pages are writable, so no decode-cache entry can go stale), and
+     mark it clean last (see [Memory.drain_changes]) *)
   Memory.drain_changes mem ~lo:(slot_first inst.p) ~hi:(slot_last inst.p)
     (fun idx ->
       let pr = Hashtbl.find inst.pristine idx in
@@ -121,8 +138,8 @@ let reset (inst : t) =
       in
       if Memory.page_perm pg <> pr.pg_perm then
         Memory.set_page_perm mem idx pr.pg_perm;
-      Bytes.blit pr.pg_bytes 0 (Memory.page_data pg) 0 page;
-      Memory.page_clear_dirty pg;
+      restore_chunks pr.pg_bytes (Memory.page_data pg) (Memory.page_clean pg);
+      Memory.page_mark_clean pg;
       incr restored);
   (* pages the request mapped (mmap/brk allocate at the break, so they
      all live in the heap-growth range): drop them *)
@@ -138,8 +155,10 @@ let reset (inst : t) =
   done;
   inst.pages_restored <- inst.pages_restored + !restored;
   inst.p.Proc.heap_end <- inst.heap_end0;
-  Proc.close_all inst.p;
-  Proc.install_std_fds inst.p;
+  if not (Proc.has_only_std_fds inst.p) then begin
+    Proc.close_all inst.p;
+    Proc.install_std_fds inst.p
+  end;
   Buffer.clear inst.p.Proc.stdout;
   inst.p.Proc.state <- Proc.Runnable;
   inst.p.Proc.snapshot <- inst.baseline;
