@@ -92,6 +92,20 @@ let install_std_fds (p : t) =
   Hashtbl.replace p.fds 2 Vfs.Console_out;
   p.next_fd <- 3
 
+(* [n] is open on [obj], a constant constructor; no option is built *)
+let fd_is (p : t) (n : int) (obj : Vfs.fd_object) =
+  Hashtbl.mem p.fds n && Hashtbl.find p.fds n == obj
+
+(** The table is exactly what {!install_std_fds} leaves: fds 0/1/2 on
+    the console and nothing else, ever ([next_fd = 3]).  Allocates
+    nothing. *)
+let has_only_std_fds (p : t) =
+  p.next_fd = 3
+  && Hashtbl.length p.fds = 3
+  && fd_is p 0 Vfs.Console_in
+  && fd_is p 1 Vfs.Console_out
+  && fd_is p 2 Vfs.Console_out
+
 (** Duplicate the descriptor table for fork, bumping pipe endpoint
     reference counts. *)
 let dup_fds (src : t) (dst : t) =
