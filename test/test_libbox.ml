@@ -51,6 +51,26 @@ let rtcall_lib =
            ];
        })
 
+(* a library whose one export makes two 8-byte guest stores at [a + 500]
+   and [a + 508]: the second straddles the 512-byte chunk boundary when
+   [a] is page-aligned *)
+let straddle_lib =
+  lazy
+    (let open Lfi_minic.Ast in
+     let open Lfi_minic.Ast.Dsl in
+     Library.create ~name:"straddlebox" ~exports:[ "straddle" ]
+       {
+         globals = [];
+         funcs =
+           [
+             func "straddle" ~params:[ ("a", Int); ("x", Int) ]
+               [ store I64 (v "a" + i 500) (v "x");
+                 store I64 (v "a" + i 508) (v "x");
+                 ret (i 0) ];
+             func "main" [ ret (i 0) ];
+           ];
+       })
+
 let make_rt () =
   Runtime.create ~config:{ Runtime.default_config with verify = false } ()
 
@@ -194,12 +214,14 @@ let test_reset_restores_globals () =
     (Int64.to_int (ret_of (Instance.call inst "peek_global" [])))
 
 (* A warm call enters by writing its entry registers into the machine's
-   register file in place, and reset rewinds only the page the poke
-   dirtied, so a poke or peek plus its reset allocates little: about
-   140 minor words, under this bound.  With the register state in
-   boxed [int64] arrays (a fresh entry snapshot and its restore every
-   call) the same pair took about 490. *)
-let call_reset_words_bound = 175.
+   register file in place, and reset rewinds only the chunks the poke
+   dirtied and leaves the untouched std fd table alone, so a poke or
+   peek plus its reset allocates little: about 124 minor words (60 in
+   the release profile), under this bound.  Rebuilding the fd table on
+   every reset took about 140; with the register state in boxed
+   [int64] arrays (a fresh entry snapshot and its restore every call)
+   the same pair took about 490. *)
+let call_reset_words_bound = 140.
 
 let test_call_allocates_little () =
   let inst = make_inst () in
@@ -264,19 +286,21 @@ let test_reset_undoes_mmap_growth () =
     (Int64.equal inst.Instance.p.Proc.heap_end heap0)
 
 (* Reset equivalence: a seeded random sequence of host-side changes to
-   the slot — stores (host writes and guest calls), re-protections and
-   unmaps of clean baseline pages, and mappings in the heap-growth
-   range — then [reset] must leave every slot page's bytes and
-   permission equal to the baseline and no other page mapped. *)
+   the slot — stores (host writes of 1/2/4/8 bytes, some straddling a
+   512-byte chunk boundary or ending the page, and guest calls),
+   re-protections and unmaps of clean baseline pages, and mappings in
+   the heap-growth range — then [reset] must leave every slot page's
+   bytes and permission equal to the baseline and no other page
+   mapped. *)
 type op =
-  | Store of int * int * int  (** page pick, offset, byte *)
+  | Store of int * int * int * int  (** page pick, offset, size, value *)
   | Call of int
   | Protect of int
   | Unmap of int
   | Grow
 
 let show_op = function
-  | Store (g, o, v) -> Printf.sprintf "Store(%d,%d,%d)" g o v
+  | Store (g, o, n, v) -> Printf.sprintf "Store(%d,%d,%d,%d)" g o n v
   | Call v -> Printf.sprintf "Call %d" v
   | Protect g -> Printf.sprintf "Protect %d" g
   | Unmap g -> Printf.sprintf "Unmap %d" g
@@ -308,13 +332,31 @@ let reset_baseline =
           group (fun i -> i >= arena && i < heap);
           group (fun i -> i >= heap) |] ))
 
+(* a store's size and page offset: anywhere in the page, across a chunk
+   boundary (its first byte up to [size - 1] bytes before it), or
+   ending the page *)
+let store_gen =
+  let open QCheck.Gen in
+  let* size = oneofl [ 1; 2; 4; 8 ] in
+  let+ off =
+    frequency
+      [ (2, int_bound (Memory.page_size - size));
+        ( 2,
+          map2
+            (fun c k -> (c * Memory.chunk_size) - k)
+            (int_range 1 (Memory.chunks_per_page - 1))
+            (int_bound (size - 1)) );
+        (1, return (Memory.page_size - size)) ]
+  in
+  (off, size)
+
 let prop_reset_restores_baseline =
   let gen =
     QCheck.Gen.(
       list_size (int_range 1 12)
         (frequency
-           [ (4, map3 (fun g o v -> Store (g, o, v)) nat
-                (int_bound (Memory.page_size - 1)) (int_range 1 255));
+           [ (4, map3 (fun g (o, n) v -> Store (g, o, n, v)) nat store_gen
+                (int_range 1 0x3FFFFFFF));
              (2, map (fun v -> Call v) (int_range 1 1000));
              (2, map (fun g -> Protect g) nat);
              (2, map (fun g -> Unmap g) nat);
@@ -338,20 +380,20 @@ let prop_reset_restores_baseline =
       (* once a page is re-protected or unmapped a guest call may fault
          and retire the instance, so later calls become host stores *)
       let damaged = ref false in
-      let store idx off v =
+      let store idx off size v =
         if writable idx then
           Memory.write mem
             (Int64.add (Instance.addr_of_idx idx) (Int64.of_int off))
-            1 (Int64.of_int v)
+            size (Int64.of_int v)
       in
       List.iter
         (function
-          | Store (g, off, v) -> store (pick g) off v
+          | Store (g, off, size, v) -> store (pick g) off size v
           | Call v when not !damaged ->
               ignore
                 (ret_of
                    (Instance.call inst "poke_global" [ Api.I (Int64.of_int v) ]))
-          | Call v -> store (pick 0) 0 v
+          | Call v -> store (pick 0) 0 1 v
           | Protect g ->
               let idx = pick g in
               if writable idx then begin
@@ -377,6 +419,33 @@ let prop_reset_restores_baseline =
            (fun (i, b, p) (i', b', p') -> i = i' && p = p' && String.equal b b')
            baseline after
       || QCheck.Test.fail_reportf "slot differs from its baseline after reset")
+
+(* A guest store that straddles a chunk boundary of a page whose first
+   chunk is already dirty: the page is in the translation cache and
+   writable, so the store reaches [Sem.bwrite]'s [Memory.write_hit]
+   test, which must see the second chunk's clean bit and take the
+   logging path.  A test of the first byte's chunk alone would store
+   past the mask, and reset would leave bytes 512..515 behind. *)
+let test_reset_after_straddling_guest_store () =
+  let rt = make_rt () in
+  let inst = Instance.create rt (Lazy.force straddle_lib) in
+  let baseline = slot_pages inst in
+  let mem = rt.Runtime.mem and arena = inst.Instance.arena_base in
+  ignore
+    (ret_of
+       (Instance.call inst "straddle"
+          [ Api.I (Int64.sub arena inst.Instance.p.Proc.base); Api.I (-1L) ]));
+  checkb "straddling store landed" true
+    (Int64.equal 0xFFFFFFFFL (Memory.read mem (Int64.add arena 512L) 4));
+  Instance.reset inst;
+  let after = slot_pages inst in
+  checki "same pages" (List.length baseline) (List.length after);
+  List.iter2
+    (fun (i, b, p) (i', b', p') ->
+      checki "page index" i i';
+      checkb (Printf.sprintf "page %d permission" i) true (p = p');
+      checkb (Printf.sprintf "page %d bytes" i) true (String.equal b b'))
+    baseline after
 
 let test_change_log_bounded () =
   (* a pool's dispatch resets its instance: no entry of that slot stays *)
@@ -996,6 +1065,7 @@ let () =
           mk "globals restored" test_reset_restores_globals;
           mk "init survives" test_init_survives_reset;
           mk "dirty accounting" test_reset_dirty_accounting;
+          mk "straddling guest store" test_reset_after_straddling_guest_store;
           mk "mmap growth undone" test_reset_undoes_mmap_growth;
           mk "change log bounded" test_change_log_bounded;
           mk "call and reset allocate little" test_call_allocates_little;
