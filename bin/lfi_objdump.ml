@@ -12,16 +12,12 @@
 open Cmdliner
 open Lfi_arm64
 
+(* Guards are what [Insn.is_guard] says they are, as in the guard
+   counters and the overhead report. *)
 let classify (i : Insn.t) : string =
   match i with
-  | Insn.Alu
-      { op = Insn.ADD; flags = false; dst = Reg.R (Reg.W64, (18 | 23 | 24 | 30));
-        src = Reg.R (Reg.W64, 21); op2 = Insn.Ext (_, Insn.Uxtw, 0) } ->
-      "guard"
-  | Insn.Alu
-      { op = Insn.ADD; flags = false; dst = Reg.SP Reg.W64;
-        src = Reg.R (Reg.W64, 21); _ } ->
-      "sp guard"
+  | Insn.Alu { dst = Reg.SP _; _ } when Insn.is_guard i -> "sp guard"
+  | _ when Insn.is_guard i -> "guard"
   | Insn.Ldr { dst = Reg.R (Reg.W64, 30);
                addr = Insn.Imm_off (Reg.R (Reg.W64, 21), _); _ } ->
       "runtime call"
