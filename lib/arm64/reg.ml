@@ -40,15 +40,13 @@ let w n =
 (** [gp w n] is [x n] or [w n] by width. *)
 let gp wd n = match wd with W64 -> x n | W32 -> w n
 
-(* LFI reserved registers (Section 3 of the paper). *)
-
-let base = x 21      (* x21: sandbox base address, never written   *)
-let addr = x 18      (* x18: always a valid sandbox address        *)
-let scratch32 = x 22 (* x22: always holds a 32-bit value           *)
-let hoist1 = x 23    (* x23: hoisting register (valid address)     *)
-let hoist2 = x 24    (* x24: hoisting register (valid address)     *)
 let lr = x 30        (* x30: link register, always a valid target  *)
 
+(* LFI reserved registers (Section 3 of the paper):
+   x21  sandbox base address, never written
+   x18  always a valid sandbox address
+   x22  always holds a 32-bit value
+   x23, x24  hoisting registers (valid addresses) *)
 let reserved_numbers = [ 18; 21; 22; 23; 24 ]
 
 (** Number used in the machine encoding: 0-30 for named registers and 31
@@ -72,7 +70,6 @@ let is_reserved_number = function 18 | 21 | 22 | 23 | 24 -> true | _ -> false
 let is_reserved = function R (_, n) -> is_reserved_number n | ZR _ | SP _ -> false
 
 let is_sp = function SP _ -> true | R _ | ZR _ -> false
-let is_zr = function ZR _ -> true | R _ | SP _ -> false
 
 let to_string = function
   | R (W64, n) -> Printf.sprintf "x%d" n

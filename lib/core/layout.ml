@@ -25,7 +25,6 @@ let sandbox_size = 1 lsl sandbox_bits (* 4 GiB *)
 let guard_size = 48 * 1024
 
 (** The runtime-call table occupies the first page of the sandbox. *)
-let rtcall_table_offset = 0
 let rtcall_table_size = page_size
 let rtcall_entry_count = rtcall_table_size / 8
 
@@ -38,7 +37,6 @@ let code_limit = sandbox_size - (128 * 1024 * 1024)
 
 (** Top of the stack: just below the top guard region. *)
 let stack_top = sandbox_size - guard_size
-let default_stack_size = 8 * 1024 * 1024
 
 (** Largest immediate reachable by a scaled load/store offset (the
     encodings cap immediates at 2^15 bytes, §2). *)

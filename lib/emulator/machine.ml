@@ -473,8 +473,6 @@ let cycles (m : t) : float = Array.unsafe_get m.cycle_acc 0
 let[@inline] add_cycles (m : t) (c : float) =
   Array.unsafe_set m.cycle_acc 0 (Array.unsafe_get m.cycle_acc 0 +. c)
 
-let set_cycles (m : t) (c : float) = m.cycle_acc.(0) <- c
-
 (** Charge [costs.(i)], an instruction's cost: the charge both dispatch
     paths make per instruction.  It takes the cost's array and index,
     not the float, so the float is never boxed across a call. *)

@@ -31,7 +31,6 @@ let create ?(capacity = 8) () =
   { buf = Array.make (max capacity 1) 0; head = 0; len = 0 }
 
 let length q = q.len
-let is_empty q = q.len = 0
 
 let nth q i = q.buf.((q.head + i) mod Array.length q.buf)
 

@@ -444,8 +444,6 @@ let compile_icmp ctx (op : W.icmp) =
                  src2 = Reg.xzr; cond = Insn.invert_cond (cond_of_icmp op) });
   push ctx (SInt rr)
 
-let elt_of = Lfi_minic.Ast.elt_size
-
 let compile_load ctx (e : W.elt) off =
   let addr, release = mem_addr ctx off in
   (match e with
