@@ -266,6 +266,27 @@ let test_reset_dirty_accounting () =
   Instance.reset inst;
   checki "idle reset restores nothing" after_call inst.Instance.pages_restored
 
+(* reset skips rebuilding a table that still holds only the std fds,
+   and rebuilds any other: one that grew, re-pointed or lost one *)
+let test_reset_rewinds_fds () =
+  let module Vfs = Lfi_runtime.Vfs in
+  let inst = make_inst () in
+  let p = inst.Instance.p in
+  checkb "fresh table" true (Proc.has_only_std_fds p);
+  ignore (Proc.close_fd p (Proc.alloc_fd p Vfs.Console_out));
+  checkb "an fd was opened" false (Proc.has_only_std_fds p);
+  Instance.reset inst;
+  checkb "rebuilt after open" true (Proc.has_only_std_fds p);
+  checki "next_fd" 3 p.Proc.next_fd;
+  Hashtbl.replace p.Proc.fds 1 Vfs.Console_in;
+  checkb "fd 1 re-pointed" false (Proc.has_only_std_fds p);
+  Instance.reset inst;
+  checkb "fd 1 on the console" true (Proc.fd p 1 = Some Vfs.Console_out);
+  ignore (Proc.close_fd p 0);
+  checkb "fd 0 closed" false (Proc.has_only_std_fds p);
+  Instance.reset inst;
+  checkb "fd 0 reopened" true (Proc.fd p 0 = Some Vfs.Console_in)
+
 let test_reset_undoes_mmap_growth () =
   (* a request that grows the heap (mmap) must not leak mappings into
      the next request *)
@@ -1066,6 +1087,7 @@ let () =
           mk "init survives" test_init_survives_reset;
           mk "dirty accounting" test_reset_dirty_accounting;
           mk "straddling guest store" test_reset_after_straddling_guest_store;
+          mk "fd table rewound" test_reset_rewinds_fds;
           mk "mmap growth undone" test_reset_undoes_mmap_growth;
           mk "change log bounded" test_change_log_bounded;
           mk "call and reset allocate little" test_call_allocates_little;
