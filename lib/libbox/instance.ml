@@ -92,18 +92,25 @@ let capture_baseline (inst : t) =
   inst.heap_end0 <- inst.p.Proc.heap_end;
   inst.baseline <- inst.p.Proc.snapshot
 
-(* Rewrite the chunks of [dst] whose bit is clear in [clean] from
-   [src]: all of it when [clean] is 0 (a re-protected, unmapped or
-   remapped page, or one stored to in every chunk). *)
-let restore_chunks (src : bytes) (dst : bytes) (clean : int) =
-  if clean = 0 then Bytes.blit src 0 dst 0 page
-  else
-    for c = 0 to Memory.chunks_per_page - 1 do
-      if clean land (1 lsl c) = 0 then begin
-        let off = c lsl Memory.chunk_bits in
-        Bytes.blit src off dst off Memory.chunk_size
-      end
-    done
+let dirty_chunk clean c =
+  c < Memory.chunks_per_page && clean land (1 lsl c) = 0
+
+let rec dirty_run_end clean c =
+  if dirty_chunk clean c then dirty_run_end clean (c + 1) else c
+
+(* Rewrite the chunks of [dst] from chunk [c] on whose bit is clear in
+   [clean] from [src], one blit per run of such chunks: the whole page
+   when [clean] is 0 (a re-protected, unmapped or remapped page, or one
+   stored to in every chunk).  No closure, so nothing is allocated. *)
+let rec restore_chunks (src : bytes) (dst : bytes) (clean : int) (c : int) =
+  if c < Memory.chunks_per_page then
+    if dirty_chunk clean c then begin
+      let e = dirty_run_end clean c in
+      Bytes.blit src (c lsl Memory.chunk_bits) dst (c lsl Memory.chunk_bits)
+        ((e - c) lsl Memory.chunk_bits);
+      restore_chunks src dst clean e
+    end
+    else restore_chunks src dst clean (c + 1)
 
 (** Wind the instance back to its baseline: rewind every chunk the
     request changed from its pristine copy, drop pages it mapped,
@@ -138,7 +145,7 @@ let reset (inst : t) =
       in
       if Memory.page_perm pg <> pr.pg_perm then
         Memory.set_page_perm mem idx pr.pg_perm;
-      restore_chunks pr.pg_bytes (Memory.page_data pg) (Memory.page_clean pg);
+      restore_chunks pr.pg_bytes (Memory.page_data pg) (Memory.page_clean pg) 0;
       Memory.page_mark_clean pg;
       incr restored);
   (* pages the request mapped (mmap/brk allocate at the break, so they
