@@ -377,7 +377,7 @@ let prop_reset_restores_baseline =
       list_size (int_range 1 12)
         (frequency
            [ (4, map3 (fun g (o, n) v -> Store (g, o, n, v)) nat store_gen
-                (int_range 1 0x3FFFFFFF));
+                int);
              (2, map (fun v -> Call v) (int_range 1 1000));
              (2, map (fun g -> Protect g) nat);
              (2, map (fun g -> Unmap g) nat);
