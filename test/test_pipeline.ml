@@ -162,6 +162,8 @@ let test_interp_matches_expected () =
    and a few seeded generated programs, native and rewritten at O2, one
    line with the MD5 of [Elf.write (Elf.of_image (Assemble.assemble
    src))], the entry point and a digest of the sorted symbol table.
+   The Wasm-compatible subset and coremark add one such line per Wasm
+   engine, so the two code generators are pinned alike.
    Regenerate it only deliberately, with `make goldens` (which runs
    this executable with LFI_GOLDEN_OUT=$PWD/test/elf_golden.txt), and
    review `git diff test/`. *)
@@ -203,6 +205,24 @@ let elf_line name level src =
     (Bytes.length bytes) img.Lfi_arm64.Assemble.entry
     (Digest.to_hex (Digest.string syms))
 
+(* the programs Figure 4 / Table 4 and the CoreMark table compile
+   through the Wasm engines, one line per engine *)
+let wasm_golden_lines () =
+  List.concat_map
+    (fun (w : Lfi_workloads.Common.t) ->
+      let m = Lfi_wasm.From_minic.lower w.Lfi_workloads.Common.program in
+      List.map
+        (fun (e : Lfi_wasm.Engine.t) ->
+          let level =
+            String.concat "_"
+              (String.split_on_char ' '
+                 (String.lowercase_ascii e.Lfi_wasm.Engine.name))
+          in
+          elf_line w.Lfi_workloads.Common.short level
+            (Lfi_wasm.Compile_wasm.compile e m))
+        Lfi_wasm.Engine.all)
+    (Lfi_workloads.Registry.wasm_subset @ [ Lfi_workloads.Coremark.workload ])
+
 let elf_golden_lines () =
   List.concat_map
     (fun (name, prog) ->
@@ -210,6 +230,7 @@ let elf_golden_lines () =
       let o2, _ = Lfi_core.Rewriter.rewrite ~config:Lfi_core.Config.o2 native in
       [ elf_line name "native" native; elf_line name "o2" o2 ])
     (golden_programs ())
+  @ wasm_golden_lines ()
 
 
 let check_golden file got =
