@@ -16,22 +16,15 @@
 open Lfi_arm64
 open Ast
 
-exception Error of string
+exception Error = Frame.Error
 
-let errorf fmt = Printf.ksprintf (fun m -> raise (Error m)) fmt
+let errorf = Frame.errorf
 
-(* Register conventions (AAPCS64 minus the LFI reserved registers). *)
+(* Register conventions (AAPCS64 minus the LFI reserved registers; the
+   scratch pools are {!Frame}'s). *)
 let int_arg_regs = [| 0; 1; 2; 3; 4; 5; 6; 7 |]
-let int_scratch = [ 9; 10; 11; 12; 13; 14; 15 ]
 let int_homes = [ 19; 20; 25; 26; 27; 28 ]
-let fp_scratch = [ 16; 17; 18; 19; 20; 21; 22; 23 ]
 let fp_homes = [ 8; 9; 10; 11; 12; 13; 14; 15 ]
-
-type loc =
-  | LReg of int  (** integer home register xN *)
-  | LFreg of int  (** float home register dN *)
-  | LStack of int  (** frame offset (from sp) *)
-  | LStackF of int
 
 type value = VInt of int  (** scratch xN *) | VFlt of int  (** scratch dN *)
 
@@ -40,84 +33,32 @@ type fctx = {
   fenv : (string * ty) list;
   fname : string;
   env : (string * ty) list ref;  (** variable types *)
-  locs : (string, loc) Hashtbl.t;
-  mutable scratch : int list;
-  mutable fscratch : int list;
-  temp_base : int;  (** frame offset of the spill-temp area *)
-  mutable temp_used : int;
+  locs : (string, Frame.home) Hashtbl.t;
+  fr : Frame.t;
   mutable label_counter : int;
-  mutable out : Source.item list;  (** reversed *)
   mutable loop_stack : (string * string) list;  (** break, continue *)
   float_pool : (string, string) Hashtbl.t;  (** bits-string -> label *)
   mutable float_pool_order : (string * float) list;
   epilogue : string;
 }
 
-let emit ctx i = ctx.out <- Source.Insn i :: ctx.out
-let emit_label ctx l = ctx.out <- Source.Label l :: ctx.out
-let emit_directive ctx d arg = ctx.out <- Source.Directive (d, arg) :: ctx.out
+let emit ctx i = Frame.emit ctx.fr i
+let emit_label ctx l = Frame.label ctx.fr l
+
+let emit_directive ctx d arg =
+  ctx.fr.out <- Source.Directive (d, arg) :: ctx.fr.out
 
 let fresh_label ctx prefix =
   ctx.label_counter <- ctx.label_counter + 1;
   Printf.sprintf ".L%s_%s%d" ctx.fname prefix ctx.label_counter
 
-(* scratch management *)
-let alloc_int ctx =
-  match ctx.scratch with
-  | r :: tl ->
-      ctx.scratch <- tl;
-      r
-  | [] -> errorf "%s: integer expression too deep" ctx.fname
-
-let alloc_fp ctx =
-  match ctx.fscratch with
-  | r :: tl ->
-      ctx.fscratch <- tl;
-      r
-  | [] -> errorf "%s: float expression too deep" ctx.fname
-
 let free ctx = function
-  | VInt r -> if List.mem r int_scratch then ctx.scratch <- r :: ctx.scratch
-  | VFlt r -> if List.mem r fp_scratch then ctx.fscratch <- r :: ctx.fscratch
+  | VInt r -> Frame.free_int ctx.fr r
+  | VFlt r -> Frame.free_fp ctx.fr r
 
 let x r = Reg.x r
 let w r = Reg.w r
 let d r = Reg.Fp.v Reg.Fp.D r
-
-let mov_reg dst src =
-  Insn.Alu
-    { op = Insn.ORR; flags = false; dst = x dst; src = Reg.xzr;
-      op2 = Insn.Sh (x src, Insn.Lsl, 0) }
-
-let fmov_reg dst src = Insn.Fop1 { op = Insn.FMOV; dst = d dst; src = d src }
-
-(** Materialize an arbitrary integer constant with movz/movn/movk.
-    Chunks are computed through Int64 so negative values keep their
-    full two's-complement bit pattern. *)
-let emit_const ctx (dst : int) (v : int) =
-  if v >= 0 && v < 65536 then
-    emit ctx (Insn.Mov { op = Insn.MOVZ; dst = x dst; imm = v; hw = 0 })
-  else if v < 0 && lnot v < 65536 then
-    emit ctx (Insn.Mov { op = Insn.MOVN; dst = x dst; imm = lnot v; hw = 0 })
-  else begin
-    let v64 = Int64.of_int v in
-    let chunk k =
-      Int64.to_int
-        (Int64.logand (Int64.shift_right_logical v64 (16 * k)) 0xFFFFL)
-    in
-    let first = ref true in
-    for k = 0 to 3 do
-      let c = chunk k in
-      if c <> 0 || (k = 3 && !first) then begin
-        emit ctx
-          (Insn.Mov { op = (if !first then Insn.MOVZ else Insn.MOVK);
-                      dst = x dst; imm = c; hw = k });
-        first := false
-      end
-    done;
-    if !first then
-      emit ctx (Insn.Mov { op = Insn.MOVZ; dst = x dst; imm = 0; hw = 0 })
-  end
 
 let float_label ctx (v : float) : string =
   let key = Int64.to_string (Int64.bits_of_float v) in
@@ -128,31 +69,6 @@ let float_label ctx (v : float) : string =
       Hashtbl.replace ctx.float_pool key l;
       ctx.float_pool_order <- (l, v) :: ctx.float_pool_order;
       l
-
-(* frame offsets are always within add/sub immediate range by
-   construction (frames are small) *)
-let str_frame ctx reg off =
-  emit ctx
-    (Insn.Str { sz = Insn.X; src = x reg; addr = Insn.Imm_off (Reg.sp, off) })
-
-let ldr_frame ctx reg off =
-  emit ctx
-    (Insn.Ldr { sz = Insn.X; signed = false; dst = x reg;
-                addr = Insn.Imm_off (Reg.sp, off) })
-
-let fstr_frame ctx reg off =
-  emit ctx (Insn.Fstr { src = d reg; addr = Insn.Imm_off (Reg.sp, off) })
-
-let fldr_frame ctx reg off =
-  emit ctx (Insn.Fldr { dst = d reg; addr = Insn.Imm_off (Reg.sp, off) })
-
-let alloc_temp ctx =
-  let slot = ctx.temp_base + (8 * ctx.temp_used) in
-  ctx.temp_used <- ctx.temp_used + 1;
-  if ctx.temp_used > 32 then errorf "%s: out of spill temps" ctx.fname;
-  slot
-
-let free_temp ctx = ctx.temp_used <- ctx.temp_used - 1
 
 let rec contains_call = function
   | Call _ | Call_indirect _ | Syscall _ -> true
@@ -190,30 +106,26 @@ let log2_opt n =
 let rec compile_int ctx (e : expr) : int =
   match e with
   | Int v ->
-      let r = alloc_int ctx in
-      emit_const ctx r v;
+      let r = Frame.alloc_int ctx.fr in
+      Frame.const ctx.fr r v;
       r
   | Var name -> (
       match Hashtbl.find_opt ctx.locs name with
-      | Some (LReg home) ->
-          let r = alloc_int ctx in
-          emit ctx (mov_reg r home);
+      | Some ((Frame.Reg _ | Frame.Slot _) as h) ->
+          let r = Frame.alloc_int ctx.fr in
+          Frame.load_home ctx.fr h r;
           r
-      | Some (LStack off) ->
-          let r = alloc_int ctx in
-          ldr_frame ctx r off;
-          r
-      | Some (LFreg _ | LStackF _) -> errorf "%s is a float" name
+      | Some (Frame.Freg _ | Frame.Fslot _) -> errorf "%s is a float" name
       | None -> errorf "unbound variable %s" name)
   | Addr sym ->
-      let r = alloc_int ctx in
+      let r = Frame.alloc_int ctx.fr in
       emit ctx (Insn.Adr { page = false; dst = x r; target = Insn.Sym sym });
       r
   | Load (elt, a) -> compile_load ctx elt a
   | Bin (op, a, b) -> compile_int_bin ctx op a b
   | Un (Neg, a) ->
       let ra = compile_int ctx a in
-      let r = alloc_int ctx in
+      let r = Frame.alloc_int ctx.fr in
       emit ctx
         (Insn.Alu { op = Insn.SUB; flags = false; dst = x r; src = Reg.xzr;
                     op2 = Insn.Sh (x ra, Insn.Lsl, 0) });
@@ -221,7 +133,7 @@ let rec compile_int ctx (e : expr) : int =
       r
   | Un (Not, a) ->
       let ra = compile_int ctx a in
-      let r = alloc_int ctx in
+      let r = Frame.alloc_int ctx.fr in
       emit ctx
         (Insn.Alu { op = Insn.ORN; flags = false; dst = x r; src = Reg.xzr;
                     op2 = Insn.Sh (x ra, Insn.Lsl, 0) });
@@ -230,7 +142,7 @@ let rec compile_int ctx (e : expr) : int =
   | Un ((FNeg | FSqrt | FAbs), _) -> errorf "float expression in int context"
   | Cvt (FtoI, a) ->
       let fa = compile_float ctx a in
-      let r = alloc_int ctx in
+      let r = Frame.alloc_int ctx.fr in
       emit ctx (Insn.Fcvtzs { signed = true; dst = x r; src = d fa });
       free ctx (VFlt fa);
       r
@@ -238,18 +150,18 @@ let rec compile_int ctx (e : expr) : int =
   | Flt _ -> errorf "float literal in int context"
   | Call (name, args) ->
       compile_call ctx (`Direct name) args;
-      let r = alloc_int ctx in
-      emit ctx (mov_reg r 0);
+      let r = Frame.alloc_int ctx.fr in
+      emit ctx (Frame.mov_reg r 0);
       r
   | Call_indirect (fp, args, _) ->
       compile_call ctx (`Indirect fp) args;
-      let r = alloc_int ctx in
-      emit ctx (mov_reg r 0);
+      let r = Frame.alloc_int ctx.fr in
+      emit ctx (Frame.mov_reg r 0);
       r
   | Syscall (k, args) ->
       compile_call ctx (`Sys k) args;
-      let r = alloc_int ctx in
-      emit ctx (mov_reg r 0);
+      let r = Frame.alloc_int ctx.fr in
+      emit ctx (Frame.mov_reg r 0);
       r
 
 and compile_int_bin ctx op a b : int =
@@ -259,7 +171,7 @@ and compile_int_bin ctx op a b : int =
       (* comparison as a value: cmp ; cset *)
       let cond = Option.get (cond_of_binop op) in
       compile_compare ctx a b;
-      let r = alloc_int ctx in
+      let r = Frame.alloc_int ctx.fr in
       emit ctx
         (Insn.Csel
            { op = Insn.CSINC; dst = x r; src1 = Reg.xzr; src2 = Reg.xzr;
@@ -268,7 +180,7 @@ and compile_int_bin ctx op a b : int =
   | FEq | FLt | FLe ->
       let cond = Option.get (fcond_of_binop op) in
       compile_fcompare ctx a b;
-      let r = alloc_int ctx in
+      let r = Frame.alloc_int ctx.fr in
       emit ctx
         (Insn.Csel
            { op = Insn.CSINC; dst = x r; src1 = Reg.xzr; src2 = Reg.xzr;
@@ -288,7 +200,7 @@ and compile_int_bin ctx op a b : int =
       match (op, b) with
       | (Add | Sub), Int v when v >= 0 && v < 4096 ->
           let ra = compile_int ctx a in
-          let r = alloc_int ctx in
+          let r = Frame.alloc_int ctx.fr in
           emit ctx
             (Insn.Alu { op = alu_op; flags = false; dst = x r; src = x ra;
                         op2 = Insn.Imm (v, 0) });
@@ -298,7 +210,7 @@ and compile_int_bin ctx op a b : int =
           let ra, rb = compile_pair ctx a b in
           free ctx (VInt ra);
           free ctx (VInt rb);
-          let r = alloc_int ctx in
+          let r = Frame.alloc_int ctx.fr in
           emit ctx
             (Insn.Alu { op = alu_op; flags = false; dst = x r; src = x ra;
                         op2 = Insn.Sh (x rb, Insn.Lsl, 0) });
@@ -310,7 +222,7 @@ and compile_int_bin ctx op a b : int =
       match b with
       | Int v when v >= 0 && v < 64 ->
           let ra = compile_int ctx a in
-          let r = alloc_int ctx in
+          let r = Frame.alloc_int ctx.fr in
           (match k with
           | Insn.Lsl ->
               emit ctx
@@ -330,7 +242,7 @@ and compile_int_bin ctx op a b : int =
           let ra, rb = compile_pair ctx a b in
           free ctx (VInt ra);
           free ctx (VInt rb);
-          let r = alloc_int ctx in
+          let r = Frame.alloc_int ctx.fr in
           emit ctx (Insn.Shiftv { op = k; dst = x r; src = x ra; amount = x rb });
           r)
   | Mul -> (
@@ -342,7 +254,7 @@ and compile_int_bin ctx op a b : int =
           let ra, rb = compile_pair ctx a b in
           free ctx (VInt ra);
           free ctx (VInt rb);
-          let r = alloc_int ctx in
+          let r = Frame.alloc_int ctx.fr in
           emit ctx
             (Insn.Madd { sub = false; dst = x r; src1 = x ra; src2 = x rb;
                          acc = Reg.xzr });
@@ -351,13 +263,13 @@ and compile_int_bin ctx op a b : int =
       let ra, rb = compile_pair ctx a b in
       free ctx (VInt ra);
       free ctx (VInt rb);
-      let r = alloc_int ctx in
+      let r = Frame.alloc_int ctx.fr in
       emit ctx (Insn.Div { signed = true; dst = x r; src1 = x ra; src2 = x rb });
       r
   | Rem ->
       (* q = a / b ; result = a - q*b, computed in place over q *)
       let ra, rb = compile_pair ctx a b in
-      let q = alloc_int ctx in
+      let q = Frame.alloc_int ctx.fr in
       emit ctx (Insn.Div { signed = true; dst = x q; src1 = x ra; src2 = x rb });
       emit ctx
         (Insn.Madd { sub = true; dst = x q; src1 = x q; src2 = x rb;
@@ -372,15 +284,15 @@ and compile_int_bin ctx op a b : int =
     (deep right-leaning expressions would otherwise exhaust the pool —
     this is the register allocator's spilling, done eagerly). *)
 and compile_pair ctx a b : int * int =
-  if contains_call b || List.length ctx.scratch <= 2 then begin
+  if contains_call b || List.length ctx.fr.scratch <= 2 then begin
     let ra = compile_int ctx a in
-    let slot = alloc_temp ctx in
-    str_frame ctx ra slot;
+    let slot = Frame.alloc_temp ctx.fr in
+    emit ctx (Frame.str_sp ra slot);
     free ctx (VInt ra);
     let rb = compile_int ctx b in
-    let ra' = alloc_int ctx in
-    ldr_frame ctx ra' slot;
-    free_temp ctx;
+    let ra' = Frame.alloc_int ctx.fr in
+    emit ctx (Frame.ldr_sp ra' slot);
+    Frame.free_temp ctx.fr;
     (ra', rb)
   end
   else begin
@@ -390,15 +302,15 @@ and compile_pair ctx a b : int * int =
   end
 
 and compile_fpair ctx a b : int * int =
-  if contains_call b || List.length ctx.fscratch <= 2 then begin
+  if contains_call b || List.length ctx.fr.fscratch <= 2 then begin
     let ra = compile_float ctx a in
-    let slot = alloc_temp ctx in
-    fstr_frame ctx ra slot;
+    let slot = Frame.alloc_temp ctx.fr in
+    emit ctx (Frame.fstr_sp ra slot);
     free ctx (VFlt ra);
     let rb = compile_float ctx b in
-    let ra' = alloc_fp ctx in
-    fldr_frame ctx ra' slot;
-    free_temp ctx;
+    let ra' = Frame.alloc_fp ctx.fr in
+    emit ctx (Frame.fldr_sp ra' slot);
+    Frame.free_temp ctx.fr;
     (ra', rb)
   end
   else begin
@@ -416,7 +328,7 @@ and address_operand ctx (e : expr) : int * value list =
   match e with
   | Var name -> (
       match Hashtbl.find_opt ctx.locs name with
-      | Some (LReg home) -> (home, [])
+      | Some (Frame.Reg home) -> (home, [])
       | _ ->
           let r = compile_int ctx e in
           (r, [ VInt r ]))
@@ -457,14 +369,14 @@ and compile_addr ctx (elt : elt) (a : expr) : Insn.addr * value list =
 and is_home_var ctx = function
   | Var name -> (
       match Hashtbl.find_opt ctx.locs name with
-      | Some (LReg _) -> true
+      | Some (Frame.Reg _) -> true
       | _ -> false)
   | _ -> false
 
 and compile_load ctx (elt : elt) (a : expr) : int =
   let addr, used = compile_addr ctx elt a in
   List.iter (free ctx) used;
-  let r = alloc_int ctx in
+  let r = Frame.alloc_int ctx.fr in
   (match elt with
   | U8 ->
       emit ctx (Insn.Ldr { sz = Insn.B; signed = false; dst = w r; addr })
@@ -479,7 +391,7 @@ and compile_load ctx (elt : elt) (a : expr) : int =
 and compile_fload ctx (elt : elt) (a : expr) : int =
   let addr, used = compile_addr ctx elt a in
   List.iter (free ctx) used;
-  let r = alloc_fp ctx in
+  let r = Frame.alloc_fp ctx.fr in
   (match elt with
   | F64 -> emit ctx (Insn.Fldr { dst = d r; addr })
   | F32 ->
@@ -493,24 +405,20 @@ and compile_fload ctx (elt : elt) (a : expr) : int =
 and compile_float ctx (e : expr) : int =
   match e with
   | Flt v ->
-      let r = alloc_fp ctx in
+      let r = Frame.alloc_fp ctx.fr in
       let lbl = float_label ctx v in
-      let ra = alloc_int ctx in
+      let ra = Frame.alloc_int ctx.fr in
       emit ctx (Insn.Adr { page = false; dst = x ra; target = Insn.Sym lbl });
       emit ctx (Insn.Fldr { dst = d r; addr = Insn.Imm_off (x ra, 0) });
       free ctx (VInt ra);
       r
   | Var name -> (
       match Hashtbl.find_opt ctx.locs name with
-      | Some (LFreg home) ->
-          let r = alloc_fp ctx in
-          emit ctx (fmov_reg r home);
+      | Some ((Frame.Freg _ | Frame.Fslot _) as h) ->
+          let r = Frame.alloc_fp ctx.fr in
+          Frame.load_home ctx.fr h r;
           r
-      | Some (LStackF off) ->
-          let r = alloc_fp ctx in
-          fldr_frame ctx r off;
-          r
-      | Some (LReg _ | LStack _) -> errorf "%s is an int" name
+      | Some (Frame.Reg _ | Frame.Slot _) -> errorf "%s is an int" name
       | None -> errorf "unbound variable %s" name)
   | Load (elt, a) -> compile_fload ctx elt a
   | Bin ((FAdd | FSub | FMul | FDiv) as op, a, b) ->
@@ -524,42 +432,42 @@ and compile_float ctx (e : expr) : int =
       let ra, rb = compile_fpair ctx a b in
       free ctx (VFlt ra);
       free ctx (VFlt rb);
-      let r = alloc_fp ctx in
+      let r = Frame.alloc_fp ctx.fr in
       emit ctx (Insn.Fop2 { op = fop; dst = d r; src1 = d ra; src2 = d rb });
       r
   | Un (FNeg, a) ->
       let ra = compile_float ctx a in
-      let r = alloc_fp ctx in
+      let r = Frame.alloc_fp ctx.fr in
       emit ctx (Insn.Fop1 { op = Insn.FNEG; dst = d r; src = d ra });
       free ctx (VFlt ra);
       r
   | Un (FSqrt, a) ->
       let ra = compile_float ctx a in
-      let r = alloc_fp ctx in
+      let r = Frame.alloc_fp ctx.fr in
       emit ctx (Insn.Fop1 { op = Insn.FSQRT; dst = d r; src = d ra });
       free ctx (VFlt ra);
       r
   | Un (FAbs, a) ->
       let ra = compile_float ctx a in
-      let r = alloc_fp ctx in
+      let r = Frame.alloc_fp ctx.fr in
       emit ctx (Insn.Fop1 { op = Insn.FABS; dst = d r; src = d ra });
       free ctx (VFlt ra);
       r
   | Cvt (ItoF, a) ->
       let ra = compile_int ctx a in
-      let r = alloc_fp ctx in
+      let r = Frame.alloc_fp ctx.fr in
       emit ctx (Insn.Scvtf { signed = true; dst = d r; src = x ra });
       free ctx (VInt ra);
       r
   | Call (name, args) ->
       compile_call ctx (`Direct name) args;
-      let r = alloc_fp ctx in
-      emit ctx (fmov_reg r 0);
+      let r = Frame.alloc_fp ctx.fr in
+      emit ctx (Frame.fmov_reg r 0);
       r
   | Call_indirect (fp, args, _) ->
       compile_call ctx (`Indirect fp) args;
-      let r = alloc_fp ctx in
-      emit ctx (fmov_reg r 0);
+      let r = Frame.alloc_fp ctx.fr in
+      emit ctx (Frame.fmov_reg r 0);
       r
   | _ -> errorf "int expression in float context"
 
@@ -572,8 +480,8 @@ and compile_call ctx (target : [ `Direct of string | `Indirect of expr | `Sys of
     match target with
     | `Indirect fp when any_calls || contains_call fp ->
         let r = compile_int ctx fp in
-        let slot = alloc_temp ctx in
-        str_frame ctx r slot;
+        let slot = Frame.alloc_temp ctx.fr in
+        emit ctx (Frame.str_sp r slot);
         free ctx (VInt r);
         `Slot slot
     | `Indirect fp -> `Expr fp
@@ -588,14 +496,14 @@ and compile_call ctx (target : [ `Direct of string | `Indirect of expr | `Sys of
           match typeof ctx a with
           | Int ->
               let r = compile_int ctx a in
-              let s = alloc_temp ctx in
-              str_frame ctx r s;
+              let s = Frame.alloc_temp ctx.fr in
+              emit ctx (Frame.str_sp r s);
               free ctx (VInt r);
               (s, (Int : ty))
           | Float ->
               let r = compile_float ctx a in
-              let s = alloc_temp ctx in
-              fstr_frame ctx r s;
+              let s = Frame.alloc_temp ctx.fr in
+              emit ctx (Frame.fstr_sp r s);
               free ctx (VFlt r);
               (s, (Float : ty)))
         args
@@ -605,13 +513,13 @@ and compile_call ctx (target : [ `Direct of string | `Indirect of expr | `Sys of
       (fun ((s : int), (t : ty)) ->
         match t with
         | Int ->
-            ldr_frame ctx int_arg_regs.(!ii) s;
+            emit ctx (Frame.ldr_sp int_arg_regs.(!ii) s);
             incr ii
         | Float ->
-            fldr_frame ctx !fi s;
+            emit ctx (Frame.fldr_sp !fi s);
             incr fi)
       slots;
-    List.iter (fun _ -> free_temp ctx) slots
+    List.iter (fun _ -> Frame.free_temp ctx.fr) slots
   end
   else begin
     (* direct: arguments cannot clobber x0..x7/d0..d7 because scratch
@@ -622,12 +530,12 @@ and compile_call ctx (target : [ `Direct of string | `Indirect of expr | `Sys of
         match typeof ctx a with
         | Int ->
             let r = compile_int ctx a in
-            emit ctx (mov_reg int_arg_regs.(!ii) r);
+            emit ctx (Frame.mov_reg int_arg_regs.(!ii) r);
             free ctx (VInt r);
             incr ii
         | Float ->
             let r = compile_float ctx a in
-            emit ctx (fmov_reg !fi r);
+            emit ctx (Frame.fmov_reg !fi r);
             free ctx (VFlt r);
             incr fi)
       args
@@ -639,9 +547,9 @@ and compile_call ctx (target : [ `Direct of string | `Indirect of expr | `Sys of
   | `Indirect _ -> (
       match fp_slot with
       | `Slot s ->
-          let r = alloc_int ctx in
-          ldr_frame ctx r s;
-          free_temp ctx;
+          let r = Frame.alloc_int ctx.fr in
+          emit ctx (Frame.ldr_sp r s);
+          Frame.free_temp ctx.fr;
           emit ctx (Insn.Blr (x r));
           free ctx (VInt r)
       | `Expr fp ->
@@ -700,18 +608,17 @@ let compile_cond ctx (e : expr) ~(target : string) ~(jump_if_false : bool) =
 
 let assign_to ctx name (value : value) =
   match (Hashtbl.find_opt ctx.locs name, value) with
-  | Some (LReg home), VInt r -> emit ctx (mov_reg home r)
-  | Some (LStack off), VInt r -> str_frame ctx r off
-  | Some (LFreg home), VFlt r -> emit ctx (fmov_reg home r)
-  | Some (LStackF off), VFlt r -> fstr_frame ctx r off
+  | Some ((Frame.Reg _ | Frame.Slot _) as h), VInt r
+  | Some ((Frame.Freg _ | Frame.Fslot _) as h), VFlt r ->
+      Frame.store_home ctx.fr h r
   | Some _, _ -> errorf "type mismatch assigning %s" name
   | None, _ -> errorf "unbound variable %s" name
 
 let rec compile_store_var ctx name e =
   let t : ty =
     match Hashtbl.find_opt ctx.locs name with
-    | Some (LReg _ | LStack _) -> Int
-    | Some (LFreg _ | LStackF _) -> Float
+    | Some (Frame.Reg _ | Frame.Slot _) -> Int
+    | Some (Frame.Freg _ | Frame.Fslot _) -> Float
     | None -> errorf "unbound variable %s" name
   in
   match t with
@@ -763,13 +670,13 @@ and compile_stmt ctx (s : stmt) =
            value's.  Materialize the address flat and park it in a
            frame slot across the value computation. *)
         let ra = compile_int ctx a in
-        let slot = alloc_temp ctx in
-        str_frame ctx ra slot;
+        let slot = Frame.alloc_temp ctx.fr in
+        emit ctx (Frame.str_sp ra slot);
         free ctx (VInt ra);
         let rv, v = compile_value () in
-        let ra' = alloc_int ctx in
-        ldr_frame ctx ra' slot;
-        free_temp ctx;
+        let ra' = Frame.alloc_int ctx.fr in
+        emit ctx (Frame.ldr_sp ra' slot);
+        Frame.free_temp ctx.fr;
         emit_store rv (Insn.Imm_off (x ra', 0));
         free ctx (VInt ra');
         free ctx v
@@ -778,13 +685,16 @@ and compile_stmt ctx (s : stmt) =
         (* pure value: evaluating it first is unobservable, but it must
            sit in a frame slot across the address's calls *)
         let rv, v = compile_value () in
-        let slot = alloc_temp ctx in
-        if is_float then fstr_frame ctx rv slot else str_frame ctx rv slot;
+        let slot = Frame.alloc_temp ctx.fr in
+        emit ctx (if is_float then Frame.fstr_sp rv slot else Frame.str_sp rv slot);
         free ctx v;
         let addr, used = compile_addr ctx elt a in
-        let rv' = if is_float then alloc_fp ctx else alloc_int ctx in
-        if is_float then fldr_frame ctx rv' slot else ldr_frame ctx rv' slot;
-        free_temp ctx;
+        let rv' =
+          if is_float then Frame.alloc_fp ctx.fr else Frame.alloc_int ctx.fr
+        in
+        emit ctx
+          (if is_float then Frame.fldr_sp rv' slot else Frame.ldr_sp rv' slot);
+        Frame.free_temp ctx.fr;
         List.iter (free ctx) used;
         emit_store rv' addr;
         free ctx (if is_float then VFlt rv' else VInt rv')
@@ -820,11 +730,11 @@ and compile_stmt ctx (s : stmt) =
       (match typeof ctx e with
       | Int ->
           let r = compile_int ctx e in
-          emit ctx (mov_reg 0 r);
+          emit ctx (Frame.mov_reg 0 r);
           free ctx (VInt r)
       | Float ->
           let r = compile_float ctx e in
-          emit ctx (fmov_reg 0 r);
+          emit ctx (Frame.fmov_reg 0 r);
           free ctx (VFlt r));
       emit ctx (Insn.B (Insn.Sym ctx.epilogue))
   | Expr e ->
@@ -914,62 +824,21 @@ let compile_func (prog : program) (fenv : (string * ty) list)
     |> List.rev
     |> List.stable_sort (fun (a, _) (b, _) -> compare (score b) (score a))
   in
+  let fr =
+    Frame.create ~name:f.name ~int_homes ~fp_homes (List.map snd all_vars) out
+  in
   let locs = Hashtbl.create 16 in
-  let int_homes_left = ref int_homes and fp_homes_left = ref fp_homes in
-  let stack_off = ref 0 in
-  let used_int_homes = ref [] and used_fp_homes = ref [] in
-  (* stack slot area starts after the saved-register area; computed
-     below, so record relative slots first *)
-  let stack_slots = ref [] in
-  List.iter
-    (fun (name, (t : ty)) ->
-      match t with
-      | Int -> (
-          match !int_homes_left with
-          | h :: tl ->
-              int_homes_left := tl;
-              used_int_homes := h :: !used_int_homes;
-              Hashtbl.replace locs name (LReg h)
-          | [] ->
-              stack_slots := (name, t, !stack_off) :: !stack_slots;
-              stack_off := !stack_off + 8)
-      | Float -> (
-          match !fp_homes_left with
-          | h :: tl ->
-              fp_homes_left := tl;
-              used_fp_homes := h :: !used_fp_homes;
-              Hashtbl.replace locs name (LFreg h)
-          | [] ->
-              stack_slots := (name, t, !stack_off) :: !stack_slots;
-              stack_off := !stack_off + 8))
+  List.iteri (fun k (name, _) -> Hashtbl.replace locs name fr.Frame.homes.(k))
     all_vars;
-  let n_int_saves = List.length !used_int_homes in
-  let n_fp_saves = List.length !used_fp_homes in
-  let save_area = 16 + (8 * (n_int_saves + n_fp_saves)) in
-  let save_area = (save_area + 15) / 16 * 16 in
-  let locals_base = save_area in
-  let temp_base = locals_base + !stack_off in
-  let frame = (temp_base + (32 * 8) + 15) / 16 * 16 in
-  List.iter
-    (fun (name, (t : ty), rel) ->
-      Hashtbl.replace locs name
-        (match t with
-        | Int -> LStack (locals_base + rel)
-        | Float -> LStackF (locals_base + rel)))
-    !stack_slots;
   let ctx =
     {
       prog;
       fenv;
       fname = f.name;
-      env = ref (List.map (fun (n, t) -> (n, t)) all_vars);
+      env = ref all_vars;
       locs;
-      scratch = int_scratch;
-      fscratch = fp_scratch;
-      temp_base;
-      temp_used = 0;
+      fr;
       label_counter = 0;
-      out;
       loop_stack = [];
       float_pool = Hashtbl.create 8;
       float_pool_order = [];
@@ -977,53 +846,19 @@ let compile_func (prog : program) (fenv : (string * ty) list)
     }
   in
   emit_label ctx f.name;
-  (* prologue *)
-  emit ctx
-    (Insn.Alu { op = Insn.SUB; flags = false; dst = Reg.sp; src = Reg.sp;
-                op2 = Insn.Imm (frame, 0) });
-  emit ctx
-    (Insn.Stp { w = Reg.W64; r1 = Reg.x 29; r2 = Reg.x 30;
-                addr = Insn.Imm_off (Reg.sp, 0) });
+  Frame.push fr;
   emit ctx
     (Insn.Alu { op = Insn.ADD; flags = false; dst = Reg.x 29; src = Reg.sp;
                 op2 = Insn.Imm (0, 0) });
-  List.iteri
-    (fun k r -> str_frame ctx r (16 + (8 * k)))
-    (List.rev !used_int_homes);
-  List.iteri
-    (fun k r -> fstr_frame ctx r (16 + (8 * (n_int_saves + k))))
-    (List.rev !used_fp_homes);
-  (* move incoming arguments to their homes *)
-  let ii = ref 0 and fi = ref 0 in
-  List.iter
-    (fun (name, (t : ty)) ->
-      (match t with
-      | Int ->
-          assign_to ctx name (VInt int_arg_regs.(!ii));
-          incr ii
-      | Float ->
-          assign_to ctx name (VFlt !fi);
-          incr fi))
-    f.params;
+  Frame.save_homes fr;
+  Frame.store_args fr (List.map (fun (n, _) -> Hashtbl.find locs n) f.params);
   (* body *)
   List.iter (compile_stmt ctx) f.body;
   (* implicit return 0 *)
-  emit_const ctx 0 0;
-  (* epilogue *)
+  Frame.const fr 0 0;
   emit_label ctx ctx.epilogue;
-  List.iteri
-    (fun k r -> ldr_frame ctx r (16 + (8 * k)))
-    (List.rev !used_int_homes);
-  List.iteri
-    (fun k r -> fldr_frame ctx r (16 + (8 * (n_int_saves + k))))
-    (List.rev !used_fp_homes);
-  emit ctx
-    (Insn.Ldp { w = Reg.W64; r1 = Reg.x 29; r2 = Reg.x 30;
-                addr = Insn.Imm_off (Reg.sp, 0) });
-  emit ctx
-    (Insn.Alu { op = Insn.ADD; flags = false; dst = Reg.sp; src = Reg.sp;
-                op2 = Insn.Imm (frame, 0) });
-  emit ctx (Insn.Ret (Reg.x 30));
+  Frame.restore_homes fr;
+  Frame.pop fr;
   (* local float constant pool lives in .data *)
   if ctx.float_pool_order <> [] then begin
     emit_directive ctx ".data" "";
@@ -1034,7 +869,7 @@ let compile_func (prog : program) (fenv : (string * ty) list)
       (List.rev ctx.float_pool_order);
     emit_directive ctx ".text" ""
   end;
-  ctx.out
+  fr.Frame.out
 
 (** Compile a whole program to assembly source.  The entry point calls
     [main] and exits with its return value. *)

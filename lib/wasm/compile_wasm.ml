@@ -16,17 +16,16 @@
 
 open Lfi_arm64
 module W = Ir
+module Frame = Lfi_minic.Frame
 
-exception Error of string
+exception Error = Frame.Error
 
-let errorf fmt = Printf.ksprintf (fun m -> raise (Error m)) fmt
+let errorf = Frame.errorf
 
 let x = Reg.x
 let w = Reg.w
 let d n = Reg.Fp.v Reg.Fp.D n
 
-let int_scratch = [ 9; 10; 11; 12; 13; 14; 15 ]
-let fp_scratch = [ 16; 17; 18; 19; 20; 21; 22; 23 ]
 let int_homes = [ 19; 20; 21; 22; 23; 24; 25 ]
 let fp_homes = [ 8; 9; 10; 11; 12; 13; 14; 15 ]
 let ctx_reg = 27
@@ -45,124 +44,30 @@ type vitem =
   | SSpillI of int  (** frame temp slot *)
   | SSpillF of int
 
-type local_home = HReg of int | HFreg of int | HSlot of int | HFslot of int
-
 type fctx = {
   eng : Engine.t;
   m : W.module_;
   findex : int;
   f : W.func;
-  homes : local_home array;
+  fr : Frame.t;  (** homes are indexed by local number *)
   mutable vstack : vitem list;
-  mutable scratch : int list;
-  mutable fscratch : int list;
-  temp_base : int;
-  mutable temp_used : int;
   mutable label_counter : int;
   mutable labels : (string * [ `Fwd | `Back ]) list;
       (** innermost first: branch target of each enclosing construct *)
-  mutable out : Source.item list;
   mutable heap_cached : bool;
-  frame : int;
   epilogue : string;
 }
 
-let emit ctx i = ctx.out <- Source.Insn i :: ctx.out
+let emit ctx i = Frame.emit ctx.fr i
 (* The heap-base cache (x26) holds a constant value, so labels do not
    invalidate it; only calls (which clobber x26 in the callee) do.
    Structured-control joins are handled conservatively in
    [compile_instr]. *)
-let emit_label ctx l = ctx.out <- Source.Label l :: ctx.out
+let emit_label ctx l = Frame.label ctx.fr l
 
 let fresh ctx prefix =
   ctx.label_counter <- ctx.label_counter + 1;
   Printf.sprintf ".Lw%d_%s%d" ctx.findex prefix ctx.label_counter
-
-let alloc_int ctx =
-  match ctx.scratch with
-  | r :: tl ->
-      ctx.scratch <- tl;
-      r
-  | [] -> errorf "%s: operand stack too deep" ctx.f.W.name
-
-let alloc_fp ctx =
-  match ctx.fscratch with
-  | r :: tl ->
-      ctx.fscratch <- tl;
-      r
-  | [] -> errorf "%s: float operand stack too deep" ctx.f.W.name
-
-let free_int ctx r = if List.mem r int_scratch then ctx.scratch <- r :: ctx.scratch
-let free_fp ctx r = if List.mem r fp_scratch then ctx.fscratch <- r :: ctx.fscratch
-
-let alloc_temp ctx =
-  let slot = ctx.temp_base + (8 * ctx.temp_used) in
-  ctx.temp_used <- ctx.temp_used + 1;
-  if ctx.temp_used > 32 then errorf "%s: out of spill slots" ctx.f.W.name;
-  slot
-
-let mov_reg dst src =
-  Insn.Alu { op = Insn.ORR; flags = false; dst = x dst; src = Reg.xzr;
-             op2 = Insn.Sh (x src, Insn.Lsl, 0) }
-
-let fmov_reg dst src = Insn.Fop1 { op = Insn.FMOV; dst = d dst; src = d src }
-
-(** Materialize an arbitrary integer constant with movz/movn/movk.
-    Chunks are computed through Int64 so negative values keep their
-    full two's-complement bit pattern. *)
-let emit_const ctx (dst : int) (v : int) =
-  if v >= 0 && v < 65536 then
-    emit ctx (Insn.Mov { op = Insn.MOVZ; dst = x dst; imm = v; hw = 0 })
-  else if v < 0 && lnot v < 65536 then
-    emit ctx (Insn.Mov { op = Insn.MOVN; dst = x dst; imm = lnot v; hw = 0 })
-  else begin
-    let v64 = Int64.of_int v in
-    let chunk k =
-      Int64.to_int
-        (Int64.logand (Int64.shift_right_logical v64 (16 * k)) 0xFFFFL)
-    in
-    let first = ref true in
-    for k = 0 to 3 do
-      let c = chunk k in
-      if c <> 0 || (k = 3 && !first) then begin
-        emit ctx
-          (Insn.Mov { op = (if !first then Insn.MOVZ else Insn.MOVK);
-                      dst = x dst; imm = c; hw = k });
-        first := false
-      end
-    done;
-    if !first then
-      emit ctx (Insn.Mov { op = Insn.MOVZ; dst = x dst; imm = 0; hw = 0 })
-  end
-
-(** Materialize a full 64-bit pattern (FP constant bits do not fit an
-    OCaml int). *)
-let emit_const64 ctx dst (v64 : int64) =
-  let chunk k =
-    Int64.to_int (Int64.logand (Int64.shift_right_logical v64 (16 * k)) 0xFFFFL)
-  in
-  let first = ref true in
-  for k = 0 to 3 do
-    let c = chunk k in
-    if c <> 0 || (k = 3 && !first) then begin
-      emit ctx
-        (Insn.Mov { op = (if !first then Insn.MOVZ else Insn.MOVK);
-                    dst = x dst; imm = c; hw = k });
-      first := false
-    end
-  done;
-  if !first then
-    emit ctx (Insn.Mov { op = Insn.MOVZ; dst = x dst; imm = 0; hw = 0 })
-
-let ldr_sp dst off =
-  Insn.Ldr { sz = Insn.X; signed = false; dst = x dst;
-             addr = Insn.Imm_off (Reg.sp, off) }
-
-let str_sp src off =
-  Insn.Str { sz = Insn.X; src = x src; addr = Insn.Imm_off (Reg.sp, off) }
-
-let fldr_sp dst off = Insn.Fldr { dst = d dst; addr = Insn.Imm_off (Reg.sp, off) }
-let fstr_sp src off = Insn.Fstr { src = d src; addr = Insn.Imm_off (Reg.sp, off) }
 
 (* ------------------------------------------------------------------ *)
 (* Virtual operand stack                                               *)
@@ -179,13 +84,13 @@ let pop_int ctx : int =
       match item with
       | SInt r -> r
       | SConstI v ->
-          let r = alloc_int ctx in
-          emit_const ctx r v;
+          let r = Frame.alloc_int ctx.fr in
+          Frame.const ctx.fr r v;
           r
       | SSpillI slot ->
-          let r = alloc_int ctx in
-          emit ctx (ldr_sp r slot);
-          ctx.temp_used <- ctx.temp_used - 1;
+          let r = Frame.alloc_int ctx.fr in
+          emit ctx (Frame.ldr_sp r slot);
+          Frame.free_temp ctx.fr;
           r
       | SFlt _ | SConstF _ | SSpillF _ ->
           errorf "%s: expected i64 operand" ctx.f.W.name)
@@ -198,16 +103,16 @@ let pop_fp ctx : int =
       match item with
       | SFlt r -> r
       | SConstF v ->
-          let r = alloc_fp ctx in
-          let ri = alloc_int ctx in
-          emit_const64 ctx ri (Int64.bits_of_float v);
+          let r = Frame.alloc_fp ctx.fr in
+          let ri = Frame.alloc_int ctx.fr in
+          Frame.const64 ctx.fr ri (Int64.bits_of_float v);
           emit ctx (Insn.Fmov_to_fp { dst = d r; src = x ri });
-          free_int ctx ri;
+          Frame.free_int ctx.fr ri;
           r
       | SSpillF slot ->
-          let r = alloc_fp ctx in
-          emit ctx (fldr_sp r slot);
-          ctx.temp_used <- ctx.temp_used - 1;
+          let r = Frame.alloc_fp ctx.fr in
+          emit ctx (Frame.fldr_sp r slot);
+          Frame.free_temp ctx.fr;
           r
       | SInt _ | SConstI _ | SSpillI _ ->
           errorf "%s: expected f64 operand" ctx.f.W.name)
@@ -228,14 +133,14 @@ let spill_all ctx =
       (fun item ->
         match item with
         | SInt r ->
-            let slot = alloc_temp ctx in
-            emit ctx (str_sp r slot);
-            free_int ctx r;
+            let slot = Frame.alloc_temp ctx.fr in
+            emit ctx (Frame.str_sp r slot);
+            Frame.free_int ctx.fr r;
             SSpillI slot
         | SFlt r ->
-            let slot = alloc_temp ctx in
-            emit ctx (fstr_sp r slot);
-            free_fp ctx r;
+            let slot = Frame.alloc_temp ctx.fr in
+            emit ctx (Frame.fstr_sp r slot);
+            Frame.free_fp ctx.fr r;
             SSpillF slot
         | item -> item)
       (List.rev ctx.vstack)
@@ -251,7 +156,7 @@ let heap_base ctx : int =
   | Engine.In_struct { barrier } ->
       if (not barrier) && ctx.heap_cached then heap_cache_reg
       else begin
-        let dst = if barrier then alloc_int ctx else heap_cache_reg in
+        let dst = if barrier then Frame.alloc_int ctx.fr else heap_cache_reg in
         emit ctx
           (Insn.Ldr { sz = Insn.X; signed = false; dst = x dst;
                       addr = Insn.Imm_off (x ctx_reg, ctx_heap_base_off) });
@@ -260,7 +165,7 @@ let heap_base ctx : int =
       end
 
 let release_heap_base ctx r =
-  if r <> heap_reg && r <> heap_cache_reg then free_int ctx r
+  if r <> heap_reg && r <> heap_cache_reg then Frame.free_int ctx.fr r
 
 (** Compute the host address [base + zx(idx) + off].  With [off = 0]
     this is a single guarded addressing mode; otherwise the engine
@@ -271,17 +176,17 @@ let mem_addr ctx (off : int) : Insn.addr * (unit -> unit) =
   if off = 0 then
     ( Insn.Reg_off (x base, w idx, Insn.Uxtw, 0),
       fun () ->
-        free_int ctx idx;
+        Frame.free_int ctx.fr idx;
         release_heap_base ctx base )
   else begin
-    let t = alloc_int ctx in
+    let t = Frame.alloc_int ctx.fr in
     emit ctx
       (Insn.Alu { op = Insn.ADD; flags = false; dst = x t; src = x base;
                   op2 = Insn.Ext (w idx, Insn.Uxtw, 0) });
-    free_int ctx idx;
+    Frame.free_int ctx.fr idx;
     release_heap_base ctx base;
     ( Insn.Imm_off (x t, off),
-      fun () -> free_int ctx t )
+      fun () -> Frame.free_int ctx.fr t )
   end
 
 (* ------------------------------------------------------------------ *)
@@ -297,47 +202,33 @@ let memory_label = "__wasm_memory"
 let ctx_label = "__wasm_ctx"
 
 let local_get ctx n =
-  match ctx.homes.(n) with
-  | HReg home ->
-      let r = alloc_int ctx in
-      emit ctx (mov_reg r home);
+  let h = ctx.fr.Frame.homes.(n) in
+  match h with
+  | Frame.Reg _ | Frame.Slot _ ->
+      let r = Frame.alloc_int ctx.fr in
+      Frame.load_home ctx.fr h r;
       push ctx (SInt r)
-  | HFreg home ->
-      let r = alloc_fp ctx in
-      emit ctx (fmov_reg r home);
-      push ctx (SFlt r)
-  | HSlot off ->
-      let r = alloc_int ctx in
-      emit ctx (ldr_sp r off);
-      push ctx (SInt r)
-  | HFslot off ->
-      let r = alloc_fp ctx in
-      emit ctx (fldr_sp r off);
+  | Frame.Freg _ | Frame.Fslot _ ->
+      let r = Frame.alloc_fp ctx.fr in
+      Frame.load_home ctx.fr h r;
       push ctx (SFlt r)
 
 let local_set ctx n =
-  match ctx.homes.(n) with
-  | HReg home ->
+  let h = ctx.fr.Frame.homes.(n) in
+  match h with
+  | Frame.Reg _ | Frame.Slot _ ->
       let r = pop_int ctx in
-      emit ctx (mov_reg home r);
-      free_int ctx r
-  | HFreg home ->
+      Frame.store_home ctx.fr h r;
+      Frame.free_int ctx.fr r
+  | Frame.Freg _ | Frame.Fslot _ ->
       let r = pop_fp ctx in
-      emit ctx (fmov_reg home r);
-      free_fp ctx r
-  | HSlot off ->
-      let r = pop_int ctx in
-      emit ctx (str_sp r off);
-      free_int ctx r
-  | HFslot off ->
-      let r = pop_fp ctx in
-      emit ctx (fstr_sp r off);
-      free_fp ctx r
+      Frame.store_home ctx.fr h r;
+      Frame.free_fp ctx.fr r
 
 let compile_ibin ctx (op : W.ibinop) =
   let fold = pop_int_or_imm ctx in
   let ra = pop_int ctx in
-  let rr = alloc_int ctx in
+  let rr = Frame.alloc_int ctx.fr in
   (match (op, fold) with
   | W.Add, `Imm v ->
       emit ctx
@@ -370,8 +261,8 @@ let compile_ibin ctx (op : W.ibinop) =
         match fold with
         | `Reg r -> r
         | `Imm v ->
-            let r = alloc_int ctx in
-            emit_const ctx r v;
+            let r = Frame.alloc_int ctx.fr in
+            Frame.const ctx.fr r v;
             r
       in
       (match op with
@@ -395,13 +286,13 @@ let compile_ibin ctx (op : W.ibinop) =
           emit ctx
             (Insn.Div { signed = true; dst = x rr; src1 = x ra; src2 = x rb })
       | W.Rem_s ->
-          let q = alloc_int ctx in
+          let q = Frame.alloc_int ctx.fr in
           emit ctx
             (Insn.Div { signed = true; dst = x q; src1 = x ra; src2 = x rb });
           emit ctx
             (Insn.Madd { sub = true; dst = x rr; src1 = x q; src2 = x rb;
                          acc = x ra });
-          free_int ctx q
+          Frame.free_int ctx.fr q
       | W.Shl ->
           emit ctx (Insn.Shiftv { op = Insn.Lsl; dst = x rr; src = x ra;
                                   amount = x rb })
@@ -411,8 +302,8 @@ let compile_ibin ctx (op : W.ibinop) =
       | W.Shr_u ->
           emit ctx (Insn.Shiftv { op = Insn.Lsr; dst = x rr; src = x ra;
                                   amount = x rb }));
-      free_int ctx rb);
-  free_int ctx ra;
+      Frame.free_int ctx.fr rb);
+  Frame.free_int ctx.fr ra;
   push ctx (SInt rr)
 
 let cond_of_icmp = function
@@ -436,9 +327,9 @@ let compile_icmp ctx (op : W.icmp) =
       emit ctx
         (Insn.Alu { op = Insn.SUB; flags = true; dst = Reg.xzr; src = x ra;
                     op2 = Insn.Sh (x rb, Insn.Lsl, 0) });
-      free_int ctx rb);
-  free_int ctx ra;
-  let rr = alloc_int ctx in
+      Frame.free_int ctx.fr rb);
+  Frame.free_int ctx.fr ra;
+  let rr = Frame.alloc_int ctx.fr in
   emit ctx
     (Insn.Csel { op = Insn.CSINC; dst = x rr; src1 = Reg.xzr;
                  src2 = Reg.xzr; cond = Insn.invert_cond (cond_of_icmp op) });
@@ -448,17 +339,17 @@ let compile_load ctx (e : W.elt) off =
   let addr, release = mem_addr ctx off in
   (match e with
   | Lfi_minic.Ast.F64 ->
-      let r = alloc_fp ctx in
+      let r = Frame.alloc_fp ctx.fr in
       emit ctx (Insn.Fldr { dst = d r; addr });
       push ctx (SFlt r)
   | Lfi_minic.Ast.F32 ->
-      let r = alloc_fp ctx in
+      let r = Frame.alloc_fp ctx.fr in
       let s = Reg.Fp.v Reg.Fp.S r in
       emit ctx (Insn.Fldr { dst = s; addr });
       emit ctx (Insn.Fcvt { dst = d r; src = s });
       push ctx (SFlt r)
   | e ->
-      let r = alloc_int ctx in
+      let r = Frame.alloc_int ctx.fr in
       (match e with
       | Lfi_minic.Ast.U8 ->
           emit ctx (Insn.Ldr { sz = Insn.B; signed = false; dst = w r; addr })
@@ -484,7 +375,7 @@ let compile_store ctx (e : W.elt) off =
           emit ctx (Insn.Fcvt { dst = s; src = d rv });
           emit ctx (Insn.Fstr { src = s; addr }));
       release ();
-      free_fp ctx rv
+      Frame.free_fp ctx.fr rv
   | e ->
       let rv = pop_int ctx in
       let addr, release = mem_addr ctx off in
@@ -494,7 +385,7 @@ let compile_store ctx (e : W.elt) off =
       | Lfi_minic.Ast.I32 -> emit ctx (Insn.Str { sz = Insn.W; src = w rv; addr })
       | _ -> emit ctx (Insn.Str { sz = Insn.X; src = x rv; addr }));
       release ();
-      free_int ctx rv
+      Frame.free_int ctx.fr rv
 
 (** Move the top [n] operands into the argument registers. *)
 let marshal_args ctx (params : W.valtype list) =
@@ -514,27 +405,27 @@ let marshal_args ctx (params : W.valtype list) =
       | W.I64 ->
           (match item with
           | SInt r ->
-              emit ctx (mov_reg !ii r);
-              free_int ctx r
-          | SConstI v -> emit_const ctx !ii v
+              emit ctx (Frame.mov_reg !ii r);
+              Frame.free_int ctx.fr r
+          | SConstI v -> Frame.const ctx.fr !ii v
           | SSpillI slot ->
-              emit ctx (ldr_sp !ii slot);
-              ctx.temp_used <- ctx.temp_used - 1
+              emit ctx (Frame.ldr_sp !ii slot);
+              Frame.free_temp ctx.fr
           | _ -> errorf "argument type mismatch");
           incr ii
       | W.F64 ->
           (match item with
           | SFlt r ->
-              emit ctx (fmov_reg !fi r);
-              free_fp ctx r
+              emit ctx (Frame.fmov_reg !fi r);
+              Frame.free_fp ctx.fr r
           | SConstF v ->
-              let ri = alloc_int ctx in
-              emit_const64 ctx ri (Int64.bits_of_float v);
+              let ri = Frame.alloc_int ctx.fr in
+              Frame.const64 ctx.fr ri (Int64.bits_of_float v);
               emit ctx (Insn.Fmov_to_fp { dst = d !fi; src = x ri });
-              free_int ctx ri
+              Frame.free_int ctx.fr ri
           | SSpillF slot ->
-              emit ctx (fldr_sp !fi slot);
-              ctx.temp_used <- ctx.temp_used - 1
+              emit ctx (Frame.fldr_sp !fi slot);
+              Frame.free_temp ctx.fr
           | _ -> errorf "argument type mismatch");
           incr fi)
     params !args
@@ -542,12 +433,12 @@ let marshal_args ctx (params : W.valtype list) =
 let push_result ctx (t : W.valtype) =
   match t with
   | W.I64 ->
-      let r = alloc_int ctx in
-      emit ctx (mov_reg r 0);
+      let r = Frame.alloc_int ctx.fr in
+      emit ctx (Frame.mov_reg r 0);
       push ctx (SInt r)
   | W.F64 ->
-      let r = alloc_fp ctx in
-      emit ctx (fmov_reg r 0);
+      let r = Frame.alloc_fp ctx.fr in
+      emit ctx (Frame.fmov_reg r 0);
       push ctx (SFlt r)
 
 (* Does this code call anything (clobbering the heap-base cache)? *)
@@ -566,8 +457,8 @@ let rec compile_instr ctx (i : W.instr) =
   | W.Const v ->
       if ctx.eng.Engine.codegen = Engine.Llvm then push ctx (SConstI v)
       else begin
-        let r = alloc_int ctx in
-        emit_const ctx r v;
+        let r = Frame.alloc_int ctx.fr in
+        Frame.const ctx.fr r v;
         push ctx (SInt r)
       end
   | W.Fconst v -> push ctx (SConstF v)
@@ -578,7 +469,7 @@ let rec compile_instr ctx (i : W.instr) =
   | W.Fbin op ->
       let rb = pop_fp ctx in
       let ra = pop_fp ctx in
-      let rr = alloc_fp ctx in
+      let rr = Frame.alloc_fp ctx.fr in
       let fop =
         match op with
         | W.Fadd -> Insn.FADD
@@ -587,42 +478,42 @@ let rec compile_instr ctx (i : W.instr) =
         | W.Fdiv -> Insn.FDIV
       in
       emit ctx (Insn.Fop2 { op = fop; dst = d rr; src1 = d ra; src2 = d rb });
-      free_fp ctx ra;
-      free_fp ctx rb;
+      Frame.free_fp ctx.fr ra;
+      Frame.free_fp ctx.fr rb;
       push ctx (SFlt rr)
   | W.Fcmp op ->
       let rb = pop_fp ctx in
       let ra = pop_fp ctx in
       emit ctx (Insn.Fcmp { src1 = d ra; src2 = Some (d rb) });
-      free_fp ctx ra;
-      free_fp ctx rb;
+      Frame.free_fp ctx.fr ra;
+      Frame.free_fp ctx.fr rb;
       let cond =
         match op with W.Feq -> Insn.EQ | W.Flt -> Insn.MI | W.Fle -> Insn.LS
       in
-      let rr = alloc_int ctx in
+      let rr = Frame.alloc_int ctx.fr in
       emit ctx
         (Insn.Csel { op = Insn.CSINC; dst = x rr; src1 = Reg.xzr;
                      src2 = Reg.xzr; cond = Insn.invert_cond cond });
       push ctx (SInt rr)
   | W.Ineg ->
       let ra = pop_int ctx in
-      let rr = alloc_int ctx in
+      let rr = Frame.alloc_int ctx.fr in
       emit ctx
         (Insn.Alu { op = Insn.SUB; flags = false; dst = x rr; src = Reg.xzr;
                     op2 = Insn.Sh (x ra, Insn.Lsl, 0) });
-      free_int ctx ra;
+      Frame.free_int ctx.fr ra;
       push ctx (SInt rr)
   | W.Inot ->
       let ra = pop_int ctx in
-      let rr = alloc_int ctx in
+      let rr = Frame.alloc_int ctx.fr in
       emit ctx
         (Insn.Alu { op = Insn.ORN; flags = false; dst = x rr; src = Reg.xzr;
                     op2 = Insn.Sh (x ra, Insn.Lsl, 0) });
-      free_int ctx ra;
+      Frame.free_int ctx.fr ra;
       push ctx (SInt rr)
   | W.Fneg | W.Fsqrt | W.Fabs ->
       let ra = pop_fp ctx in
-      let rr = alloc_fp ctx in
+      let rr = Frame.alloc_fp ctx.fr in
       let op =
         match i with
         | W.Fneg -> Insn.FNEG
@@ -630,19 +521,19 @@ let rec compile_instr ctx (i : W.instr) =
         | _ -> Insn.FABS
       in
       emit ctx (Insn.Fop1 { op; dst = d rr; src = d ra });
-      free_fp ctx ra;
+      Frame.free_fp ctx.fr ra;
       push ctx (SFlt rr)
   | W.I_to_f ->
       let ra = pop_int ctx in
-      let rr = alloc_fp ctx in
+      let rr = Frame.alloc_fp ctx.fr in
       emit ctx (Insn.Scvtf { signed = true; dst = d rr; src = x ra });
-      free_int ctx ra;
+      Frame.free_int ctx.fr ra;
       push ctx (SFlt rr)
   | W.F_to_i ->
       let ra = pop_fp ctx in
-      let rr = alloc_int ctx in
+      let rr = Frame.alloc_int ctx.fr in
       emit ctx (Insn.Fcvtzs { signed = true; dst = x rr; src = d ra });
-      free_fp ctx ra;
+      Frame.free_fp ctx.fr ra;
       push ctx (SInt rr)
   | W.Load (e, off) -> compile_load ctx e off
   | W.Store (e, off) -> compile_store ctx e off
@@ -666,7 +557,7 @@ let rec compile_instr ctx (i : W.instr) =
                       src = x idx;
                       op2 = Insn.Imm (Array.length ctx.m.W.table, 0) });
         emit ctx (Insn.Bcond (Insn.CS, Insn.Sym trap_label));
-        let rs = alloc_int ctx in
+        let rs = Frame.alloc_int ctx.fr in
         emit ctx (Insn.Adr { page = false; dst = x rs; target = Insn.Sym sigs_label });
         emit ctx
           (Insn.Ldr { sz = Insn.X; signed = false; dst = x rs;
@@ -675,16 +566,16 @@ let rec compile_instr ctx (i : W.instr) =
           (Insn.Alu { op = Insn.SUB; flags = true; dst = Reg.xzr; src = x rs;
                       op2 = Insn.Imm (tyn, 0) });
         emit ctx (Insn.Bcond (Insn.NE, Insn.Sym trap_label));
-        free_int ctx rs
+        Frame.free_int ctx.fr rs
       end;
-      let rt = alloc_int ctx in
+      let rt = Frame.alloc_int ctx.fr in
       emit ctx (Insn.Adr { page = false; dst = x rt; target = Insn.Sym table_label });
       emit ctx
         (Insn.Ldr { sz = Insn.X; signed = false; dst = x rt;
                     addr = Insn.Reg_off (x rt, x idx, Insn.Uxtx, 3) });
       emit ctx (Insn.Blr (x rt));
-      free_int ctx rt;
-      free_int ctx idx;
+      Frame.free_int ctx.fr rt;
+      Frame.free_int ctx.fr idx;
       ctx.heap_cached <- false;
       push_result ctx ft.W.result
   | W.Host_call (k, arity) ->
@@ -698,9 +589,9 @@ let rec compile_instr ctx (i : W.instr) =
       | item :: tl ->
           ctx.vstack <- tl;
           (match item with
-          | SInt r -> free_int ctx r
-          | SFlt r -> free_fp ctx r
-          | SSpillI _ | SSpillF _ -> ctx.temp_used <- ctx.temp_used - 1
+          | SInt r -> Frame.free_int ctx.fr r
+          | SFlt r -> Frame.free_fp ctx.fr r
+          | SSpillI _ | SSpillF _ -> Frame.free_temp ctx.fr
           | SConstI _ | SConstF _ -> ())
       | [] -> errorf "drop on empty stack")
   | W.Block body ->
@@ -728,7 +619,7 @@ let rec compile_instr ctx (i : W.instr) =
       let first_target = if else_b = [] then lend else lelse in
       emit ctx
         (Insn.Cbz { nz = false; reg = x rc; target = Insn.Sym first_target });
-      free_int ctx rc;
+      Frame.free_int ctx.fr rc;
       let before = ctx.heap_cached in
       ctx.labels <- (lend, `Fwd) :: ctx.labels;
       List.iter (compile_instr ctx) then_b;
@@ -749,17 +640,17 @@ let rec compile_instr ctx (i : W.instr) =
       let lbl, _ = List.nth ctx.labels n in
       let rc = pop_int ctx in
       emit ctx (Insn.Cbz { nz = true; reg = x rc; target = Insn.Sym lbl });
-      free_int ctx rc
+      Frame.free_int ctx.fr rc
   | W.Return ->
       (match ctx.f.W.ftype.result with
       | W.I64 ->
           let r = pop_int ctx in
-          emit ctx (mov_reg 0 r);
-          free_int ctx r
+          emit ctx (Frame.mov_reg 0 r);
+          Frame.free_int ctx.fr r
       | W.F64 ->
           let r = pop_fp ctx in
-          emit ctx (fmov_reg 0 r);
-          free_fp ctx r);
+          emit ctx (Frame.fmov_reg 0 r);
+          Frame.free_fp ctx.fr r);
       emit ctx (Insn.B (Insn.Sym ctx.epilogue))
 
 (* ------------------------------------------------------------------ *)
@@ -769,76 +660,33 @@ let rec compile_instr ctx (i : W.instr) =
 let compile_func (eng : Engine.t) (m : W.module_) (findex : int) :
     Source.item list =
   let f = m.W.funcs.(findex) in
-  let all_locals = Array.of_list (f.W.ftype.params @ f.W.locals) in
-  let n_locals = Array.length all_locals in
-  let homes = Array.make (max n_locals 1) (HSlot 0) in
-  let used_int = ref [] and used_fp = ref [] in
-  let slot_off = ref 0 in
-  let ih = ref int_homes and fh = ref fp_homes in
-  Array.iteri
-    (fun k t ->
-      match (eng.Engine.codegen, (t : W.valtype)) with
-      | Engine.Llvm, W.I64 -> (
-          match !ih with
-          | h :: tl ->
-              ih := tl;
-              used_int := h :: !used_int;
-              homes.(k) <- HReg h
-          | [] ->
-              homes.(k) <- HSlot !slot_off;
-              slot_off := !slot_off + 8)
-      | Engine.Llvm, W.F64 -> (
-          match !fh with
-          | h :: tl ->
-              fh := tl;
-              used_fp := h :: !used_fp;
-              homes.(k) <- HFreg h
-          | [] ->
-              homes.(k) <- HFslot !slot_off;
-              slot_off := !slot_off + 8)
-      | Engine.Cranelift, W.I64 ->
-          homes.(k) <- HSlot !slot_off;
-          slot_off := !slot_off + 8
-      | Engine.Cranelift, W.F64 ->
-          homes.(k) <- HFslot !slot_off;
-          slot_off := !slot_off + 8)
-    all_locals;
-  let n_int_saves = List.length !used_int and n_fp_saves = List.length !used_fp in
-  let save_area = (16 + (8 * (n_int_saves + n_fp_saves)) + 15) / 16 * 16 in
-  (* shift local slots past the save area *)
-  Array.iteri
-    (fun k h ->
-      homes.(k) <-
-        (match h with
-        | HSlot o -> HSlot (save_area + o)
-        | HFslot o -> HFslot (save_area + o)
-        | h -> h))
-    homes;
-  let temp_base = save_area + !slot_off in
-  let frame = (temp_base + (32 * 8) + 15) / 16 * 16 in
+  let all_locals = f.W.ftype.params @ f.W.locals in
+  (* Cranelift keeps every local in a stack slot *)
+  let int_homes, fp_homes =
+    match eng.Engine.codegen with
+    | Engine.Llvm -> (int_homes, fp_homes)
+    | Engine.Cranelift -> ([], [])
+  in
+  let fr =
+    Frame.create ~name:f.W.name ~int_homes ~fp_homes
+      (List.map
+         (fun (t : W.valtype) : Lfi_minic.Ast.ty ->
+           match t with W.I64 -> Int | W.F64 -> Float)
+         all_locals)
+      []
+  in
   let ctx =
     {
-      eng; m; findex; f; homes;
+      eng; m; findex; f; fr;
       vstack = [];
-      scratch = int_scratch;
-      fscratch = fp_scratch;
-      temp_base;
-      temp_used = 0;
       label_counter = 0;
       labels = [];
-      out = [];
       heap_cached = false;
-      frame;
       epilogue = Printf.sprintf ".Lw%d_ret" findex;
     }
   in
   emit_label ctx (func_label findex m);
-  emit ctx
-    (Insn.Alu { op = Insn.SUB; flags = false; dst = Reg.sp; src = Reg.sp;
-                op2 = Insn.Imm (frame, 0) });
-  emit ctx
-    (Insn.Stp { w = Reg.W64; r1 = Reg.x 29; r2 = Reg.x 30;
-                addr = Insn.Imm_off (Reg.sp, 0) });
+  Frame.push fr;
   (* WAMR-style stack overflow check *)
   if eng.Engine.stack_check then begin
     emit ctx
@@ -849,28 +697,9 @@ let compile_func (eng : Engine.t) (m : W.module_) (findex : int) :
                   op2 = Insn.Ext (x 9, Insn.Uxtx, 0) });
     emit ctx (Insn.Bcond (Insn.CC, Insn.Sym trap_label))
   end;
-  List.iteri (fun k r -> emit ctx (str_sp r (16 + (8 * k)))) (List.rev !used_int);
-  List.iteri
-    (fun k r -> emit ctx (fstr_sp r (16 + (8 * (n_int_saves + k)))))
-    (List.rev !used_fp);
-  (* incoming arguments *)
-  let ii = ref 0 and fi = ref 0 in
-  List.iteri
-    (fun k (t : W.valtype) ->
-      match t with
-      | W.I64 ->
-          (match homes.(k) with
-          | HReg h -> emit ctx (mov_reg h !ii)
-          | HSlot off -> emit ctx (str_sp !ii off)
-          | _ -> assert false);
-          incr ii
-      | W.F64 ->
-          (match homes.(k) with
-          | HFreg h -> emit ctx (fmov_reg h !fi)
-          | HFslot off -> emit ctx (fstr_sp !fi off)
-          | _ -> assert false);
-          incr fi)
-    f.W.ftype.params;
+  Frame.save_homes fr;
+  let nparams = List.length f.W.ftype.params in
+  Frame.store_args fr (List.init nparams (fun k -> fr.Frame.homes.(k)));
   (* non-barrier struct engines keep the heap base cached like LLVM's
      redundant-load elimination would: one load at function entry *)
   (match eng.Engine.heap_base with
@@ -881,39 +710,22 @@ let compile_func (eng : Engine.t) (m : W.module_) (findex : int) :
       ctx.heap_cached <- true
   | _ -> ());
   (* zero-initialize non-parameter locals (Wasm semantics) *)
-  let nparams = List.length f.W.ftype.params in
   Array.iteri
-    (fun k (t : W.valtype) ->
+    (fun k h ->
       if k >= nparams then
-        match (t, homes.(k)) with
-        | W.I64, HReg h ->
-            emit ctx (Insn.Mov { op = Insn.MOVZ; dst = x h; imm = 0; hw = 0 })
-        | W.I64, HSlot off ->
-            emit ctx
-              (Insn.Str { sz = Insn.X; src = Reg.xzr;
-                          addr = Insn.Imm_off (Reg.sp, off) })
-        | W.F64, HFreg h ->
-            emit ctx (Insn.Fmov_to_fp { dst = d h; src = Reg.xzr })
-        | W.F64, HFslot off ->
-            emit ctx
-              (Insn.Str { sz = Insn.X; src = Reg.xzr;
-                          addr = Insn.Imm_off (Reg.sp, off) })
-        | _ -> assert false)
-    all_locals;
+        emit ctx
+          (match h with
+          | Frame.Reg h -> Insn.Mov { op = Insn.MOVZ; dst = x h; imm = 0; hw = 0 }
+          | Frame.Freg h -> Insn.Fmov_to_fp { dst = d h; src = Reg.xzr }
+          | Frame.Slot off | Frame.Fslot off ->
+              Insn.Str { sz = Insn.X; src = Reg.xzr;
+                         addr = Insn.Imm_off (Reg.sp, off) }))
+    fr.Frame.homes;
   List.iter (compile_instr ctx) f.W.body;
   emit_label ctx ctx.epilogue;
-  List.iteri (fun k r -> emit ctx (ldr_sp r (16 + (8 * k)))) (List.rev !used_int);
-  List.iteri
-    (fun k r -> emit ctx (fldr_sp r (16 + (8 * (n_int_saves + k)))))
-    (List.rev !used_fp);
-  emit ctx
-    (Insn.Ldp { w = Reg.W64; r1 = Reg.x 29; r2 = Reg.x 30;
-                addr = Insn.Imm_off (Reg.sp, 0) });
-  emit ctx
-    (Insn.Alu { op = Insn.ADD; flags = false; dst = Reg.sp; src = Reg.sp;
-                op2 = Insn.Imm (frame, 0) });
-  emit ctx (Insn.Ret (Reg.x 30));
-  List.rev ctx.out
+  Frame.restore_homes fr;
+  Frame.pop fr;
+  List.rev fr.Frame.out
 
 (* ------------------------------------------------------------------ *)
 (* Module                                                              *)
