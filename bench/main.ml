@@ -22,14 +22,18 @@ let program short =
 
 let f v d = J.Float (v, d)
 
-(* One emulator sample per (workload, uarch, system), from a single
-   metrics-armed run: the counters observe inside the superblock
-   engine, so the same run gives the block counters, the cache hit
-   rates, the guard fraction and the guard-clamp audit (exactly 0 for
-   every well-behaved workload). *)
-let emulator_sample short uarch (sysname, sys) =
-  let elf = Run.build sys (program short) in
-  let r, rt = Run.execute_rt ~uarch ~metrics:true sys elf in
+(* One run per (workload, uarch, system), armed with the metrics and
+   per-site attribution (which needs a [.lfi_sites] table, so a native
+   image runs without it).  The counters observe inside the superblock
+   engine and attribution only observes, so the one run gives the
+   cycles of an unobserved run, the block counters, the cache hit
+   rates, the guard fraction, the guard-clamp audit (exactly 0 for
+   every well-behaved workload) and the category tax. *)
+let run short uarch sys =
+  Run.execute_rt ~uarch ~metrics:true ~overhead:true sys
+    (Run.build sys (program short))
+
+let emulator_sample short uarch sysname ((r : Run.result), rt) =
   let snap = Lfi_runtime.Runtime.metrics_snapshot rt in
   let e = snap.Lfi_telemetry.Metrics.emu in
   let open Lfi_telemetry.Metrics in
@@ -59,71 +63,52 @@ let emulator_sample short uarch (sysname, sys) =
           ] );
     ]
 
-let opt_levels =
-  [ ("O0", Lfi_core.Config.o0); ("O1", Lfi_core.Config.o1);
-    ("O2", Lfi_core.Config.o2) ]
-
-(* Per-category tax cycles of the inserted sites, attributed by the
-   per-site profiler. *)
+(* Per-category tax cycles of the inserted sites, as the overhead
+   report rolls them up. *)
 let categories rt =
-  match Lfi_runtime.Runtime.overhead_acc rt with
-  | None -> []
-  | Some a ->
-      let open Lfi_telemetry.Overhead in
-      List.map
-        (fun cat ->
-          let tax = ref 0.0 in
-          Array.iteri
-            (fun i (s : site) ->
-              if s.category = cat && s.inserted then
-                tax := !tax +. a.cycles.(i))
-            a.sites;
-          (category_name cat, f !tax 1))
-        all_categories
-
-(* Percent over native per (workload, uarch, opt).  Only the O2 row
-   arms per-site attribution and carries the category breakdown;
-   attribution only observes the run, so every row's cycles are those
-   of an unobserved run. *)
-let overhead_rows short uarch =
-  let native =
-    (Run.execute ~uarch Run.Native (Run.build Run.Native (program short)))
-      .Run.cycles
-  in
+  let open Lfi_telemetry.Overhead in
+  let a = Option.get (Lfi_runtime.Runtime.overhead_acc rt) in
   List.map
-    (fun (opt, config) ->
-      let sys = Run.Lfi config in
-      let attribute = opt = "O2" in
-      let r, rt =
-        Run.execute_rt ~uarch ~overhead:attribute sys
-          (Run.build sys (program short))
-      in
-      let pct = Run.overhead ~base:native r.Run.cycles in
-      Printf.printf "  %-10s %-4s %-3s %12.0f cycles  %+6.2f%% over native\n%!"
-        short uarch.Lfi_emulator.Cost_model.name opt r.Run.cycles pct;
-      J.Obj
-        ([
-           ("workload", J.Str short); ("uarch", J.Str uarch.name);
-           ("opt", Str opt);
-           ("native_cycles", f native 1); ("cycles", f r.Run.cycles 1);
-           ("overhead_pct", f pct 2);
-         ]
-        @ if attribute then [ ("categories", J.Obj (categories rt)) ] else []))
-    opt_levels
+    (fun cat -> (category_name cat, f (rollup a cat).r_tax_cycles 1))
+    all_categories
 
-let each_pair g =
-  List.concat_map (fun w -> List.concat_map (fun u -> g w u) uarchs) workloads
+(* Percent over native at one opt level; only the O2 row carries the
+   category breakdown. *)
+let overhead_row short uarch ~native opt ((r : Run.result), rt) =
+  let pct = Run.overhead ~base:native r.Run.cycles in
+  Printf.printf "  %-10s %-4s %-3s %12.0f cycles  %+6.2f%% over native\n%!"
+    short uarch.Lfi_emulator.Cost_model.name opt r.Run.cycles pct;
+  J.Obj
+    ([
+       ("workload", J.Str short); ("uarch", J.Str uarch.name);
+       ("opt", Str opt);
+       ("native_cycles", f native 1); ("cycles", f r.Run.cycles 1);
+       ("overhead_pct", f pct 2);
+     ]
+    @ if opt = "O2" then [ ("categories", J.Obj (categories rt)) ] else [])
+
+(* The emulator samples and the overhead rows of one (workload, uarch):
+   four runs, the native and O2 ones shared. *)
+let pair short uarch =
+  let native = run short uarch Run.Native in
+  let o2 = run short uarch (Run.Lfi Lfi_core.Config.o2) in
+  let emulator =
+    [ emulator_sample short uarch "native" native;
+      emulator_sample short uarch "lfi-o2" o2 ]
+  in
+  let row = overhead_row short uarch ~native:(fst native).Run.cycles in
+  let o0 = row "O0" (run short uarch (Run.Lfi Lfi_core.Config.o0)) in
+  let o1 = row "O1" (run short uarch (Run.Lfi Lfi_core.Config.o1)) in
+  (emulator, [ o0; o1; row "O2" o2 ])
 
 let write_json file =
   Printf.printf "running the emulator on %s...\n%!"
     (String.concat ", " workloads);
-  let emulator =
-    each_pair (fun w u ->
-        List.map (emulator_sample w u)
-          [ ("native", Run.Native); ("lfi-o2", Run.Lfi Lfi_core.Config.o2) ])
+  let pairs =
+    List.concat_map (fun w -> List.map (pair w) uarchs) workloads
   in
-  Printf.printf "measuring SFI overhead vs native...\n%!";
-  let overhead = each_pair overhead_rows in
+  let emulator = List.concat_map fst pairs
+  and overhead = List.concat_map snd pairs in
   (* rewriter counts and verified text size on the mcf proxy *)
   let elf, (rstats : Lfi_core.Rewriter.stats) =
     Lfi_core.Build.sandboxed Lfi_core.Config.default

@@ -164,6 +164,33 @@ type level = { lv_name : string; lv_cycles : float }
 
 let pct ~base v = (v -. base) /. base *. 100.0
 
+(** What the sites of one category did in a run. *)
+type rollup = {
+  r_sites : int;
+  r_inserted : int;  (** sites that did not exist before the rewrite *)
+  r_execs : int;
+  r_cycles : float;
+  r_tax_cycles : float;  (** cycles of the inserted sites: pure tax *)
+}
+
+let rollup (a : acc) (cat : category) : rollup =
+  let sites = ref 0 and ins = ref 0 and ex = ref 0 and cy = ref 0.0 in
+  let tax = ref 0.0 in
+  Array.iteri
+    (fun i s ->
+      if s.category = cat then begin
+        incr sites;
+        if s.inserted then begin
+          incr ins;
+          tax := !tax +. a.cycles.(i)
+        end;
+        ex := !ex + a.execs.(i);
+        cy := !cy +. a.cycles.(i)
+      end)
+    a.sites;
+  { r_sites = !sites; r_inserted = !ins; r_execs = !ex; r_cycles = !cy;
+    r_tax_cycles = !tax }
+
 (** Render the byte-stable [lfi-overhead/v1] report.
 
     [symbol_of] maps a (sandbox-relative) site pc to the pretty form
@@ -205,29 +232,16 @@ let report ~(workload : string) ~(uarch : string) ~(total_cycles : float)
   let categories =
     List.map
       (fun cat ->
-        let sites = ref 0 and ins = ref 0 and ex = ref 0 and cy = ref 0.0 in
-        let tax_cy = ref 0.0 in
-        Array.iteri
-          (fun i s ->
-            if s.category = cat then begin
-              incr sites;
-              if s.inserted then begin
-                incr ins;
-                tax_cy := !tax_cy +. a.cycles.(i)
-              end;
-              ex := !ex + a.execs.(i);
-              cy := !cy +. a.cycles.(i)
-            end)
-          a.sites;
+        let r = rollup a cat in
         Obj
           [
-            ("category", Str (category_name cat)); ("sites", Int !sites);
-            ("inserted_sites", Int !ins); ("execs", Int !ex);
-            ("cycles", f2 !cy);
-            ("tax_cycles", f2 !tax_cy);
+            ("category", Str (category_name cat)); ("sites", Int r.r_sites);
+            ("inserted_sites", Int r.r_inserted); ("execs", Int r.r_execs);
+            ("cycles", f2 r.r_cycles);
+            ("tax_cycles", f2 r.r_tax_cycles);
             ( "share_pct",
               f2
-                (if total_cycles > 0.0 then !cy /. total_cycles *. 100.0
+                (if total_cycles > 0.0 then r.r_cycles /. total_cycles *. 100.0
                  else 0.0) );
           ])
       all_categories
