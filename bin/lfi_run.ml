@@ -38,18 +38,13 @@ let workload_source name : Lfi_arm64.Source.t =
     fresh, silent runtime and return its cycle count — the paired-run
     primitive behind percent-over-native. *)
 let quiet_cycles ~uarch config src : float =
-  let rt =
-    Lfi_runtime.Runtime.create
-      ~config:{ Lfi_runtime.Runtime.default_config with uarch } ()
+  let system =
+    match config with
+    | None -> Lfi_experiments.Run.Native
+    | Some c -> Lfi_experiments.Run.Lfi c
   in
-  let personality =
-    if config = None then Lfi_runtime.Proc.Native_in_lfi_runtime
-    else Lfi_runtime.Proc.Lfi
-  in
-  let elf = Lfi_core.Build.elf config src in
-  let p = Lfi_runtime.Runtime.load rt ~personality elf in
-  let _reason, _out, cycles, _insns = Lfi_runtime.Runtime.run_one rt p in
-  cycles
+  (Lfi_experiments.Run.execute ~uarch system (Lfi_core.Build.elf config src))
+    .Lfi_experiments.Run.cycles
 
 (** Assemble the [lfi-overhead/v1] report after an attributed run.
     [source] (the pre-rewrite assembly), when available, enables the
