@@ -575,45 +575,47 @@ let reap rt (parent : Proc.t) (cpid : int) (code : int)
           b));
   set_result (Int64.of_int cpid)
 
+(** A pipe read of up to [len] bytes into [addr], or a write of [len]
+    bytes from [addr]: [Some] the call's result (a byte count or an
+    error code) when it completes now, [None] when it would block.  A
+    call and a wake-up of a process blocked on it complete alike. *)
+let pipe_read rt p pipe addr len =
+  match Vfs.pipe_read pipe len with
+  | `Data b -> (
+      match write_user_bytes rt p addr b with
+      | Ok () -> Some (Bytes.length b)
+      | Error e -> Some e)
+  | `Eof -> Some 0
+  | `Would_block -> None
+
+let pipe_write rt p pipe addr len =
+  match read_user_bytes rt p addr len with
+  | Error e -> Some e
+  | Ok b -> (
+      match Vfs.pipe_write pipe b with
+      | `Wrote n -> Some n
+      | `Broken -> Some Vfs.epipe
+      | `Would_block -> None)
+
+(* a blocked call's result, if it has one, and the process runs again *)
+let complete (p : Proc.t) = function
+  | Some r ->
+      Machine.set_x p.Proc.snapshot 0 (Int64.of_int r);
+      p.Proc.state <- Proc.Runnable
+  | None -> ()
+
 (** Try to complete a blocked process's pending operation. *)
 let try_wake rt (p : Proc.t) =
   let set_result v = Machine.set_x p.Proc.snapshot 0 v in
   match p.Proc.state with
   | Proc.Blocked (Proc.On_read { fd; addr; len }) -> (
       match Proc.fd p fd with
-      | Some (Vfs.Pipe_read pipe) -> (
-          match Vfs.pipe_read pipe len with
-          | `Data b ->
-              (match write_user_bytes rt p addr b with
-              | Ok () -> set_result (Int64.of_int (Bytes.length b))
-              | Error e -> set_result (Int64.of_int e));
-              p.Proc.state <- Proc.Runnable
-          | `Eof ->
-              set_result 0L;
-              p.Proc.state <- Proc.Runnable
-          | `Would_block -> ())
-      | _ ->
-          set_result (Int64.of_int Vfs.ebadf);
-          p.Proc.state <- Proc.Runnable)
+      | Some (Vfs.Pipe_read pipe) -> complete p (pipe_read rt p pipe addr len)
+      | _ -> complete p (Some Vfs.ebadf))
   | Proc.Blocked (Proc.On_write { fd; addr; len }) -> (
       match Proc.fd p fd with
-      | Some (Vfs.Pipe_write pipe) -> (
-          match read_user_bytes rt p addr len with
-          | Error e ->
-              set_result (Int64.of_int e);
-              p.Proc.state <- Proc.Runnable
-          | Ok b -> (
-              match Vfs.pipe_write pipe b with
-              | `Wrote n ->
-                  set_result (Int64.of_int n);
-                  p.Proc.state <- Proc.Runnable
-              | `Broken ->
-                  set_result (Int64.of_int Vfs.epipe);
-                  p.Proc.state <- Proc.Runnable
-              | `Would_block -> ()))
-      | _ ->
-          set_result (Int64.of_int Vfs.ebadf);
-          p.Proc.state <- Proc.Runnable)
+      | Some (Vfs.Pipe_write pipe) -> complete p (pipe_write rt p pipe addr len)
+      | _ -> complete p (Some Vfs.ebadf))
   | Proc.Blocked (Proc.On_wait { status_addr }) -> (
       match find_zombie_child rt p with
       | Some (cpid, code) ->
@@ -682,15 +684,11 @@ let handle_call rt (p : Proc.t) (k : int) : outcome =
               f.pos <- f.pos + len;
               reti len)
       | Some (Vfs.Pipe_write pipe) -> (
-          match read_user_bytes rt p addr len with
-          | Error e -> reti e
-          | Ok b -> (
-              match Vfs.pipe_write pipe b with
-              | `Wrote n -> reti n
-              | `Broken -> reti Vfs.epipe
-              | `Would_block ->
-                  p.Proc.state <- Proc.Blocked (Proc.On_write { fd; addr; len });
-                  Switch))
+          match pipe_write rt p pipe addr len with
+          | Some r -> reti r
+          | None ->
+              p.Proc.state <- Proc.Blocked (Proc.On_write { fd; addr; len });
+              Switch)
       | Some _ | None -> reti Vfs.ebadf
   end
   else if k = Sysno.read then begin
@@ -708,13 +706,9 @@ let handle_call rt (p : Proc.t) (k : int) : outcome =
               f.pos <- f.pos + Bytes.length b;
               reti (Bytes.length b))
       | Some (Vfs.Pipe_read pipe) -> (
-          match Vfs.pipe_read pipe len with
-          | `Data b -> (
-              match write_user_bytes rt p addr b with
-              | Error e -> reti e
-              | Ok () -> reti (Bytes.length b))
-          | `Eof -> reti 0
-          | `Would_block ->
+          match pipe_read rt p pipe addr len with
+          | Some r -> reti r
+          | None ->
               p.Proc.state <- Proc.Blocked (Proc.On_read { fd; addr; len });
               Switch)
       | Some _ | None -> reti Vfs.ebadf
