@@ -253,6 +253,10 @@ let is_store = function
 
 let is_memory i = is_load i || is_store i
 
+(** [ldp] into one register twice, which the architecture makes
+    CONSTRAINED UNPREDICTABLE (the register may be left UNKNOWN). *)
+let ldp_overlap = function Ldp { r1; r2; _ } -> r1 = r2 | _ -> false
+
 (** Number of bytes touched by a memory instruction (the width of the
     access, used for trap checks). *)
 let access_bytes = function

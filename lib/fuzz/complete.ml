@@ -60,7 +60,7 @@ let run ?(seed = 0) ?(count = 150) ?(minic_count = 30) ?repro_dir () :
   in
   for case = 0 to count - 1 do
     let rand = Random.State.make [| seed; case |] in
-    let stream = QCheck.Gen.generate1 ~rand Gen_insn.stream in
+    let stream = QCheck.Gen.generate1 ~rand Gen_insn.sandbox_stream in
     incr cases;
     match check_source (Equiv.stream_program stream) with
     | Vpass -> ()

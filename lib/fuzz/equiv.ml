@@ -10,7 +10,7 @@
 
     Two input populations:
 
-    - {b raw ARM64 streams} ({!Gen_insn.stream}): straight-line
+    - {b raw ARM64 streams} ({!Gen_insn.sandbox_stream}): straight-line
       instruction sequences whose memory accesses go through a data
       pointer in x19, wrapped in a tiny [_start] that points x19 at
       the middle of a 64KiB data section.  Because no stream
@@ -207,7 +207,7 @@ let run ?(seed = 0) ?(count = 100) ?(minic_count = 20) ?repro_dir () :
   (* raw streams *)
   for case = 0 to count - 1 do
     let rand = Random.State.make [| seed; case |] in
-    let stream = QCheck.Gen.generate1 ~rand Gen_insn.stream in
+    let stream = QCheck.Gen.generate1 ~rand Gen_insn.sandbox_stream in
     incr cases;
     match check_source ~compare_state:compare_stream_state (stream_program stream) with
     | Pass -> ()

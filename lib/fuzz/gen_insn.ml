@@ -586,3 +586,9 @@ let stream_insn : Insn.t G.t =
     no sp) of 5-40 instructions. *)
 let stream : Insn.t list G.t =
   G.(int_range 5 40 >>= fun n -> list_repeat n stream_insn)
+
+(** {!stream} without the forms the rewriter refuses ([ldp] into one
+    register twice), from the same draws: the input of the engines that
+    sandbox what they generate. *)
+let sandbox_stream : Insn.t list G.t =
+  G.map (List.filter (fun i -> not (Insn.ldp_overlap i))) stream

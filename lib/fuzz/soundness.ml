@@ -187,7 +187,7 @@ let seed_pool ~seed ~(n : int) : Lfi_elf.Elf.t list =
   let streams =
     List.init n (fun j ->
         let rand = Random.State.make [| seed; 1_000_000 + j |] in
-        let stream = QCheck.Gen.generate1 ~rand Gen_insn.stream in
+        let stream = QCheck.Gen.generate1 ~rand Gen_insn.sandbox_stream in
         Lfi_core.Build.elf (Some Lfi_core.Config.o2)
           (Equiv.stream_program stream))
   in

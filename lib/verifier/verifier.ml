@@ -16,7 +16,8 @@
        its two-instruction guard, sp-based pre/post-indexing, or a
        small immediate adjustment followed by an sp access;
     3. no unsafe instructions ([svc], [mrs]/[msr], undefined encodings,
-       and — when configured, cf. §7.1 — LL/SC exclusives);
+       [ldp] into one register twice, and — when configured, cf. §7.1 —
+       LL/SC exclusives);
     4. direct branches stay within the text segment.
 
     The pass is strictly local: each rule looks at one instruction and
@@ -290,6 +291,9 @@ let verify ?(config = default_config) ?(origin = 0) ~(code : bytes) () :
     | Insn.Ldxr _ | Insn.Stxr _ | Insn.Ldar _ | Insn.Stlr _
       when not config.allow_exclusives ->
         fail idx "LL/SC and acquire/release disabled (S2C hardening)"
+    | _ when Insn.ldp_overlap i ->
+        (* the UNKNOWN value it may leave is beyond every rule *)
+        fail idx "ldp loads one register twice"
     | _ -> ());
     (* ---- rule 1: memory accesses ---- *)
     (if Insn.is_memory i

@@ -351,6 +351,15 @@ let test_svc_out_of_range () =
   | exception Lfi_core.Rewriter.Error _ -> ()
   | _ -> Alcotest.fail "svc #3000 should be rejected"
 
+(* the verifier would reject the output *)
+let test_ldp_overlap_refused () =
+  match
+    Lfi_core.Rewriter.rewrite
+      (Parser.parse_string_exn "f:\n\tldp x0, x0, [x1, #16]\n")
+  with
+  | exception Lfi_core.Rewriter.Error _ -> ()
+  | _ -> Alcotest.fail "ldp into one register twice should be refused"
+
 (* ---------------- verifier ---------------- *)
 
 let verify_asm ?config asm =
@@ -397,6 +406,8 @@ let violations =
     ("guarded addressing with shift", "f:\n\tldr w0, [x21, w1, uxtw #2]\n");
     ("reg-offset from reserved base", "f:\n\tldr x0, [x18, x1, lsl #3]\n");
     ("writeback on reserved base", "f:\n\tldr x0, [x18, #8]!\n");
+    (* 0x28c0dbf6: CONSTRAINED UNPREDICTABLE, so w22 may be UNKNOWN *)
+    ("ldp into one register twice", "f:\n\tldp w22, w22, [sp], #4\n");
   ]
 
 let test_verifier_rejects () =
@@ -528,6 +539,7 @@ let () =
         @ [
             mk "reserved inputs rejected" test_reserved_rejected;
             mk "svc out of range" test_svc_out_of_range;
+            mk "ldp into one register refused" test_ldp_overlap_refused;
             mk "stats" test_stats_accounting;
           ] );
       ( "rewriter-O0",
