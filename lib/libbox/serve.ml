@@ -904,11 +904,11 @@ let run ?(uarch = Cost_model.m1) ?(config = Lfi_core.Config.o2)
 
 (* ---------------- The committed bench suite ----------------------- *)
 
-(** Parameters of the committed `BENCH_serve.json` scale runs, shared
-    between `lfi_serve --suite` (which writes the file) and
-    `bench --compare` (which re-runs the closed-loop point to gate
-    p999 regressions).  The anchor replay run keeps its own CLI
-    parameters in the Makefile. *)
+(** Parameters of the committed `BENCH_serve.json` scale runs, which
+    `lfi_serve --suite` writes; CI re-runs it and diffs the file, so a
+    p999 regression shows there.  The tests reuse the tenant classes.
+    The anchor replay run keeps its own CLI parameters in the
+    Makefile. *)
 module Suite = struct
   let pool = 256
   let requests = 3000
