@@ -36,20 +36,25 @@ let popcount v =
   let rec go v acc = if v = 0 then acc else go (v lsr 1) (acc + (v land 1)) in
   go v 0
 
+(* Rotate the [esize]-bit element [v] right by [r].  For [esize] 64 the
+   result is exact in its low 63 bits: the left shift is split in two,
+   as OCaml leaves a shift by 63 or more unspecified. *)
 let ror_e esize v r =
   let mask = if esize = 64 then -1 else (1 lsl esize) - 1 in
   let v = v land mask in
-  if r = 0 then v else ((v lsr r) lor (v lsl (esize - r))) land mask
+  if r = 0 then v
+  else ((v lsr r) lor ((v lsl (esize - r - 1)) lsl 1)) land mask
 
 (** Encode [v] as an ARM64 bitmask immediate for register width
     [datasize] (32 or 64).  Returns [(n, immr, imms)].
 
-    Note: values with bit 62 or 63 set are not representable in an OCaml
-    [int] and therefore not supported; the subset never emits them. *)
+    Note: 64-bit values with bit 62 or 63 set are not representable in
+    an OCaml [int] and therefore not supported; {!decode_bitmask}
+    rejects them too. *)
 let encode_bitmask ~datasize (v : int) : (int * int * int, error) result =
   let mask = if datasize = 64 then max_int else (1 lsl datasize) - 1 in
-  (* max_int covers bits 0-61; 64-bit values above that are unsupported *)
-  if v <= 0 || v land mask <> v || v = mask then
+  (* max_int covers bits 0-61, so no 64-bit value here is all ones *)
+  if v <= 0 || v land mask <> v || (datasize = 32 && v = mask) then
     err "value %d is not an encodable bitmask immediate" v
   else
     let rec try_esize = function
@@ -95,7 +100,7 @@ let encode_bitmask ~datasize (v : int) : (int * int * int, error) result =
     try_esize [ 2; 4; 8; 16; 32; 64 ]
 
 (** Decode (n, immr, imms) for width [datasize]; returns [None] when the
-    fields are reserved or the value does not fit an OCaml int. *)
+    fields are reserved or the value does not fit in 0..2{^62}-1. *)
 let decode_bitmask ~datasize ~n ~immr ~imms : int option =
   let len =
     (* highest set bit of n:NOT(imms) over 7 bits *)
@@ -110,16 +115,18 @@ let decode_bitmask ~datasize ~n ~immr ~imms : int option =
     else
       let levels = esize - 1 in
       let s = imms land levels and r = immr land levels in
+      (* bit j of the element is set iff (j + r) mod esize <= s; the
+         top element's two top bits are the value's bits 63 and 62 *)
+      let bit j = (j + r) land levels <= s in
       if s = levels then None
+      else if datasize = 64 && (bit (esize - 1) || bit (esize - 2)) then None
       else
         let run = (1 lsl (s + 1)) - 1 in
         let elt = ror_e esize run r in
         let rec replicate acc i =
           if i >= datasize then acc else replicate (acc lor (elt lsl i)) (i + esize)
         in
-        let v = replicate 0 0 in
-        if v < 0 then None (* top bit set: unrepresentable in int *)
-        else Some v
+        Some (replicate 0 0)
 
 (** The system registers the subset reads and writes, with their
     op0:op1:CRn:CRm:op2 encodings. *)

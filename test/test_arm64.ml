@@ -421,17 +421,55 @@ let prop_encode_total =
           || QCheck.Test.fail_reportf "%s -> %08X -> %s" (Printer.to_string i)
                w (Printer.to_string i2))
 
-let prop_bitmask =
-  QCheck.Test.make ~count:1000 ~name:"bitmask imm encode/decode"
-    (QCheck.make (Gen.bitmask_imm 64))
-    (fun v ->
-      match Isa.encode_bitmask ~datasize:64 v with
-      | Error e -> QCheck.Test.fail_reportf "%d: %s" v e
-      | Ok (n, immr, imms) -> (
-          match Isa.decode_bitmask ~datasize:64 ~n ~immr ~imms with
-          | Some v2 when v2 = v -> true
-          | Some v2 -> QCheck.Test.fail_reportf "%x -> %x" v v2
-          | None -> QCheck.Test.fail_reportf "%x: decode failed" v))
+(* The Arm pseudocode's DecodeBitMasks in 64 bits: bit j of the value
+   is set iff (j mod esize + r) mod esize <= s.  None when reserved. *)
+let bitmask_reference ~datasize ~n ~immr ~imms =
+  let e = ref 32 in
+  while !e > 0 && imms land !e <> 0 do e := !e / 2 done;
+  let esize = if n = 1 then 64 else !e in
+  let s = imms land (esize - 1) and r = immr land (esize - 1) in
+  if esize < 2 || esize > datasize || s = esize - 1 then None
+  else
+    Some
+      (List.fold_left
+         (fun x j ->
+           if (j mod esize + r) mod esize <= s then
+             Int64.logor x (Int64.shift_left 1L j)
+           else x)
+         0L (List.init datasize Fun.id))
+
+(* Every N:immr:imms at both widths: decode gives the reference value
+   when it fits in 0..2^62-1 and fails otherwise, and what decodes
+   re-encodes to fields that decode to it again. *)
+let test_bitmask_exhaustive () =
+  let fields = ref 0 in
+  List.iter
+    (fun (datasize, ns) ->
+      List.iter
+        (fun n ->
+          for field = 0 to 4095 do
+            incr fields;
+            let immr = field lsr 6 and imms = field land 63 in
+            let expect =
+              match bitmask_reference ~datasize ~n ~immr ~imms with
+              | Some x when Int64.shift_right_logical x 62 = 0L ->
+                  Some (Int64.to_int x)
+              | _ -> None
+            in
+            let got = Isa.decode_bitmask ~datasize ~n ~immr ~imms in
+            let what = Printf.sprintf "%d-bit %d:%d:%d" datasize n immr imms in
+            if got <> expect then Alcotest.failf "%s: wrong decoding" what;
+            Option.iter
+              (fun v ->
+                match Isa.encode_bitmask ~datasize v with
+                | Ok (n, immr, imms)
+                  when Isa.decode_bitmask ~datasize ~n ~immr ~imms = got -> ()
+                | _ -> Alcotest.failf "%s: %x does not re-encode" what v)
+              got
+          done)
+        ns)
+    [ (64, [ 0; 1 ]); (32, [ 0 ]) ];
+  checki "fields" (2 * 64 * 64 + 64 * 64) !fields
 
 (* ---------------- encoding golden ---------------- *)
 
@@ -922,7 +960,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_encode_total;
           Alcotest.test_case "unknown decodes to udf" `Quick test_decode_unknown;
           QCheck_alcotest.to_alcotest prop_encode_decode;
-          QCheck_alcotest.to_alcotest prop_bitmask;
+          Alcotest.test_case "bitmask exhaustive" `Quick test_bitmask_exhaustive;
         ] );
       ( "assemble",
         [
