@@ -456,9 +456,11 @@ let transform_insn (cfg : Config.t) stats b (items : Source.item array) idx
   | (Insn.Ldxr _ | Insn.Stxr _ | Insn.Ldar _ | Insn.Stlr _)
     when not cfg.allow_exclusives ->
       errorf "LL/SC and acquire/release disabled by configuration (§7.1)"
-  (* ---- the verifier rejects it ---- *)
+  (* ---- the verifier rejects these ---- *)
   | _ when Insn.ldp_overlap insn ->
       errorf "ldp loads one register twice in %S" (Printer.to_string insn)
+  | Insn.Mrs _ | Insn.Msr _ | Insn.Udf _ ->
+      errorf "%S is not allowed in a sandbox" (Printer.to_string insn)
   (* ---- memory accesses ---- *)
   | _ when Insn.is_memory insn -> (
       let addr = Option.get (Insn.addr_of insn) in

@@ -126,13 +126,18 @@ let no_loads_cases =
       [ "str x0, [x21, w1, uxtw]" ] );
   ]
 
+(* inputs the rewriter refuses: the verifier would reject its output *)
+let refused asm () =
+  match
+    Lfi_core.Rewriter.rewrite (Parser.parse_string_exn ("f:\n\t" ^ asm ^ "\n"))
+  with
+  | exception Lfi_core.Rewriter.Error _ -> ()
+  | _ -> Alcotest.failf "%s should be refused" asm
+
 let test_reserved_rejected () =
   List.iter
-    (fun asm ->
-      match Lfi_core.Rewriter.rewrite (Parser.parse_string_exn asm) with
-      | exception Lfi_core.Rewriter.Error _ -> ()
-      | _ -> Alcotest.failf "accepted input using reserved register: %s" asm)
-    [ "f:\n\tadd x21, x21, #1\n"; "f:\n\tmov x18, x0\n"; "f:\n\tldr x0, [x23]\n" ]
+    (fun asm -> refused asm ())
+    [ "add x21, x21, #1"; "mov x18, x0"; "ldr x0, [x23]" ]
 
 let test_hoisting () =
   let body =
@@ -344,22 +349,6 @@ let test_verifier_long_sp_runs () =
         true
         (per_insn <= ordinary +. 0.1)
 
-let test_svc_out_of_range () =
-  match
-    Lfi_core.Rewriter.rewrite (Parser.parse_string_exn "f:\n\tsvc #3000\n")
-  with
-  | exception Lfi_core.Rewriter.Error _ -> ()
-  | _ -> Alcotest.fail "svc #3000 should be rejected"
-
-(* the verifier would reject the output *)
-let test_ldp_overlap_refused () =
-  match
-    Lfi_core.Rewriter.rewrite
-      (Parser.parse_string_exn "f:\n\tldp x0, x0, [x1, #16]\n")
-  with
-  | exception Lfi_core.Rewriter.Error _ -> ()
-  | _ -> Alcotest.fail "ldp into one register twice should be refused"
-
 (* ---------------- verifier ---------------- *)
 
 let verify_asm ?config asm =
@@ -538,8 +527,11 @@ let () =
         List.map (fun (n, a, e) -> mk n (expect a e)) misc_cases
         @ [
             mk "reserved inputs rejected" test_reserved_rejected;
-            mk "svc out of range" test_svc_out_of_range;
-            mk "ldp into one register refused" test_ldp_overlap_refused;
+            mk "svc out of range" (refused "svc #3000");
+            mk "ldp into one register refused" (refused "ldp x0, x0, [x1, #16]");
+            mk "mrs refused" (refused "mrs x0, tpidr_el0");
+            mk "msr refused" (refused "msr fpcr, x1");
+            mk "udf refused" (refused "udf #7");
             mk "stats" test_stats_accounting;
           ] );
       ( "rewriter-O0",
