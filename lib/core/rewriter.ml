@@ -469,9 +469,15 @@ let transform_insn (cfg : Config.t) stats b (items : Source.item array) idx
         Insn.is_store insn || (Insn.is_load insn && cfg.sandbox_loads)
       in
       if Reg.is_sp base then
-        (* sp-based: immediate and pre/post modes are safe as-is;
-           register offsets are rare and rewritten through w22 *)
+        (* sp-based: pre/post modes and immediates inside the guard
+           margin are safe as-is; larger scaled immediates and register
+           offsets (both rare) are folded into w22 *)
         match addr with
+        | Insn.Imm_off (_, i)
+          when needs_guard
+               && i + Insn.access_bytes insn > Layout.max_mem_immediate ->
+            materialize_offset32 b ord base i;
+            emit b ord (Insn.with_addr insn guarded_w22) tg_guarded
         | Insn.Reg_off (_, m, e, a) when needs_guard ->
             let ext =
               match e with

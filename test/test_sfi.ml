@@ -79,6 +79,10 @@ let sp_cases =
     ( "mov sp guarded",
       "\tmov sp, x9\n",
       [ "mov w22, w9"; "add sp, x21, x22, uxtx" ] );
+    ( "sp offset past the guard margin folded",
+      "\tldr q31, [sp, #65520]\n",
+      [ "add w22, wsp, #15, lsl #12"; "add w22, w22, #4080";
+        "ldr q31, [x21, w22, uxtw]" ] );
   ]
 
 let misc_cases =
