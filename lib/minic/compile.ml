@@ -57,7 +57,6 @@ let free ctx = function
   | VFlt r -> Frame.free_fp ctx.fr r
 
 let x r = Reg.x r
-let w r = Reg.w r
 let d r = Reg.Fp.v Reg.Fp.D r
 
 let float_label ctx (v : float) : string =
@@ -378,14 +377,8 @@ and compile_load ctx (elt : elt) (a : expr) : int =
   List.iter (free ctx) used;
   let r = Frame.alloc_int ctx.fr in
   (match elt with
-  | U8 ->
-      emit ctx (Insn.Ldr { sz = Insn.B; signed = false; dst = w r; addr })
-  | U16 ->
-      emit ctx (Insn.Ldr { sz = Insn.H; signed = false; dst = w r; addr })
-  | I32 ->
-      emit ctx (Insn.Ldr { sz = Insn.W; signed = true; dst = x r; addr })
-  | I64 -> emit ctx (Insn.Ldr { sz = Insn.X; signed = false; dst = x r; addr })
-  | F32 | F64 -> errorf "float load in int context");
+  | F32 | F64 -> errorf "float load in int context"
+  | _ -> Frame.load ctx.fr elt r addr);
   r
 
 and compile_fload ctx (elt : elt) (a : expr) : int =
@@ -393,11 +386,7 @@ and compile_fload ctx (elt : elt) (a : expr) : int =
   List.iter (free ctx) used;
   let r = Frame.alloc_fp ctx.fr in
   (match elt with
-  | F64 -> emit ctx (Insn.Fldr { dst = d r; addr })
-  | F32 ->
-      let s = Reg.Fp.v Reg.Fp.S r in
-      emit ctx (Insn.Fldr { dst = s; addr });
-      emit ctx (Insn.Fcvt { dst = d r; src = s })
+  | F32 | F64 -> Frame.load ctx.fr elt r addr
   | _ -> errorf "int load in float context");
   r
 
@@ -645,18 +634,7 @@ and compile_stmt ctx (s : stmt) =
          call-carrying shapes need the frame-slot dance of
          compile_pair. *)
       let is_float = match elt with F64 | F32 -> true | _ -> false in
-      let emit_store rv addr =
-        match elt with
-        | F64 -> emit ctx (Insn.Fstr { src = d rv; addr })
-        | F32 ->
-            let sreg = Reg.Fp.v Reg.Fp.S rv in
-            emit ctx (Insn.Fcvt { dst = sreg; src = d rv });
-            emit ctx (Insn.Fstr { src = sreg; addr })
-        | U8 -> emit ctx (Insn.Str { sz = Insn.B; src = w rv; addr })
-        | U16 -> emit ctx (Insn.Str { sz = Insn.H; src = w rv; addr })
-        | I32 -> emit ctx (Insn.Str { sz = Insn.W; src = w rv; addr })
-        | I64 -> emit ctx (Insn.Str { sz = Insn.X; src = x rv; addr })
-      in
+      let emit_store rv addr = Frame.store ctx.fr elt rv addr in
       let compile_value () =
         if is_float then
           let r = compile_float ctx value in

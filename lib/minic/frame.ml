@@ -130,6 +130,39 @@ let store_home fr h r =
     | Slot o -> str_sp r o
     | Fslot o -> fstr_sp r o)
 
+(* ---- loads and stores by element type ---- *)
+
+(** Load an [elt] at [addr] into register [r]: x[r], zero- or
+    sign-extended like the C type, for an integer; d[r] for a float, an
+    f32 widened to double. *)
+let load fr (elt : Ast.elt) r addr =
+  let ldr sz signed dst = emit fr (Insn.Ldr { sz; signed; dst; addr }) in
+  match elt with
+  | U8 -> ldr Insn.B false (Reg.w r)
+  | U16 -> ldr Insn.H false (Reg.w r)
+  | I32 -> ldr Insn.W true (x r)
+  | I64 -> ldr Insn.X false (x r)
+  | F64 -> emit fr (Insn.Fldr { dst = d r; addr })
+  | F32 ->
+      let s = Reg.Fp.v Reg.Fp.S r in
+      emit fr (Insn.Fldr { dst = s; addr });
+      emit fr (Insn.Fcvt { dst = d r; src = s })
+
+(** Store register [r] (x[r] or d[r], as {!load} reads it) at [addr] as
+    an [elt]: integers truncated, an f32 narrowed first. *)
+let store fr (elt : Ast.elt) r addr =
+  let str sz src = emit fr (Insn.Str { sz; src; addr }) in
+  match elt with
+  | U8 -> str Insn.B (Reg.w r)
+  | U16 -> str Insn.H (Reg.w r)
+  | I32 -> str Insn.W (Reg.w r)
+  | I64 -> str Insn.X (x r)
+  | F64 -> emit fr (Insn.Fstr { src = d r; addr })
+  | F32 ->
+      let s = Reg.Fp.v Reg.Fp.S r in
+      emit fr (Insn.Fcvt { dst = s; src = d r });
+      emit fr (Insn.Fstr { src = s; addr })
+
 (* ---- constants ---- *)
 
 (** Materialise the 64-bit pattern [v] with movz and one movk per

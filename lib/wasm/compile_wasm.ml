@@ -335,57 +335,22 @@ let compile_icmp ctx (op : W.icmp) =
                  src2 = Reg.xzr; cond = Insn.invert_cond (cond_of_icmp op) });
   push ctx (SInt rr)
 
+let is_float (e : W.elt) =
+  match e with Lfi_minic.Ast.F32 | Lfi_minic.Ast.F64 -> true | _ -> false
+
 let compile_load ctx (e : W.elt) off =
   let addr, release = mem_addr ctx off in
-  (match e with
-  | Lfi_minic.Ast.F64 ->
-      let r = Frame.alloc_fp ctx.fr in
-      emit ctx (Insn.Fldr { dst = d r; addr });
-      push ctx (SFlt r)
-  | Lfi_minic.Ast.F32 ->
-      let r = Frame.alloc_fp ctx.fr in
-      let s = Reg.Fp.v Reg.Fp.S r in
-      emit ctx (Insn.Fldr { dst = s; addr });
-      emit ctx (Insn.Fcvt { dst = d r; src = s });
-      push ctx (SFlt r)
-  | e ->
-      let r = Frame.alloc_int ctx.fr in
-      (match e with
-      | Lfi_minic.Ast.U8 ->
-          emit ctx (Insn.Ldr { sz = Insn.B; signed = false; dst = w r; addr })
-      | Lfi_minic.Ast.U16 ->
-          emit ctx (Insn.Ldr { sz = Insn.H; signed = false; dst = w r; addr })
-      | Lfi_minic.Ast.I32 ->
-          emit ctx (Insn.Ldr { sz = Insn.W; signed = true; dst = x r; addr })
-      | _ ->
-          emit ctx
-            (Insn.Ldr { sz = Insn.X; signed = false; dst = x r; addr }));
-      push ctx (SInt r));
+  let r = if is_float e then Frame.alloc_fp ctx.fr else Frame.alloc_int ctx.fr in
+  Frame.load ctx.fr e r addr;
+  push ctx (if is_float e then SFlt r else SInt r);
   release ()
 
 let compile_store ctx (e : W.elt) off =
-  match e with
-  | Lfi_minic.Ast.F64 | Lfi_minic.Ast.F32 ->
-      let rv = pop_fp ctx in
-      let addr, release = mem_addr ctx off in
-      (match e with
-      | Lfi_minic.Ast.F64 -> emit ctx (Insn.Fstr { src = d rv; addr })
-      | _ ->
-          let s = Reg.Fp.v Reg.Fp.S rv in
-          emit ctx (Insn.Fcvt { dst = s; src = d rv });
-          emit ctx (Insn.Fstr { src = s; addr }));
-      release ();
-      Frame.free_fp ctx.fr rv
-  | e ->
-      let rv = pop_int ctx in
-      let addr, release = mem_addr ctx off in
-      (match e with
-      | Lfi_minic.Ast.U8 -> emit ctx (Insn.Str { sz = Insn.B; src = w rv; addr })
-      | Lfi_minic.Ast.U16 -> emit ctx (Insn.Str { sz = Insn.H; src = w rv; addr })
-      | Lfi_minic.Ast.I32 -> emit ctx (Insn.Str { sz = Insn.W; src = w rv; addr })
-      | _ -> emit ctx (Insn.Str { sz = Insn.X; src = x rv; addr }));
-      release ();
-      Frame.free_int ctx.fr rv
+  let rv = if is_float e then pop_fp ctx else pop_int ctx in
+  let addr, release = mem_addr ctx off in
+  Frame.store ctx.fr e rv addr;
+  release ();
+  (if is_float e then Frame.free_fp else Frame.free_int) ctx.fr rv
 
 (** Move the top [n] operands into the argument registers. *)
 let marshal_args ctx (params : W.valtype list) =
