@@ -633,13 +633,13 @@ let decoded_by w =
 (* Every row's fixed mask and field masks are pairwise disjoint and
    cover all 32 bits, and every row decodes some golden word (no row is
    shadowed by an earlier one in its bucket). *)
+(* the rows that decode the encodings of [insns] *)
+let rows_hit insns =
+  List.filter_map (fun i -> Result.to_option (Isa.encode i)) insns
+  |> List.filter_map decoded_by
+
 let test_table_self_check () =
-  let words =
-    List.filter_map
-      (fun i -> Result.to_option (Isa.encode i))
-      (golden_population ())
-  in
-  let hit = List.filter_map decoded_by words in
+  let hit = rows_hit (golden_population ()) in
   List.iter
     (fun (_, rows) ->
       List.iter
@@ -657,6 +657,22 @@ let test_table_self_check () =
           checki (r.name ^ " fixed bits inside the mask") 0
             (r.fixed land lnot r.mask);
           checkb (r.name ^ " decodes a golden word") true (List.memq r hit))
+        rows)
+    Isa.table
+
+(* Every row of the table is drawn: within [row_draws] seeded draws of
+   [Gen.insn] each row decodes one of the drawn instructions (the udf
+   row a udf, every other row something else), so a row the generator
+   cannot fill fails here. *)
+let row_draws = 10_000
+
+let test_generator_rows () =
+  let rand = Random.State.make [| 0x60E5; 30 |] in
+  let hit = rows_hit (QCheck.Gen.generate ~rand ~n:row_draws Gen.insn) in
+  List.iter
+    (fun (_, rows) ->
+      List.iter
+        (fun (r : Isa.row) -> checkb (r.name ^ " drawn") true (List.memq r hit))
         rows)
     Isa.table
 
@@ -957,6 +973,8 @@ let () =
           Alcotest.test_case "golden" `Quick test_encode_golden;
           Alcotest.test_case "golden coverage" `Quick test_golden_coverage;
           Alcotest.test_case "table self-check" `Quick test_table_self_check;
+          Alcotest.test_case "generator draws every row" `Quick
+            test_generator_rows;
           QCheck_alcotest.to_alcotest prop_encode_total;
           Alcotest.test_case "unknown decodes to udf" `Quick test_decode_unknown;
           QCheck_alcotest.to_alcotest prop_encode_decode;

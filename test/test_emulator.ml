@@ -453,12 +453,15 @@ let test_fetch_after_protect () =
    checked against:
    - the equivalence engine's straight-line streams ([Gen_insn.stream],
      memory through x19/x20);
-   - streams drawn from every non-branch class of [Gen_insn.insn],
-     addressing through whatever the seeded registers hold, so both
-     in-window accesses and faults occur;
-   - hand-written streams for the forms no generator emits: sp
-     operands, system instructions, the LFI guard shapes, cset, the
-     exclusive pair's success path, and [udf].
+   - streams of the non-branch draws of [Gen_insn.insn], which fills
+     every row of the ISA table with raw field bits (sp operands,
+     system instructions and [udf] included), addressing through
+     whatever the seeded registers hold, so both in-window accesses
+     and faults occur;
+   - hand-written streams for sequences random fields rarely form: the
+     LFI guard shapes, cset, the exclusive pair's success path, sp
+     arithmetic followed by sp accesses, and the system instructions
+     and [udf] that they pinned before the generator drew them.
    Each stream runs from a seeded register, flag and FP state to its
    closing [svc #1] (or an earlier fault or [udf]).  A line holds a
    digest of x0-x30, sp, pc, NZCV, the exclusive monitor, v0-v31 and
