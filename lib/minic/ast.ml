@@ -31,6 +31,8 @@ let elt_size = function
   | I32 | F32 -> 4
   | I64 | F64 -> 8
 
+let elt_is_float = function F32 | F64 -> true | U8 | U16 | I32 | I64 -> false
+
 type binop =
   (* integer *)
   | Add | Sub | Mul | Div | Rem

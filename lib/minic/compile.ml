@@ -633,7 +633,7 @@ and compile_stmt ctx (s : stmt) =
          value commutes with the address computation, so only the
          call-carrying shapes need the frame-slot dance of
          compile_pair. *)
-      let is_float = match elt with F64 | F32 -> true | _ -> false in
+      let is_float = elt_is_float elt in
       let emit_store rv addr = Frame.store ctx.fr elt rv addr in
       let compile_value () =
         if is_float then

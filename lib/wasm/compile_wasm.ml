@@ -335,22 +335,21 @@ let compile_icmp ctx (op : W.icmp) =
                  src2 = Reg.xzr; cond = Insn.invert_cond (cond_of_icmp op) });
   push ctx (SInt rr)
 
-let is_float (e : W.elt) =
-  match e with Lfi_minic.Ast.F32 | Lfi_minic.Ast.F64 -> true | _ -> false
-
 let compile_load ctx (e : W.elt) off =
   let addr, release = mem_addr ctx off in
-  let r = if is_float e then Frame.alloc_fp ctx.fr else Frame.alloc_int ctx.fr in
+  let float = Lfi_minic.Ast.elt_is_float e in
+  let r = if float then Frame.alloc_fp ctx.fr else Frame.alloc_int ctx.fr in
   Frame.load ctx.fr e r addr;
-  push ctx (if is_float e then SFlt r else SInt r);
+  push ctx (if float then SFlt r else SInt r);
   release ()
 
 let compile_store ctx (e : W.elt) off =
-  let rv = if is_float e then pop_fp ctx else pop_int ctx in
+  let float = Lfi_minic.Ast.elt_is_float e in
+  let rv = if float then pop_fp ctx else pop_int ctx in
   let addr, release = mem_addr ctx off in
   Frame.store ctx.fr e rv addr;
   release ();
-  (if is_float e then Frame.free_fp else Frame.free_int) ctx.fr rv
+  (if float then Frame.free_fp else Frame.free_int) ctx.fr rv
 
 (** Move the top [n] operands into the argument registers. *)
 let marshal_args ctx (params : W.valtype list) =
