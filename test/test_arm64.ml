@@ -630,14 +630,14 @@ let decoded_by w =
          w land r.mask = r.fixed
          && match r.dec w with _ -> true | exception Isa.Reserved -> false)
 
-(* Every row's fixed mask and field masks are pairwise disjoint and
-   cover all 32 bits, and every row decodes some golden word (no row is
-   shadowed by an earlier one in its bucket). *)
 (* the rows that decode the encodings of [insns] *)
 let rows_hit insns =
   List.filter_map (fun i -> Result.to_option (Isa.encode i)) insns
   |> List.filter_map decoded_by
 
+(* Every row's fixed mask and field masks are pairwise disjoint and
+   cover all 32 bits, and every row decodes some golden word (no row is
+   shadowed by an earlier one in its bucket). *)
 let test_table_self_check () =
   let hit = rows_hit (golden_population ()) in
   List.iter
@@ -660,10 +660,8 @@ let test_table_self_check () =
         rows)
     Isa.table
 
-(* Every row of the table is drawn: within [row_draws] seeded draws of
-   [Gen.insn] each row decodes one of the drawn instructions (the udf
-   row a udf, every other row something else), so a row the generator
-   cannot fill fails here. *)
+(* Every row of the table decodes one of [row_draws] seeded draws of
+   [Gen.insn], so a row the generator cannot fill fails here. *)
 let row_draws = 10_000
 
 let test_generator_rows () =
