@@ -257,6 +257,10 @@ let is_memory i = is_load i || is_store i
     CONSTRAINED UNPREDICTABLE (the register may be left UNKNOWN). *)
 let ldp_overlap = function Ldp { r1; r2; _ } -> r1 = r2 | _ -> false
 
+(** The system forms.  No sandbox admits one as written: the rewriter
+    turns an [svc] into a runtime call and refuses the others. *)
+let is_system = function Svc _ | Udf _ | Mrs _ | Msr _ -> true | _ -> false
+
 (** Number of bytes touched by a memory instruction (the width of the
     access, used for trap checks). *)
 let access_bytes = function

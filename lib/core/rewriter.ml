@@ -459,7 +459,7 @@ let transform_insn (cfg : Config.t) stats b (items : Source.item array) idx
   (* ---- the verifier rejects these ---- *)
   | _ when Insn.ldp_overlap insn ->
       errorf "ldp loads one register twice in %S" (Printer.to_string insn)
-  | Insn.Mrs _ | Insn.Msr _ | Insn.Udf _ ->
+  | _ when Insn.is_system insn (* mrs, msr, udf: svc is matched above *) ->
       errorf "%S is not allowed in a sandbox" (Printer.to_string insn)
   (* ---- memory accesses ---- *)
   | _ when Insn.is_memory insn -> (

@@ -91,10 +91,7 @@ let fp_size3 = G.oneofl [ Reg.Fp.S; Reg.Fp.D; Reg.Fp.Q ]
 
 let fpreg size = G.map (fun n -> Reg.Fp.v size n) (G.int_range 0 31)
 
-let fp_size_bytes = function Reg.Fp.S -> 4 | Reg.Fp.D -> 8 | Reg.Fp.Q -> 16
-
-let mem_sizes : Insn.mem_size list = [ B; H; W; X ]
-let mem_size = G.oneofl mem_sizes
+let mem_size = G.oneofl ([ B; H; W; X ] : Insn.mem_size list)
 
 let x19 = Reg.R (Reg.W64, 19)
 let w20 = Reg.R (Reg.W32, 20)
@@ -179,7 +176,9 @@ let stream_mem =
         else return (Insn.Fstr { src = r; addr }) );
       (* fp pair *)
       ( fp_size3 >>= fun sz ->
-        let unit = fp_size_bytes sz in
+        let unit =
+          match sz with Reg.Fp.S -> 4 | Reg.Fp.D -> 8 | Reg.Fp.Q -> 16
+        in
         pair (fpreg sz) (fpreg sz) >>= fun (r1, r2) ->
         pair (int_range (-16) 16) bool >>= fun (o, ld) ->
         oneofl
@@ -207,11 +206,7 @@ let stream_mem =
     pool registers, or a memory access through x19/x20. *)
 let stream_insn : Insn.t G.t =
   let data_processing i =
-    in_stream_pool i
-    && (not (Insn.is_memory i))
-    && match i with
-       | Insn.Svc _ | Insn.Udf _ | Insn.Mrs _ | Insn.Msr _ -> false
-       | _ -> true
+    in_stream_pool i && (not (Insn.is_memory i)) && not (Insn.is_system i)
   in
   G.frequency [ (9, such_that data_processing insn); (4, stream_mem) ]
 

@@ -469,8 +469,9 @@ let prop_rewrite_verifies =
        stream_gen)
     (fun insns ->
       (* drop instructions the rewriter legitimately refuses (reserved
-         registers, unsupported sp writes) and branches (random targets
-         rarely stay in range) *)
+         registers, unsupported sp writes, ldp into one register twice,
+         system forms other than an svc in the runtime-call table) and
+         branches (random targets rarely stay in range) *)
       let ok_input i =
         (match
            List.find_opt
@@ -484,7 +485,12 @@ let prop_rewrite_verifies =
         | None -> true)
         && (not (Insn.is_branch i))
         && (not (Insn.writes_sp i))
-        && not (Insn.writes_reg_number i 30)
+        && (not (Insn.writes_reg_number i 30))
+        && (not (Insn.ldp_overlap i))
+        &&
+        match i with
+        | Insn.Svc n -> n < Lfi_core.Layout.rtcall_entry_count
+        | _ -> not (Insn.is_system i)
       in
       let insns = List.filter ok_input insns in
       let src = List.map (fun i -> Source.Insn i) insns in
@@ -492,8 +498,12 @@ let prop_rewrite_verifies =
         Lfi_core.Build.elf (Some Lfi_core.Config.default)
           (Source.Label "f" :: src)
       with
-      (* rejected inputs are fine *)
-      | exception (Lfi_core.Rewriter.Error _ | Assemble.Error _) -> true
+      (* every filtered stream is rewritten: a refusal skips the
+         verifier, so it fails the property *)
+      | exception Lfi_core.Rewriter.Error m ->
+          QCheck.Test.fail_reportf "rewriter refused: %s" m
+      | exception Assemble.Error { msg; _ } ->
+          QCheck.Test.fail_reportf "assembler refused: %s" msg
       | elf -> (
           match Lfi_verifier.Verifier.verify_elf elf with
           | Ok _ -> true
