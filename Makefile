@@ -1,4 +1,4 @@
-.PHONY: all build check test goldens decode-pin bench bench-json serve-bench serve-trace-demo crash-demo trace-demo fuzz-smoke fuzz prove-smoke prove clean
+.PHONY: all build check test goldens decode-pin bench bench-json serve-bench experiments serve-trace-demo crash-demo trace-demo fuzz-smoke fuzz prove-smoke prove clean
 
 all: build
 
@@ -64,6 +64,15 @@ serve-bench:
 	  --pool 4 --seed 1 --json BENCH_serve.json \
 	  --snapshot=BENCH_serve_snap.jsonl --snapshot-every 250 \
 	  --suite --knee-json BENCH_serve_knee.json
+
+# Deterministic experiment suite: the stdout of every experiment but
+# E6 (verifier throughput, which is wall clock) - E1-E5, E7-E9 and
+# CoreMark, all simulated cycles - written to a committed file.  CI
+# re-runs this and diffs the file, so a change that moves any printed
+# paper number shows up as a diff.
+experiments:
+	dune exec bin/lfi_bench.exe -- fig3 fig4 codesize fig5 table5 \
+	  ablation spectre serve coremark > test/experiments_golden.txt
 
 # Serving observability demo: serve the slowbox workload (whose rare
 # `grind` export deliberately blows its latency SLO), writing a
