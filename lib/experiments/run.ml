@@ -108,16 +108,15 @@ let geomean (xs : float list) =
 (* Cached running (several experiments share the same measurements)   *)
 (* ------------------------------------------------------------------ *)
 
-let cache : (string, result) Hashtbl.t = Hashtbl.create 64
+let cache : (string * system * Cost_model.t, result) Hashtbl.t =
+  Hashtbl.create 64
 
-(** Run a named workload under [system], memoized on
-    (workload, system, uarch, nested). *)
+(** Run a named workload under [system], memoized on (workload,
+    system, uarch).  The key is the system value itself, not its name:
+    [Config.name] does not show every rewriter option. *)
 let run_cached ?(uarch = Cost_model.m1) (system : system)
     (w : Lfi_workloads.Common.t) : result =
-  let key =
-    Printf.sprintf "%s/%s/%s" w.Lfi_workloads.Common.short
-      (system_name system) uarch.Cost_model.name
-  in
+  let key = (w.Lfi_workloads.Common.short, system, uarch) in
   match Hashtbl.find_opt cache key with
   | Some r -> r
   | None ->

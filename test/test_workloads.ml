@@ -82,6 +82,18 @@ let test_geomean () =
   let g2 = Lfi_experiments.Run.geomean [ 0.0; 21.0 ] in
   checkb "mixed" true (g2 > 9.0 && g2 < 11.0)
 
+(* The cache must tell apart configs that Config.name does not: E7's
+   no-sp-elide config is O2 with one rewriter optimization off. *)
+let test_run_cached_keys_on_config () =
+  let w = Option.get (Lfi_workloads.Registry.find "mcf") in
+  let cycles c =
+    (Lfi_experiments.Run.run_cached (Lfi_experiments.Run.Lfi c) w)
+      .Lfi_experiments.Run.cycles
+  in
+  let o2 = cycles Lfi_core.Config.o2 in
+  checkb "no-sp-elide is its own run" true
+    (cycles Lfi_experiments.Ablation.no_sp_opt <> o2)
+
 let test_code_size_positive () =
   let w = Option.get (Lfi_workloads.Registry.find "deepsjeng") in
   let prog = w.Lfi_workloads.Common.program in
@@ -131,6 +143,7 @@ let () =
           slow "overhead positive" test_overhead_positive;
           slow "O0 worse than O1" test_o0_worse_than_o1;
           mk "geomean" test_geomean;
+          slow "run_cached keys on the config" test_run_cached_keys_on_config;
           slow "code size" test_code_size_positive;
           slow "microbench" test_microbench_sanity;
           slow "verifier throughput" test_verifier_throughput_sane;
