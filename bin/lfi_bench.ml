@@ -31,27 +31,27 @@ let serve_experiment () =
     \  runtime-call gate (plus marshalling), orders of magnitude below a\n\
     \  pipe round-trip between processes.\n"
 
-(* (name, heading, runner), in the order the full suite prints them *)
+(* (name, heading, tables), in the order the full suite prints them *)
 let experiments =
   let open Lfi_experiments in
   [
     ("fig3", "Experiment E1 - Figure 3 (LFI optimization levels)",
-     Fig3.run_all);
+     Fig3.tables);
     ("fig4", "Experiment E2 - Figure 4 + Table 4 (LFI vs WebAssembly)",
-     Fig4.run_all);
-    ("codesize", "Experiment E3 - Code size (Section 6.3)", Codesize.run_all);
-    ("fig5", "Experiment E4 - Figure 5 (LFI vs virtualization)", Fig5.run_all);
+     Fig4.tables);
+    ("codesize", "Experiment E3 - Code size (Section 6.3)", Codesize.tables);
+    ("fig5", "Experiment E4 - Figure 5 (LFI vs virtualization)", Fig5.tables);
     ("table5", "Experiment E5 - Table 5 (context switch microbenchmarks)",
-     Table5.run_all);
+     Table5.tables);
     ("verifier", "Experiment E6 - Verifier throughput (Section 5.2)",
-     Verifier_speed.run_all);
+     Verifier_speed.tables);
     ("ablation", "Experiment E7 - Ablations (Sections 4.2-4.3)",
-     Ablation.run_all);
+     Ablation.tables);
     ("spectre", "Experiment E8 - Spectre hardening cost (Section 7.1)",
-     Spectre.run_all);
+     Spectre.tables);
     ("serve", "Experiment E9 - Library serving (Section 5.3 transition costs)",
-     serve_experiment);
-    ("coremark", "CoreMark (artifact appendix A.6.3)", Coremark_exp.run_all);
+     fun () -> serve_experiment (); []);
+    ("coremark", "CoreMark (artifact appendix A.6.3)", Coremark_exp.tables);
   ]
 
 let name (n, _, _) = n
@@ -72,10 +72,14 @@ let run filter names =
   List.iter
     (fun n ->
       match List.find_opt (fun e -> name e = n) experiments with
-      | Some (_, title, f) ->
+      | Some (_, title, tables) ->
           Printf.printf "\n%s\n%s\n\n%!" title
             (String.make (String.length title) '=');
-          f ();
+          List.iteri
+            (fun i t ->
+              if i > 0 then print_newline ();
+              Lfi_experiments.Report.print t)
+            (tables ());
           print_newline ()
       | None ->
           Printf.eprintf "unknown experiment %S (available: %s)\n" n

@@ -20,39 +20,16 @@ let hoisting_benchmarks = [ "leela"; "xalancbmk"; "omnetpp"; "mcf"; "x264" ]
 let no_sp_opt =
   { Lfi_core.Config.o2 with Lfi_core.Config.sp_block_optimization = false }
 
-type row = {
-  bench : string;
-  o1_pct : float;
-  o2_pct : float;
-  no_sp_pct : float;
-  o1_text : int;
-  o2_text : int;
-}
-
-let measure ~(uarch : Cost_model.t) : row list =
-  List.filter_map
-    (fun short ->
-      Option.map
-        (fun w ->
-          let base = (Run.run_cached ~uarch Run.Native w).Run.cycles in
-          let r_o1 = Run.run_cached ~uarch (Run.Lfi Lfi_core.Config.o1) w in
-          let r_o2 = Run.run_cached ~uarch (Run.Lfi Lfi_core.Config.o2) w in
-          let r_nosp =
-            Run.run ~uarch (Run.Lfi no_sp_opt) w.Lfi_workloads.Common.program
-          in
-          {
-            bench = w.Lfi_workloads.Common.name;
-            o1_pct = Run.overhead ~base r_o1.Run.cycles;
-            o2_pct = Run.overhead ~base r_o2.Run.cycles;
-            no_sp_pct = Run.overhead ~base r_nosp.Run.cycles;
-            o1_text = r_o1.Run.text_bytes;
-            o2_text = r_o2.Run.text_bytes;
-          })
-        (Lfi_workloads.Registry.find short))
-    hoisting_benchmarks
-
 let table ~(uarch : Cost_model.t) : Report.table =
-  let rows = measure ~uarch in
+  let grid =
+    Run.grid ~uarch
+      [ Run.Lfi Lfi_core.Config.o1; Run.Lfi Lfi_core.Config.o2;
+        Run.Lfi no_sp_opt ]
+      (List.filter_map Lfi_workloads.Registry.find hoisting_benchmarks)
+  in
+  let text r k =
+    Printf.sprintf "%dB" (List.nth r.Run.results k).Run.text_bytes
+  in
   {
     Report.title =
       Printf.sprintf "Ablations (E7) - %s model: guard hoisting (§4.3) and \
@@ -61,17 +38,7 @@ let table ~(uarch : Cost_model.t) : Report.table =
     header =
       [ "benchmark"; "O1"; "O2"; "O2 w/o sp-elide"; "O1 text"; "O2 text" ];
     rows =
-      List.map
-        (fun r ->
-          [
-            r.bench;
-            Report.fmt_pct r.o1_pct;
-            Report.fmt_pct r.o2_pct;
-            Report.fmt_pct r.no_sp_pct;
-            Printf.sprintf "%dB" r.o1_text;
-            Printf.sprintf "%dB" r.o2_text;
-          ])
-        rows;
+      List.map (fun r -> Report.overhead_row r @ [ text r 0; text r 1 ]) grid;
     notes =
       [
         "paper: redundant guard elimination buys ~1.5% runtime plus code \
@@ -79,4 +46,4 @@ let table ~(uarch : Cost_model.t) : Report.table =
       ];
   }
 
-let run_all () = Report.print (table ~uarch:Cost_model.m1)
+let tables () = [ table ~uarch:Cost_model.m1 ]

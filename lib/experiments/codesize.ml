@@ -64,4 +64,4 @@ let table () : Report.table =
           Report.Paper.wamr_binary_increase ];
   }
 
-let run_all () = Report.print (table ())
+let tables () = [ table () ]

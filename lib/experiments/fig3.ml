@@ -14,32 +14,8 @@ let levels =
     Run.Lfi Lfi_core.Config.o2;
     Run.Lfi Lfi_core.Config.o2_no_loads ]
 
-type row = { bench : string; overheads : float list }
-
-let measure ~(uarch : Cost_model.t) :
-    row list * float list (* geomeans per level *) =
-  let rows =
-    List.map
-      (fun w ->
-        let base = (Run.run_cached ~uarch Run.Native w).Run.cycles in
-        let overheads =
-          List.map
-            (fun sys ->
-              Run.overhead ~base (Run.run_cached ~uarch sys w).Run.cycles)
-            levels
-        in
-        { bench = w.Lfi_workloads.Common.name; overheads })
-      (Lfi_workloads.Registry.selected ())
-  in
-  let geomeans =
-    List.mapi
-      (fun k _ -> Run.geomean (List.map (fun r -> List.nth r.overheads k) rows))
-      levels
-  in
-  (rows, geomeans)
-
 let table ~(uarch : Cost_model.t) : Report.table =
-  let rows, geomeans = measure ~uarch in
+  let grid = Run.grid ~uarch levels (Lfi_workloads.Registry.selected ()) in
   {
     Report.title =
       Printf.sprintf
@@ -47,11 +23,7 @@ let table ~(uarch : Cost_model.t) : Report.table =
          increase over native runtime)"
         (String.uppercase_ascii uarch.Cost_model.name);
     header = [ "benchmark"; "LFI O0"; "LFI O1"; "LFI O2"; "O2, no loads" ];
-    rows =
-      List.map
-        (fun r -> r.bench :: List.map Report.fmt_pct r.overheads)
-        rows
-      @ [ "geomean" :: List.map Report.fmt_pct geomeans ];
+    rows = List.map Report.overhead_row grid @ [ Report.geomean_row grid ];
     notes =
       [
         Printf.sprintf
@@ -61,7 +33,4 @@ let table ~(uarch : Cost_model.t) : Report.table =
       ];
   }
 
-let run_all () =
-  Report.print (table ~uarch:Cost_model.m1);
-  print_newline ();
-  Report.print (table ~uarch:Cost_model.t2a)
+let tables () = [ table ~uarch:Cost_model.m1; table ~uarch:Cost_model.t2a ]

@@ -11,52 +11,25 @@ let systems =
   List.map (fun e -> Run.Wasm e) Lfi_wasm.Engine.all
   @ [ Run.Lfi Lfi_core.Config.o2 ]
 
-let system_labels =
-  List.map Run.system_name systems
-
-type row = { bench : string; overheads : float list }
-
-let measure ~(uarch : Cost_model.t) : row list * float list =
-  let rows =
-    List.map
-      (fun w ->
-        let base = (Run.run_cached ~uarch Run.Native w).Run.cycles in
-        let overheads =
-          List.map
-            (fun sys ->
-              Run.overhead ~base (Run.run_cached ~uarch sys w).Run.cycles)
-            systems
-        in
-        { bench = w.Lfi_workloads.Common.name; overheads })
-      Lfi_workloads.Registry.wasm_subset
-  in
-  let geomeans =
-    List.mapi
-      (fun k _ -> Run.geomean (List.map (fun r -> List.nth r.overheads k) rows))
-      systems
-  in
-  (rows, geomeans)
+let grid ~uarch = Run.grid ~uarch systems Lfi_workloads.Registry.wasm_subset
 
 let fig4_table ~(uarch : Cost_model.t) : Report.table =
-  let rows, geomeans = measure ~uarch in
+  let grid = grid ~uarch in
   {
     Report.title =
       Printf.sprintf
         "Figure 4: LFI vs Wasm on SPEC 2017 proxies - %s model (percent \
          increase over native)"
         (String.uppercase_ascii uarch.Cost_model.name);
-    header = "benchmark" :: system_labels;
-    rows =
-      List.map (fun r -> r.bench :: List.map Report.fmt_pct r.overheads) rows
-      @ [ "geomean" :: List.map Report.fmt_pct geomeans ];
+    header = "benchmark" :: List.map Run.system_name systems;
+    rows = List.map Report.overhead_row grid @ [ Report.geomean_row grid ];
     notes = [];
   }
 
 (** Table 4 is the geomean summary of Figure 4 over both machines. *)
 let table4 () : Report.table =
-  let _, gm_t2a = measure ~uarch:Cost_model.t2a in
-  let _, gm_m1 = measure ~uarch:Cost_model.m1 in
-  let paper = Report.Paper.table4 in
+  let gm_t2a = Run.geomeans (grid ~uarch:Cost_model.t2a) in
+  let gm_m1 = Run.geomeans (grid ~uarch:Cost_model.m1) in
   {
     Report.title = "Table 4: geomean overheads over native";
     header =
@@ -66,15 +39,12 @@ let table4 () : Report.table =
         (fun (label, (t2a, m1)) (mt2a, mm1) ->
           [ label; Report.fmt_pct mt2a; Report.fmt_pct t2a;
             Report.fmt_pct mm1; Report.fmt_pct m1 ])
-        paper
+        Report.Paper.table4
         (List.combine gm_t2a gm_m1);
     notes =
       [ "shape target: LFI well under half the best Wasm configuration" ];
   }
 
-let run_all () =
-  Report.print (fig4_table ~uarch:Cost_model.t2a);
-  print_newline ();
-  Report.print (fig4_table ~uarch:Cost_model.m1);
-  print_newline ();
-  Report.print (table4 ())
+let tables () =
+  [ fig4_table ~uarch:Cost_model.t2a; fig4_table ~uarch:Cost_model.m1;
+    table4 () ]

@@ -7,21 +7,13 @@
 
 open Lfi_emulator
 
-let measure ~(uarch : Cost_model.t) =
-  List.map
-    (fun w ->
-      let base = (Run.run_cached ~uarch Run.Native w).Run.cycles in
-      let kvm = Run.run_cached ~uarch Run.Native_kvm w in
-      let lfi = Run.run_cached ~uarch (Run.Lfi Lfi_core.Config.o2) w in
-      ( w.Lfi_workloads.Common.name,
-        Run.overhead ~base kvm.Run.cycles,
-        Run.overhead ~base lfi.Run.cycles,
-        kvm.Run.tlb_miss_rate ))
-    (Lfi_workloads.Registry.selected ())
-
 let table ~(uarch : Cost_model.t) : Report.table =
-  let rows = measure ~uarch in
-  let gm sel = Run.geomean (List.map sel rows) in
+  let grid =
+    Run.grid ~uarch
+      [ Run.Native_kvm; Run.Lfi Lfi_core.Config.o2 ]
+      (Lfi_workloads.Registry.selected ())
+  in
+  let kvm_miss_rate r = (List.hd r.Run.results).Run.tlb_miss_rate in
   {
     Report.title =
       Printf.sprintf
@@ -30,17 +22,15 @@ let table ~(uarch : Cost_model.t) : Report.table =
     header = [ "benchmark"; "QEMU KVM"; "LFI"; "TLB miss rate" ];
     rows =
       List.map
-        (fun (b, kvm, lfi, miss) ->
-          [ b; Report.fmt_pct kvm; Report.fmt_pct lfi;
-            Printf.sprintf "%.2f%%" (miss *. 100.) ])
-        rows
-      @ [ [ "geomean";
-            Report.fmt_pct (gm (fun (_, k, _, _) -> k));
-            Report.fmt_pct (gm (fun (_, _, l, _) -> l)); "" ] ];
+        (fun r ->
+          Report.overhead_row r
+          @ [ Printf.sprintf "%.2f%%" (kvm_miss_rate r *. 100.) ])
+        grid
+      @ [ Report.geomean_row grid @ [ "" ] ];
     notes =
       [ "KVM = nested page tables double the TLB-walk cost (§6.4); \
          paper shape: KVM a few percent, spiking on TLB-heavy \
          benchmarks; LFI comparable" ];
   }
 
-let run_all () = Report.print (table ~uarch:Cost_model.m1)
+let tables () = [ table ~uarch:Cost_model.m1 ]

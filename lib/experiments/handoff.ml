@@ -5,7 +5,7 @@
     space costs on the order of {e 50 cycles} — no kernel, no page
     table switch, just a register-state swap plus scheduler
     bookkeeping.  This module measures our runtime's version of that
-    number the same way {!Table5.measure_yield} does (two sandboxes
+    number with Table 5's runner, {!Table5.measure} (two sandboxes
     ping-ponging through the real runtime-call table, verifier-clean
     code, the real {!Lfi_sched.Runq} promote path) but reports
     {e simulated cycles} rather than nanoseconds, so the serve bench
@@ -35,30 +35,16 @@ type result = {
 let paper_cycles = 50.0
 
 let measure (uarch : Cost_model.t) : result =
-  let rt =
-    Lfi_runtime.Runtime.create
-      ~config:{ Lfi_runtime.Runtime.default_config with uarch }
-      ()
-  in
-  let elf = Table5.build Lfi_workloads.Microbench.yield_prog in
-  let p1 =
-    Lfi_runtime.Runtime.load rt ~arg:2L ~personality:Lfi_runtime.Proc.Lfi elf
-  in
-  let _p2 =
-    Lfi_runtime.Runtime.load rt ~arg:1L ~personality:Lfi_runtime.Proc.Lfi elf
-  in
-  let _, _, cycles, _ = Lfi_runtime.Runtime.run_one rt p1 in
-  let handoffs = 2 * Lfi_workloads.Microbench.yield_iters in
-  let per = cycles /. float_of_int handoffs in
+  let c = Table5.measure (Table5.config uarch) in
   {
     h_uarch = uarch.Cost_model.name;
-    h_iters = handoffs;
-    h_total_cycles = cycles;
-    h_cycles_per_handoff = per;
+    h_iters = Table5.yield_ops;
+    h_total_cycles = c.Table5.yield_run;
+    h_cycles_per_handoff = c.Table5.yield;
     h_modeled_cycles =
       uarch.Cost_model.lfi_yield_direct
       +. Lfi_runtime.Runtime.lfi_sched_bookkeeping;
-    h_ns_per_handoff = Cost_model.cycles_to_ns uarch per;
+    h_ns_per_handoff = Cost_model.cycles_to_ns uarch c.Table5.yield;
   }
 
 let to_json (r : result) : Lfi_telemetry.Json.t =

@@ -14,6 +14,16 @@ let fmt_pct v =
 let fmt_ns v =
   if Float.is_nan v then "-" else Printf.sprintf "%.0fns" v
 
+(** A grid row as table cells: the workload's name, then its overhead
+    under each system. *)
+let overhead_row (r : Run.row) : string list =
+  r.Run.workload.Lfi_workloads.Common.name
+  :: List.map fmt_pct (Run.overheads r)
+
+(** The closing row of a grid table: each system's geomean overhead. *)
+let geomean_row (grid : Run.row list) : string list =
+  "geomean" :: List.map fmt_pct (Run.geomeans grid)
+
 let render (t : table) : string =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf ("== " ^ t.title ^ " ==\n");

@@ -123,3 +123,39 @@ let run_cached ?(uarch = Cost_model.m1) (system : system)
       let r = run ~uarch system w.Lfi_workloads.Common.program in
       Hashtbl.replace cache key r;
       r
+
+(* ------------------------------------------------------------------ *)
+(* The overhead grid: workloads x systems, the measurement behind      *)
+(* every percent-over-native table (Figures 3-5, Table 4, E7, CoreMark) *)
+(* ------------------------------------------------------------------ *)
+
+(** One workload of a grid: its native run and its run under each of
+    the grid's systems, in order. *)
+type row = {
+  workload : Lfi_workloads.Common.t;
+  native : result;
+  results : result list;
+}
+
+(** Run every workload natively and under every system (cached). *)
+let grid ~uarch (systems : system list) (workloads : Lfi_workloads.Common.t list)
+    : row list =
+  List.map
+    (fun w ->
+      {
+        workload = w;
+        native = run_cached ~uarch Native w;
+        results = List.map (fun s -> run_cached ~uarch s w) systems;
+      })
+    workloads
+
+(** A row's percent over native under each system. *)
+let overheads (r : row) : float list =
+  List.map (fun x -> overhead ~base:r.native.cycles x.cycles) r.results
+
+(** Each system's geomean overhead over the grid's workloads. *)
+let geomeans (rows : row list) : float list =
+  match List.map overheads rows with
+  | [] -> []
+  | first :: _ as all ->
+      List.mapi (fun k _ -> geomean (List.map (fun o -> List.nth o k) all)) first

@@ -13,39 +13,17 @@
 
 open Lfi_emulator
 
-let hardened_config uarch =
-  { Lfi_runtime.Runtime.default_config with uarch; spectre_hardening = true }
-
-let plain_config uarch = { Lfi_runtime.Runtime.default_config with uarch }
-
-let measure_syscall_with config =
-  let run prog =
-    let rt = Lfi_runtime.Runtime.create ~config () in
-    let p =
-      Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi
-        (Table5.build prog)
-    in
-    let _, _, cycles, _ = Lfi_runtime.Runtime.run_one rt p in
-    cycles
-  in
-  (run Lfi_workloads.Microbench.syscall_prog
-  -. run Lfi_workloads.Microbench.syscall_baseline_prog)
-  /. float_of_int Lfi_workloads.Microbench.syscall_iters
-
-let measure_yield_with config =
-  let rt = Lfi_runtime.Runtime.create ~config () in
-  let elf = Table5.build Lfi_workloads.Microbench.yield_prog in
-  let p1 = Lfi_runtime.Runtime.load rt ~arg:2L ~personality:Lfi_runtime.Proc.Lfi elf in
-  let _p2 = Lfi_runtime.Runtime.load rt ~arg:1L ~personality:Lfi_runtime.Proc.Lfi elf in
-  let _, _, cycles, _ = Lfi_runtime.Runtime.run_one rt p1 in
-  cycles /. float_of_int (2 * Lfi_workloads.Microbench.yield_iters)
-
 let table ~(uarch : Cost_model.t) : Report.table =
   let ns c = Cost_model.cycles_to_ns uarch c in
-  let sys_plain = measure_syscall_with (plain_config uarch) in
-  let sys_hard = measure_syscall_with (hardened_config uarch) in
-  let yld_plain = measure_yield_with (plain_config uarch) in
-  let yld_hard = measure_yield_with (hardened_config uarch) in
+  let config = Table5.config uarch in
+  let plain = Table5.measure config in
+  let hard =
+    Table5.measure { config with Lfi_runtime.Runtime.spectre_hardening = true }
+  in
+  let row name (op : Table5.costs -> float) =
+    [ name; Report.fmt_ns (ns (op plain)); Report.fmt_ns (ns (op hard));
+      Printf.sprintf "%.1fx" (op hard /. op plain) ]
+  in
   {
     Report.title =
       Printf.sprintf
@@ -54,12 +32,8 @@ let table ~(uarch : Cost_model.t) : Report.table =
         (String.uppercase_ascii uarch.Cost_model.name);
     header = [ "benchmark"; "baseline"; "hardened"; "slowdown" ];
     rows =
-      [
-        [ "syscall"; Report.fmt_ns (ns sys_plain); Report.fmt_ns (ns sys_hard);
-          Printf.sprintf "%.1fx" (sys_hard /. sys_plain) ];
-        [ "yield"; Report.fmt_ns (ns yld_plain); Report.fmt_ns (ns yld_hard);
-          Printf.sprintf "%.1fx" (yld_hard /. yld_plain) ];
-      ];
+      [ row "syscall" (fun c -> c.Table5.syscall);
+        row "yield" (fun c -> c.Table5.yield) ];
     notes =
       [
         "sandbox breakout is mitigated by construction (no CFI to \
@@ -69,4 +43,4 @@ let table ~(uarch : Cost_model.t) : Report.table =
       ];
   }
 
-let run_all () = Report.print (table ~uarch:Cost_model.m1)
+let tables () = [ table ~uarch:Cost_model.m1 ]

@@ -10,59 +10,55 @@
 
 open Lfi_emulator
 
-let lfi_config uarch =
-  { Lfi_runtime.Runtime.default_config with uarch }
+(** The runtime the microbenchmarks run in: the defaults, on [uarch]. *)
+let config uarch = { Lfi_runtime.Runtime.default_config with uarch }
 
 (** A microbenchmark's image, rewritten at O2. *)
 let build = Run.build (Run.Lfi Lfi_core.Config.o2)
 
-(** Per-getpid cost under LFI: runtime-call loop minus the same loop
-    without the call. *)
-let measure_syscall uarch : float =
-  let run prog =
-    let rt = Lfi_runtime.Runtime.create ~config:(lfi_config uarch) () in
-    let p =
-      Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi
-        (build prog)
+(** Per-operation LFI costs, in simulated cycles. *)
+type costs = {
+  syscall : float;
+      (** per getpid: the runtime-call loop minus the same loop without
+          the call *)
+  pipe : float;
+      (** per one-way pipe hop (a write plus a blocking read handoff):
+          the fork + two-pipes ping-pong over its one-way transfers *)
+  yield : float;  (** per optimized direct yield between two sandboxes *)
+  yield_run : float;  (** the whole yield run: [yield_ops] switches *)
+}
+
+let yield_ops = 2 * Lfi_workloads.Microbench.yield_iters
+
+(** Run every microbenchmark guest in a fresh runtime under [config]
+    (uarch, Spectre hardening) and return its per-operation costs. *)
+let measure (config : Lfi_runtime.Runtime.config) : costs =
+  let run ?(peer = false) prog =
+    let rt = Lfi_runtime.Runtime.create ~config () in
+    let elf = build prog in
+    let load arg =
+      Lfi_runtime.Runtime.load rt ~arg ~personality:Lfi_runtime.Proc.Lfi elf
     in
+    (* each yield guest takes its peer's pid: pid 1 gets 2, pid 2 gets 1 *)
+    let p = load (if peer then 2L else 0L) in
+    if peer then ignore (load 1L);
     let _, _, cycles, _ = Lfi_runtime.Runtime.run_one rt p in
     cycles
   in
-  let with_call = run Lfi_workloads.Microbench.syscall_prog in
-  let without = run Lfi_workloads.Microbench.syscall_baseline_prog in
-  Cost_model.cycles_to_ns uarch
-    ((with_call -. without)
-    /. float_of_int Lfi_workloads.Microbench.syscall_iters)
-
-(** Per-hop pipe cost under LFI (one write + one blocking read handoff):
-    the full fork + two-pipes ping-pong, divided by the number of
-    one-way transfers. *)
-let measure_pipe uarch : float =
-  let rt = Lfi_runtime.Runtime.create ~config:(lfi_config uarch) () in
-  let p =
-    Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi
-      (build Lfi_workloads.Microbench.pipe_prog)
-  in
-  let _, _, cycles, _ = Lfi_runtime.Runtime.run_one rt p in
-  Cost_model.cycles_to_ns uarch
-    (cycles /. float_of_int (2 * Lfi_workloads.Microbench.pipe_iters))
-
-(** Per-switch cost of the optimized direct yield between two
-    sandboxes. *)
-let measure_yield uarch : float =
-  let rt = Lfi_runtime.Runtime.create ~config:(lfi_config uarch) () in
-  let elf = build Lfi_workloads.Microbench.yield_prog in
-  let p1 = Lfi_runtime.Runtime.load rt ~arg:2L ~personality:Lfi_runtime.Proc.Lfi elf in
-  let _p2 = Lfi_runtime.Runtime.load rt ~arg:1L ~personality:Lfi_runtime.Proc.Lfi elf in
-  let _, _, cycles, _ = Lfi_runtime.Runtime.run_one rt p1 in
-  Cost_model.cycles_to_ns uarch
-    (cycles /. float_of_int (2 * Lfi_workloads.Microbench.yield_iters))
+  let open Lfi_workloads.Microbench in
+  let yield_run = run ~peer:true yield_prog in
+  {
+    syscall =
+      (run syscall_prog -. run syscall_baseline_prog)
+      /. float_of_int syscall_iters;
+    pipe = run pipe_prog /. float_of_int (2 * pipe_iters);
+    yield = yield_run /. float_of_int yield_ops;
+    yield_run;
+  }
 
 let table ~(uarch : Cost_model.t) : Report.table =
-  let lfi_syscall = measure_syscall uarch in
-  let lfi_pipe = measure_pipe uarch in
-  let lfi_yield = measure_yield uarch in
-  let to_ns c = Cost_model.cycles_to_ns uarch c in
+  let c = measure (config uarch) in
+  let to_ns = Cost_model.cycles_to_ns uarch in
   let paper =
     if uarch.Cost_model.name = "m1" then Report.Paper.table5_m1
     else Report.Paper.table5_t2a
@@ -87,20 +83,17 @@ let table ~(uarch : Cost_model.t) : Report.table =
         "(paper)" ];
     rows =
       [
-        row "syscall" lfi_syscall
+        row "syscall" (to_ns c.syscall)
           (to_ns uarch.Cost_model.linux_syscall)
           (to_ns uarch.Cost_model.gvisor_syscall);
-        row "pipe" lfi_pipe
+        row "pipe" (to_ns c.pipe)
           (to_ns uarch.Cost_model.linux_pipe_roundtrip)
           (to_ns uarch.Cost_model.gvisor_pipe_roundtrip);
-        row "yield" lfi_yield nan nan;
+        row "yield" (to_ns c.yield) nan nan;
       ];
     notes =
       [ "LFI columns are measured in the runtime; Linux/gVisor columns \
          are modeled from the paper's own numbers (see DESIGN.md)" ];
   }
 
-let run_all () =
-  Report.print (table ~uarch:Cost_model.m1);
-  print_newline ();
-  Report.print (table ~uarch:Cost_model.t2a)
+let tables () = [ table ~uarch:Cost_model.m1; table ~uarch:Cost_model.t2a ]

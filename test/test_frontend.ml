@@ -179,20 +179,13 @@ let test_deserialize_rejects_garbage () =
 (* ---------------- spectre hardening config ---------------- *)
 
 let test_spectre_costs_more () =
-  let uarch = Lfi_emulator.Cost_model.m1 in
-  let cost hardened =
-    let config =
-      { Lfi_runtime.Runtime.default_config with
-        uarch; spectre_hardening = hardened }
-    in
-    let rt = Lfi_runtime.Runtime.create ~config () in
-    let prog = parse "int main() { int k = 0; while (k < 50) { sys_getpid(); k = k + 1; } return 0; }" in
-    let elf = Lfi_experiments.Run.build (Lfi_experiments.Run.Lfi Lfi_core.Config.o2) prog in
-    let p = Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi elf in
-    let _, _, cycles, _ = Lfi_runtime.Runtime.run_one rt p in
-    cycles
+  let config = Lfi_experiments.Table5.config Lfi_emulator.Cost_model.m1 in
+  let syscall config =
+    (Lfi_experiments.Table5.measure config).Lfi_experiments.Table5.syscall
   in
-  checkb "hardening costs" true (cost true > cost false)
+  checkb "hardening costs" true
+    (syscall { config with Lfi_runtime.Runtime.spectre_hardening = true }
+    > syscall config)
 
 let mk name f = Alcotest.test_case name `Quick f
 

@@ -105,18 +105,29 @@ let test_code_size_positive () =
     (float_of_int (Lfi_elf.Elf.text_size lfi)
     < 1.5 *. float_of_int (Lfi_elf.Elf.text_size native))
 
+(* Table 5's runner, the one place the transition costs are measured;
+   E8 runs it with Spectre hardening on. *)
 let test_microbench_sanity () =
   let uarch = Lfi_emulator.Cost_model.m1 in
-  let syscall = Lfi_experiments.Table5.measure_syscall uarch in
-  let yield = Lfi_experiments.Table5.measure_yield uarch in
-  let pipe = Lfi_experiments.Table5.measure_pipe uarch in
+  let config = Lfi_experiments.Table5.config uarch in
+  let c = Lfi_experiments.Table5.measure config in
+  let ns = Lfi_emulator.Cost_model.cycles_to_ns uarch in
+  let syscall = ns c.Lfi_experiments.Table5.syscall in
+  let yield = ns c.Lfi_experiments.Table5.yield in
+  let pipe = ns c.Lfi_experiments.Table5.pipe in
   checkb "syscall in range" true (syscall > 5.0 && syscall < 100.0);
   checkb "yield cheaper than syscall+switch" true (yield < pipe);
   checkb "pipe under linux"
     true
     (pipe
     < Lfi_emulator.Cost_model.cycles_to_ns uarch
-        uarch.Lfi_emulator.Cost_model.linux_pipe_roundtrip)
+        uarch.Lfi_emulator.Cost_model.linux_pipe_roundtrip);
+  let hardened =
+    Lfi_experiments.Table5.measure
+      { config with Lfi_runtime.Runtime.spectre_hardening = true }
+  in
+  checkb "hardened yield costs more" true
+    (hardened.Lfi_experiments.Table5.yield > c.Lfi_experiments.Table5.yield)
 
 let test_verifier_throughput_sane () =
   let r = Lfi_experiments.Verifier_speed.measure ~repeats:2 () in
