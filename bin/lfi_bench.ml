@@ -3,34 +3,6 @@
 
 open Cmdliner
 
-(* Library-call transition costs vs process-isolation baselines: the
-   same seeded stream `make serve-bench` commits, replayed under both
-   uarch models. *)
-let serve_experiment () =
-  Printf.printf
-    "  %-5s %10s %10s %10s %12s %12s %10s\n"
-    "uarch" "gate mean" "gate p50" "gate p99" "linux pipe" "gvisor pipe"
-    "req/s";
-  List.iter
-    (fun uarch ->
-      let r =
-        Lfi_libbox.Serve.run ~uarch ~spec:Lfi_workloads.Libs.xzbox ~pool:4
-          ~requests:1000 ~seed:1 ()
-      in
-      let open Lfi_emulator.Cost_model in
-      let fmt v = if Float.is_nan v then "-" else Printf.sprintf "%.0f" v in
-      Printf.printf "  %-5s %10.1f %10.0f %10.0f %12s %12s %10.0f\n%!"
-        uarch.name r.Lfi_libbox.Serve.gate_mean r.Lfi_libbox.Serve.gate_p50
-        r.Lfi_libbox.Serve.gate_p99
-        (fmt uarch.linux_pipe_roundtrip)
-        (fmt uarch.gvisor_pipe_roundtrip)
-        r.Lfi_libbox.Serve.requests_per_sec)
-    [ Lfi_emulator.Cost_model.m1; Lfi_emulator.Cost_model.t2a ];
-  Printf.printf
-    "\n  A sandboxed library call crosses the boundary for the cost of a\n\
-    \  runtime-call gate (plus marshalling), orders of magnitude below a\n\
-    \  pipe round-trip between processes.\n"
-
 (* (name, heading, tables), in the order the full suite prints them *)
 let experiments =
   let open Lfi_experiments in
@@ -50,7 +22,7 @@ let experiments =
     ("spectre", "Experiment E8 - Spectre hardening cost (Section 7.1)",
      Spectre.tables);
     ("serve", "Experiment E9 - Library serving (Section 5.3 transition costs)",
-     fun () -> serve_experiment (); []);
+     Serving.tables);
     ("coremark", "CoreMark (artifact appendix A.6.3)", Coremark_exp.tables);
   ]
 
