@@ -89,8 +89,11 @@ let suite_sections spec seed knee_file =
     ]
   in
   Printf.eprintf "suite: yield_to handoff microbenchmark...\n%!";
-  let hm1 = Lfi_experiments.Handoff.measure Lfi_emulator.Cost_model.m1 in
-  let ht2a = Lfi_experiments.Handoff.measure Lfi_emulator.Cost_model.t2a in
+  let handoff uarch =
+    Lfi_experiments.Table5.(measure (config uarch))
+  in
+  let m1 = Lfi_emulator.Cost_model.m1 and t2a = Lfi_emulator.Cost_model.t2a in
+  let hm1 = handoff m1 and ht2a = handoff t2a in
   (* the knee sweep as its own artifact (CI uploads it) *)
   let oc = open_out knee_file in
   output_string oc
@@ -109,8 +112,8 @@ let suite_sections spec seed knee_file =
   Printf.eprintf
     "suite: closed-loop p999 %.0f cycles; knee %.0f rps; handoff m1 %.1f / \
      t2a %.1f cycles (paper ~%.0f)\n"
-    closed_r.Serve.latency_p999 knee hm1.Lfi_experiments.Handoff.h_cycles_per_handoff
-    ht2a.Lfi_experiments.Handoff.h_cycles_per_handoff
+    closed_r.Serve.latency_p999 knee hm1.Lfi_experiments.Table5.yield
+    ht2a.Lfi_experiments.Table5.yield
     Lfi_experiments.Handoff.paper_cycles;
   [
     ("open_loop", open_r.Serve.summary);
@@ -136,8 +139,8 @@ let suite_sections spec seed knee_file =
       Obj
         [
           ("paper_cycles", f1 Lfi_experiments.Handoff.paper_cycles);
-          ("m1", Lfi_experiments.Handoff.to_json hm1);
-          ("t2a", Lfi_experiments.Handoff.to_json ht2a);
+          ("m1", Lfi_experiments.Handoff.to_json m1 hm1);
+          ("t2a", Lfi_experiments.Handoff.to_json t2a ht2a);
         ] );
   ]
 

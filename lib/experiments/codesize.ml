@@ -5,58 +5,43 @@
     12.9% and whole-binary increase of 8.3%, versus 22% binary increase
     for WAMR. *)
 
-type row = {
-  bench : string;
-  text_pct : float;
-  file_pct : float;
-  wamr_file_pct : float option;
-}
-
-let measure () : row list =
+(** Percent growth of each benchmark's LFI O2 text and whole file, and
+    of its WAMR text (Wasm-compatible benchmarks only), over native. *)
+let measure () : (string * float * float * float option) list =
+  let pct a b = (float_of_int b -. float_of_int a) /. float_of_int a *. 100.0 in
   List.map
     (fun w ->
       let prog = w.Lfi_workloads.Common.program in
       let native = Run.build Run.Native prog in
       let lfi = Run.build (Run.Lfi Lfi_core.Config.o2) prog in
-      let pct a b = (float_of_int b -. float_of_int a) /. float_of_int a *. 100.0 in
-      let text_pct =
-        pct (Lfi_elf.Elf.text_size native) (Lfi_elf.Elf.text_size lfi)
-      in
-      let file_pct =
-        pct (Lfi_elf.Elf.total_size native) (Lfi_elf.Elf.total_size lfi)
-      in
-      let wamr_file_pct =
-        if w.Lfi_workloads.Common.wasm_ok then begin
+      let native_text = Lfi_elf.Elf.text_size native in
+      ( w.Lfi_workloads.Common.name,
+        pct native_text (Lfi_elf.Elf.text_size lfi),
+        pct (Lfi_elf.Elf.total_size native) (Lfi_elf.Elf.total_size lfi),
+        (* compare executable text: the Wasm image embeds the linear
+           memory, so whole-file comparison would be meaningless *)
+        if w.Lfi_workloads.Common.wasm_ok then
           let wamr = Run.build (Run.Wasm Lfi_wasm.Engine.wamr) prog in
-          (* compare executable text: the Wasm image embeds the linear
-             memory, so whole-file comparison would be meaningless *)
-          Some (pct (Lfi_elf.Elf.text_size native) (Lfi_elf.Elf.text_size wamr))
-        end
-        else None
-      in
-      { bench = w.Lfi_workloads.Common.name; text_pct; file_pct; wamr_file_pct })
+          Some (pct native_text (Lfi_elf.Elf.text_size wamr))
+        else None ))
     (Lfi_workloads.Registry.selected ())
 
 let table () : Report.table =
   let rows = measure () in
   let gm sel = Run.geomean (List.map sel rows) in
-  let gm_wamr =
-    Run.geomean (List.filter_map (fun r -> r.wamr_file_pct) rows)
-  in
   {
     Report.title = "Code size increase over native (§6.3)";
     header = [ "benchmark"; "LFI text"; "LFI binary"; "WAMR text" ];
     rows =
       List.map
-        (fun r ->
-          [ r.bench; Report.fmt_pct r.text_pct; Report.fmt_pct r.file_pct;
-            (match r.wamr_file_pct with
-            | Some p -> Report.fmt_pct p
-            | None -> "-") ])
+        (fun (bench, text, file, wamr) ->
+          [ bench; Report.fmt_pct text; Report.fmt_pct file;
+            Option.fold ~none:"-" ~some:Report.fmt_pct wamr ])
         rows
-      @ [ [ "geomean"; Report.fmt_pct (gm (fun r -> r.text_pct));
-            Report.fmt_pct (gm (fun r -> r.file_pct));
-            Report.fmt_pct gm_wamr ] ];
+      @ [ [ "geomean"; Report.fmt_pct (gm (fun (_, t, _, _) -> t));
+            Report.fmt_pct (gm (fun (_, _, f, _) -> f));
+            Report.fmt_pct
+              (Run.geomean (List.filter_map (fun (_, _, _, w) -> w) rows)) ] ];
     notes =
       [ Printf.sprintf
           "paper: text +%.1f%%, binary +%.1f%%, WAMR binary +%.0f%%"

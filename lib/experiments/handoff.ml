@@ -4,10 +4,10 @@
     optimized [yield_to] between two sandboxes in the same address
     space costs on the order of {e 50 cycles} — no kernel, no page
     table switch, just a register-state swap plus scheduler
-    bookkeeping.  This module measures our runtime's version of that
-    number with Table 5's runner, {!Table5.measure} (two sandboxes
-    ping-ponging through the real runtime-call table, verifier-clean
-    code, the real {!Lfi_sched.Runq} promote path) but reports
+    bookkeeping.  Our runtime's version of that number is Table 5's
+    yield cost, {!Table5.measure} (two sandboxes ping-ponging through
+    the real runtime-call table, verifier-clean code, the real
+    {!Lfi_sched.Runq} promote path); this module reports it in
     {e simulated cycles} rather than nanoseconds, so the serve bench
     can print it next to the paper's claim.
 
@@ -19,40 +19,27 @@
 
 open Lfi_emulator
 
-type result = {
-  h_uarch : string;
-  h_iters : int;  (** yield_to round trips measured *)
-  h_total_cycles : float;  (** whole two-sandbox run, simulated cycles *)
-  h_cycles_per_handoff : float;
-      (** measured: includes the guest loop around the yield *)
-  h_modeled_cycles : float;
-      (** the switch alone: [lfi_yield_direct] + scheduler bookkeeping *)
-  h_ns_per_handoff : float;  (** at the model's clock rate *)
-}
-
 (** The number the paper's §2 design discussion cites for an optimized
     same-address-space domain switch. *)
 let paper_cycles = 50.0
 
-let measure (uarch : Cost_model.t) : result =
-  let c = Table5.measure (Table5.config uarch) in
-  {
-    h_uarch = uarch.Cost_model.name;
-    h_iters = Table5.yield_ops;
-    h_total_cycles = c.Table5.yield_run;
-    h_cycles_per_handoff = c.Table5.yield;
-    h_modeled_cycles =
-      uarch.Cost_model.lfi_yield_direct
-      +. Lfi_runtime.Runtime.lfi_sched_bookkeeping;
-    h_ns_per_handoff = Cost_model.cycles_to_ns uarch c.Table5.yield;
-  }
-
-let to_json (r : result) : Lfi_telemetry.Json.t =
+(** The serve suite's [yield_handoff] entry for [uarch], from Table 5's
+    costs on it: handoffs measured, the whole run and one handoff in
+    simulated cycles, the modeled switch alone ([lfi_yield_direct] +
+    scheduler bookkeeping) and one handoff in ns at the model's
+    clock. *)
+let to_json (uarch : Cost_model.t) (c : Table5.costs) : Lfi_telemetry.Json.t =
   let open Lfi_telemetry.Json in
   Obj
     [
-      ("iters", Int r.h_iters); ("total_cycles", Float (r.h_total_cycles, 1));
-      ("cycles_per_handoff", Float (r.h_cycles_per_handoff, 1));
-      ("switch_cycles", Float (r.h_modeled_cycles, 1));
-      ("ns_per_handoff", Float (r.h_ns_per_handoff, 2));
+      ("iters", Int Table5.yield_ops);
+      ("total_cycles", Float (c.Table5.yield_run, 1));
+      ("cycles_per_handoff", Float (c.Table5.yield, 1));
+      ( "switch_cycles",
+        Float
+          ( uarch.Cost_model.lfi_yield_direct
+            +. Lfi_runtime.Runtime.lfi_sched_bookkeeping,
+            1 ) );
+      ( "ns_per_handoff",
+        Float (Cost_model.cycles_to_ns uarch c.Table5.yield, 2) );
     ]

@@ -125,8 +125,7 @@ let run_cached ?(uarch = Cost_model.m1) (system : system)
       r
 
 (* ------------------------------------------------------------------ *)
-(* The overhead grid: workloads x systems, the measurement behind      *)
-(* every percent-over-native table (Figures 3-5, Table 4, E7, CoreMark) *)
+(* The overhead grid behind Figures 3-5, Table 4, E7 and CoreMark     *)
 (* ------------------------------------------------------------------ *)
 
 (** One workload of a grid: its native run and its run under each of
@@ -138,8 +137,8 @@ type row = {
 }
 
 (** Run every workload natively and under every system (cached). *)
-let grid ~uarch (systems : system list) (workloads : Lfi_workloads.Common.t list)
-    : row list =
+let grid ~uarch (systems : system list)
+    (workloads : Lfi_workloads.Common.t list) : row list =
   List.map
     (fun w ->
       {
@@ -158,4 +157,6 @@ let geomeans (rows : row list) : float list =
   match List.map overheads rows with
   | [] -> []
   | first :: _ as all ->
-      List.mapi (fun k _ -> geomean (List.map (fun o -> List.nth o k) all)) first
+      List.mapi
+        (fun k _ -> geomean (List.map (fun o -> List.nth o k) all))
+        first

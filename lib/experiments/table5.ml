@@ -63,13 +63,10 @@ let table ~(uarch : Cost_model.t) : Report.table =
     if uarch.Cost_model.name = "m1" then Report.Paper.table5_m1
     else Report.Paper.table5_t2a
   in
-  let paper_of name =
-    match List.assoc_opt name paper with
-    | Some t -> t
-    | None -> (nan, nan, nan)
-  in
   let row name lfi linux gvisor =
-    let plfi, plinux, pgv = paper_of name in
+    let plfi, plinux, pgv =
+      Option.value (List.assoc_opt name paper) ~default:(nan, nan, nan)
+    in
     [ name; Report.fmt_ns lfi; Report.fmt_ns plfi; Report.fmt_ns linux;
       Report.fmt_ns plinux; Report.fmt_ns gvisor; Report.fmt_ns pgv ]
   in
