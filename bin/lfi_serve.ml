@@ -89,9 +89,7 @@ let suite_sections spec seed knee_file =
     ]
   in
   Printf.eprintf "suite: yield_to handoff microbenchmark...\n%!";
-  let handoff uarch =
-    Lfi_experiments.Table5.(measure (config uarch))
-  in
+  let handoff uarch = Lfi_experiments.Table5.(measure (config uarch)) in
   let m1 = Lfi_emulator.Cost_model.m1 and t2a = Lfi_emulator.Cost_model.t2a in
   let hm1 = handoff m1 and ht2a = handoff t2a in
   (* the knee sweep as its own artifact (CI uploads it) *)
