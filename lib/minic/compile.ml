@@ -97,9 +97,18 @@ let fcond_of_binop = function
   | FLe -> Some Insn.LS
   | _ -> None
 
-let log2_opt n =
-  let rec go i = if 1 lsl i = n then Some i else if i > 62 then None else go (i + 1) in
-  if n <= 0 then None else go 0
+let iop_of = function
+  | Add -> Frame.Add
+  | Sub -> Frame.Sub
+  | And -> Frame.And
+  | Or -> Frame.Or
+  | Xor -> Frame.Xor
+  | Shl -> Frame.Shl
+  | Shr -> Frame.Asr
+  | Lshr -> Frame.Lsr
+  | Mul -> Frame.Mul
+  | Div -> Frame.Sdiv
+  | _ -> invalid_arg "iop_of: not an integer operation"
 
 (** Compile [e] into a freshly allocated integer scratch register. *)
 let rec compile_int ctx (e : expr) : int =
@@ -122,27 +131,17 @@ let rec compile_int ctx (e : expr) : int =
       r
   | Load (elt, a) -> compile_load ctx elt a
   | Bin (op, a, b) -> compile_int_bin ctx op a b
-  | Un (Neg, a) ->
+  | Un (((Neg | Not) as op), a) ->
       let ra = compile_int ctx a in
       let r = Frame.alloc_int ctx.fr in
-      emit ctx
-        (Insn.Alu { op = Insn.SUB; flags = false; dst = x r; src = Reg.xzr;
-                    op2 = Insn.Sh (x ra, Insn.Lsl, 0) });
-      free ctx (VInt ra);
-      r
-  | Un (Not, a) ->
-      let ra = compile_int ctx a in
-      let r = Frame.alloc_int ctx.fr in
-      emit ctx
-        (Insn.Alu { op = Insn.ORN; flags = false; dst = x r; src = Reg.xzr;
-                    op2 = Insn.Sh (x ra, Insn.Lsl, 0) });
+      (if op = Neg then Frame.neg else Frame.not) ctx.fr r ra;
       free ctx (VInt ra);
       r
   | Un ((FNeg | FSqrt | FAbs), _) -> errorf "float expression in int context"
   | Cvt (FtoI, a) ->
       let fa = compile_float ctx a in
       let r = Frame.alloc_int ctx.fr in
-      emit ctx (Insn.Fcvtzs { signed = true; dst = x r; src = d fa });
+      Frame.fcvtzs ctx.fr r fa;
       free ctx (VFlt fa);
       r
   | Cvt (ItoF, _) -> errorf "float expression in int context"
@@ -171,111 +170,38 @@ and compile_int_bin ctx op a b : int =
       let cond = Option.get (cond_of_binop op) in
       compile_compare ctx a b;
       let r = Frame.alloc_int ctx.fr in
-      emit ctx
-        (Insn.Csel
-           { op = Insn.CSINC; dst = x r; src1 = Reg.xzr; src2 = Reg.xzr;
-             cond = Insn.invert_cond cond });
+      Frame.cset ctx.fr r cond;
       r
   | FEq | FLt | FLe ->
       let cond = Option.get (fcond_of_binop op) in
       compile_fcompare ctx a b;
       let r = Frame.alloc_int ctx.fr in
-      emit ctx
-        (Insn.Csel
-           { op = Insn.CSINC; dst = x r; src1 = Reg.xzr; src2 = Reg.xzr;
-             cond = Insn.invert_cond cond });
-      r
-  | Add | Sub | And | Or | Xor -> (
-      let alu_op =
-        match op with
-        | Add -> Insn.ADD
-        | Sub -> Insn.SUB
-        | And -> Insn.AND
-        | Or -> Insn.ORR
-        | Xor -> Insn.EOR
-        | _ -> assert false
-      in
-      (* immediate forms *)
-      match (op, b) with
-      | (Add | Sub), Int v when v >= 0 && v < 4096 ->
-          let ra = compile_int ctx a in
-          let r = Frame.alloc_int ctx.fr in
-          emit ctx
-            (Insn.Alu { op = alu_op; flags = false; dst = x r; src = x ra;
-                        op2 = Insn.Imm (v, 0) });
-          free ctx (VInt ra);
-          r
-      | _ ->
-          let ra, rb = compile_pair ctx a b in
-          free ctx (VInt ra);
-          free ctx (VInt rb);
-          let r = Frame.alloc_int ctx.fr in
-          emit ctx
-            (Insn.Alu { op = alu_op; flags = false; dst = x r; src = x ra;
-                        op2 = Insn.Sh (x rb, Insn.Lsl, 0) });
-          r)
-  | Shl | Shr | Lshr -> (
-      let k =
-        match op with Shl -> Insn.Lsl | Shr -> Insn.Asr | _ -> Insn.Lsr
-      in
-      match b with
-      | Int v when v >= 0 && v < 64 ->
-          let ra = compile_int ctx a in
-          let r = Frame.alloc_int ctx.fr in
-          (match k with
-          | Insn.Lsl ->
-              emit ctx
-                (Insn.Bitfield { op = Insn.UBFM; dst = x r; src = x ra;
-                                 immr = (64 - v) mod 64; imms = 63 - v })
-          | Insn.Lsr ->
-              emit ctx
-                (Insn.Bitfield { op = Insn.UBFM; dst = x r; src = x ra;
-                                 immr = v; imms = 63 })
-          | _ ->
-              emit ctx
-                (Insn.Bitfield { op = Insn.SBFM; dst = x r; src = x ra;
-                                 immr = v; imms = 63 }));
-          free ctx (VInt ra);
-          r
-      | _ ->
-          let ra, rb = compile_pair ctx a b in
-          free ctx (VInt ra);
-          free ctx (VInt rb);
-          let r = Frame.alloc_int ctx.fr in
-          emit ctx (Insn.Shiftv { op = k; dst = x r; src = x ra; amount = x rb });
-          r)
-  | Mul -> (
-      match b with
-      | Int v when log2_opt v <> None ->
-          let s = Option.get (log2_opt v) in
-          compile_int_bin ctx Shl a (Int s)
-      | _ ->
-          let ra, rb = compile_pair ctx a b in
-          free ctx (VInt ra);
-          free ctx (VInt rb);
-          let r = Frame.alloc_int ctx.fr in
-          emit ctx
-            (Insn.Madd { sub = false; dst = x r; src1 = x ra; src2 = x rb;
-                         acc = Reg.xzr });
-          r)
-  | Div ->
-      let ra, rb = compile_pair ctx a b in
-      free ctx (VInt ra);
-      free ctx (VInt rb);
-      let r = Frame.alloc_int ctx.fr in
-      emit ctx (Insn.Div { signed = true; dst = x r; src1 = x ra; src2 = x rb });
+      Frame.cset ctx.fr r cond;
       r
   | Rem ->
-      (* q = a / b ; result = a - q*b, computed in place over q *)
+      (* the remainder is computed in place over the quotient *)
       let ra, rb = compile_pair ctx a b in
       let q = Frame.alloc_int ctx.fr in
-      emit ctx (Insn.Div { signed = true; dst = x q; src1 = x ra; src2 = x rb });
-      emit ctx
-        (Insn.Madd { sub = true; dst = x q; src1 = x q; src2 = x rb;
-                     acc = x ra });
+      Frame.srem ctx.fr q ~quot:q ra rb;
       free ctx (VInt ra);
       free ctx (VInt rb);
       q
+  | Add | Sub | And | Or | Xor | Shl | Shr | Lshr | Mul | Div -> (
+      let op = iop_of op in
+      match b with
+      | Int v when Frame.encodable op v ->
+          let ra = compile_int ctx a in
+          let r = Frame.alloc_int ctx.fr in
+          Frame.int_op ctx.fr op r ra (`Imm v);
+          free ctx (VInt ra);
+          r
+      | _ ->
+          let ra, rb = compile_pair ctx a b in
+          free ctx (VInt ra);
+          free ctx (VInt rb);
+          let r = Frame.alloc_int ctx.fr in
+          Frame.int_op ctx.fr op r ra (`Reg rb);
+          r)
 
 (** Compile two operands.  The first is spilled to a frame slot while
     the second is evaluated when (a) the second contains a call (calls
@@ -356,9 +282,8 @@ and compile_addr ctx (elt : elt) (a : expr) : Insn.addr * value list =
   | Bin (Add, base, Int k) when k >= 0 && k mod size = 0 && k / size < 4096 ->
       let rb, used = address_operand ctx base in
       (Insn.Imm_off (x rb, k), used)
-  | Bin (Add, base, Bin (Mul, idxe, Int s))
-    when s = size && log2_opt s <> None ->
-      reg_pair base idxe (Option.get (log2_opt s))
+  | Bin (Add, base, Bin (Mul, idxe, Int s)) when s = size ->
+      reg_pair base idxe (Frame.log2 s)
   | Bin (Add, base, idxe) when typeof ctx idxe = Int && elt = U8 ->
       reg_pair base idxe 0
   | _ ->
@@ -422,30 +347,20 @@ and compile_float ctx (e : expr) : int =
       free ctx (VFlt ra);
       free ctx (VFlt rb);
       let r = Frame.alloc_fp ctx.fr in
-      emit ctx (Insn.Fop2 { op = fop; dst = d r; src1 = d ra; src2 = d rb });
+      Frame.fop2 ctx.fr fop r ra rb;
       r
-  | Un (FNeg, a) ->
+  | Un (((FNeg | FSqrt | FAbs) as op), a) ->
       let ra = compile_float ctx a in
       let r = Frame.alloc_fp ctx.fr in
-      emit ctx (Insn.Fop1 { op = Insn.FNEG; dst = d r; src = d ra });
-      free ctx (VFlt ra);
-      r
-  | Un (FSqrt, a) ->
-      let ra = compile_float ctx a in
-      let r = Frame.alloc_fp ctx.fr in
-      emit ctx (Insn.Fop1 { op = Insn.FSQRT; dst = d r; src = d ra });
-      free ctx (VFlt ra);
-      r
-  | Un (FAbs, a) ->
-      let ra = compile_float ctx a in
-      let r = Frame.alloc_fp ctx.fr in
-      emit ctx (Insn.Fop1 { op = Insn.FABS; dst = d r; src = d ra });
+      Frame.fop1 ctx.fr
+        (match op with FNeg -> Insn.FNEG | FSqrt -> Insn.FSQRT | _ -> Insn.FABS)
+        r ra;
       free ctx (VFlt ra);
       r
   | Cvt (ItoF, a) ->
       let ra = compile_int ctx a in
       let r = Frame.alloc_fp ctx.fr in
-      emit ctx (Insn.Scvtf { signed = true; dst = d r; src = x ra });
+      Frame.scvtf ctx.fr r ra;
       free ctx (VInt ra);
       r
   | Call (name, args) ->
@@ -550,23 +465,19 @@ and compile_call ctx (target : [ `Direct of string | `Indirect of expr | `Sys of
 (** cmp a, b (integer). *)
 and compile_compare ctx a b =
   match b with
-  | Int v when v >= 0 && v < 4096 ->
+  | Int v when Frame.encodable Frame.Sub v ->
       let ra = compile_int ctx a in
-      emit ctx
-        (Insn.Alu { op = Insn.SUB; flags = true; dst = Reg.xzr; src = x ra;
-                    op2 = Insn.Imm (v, 0) });
+      Frame.cmp ctx.fr ra (`Imm v);
       free ctx (VInt ra)
   | _ ->
       let ra, rb = compile_pair ctx a b in
-      emit ctx
-        (Insn.Alu { op = Insn.SUB; flags = true; dst = Reg.xzr; src = x ra;
-                    op2 = Insn.Sh (x rb, Insn.Lsl, 0) });
+      Frame.cmp ctx.fr ra (`Reg rb);
       free ctx (VInt ra);
       free ctx (VInt rb)
 
 and compile_fcompare ctx a b =
   let ra, rb = compile_fpair ctx a b in
-  emit ctx (Insn.Fcmp { src1 = d ra; src2 = Some (d rb) });
+  Frame.fcmp ctx.fr ra rb;
   free ctx (VFlt ra);
   free ctx (VFlt rb)
 

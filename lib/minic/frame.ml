@@ -1,10 +1,13 @@
-(** The ARM64 frame and constant layer under both code generators: the
-    MiniC compiler ({!Compile}) and the Wasm compiler
+(** The ARM64 frame, constant and operation layer under both code
+    generators: the MiniC compiler ({!Compile}) and the Wasm compiler
     ([Lfi_wasm.Compile_wasm], all five engines).  Figure 4 compares LFI
     with the Wasm engines, and that comparison is fair only while the
-    plumbing they share is the same code, so it lives here once:
-    constant materialisation, home assignment, the frame layout, the
-    prologue and epilogue sequences, scratch and spill-temp allocation.
+    code they share is the same code, so it lives here once: constant
+    materialisation, home assignment, the frame layout, the prologue
+    and epilogue sequences, scratch and spill-temp allocation, loads
+    and stores, and the instructions of every integer, compare, float
+    and conversion operation.  The compilers keep only their register
+    allocation order and their folding decisions.
 
     Frame layout, from sp upwards:
     {v
@@ -95,10 +98,15 @@ let label fr l = fr.out <- Source.Label l :: fr.out
 
 (* ---- register moves and sp-relative accesses ---- *)
 
-let mov_reg dst src =
-  Insn.Alu
-    { op = Insn.ORR; flags = false; dst = x dst; src = Reg.xzr;
-      op2 = Insn.Sh (x src, Insn.Lsl, 0) }
+(* x[src] as a plain register operand *)
+let sh src = Insn.Sh (x src, Insn.Lsl, 0)
+
+(* [op] with xzr as its first operand: orr is a move, sub a negation,
+   orn a bitwise not *)
+let from_xzr op dst src =
+  Insn.Alu { op; flags = false; dst = x dst; src = Reg.xzr; op2 = sh src }
+
+let mov_reg = from_xzr Insn.ORR
 
 let fmov_reg dst src = Insn.Fop1 { op = Insn.FMOV; dst = d dst; src = d src }
 
@@ -189,6 +197,106 @@ let const fr dst v =
   else if v < 0 && lnot v < 65536 then
     emit fr (Insn.Mov { op = Insn.MOVN; dst = x dst; imm = lnot v; hw = 0 })
   else const64 fr dst (Int64.of_int v)
+
+(* ---- operations ---- *)
+
+(** The integer binary operations of both source languages. *)
+type iop = Add | Sub | And | Or | Xor | Shl | Asr | Lsr | Mul | Sdiv
+
+(** Whether [op] has an immediate form for [v]: a 12-bit add/sub
+    immediate, a shift amount, or a power-of-two multiplier (a shift).
+    And, or, xor and sdiv take registers only. *)
+let encodable op v =
+  match op with
+  | Add | Sub -> v >= 0 && v < 4096
+  | Shl | Asr | Lsr -> v >= 0 && v < 64
+  | Mul -> v > 0 && v land (v - 1) = 0
+  | And | Or | Xor | Sdiv -> false
+
+let rec log2 v = if v = 1 then 0 else 1 + log2 (v lsr 1)
+
+let alu_of = function
+  | Add -> Insn.ADD
+  | Sub -> Insn.SUB
+  | And -> Insn.AND
+  | Or -> Insn.ORR
+  | _ -> Insn.EOR
+
+let shift_of = function Shl -> Insn.Lsl | Asr -> Insn.Asr | _ -> Insn.Lsr
+
+let bitfield op dst src immr imms =
+  Insn.Bitfield { op; dst = x dst; src = x src; immr; imms }
+
+(** x[dst] = x[a] [op] b, where [b] is a register or an immediate that
+    {!encodable} accepts; any other immediate raises {!Error}. *)
+let int_op fr op dst a (b : [ `Reg of int | `Imm of int ]) =
+  match b with
+  | `Reg b ->
+      emit fr
+        (match op with
+        | Add | Sub | And | Or | Xor ->
+            Insn.Alu { op = alu_of op; flags = false; dst = x dst; src = x a;
+                       op2 = sh b }
+        | Shl | Asr | Lsr ->
+            Insn.Shiftv { op = shift_of op; dst = x dst; src = x a;
+                          amount = x b }
+        | Mul ->
+            Insn.Madd { sub = false; dst = x dst; src1 = x a; src2 = x b;
+                        acc = Reg.xzr }
+        | Sdiv -> Insn.Div { signed = true; dst = x dst; src1 = x a; src2 = x b })
+  | `Imm v when encodable op v ->
+      emit fr
+        (match op with
+        | Add | Sub ->
+            Insn.Alu { op = alu_of op; flags = false; dst = x dst; src = x a;
+                       op2 = Insn.Imm (v, 0) }
+        | Shl | Mul ->
+            let s = if op = Mul then log2 v else v in
+            bitfield Insn.UBFM dst a ((64 - s) mod 64) (63 - s)
+        | Lsr -> bitfield Insn.UBFM dst a v 63
+        | _ -> bitfield Insn.SBFM dst a v 63)
+  | `Imm v -> errorf "%s: no immediate form for #%d" fr.name v
+
+(** x[dst] = x[a] rem x[b] (signed), through the quotient in x[quot];
+    [quot] may be [dst]. *)
+let srem fr dst ~quot a b =
+  emit fr (Insn.Div { signed = true; dst = x quot; src1 = x a; src2 = x b });
+  emit fr
+    (Insn.Madd { sub = true; dst = x dst; src1 = x quot; src2 = x b; acc = x a })
+
+let neg fr dst a = emit fr (from_xzr Insn.SUB dst a)
+let not fr dst a = emit fr (from_xzr Insn.ORN dst a)
+
+(** Set the flags from x[a] - b; an immediate [b] must be an add/sub
+    one, as for {!int_op}. *)
+let cmp fr a (b : [ `Reg of int | `Imm of int ]) =
+  let op2 =
+    match b with
+    | `Reg b -> sh b
+    | `Imm v when encodable Sub v -> Insn.Imm (v, 0)
+    | `Imm v -> errorf "%s: no compare immediate form for #%d" fr.name v
+  in
+  emit fr (Insn.Alu { op = Insn.SUB; flags = true; dst = Reg.xzr; src = x a; op2 })
+
+let fcmp fr a b = emit fr (Insn.Fcmp { src1 = d a; src2 = Some (d b) })
+
+(** x[dst] = 1 if [cond] holds on the flags, else 0. *)
+let cset fr dst cond =
+  emit fr
+    (Insn.Csel { op = Insn.CSINC; dst = x dst; src1 = Reg.xzr; src2 = Reg.xzr;
+                 cond = Insn.invert_cond cond })
+
+let fop1 fr op dst a = emit fr (Insn.Fop1 { op; dst = d dst; src = d a })
+
+let fop2 fr op dst a b =
+  emit fr (Insn.Fop2 { op; dst = d dst; src1 = d a; src2 = d b })
+
+(** d[dst] = the signed integer x[a] as a double, and back, truncating
+    toward zero. *)
+let scvtf fr dst a = emit fr (Insn.Scvtf { signed = true; dst = d dst; src = x a })
+
+let fcvtzs fr dst a =
+  emit fr (Insn.Fcvtzs { signed = true; dst = x dst; src = d a })
 
 (* ---- scratch registers and spill temps ---- *)
 

@@ -225,83 +225,43 @@ let local_set ctx n =
       Frame.store_home ctx.fr h r;
       Frame.free_fp ctx.fr r
 
+let iop_of = function
+  | W.Add -> Frame.Add
+  | W.Sub -> Frame.Sub
+  | W.And -> Frame.And
+  | W.Or -> Frame.Or
+  | W.Xor -> Frame.Xor
+  | W.Shl -> Frame.Shl
+  | W.Shr_s -> Frame.Asr
+  | W.Shr_u -> Frame.Lsr
+  | W.Mul -> Frame.Mul
+  | W.Div_s -> Frame.Sdiv
+  | W.Rem_s -> invalid_arg "iop_of: rem has no iop"
+
+(** A popped operand in a register, materialising an immediate. *)
+let to_reg ctx = function
+  | `Reg r -> r
+  | `Imm v ->
+      let r = Frame.alloc_int ctx.fr in
+      Frame.const ctx.fr r v;
+      r
+
 let compile_ibin ctx (op : W.ibinop) =
   let fold = pop_int_or_imm ctx in
   let ra = pop_int ctx in
   let rr = Frame.alloc_int ctx.fr in
   (match (op, fold) with
-  | W.Add, `Imm v ->
-      emit ctx
-        (Insn.Alu { op = Insn.ADD; flags = false; dst = x rr; src = x ra;
-                    op2 = Insn.Imm (v, 0) })
-  | W.Sub, `Imm v ->
-      emit ctx
-        (Insn.Alu { op = Insn.SUB; flags = false; dst = x rr; src = x ra;
-                    op2 = Insn.Imm (v, 0) })
-  | W.Shl, `Imm v when v < 64 ->
-      emit ctx
-        (Insn.Bitfield { op = Insn.UBFM; dst = x rr; src = x ra;
-                         immr = (64 - v) mod 64; imms = 63 - v })
-  | W.Shr_s, `Imm v when v < 64 ->
-      emit ctx
-        (Insn.Bitfield { op = Insn.SBFM; dst = x rr; src = x ra; immr = v;
-                         imms = 63 })
-  | W.Shr_u, `Imm v when v < 64 ->
-      emit ctx
-        (Insn.Bitfield { op = Insn.UBFM; dst = x rr; src = x ra; immr = v;
-                         imms = 63 })
-  | W.Mul, `Imm v when v > 0 && v land (v - 1) = 0 ->
-      let rec lg i = if 1 lsl i = v then i else lg (i + 1) in
-      let s = lg 0 in
-      emit ctx
-        (Insn.Bitfield { op = Insn.UBFM; dst = x rr; src = x ra;
-                         immr = (64 - s) mod 64; imms = 63 - s })
-  | _, fold ->
-      let rb =
-        match fold with
-        | `Reg r -> r
-        | `Imm v ->
-            let r = Frame.alloc_int ctx.fr in
-            Frame.const ctx.fr r v;
-            r
-      in
-      (match op with
-      | W.Add | W.Sub | W.And | W.Or | W.Xor ->
-          let aop =
-            match op with
-            | W.Add -> Insn.ADD
-            | W.Sub -> Insn.SUB
-            | W.And -> Insn.AND
-            | W.Or -> Insn.ORR
-            | _ -> Insn.EOR
-          in
-          emit ctx
-            (Insn.Alu { op = aop; flags = false; dst = x rr; src = x ra;
-                        op2 = Insn.Sh (x rb, Insn.Lsl, 0) })
-      | W.Mul ->
-          emit ctx
-            (Insn.Madd { sub = false; dst = x rr; src1 = x ra; src2 = x rb;
-                         acc = Reg.xzr })
-      | W.Div_s ->
-          emit ctx
-            (Insn.Div { signed = true; dst = x rr; src1 = x ra; src2 = x rb })
-      | W.Rem_s ->
-          let q = Frame.alloc_int ctx.fr in
-          emit ctx
-            (Insn.Div { signed = true; dst = x q; src1 = x ra; src2 = x rb });
-          emit ctx
-            (Insn.Madd { sub = true; dst = x rr; src1 = x q; src2 = x rb;
-                         acc = x ra });
-          Frame.free_int ctx.fr q
-      | W.Shl ->
-          emit ctx (Insn.Shiftv { op = Insn.Lsl; dst = x rr; src = x ra;
-                                  amount = x rb })
-      | W.Shr_s ->
-          emit ctx (Insn.Shiftv { op = Insn.Asr; dst = x rr; src = x ra;
-                                  amount = x rb })
-      | W.Shr_u ->
-          emit ctx (Insn.Shiftv { op = Insn.Lsr; dst = x rr; src = x ra;
-                                  amount = x rb }));
+  | W.Rem_s, _ ->
+      let rb = to_reg ctx fold in
+      let q = Frame.alloc_int ctx.fr in
+      Frame.srem ctx.fr rr ~quot:q ra rb;
+      Frame.free_int ctx.fr q;
+      Frame.free_int ctx.fr rb
+  | _, `Imm v when Frame.encodable (iop_of op) v ->
+      Frame.int_op ctx.fr (iop_of op) rr ra fold
+  | _ ->
+      let rb = to_reg ctx fold in
+      Frame.int_op ctx.fr (iop_of op) rr ra (`Reg rb);
       Frame.free_int ctx.fr rb);
   Frame.free_int ctx.fr ra;
   push ctx (SInt rr)
@@ -318,21 +278,11 @@ let cond_of_icmp = function
 let compile_icmp ctx (op : W.icmp) =
   let fold = pop_int_or_imm ctx in
   let ra = pop_int ctx in
-  (match fold with
-  | `Imm v ->
-      emit ctx
-        (Insn.Alu { op = Insn.SUB; flags = true; dst = Reg.xzr; src = x ra;
-                    op2 = Insn.Imm (v, 0) })
-  | `Reg rb ->
-      emit ctx
-        (Insn.Alu { op = Insn.SUB; flags = true; dst = Reg.xzr; src = x ra;
-                    op2 = Insn.Sh (x rb, Insn.Lsl, 0) });
-      Frame.free_int ctx.fr rb);
+  Frame.cmp ctx.fr ra fold;
+  (match fold with `Reg rb -> Frame.free_int ctx.fr rb | `Imm _ -> ());
   Frame.free_int ctx.fr ra;
   let rr = Frame.alloc_int ctx.fr in
-  emit ctx
-    (Insn.Csel { op = Insn.CSINC; dst = x rr; src1 = Reg.xzr;
-                 src2 = Reg.xzr; cond = Insn.invert_cond (cond_of_icmp op) });
+  Frame.cset ctx.fr rr (cond_of_icmp op);
   push ctx (SInt rr)
 
 let compile_load ctx (e : W.elt) off =
@@ -441,62 +391,44 @@ let rec compile_instr ctx (i : W.instr) =
         | W.Fmul -> Insn.FMUL
         | W.Fdiv -> Insn.FDIV
       in
-      emit ctx (Insn.Fop2 { op = fop; dst = d rr; src1 = d ra; src2 = d rb });
+      Frame.fop2 ctx.fr fop rr ra rb;
       Frame.free_fp ctx.fr ra;
       Frame.free_fp ctx.fr rb;
       push ctx (SFlt rr)
   | W.Fcmp op ->
       let rb = pop_fp ctx in
       let ra = pop_fp ctx in
-      emit ctx (Insn.Fcmp { src1 = d ra; src2 = Some (d rb) });
+      Frame.fcmp ctx.fr ra rb;
       Frame.free_fp ctx.fr ra;
       Frame.free_fp ctx.fr rb;
-      let cond =
-        match op with W.Feq -> Insn.EQ | W.Flt -> Insn.MI | W.Fle -> Insn.LS
-      in
       let rr = Frame.alloc_int ctx.fr in
-      emit ctx
-        (Insn.Csel { op = Insn.CSINC; dst = x rr; src1 = Reg.xzr;
-                     src2 = Reg.xzr; cond = Insn.invert_cond cond });
+      Frame.cset ctx.fr rr
+        (match op with W.Feq -> Insn.EQ | W.Flt -> Insn.MI | W.Fle -> Insn.LS);
       push ctx (SInt rr)
-  | W.Ineg ->
+  | W.Ineg | W.Inot ->
       let ra = pop_int ctx in
       let rr = Frame.alloc_int ctx.fr in
-      emit ctx
-        (Insn.Alu { op = Insn.SUB; flags = false; dst = x rr; src = Reg.xzr;
-                    op2 = Insn.Sh (x ra, Insn.Lsl, 0) });
-      Frame.free_int ctx.fr ra;
-      push ctx (SInt rr)
-  | W.Inot ->
-      let ra = pop_int ctx in
-      let rr = Frame.alloc_int ctx.fr in
-      emit ctx
-        (Insn.Alu { op = Insn.ORN; flags = false; dst = x rr; src = Reg.xzr;
-                    op2 = Insn.Sh (x ra, Insn.Lsl, 0) });
+      (if i = W.Ineg then Frame.neg else Frame.not) ctx.fr rr ra;
       Frame.free_int ctx.fr ra;
       push ctx (SInt rr)
   | W.Fneg | W.Fsqrt | W.Fabs ->
       let ra = pop_fp ctx in
       let rr = Frame.alloc_fp ctx.fr in
-      let op =
-        match i with
-        | W.Fneg -> Insn.FNEG
-        | W.Fsqrt -> Insn.FSQRT
-        | _ -> Insn.FABS
-      in
-      emit ctx (Insn.Fop1 { op; dst = d rr; src = d ra });
+      Frame.fop1 ctx.fr
+        (match i with W.Fneg -> Insn.FNEG | W.Fsqrt -> Insn.FSQRT | _ -> Insn.FABS)
+        rr ra;
       Frame.free_fp ctx.fr ra;
       push ctx (SFlt rr)
   | W.I_to_f ->
       let ra = pop_int ctx in
       let rr = Frame.alloc_fp ctx.fr in
-      emit ctx (Insn.Scvtf { signed = true; dst = d rr; src = x ra });
+      Frame.scvtf ctx.fr rr ra;
       Frame.free_int ctx.fr ra;
       push ctx (SFlt rr)
   | W.F_to_i ->
       let ra = pop_fp ctx in
       let rr = Frame.alloc_int ctx.fr in
-      emit ctx (Insn.Fcvtzs { signed = true; dst = x rr; src = d ra });
+      Frame.fcvtzs ctx.fr rr ra;
       Frame.free_fp ctx.fr ra;
       push ctx (SInt rr)
   | W.Load (e, off) -> compile_load ctx e off
@@ -516,19 +448,14 @@ let rec compile_instr ctx (i : W.instr) =
       (* bounds + signature checks (the cost Wasm pays that LFI does
          not, §6.2) *)
       if ctx.eng.Engine.indirect_checks then begin
-        emit ctx
-          (Insn.Alu { op = Insn.SUB; flags = true; dst = Reg.xzr;
-                      src = x idx;
-                      op2 = Insn.Imm (Array.length ctx.m.W.table, 0) });
+        Frame.cmp ctx.fr idx (`Imm (Array.length ctx.m.W.table));
         emit ctx (Insn.Bcond (Insn.CS, Insn.Sym trap_label));
         let rs = Frame.alloc_int ctx.fr in
         emit ctx (Insn.Adr { page = false; dst = x rs; target = Insn.Sym sigs_label });
         emit ctx
           (Insn.Ldr { sz = Insn.X; signed = false; dst = x rs;
                       addr = Insn.Reg_off (x rs, x idx, Insn.Uxtx, 3) });
-        emit ctx
-          (Insn.Alu { op = Insn.SUB; flags = true; dst = Reg.xzr; src = x rs;
-                      op2 = Insn.Imm (tyn, 0) });
+        Frame.cmp ctx.fr rs (`Imm tyn);
         emit ctx (Insn.Bcond (Insn.NE, Insn.Sym trap_label));
         Frame.free_int ctx.fr rs
       end;

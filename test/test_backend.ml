@@ -214,6 +214,55 @@ let test_file_growth () =
       Alcotest.(check string) "tail" "abc" (Bytes.to_string back)
   | Ok _ -> Alcotest.fail "wrong fd kind"
 
+(* ---------------- operation selector ---------------- *)
+
+(* Both compilers emit every operation through Frame.int_op and
+   Frame.cmp: at the boundary immediates of each operation, the
+   selector either emits instructions that encode or raises
+   Frame.Error; it never hands the assembler a field out of range. *)
+let test_selector_fails_closed () =
+  let open Lfi_arm64 in
+  let boundaries =
+    [ min_int; -4096; -1; 0; 1; 2; 3; 5; 62; 63; 64; 65; 4095; 4096;
+      1 lsl 60; 1 lsl 61; max_int ]
+  in
+  let encoded = ref 0 in
+  let check_emit what f =
+    let fr = Frame.create ~name:what ~int_homes:[] ~fp_homes:[] [] [] in
+    match f fr with
+    | exception Frame.Error _ -> ()
+    | () ->
+        incr encoded;
+        List.iter
+          (function
+            | Lfi_arm64.Source.Insn i -> (
+                match Isa.encode i with
+                | Ok _ -> ()
+                | Error e -> Alcotest.failf "%s: %s" what e)
+            | _ -> ())
+          fr.Frame.out
+  in
+  List.iter
+    (fun (name, op) ->
+      check_emit (name ^ " reg") (fun fr -> Frame.int_op fr op 9 10 (`Reg 11));
+      List.iter
+        (fun v ->
+          check_emit (Printf.sprintf "%s #%d" name v) (fun fr ->
+              Frame.int_op fr op 9 10 (`Imm v)))
+        boundaries)
+    Frame.
+      [ ("add", Add); ("sub", Sub); ("and", And); ("or", Or); ("xor", Xor);
+        ("shl", Shl); ("asr", Asr); ("lsr", Lsr); ("mul", Mul);
+        ("sdiv", Sdiv) ];
+  List.iter
+    (fun v ->
+      check_emit (Printf.sprintf "cmp #%d" v) (fun fr -> Frame.cmp fr 9 (`Imm v)))
+    boundaries;
+  (* 10 register forms; add, sub and cmp take 0..4095 (3 x 10 of the
+     boundaries), the shifts 0..63 (3 x 7), mul 1, 2, 64, 4096, 2^60
+     and 2^61 *)
+  checki "forms that encode" (10 + 30 + 21 + 6) !encoded
+
 (* ---------------- memory property ---------------- *)
 
 let prop_memory_roundtrip =
@@ -255,6 +304,7 @@ let () =
           mk "float return" test_float_return;
           mk "recursion depth" test_recursion_depth;
           mk "stack overflow contained" test_stack_overflow_contained;
+          mk "selector fails closed" test_selector_fails_closed;
         ] );
       ( "vfs",
         [
