@@ -1,4 +1,4 @@
-.PHONY: all build check test goldens decode-pin bench bench-json serve-bench experiments serve-trace-demo crash-demo trace-demo fuzz-smoke fuzz prove-smoke prove clean
+.PHONY: all build check test goldens decode-pin bench serve-bench experiments serve-trace-demo crash-demo trace-demo fuzz-smoke fuzz prove-smoke prove clean
 
 all: build
 
@@ -43,14 +43,6 @@ decode-pin:
 bench:
 	dune exec bin/lfi_bench.exe
 
-# Simulated benchmark: insns, simulated cycles, cache and block-engine
-# stats, percent over native and rewriter/verifier counts on mcf and
-# xz under both uarch models.  Every number is deterministic, so CI
-# re-runs this and diffs BENCH_emulator.json against the committed
-# copy.  Host speed is measured by perfbench (BENCHMARK.json).
-bench-json:
-	dune exec bench/main.exe -- --json BENCH_emulator.json
-
 # Library-serving benchmark: replay a seeded request stream through a
 # pool of warm sandboxed-library instances and commit the lfi-serve/v3
 # report plus the lfi-snap/v2 snapshot stream; --suite appends the
@@ -67,12 +59,17 @@ serve-bench:
 
 # Deterministic experiment suite: the stdout of every experiment but
 # E6 (verifier throughput, which is wall clock) - E1-E5, E7-E9 and
-# CoreMark, all simulated cycles - written to a committed file.  CI
-# re-runs this and diffs the file, so a change that moves any printed
-# paper number shows up as a diff.
+# CoreMark, all simulated cycles - written to a committed file, and
+# the simulated benchmark record BENCH_emulator.json (insns, simulated
+# cycles, cache and block-engine stats, percent over native and
+# rewriter/verifier counts on mcf and xz under both uarch models).  CI
+# re-runs this and diffs both files, so a change that moves any
+# simulated number shows up as a diff.  Host speed is measured by
+# perfbench (BENCHMARK.json).
 experiments:
-	dune exec bin/lfi_bench.exe -- fig3 fig4 codesize fig5 table5 \
-	  ablation spectre serve coremark > test/experiments_golden.txt
+	dune exec bin/lfi_bench.exe -- --json BENCH_emulator.json fig3 fig4 \
+	  codesize fig5 table5 ablation spectre serve coremark \
+	  > test/experiments_golden.txt
 
 # Serving observability demo: serve the slowbox workload (whose rare
 # `grind` export deliberately blows its latency SLO), writing a

@@ -1,5 +1,6 @@
 (* lfi-bench: regenerate the paper's tables and figures — every
-   experiment, or the ones named on the command line. *)
+   experiment, or the ones named on the command line — and, with
+   --json FILE, the simulated benchmark record BENCH_emulator.json. *)
 
 open Cmdliner
 
@@ -28,7 +29,7 @@ let experiments =
 
 let name (n, _, _) = n
 
-let run filter names =
+let run filter json names =
   (match filter with
   | [] -> ()
   | fs ->
@@ -40,7 +41,9 @@ let run filter names =
           end)
         fs;
       Lfi_workloads.Registry.filter := fs);
-  let names = if names = [] then List.map name experiments else names in
+  let names =
+    if names = [] && json = None then List.map name experiments else names
+  in
   List.iter
     (fun n ->
       match List.find_opt (fun e -> name e = n) experiments with
@@ -57,7 +60,12 @@ let run filter names =
           Printf.eprintf "unknown experiment %S (available: %s)\n" n
             (String.concat ", " (List.map name experiments));
           exit 2)
-    names
+    names;
+  Option.iter
+    (fun file ->
+      Lfi_experiments.Bench_emulator.write file;
+      Printf.eprintf "wrote %s\n%!" file)
+    json
 
 let cmd =
   let names = Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT") in
@@ -72,8 +80,19 @@ let cmd =
              workloads, so a single one can be re-measured during perf \
              iteration.")
   in
+  let json =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "json" ] ~docv:"FILE"
+          ~doc:
+            "After the experiments, write the simulated benchmark record \
+             (schema lfi-bench/v6: emulator samples, overhead rows, \
+             rewriter and verifier counts on mcf and xz) to $(docv).  \
+             With no $(i,EXPERIMENT), only the file is written.")
+  in
   Cmd.v
     (Cmd.info "lfi-bench" ~doc:"Regenerate the paper's tables and figures")
-    Term.(const run $ filter $ names)
+    Term.(const run $ filter $ json $ names)
 
 let () = exit (Cmd.eval cmd)
