@@ -26,7 +26,7 @@ let table ~(uarch : Cost_model.t) : Report.table =
           Report.overhead_row r
           @ [ Printf.sprintf "%.2f%%" (kvm_miss_rate r *. 100.) ])
         grid
-      @ [ Report.geomean_row grid @ [ "" ] ];
+      @ [ Report.geomean_row grid ];
     notes =
       [ "KVM = nested page tables double the TLB-walk cost (§6.4); \
          paper shape: KVM a few percent, spiking on TLB-heavy \

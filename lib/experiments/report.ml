@@ -33,14 +33,17 @@ let render (t : table) : string =
   List.iter
     (List.iteri (fun c cell -> widths.(c) <- max widths.(c) (String.length cell)))
     all;
+  (* the first column is left-aligned, the rest right-aligned; two
+     spaces separate columns and nothing follows the last cell *)
   let render_row r =
+    let last = List.length r - 1 in
     List.iteri
       (fun c cell ->
-        let pad = widths.(c) - String.length cell in
-        if c = 0 then
-          Buffer.add_string buf (cell ^ String.make (pad + 2) ' ')
-        else
-          Buffer.add_string buf (String.make pad ' ' ^ cell ^ "  "))
+        let pad = String.make (widths.(c) - String.length cell) ' ' in
+        let sep = if c = last then "" else "  " in
+        Buffer.add_string buf
+          (if c = 0 then cell ^ (if c = last then "" else pad) ^ sep
+           else pad ^ cell ^ sep))
       r;
     Buffer.add_char buf '\n'
   in
