@@ -69,14 +69,16 @@ let trace_pid = 2
     switch ({!Lfi_runtime.Runtime.lfi_sched_bookkeeping}). *)
 let dispatch_decision_cycles = 8.0
 
+(** Width of one SLO/latency window in simulated cycles, and how many
+    recent windows each ring keeps. *)
+let window_cycles = 50_000.0
+let window_depth = 128
+
 (* xorshift64; the single source of randomness for the stream *)
 let make_rng (seed : int) =
   let s = ref (Int64.of_int ((seed * 2654435761) lor 1)) in
   fun (bound : int) ->
-    let x = !s in
-    let x = Int64.logxor x (Int64.shift_left x 13) in
-    let x = Int64.logxor x (Int64.shift_right_logical x 7) in
-    let x = Int64.logxor x (Int64.shift_left x 17) in
+    let x = Arrival.xorshift64 !s in
     s := x;
     Int64.to_int (Int64.rem (Int64.logand x Int64.max_int) (Int64.of_int bound))
 
@@ -103,12 +105,8 @@ let range_burn (ob : Slo.objective option) (r : Window.rstats) : float =
   match ob with
   | None -> 0.0
   | Some ob ->
-      Float.max
-        (Slo.burn ~bad:r.Window.r_over ~total:r.Window.r_ok
-           ~budget:ob.Slo.latency_budget)
-        (Slo.burn ~bad:r.Window.r_err
-           ~total:(r.Window.r_ok + r.Window.r_err)
-           ~budget:ob.Slo.error_budget)
+      let latency, errors = Slo.burns ob r in
+      Float.max latency errors
 
 (** One admitted request waiting in a tenant queue. *)
 type pending = {
@@ -127,7 +125,6 @@ type params = {
   uarch : Cost_model.t;
   config : Lfi_core.Config.t;
   filter : string list;
-  window_cycles : float;
   arrival : Arrival.t;
   pool_size : int;
   requests : int;
@@ -268,7 +265,7 @@ let frame_of (p : params) (s : sched) (a : acct) : Json.t =
       ("completed", Int s.pool.Pool.served);
       ("failed", Int s.pool.Pool.failed);
       ("instances_lost", Int (Pool.retired s.pool));
-      ("window_cycles", f0 p.window_cycles);
+      ("window_cycles", f0 window_cycles);
       ("windows", Int (Window.spanned a.overall));
       ("exports", Arr (List.map export a.exports));
       ("slots", slot_rows s.pool);
@@ -279,9 +276,10 @@ let frame_of (p : params) (s : sched) (a : acct) : Json.t =
 
 (* ---------------- Accounting -------------------------------------- *)
 
-let new_acct ~(slos : Api.slo list) ~stream ~tenants ~origin ~depth
-    ~width : acct =
-  let window () = Window.create ~depth ~origin ~width () in
+let new_acct ~(slos : Api.slo list) ~stream ~tenants ~origin : acct =
+  let window () =
+    Window.create ~depth:window_depth ~origin ~width:window_cycles ()
+  in
   let slo_of name =
     List.find_opt (fun o -> o.Api.s_export = name) slos
     |> Option.map (fun o -> o.Api.s_objective)
@@ -317,16 +315,14 @@ let eval_closed (p : params) (a : acct) gcur =
                     Trace.instant t ~name:("slo:" ^ name) ~cat:"slo"
                       ~ts:
                         (p.origin
-                        +. (float_of_int (w_seq + 1) *. p.window_cycles))
+                        +. (float_of_int (w_seq + 1) *. window_cycles))
                       ~pid:trace_pid ~tid:0
                       ~args:
                         [ ("kind", Trace.Str (Slo.kind_name kind));
                           ("window", Trace.Int w_seq);
                           ("fast", Trace.Float fast);
                           ("slow", Trace.Float slow) ])
-              (Slo.check ob
-                 ~fast:(f.Window.r_over, f.Window.r_err, f.Window.r_ok)
-                 ~slow:(sl.Window.r_over, sl.Window.r_err, sl.Window.r_ok)))
+              (Slo.check ob ~fast:f ~slow:sl))
       a.exports
   done;
   if gcur - 1 > a.last_eval then a.last_eval <- gcur - 1
@@ -581,12 +577,12 @@ type report = {
 }
 
 (* the report's windows and slo sections *)
-let windows_json (p : params) (a : acct) : Json.t =
+let windows_json (a : acct) : Json.t =
   let open Json in
   let om = Window.merged a.overall in
   Obj
     [
-      ("window_cycles", f0 p.window_cycles);
+      ("window_cycles", f0 window_cycles);
       ("spanned", Int (Window.spanned a.overall));
       ("evicted", Int (Window.evicted a.overall));
       ("overall", Obj (percentiles om @ [ ("mean", f1 (mean_or_nan om)) ]));
@@ -725,7 +721,7 @@ let report_of (p : params) (s : sched) (a : acct) : report =
              advances it only under the open/closed arrival models) *)
           ("phases", phases_json a);
           (* rolling (windowed) view: what lfi_top shows live *)
-          ("windows", windows_json p a);
+          ("windows", windows_json a);
           ("slo", slo_json p a);
           (* v3: arrival model, end-to-end latency, and the scheduling
              layer *)
@@ -801,8 +797,7 @@ let report_of (p : params) (s : sched) (a : acct) : report =
     setup, then drive under the [arrival] model, then read the report
     off the accounting record. *)
 let run ?(uarch = Cost_model.m1) ?(config = Lfi_core.Config.o2)
-    ?(filter : string list = []) ?(window_cycles = 50_000.0)
-    ?(window_depth = 128) ?(trace : Trace.t option) ?(snapshot_every = 0)
+    ?(filter : string list = []) ?(trace : Trace.t option) ?(snapshot_every = 0)
     ?(arrival = Arrival.Replay)
     ?(tenants : Tenant.spec list = [ Tenant.default_spec ])
     ?(batch_max = 8) ~(spec : Api.lib_spec) ~(pool : int) ~(requests : int)
@@ -882,7 +877,6 @@ let run ?(uarch = Cost_model.m1) ?(config = Lfi_core.Config.o2)
   let origin = now s in
   let a =
     new_acct ~slos:spec.Api.l_slos ~stream ~tenants:n ~origin
-      ~depth:window_depth ~width:window_cycles
   in
   let gaps =
     match arrival with
@@ -895,7 +889,7 @@ let run ?(uarch = Cost_model.m1) ?(config = Lfi_core.Config.o2)
       next_at = (match gaps with Some gap -> origin +. gap () | None -> 0.0) }
   in
   let p =
-    { spec; uarch; config; filter; window_cycles; arrival; pool_size = pool;
+    { spec; uarch; config; filter; arrival; pool_size = pool;
       requests; seed; snapshot_every; trace; origin }
   in
   (* ---------------- drive, then report ----------------------------- *)

@@ -49,17 +49,20 @@ let ln (x : float) : float =
   in
   (2.0 *. go 3 z z) +. (float_of_int e *. ln2)
 
-(* xorshift64, the same generator the request stream uses, on its own
-   stream so timing never perturbs the request sequence *)
+(** One xorshift64 step: the generator behind the request stream
+    ([Serve.make_rng]) and the arrival gaps, each on its own seeding. *)
+let xorshift64 x =
+  let x = Int64.logxor x (Int64.shift_left x 13) in
+  let x = Int64.logxor x (Int64.shift_right_logical x 7) in
+  Int64.logxor x (Int64.shift_left x 17)
+
+(* the arrival gaps' own stream, so timing never perturbs the request
+   sequence *)
 let make_raw_rng (seed : int) =
   let s = ref (Int64.of_int ((seed * 0x9E3779B9) lxor 0x5DEECE66D lor 1)) in
   fun () ->
-    let x = !s in
-    let x = Int64.logxor x (Int64.shift_left x 13) in
-    let x = Int64.logxor x (Int64.shift_right_logical x 7) in
-    let x = Int64.logxor x (Int64.shift_left x 17) in
-    s := x;
-    x
+    s := xorshift64 !s;
+    !s
 
 let two_pow_53 = 9007199254740992.0
 

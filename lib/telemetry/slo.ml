@@ -51,20 +51,20 @@ let burn ~(bad : int) ~(total : int) ~(budget : float) : float =
   if total = 0 || budget <= 0.0 then 0.0
   else float_of_int bad /. float_of_int total /. budget
 
-(** Evaluate one objective over a closed window.  [fast] and [slow]
-    are [(over, err, ok)] counter sums for the fast and slow windows;
-    returns the (kind, fast-burn, slow-burn) of every dimension whose
-    burn rate is ≥ 1.0 in both windows. *)
-let check (ob : objective) ~(fast : int * int * int)
-    ~(slow : int * int * int) : (kind * float * float) list =
-  let f_over, f_err, f_ok = fast and s_over, s_err, s_ok = slow in
-  let lat_f = burn ~bad:f_over ~total:f_ok ~budget:ob.latency_budget
-  and lat_s = burn ~bad:s_over ~total:s_ok ~budget:ob.latency_budget
-  and err_f =
-    burn ~bad:f_err ~total:(f_ok + f_err) ~budget:ob.error_budget
-  and err_s =
-    burn ~bad:s_err ~total:(s_ok + s_err) ~budget:ob.error_budget
-  in
+(** The latency and error burn rates of [ob] over the counter sums
+    [r] of a window range. *)
+let burns (ob : objective) (r : Window.rstats) : float * float =
+  ( burn ~bad:r.Window.r_over ~total:r.Window.r_ok ~budget:ob.latency_budget,
+    burn ~bad:r.Window.r_err ~total:(r.Window.r_ok + r.Window.r_err)
+      ~budget:ob.error_budget )
+
+(** Evaluate one objective over a closed window, given the counter sums
+    of the fast and slow windows; returns the (kind, fast-burn,
+    slow-burn) of every dimension whose burn rate is ≥ 1.0 in both
+    windows. *)
+let check (ob : objective) ~(fast : Window.rstats) ~(slow : Window.rstats) :
+    (kind * float * float) list =
+  let lat_f, err_f = burns ob fast and lat_s, err_s = burns ob slow in
   let hits = [] in
   let hits =
     if err_f >= 1.0 && err_s >= 1.0 then (Error_rate, err_f, err_s) :: hits
