@@ -33,18 +33,16 @@ let render (t : table) : string =
   List.iter
     (List.iteri (fun c cell -> widths.(c) <- max widths.(c) (String.length cell)))
     all;
-  (* the first column is left-aligned, the rest right-aligned; two
-     spaces separate columns and nothing follows the last cell *)
+  (* the first column is left-aligned, the rest right-aligned; nothing
+     follows a row's last cell *)
   let render_row r =
     let last = List.length r - 1 in
-    List.iteri
+    List.mapi
       (fun c cell ->
         let pad = String.make (widths.(c) - String.length cell) ' ' in
-        let sep = if c = last then "" else "  " in
-        Buffer.add_string buf
-          (if c = 0 then cell ^ (if c = last then "" else pad) ^ sep
-           else pad ^ cell ^ sep))
-      r;
+        if c > 0 then pad ^ cell else if c < last then cell ^ pad else cell)
+      r
+    |> String.concat "  " |> Buffer.add_string buf;
     Buffer.add_char buf '\n'
   in
   render_row t.header;

@@ -89,9 +89,6 @@ let cond_of_binop = function
   | Gt -> Some Insn.GT
   | Ge -> Some Insn.GE
   | Ult -> Some Insn.CC
-  | _ -> None
-
-let fcond_of_binop = function
   | FEq -> Some Insn.EQ
   | FLt -> Some Insn.MI
   | FLe -> Some Insn.LS
@@ -165,16 +162,9 @@ let rec compile_int ctx (e : expr) : int =
 and compile_int_bin ctx op a b : int =
   match op with
   | FAdd | FSub | FMul | FDiv -> errorf "float expression in int context"
-  | Eq | Ne | Lt | Le | Gt | Ge | Ult ->
+  | Eq | Ne | Lt | Le | Gt | Ge | Ult | FEq | FLt | FLe ->
       (* comparison as a value: cmp ; cset *)
-      let cond = Option.get (cond_of_binop op) in
-      compile_compare ctx a b;
-      let r = Frame.alloc_int ctx.fr in
-      Frame.cset ctx.fr r cond;
-      r
-  | FEq | FLt | FLe ->
-      let cond = Option.get (fcond_of_binop op) in
-      compile_fcompare ctx a b;
+      let cond = compile_compare ctx op a b in
       let r = Frame.alloc_int ctx.fr in
       Frame.cset ctx.fr r cond;
       r
@@ -462,10 +452,16 @@ and compile_call ctx (target : [ `Direct of string | `Indirect of expr | `Sys of
           free ctx (VInt r)
       | `None -> assert false)
 
-(** cmp a, b (integer). *)
-and compile_compare ctx a b =
-  match b with
-  | Int v when Frame.encodable Frame.Sub v ->
+(** Set the flags from comparison [op] of [a] and [b] (cmp or fcmp), and
+    return the condition that holds when it is true. *)
+and compile_compare ctx op a b : Insn.cond =
+  (match (op, b) with
+  | (FEq | FLt | FLe), _ ->
+      let ra, rb = compile_fpair ctx a b in
+      Frame.fcmp ctx.fr ra rb;
+      free ctx (VFlt ra);
+      free ctx (VFlt rb)
+  | _, Int v when Frame.encodable Frame.Sub v ->
       let ra = compile_int ctx a in
       Frame.cmp ctx.fr ra (`Imm v);
       free ctx (VInt ra)
@@ -473,13 +469,8 @@ and compile_compare ctx a b =
       let ra, rb = compile_pair ctx a b in
       Frame.cmp ctx.fr ra (`Reg rb);
       free ctx (VInt ra);
-      free ctx (VInt rb)
-
-and compile_fcompare ctx a b =
-  let ra, rb = compile_fpair ctx a b in
-  Frame.fcmp ctx.fr ra rb;
-  free ctx (VFlt ra);
-  free ctx (VFlt rb)
+      free ctx (VInt rb));
+  Option.get (cond_of_binop op)
 
 (** Compile [e] as a branch condition: jump to [target] when [e] is
     false (if [jump_if_false]) or true. *)
@@ -490,11 +481,7 @@ let compile_cond ctx (e : expr) ~(target : string) ~(jump_if_false : bool) =
   in
   match e with
   | Bin (op, a, b) when cond_of_binop op <> None ->
-      compile_compare ctx a b;
-      bcond (Option.get (cond_of_binop op))
-  | Bin (op, a, b) when fcond_of_binop op <> None ->
-      compile_fcompare ctx a b;
-      bcond (Option.get (fcond_of_binop op))
+      bcond (compile_compare ctx op a b)
   | _ ->
       let r = compile_int ctx e in
       emit ctx
