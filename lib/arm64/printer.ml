@@ -200,5 +200,3 @@ let to_string (i : t) : string =
   | Msr { sysreg; src } -> s "msr %s, %s" sysreg (buf_reg src)
   | Dmb -> "dmb ish"
   | Udf n -> s "udf #%d" n
-
-let pp fmt i = Format.pp_print_string fmt (to_string i)

@@ -23,8 +23,6 @@ let item_to_string = function
 let to_string (src : t) =
   String.concat "\n" (List.map item_to_string src) ^ "\n"
 
-let pp fmt src = Format.pp_print_string fmt (to_string src)
-
 (** All instructions, in order. *)
 let insns (src : t) =
   List.filter_map (function Insn i -> Some i | _ -> None) src

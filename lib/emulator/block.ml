@@ -32,18 +32,9 @@
 
 open Machine
 
-let block_page (m : Machine.t) (idx : int) : bpage =
-  match Hashtbl.find_opt m.blocks idx with
-  | Some bp -> bp
-  | None ->
-      let bp =
-        { bp_entries = Array.make Machine.decode_slots no_blk; bp_blocks = [] }
-      in
-      Hashtbl.replace m.blocks idx bp;
-      bp
-
-(** Collect and register the block entered at [pci] from the decode
-    slots, filling them on a miss.  Building is the execution attempt
+(** Collect the block entered at [pci] from the decode slots, filling
+    them on a miss, and register it on the code records of the pages
+    it overlaps.  Building is the execution attempt
     at that pc: the dispatch loop does not maintain the pc slot, so
     materialize it here first — a fetch fault (misaligned or unmapped
     entry) must leave the pc at the faulting instruction, exactly like
@@ -85,12 +76,11 @@ let build (m : Machine.t) (pci : int) : blk =
   let pidx = pci lsr Memory.page_bits in
   let lastpc = pci + (4 * (total - 1)) in
   let npages = if lastpc lsr Memory.page_bits <> pidx then 2 else 1 in
+  let wx = Memory.(pb_w lor pb_x) in
   let page_wx idx =
     match Memory.find_page_by_index m.mem idx with
     | None -> false
-    | Some p ->
-        let pm = Memory.page_perm p in
-        pm.Memory.w && pm.Memory.x
+    | Some p -> Memory.page_perm p land wx = wx
   in
   let dpage idx = Machine.decode_page m idx; m.dc_page in
   let dp0 = dpage pidx in
@@ -110,28 +100,20 @@ let build (m : Machine.t) (pci : int) : blk =
       b_succ1 = no_blk;
     }
   in
-  let bp = block_page m pidx in
   let slot = (pci land (Memory.page_size - 1)) lsr 2 in
-  Array.unsafe_set bp.bp_entries slot b;
-  bp.bp_blocks <- b :: bp.bp_blocks;
-  if b.b_pages > 1 then begin
-    let bp2 = block_page m (pidx + 1) in
-    bp2.bp_blocks <- b :: bp2.bp_blocks
-  end;
+  Array.unsafe_set dp0.d_entries slot b;
+  dp0.d_blocks <- b :: dp0.d_blocks;
+  if npages > 1 then b.b_dp1.d_blocks <- b :: b.b_dp1.d_blocks;
   b
 
 (** Find the block entered at [pci], building it on a miss.  The
-    last-page pointer ([bp_idx]/[bp_arr]) makes the common case two
-    compares and an array load. *)
+    code cache's last-page pointer, the one the step loop probes,
+    makes the common case two compares and an array load. *)
 let lookup (m : Machine.t) (pci : int) : blk =
   let pidx = pci lsr Memory.page_bits in
-  if m.bp_idx <> pidx then begin
-    let bp = block_page m pidx in
-    m.bp_idx <- pidx;
-    m.bp_arr <- bp.bp_entries
-  end;
+  if m.dc_idx <> pidx then Machine.decode_page m pidx;
   let slot = (pci land (Memory.page_size - 1)) lsr 2 in
-  let b = Array.unsafe_get m.bp_arr slot in
+  let b = Array.unsafe_get m.dc_entries slot in
   if b.b_valid && b.b_pci = pci then b else build m pci
 
 (* ------------------------------------------------------------------ *)
@@ -291,7 +273,7 @@ and tail (m : Machine.t) (remaining : int) : Interp.event =
 
     Each iteration does one bounds/translation check (host region +
     quantum budget), then runs a whole block.  Chain links are tried
-    before the block table; a quantum tail too short for the next
+    before the code cache; a quantum tail too short for the next
     block is single-stepped through {!Interp.step_raw}, so a quantum
     retires exactly [quantum] instructions and per-call instruction
     budgets (libbox) kill at an exact count. *)

@@ -25,38 +25,30 @@
     an optional TLB, and the running cycle counter that every
     experiment reports.
 
-    {2 Superblock cache}
+    {2 Code cache}
 
-    Above the decode cache sits the superblock layer (DESIGN.md §5f):
-    decoded instructions are lowered into pre-resolved closures,
-    grouped into basic blocks keyed by entry pc, and dispatched
-    block-at-a-time by {!Exec.run}, armed observers or not — see
-    {!Block} for the engine.
-    This module owns only the storage and the invalidation protocol:
-    blocks live in per-executable-page tables ({!bpage}) reached
-    through a one-entry last-page pointer, each block is registered on
-    {e every} page it overlaps (a block may straddle a page boundary),
-    and {!invalidate_code} — already fired by the memory system for
-    any map / unmap / protect / write-to-executable-page — marks every
-    overlapping block dead and unlinks it, so a stale block can never
-    run.  Chain links ([b_succ0]/[b_succ1]) are validated against
-    [b_valid] on every hop, which makes dangling links after an
-    invalidation harmless.
+    Each executable page has one code record, a {!dpage}, found
+    through one table ([decode_pages], keyed by page index) and one
+    last-page pointer ([dc_idx] and the [dc_*] arrays): the hot fetch
+    path is two integer compares and an array load, with no hashing
+    and no boxed [int64] key.  The record holds, per 4-byte word, the
+    decoded instruction, its cost, its lowered form ({!op}, filled by
+    {!Sem.fill}), the fresh flag the decode-miss counter reads at
+    retirement ({!Interp.observe}) and the superblock entered there
+    (DESIGN.md §5f; see {!Block} for the engine), plus the list of
+    every block overlapping the page — a block may straddle into the
+    next page, and is listed on both.
 
-    {2 Decode cache}
-
-    Each 4-byte instruction word of an executable page has a decode
-    slot holding the decoded instruction, its cost, its lowered form
-    ({!op}, filled by {!Sem.fill}) and the fresh flag the decode-miss
-    counter reads at retirement ({!Interp.observe}), in flat per-page arrays
-    reached through a one-entry last-page pointer — the hot fetch path
-    is two integer compares and an array load, with no hashing and no
-    boxed [int64] key allocation.  The cache participates in the memory
-    system's invalidation protocol: {!create} registers a hook on the
-    machine's {!Memory.t} so that any [map] / [unmap] / [protect] of a
-    page, or any write into an executable page, drops the decoded
-    instructions covering the affected range.  A cached instruction
-    therefore always agrees with what {!Memory.fetch} would return. *)
+    {!create} registers {!invalidate_code} on the machine's
+    {!Memory.t}, so any [map] / [unmap] / [protect] of a page, or any
+    write into an executable page, drops the records covering the
+    range in one walk: their blocks are marked dead and the pages
+    removed, and so are the straddlers entered on the page before.
+    A cached instruction therefore always agrees with what
+    {!Memory.fetch} would return, and a stale block can never run.
+    Chain links ([b_succ0]/[b_succ1]) are validated against [b_valid]
+    on every hop, which makes dangling links after an invalidation
+    harmless. *)
 
 open Lfi_arm64
 
@@ -175,9 +167,10 @@ type t = {
   mutable insns : int;
   decode_pages : (int, dpage) Hashtbl.t;  (** keyed by page index *)
   mutable dc_idx : int;  (** page index of the [dc_*] fields; -1 = none *)
-  mutable dc_page : dpage;  (** the last decode page touched ... *)
+  mutable dc_page : dpage;  (** the last code page touched ... *)
   mutable dc_cost : float array;  (** ... and its hot arrays *)
   mutable dc_op : op array;
+  mutable dc_entries : blk array;
   mutable metrics : Lfi_telemetry.Metrics.emu option;
       (** telemetry handle; [None] (the default) counts nothing and
           allocates nothing — each count site is one predictable
@@ -195,10 +188,6 @@ type t = {
       (** per-rewrite-site cycle attribution; [None] (the default)
           charges nothing — one predictable branch per fetch, same
           discipline as {!metrics} *)
-  (* --- superblock cache (see {!Block} for the engine) --- *)
-  blocks : (int, bpage) Hashtbl.t;  (** per-page block tables *)
-  mutable bp_idx : int;  (** page index of [bp_arr]; -1 = none *)
-  mutable bp_arr : blk array;  (** entry slots of the last block page *)
   mutable blk_i : int;
       (** index of the body op currently executing, maintained by the
           block dispatch loop so a memory fault mid-block can
@@ -213,15 +202,18 @@ type t = {
           next block was longer than the rest of the quantum *)
 }
 
-(** A page of decode slots: each aligned word's decoded instruction,
-    its cost under the machine's [uarch] (a flat float array, so
-    charging it is an unboxed load), its lowered form ([undecoded]
-    until first fetched) and whether it was filled while {!metrics}
-    was armed and has not retired since (its next retirement is the
-    decode miss). *)
+(** A page's code record: for each aligned word, its decoded
+    instruction, its cost under the machine's [uarch] (a flat float
+    array, so charging it is an unboxed load), its lowered form
+    ([undecoded] until first fetched), whether it was filled while
+    {!metrics} was armed and has not retired since (its next
+    retirement is the decode miss) and the block entered there
+    ([no_blk] if none); and every block overlapping the page, which
+    is what invalidation walks.  A block straddling into the page is
+    listed here though its entry slot is on the previous page. *)
 and dpage = {
   d_insn : Insn.t array; d_cost : float array; d_op : op array;
-  d_fresh : Bytes.t }
+  d_fresh : Bytes.t; d_entries : blk array; mutable d_blocks : blk list }
 
 (** The lowered form of one instruction, what both dispatch paths
     execute: a straight-line instruction's effect with its
@@ -282,18 +274,9 @@ and bterm =
       (** block ended without a branch (length cap, or the next fetch
           would fault); counts no instruction and charges no cost *)
 
-(** Per-page block table: one entry slot per aligned word (a block is
-    found by its entry pc) plus the list of every block overlapping
-    the page, which is what invalidation walks.  A block straddling
-    into a page appears in that page's [bp_blocks] even though its
-    entry slot lives on the previous page. *)
-and bpage = {
-  bp_entries : blk array;  (** [no_blk] sentinel in empty slots *)
-  mutable bp_blocks : blk list;
-}
-
 let no_page =
-  { d_insn = [||]; d_cost = [||]; d_op = [||]; d_fresh = Bytes.empty }
+  { d_insn = [||]; d_cost = [||]; d_op = [||]; d_fresh = Bytes.empty;
+    d_entries = [||]; d_blocks = [] }
 
 (* Sentinel block: never valid, so an empty entry slot or chain link
    reads as a guaranteed miss with no option boxing on the hot path. *)
@@ -313,75 +296,33 @@ let rec no_blk =
     b_succ1 = no_blk;
   }
 
-let no_block_page : blk array = [||]
-
 (* Decode slots hold this sentinel until first fetched; it is
    distinguished by physical equality. *)
 let undecoded : op = Body ((fun _ -> ()), 0L)
 
-(** Mark [b] dead and clear its entry slot (which lives on its entry
-    page, not necessarily the page being invalidated — the straddling
-    case).  The slot is cleared only if it still holds [b]: a newer
-    block may have replaced an already-dead one. *)
-let kill_block (m : t) (b : blk) =
+(** Mark [b] dead and clear its entry slot, which is on the page it
+    was built from ([b_dp0]), not necessarily the page being
+    invalidated — the straddling case.  The slot is cleared only if it
+    still holds [b]: a newer block may have replaced an already-dead
+    one. *)
+let kill_block (b : blk) =
   b.b_valid <- false;
-  let epage = b.b_pci lsr Memory.page_bits in
-  match Hashtbl.find_opt m.blocks epage with
-  | None -> ()
-  | Some bp ->
-      let slot = (b.b_pci land (Memory.page_size - 1)) lsr 2 in
-      if Array.unsafe_get bp.bp_entries slot == b then
-        Array.unsafe_set bp.bp_entries slot no_blk
-
-(** Drop every lowered block overlapping a page in [first, last] —
-    including blocks whose entry is on an earlier page but whose body
-    straddles into the invalidated range. *)
-let invalidate_blocks (m : t) (first : int) (last : int) =
-  if Hashtbl.length m.blocks > 0 then begin
-    for i = first to last do
-      match Hashtbl.find_opt m.blocks i with
-      | None -> ()
-      | Some bp ->
-          List.iter (fun b -> kill_block m b) bp.bp_blocks;
-          Hashtbl.remove m.blocks i
-    done;
-    (* a block entered on page [first - 1] may straddle into [first];
-       its home page was not dropped above, so walk it too *)
-    (if first > 0 then
-       match Hashtbl.find_opt m.blocks (first - 1) with
-       | None -> ()
-       | Some bp ->
-           bp.bp_blocks <-
-             List.filter
-               (fun b ->
-                 if b.b_pages > 1 then begin
-                   kill_block m b;
-                   false
-                 end
-                 else true)
-               bp.bp_blocks);
-    if m.bp_idx >= first - 1 && m.bp_idx <= last then begin
-      m.bp_idx <- -1;
-      m.bp_arr <- no_block_page
-    end
-  end
+  let slot = (b.b_pci land (Memory.page_size - 1)) lsr 2 in
+  if Array.unsafe_get b.b_dp0.d_entries slot == b then
+    Array.unsafe_set b.b_dp0.d_entries slot no_blk
 
 let install (m : t) (idx : int) (p : dpage) =
   m.dc_idx <- idx;
   m.dc_page <- p;
   m.dc_cost <- p.d_cost;
-  m.dc_op <- p.d_op
+  m.dc_op <- p.d_op;
+  m.dc_entries <- p.d_entries
 
-(** Drop cached decoded instructions for every page overlapping
-    [addr, addr+len); called from the memory system's
+(** Drop the code record of every page overlapping [addr, addr+len),
+    killing its blocks, and the blocks entered on the page before that
+    straddle into the range; called from the memory system's
     [on_code_change] hook. *)
 let invalidate_code (m : t) (addr : int64) (len : int) =
-  (let first = Memory.page_index addr in
-   let last =
-     if len <= 0 then first
-     else Memory.page_index (Int64.add addr (Int64.of_int (len - 1)))
-   in
-   invalidate_blocks m first last);
   if Hashtbl.length m.decode_pages > 0 then begin
     let first = Memory.page_index addr in
     let last =
@@ -389,15 +330,25 @@ let invalidate_code (m : t) (addr : int64) (len : int) =
       else Memory.page_index (Int64.add addr (Int64.of_int (len - 1)))
     in
     for i = first to last do
-      if Hashtbl.mem m.decode_pages i then begin
-        (match m.metrics with
-        | None -> ()
-        | Some t ->
-            t.Lfi_telemetry.Metrics.decode_invalidations <-
-              t.Lfi_telemetry.Metrics.decode_invalidations + 1);
-        Hashtbl.remove m.decode_pages i
-      end
+      match Hashtbl.find_opt m.decode_pages i with
+      | None -> ()
+      | Some p ->
+          List.iter kill_block p.d_blocks;
+          (match m.metrics with
+          | None -> ()
+          | Some t ->
+              t.Lfi_telemetry.Metrics.decode_invalidations <-
+                t.Lfi_telemetry.Metrics.decode_invalidations + 1);
+          Hashtbl.remove m.decode_pages i
     done;
+    (* the page before stays, but its straddlers overlap [first] *)
+    (match Hashtbl.find_opt m.decode_pages (first - 1) with
+    | None -> ()
+    | Some p ->
+        p.d_blocks <-
+          List.filter
+            (fun b -> if b.b_pages > 1 then kill_block b; b.b_pages = 1)
+            p.d_blocks);
     if m.dc_idx >= first && m.dc_idx <= last then install m (-1) no_page
   end
 
@@ -417,14 +368,12 @@ let create ?(uarch = Cost_model.m1) (mem : Memory.t) =
       dc_page = no_page;
       dc_cost = no_page.d_cost;
       dc_op = no_page.d_op;
+      dc_entries = no_page.d_entries;
       metrics = None;
       profile = None;
       flight = None;
       escape_oracle = None;
       overhead = None;
-      blocks = Hashtbl.create 16;
-      bp_idx = -1;
-      bp_arr = no_block_page;
       blk_i = 0;
       blk_execs = 0;
       blk_builds = 0;
@@ -441,7 +390,7 @@ let create ?(uarch = Cost_model.m1) (mem : Memory.t) =
       invalidate_code m addr len);
   m
 
-(** Install the decode page for page index [idx] as the last-page
+(** Install the code record of page index [idx] as the last-page
     pointer ([dc_idx] and the [dc_*] arrays), creating it on first
     touch. *)
 let decode_page (m : t) (idx : int) : unit =
@@ -453,7 +402,8 @@ let decode_page (m : t) (idx : int) : unit =
           { d_insn = Array.make decode_slots Insn.Nop;
             d_cost = Array.make decode_slots 0.0;
             d_op = Array.make decode_slots undecoded;
-            d_fresh = Bytes.make decode_slots '\000' }
+            d_fresh = Bytes.make decode_slots '\000';
+            d_entries = Array.make decode_slots no_blk; d_blocks = [] }
         in
         Hashtbl.replace m.decode_pages idx p;
         p

@@ -8,9 +8,8 @@
 
     Lookups go through a direct-mapped {e translation cache}: an
     [tc_size]-entry array keyed by page index whose entries hold the
-    page and its permissions precomputed as a bitmask, so the hot
-    load/store/fetch path is an array probe plus a bit test instead of
-    a hash-table lookup.  Any mapping or permission change flushes the
+    page and its permission bitmask, so the hot load/store/fetch path
+    is an array probe plus a bit test instead of a hash-table lookup.  Any mapping or permission change flushes the
     cache and fires [on_code_change], the invalidation hook the
     emulator's decode cache registers (see {!Machine.create}): stale
     translations and stale decoded instructions are impossible by
@@ -32,11 +31,17 @@ let chunk_size = 1 lsl chunk_bits
 let chunks_per_page = page_size / chunk_size
 let all_clean = (1 lsl chunks_per_page) - 1
 
-type perm = { r : bool; w : bool; x : bool }
+(** Permissions: one bitmask, bit 0 = read, bit 1 = write, bit 2 =
+    execute, in the [access] order used by [get_page]; the translation
+    cache stores a page's [perm] as it is. *)
+type perm = int
 
-let perm_rw = { r = true; w = true; x = false }
-let perm_r = { r = true; w = false; x = false }
-let perm_rx = { r = true; w = false; x = true }
+let pb_r = 1
+let pb_w = 2
+let pb_x = 4
+let perm_rw = pb_r lor pb_w
+let perm_r = pb_r
+let perm_rx = pb_r lor pb_x
 
 type page = {
   mutable perm : perm;
@@ -73,33 +78,19 @@ let pp_fault fmt f =
     (access_to_string f.access)
     f.addr f.reason
 
-(* Permission bitmask: bit 0 = read, bit 1 = write, bit 2 = execute.
-   Matches the [access] order used by [get_page]. *)
-let pb_r = 1
-let pb_w = 2
-let pb_x = 4
-
-let perm_bits (p : perm) =
-  (if p.r then pb_r else 0)
-  lor (if p.w then pb_w else 0)
-  lor if p.x then pb_x else 0
-
 (* Translation-cache geometry: 256 entries x 16KiB pages = 4MiB of
    reach, comfortably covering a proxy workload's working set. *)
 let tc_size = 256
 let tc_mask = tc_size - 1
 
-let dummy_page =
-  { perm = { r = false; w = false; x = false };
-    data = Bytes.create 0;
-    clean = 0 }
+let dummy_page = { perm = 0; data = Bytes.create 0; clean = 0 }
 
 type t = {
   pages : (int, page) Hashtbl.t;
   (* direct-mapped translation cache, keyed by page index *)
   tc_idx : int array;  (** cached page index per slot; -1 = invalid *)
   tc_page : page array;  (** valid iff [tc_idx] matches *)
-  tc_bits : int array;  (** [perm_bits] of the cached page *)
+  tc_bits : int array;  (** [perm] of the cached page *)
   mutable tc_hits : int;
       (** translation-cache hit/miss counters; flat mutable ints kept
           unconditionally, like {!Tlb.t}'s — an increment is cheaper
@@ -249,8 +240,8 @@ let[@inline] get_page m (addr : int64) (access : access) : page =
     | Some p ->
         m.tc_idx.(slot) <- idx;
         m.tc_page.(slot) <- p;
-        m.tc_bits.(slot) <- perm_bits p.perm;
-        if perm_bits p.perm land bit = 0 then
+        m.tc_bits.(slot) <- p.perm;
+        if p.perm land bit = 0 then
           fault addr access
             (match access with
             | Read -> "no read permission"
@@ -300,7 +291,7 @@ let[@inline] write_hit m (idx : int) (off : int) (size : int) : Bytes.t =
    covering it.  Pages are almost never writable+executable, so the
    check is a single bit test in practice. *)
 let[@inline] wx_invalidate m (p : page) (addr : int64) (len : int) =
-  if p.perm.x then code_changed m addr len
+  if p.perm land pb_x <> 0 then code_changed m addr len
 
 (* Single-byte primitives; multi-byte accesses may cross pages. *)
 

@@ -1357,8 +1357,8 @@ let[@inline] pc_fits (pc : int64) : bool = Int64.shift_right_logical pc 62 = 0L
 
 (** The fetch fault at a [pc] no decode slot can hold: misaligned, or
     outside [0, 2^62), where no code is mapped.  Both dispatch paths
-    raise it at the unmodified address, before any decode-cache or
-    block-table lookup. *)
+    raise it at the unmodified address, before any code-cache
+    lookup. *)
 let fetch_fault (pc : int64) =
   raise
     (Memory.Fault

@@ -27,11 +27,6 @@ let create ~entries =
   let n = pow2_ge entries 1 in
   { entries = Array.make n (-1); mask = n - 1; hits = 0; misses = 0 }
 
-let clear t =
-  Array.fill t.entries 0 (Array.length t.entries) (-1);
-  t.hits <- 0;
-  t.misses <- 0
-
 (** Look up page number [page] — a data address as an untagged int,
     shifted right by [Memory.page_bits] — and return [true] on a hit;
     install the translation on a miss.  An int argument, so the

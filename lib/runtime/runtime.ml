@@ -834,9 +834,9 @@ let next_runnable rt : Proc.t option =
 
 let perm_string (pm : Memory.perm) : string =
   Printf.sprintf "%c%c%c"
-    (if pm.Memory.r then 'r' else '-')
-    (if pm.Memory.w then 'w' else '-')
-    (if pm.Memory.x then 'x' else '-')
+    (if pm land Memory.pb_r <> 0 then 'r' else '-')
+    (if pm land Memory.pb_w <> 0 then 'w' else '-')
+    (if pm land Memory.pb_x <> 0 then 'x' else '-')
 
 (** Frame-pointer backtrace, symbolized through the process's ELF
     [.symtab].  MiniC prologues keep the AArch64 frame chain

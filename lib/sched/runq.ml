@@ -67,10 +67,6 @@ let pop q =
     Some x
   end
 
-let mem q x =
-  let rec go i = i < q.len && (nth q i = x || go (i + 1)) in
-  go 0
-
 let clear q =
   q.head <- 0;
   q.len <- 0

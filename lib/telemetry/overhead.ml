@@ -75,9 +75,10 @@ type site = {
           (pure tax); [false] when an original instruction was modified
           in place (its cost is partly the program's own work) *)
   orig_pc : int;
-      (** sandbox-relative address, in the *rewritten* image, of the
-          original instruction this site serves — the anchor that lets
-          reports and objdump point back at the program's own code *)
+      (** sandbox-relative address, in the pre-rewrite layout, of the
+          original instruction this site serves (0 if none) — the
+          anchor that lets reports and objdump point back at the
+          program's own code *)
 }
 
 (* ------------------------------------------------------------------ *)

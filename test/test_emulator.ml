@@ -367,7 +367,7 @@ let test_decode_wx_write () =
   let mem = Memory.create () in
   let m = Machine.create mem in
   let base = 0x10000L in
-  let rwx = { Memory.r = true; w = true; x = true } in
+  let rwx = Memory.(perm_rw lor perm_rx) in
   Memory.map mem ~addr:base ~len:Memory.page_size ~perm:rwx;
   Memory.write_bytes mem base (tiny_img 1);
   Machine.set_pc m.Machine.regs base;
@@ -384,43 +384,48 @@ let test_decode_wx_write () =
 (* A superblock whose body straddles a page boundary is registered on
    both pages, so invalidating the *second* page (here by patching it
    through a W+X mapping) must drop the block even though its entry pc
-   lives on the first page. *)
+   lives on the first page — and only that block: a block wholly on the
+   first page survives, and the first page's code stays cached. *)
 let test_block_straddle_invalidation () =
   let mem = Memory.create () in
   let m = Machine.create mem in
+  let metrics = Lfi_telemetry.Metrics.create_emu () in
+  m.Machine.metrics <- Some metrics;
   let base = 0x10000L in
-  let rwx = { Memory.r = true; w = true; x = true } in
+  let rwx = Memory.(perm_rw lor perm_rx) in
   Memory.map mem ~addr:base ~len:(2 * Memory.page_size) ~perm:rwx;
   (* movz x0 on the first page, movz x1 + svc on the second: one block,
-     two pages *)
+     two pages; and a block wholly on the first page *)
   let entry = Int64.add base (Int64.of_int (Memory.page_size - 4)) in
-  let code =
-    (Assemble.assemble_string
-       "_start:\n\tmovz x0, #1\n\tmovz x1, #7\n\tsvc #1\n")
-      .Assemble.text
+  let text asm = (Assemble.assemble_string asm).Assemble.text in
+  Memory.write_bytes mem entry
+    (text "_start:\n\tmovz x0, #1\n\tmovz x1, #7\n\tsvc #1\n");
+  Memory.write_bytes mem base (text "_start:\n\tmovz x2, #5\n\tsvc #1\n");
+  let run_both () =
+    Machine.set_pc m.Machine.regs base;
+    run_to_svc m;
+    Machine.set_pc m.Machine.regs entry;
+    run_to_svc m
   in
-  Memory.write_bytes mem entry code;
-  Machine.set_pc m.Machine.regs entry;
-  run_to_svc m;
+  run_both ();
   check64 "first page half" 1L (Machine.x m.Machine.regs 0);
   check64 "second page half" 7L (Machine.x m.Machine.regs 1);
+  check64 "first-page block" 5L (Machine.x m.Machine.regs 2);
   checkb "block dispatch ran" true (m.Machine.blk_execs > 0);
+  let builds = m.Machine.blk_builds in
+  let drops = metrics.Lfi_telemetry.Metrics.decode_invalidations in
   (* patch the movz x1 word, which lives on the second page *)
-  let patched =
-    (Assemble.assemble_string "_start:\n\tmovz x1, #9\n").Assemble.text
-  in
   let boundary = Int64.add base (Int64.of_int Memory.page_size) in
   let word b = Int64.logand (Int64.of_int32 (Bytes.get_int32_le b 0)) 0xFFFFFFFFL in
-  Memory.write mem boundary 4 (word patched);
-  Machine.set_pc m.Machine.regs entry;
-  run_to_svc m;
+  Memory.write mem boundary 4 (word (text "_start:\n\tmovz x1, #9\n"));
+  run_both ();
   check64 "straddler dropped" 9L (Machine.x m.Machine.regs 1);
+  checki "only the straddler rebuilt" 1 (m.Machine.blk_builds - builds);
+  checki "only the second page dropped" 1
+    (metrics.Lfi_telemetry.Metrics.decode_invalidations - drops);
   (* same again via a remap of the second page only *)
   Memory.protect mem ~addr:boundary ~len:Memory.page_size ~perm:Memory.perm_rw;
-  let patched2 =
-    (Assemble.assemble_string "_start:\n\tmovz x1, #11\n").Assemble.text
-  in
-  Memory.write mem boundary 4 (word patched2);
+  Memory.write mem boundary 4 (word (text "_start:\n\tmovz x1, #11\n"));
   Memory.protect mem ~addr:boundary ~len:Memory.page_size ~perm:rwx;
   Machine.set_pc m.Machine.regs entry;
   run_to_svc m;
@@ -866,7 +871,7 @@ let od_machine ~wx asm =
     (fun (seg : Lfi_elf.Elf.segment) ->
       load seg.vaddr
         (if seg.flags land Lfi_elf.Elf.pf_x = 0 then Memory.perm_rw
-         else if wx then { Memory.r = true; w = true; x = true }
+         else if wx then Memory.(perm_rw lor perm_rx)
          else Memory.perm_rx)
         (fun a -> Memory.write_bytes mem a seg.data))
     elf.Lfi_elf.Elf.segments;

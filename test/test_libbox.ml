@@ -344,7 +344,8 @@ let reset_baseline =
      and heap = Memory.page_index inst.Instance.heap_end0 in
      let rw =
        List.filter_map
-         (fun (idx, _, perm) -> if perm.Memory.w then Some idx else None)
+         (fun (idx, _, perm) ->
+           if perm land Memory.pb_w <> 0 then Some idx else None)
          pages
      in
      let group f = Array.of_list (List.filter f rw) in
@@ -395,7 +396,7 @@ let prop_reset_restores_baseline =
       in
       let writable idx =
         match Memory.find_page_by_index mem idx with
-        | Some pg -> (Memory.page_perm pg).Memory.w
+        | Some pg -> Memory.page_perm pg land Memory.pb_w <> 0
         | None -> false
       in
       (* once a page is re-protected or unmapped a guest call may fault
