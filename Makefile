@@ -99,7 +99,8 @@ trace-demo:
 
 # Fixed-seed differential fuzzing smoke: all three engines, >=500
 # cases each, deterministic, plus the weakened-verifier oracle demo.
-# Zero failures expected; finishes in well under a minute.
+# Zero failures expected; finishes in well under a minute.  Its stdout
+# is pinned in test/fuzz_smoke_golden.txt, which CI diffs it against.
 fuzz-smoke:
 	dune exec bin/lfi_fuzz.exe -- all --seed 0 --count 500 --minic 40
 	dune exec bin/lfi_fuzz.exe -- --demo-weakened

@@ -15,16 +15,13 @@
 
 open Cmdliner
 
-let run_engine name f =
-  let r : Lfi_fuzz.Report.t = f () in
+let run_engine ?repro_dir (e : Lfi_fuzz.Report.engine) =
+  let r = Lfi_fuzz.Report.run ?repro_dir e in
   Format.printf "%a@." Lfi_fuzz.Report.pp r;
-  if Lfi_fuzz.Report.ok r then true
-  else begin
-    Format.printf "engine %s: FAILED@." name;
-    false
-  end
+  if not (Lfi_fuzz.Report.ok r) then Format.printf "engine %s: FAILED@." e.name;
+  Lfi_fuzz.Report.ok r
 
-let run engine seed count minic pool weaken demo repro_dir =
+let run engine seed count minic weaken demo repro_dir =
   let repro_dir = if repro_dir = "" then None else Some repro_dir in
   let weakening =
     if weaken = "" then None
@@ -56,55 +53,35 @@ let run engine seed count minic pool weaken demo repro_dir =
           && d.Lfi_fuzz.Soundness.real_escapes = 0)
         results
     in
-    if ok then begin
-      Format.printf "demo: OK (oracle catches every weakened verifier)@.";
-      exit 0
-    end
-    else begin
-      Format.printf "demo: FAILED@.";
-      exit 1
-    end
+    Format.printf "%s@."
+      (if ok then "demo: OK (oracle catches every weakened verifier)"
+       else "demo: FAILED");
+    exit (if ok then 0 else 1)
   end;
+  (* an engine is made only when it runs: making the soundness engine
+     builds its seed pool *)
   let engines =
-    match engine with
-    | "equiv" ->
-        [ ( "equiv",
-            fun () ->
-              Lfi_fuzz.Equiv.run ~seed ~count ~minic_count:minic ?repro_dir ()
-          ) ]
-    | "soundness" ->
-        [ ( "soundness",
-            fun () ->
-              Lfi_fuzz.Soundness.run ~seed ~count ~pool ?weakening ?repro_dir
-                ()
-          ) ]
-    | "complete" ->
-        [ ( "complete",
-            fun () ->
-              Lfi_fuzz.Complete.run ~seed ~count ~minic_count:minic ?repro_dir
-                () ) ]
-    | "all" ->
-        [
-          ( "equiv",
-            fun () ->
-              Lfi_fuzz.Equiv.run ~seed ~count ~minic_count:minic ?repro_dir ()
-          );
-          ( "soundness",
-            fun () ->
-              Lfi_fuzz.Soundness.run ~seed ~count ~pool ?weakening ?repro_dir
-                ()
-          );
-          ( "complete",
-            fun () ->
-              Lfi_fuzz.Complete.run ~seed ~count ~minic_count:minic ?repro_dir
-                () );
-        ]
-    | other ->
-        Printf.eprintf "unknown engine %s (expected equiv|soundness|complete|all)\n"
-          other;
-        exit 2
+    Lfi_fuzz.
+      [
+        ("equiv", fun () -> Equiv.engine ~seed ~count ~minic_count:minic);
+        ("soundness", fun () -> Soundness.engine ?weakening ~seed ~count ());
+        ("complete", fun () -> Complete.engine ~seed ~count ~minic_count:minic);
+      ]
   in
-  let ok = List.for_all (fun (name, f) -> run_engine name f) engines in
+  let selected =
+    if engine = "all" then List.map snd engines
+    else
+      match List.assoc_opt engine engines with
+      | Some make -> [ make ]
+      | None ->
+          Printf.eprintf
+            "unknown engine %s (expected equiv|soundness|complete|all)\n"
+            engine;
+          exit 2
+  in
+  let ok =
+    List.for_all (fun make -> run_engine ?repro_dir (make ())) selected
+  in
   exit (if ok then 0 else 1)
 
 let cmd =
@@ -126,10 +103,6 @@ let cmd =
     Arg.(value & opt int 25 & info [ "minic" ] ~docv:"N"
            ~doc:"Additional MiniC whole-pipeline cases (equiv and complete).")
   in
-  let pool =
-    Arg.(value & opt int 6 & info [ "pool" ] ~docv:"N"
-           ~doc:"Verified seed binaries in the soundness mutation pool.")
-  in
   let weaken =
     Arg.(value & opt string "" & info [ "weaken" ] ~docv:"NAME"
            ~doc:"Run the soundness engine against a deliberately weakened \
@@ -149,7 +122,7 @@ let cmd =
   in
   Cmd.v
     (Cmd.info "lfi-fuzz" ~doc:"Differential fuzzing of the LFI toolchain")
-    Term.(const run $ engine $ seed $ count $ minic $ pool $ weaken $ demo
+    Term.(const run $ engine $ seed $ count $ minic $ weaken $ demo
           $ repro_dir)
 
 let () = exit (Cmd.eval cmd)

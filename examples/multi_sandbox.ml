@@ -31,10 +31,7 @@ let compute_prog : program =
 
 let part_a () =
   let n = 12 in
-  let config =
-    { Lfi_runtime.Runtime.default_config with quantum = 10_000;
-      stack_size = 1 lsl 16 }
-  in
+  let config = { Lfi_runtime.Runtime.default_config with quantum = 10_000 } in
   let rt = Lfi_runtime.Runtime.create ~config () in
   let elf = build compute_prog in
   let t0 = Unix.gettimeofday () in

@@ -130,7 +130,7 @@ let build_level ~name config src =
         (Printf.sprintf "%s: rewriter output unassemblable: %s" name
            (Printexc.to_string e))
 
-(** Run [src] natively and at every opt level, with [compare_extra]
+(** Run [src] natively and at every opt level, with [compare_state]
     called on matching exits for the deeper state comparison. *)
 let check_source ~(compare_state : native:Sandbox.t -> lfi:Sandbox.t -> string option)
     (src : Source.t) : case_result =
@@ -177,73 +177,42 @@ let minic_compare ~(native : Sandbox.t) ~(lfi : Sandbox.t) : string option =
 (* The engine                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(** Shrink a failing stream to a minimal one and render it. *)
-let minimize_stream (stream : Insn.t list) : Insn.t list =
-  let fails s =
-    match check_source ~compare_state:compare_stream_state (stream_program s) with
-    | Fail _ -> true
-    | _ -> false
+let stream_case rand : Report.outcome =
+  let stream = QCheck.Gen.generate1 ~rand Gen_insn.sandbox_stream in
+  let check s =
+    check_source ~compare_state:compare_stream_state (stream_program s)
   in
-  if fails stream then Shrink.items stream ~still_fails:fails else stream
+  let asm s = Source.to_string (stream_program s) in
+  match check stream with
+  | Pass -> Report.Pass
+  | Skip why ->
+      (* a stream that cannot even run natively is a generator bug;
+         surface it rather than hiding it in the skip count *)
+      Report.Fail ("stream not runnable: " ^ why, asm stream)
+  | Fail desc ->
+      (* shrink to a minimal stream that still diverges *)
+      let fails s = match check s with Fail _ -> true | _ -> false in
+      Report.Fail (desc, asm (Shrink.items stream ~still_fails:fails))
 
-(** [run ~seed ~count ~minic_count ?repro_dir ()] — [count] raw-stream
-    cases then [minic_count] MiniC cases, deterministically derived
-    from [seed]. *)
-let run ?(seed = 0) ?(count = 100) ?(minic_count = 20) ?repro_dir () :
-    Report.t =
-  let failures = ref [] and skipped = ref 0 and cases = ref 0 in
-  let record_failure ~case ~desc ~asm =
-    let repro =
-      match repro_dir with
-      | None -> None
-      | Some dir ->
-          Some
-            (Corpus.write_repro ~dir ~engine:"equiv" ~expect:Corpus.Accept
-               ~label:(Printf.sprintf "seed%d_case%d" seed case)
-               ~notes:[ desc ] asm)
-    in
-    failures := { Report.case; desc; repro } :: !failures
-  in
-  (* raw streams *)
-  for case = 0 to count - 1 do
-    let rand = Random.State.make [| seed; case |] in
-    let stream = QCheck.Gen.generate1 ~rand Gen_insn.sandbox_stream in
-    incr cases;
-    match check_source ~compare_state:compare_stream_state (stream_program stream) with
-    | Pass -> ()
-    | Skip why ->
-        (* a stream that cannot even run natively is a generator bug;
-           surface it rather than hiding it in the skip count *)
-        record_failure ~case ~desc:("stream not runnable: " ^ why)
-          ~asm:(Source.to_string (stream_program stream))
-    | Fail desc ->
-        let small = minimize_stream stream in
-        record_failure ~case ~desc
-          ~asm:(Source.to_string (stream_program small))
-  done;
-  (* MiniC programs *)
-  for k = 0 to minic_count - 1 do
-    let case = count + k in
-    let rand = Random.State.make [| seed; case |] in
-    let prog = QCheck.Gen.generate1 ~rand Gen_minic.gen_program in
-    match Lfi_minic.Interp.run ~fuel:2_000_000 prog with
-    | exception Lfi_minic.Interp.Out_of_fuel -> incr skipped
-    | exception Lfi_minic.Interp.Unsupported _ -> incr skipped
-    | _ -> (
-        incr cases;
-        let src = Lfi_minic.Compile.compile prog in
-        match check_source ~compare_state:minic_compare src with
-        | Pass -> ()
-        | Skip why -> record_failure ~case ~desc:("minic: " ^ why)
-            ~asm:(Source.to_string src)
-        | Fail desc ->
-            record_failure ~case ~desc:("minic: " ^ desc)
-              ~asm:(Source.to_string src))
-  done;
+let minic_case rand : Report.outcome =
+  let prog = QCheck.Gen.generate1 ~rand Gen_minic.gen_program in
+  match Lfi_minic.Interp.run ~fuel:2_000_000 prog with
+  | exception (Lfi_minic.Interp.Out_of_fuel | Lfi_minic.Interp.Unsupported _) ->
+      Report.Skip
+  | _ -> (
+      let src = Lfi_minic.Compile.compile prog in
+      match check_source ~compare_state:minic_compare src with
+      | Pass -> Report.Pass
+      | Skip why | Fail why ->
+          Report.Fail ("minic: " ^ why, Source.to_string src))
+
+(** [count] raw-stream cases, then [minic_count] MiniC cases. *)
+let engine ~seed ~count ~minic_count : Report.engine =
   {
-    Report.engine = "equiv";
+    name = "equiv";
+    expect = Corpus.Accept;
     seed;
-    cases = !cases;
-    skipped = !skipped;
-    failures = List.rev !failures;
+    count = count + minic_count;
+    case =
+      (fun rand k -> if k < count then stream_case rand else minic_case rand);
   }

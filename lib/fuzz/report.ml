@@ -1,4 +1,25 @@
-(** Shared result reporting for the three fuzzing engines. *)
+(** The fuzzing engines' one driver and its report.
+
+    An engine is only what a single case does; {!run} is the seeded
+    loop every engine shares: case [k] draws from
+    [Random.State.make [| seed; k |]], so a one-line failure report
+    regenerates the input, and a failing case's minimized text is
+    written as a replayable corpus entry. *)
+
+type outcome =
+  | Pass
+  | Skip  (** generated but not runnable (e.g. unbounded loops) *)
+  | Fail of string * string
+      (** one-line description of what diverged, minimized repro text *)
+
+type engine = {
+  name : string;
+  expect : Corpus.expect;  (** what the verifier must do with a repro *)
+  seed : int;
+  count : int;  (** cases, numbered [0 .. count - 1] *)
+  case : Random.State.t -> int -> outcome;
+      (** case [k], given its random state and [k] *)
+}
 
 type failure = {
   case : int;  (** case index within the run (with the seed, enough to
@@ -14,6 +35,33 @@ type t = {
   skipped : int;  (** generated but not runnable (e.g. unbounded loops) *)
   failures : failure list;
 }
+
+(** Run every case of [e]; a failing case's repro is written to
+    [repro_dir] as [repro_<engine>_seed<S>_case<K>.s]. *)
+let run ?repro_dir (e : engine) : t =
+  let failures = ref [] and skipped = ref 0 in
+  for case = 0 to e.count - 1 do
+    match e.case (Random.State.make [| e.seed; case |]) case with
+    | Pass -> ()
+    | Skip -> incr skipped
+    | Fail (desc, asm) ->
+        let repro =
+          Option.map
+            (fun dir ->
+              Corpus.write_repro ~dir ~engine:e.name ~expect:e.expect
+                ~label:(Printf.sprintf "seed%d_case%d" e.seed case)
+                ~notes:[ desc ] asm)
+            repro_dir
+        in
+        failures := { case; desc; repro } :: !failures
+  done;
+  {
+    engine = e.name;
+    seed = e.seed;
+    cases = e.count - !skipped;
+    skipped = !skipped;
+    failures = List.rev !failures;
+  }
 
 let ok (t : t) = t.failures = []
 

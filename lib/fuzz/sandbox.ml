@@ -48,13 +48,13 @@ type t = {
 (** Load [elf] at [base] (any multiple of the sandbox size, including
     0 for a native run) on a fresh machine, through the runtime's own
     loader steps: call table, {!Lfi_runtime.Runtime.map_image} and the
-    initial register state.  A malformed image raises
-    {!Lfi_runtime.Runtime.Load_error}. *)
-let load ?(stack_size = 1 lsl 20) ~(base : int64) (elf : Lfi_elf.Elf.t) : t =
+    initial register state, with a 1 MiB stack.  A malformed image
+    raises {!Lfi_runtime.Runtime.Load_error}. *)
+let load ~(base : int64) (elf : Lfi_elf.Elf.t) : t =
   let mem = Memory.create () in
   let machine = Machine.create mem in
   Lfi_runtime.Runtime.install_rtcall_table mem base;
-  ignore (Lfi_runtime.Runtime.map_image mem base ~stack_size elf);
+  ignore (Lfi_runtime.Runtime.map_image mem base ~stack_size:(1 lsl 20) elf);
   Machine.restore machine
     (Lfi_runtime.Runtime.initial_snapshot base ~entry:elf.Lfi_elf.Elf.entry
        ~arg:0L);

@@ -123,7 +123,6 @@ type pending = {
 type params = {
   spec : Api.lib_spec;
   uarch : Cost_model.t;
-  config : Lfi_core.Config.t;
   filter : string list;
   arrival : Arrival.t;
   pool_size : int;
@@ -698,7 +697,7 @@ let report_of (p : params) (s : sched) (a : acct) : report =
     Obj
       ([
          ("schema", Str "lfi-serve/v3"); ("workload", Str p.spec.Api.l_short);
-         ("system", Str (Lfi_core.Config.name p.config));
+         ("system", Str (Lfi_core.Config.name Lfi_core.Config.o2));
          ("uarch", Str p.uarch.Cost_model.name); ("pool", Int p.pool_size);
          ("requests", Int p.requests); ("seed", Int p.seed);
        ]
@@ -793,12 +792,11 @@ let report_of (p : params) (s : sched) (a : acct) : report =
 
 (* ---------------- Entry point ------------------------------------- *)
 
-(** Serve [requests] requests of [spec] through a [pool]-slot pool:
-    setup, then drive under the [arrival] model, then read the report
-    off the accounting record. *)
-let run ?(uarch = Cost_model.m1) ?(config = Lfi_core.Config.o2)
-    ?(filter : string list = []) ?(trace : Trace.t option) ?(snapshot_every = 0)
-    ?(arrival = Arrival.Replay)
+(** Serve [requests] requests of [spec], built at O2, through a
+    [pool]-slot pool: setup, then drive under the [arrival] model, then
+    read the report off the accounting record. *)
+let run ?(uarch = Cost_model.m1) ?(filter : string list = [])
+    ?(trace : Trace.t option) ?(snapshot_every = 0) ?(arrival = Arrival.Replay)
     ?(tenants : Tenant.spec list = [ Tenant.default_spec ])
     ?(batch_max = 8) ~(spec : Api.lib_spec) ~(pool : int) ~(requests : int)
     ~(seed : int) () : report =
@@ -830,7 +828,8 @@ let run ?(uarch = Cost_model.m1) ?(config = Lfi_core.Config.o2)
       List.map (fun e -> e.Api.e_name) spec.Api.l_exports
       @ match spec.Api.l_init with None -> [] | Some n -> [ n ]
     in
-    Library.create ~config ~name:spec.Api.l_short ~exports spec.Api.l_program
+    Library.create ~config:Lfi_core.Config.o2 ~name:spec.Api.l_short ~exports
+      spec.Api.l_program
   in
   let rt =
     Lfi_runtime.Runtime.create
@@ -889,7 +888,7 @@ let run ?(uarch = Cost_model.m1) ?(config = Lfi_core.Config.o2)
       next_at = (match gaps with Some gap -> origin +. gap () | None -> 0.0) }
   in
   let p =
-    { spec; uarch; config; filter; arrival; pool_size = pool;
+    { spec; uarch; filter; arrival; pool_size = pool;
       requests; seed; snapshot_every; trace; origin }
   in
   (* ---------------- drive, then report ----------------------------- *)

@@ -16,7 +16,6 @@ type config = {
   quantum : int;  (** preemption quantum, in instructions *)
   verify : bool;  (** verify ELF text segments before loading *)
   verifier_config : Lfi_verifier.Verifier.config;
-  stack_size : int;
   allowed_prefixes : string list;  (** VFS access control; [] = all *)
   echo_stdout : bool;  (** copy sandbox stdout to the host's stdout *)
   spectre_hardening : bool;
@@ -30,13 +29,15 @@ type config = {
           default — the recorder is allocation-free and cheap *)
 }
 
+(** Every process's stack, below the top guard region. *)
+let stack_size = 1 lsl 21
+
 let default_config =
   {
     uarch = Cost_model.m1;
     quantum = 100_000;
     verify = true;
     verifier_config = Lfi_verifier.Verifier.default_config;
-    stack_size = 1 lsl 21;
     allowed_prefixes = [];
     echo_stdout = false;
     spectre_hardening = false;
@@ -410,7 +411,7 @@ let load rt ?(arg = 0L) ~(personality : Proc.personality)
   in
   let base = Lfi_core.Layout.slot_base slot in
   if not native then install_rtcall_table rt.mem base;
-  let data_end = map_image rt.mem base ~stack_size:rt.cfg.stack_size elf in
+  let data_end = map_image rt.mem base ~stack_size elf in
   if native then rt.native_loaded <- true;
   spawn rt ~parent:None ~slot ~base ~personality
     ~snapshot:(initial_snapshot base ~entry:elf.Lfi_elf.Elf.entry ~arg)
@@ -761,7 +762,7 @@ let handle_call rt (p : Proc.t) (k : int) : outcome =
       let addr = p.Proc.heap_end in
       let limit =
         Int64.add p.Proc.base
-          (Int64.of_int (Lfi_core.Layout.stack_top - rt.cfg.stack_size))
+          (Int64.of_int (Lfi_core.Layout.stack_top - stack_size))
       in
       if Int64.compare (Int64.add addr (Int64.of_int len)) limit > 0 then
         reti (-12 (* ENOMEM *))
@@ -951,7 +952,7 @@ let sandbox_layout rt (p : Proc.t) : Lfi_telemetry.Postmortem.region list =
   let label lo_off perm =
     if lo_off = 0 && p.Proc.personality = Proc.Lfi then "rtcall table"
     else if String.contains perm 'x' then "code"
-    else if lo_off >= Lfi_core.Layout.stack_top - rt.cfg.stack_size then
+    else if lo_off >= Lfi_core.Layout.stack_top - stack_size then
       "stack"
     else "data/heap"
   in

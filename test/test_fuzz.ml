@@ -81,8 +81,8 @@ let replay_equiv (e : Fuzz.Corpus.entry) =
 let replay_complete (e : Fuzz.Corpus.entry) =
   let src = Parser.parse_string_exn e.Fuzz.Corpus.text in
   match Fuzz.Complete.check_source src with
-  | Fuzz.Complete.Vpass -> ()
-  | Fuzz.Complete.Vfail why -> Alcotest.failf "%s: %s" e.path why
+  | None -> ()
+  | Some why -> Alcotest.failf "%s: %s" e.path why
 
 let test_corpus () =
   let entries = Fuzz.Corpus.load_dir (Golden.path "corpus") in
@@ -98,18 +98,19 @@ let test_corpus () =
 
 (* ---------------- fixed-seed engine smoke ---------------- *)
 
-let report_ok r =
+let report_ok e =
+  let r = Fuzz.Report.run e in
   if not (Fuzz.Report.ok r) then
     Alcotest.failf "%s" (Format.asprintf "%a" Fuzz.Report.pp r)
 
 let test_equiv_smoke () =
-  report_ok (Fuzz.Equiv.run ~seed:42 ~count:40 ~minic_count:5 ())
+  report_ok (Fuzz.Equiv.engine ~seed:42 ~count:40 ~minic_count:5)
 
 let test_soundness_smoke () =
-  report_ok (Fuzz.Soundness.run ~seed:42 ~count:200 ())
+  report_ok (Fuzz.Soundness.engine ~seed:42 ~count:200 ())
 
 let test_complete_smoke () =
-  report_ok (Fuzz.Complete.run ~seed:42 ~count:80 ~minic_count:10 ())
+  report_ok (Fuzz.Complete.engine ~seed:42 ~count:80 ~minic_count:10)
 
 (* The oracle checks inside the lowered code: this loop runs under it
    as blocks, and finishes inside one quantum, so not even a quantum
@@ -164,13 +165,42 @@ let test_oracle_planted_escape () =
 
 let test_determinism () =
   (* same seed, same outcome — byte-for-byte identical reports *)
-  let show r = Format.asprintf "%a" Fuzz.Report.pp r in
-  checks "equiv deterministic"
-    (show (Fuzz.Equiv.run ~seed:7 ~count:10 ~minic_count:2 ()))
-    (show (Fuzz.Equiv.run ~seed:7 ~count:10 ~minic_count:2 ()));
-  checks "soundness deterministic"
-    (show (Fuzz.Soundness.run ~seed:7 ~count:50 ()))
-    (show (Fuzz.Soundness.run ~seed:7 ~count:50 ()))
+  let show e = Format.asprintf "%a" Fuzz.Report.pp (Fuzz.Report.run e) in
+  List.iter
+    (fun mk ->
+      let e = mk () in
+      checks (e.Fuzz.Report.name ^ " deterministic") (show e) (show (mk ())))
+    [
+      (fun () -> Fuzz.Equiv.engine ~seed:7 ~count:10 ~minic_count:2);
+      (fun () -> Fuzz.Soundness.engine ~seed:7 ~count:50 ());
+      (fun () -> Fuzz.Complete.engine ~seed:7 ~count:10 ~minic_count:2);
+    ]
+
+(* A failing run writes its minimized case where the report says, as a
+   corpus entry the real verifier rejects.  Against the weakened
+   verifier, seed 3 fails exactly case 10 (an immediate-field flip of
+   bit 13 that turns the demo seed's uxtw load into uxtx). *)
+let test_repro_written () =
+  (* a fresh name; writing the repro makes the directory *)
+  let dir = Filename.temp_file "lfi_fuzz" "" in
+  Sys.remove dir;
+  let r =
+    Fuzz.Report.run ~repro_dir:dir
+      (Fuzz.Soundness.engine ~weakening:Lfi_verifier.Verifier.No_uxtw_check
+         ~seed:3 ~count:11 ())
+  in
+  let path =
+    match r.Fuzz.Report.failures with
+    | [ { Fuzz.Report.case = 10; repro = Some p; _ } ] -> p
+    | _ -> Alcotest.failf "%s" (Format.asprintf "%a" Fuzz.Report.pp r)
+  in
+  checks "repro file" "repro_soundness_seed3_case10.s" (Filename.basename path);
+  let e = Fuzz.Corpus.load_file path in
+  checks "engine" "soundness" e.Fuzz.Corpus.engine;
+  checkb "expect reject" true (e.Fuzz.Corpus.expect = Fuzz.Corpus.Reject);
+  replay_soundness e;
+  Sys.remove path;
+  Sys.rmdir dir
 
 (* ---------------- the weakened-verifier demo ---------------- *)
 
@@ -309,6 +339,7 @@ let () =
           mk "oracle planted escape" test_oracle_planted_escape;
           mk "complete smoke" test_complete_smoke;
           mk "deterministic" test_determinism;
+          mk "repro written" test_repro_written;
           mk "weakened demo" test_weakened_demo;
           mk "cross-page branches" test_cross_page_branches;
         ] );
