@@ -644,6 +644,12 @@ let do_exit rt (p : Proc.t) (code : int) : outcome =
   rt.exit_log <- (p.Proc.pid, Exited code) :: rt.exit_log;
   Died (Exited code)
 
+(* The heap's upper bound, the bottom of the stack: [mmap] and [brk]
+   fail with ENOMEM past it, so neither maps the stack or the top guard
+   region. *)
+let heap_limit (p : Proc.t) =
+  Int64.add p.Proc.base (Int64.of_int (Lfi_core.Layout.stack_top - stack_size))
+
 let handle_call rt (p : Proc.t) (k : int) : outcome =
   let m = rt.machine in
   let arg n = Machine.x m.Machine.regs n in
@@ -760,12 +766,8 @@ let handle_call rt (p : Proc.t) (k : int) : outcome =
     if len <= 0 || len > 1 lsl 30 then reti Vfs.einval
     else begin
       let addr = p.Proc.heap_end in
-      let limit =
-        Int64.add p.Proc.base
-          (Int64.of_int (Lfi_core.Layout.stack_top - stack_size))
-      in
-      if Int64.compare (Int64.add addr (Int64.of_int len)) limit > 0 then
-        reti (-12 (* ENOMEM *))
+      if Int64.compare (Int64.add addr (Int64.of_int len)) (heap_limit p) > 0
+      then reti (-12 (* ENOMEM *))
       else begin
         Memory.map rt.mem ~addr ~len ~perm:Memory.perm_rw;
         p.Proc.heap_end <- Int64.add addr (Int64.of_int len);
@@ -788,14 +790,17 @@ let handle_call rt (p : Proc.t) (k : int) : outcome =
     if Int64.equal want 0L then ret (Int64.sub p.Proc.heap_end p.Proc.base)
     else begin
       let new_end = uaddr p want in
-      if Int64.compare new_end p.Proc.heap_end > 0 then begin
-        let len =
-          align_up (Int64.to_int (Int64.sub new_end p.Proc.heap_end))
-        in
-        Memory.map rt.mem ~addr:p.Proc.heap_end ~len ~perm:Memory.perm_rw;
-        p.Proc.heap_end <- Int64.add p.Proc.heap_end (Int64.of_int len)
-      end;
-      ret (Int64.sub p.Proc.heap_end p.Proc.base)
+      if Int64.compare new_end (heap_limit p) > 0 then reti (-12 (* ENOMEM *))
+      else begin
+        if Int64.compare new_end p.Proc.heap_end > 0 then begin
+          let len =
+            align_up (Int64.to_int (Int64.sub new_end p.Proc.heap_end))
+          in
+          Memory.map rt.mem ~addr:p.Proc.heap_end ~len ~perm:Memory.perm_rw;
+          p.Proc.heap_end <- Int64.add p.Proc.heap_end (Int64.of_int len)
+        end;
+        ret (Int64.sub p.Proc.heap_end p.Proc.base)
+      end
     end
   end
   else if k = Sysno.yield_to then begin

@@ -140,6 +140,30 @@ let test_brk () =
   in
   checki "brk" 55 (exit_code (run_lfi code))
 
+(* a break inside the top guard region is past the stack bottom, the
+   bound mmap also keeps: ENOMEM, and the guard stays unmapped *)
+let test_brk_guard () =
+  let rt = Lfi_runtime.Runtime.create () in
+  let p =
+    Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi
+      (build
+         "_start:\n\tmovz x0, #0x8000\n\tmovk x0, #0xFFFF, lsl #16\n\t\
+          svc #15\n\tsvc #1\n\tb _start\n")
+  in
+  let heap_end = p.Lfi_runtime.Proc.heap_end in
+  checki "ENOMEM" (-12) (exit_code (Lfi_runtime.Runtime.run_one rt p));
+  checkb "break unchanged" true
+    (Int64.equal p.Lfi_runtime.Proc.heap_end heap_end);
+  let guard = Lfi_core.Layout.stack_top in
+  List.iter
+    (fun off ->
+      checkb
+        (Printf.sprintf "guard page +0x%x unmapped" off)
+        false
+        (Lfi_emulator.Memory.is_mapped rt.Lfi_runtime.Runtime.mem
+           (Int64.add p.Lfi_runtime.Proc.base (Int64.of_int (guard + off)))))
+    [ 0; 0x4000; 0x8000 ]
+
 (* ---------------- faults kill the process ---------------- *)
 
 let test_guard_page_fault () =
@@ -448,7 +472,12 @@ let () =
           mk "access control" test_access_control;
           mk "file write" test_file_write_and_contents;
         ] );
-      ("memory", [ mk "mmap" test_mmap; mk "brk" test_brk ]);
+      ( "memory",
+        [
+          mk "mmap" test_mmap;
+          mk "brk" test_brk;
+          mk "brk into the top guard is ENOMEM" test_brk_guard;
+        ] );
       ("fds", [ mk "alloc reuses closed" test_fd_alloc_reuse ]);
       ("faults", [ mk "unmapped heap" test_guard_page_fault ]);
       ( "processes",
