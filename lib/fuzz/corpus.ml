@@ -88,11 +88,19 @@ let load_dir (dir : string) : entry list =
   |> List.sort compare
   |> List.map (fun f -> load_file (Filename.concat dir f))
 
+(* [mkdir -p]: make [dir] and every missing directory above it *)
+let rec make_dir (dir : string) =
+  if not (Sys.file_exists dir) then begin
+    make_dir (Filename.dirname dir);
+    Sys.mkdir dir 0o755
+  end
+
 (** Write a minimized failure as a replayable corpus entry; returns
-    the path.  [notes] lines are added as extra [//] comments. *)
+    the path.  [notes] lines are added as extra [//] comments.  [dir]
+    is created, with any missing parents. *)
 let write_repro ~(dir : string) ~(engine : string) ~(expect : expect)
     ~(label : string) ?(notes = []) (asm : string) : string =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  make_dir dir;
   let path = Filename.concat dir (Printf.sprintf "repro_%s_%s.s" engine label) in
   let oc = open_out path in
   Printf.fprintf oc "// engine: %s\n// expect: %s\n" engine

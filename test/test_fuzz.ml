@@ -181,9 +181,10 @@ let test_determinism () =
    verifier, seed 3 fails exactly case 10 (an immediate-field flip of
    bit 13 that turns the demo seed's uxtw load into uxtx). *)
 let test_repro_written () =
-  (* a fresh name; writing the repro makes the directory *)
-  let dir = Filename.temp_file "lfi_fuzz" "" in
-  Sys.remove dir;
+  (* a fresh name two levels deep; writing the repro makes both *)
+  let top = Filename.temp_file "lfi_fuzz" "" in
+  Sys.remove top;
+  let dir = Filename.concat top "repros" in
   let r =
     Fuzz.Report.run ~repro_dir:dir
       (Fuzz.Soundness.engine ~weakening:Lfi_verifier.Verifier.No_uxtw_check
@@ -200,7 +201,8 @@ let test_repro_written () =
   checkb "expect reject" true (e.Fuzz.Corpus.expect = Fuzz.Corpus.Reject);
   replay_soundness e;
   Sys.remove path;
-  Sys.rmdir dir
+  Sys.rmdir dir;
+  Sys.rmdir top
 
 (* ---------------- the weakened-verifier demo ---------------- *)
 
