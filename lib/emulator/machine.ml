@@ -165,7 +165,7 @@ type t = {
           hot-path accumulate is an unboxed float store (a [mutable
           float] field in this mixed record would box on every add) *)
   mutable insns : int;
-  decode_pages : (int, dpage) Hashtbl.t;  (** keyed by page index *)
+  decode_pages : dpage Itbl.t;  (** keyed by page index *)
   mutable dc_idx : int;  (** page index of the [dc_*] fields; -1 = none *)
   mutable dc_page : dpage;  (** the last code page touched ... *)
   mutable dc_cost : float array;  (** ... and its hot arrays *)
@@ -323,14 +323,14 @@ let install (m : t) (idx : int) (p : dpage) =
     straddle into the range; called from the memory system's
     [on_code_change] hook. *)
 let invalidate_code (m : t) (addr : int64) (len : int) =
-  if Hashtbl.length m.decode_pages > 0 then begin
+  if Itbl.length m.decode_pages > 0 then begin
     let first = Memory.page_index addr in
     let last =
       if len <= 0 then first
       else Memory.page_index (Int64.add addr (Int64.of_int (len - 1)))
     in
     for i = first to last do
-      match Hashtbl.find_opt m.decode_pages i with
+      match Itbl.find_opt m.decode_pages i with
       | None -> ()
       | Some p ->
           List.iter kill_block p.d_blocks;
@@ -339,10 +339,10 @@ let invalidate_code (m : t) (addr : int64) (len : int) =
           | Some t ->
               t.Lfi_telemetry.Metrics.decode_invalidations <-
                 t.Lfi_telemetry.Metrics.decode_invalidations + 1);
-          Hashtbl.remove m.decode_pages i
+          Itbl.remove m.decode_pages i
     done;
     (* the page before stays, but its straddlers overlap [first] *)
-    (match Hashtbl.find_opt m.decode_pages (first - 1) with
+    (match Itbl.find_opt m.decode_pages (first - 1) with
     | None -> ()
     | Some p ->
         p.d_blocks <-
@@ -363,7 +363,7 @@ let create ?(uarch = Cost_model.m1) (mem : Memory.t) =
       nested_paging = false;
       cycle_acc = Array.make 1 0.0;
       insns = 0;
-      decode_pages = Hashtbl.create 64;
+      decode_pages = Itbl.create 64;
       dc_idx = -1;
       dc_page = no_page;
       dc_cost = no_page.d_cost;
@@ -395,9 +395,9 @@ let create ?(uarch = Cost_model.m1) (mem : Memory.t) =
     touch. *)
 let decode_page (m : t) (idx : int) : unit =
   let p =
-    match Hashtbl.find_opt m.decode_pages idx with
-    | Some p -> p
-    | None ->
+    match Itbl.find m.decode_pages idx with
+    | p -> p
+    | exception Not_found ->
         let p =
           { d_insn = Array.make decode_slots Insn.Nop;
             d_cost = Array.make decode_slots 0.0;
@@ -405,7 +405,7 @@ let decode_page (m : t) (idx : int) : unit =
             d_fresh = Bytes.make decode_slots '\000';
             d_entries = Array.make decode_slots no_blk; d_blocks = [] }
         in
-        Hashtbl.replace m.decode_pages idx p;
+        Itbl.replace m.decode_pages idx p;
         p
   in
   install m idx p

@@ -9,7 +9,10 @@
     Lookups go through a direct-mapped {e translation cache}: an
     [tc_size]-entry array keyed by page index whose entries hold the
     page and its permission bitmask, so the hot load/store/fetch path
-    is an array probe plus a bit test instead of a hash-table lookup.  Any mapping or permission change flushes the
+    is an array probe plus a bit test instead of a hash-table lookup.
+    A page's line folds in its 4 GiB slot number ({!tc_line}), so
+    sandboxes in different slots do not evict each other's pages at
+    the same offset.  Any mapping or permission change flushes the
     cache and fires [on_code_change], the invalidation hook the
     emulator's decode cache registers (see {!Machine.create}): stale
     translations and stale decoded instructions are impossible by
@@ -83,10 +86,19 @@ let pp_fault fmt f =
 let tc_size = 256
 let tc_mask = tc_size - 1
 
+(** The translation-cache line of page [idx]: its index plus an odd
+    multiple of its 4 GiB slot number ([idx lsr 18]), masked.  Within
+    one slot the fold adds a constant, so a single sandbox keeps its
+    hit/miss pattern; pages at the same offset in the slots of warm
+    instances served in turn get different lines instead of evicting
+    each other on every call. *)
+let[@inline] tc_line (idx : int) =
+  (idx + ((idx lsr (32 - page_bits)) * 157)) land tc_mask
+
 let dummy_page = { perm = 0; data = Bytes.create 0; clean = 0 }
 
 type t = {
-  pages : (int, page) Hashtbl.t;
+  pages : page Itbl.t;
   (* direct-mapped translation cache, keyed by page index *)
   tc_idx : int array;  (** cached page index per slot; -1 = invalid *)
   tc_page : page array;  (** valid iff [tc_idx] matches *)
@@ -110,7 +122,7 @@ type t = {
 
 let create () =
   {
-    pages = Hashtbl.create 1024;
+    pages = Itbl.create 1024;
     tc_idx = Array.make tc_size (-1);
     tc_page = Array.make tc_size dummy_page;
     tc_bits = Array.make tc_size 0;
@@ -165,10 +177,10 @@ let map m ~(addr : int64) ~(len : int) ~(perm : perm) =
   if len mod page_size <> 0 then invalid_arg "Memory.map: unaligned length";
   let first = page_index addr in
   for i = first to first + (len / page_size) - 1 do
-    match Hashtbl.find_opt m.pages i with
+    match Itbl.find_opt m.pages i with
     | Some p -> set_perm m i p perm
     | None ->
-        Hashtbl.replace m.pages i
+        Itbl.replace m.pages i
           { perm; data = Bytes.make page_size '\000'; clean = 0 }
   done;
   tc_flush m;
@@ -179,15 +191,15 @@ let unmap m ~(addr : int64) ~(len : int) =
     invalid_arg "Memory.unmap: unaligned";
   let first = page_index addr in
   for i = first to first + (len / page_size) - 1 do
-    (match Hashtbl.find_opt m.pages i with
+    (match Itbl.find_opt m.pages i with
     | Some p when p.clean <> 0 -> log_change m p i all_clean
     | _ -> ());
-    Hashtbl.remove m.pages i
+    Itbl.remove m.pages i
   done;
   tc_flush m;
   code_changed m addr len
 
-let is_mapped m (addr : int64) = Hashtbl.mem m.pages (page_index addr)
+let is_mapped m (addr : int64) = Itbl.mem m.pages (page_index addr)
 
 (** Change the protection of every page overlapping [addr, addr+len).
     [len] is rounded up to whole pages; [len = 0] is a no-op. *)
@@ -197,7 +209,7 @@ let protect m ~(addr : int64) ~(len : int) ~(perm : perm) =
     let first = page_index addr in
     let last = page_index (Int64.add addr (Int64.of_int (len - 1))) in
     for i = first to last do
-      match Hashtbl.find_opt m.pages i with
+      match Itbl.find_opt m.pages i with
       | Some p -> set_perm m i p perm
       | None -> invalid_arg "Memory.protect: unmapped page"
     done;
@@ -208,7 +220,7 @@ let protect m ~(addr : int64) ~(len : int) ~(perm : perm) =
 (** Re-protect a single page by index (used by fork to clone page
     permissions); goes through the same invalidation as {!protect}. *)
 let set_page_perm m (idx : int) (perm : perm) =
-  match Hashtbl.find_opt m.pages idx with
+  match Itbl.find_opt m.pages idx with
   | None -> invalid_arg "Memory.set_page_perm: unmapped page"
   | Some p ->
       set_perm m idx p perm;
@@ -221,7 +233,7 @@ let set_page_perm m (idx : int) (perm : perm) =
    address with bit 63 set must not alias the page below 2^63. *)
 let[@inline] get_page m (addr : int64) (access : access) : page =
   let idx = Int64.to_int (Int64.shift_right_logical addr page_bits) in
-  let slot = idx land tc_mask in
+  let slot = tc_line idx in
   let bit = match access with Read -> pb_r | Write -> pb_w | Fetch -> pb_x in
   if Array.unsafe_get m.tc_idx slot = idx then begin
     m.tc_hits <- m.tc_hits + 1;
@@ -235,9 +247,9 @@ let[@inline] get_page m (addr : int64) (access : access) : page =
   end
   else begin
     m.tc_misses <- m.tc_misses + 1;
-    match Hashtbl.find_opt m.pages idx with
-    | None -> fault addr access "unmapped"
-    | Some p ->
+    match Itbl.find m.pages idx with
+    | exception Not_found -> fault addr access "unmapped"
+    | p ->
         m.tc_idx.(slot) <- idx;
         m.tc_page.(slot) <- p;
         m.tc_bits.(slot) <- p.perm;
@@ -257,7 +269,7 @@ let[@inline] get_page m (addr : int64) (access : access) : page =
     inline their hit path on this: the page index is an untagged int
     and the result a pointer, so no address or value is boxed. *)
 let[@inline] read_hit m (idx : int) : Bytes.t =
-  let slot = idx land tc_mask in
+  let slot = tc_line idx in
   if
     Array.unsafe_get m.tc_idx slot = idx
     && Array.unsafe_get m.tc_bits slot land pb_r <> 0
@@ -274,7 +286,7 @@ let[@inline] read_hit m (idx : int) : Bytes.t =
     invalidation; otherwise the caller takes {!write}.  A page nobody
     cleaned (mask 0) skips the chunk arithmetic. *)
 let[@inline] write_hit m (idx : int) (off : int) (size : int) : Bytes.t =
-  let slot = idx land tc_mask in
+  let slot = tc_line idx in
   if
     Array.unsafe_get m.tc_idx slot = idx
     && Array.unsafe_get m.tc_bits slot land (pb_w lor pb_x) = pb_w
@@ -373,15 +385,17 @@ let page_clean (p : page) = p.clean
 let page_mark_clean (p : page) = p.clean <- all_clean
 
 (** Take every page index in [\[lo, hi)] out of the change log, calling
-    [f] on each in log order; entries outside the range stay.  [f] must
-    leave some chunk of its page dirty until it is done with it
+    [f x] on each in log order; entries outside the range stay.  [f]
+    must leave some chunk of its page dirty until it is done with it
     (marking it clean last), so that nothing it does appends to the log
-    being drained. *)
-let drain_changes m ~(lo : int) ~(hi : int) (f : int -> unit) =
+    being drained.  [x] is passed apart from [f] so that a caller with
+    a toplevel [f] builds no closure. *)
+let drain_changes m ~(lo : int) ~(hi : int) (f : 'a -> int -> unit) (x : 'a)
+    =
   let kept = ref 0 in
   for k = 0 to m.n_changes - 1 do
     let idx = m.changes.(k) in
-    if idx >= lo && idx < hi then f idx
+    if idx >= lo && idx < hi then f x idx
     else begin
       m.changes.(!kept) <- idx;
       incr kept
@@ -393,7 +407,11 @@ let drain_changes m ~(lo : int) ~(hi : int) (f : int -> unit) =
 let changed_pages m = Array.to_list (Array.sub m.changes 0 m.n_changes)
 
 (** Find a mapped page by index (used by fork's bulk copy). *)
-let find_page_by_index m (idx : int) = Hashtbl.find_opt m.pages idx
+let find_page_by_index m (idx : int) = Itbl.find_opt m.pages idx
+
+(** The mapped page at index [idx], building no option; raises
+    [Not_found] when none is mapped there. *)
+let page_at m (idx : int) = Itbl.find m.pages idx
 
 (** Unordered iteration over the mapped pages and their indices. *)
-let iter_pages m (f : int -> page -> unit) = Hashtbl.iter f m.pages
+let iter_pages m (f : int -> page -> unit) = Itbl.iter f m.pages

@@ -43,7 +43,7 @@ type t = {
   arena_base : int64;  (** absolute base of the marshalling arena *)
   arena_len : int;
   insn_budget : int;  (** per-call runaway limit *)
-  pristine : (int, pristine) Hashtbl.t;  (** page index → baseline copy *)
+  pristine : pristine Itbl.t;  (** page index → baseline copy *)
   recorder : Lfi_telemetry.Flight.t option;
       (** what a call installs as the machine's flight recorder: the
           process's, or [None] when the runtime runs without one —
@@ -78,12 +78,12 @@ let zero_page = Bytes.make page '\000'
 let capture_baseline (inst : t) =
   let mem = inst.rt.Runtime.mem in
   Memory.drain_changes mem ~lo:(slot_first inst.p) ~hi:(slot_last inst.p)
-    ignore;
-  Hashtbl.reset inst.pristine;
+    (fun () _ -> ()) ();
+  Itbl.reset inst.pristine;
   List.iter
     (fun (idx, pg) ->
       let data = Memory.page_data pg in
-      Hashtbl.replace inst.pristine idx
+      Itbl.replace inst.pristine idx
         { pg_bytes =
             (if Bytes.equal data zero_page then zero_page else Bytes.copy data);
           pg_perm = Memory.page_perm pg };
@@ -101,16 +101,39 @@ let rec dirty_run_end clean c =
 (* Rewrite the chunks of [dst] from chunk [c] on whose bit is clear in
    [clean] from [src], one blit per run of such chunks: the whole page
    when [clean] is 0 (a re-protected, unmapped or remapped page, or one
-   stored to in every chunk).  No closure, so nothing is allocated. *)
+   stored to in every chunk).  A run of eight clean chunks is skipped
+   with one mask test (bits past the last chunk are 0, so the test
+   never skips past the page).  No closure, so nothing is allocated. *)
 let rec restore_chunks (src : bytes) (dst : bytes) (clean : int) (c : int) =
   if c < Memory.chunks_per_page then
-    if dirty_chunk clean c then begin
+    if (clean lsr c) land 0xFF = 0xFF then restore_chunks src dst clean (c + 8)
+    else if dirty_chunk clean c then begin
       let e = dirty_run_end clean c in
       Bytes.blit src (c lsl Memory.chunk_bits) dst (c lsl Memory.chunk_bits)
         ((e - c) lsl Memory.chunk_bits);
       restore_chunks src dst clean e
     end
     else restore_chunks src dst clean (c + 1)
+
+(* Rewind changed baseline page [idx]: bring it back if unmapped,
+   restore its permission, rewrite its changed chunks (straight blits:
+   only data pages are writable, so no decode-cache entry can go
+   stale), and mark it clean last (see [Memory.drain_changes]). *)
+let restore_page (inst : t) (idx : int) =
+  let mem = inst.rt.Runtime.mem in
+  let pr = Itbl.find inst.pristine idx in
+  let pg =
+    match Memory.page_at mem idx with
+    | pg -> pg
+    | exception Not_found ->
+        Memory.map mem ~addr:(addr_of_idx idx) ~len:page ~perm:pr.pg_perm;
+        Memory.page_at mem idx
+  in
+  if Memory.page_perm pg <> pr.pg_perm then
+    Memory.set_page_perm mem idx pr.pg_perm;
+  restore_chunks pr.pg_bytes (Memory.page_data pg) (Memory.page_clean pg) 0;
+  Memory.page_mark_clean pg;
+  inst.pages_restored <- inst.pages_restored + 1
 
 (** Wind the instance back to its baseline: rewind every chunk the
     request changed from its pristine copy, drop pages it mapped,
@@ -128,26 +151,8 @@ let rec restore_chunks (src : bytes) (dst : bytes) (clean : int) (c : int) =
     changed. *)
 let reset (inst : t) =
   let mem = inst.rt.Runtime.mem in
-  let restored = ref 0 in
-  (* each changed baseline page: bring it back if unmapped, restore its
-     permission, rewrite its changed chunks (straight blits: only data
-     pages are writable, so no decode-cache entry can go stale), and
-     mark it clean last (see [Memory.drain_changes]) *)
   Memory.drain_changes mem ~lo:(slot_first inst.p) ~hi:(slot_last inst.p)
-    (fun idx ->
-      let pr = Hashtbl.find inst.pristine idx in
-      let pg =
-        match Memory.find_page_by_index mem idx with
-        | Some pg -> pg
-        | None ->
-            Memory.map mem ~addr:(addr_of_idx idx) ~len:page ~perm:pr.pg_perm;
-            Option.get (Memory.find_page_by_index mem idx)
-      in
-      if Memory.page_perm pg <> pr.pg_perm then
-        Memory.set_page_perm mem idx pr.pg_perm;
-      restore_chunks pr.pg_bytes (Memory.page_data pg) (Memory.page_clean pg) 0;
-      Memory.page_mark_clean pg;
-      incr restored);
+    restore_page inst;
   (* pages the request mapped (mmap/brk allocate at the break, so they
      all live in the heap-growth range): drop them *)
   let lo = Memory.page_index inst.heap_end0
@@ -156,11 +161,10 @@ let reset (inst : t) =
       (Int64.add inst.p.Proc.heap_end (Int64.of_int (page - 1)))
   in
   for idx = lo to hi - 1 do
-    if not (Hashtbl.mem inst.pristine idx)
-       && Memory.find_page_by_index mem idx <> None
+    if not (Itbl.mem inst.pristine idx)
+       && Memory.is_mapped mem (addr_of_idx idx)
     then Memory.unmap mem ~addr:(addr_of_idx idx) ~len:page
   done;
-  inst.pages_restored <- inst.pages_restored + !restored;
   inst.p.Proc.heap_end <- inst.heap_end0;
   if not (Proc.has_only_std_fds inst.p) then begin
     Proc.close_all inst.p;
@@ -405,7 +409,7 @@ let create ?(arena = 1 lsl 16) ?(insn_budget = 200_000_000) ?init
       arena_base;
       arena_len;
       insn_budget;
-      pristine = Hashtbl.create 64;
+      pristine = Itbl.create 64;
       recorder =
         (if rt.Runtime.cfg.Runtime.flight_recorder then Some p.Proc.flight
          else None);

@@ -70,7 +70,11 @@ let create ?(config = Lfi_core.Config.o2) ~(name : string)
     config;
   }
 
-let export_addr (t : t) (n : string) : int option = List.assoc_opt n t.exports
+let rec find_export (n : string) = function
+  | [] -> None
+  | (e, a) :: tl -> if String.equal e n then Some a else find_export n tl
+
+let export_addr (t : t) (n : string) : int option = find_export n t.exports
 
 (** Any symbol of the library image (globals included), for tests that
     need an in-sandbox address. *)

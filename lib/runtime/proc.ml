@@ -37,7 +37,7 @@ type t = {
   personality : personality;
   mutable state : state;
   mutable snapshot : Machine.snapshot;  (** register state when not running *)
-  fds : (int, Vfs.fd_object) Hashtbl.t;
+  fds : Vfs.fd_object Itbl.t;
   mutable next_fd : int;
   mutable heap_end : int64;  (** first unmapped heap address *)
   mutable parent : int option;
@@ -65,43 +65,45 @@ let is_runnable p = p.state = Runnable
     allocator would leak fd numbers without bound.  [next_fd] is kept
     as a high-water mark so {!dup_fds} still copies the full range. *)
 let alloc_fd (p : t) (obj : Vfs.fd_object) : int =
-  let rec first_free n = if Hashtbl.mem p.fds n then first_free (n + 1) else n in
+  let rec first_free n = if Itbl.mem p.fds n then first_free (n + 1) else n in
   let fd = first_free 3 in
-  Hashtbl.replace p.fds fd obj;
+  Itbl.replace p.fds fd obj;
   if fd >= p.next_fd then p.next_fd <- fd + 1;
   fd
 
-let fd (p : t) (n : int) = Hashtbl.find_opt p.fds n
+let fd (p : t) (n : int) = Itbl.find_opt p.fds n
 
 let close_fd (p : t) (n : int) =
-  match Hashtbl.find_opt p.fds n with
+  match Itbl.find_opt p.fds n with
   | Some obj ->
       Vfs.close_fd obj;
-      Hashtbl.remove p.fds n;
+      Itbl.remove p.fds n;
       0
   | None -> Vfs.ebadf
 
 let close_all (p : t) =
-  Hashtbl.iter (fun _ obj -> Vfs.close_fd obj) p.fds;
-  Hashtbl.reset p.fds
+  Itbl.iter (fun _ obj -> Vfs.close_fd obj) p.fds;
+  Itbl.reset p.fds
 
 (** Standard file descriptors. *)
 let install_std_fds (p : t) =
-  Hashtbl.replace p.fds 0 Vfs.Console_in;
-  Hashtbl.replace p.fds 1 Vfs.Console_out;
-  Hashtbl.replace p.fds 2 Vfs.Console_out;
+  Itbl.replace p.fds 0 Vfs.Console_in;
+  Itbl.replace p.fds 1 Vfs.Console_out;
+  Itbl.replace p.fds 2 Vfs.Console_out;
   p.next_fd <- 3
 
 (* [n] is open on [obj], a constant constructor; no option is built *)
 let fd_is (p : t) (n : int) (obj : Vfs.fd_object) =
-  Hashtbl.mem p.fds n && Hashtbl.find p.fds n == obj
+  match Itbl.find p.fds n with
+  | o -> o == obj
+  | exception Not_found -> false
 
 (** The table is exactly what {!install_std_fds} leaves: fds 0/1/2 on
     the console and nothing else, ever ([next_fd = 3]).  Allocates
     nothing. *)
 let has_only_std_fds (p : t) =
   p.next_fd = 3
-  && Hashtbl.length p.fds = 3
+  && Itbl.length p.fds = 3
   && fd_is p 0 Vfs.Console_in
   && fd_is p 1 Vfs.Console_out
   && fd_is p 2 Vfs.Console_out
@@ -109,12 +111,12 @@ let has_only_std_fds (p : t) =
 (** Duplicate the descriptor table for fork, bumping pipe endpoint
     reference counts. *)
 let dup_fds (src : t) (dst : t) =
-  Hashtbl.iter
+  Itbl.iter
     (fun n obj ->
       (match obj with
       | Vfs.Pipe_read pipe -> pipe.Vfs.readers <- pipe.Vfs.readers + 1
       | Vfs.Pipe_write pipe -> pipe.Vfs.writers <- pipe.Vfs.writers + 1
       | _ -> ());
-      Hashtbl.replace dst.fds n obj)
+      Itbl.replace dst.fds n obj)
     src.fds;
   dst.next_fd <- src.next_fd

@@ -357,7 +357,7 @@ let spawn rt ~(parent : Proc.t option) ~slot ~base ~personality ~snapshot
       personality;
       state = Proc.Runnable;
       snapshot;
-      fds = Hashtbl.create 8;
+      fds = Itbl.create 8;
       next_fd = 3;
       heap_end;
       parent = Option.map (fun (q : Proc.t) -> q.Proc.pid) parent;

@@ -91,9 +91,9 @@ let promote q x =
   remove q x;
   push_front q x
 
-(** The scheduling scan (see the module doc for the rotation rules).
-    Returns the chosen id, still enqueued at the tail. *)
-let select q ~(keep : int -> bool) ~(runnable : int -> bool) : int option =
+(* The general scan: copy the queue out, then rebuild it in the
+   rotated order. *)
+let scan q ~(keep : int -> bool) ~(runnable : int -> bool) : int option =
   let n = q.len in
   let items = Array.init n (nth q) in
   clear q;
@@ -117,3 +117,17 @@ let select q ~(keep : int -> bool) ~(runnable : int -> bool) : int option =
       else go (i + 1) (x :: skipped)
   in
   go 0 []
+
+(** The scheduling scan (see the module doc for the rotation rules).
+    Returns the chosen id, still enqueued at the tail.  A chosen head
+    is the common case, and its rotation is one step of the ring: the
+    head moves to the tail in place, copying nothing. *)
+let select q ~(keep : int -> bool) ~(runnable : int -> bool) : int option =
+  let cap = Array.length q.buf in
+  let x = q.buf.(q.head) in
+  if q.len > 0 && keep x && runnable x then begin
+    q.buf.((q.head + q.len) mod cap) <- x;
+    q.head <- (q.head + 1) mod cap;
+    Some x
+  end
+  else scan q ~keep ~runnable

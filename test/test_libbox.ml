@@ -216,12 +216,14 @@ let test_reset_restores_globals () =
 (* A warm call enters by writing its entry registers into the machine's
    register file in place, and reset rewinds only the chunks the poke
    dirtied and leaves the untouched std fd table alone, so a poke or
-   peek plus its reset allocates little: about 124 minor words (60 in
-   the release profile), under this bound.  Rebuilding the fd table on
-   every reset took about 140; with the register state in boxed
-   [int64] arrays (a fresh entry snapshot and its restore every call)
-   the same pair took about 490. *)
-let call_reset_words_bound = 140.
+   peek plus its reset allocates little: about 113 minor words (49 in
+   the release profile), under this bound.  With the polymorphic
+   [Hashtbl]'s options, a closure to drain the change log and a
+   [ref] it captured, the pair took about 124 (60 in release);
+   rebuilding the fd table on every reset took about 140; with the
+   register state in boxed [int64] arrays (a fresh entry snapshot and
+   its restore every call) the same pair took about 490. *)
+let call_reset_words_bound = 120.
 
 let test_call_allocates_little () =
   let inst = make_inst () in
@@ -278,7 +280,7 @@ let test_reset_rewinds_fds () =
   Instance.reset inst;
   checkb "rebuilt after open" true (Proc.has_only_std_fds p);
   checki "next_fd" 3 p.Proc.next_fd;
-  Hashtbl.replace p.Proc.fds 1 Vfs.Console_in;
+  Lfi_emulator.Itbl.replace p.Proc.fds 1 Vfs.Console_in;
   checkb "fd 1 re-pointed" false (Proc.has_only_std_fds p);
   Instance.reset inst;
   checkb "fd 1 on the console" true (Proc.fd p 1 = Some Vfs.Console_out);
@@ -521,6 +523,32 @@ let test_pool_round_robin () =
   checkb "deterministic order" true
     (List.filteri (fun i _ -> i < 3) pids
     = List.filteri (fun i _ -> i >= 3) pids)
+
+(* Four warm instances served in turn, in blocks of four pokes then
+   four peeks (perfbench's serve-tiny stream).  Their pages sit at the
+   same offsets of their own 4 GiB slots; the translation cache folds a
+   page's slot number into its line, so the warm rotation misses
+   nothing.  With the line taken from the low bits of the page index
+   alone, the instances evicted each other: 3 misses per op. *)
+let test_pool_rotation_no_tc_misses () =
+  let pool = Pool.create ~size:4 ~init:"init" (Lazy.force xz_lib) in
+  let mem = pool.Pool.rt.Runtime.mem in
+  let op k =
+    let name, args =
+      if k / 4 mod 2 = 0 then ("poke_global", [ Api.I 5L ])
+      else ("peek_global", [])
+    in
+    ignore (ret_of (snd (Pool.dispatch pool name args)))
+  in
+  for k = 0 to 15 do
+    op k
+  done;
+  let misses = mem.Memory.tc_misses in
+  for k = 16 to 95 do
+    op k
+  done;
+  checki "translation-cache misses over 80 warm ops" 0
+    (mem.Memory.tc_misses - misses)
 
 let test_crash_containment () =
   let lib = Lazy.force crash_lib in
@@ -1100,6 +1128,8 @@ let () =
         [
           mk "request isolation" test_pool_isolation;
           mk "round robin" test_pool_round_robin;
+          mk "warm rotation misses no translation"
+            test_pool_rotation_no_tc_misses;
           mk "crash containment" test_crash_containment;
           mk "runaway budget" test_runaway_budget;
           mk "runaway budget exact kill" test_runaway_budget_exact;

@@ -448,6 +448,49 @@ let test_runq_select_rotation () =
   checkb "none runnable" true (sel = None);
   checkb "compacted in order" true (Runq.to_list q = [ 3; 1 ])
 
+(* The scan [Runq.select] replaced, kept as the reference: copy the
+   queue out, drop ids not kept, and on the first runnable id rebuild
+   it as the unscanned rest, the skipped ids in order, the chosen id;
+   with none runnable, compact to the kept ids. *)
+let model_select items ~keep ~runnable =
+  let rec go skipped = function
+    | [] -> (None, List.filter keep items)
+    | x :: rest ->
+        if not (keep x) then go skipped rest
+        else if runnable x then (Some x, rest @ List.rev skipped @ [ x ])
+        else go (x :: skipped) rest
+  in
+  go [] items
+
+(* random queues (ring head moved off slot 0, so rotations wrap) and
+   random keep/runnable masks over ids 0..15, several selects in turn *)
+let prop_runq_select_model =
+  let mask = QCheck.Gen.(map2 ( lor ) (int_bound 0xFFFF) (int_bound 0xFFFF)) in
+  QCheck.Test.make ~name:"select matches the copy-and-rotate model"
+    ~count:500
+    (QCheck.make
+       QCheck.Gen.(
+         quad (int_range 1 8) (int_range 0 8)
+           (list_size (int_range 0 12) (int_bound 15))
+           (list_size (int_range 1 6) (pair mask mask))))
+    (fun (cap, shift, ids, steps) ->
+      let q = Runq.create ~capacity:cap () in
+      for _ = 1 to shift do
+        Runq.push q 0;
+        ignore (Runq.pop q)
+      done;
+      List.iter (Runq.push q) ids;
+      let rec go model = function
+        | [] -> true
+        | (km, rm) :: tl ->
+            let keep x = (km lsr x) land 1 = 1
+            and runnable x = (rm lsr x) land 1 = 1 in
+            let want, model = model_select model ~keep ~runnable in
+            let got = Runq.select q ~keep ~runnable in
+            got = want && Runq.to_list q = model && go model tl
+      in
+      go ids steps)
+
 let mk name f = Alcotest.test_case name `Quick f
 
 let () =
@@ -501,5 +544,8 @@ let () =
           mk "fifo + growth" test_runq_fifo;
           mk "promote" test_runq_promote;
           mk "select rotation" test_runq_select_rotation;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 0x5e1 |])
+            prop_runq_select_model;
         ] );
     ]
