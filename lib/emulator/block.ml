@@ -78,9 +78,9 @@ let build (m : Machine.t) (pci : int) : blk =
   let npages = if lastpc lsr Memory.page_bits <> pidx then 2 else 1 in
   let wx = Memory.(pb_w lor pb_x) in
   let page_wx idx =
-    match Memory.find_page_by_index m.mem idx with
-    | None -> false
-    | Some p -> Memory.page_perm p land wx = wx
+    match Memory.page_at m.mem idx with
+    | p -> Memory.page_perm p land wx = wx
+    | exception Not_found -> false
   in
   let dpage idx = Machine.decode_page m idx; m.dc_page in
   let dp0 = dpage pidx in

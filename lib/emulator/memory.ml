@@ -91,7 +91,9 @@ let tc_mask = tc_size - 1
     one slot the fold adds a constant, so a single sandbox keeps its
     hit/miss pattern; pages at the same offset in the slots of warm
     instances served in turn get different lines instead of evicting
-    each other on every call. *)
+    each other on every call.  A run in one slot gains nothing and
+    pays the shift, multiply and add on every probe (DESIGN.md §5a
+    gives the measured cost). *)
 let[@inline] tc_line (idx : int) =
   (idx + ((idx lsr (32 - page_bits)) * 157)) land tc_mask
 
@@ -406,11 +408,9 @@ let drain_changes m ~(lo : int) ~(hi : int) (f : 'a -> int -> unit) (x : 'a)
 (** The change log's page indices, in log order. *)
 let changed_pages m = Array.to_list (Array.sub m.changes 0 m.n_changes)
 
-(** Find a mapped page by index (used by fork's bulk copy). *)
-let find_page_by_index m (idx : int) = Itbl.find_opt m.pages idx
-
-(** The mapped page at index [idx], building no option; raises
-    [Not_found] when none is mapped there. *)
+(** The mapped page at index [idx] (fork's bulk copy, reset's restore,
+    postmortems); raises [Not_found] when none is mapped there, so a
+    hit builds no option. *)
 let page_at m (idx : int) = Itbl.find m.pages idx
 
 (** Unordered iteration over the mapped pages and their indices. *)

@@ -23,9 +23,6 @@ type t = {
   mutable instances : Instance.t array;
       (** creation order; dead ones stay put, respawns append *)
   runq : Runq.t;  (** indexes into [instances], dispatch order *)
-  alive : int -> bool;
-      (** [alive i]: instance [i] is alive — the run queue's [keep],
-          built once so that a pick builds no closure *)
   arena : int option;
   insn_budget : int option;
   init : string option;
@@ -52,12 +49,8 @@ let create ?runtime ?arena ?insn_budget ?init ~(size : int) (lib : Library.t)
   in
   let runq = Runq.create ~capacity:size () in
   Array.iteri (fun i _ -> Runq.push runq i) instances;
-  let rec pool =
-    { lib; rt; instances; runq;
-      alive = (fun i -> pool.instances.(i).Instance.alive);
-      arena; insn_budget; init; served = 0; failed = 0 }
-  in
-  pool
+  { lib; rt; instances; runq; arena; insn_budget; init; served = 0;
+    failed = 0 }
 
 let live (pool : t) : Instance.t list =
   Array.to_list pool.instances |> List.filter (fun i -> i.Instance.alive)
@@ -67,7 +60,11 @@ let live_count (pool : t) = List.length (live pool)
 (** Pick the next live instance off the run queue (rotating it to the
     tail), without dispatching.  [None] once every instance is dead. *)
 let next_instance (pool : t) : Instance.t option =
-  match Runq.select pool.runq ~keep:pool.alive ~runnable:(fun _ -> true) with
+  match
+    Runq.select pool.runq
+      ~keep:(fun i -> pool.instances.(i).Instance.alive)
+      ~runnable:(fun _ -> true)
+  with
   | Some i -> Some pool.instances.(i)
   | None -> None
 

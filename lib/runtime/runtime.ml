@@ -504,11 +504,9 @@ let do_fork rt (parent : Proc.t) : int =
           let child_addr = Int64.add base (Int64.of_int off) in
           Memory.map rt.mem ~addr:child_addr ~len:page ~perm:Memory.perm_rw;
           let child_idx = Memory.page_index child_addr in
-          (match Memory.find_page_by_index rt.mem child_idx with
-          | Some cp ->
-              Bytes.blit (Memory.page_data pg) 0 (Memory.page_data cp) 0 page;
-              Memory.set_page_perm rt.mem child_idx (Memory.page_perm pg)
-          | None -> assert false)
+          let cp = Memory.page_at rt.mem child_idx in
+          Bytes.blit (Memory.page_data pg) 0 (Memory.page_data cp) 0 page;
+          Memory.set_page_perm rt.mem child_idx (Memory.page_perm pg)
         end)
       (slot_pages rt.mem parent.Proc.base);
     (* Child registers: parent's current state anchored to the child
@@ -937,9 +935,9 @@ let fault_pages rt (p : Proc.t) (addr : int64) :
       else
         let pg_addr = Int64.shift_left (Int64.of_int i) Memory.page_bits in
         let pg_perm =
-          match Memory.find_page_by_index rt.mem i with
-          | Some pg -> perm_string (Memory.page_perm pg)
-          | None -> "---"
+          match Memory.page_at rt.mem i with
+          | pg -> perm_string (Memory.page_perm pg)
+          | exception Not_found -> "---"
         in
         Some { Lfi_telemetry.Postmortem.pg_addr; pg_perm })
     [ -2; -1; 0; 1; 2 ]

@@ -91,43 +91,29 @@ let promote q x =
   remove q x;
   push_front q x
 
-(* The general scan: copy the queue out, then rebuild it in the
-   rotated order. *)
-let scan q ~(keep : int -> bool) ~(runnable : int -> bool) : int option =
-  let n = q.len in
-  let items = Array.init n (nth q) in
-  clear q;
-  let rec go i skipped =
-    if i >= n then begin
-      (* nothing runnable: compact to the kept ids, original order *)
-      Array.iter (fun x -> if keep x then push q x) items;
-      None
+(* [select]'s pass over the next [k] ids: pop the head, drop it if it
+   is not kept, otherwise push it back at the tail, and stop at the
+   first runnable one.  A pop always frees the slot the push needs, so
+   nothing is copied or grown.  A toplevel function, not a local one,
+   so that a pick builds no closure over the queue and predicates. *)
+let rec rotate q keep runnable k =
+  if k = 0 then None
+  else begin
+    let cap = Array.length q.buf in
+    let x = q.buf.(q.head) in
+    q.head <- (q.head + 1) mod cap;
+    q.len <- q.len - 1;
+    if not (keep x) then rotate q keep runnable (k - 1)
+    else begin
+      q.buf.((q.head + q.len) mod cap) <- x;
+      q.len <- q.len + 1;
+      if runnable x then Some x else rotate q keep runnable (k - 1)
     end
-    else
-      let x = items.(i) in
-      if not (keep x) then go (i + 1) skipped
-      else if runnable x then begin
-        for j = i + 1 to n - 1 do
-          push q items.(j)
-        done;
-        List.iter (push q) (List.rev skipped);
-        push q x;
-        Some x
-      end
-      else go (i + 1) (x :: skipped)
-  in
-  go 0 []
+  end
 
 (** The scheduling scan (see the module doc for the rotation rules).
-    Returns the chosen id, still enqueued at the tail.  A chosen head
-    is the common case, and its rotation is one step of the ring: the
-    head moves to the tail in place, copying nothing. *)
+    Returns the chosen id, still enqueued at the tail.  One in-place
+    pass over the [len] ids present at entry; a runnable head is one
+    step of the ring. *)
 let select q ~(keep : int -> bool) ~(runnable : int -> bool) : int option =
-  let cap = Array.length q.buf in
-  let x = q.buf.(q.head) in
-  if q.len > 0 && keep x && runnable x then begin
-    q.buf.((q.head + q.len) mod cap) <- x;
-    q.head <- (q.head + 1) mod cap;
-    Some x
-  end
-  else scan q ~keep ~runnable
+  rotate q keep runnable q.len

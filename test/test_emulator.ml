@@ -630,11 +630,9 @@ let ig_exec ?(drive = Exec.run) ((words, st) : int list * ig_state) :
   Memory.map mem ~addr:ig_data ~len:(ig_data_pages * Memory.page_size)
     ~perm:Memory.perm_rw;
   for p = 0 to ig_data_pages - 1 do
-    match Memory.find_page_by_index mem (Memory.page_index ig_data + p) with
-    | Some pg ->
-        Bytes.blit ig_pattern (p * Memory.page_size) (Memory.page_data pg) 0
-          Memory.page_size
-    | None -> assert false
+    let pg = Memory.page_at mem (Memory.page_index ig_data + p) in
+    Bytes.blit ig_pattern (p * Memory.page_size) (Memory.page_data pg) 0
+      Memory.page_size
   done;
   let f = m.Machine.regs in
   Array.iteri (Machine.set_x f) st.g_regs;
@@ -663,9 +661,8 @@ let ig_line ?drive idx case =
   for n = 0 to 31 do add64 (Machine.vlo f n) done;
   for n = 0 to 31 do add64 (Machine.vhi f n) done;
   for p = 0 to ig_data_pages - 1 do
-    match Memory.find_page_by_index m.Machine.mem (Memory.page_index ig_data + p) with
-    | Some pg -> Buffer.add_bytes b (Memory.page_data pg)
-    | None -> assert false
+    let pg = Memory.page_at m.Machine.mem (Memory.page_index ig_data + p) in
+    Buffer.add_bytes b (Memory.page_data pg)
   done;
   let event =
     match ev with

@@ -397,9 +397,9 @@ let prop_reset_restores_baseline =
         grp.(g / 3 mod Array.length grp)
       in
       let writable idx =
-        match Memory.find_page_by_index mem idx with
-        | Some pg -> Memory.page_perm pg land Memory.pb_w <> 0
-        | None -> false
+        match Memory.page_at mem idx with
+        | pg -> Memory.page_perm pg land Memory.pb_w <> 0
+        | exception Not_found -> false
       in
       (* once a page is re-protected or unmapped a guest call may fault
          and retire the instance, so later calls become host stores *)
