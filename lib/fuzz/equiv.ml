@@ -3,8 +3,9 @@
     The rewriter may add guards, split instructions and relax
     branches, but it must never change what a program *computes*.
     This engine generates programs, runs each natively (base 0, no
-    rewriting) and rewritten at O0/O1/O2 (in a sandbox slot), and
-    compares architectural results: exit value, registers (for raw
+    rewriting) and rewritten at O0/O1/O2 (in a sandbox slot), each in
+    a fresh runtime under an instruction budget, and compares
+    architectural results: exit value, registers (for raw
     streams), and a digest of the data section.  Cycle and instruction
     counts are the only things allowed to differ.
 
@@ -54,18 +55,54 @@ let opt_levels =
   [ ("O0", Lfi_core.Config.o0); ("O1", Lfi_core.Config.o1);
     ("O2", Lfi_core.Config.o2) ]
 
-let lfi_base = Lfi_core.Layout.slot_base 1
+module Runtime = Lfi_runtime.Runtime
+module M = Lfi_emulator.Machine
 
-let run_at ~(base : int64) (elf : Lfi_elf.Elf.t) : Sandbox.t * Sandbox.outcome =
-  let sbx = Sandbox.load ~base elf in
-  let out = Sandbox.run sbx in
-  (sbx, out)
+(** A finished run: the runtime (its machine still holds the process's
+    final registers), how the process ended, its slot base and the
+    absolute address of its data section. *)
+type run = {
+  rt : Runtime.t;
+  stop : Runtime.exit_reason;
+  base : int64;
+  data : int64;
+}
+
+(** Run [elf] to its end in a fresh runtime, unverified, under an
+    instruction [budget]: natively in slot 0, or sandboxed in slot 1,
+    where [oracle] arms the escape oracle first. *)
+let run_at ?(oracle = false) ~budget ~native (elf : Lfi_elf.Elf.t) : run =
+  let rt =
+    Runtime.create
+      ~config:
+        { Runtime.default_config with verify = false; insn_budget = budget }
+      ()
+  in
+  let personality =
+    if native then Lfi_runtime.Proc.Native_in_lfi_runtime
+    else Lfi_runtime.Proc.Lfi
+  in
+  let p = Runtime.load rt ~personality elf in
+  if oracle then ignore (Runtime.install_oracle rt p);
+  let stop, _, _, _ = Runtime.run_one rt p in
+  let base = p.Lfi_runtime.Proc.base in
+  let data =
+    List.find
+      (fun (s : Lfi_elf.Elf.segment) -> s.flags land Lfi_elf.Elf.pf_x = 0)
+      elf.Lfi_elf.Elf.segments
+  in
+  { rt; stop; base; data = Int64.add base (Int64.of_int data.vaddr) }
+
+(* the full 64-bit exit value, off the machine: [Exited] carries an
+   OCaml int, which has no bit 63 *)
+let exit_value (r : run) = M.x r.rt.Runtime.machine.M.regs 0
 
 (* ------------------------------------------------------------------ *)
 (* Comparison                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let data_digest sbx ~len = Sandbox.read_data sbx ~off:0 ~len
+let data_digest (r : run) ~len =
+  Lfi_emulator.Memory.read_bytes r.rt.Runtime.mem r.data len
 
 (** Registers whose final value must match exactly between the native
     and sandboxed runs of a stream: everything except the reserved
@@ -76,14 +113,13 @@ let stream_compared_regs =
   [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12; 13; 14; 15; 16; 17; 20; 25;
     26; 27; 28; 29 ]
 
-let compare_stream_state ~(native : Sandbox.t) ~(lfi : Sandbox.t) :
-    string option =
-  let module M = Lfi_emulator.Machine in
-  let fn = native.Sandbox.machine.M.regs and fl = lfi.Sandbox.machine.M.regs in
+let compare_stream_state ~(native : run) ~(lfi : run) : string option =
+  let fn = native.rt.Runtime.machine.M.regs
+  and fl = lfi.rt.Runtime.machine.M.regs in
   let reg_mismatch =
     List.find_opt (fun n -> M.x fn n <> M.x fl n) stream_compared_regs
   in
-  let rel f (sbx : Sandbox.t) = Int64.sub (M.x f 19) sbx.Sandbox.base in
+  let rel f (r : run) = Int64.sub (M.x f 19) r.base in
   let fp_mismatch =
     let rec go i =
       if i >= 32 then None
@@ -132,45 +168,44 @@ let build_level ~name config src =
 
 (** Run [src] natively and at every opt level, with [compare_state]
     called on matching exits for the deeper state comparison. *)
-let check_source ~(compare_state : native:Sandbox.t -> lfi:Sandbox.t -> string option)
+let check_source ~(compare_state : native:run -> lfi:run -> string option)
     (src : Source.t) : case_result =
   match Lfi_core.Build.elf None src with
   | exception e -> Skip ("native build failed: " ^ Printexc.to_string e)
   | native_elf -> (
-      let native_sbx, native_out = run_at ~base:0L native_elf in
-      match native_out.Sandbox.stop with
-      | Sandbox.Out_of_budget -> Skip "native run out of budget"
-      | Sandbox.Trapped why -> Skip ("native run trapped: " ^ why)
-      | Sandbox.Stray_call _ -> Skip "native stray call"
-      | Sandbox.Exit native_exit ->
+      let run = run_at ~budget:500_000 in
+      let native = run ~native:true native_elf in
+      match native.stop with
+      | Runtime.Killed why -> Skip ("native run killed: " ^ why)
+      | Runtime.Exited _ ->
+          let native_exit = exit_value native in
           (* the first level that fails, and why *)
           let failure (name, config) =
             match build_level ~name config src with
             | Error why -> Some why
             | Ok elf -> (
-                let sbx, out = run_at ~base:lfi_base elf in
-                match out.Sandbox.stop with
-                | Sandbox.Exit v when v = native_exit ->
-                    compare_state ~native:native_sbx ~lfi:sbx
+                let lfi = run ~native:false elf in
+                match lfi.stop with
+                | Runtime.Exited _ when exit_value lfi = native_exit ->
+                    compare_state ~native ~lfi
                     |> Option.map (Printf.sprintf "%s: %s" name)
-                | Sandbox.Exit v ->
+                | Runtime.Exited _ ->
                     Some
                       (Printf.sprintf "%s: exit value 0x%Lx, native 0x%Lx"
-                         name v native_exit)
-                | other ->
+                         name (exit_value lfi) native_exit)
+                | Runtime.Killed why ->
                     Some
-                      (Format.asprintf "%s: %a, native exit(0x%Lx)" name
-                         Sandbox.pp_stop other native_exit))
+                      (Printf.sprintf "%s: killed: %s, native exit(0x%Lx)"
+                         name why native_exit))
           in
           match List.find_map failure opt_levels with
           | None -> Pass
           | Some why -> Fail why)
 
-let minic_compare ~(native : Sandbox.t) ~(lfi : Sandbox.t) : string option =
+let minic_compare ~(native : run) ~(lfi : run) : string option =
   (* compiled code keeps real pointers in registers; compare the global
      array contents only *)
-  let dn = Sandbox.read_data native ~off:0 ~len:512
-  and dl = Sandbox.read_data lfi ~off:0 ~len:512 in
+  let dn = data_digest native ~len:512 and dl = data_digest lfi ~len:512 in
   if Bytes.equal dn dl then None else Some "global array differs"
 
 (* ------------------------------------------------------------------ *)

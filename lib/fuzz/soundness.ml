@@ -7,14 +7,26 @@
     tweaks), and re-verifies each mutant:
 
     - mutant rejected — fine, that is the verifier doing its job;
-    - mutant accepted — it is *executed* on a bare machine with the
-      emulator's escape oracle installed ({!Sandbox.install_oracle}).
-      Any load, store or taken branch that resolves outside the
-      sandbox (plus its guard regions / the runtime-call entries) is a
-      **soundness bug**: the verifier blessed a binary that escapes.
-      The failing mutant is minimized by nopping out every word that
-      is not needed to both verify and escape, and written to the
-      corpus.
+    - mutant accepted — it is *executed* in the runtime, loaded
+      without verification, with the emulator's escape oracle armed
+      ({!Lfi_runtime.Runtime.install_oracle}).  The run is bounded by
+      the runtime's instruction budget, and its runtime calls go to
+      the real handlers.  Any load, store or taken branch that
+      resolves outside the sandbox (plus its guard regions / the
+      runtime-call entries) is a **soundness bug**: the verifier
+      blessed a binary that escapes.  The failing mutant is minimized
+      by nopping out every word that is not needed to both verify and
+      escape, and written to the corpus.
+
+    Which real handlers a mutant can reach: the seeds' one runtime
+    call is the exit sequence [ldr x30, \[x21, #8\]; blr x30], and a
+    single mutation can only turn its table index 1 into 3, 5 or 9
+    ([read], [close], [yield]), or into 0 or 17 and up, entries that
+    point at the guard page and trap.  None of them maps memory,
+    forks or waits, so a mutant costs the host no more memory than
+    its seed.  An operator that can reach [mmap], [brk], [fork] or
+    [wait] needs a runtime whose mappings are demand-zero and bounded
+    first: one [mmap] may ask for 1 GiB of zero-filled pages.
 
     Because (we believe!) the real verifier is sound, a green run only
     proves the engine *ran*; {!demo_weakened} proves it can *catch*:
@@ -26,6 +38,7 @@
 
 open Lfi_arm64
 open Lfi_emulator
+module Runtime = Lfi_runtime.Runtime
 
 (* ------------------------------------------------------------------ *)
 (* Mutations                                                           *)
@@ -70,8 +83,6 @@ let apply_mutation (code : bytes) (m : mutation) : bytes =
 (* Running a mutant                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let base = Lfi_core.Layout.slot_base 1
-
 let with_text (elf : Lfi_elf.Elf.t) (code : bytes) : Lfi_elf.Elf.t =
   {
     elf with
@@ -93,13 +104,17 @@ let verifies ~(config : Lfi_verifier.Verifier.config) (elf : Lfi_elf.Elf.t) :
     bool =
   Result.is_ok (Lfi_verifier.Verifier.verify_elf ~config elf)
 
-(** Execute [elf] with the oracle installed; returns the escape
-    records. *)
+(** The oracle records of a run, oldest first, and their total (past
+    the recording cap too); none when the run was not armed. *)
+let escapes (r : Equiv.run) : Machine.escape list * int =
+  match r.Equiv.rt.Runtime.machine.Machine.escape_oracle with
+  | Some o -> (List.rev o.Machine.o_escapes, o.Machine.o_count)
+  | None -> ([], 0)
+
+(** Execute [elf] sandboxed, under a 200k-instruction budget, with the
+    oracle armed; returns its escape records. *)
 let escapes_of (elf : Lfi_elf.Elf.t) : Machine.escape list * int =
-  let sbx = Sandbox.load ~base elf in
-  ignore (Sandbox.install_oracle sbx);
-  let out = Sandbox.run ~budget:200_000 sbx in
-  (out.Sandbox.escapes, out.Sandbox.escape_count)
+  escapes (Equiv.run_at ~oracle:true ~budget:200_000 ~native:false elf)
 
 and pp_escape fmt (e : Machine.escape) =
   Format.fprintf fmt "%s at pc=0x%Lx -> 0x%Lx"

@@ -42,12 +42,10 @@ type t = {
   p : Proc.t;
   arena_base : int64;  (** absolute base of the marshalling arena *)
   arena_len : int;
-  insn_budget : int;  (** per-call runaway limit *)
   pristine : pristine Itbl.t;  (** page index → baseline copy *)
   recorder : Lfi_telemetry.Flight.t option;
-      (** what a call installs as the machine's flight recorder: the
-          process's, or [None] when the runtime runs without one —
-          built once, so a call allocates no option *)
+      (** what a call installs as the machine's flight recorder, the
+          process's — built once, so a call allocates no option *)
   mutable baseline : Machine.snapshot;
   mutable heap_end0 : int64;
   mutable alive : bool;
@@ -262,25 +260,26 @@ let kill (inst : t) (reason : string) : Api.error =
 
 (** Run the entered call to its return: the runtime's run step
     ({!Runtime.slice} with [~box:true]) until the trampoline's
-    [box_ret], under the instance's instruction budget; [i0] is the
-    machine's instruction count at entry.  The return value is x0. *)
+    [box_ret], under the runtime's instruction budget, counted from
+    the call's entry; [i0] is the machine's instruction count there.
+    The return value is x0. *)
 let rec drive (inst : t) (m : Machine.t) (i0 : int) :
     (int64, Api.error) result =
-  if m.Machine.insns - i0 > inst.insn_budget then
-    Error (kill inst "library call instruction budget exceeded")
-  else
-    match Runtime.slice ~box:true inst.rt inst.p with
-    | Runtime.Preempted | Runtime.Continue -> drive inst m i0
-    | Runtime.Returned -> Ok (Machine.x m.Machine.regs 0)
-    | Runtime.Switch ->
-        ignore (kill inst "blocking runtime call in library call");
-        Error Api.Blocked
-    | Runtime.Died reason ->
-        retire inst;
-        Error
-          (match reason with
-          | Runtime.Exited c -> Api.Exited c
-          | Runtime.Killed why -> Api.Killed why)
+  match
+    Runtime.slice ~box:true inst.rt inst.p
+      ~left:(inst.rt.Runtime.cfg.Runtime.insn_budget - (m.Machine.insns - i0))
+  with
+  | Runtime.Preempted | Runtime.Continue -> drive inst m i0
+  | Runtime.Returned -> Ok (Machine.x m.Machine.regs 0)
+  | Runtime.Switch ->
+      ignore (kill inst "blocking runtime call in library call");
+      Error Api.Blocked
+  | Runtime.Died reason ->
+      retire inst;
+      Error
+        (match reason with
+        | Runtime.Exited c -> Api.Exited c
+        | Runtime.Killed why -> Api.Killed why)
 
 (** Copy the [Out] buffers back, in argument order, charging each;
     [mout] is the copy-out cost so far. *)
@@ -393,8 +392,7 @@ let call (inst : t) (name : string) (args : Api.arg list) :
     off: the {!Library} already verified the image).  Runs [init] when
     given, then captures the reset baseline — init effects persist
     across resets. *)
-let create ?(arena = 1 lsl 16) ?(insn_budget = 200_000_000) ?init
-    (rt : Runtime.t) (lib : Library.t) : t =
+let create ?(arena = 1 lsl 16) ?init (rt : Runtime.t) (lib : Library.t) : t =
   let p = Runtime.load rt ~personality:Proc.Lfi lib.Library.elf in
   let arena_len = Runtime.align_up (max arena 1) in
   let arena_base = p.Proc.heap_end in
@@ -408,11 +406,8 @@ let create ?(arena = 1 lsl 16) ?(insn_budget = 200_000_000) ?init
       p;
       arena_base;
       arena_len;
-      insn_budget;
       pristine = Itbl.create 64;
-      recorder =
-        (if rt.Runtime.cfg.Runtime.flight_recorder then Some p.Proc.flight
-         else None);
+      recorder = Some p.Proc.flight;
       baseline = p.Proc.snapshot;
       heap_end0 = p.Proc.heap_end;
       alive = true;

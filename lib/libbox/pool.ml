@@ -24,7 +24,6 @@ type t = {
       (** creation order; dead ones stay put, respawns append *)
   runq : Runq.t;  (** indexes into [instances], dispatch order *)
   arena : int option;
-  insn_budget : int option;
   init : string option;
   mutable served : int;
   mutable failed : int;
@@ -33,7 +32,7 @@ type t = {
 (** Build a pool of [size] instances.  The runtime is created here with
     verification off — the {!Library} already verified the image once —
     unless an explicit [runtime] is supplied. *)
-let create ?runtime ?arena ?insn_budget ?init ~(size : int) (lib : Library.t)
+let create ?runtime ?arena ?init ~(size : int) (lib : Library.t)
     : t =
   if size < 1 then invalid_arg "Pool.create: size < 1";
   let rt =
@@ -45,12 +44,11 @@ let create ?runtime ?arena ?insn_budget ?init ~(size : int) (lib : Library.t)
           ()
   in
   let instances =
-    Array.init size (fun _ -> Instance.create ?arena ?insn_budget ?init rt lib)
+    Array.init size (fun _ -> Instance.create ?arena ?init rt lib)
   in
   let runq = Runq.create ~capacity:size () in
   Array.iteri (fun i _ -> Runq.push runq i) instances;
-  { lib; rt; instances; runq; arena; insn_budget; init; served = 0;
-    failed = 0 }
+  { lib; rt; instances; runq; arena; init; served = 0; failed = 0 }
 
 let live (pool : t) : Instance.t list =
   Array.to_list pool.instances |> List.filter (fun i -> i.Instance.alive)
@@ -99,8 +97,7 @@ let dispatch (pool : t) (name : string) (args : Api.arg list) :
     the tail of the dispatch order. *)
 let respawn (pool : t) : Instance.t =
   let inst =
-    Instance.create ?arena:pool.arena ?insn_budget:pool.insn_budget
-      ?init:pool.init pool.rt pool.lib
+    Instance.create ?arena:pool.arena ?init:pool.init pool.rt pool.lib
   in
   pool.instances <- Array.append pool.instances [| inst |];
   Runq.push pool.runq (Array.length pool.instances - 1);

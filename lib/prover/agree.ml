@@ -7,8 +7,8 @@
     instruction must never escape.  This module concretizes a hole
     into a minimal runnable program (index register set to the value
     the symbolic interval says is reachable, an exit through the
-    runtime table appended) and runs it under
-    {!Lfi_fuzz.Sandbox.install_oracle}.
+    runtime table appended) and runs it in the runtime with the escape
+    oracle armed ({!Lfi_fuzz.Soundness.escapes_of}).
 
     Not every hole is concretizable this way (e.g. sp descents that
     need a multi-step staircase to drift below the sandbox); the tests

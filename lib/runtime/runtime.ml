@@ -23,10 +23,9 @@ type config = {
           context numbers (SCXTNUM_EL0) so that branch-predictor state
           is not shared; modeled as a system-register write on every
           runtime entry/exit and on every context switch *)
-  flight_recorder : bool;
-      (** keep a per-sandbox ring buffer of recent control-flow events
-          (and the guard-clamp audit) for postmortem reports; on by
-          default — the recorder is allocation-free and cheap *)
+  insn_budget : int;
+      (** instructions a process may retire before it is killed
+          ({!slice}); in a library call, the instructions of the call *)
 }
 
 (** Every process's stack, below the top guard region. *)
@@ -41,7 +40,7 @@ let default_config =
     allowed_prefixes = [];
     echo_stdout = false;
     spectre_hardening = false;
-    flight_recorder = true;
+    insn_budget = 200_000_000 (* 8x the longest experiment run, 25.4M *);
   }
 
 type exit_reason =
@@ -230,11 +229,10 @@ let install_rtcall_table mem (base : int64) =
     ~perm:Memory.perm_r
 
 (** Map [elf]'s segments into the slot at [base] — memsz mapped, filesz
-    copied, executable segments then made read+execute (W^X) — and a
-    [stack_size] stack below the top guard region.  Returns the slot
+    copied, executable segments then made read+execute (W^X) — and the
+    {!stack_size} stack below the top guard region.  Returns the slot
     offset where the highest segment ends (the initial heap break). *)
-let map_image mem (base : int64) ~(stack_size : int) (elf : Lfi_elf.Elf.t) :
-    int =
+let map_image mem (base : int64) (elf : Lfi_elf.Elf.t) : int =
   let data_end = ref Lfi_core.Layout.code_origin in
   List.iter
     (fun (s : Lfi_elf.Elf.segment) ->
@@ -333,14 +331,6 @@ let entry_snapshot (f : Machine.snapshot) (base : int64) ~(pc : int)
   Machine.set_sp f (Int64.of_int Lfi_core.Layout.stack_top);
   anchor_snapshot base f
 
-(** A program's first register state, as a fresh snapshot: [arg] in
-    x0. *)
-let initial_snapshot base ~entry ~arg : Machine.snapshot =
-  let s = Machine.empty_snapshot () in
-  Machine.set_x s 0 arg;
-  entry_snapshot s base ~pc:entry ~link:entry;
-  s
-
 (** Create a runnable process in [slot] and queue it — the one place a
     process is built, for load and fork alike.  A forked child
     inherits [parent]'s descriptor table; any other process starts
@@ -411,13 +401,39 @@ let load rt ?(arg = 0L) ~(personality : Proc.personality)
   in
   let base = Lfi_core.Layout.slot_base slot in
   if not native then install_rtcall_table rt.mem base;
-  let data_end = map_image rt.mem base ~stack_size elf in
+  let data_end = map_image rt.mem base elf in
   if native then rt.native_loaded <- true;
-  spawn rt ~parent:None ~slot ~base ~personality
-    ~snapshot:(initial_snapshot base ~entry:elf.Lfi_elf.Elf.entry ~arg)
+  let snapshot = Machine.empty_snapshot () in
+  Machine.set_x snapshot 0 arg;
+  let entry = elf.Lfi_elf.Elf.entry in
+  entry_snapshot snapshot base ~pc:entry ~link:entry;
+  spawn rt ~parent:None ~slot ~base ~personality ~snapshot
     ~heap_end:(Int64.add base (Int64.of_int (align_up data_end)))
     ~symbols:(Lfi_telemetry.Profile.sym_table elf.Lfi_elf.Elf.symbols)
     ~sites:elf.Lfi_elf.Elf.sites
+
+(** Arm the emulator's escape oracle for [p]'s slot: data accesses may
+    spill into the adjacent guard regions (that is what they are for —
+    reserved-base immediates, sp drift and pre/post-index offsets are
+    all bounded well below the 48KiB guards), taken branches must stay
+    inside the slot proper or land on a runtime-call entry.  One oracle
+    per machine: the fuzzers run one process per runtime. *)
+let install_oracle rt (p : Proc.t) : Machine.oracle =
+  let sandbox = Int64.of_int Lfi_core.Layout.sandbox_size in
+  let guard = Int64.of_int Lfi_core.Layout.guard_size in
+  let base = p.Proc.base in
+  let o =
+    Machine.oracle
+      ~lo:(Int64.sub base guard)
+      ~hi:(Int64.add base (Int64.add sandbox guard))
+      ~branch_lo:base
+      ~branch_hi:(Int64.add base sandbox)
+      ~host_lo:Machine.host_region_start
+      ~host_hi:
+        (Int64.add Machine.host_region_start (Int64.of_int (8 * Sysno.count)))
+  in
+  rt.machine.Machine.escape_oracle <- Some o;
+  o
 
 (* ------------------------------------------------------------------ *)
 (* Runtime-call helpers                                                *)
@@ -819,8 +835,6 @@ let handle_call rt (p : Proc.t) (k : int) : outcome =
 (* Scheduler                                                           *)
 (* ------------------------------------------------------------------ *)
 
-exception Deadlock
-
 let next_runnable rt : Proc.t option =
   (* poll blocked processes first (the "signals" of our runtime) *)
   Hashtbl.iter (fun _ p -> try_wake rt p) rt.procs;
@@ -1104,16 +1118,20 @@ let die rt ?fault (p : Proc.t) reason =
 
 (** Run [p], whose registers are on the machine, for one quantum and
     say how it ended — the one run step, shared by the scheduler and
-    libbox's library calls.  The instructions retired are credited to
-    [p] before anything else happens, a runtime call is served through
-    {!serve_call}, and a trap kills [p] through {!kill_proc}.  With
-    [~box:true] (inside a library call) the [box_ret] entry ends the
-    call with [Returned]; otherwise it is an ordinary, unknown runtime
-    call (ENOSYS). *)
-let slice ~(box : bool) rt (p : Proc.t) : outcome =
+    libbox's library calls.  [left] is what remains of [p]'s
+    instruction budget: the slice runs at most that many, and a slice
+    that retires the last of them kills [p], so a run stops at exactly
+    its budget.  The instructions retired are credited to [p] before
+    anything else happens, a runtime call is served through
+    {!serve_call}, and a trap or an entry at no call's address kills
+    [p] through {!kill_proc}.  With [~box:true] (inside a library
+    call) the [box_ret] entry ends the call with [Returned]; otherwise
+    it is an ordinary, unknown runtime call (ENOSYS). *)
+let slice ~(box : bool) rt (p : Proc.t) ~(left : int) : outcome =
   let m = rt.machine in
   let i0 = m.Machine.insns in
-  let ev = Exec.run m ~quantum:rt.cfg.quantum in
+  let q = rt.cfg.quantum in
+  let ev = Exec.run m ~quantum:(if left < q then left else q) in
   p.Proc.user_insns <- p.Proc.user_insns + (m.Machine.insns - i0);
   (* overhead counter track: one sample per quantum keeps the trace
      linear in scheduling events, not instructions *)
@@ -1127,12 +1145,18 @@ let slice ~(box : bool) rt (p : Proc.t) : outcome =
                 (Lfi_telemetry.Overhead.attributed_cycles a) ) ]
   | _ -> ());
   match ev with
-  | Exec.Quantum_expired -> Preempted
+  | Exec.Quantum_expired ->
+      if left <= q then die rt p "instruction budget exceeded" else Preempted
   | Exec.Runtime_entry pc ->
-      let k = Int64.to_int (Int64.sub pc Machine.host_region_start) / 8 in
-      (* return address: blr x30 left it in x30 *)
-      Machine.set_pc m.Machine.regs (Machine.x m.Machine.regs 30);
-      if box && k = Sysno.box_ret then Returned else serve_call rt p k
+      let off = Int64.to_int (Int64.sub pc Machine.host_region_start) in
+      let k = off lsr 3 in
+      if off land 7 <> 0 || k >= Sysno.count then
+        die rt p (Printf.sprintf "stray runtime entry at 0x%Lx" pc)
+      else begin
+        (* return address: blr x30 left it in x30 *)
+        Machine.set_pc m.Machine.regs (Machine.x m.Machine.regs 30);
+        if box && k = Sysno.box_ret then Returned else serve_call rt p k
+      end
   | Exec.Trap (Exec.Svc_trap k) ->
       (* a verified binary can never reach here *)
       if p.Proc.personality = Proc.Lfi then die rt p "svc from sandboxed code"
@@ -1142,20 +1166,29 @@ let slice ~(box : bool) rt (p : Proc.t) : outcome =
   | Exec.Trap (Exec.Undefined pc) ->
       die rt p (Printf.sprintf "undefined instruction at 0x%Lx" pc)
 
-(** Run until every process has exited.  Returns the exit log (most
-    recent first). *)
+(** Kill every blocked process, lowest pid first, when nothing can run:
+    no process can wake another, so each would wait forever.  The
+    machine gets the process's registers first, so its postmortem
+    shows where it blocked. *)
+let kill_deadlocked rt =
+  Hashtbl.fold
+    (fun _ p acc ->
+      match p.Proc.state with Proc.Blocked _ -> p :: acc | _ -> acc)
+    rt.procs []
+  |> List.sort (fun a b -> compare a.Proc.pid b.Proc.pid)
+  |> List.iter (fun p ->
+         Machine.restore rt.machine p.Proc.snapshot;
+         kill_proc rt p "deadlock")
+
+(** Run until no process can run: every one has exited or been killed
+    — by a fault, by its instruction budget, or, blocked with nothing
+    left to wake it, as deadlocked.  Returns the exit log (most recent
+    first). *)
 let run rt : (int * exit_reason) list =
   let m = rt.machine in
   let rec schedule () =
     match next_runnable rt with
-    | None ->
-        let blocked =
-          Hashtbl.fold
-            (fun _ p acc ->
-              match p.Proc.state with Proc.Blocked _ -> acc + 1 | _ -> acc)
-            rt.procs 0
-        in
-        if blocked > 0 then raise Deadlock else ()
+    | None -> kill_deadlocked rt
     | Some p ->
         rt.ctx_switches <- rt.ctx_switches + 1;
         (match rt.trace with
@@ -1167,26 +1200,21 @@ let run rt : (int * exit_reason) list =
         if rt.cfg.spectre_hardening then
           Machine.add_cycles m rt.cfg.uarch.Cost_model.scxtnum_switch;
         Machine.restore m p.Proc.snapshot;
-        m.Machine.flight <-
-          (if rt.cfg.flight_recorder then Some p.Proc.flight else None);
-        (match m.Machine.flight with
-        | None -> ()
-        | Some f ->
-            Lfi_telemetry.Flight.record f Lfi_telemetry.Flight.k_ctx_switch
-              (Int64.to_int (Machine.pc m.Machine.regs)) p.Proc.pid);
+        m.Machine.flight <- Some p.Proc.flight;
+        Lfi_telemetry.Flight.record p.Proc.flight
+          Lfi_telemetry.Flight.k_ctx_switch
+          (Int64.to_int (Machine.pc m.Machine.regs)) p.Proc.pid;
         execute p;
         schedule ()
   and execute (p : Proc.t) =
-    match slice ~box:false rt p with
+    let left = rt.cfg.insn_budget - p.Proc.user_insns in
+    match slice ~box:false rt p ~left with
     | Continue -> execute p
     | Preempted ->
         (* timer preemption (setitimer in the real runtime) *)
         rt.preemptions <- rt.preemptions + 1;
-        (match m.Machine.flight with
-        | None -> ()
-        | Some f ->
-            Lfi_telemetry.Flight.record f Lfi_telemetry.Flight.k_preempt
-              (Int64.to_int (Machine.pc m.Machine.regs)) p.Proc.pid);
+        Lfi_telemetry.Flight.record p.Proc.flight Lfi_telemetry.Flight.k_preempt
+          (Int64.to_int (Machine.pc m.Machine.regs)) p.Proc.pid;
         p.Proc.snapshot <- Machine.snapshot m
     | Switch -> p.Proc.snapshot <- Machine.snapshot m
     | Died _ -> ()

@@ -23,6 +23,9 @@ let sandbox_base = Lfi_core.Layout.slot_base 1
 let assemble_text (text : string) : Lfi_elf.Elf.t =
   Lfi_core.Build.elf None (Parser.parse_string_exn text)
 
+(* [elf] run sandboxed, unverified, with the escape oracle armed *)
+let run_armed = Fuzz.Equiv.run_at ~oracle:true ~budget:500_000 ~native:false
+
 (* ---------------- corpus replay ---------------- *)
 
 let replay_soundness (e : Fuzz.Corpus.entry) =
@@ -39,15 +42,11 @@ let replay_soundness (e : Fuzz.Corpus.entry) =
           Alcotest.failf "%s: rejected: %s" e.path
             (Lfi_verifier.Verifier.elf_error_message err));
       (* accepted entries must also run clean under the escape oracle *)
-      let sbx = Fuzz.Sandbox.load ~base:sandbox_base elf in
-      ignore (Fuzz.Sandbox.install_oracle sbx);
-      let out = Fuzz.Sandbox.run sbx in
-      checki (e.path ^ ": escapes") 0 out.Fuzz.Sandbox.escape_count;
-      match out.Fuzz.Sandbox.stop with
-      | Fuzz.Sandbox.Exit _ -> ()
-      | other ->
-          Alcotest.failf "%s: %s" e.path
-            (Format.asprintf "%a" Fuzz.Sandbox.pp_stop other))
+      let r = run_armed elf in
+      checki (e.path ^ ": escapes") 0 (snd (Fuzz.Soundness.escapes r));
+      match r.Fuzz.Equiv.stop with
+      | Lfi_runtime.Runtime.Exited _ -> ()
+      | Lfi_runtime.Runtime.Killed why -> Alcotest.failf "%s: %s" e.path why)
   | Fuzz.Corpus.Accept_escape_weakened ->
       (* the oracle's regression seed: see test_weakened_demo *)
       (match Lfi_verifier.Verifier.verify_elf elf with
@@ -114,21 +113,20 @@ let test_complete_smoke () =
 
 (* The oracle checks inside the lowered code: this loop runs under it
    as blocks, and finishes inside one quantum, so not even a quantum
-   tail sends it to the step loop. *)
+   tail sends it to the step loop.  It exits through the runtime-call
+   table, as sandboxed code must. *)
 let test_oracle_runs_blocks () =
   let elf =
     assemble_text
-      ".text\n_start:\n\tmovz x1, #100\n\tmovz x0, #0\nloop:\n\tadd x0, x0, #3\n\tsub x1, x1, #1\n\tcbnz x1, loop\n\tsvc #1\n"
+      ".text\n_start:\n\tmovz x1, #100\n\tmovz x0, #0\nloop:\n\tadd x0, x0, #3\n\tsub x1, x1, #1\n\tcbnz x1, loop\n\tldr x30, [x21, #8]\n\tblr x30\n"
   in
-  let sbx = Fuzz.Sandbox.load ~base:sandbox_base elf in
-  ignore (Fuzz.Sandbox.install_oracle sbx);
-  let out = Fuzz.Sandbox.run sbx in
-  (match out.Fuzz.Sandbox.stop with
-  | Fuzz.Sandbox.Exit 300L -> ()
-  | other ->
-      Alcotest.failf "%s" (Format.asprintf "%a" Fuzz.Sandbox.pp_stop other));
-  checki "escapes" 0 out.Fuzz.Sandbox.escape_count;
-  let m = sbx.Fuzz.Sandbox.machine in
+  let r = run_armed elf in
+  (match r.Fuzz.Equiv.stop with
+  | Lfi_runtime.Runtime.Exited 300 -> ()
+  | Lfi_runtime.Runtime.Exited c -> Alcotest.failf "exited %d" c
+  | Lfi_runtime.Runtime.Killed why -> Alcotest.failf "killed: %s" why);
+  checki "escapes" 0 (snd (Fuzz.Soundness.escapes r));
+  let m = r.Fuzz.Equiv.rt.Lfi_runtime.Runtime.machine in
   checkb "blocks dispatched" true (m.Lfi_emulator.Machine.blk_execs > 0);
   checki "deopts" 0 m.Lfi_emulator.Machine.blk_deopts
 
@@ -156,12 +154,11 @@ let test_oracle_planted_escape () =
           esc_addr = Int64.sub sandbox_base 0xD000L;
           esc_kind = Lfi_emulator.Machine.Eload } ]
   in
-  let sbx = Fuzz.Sandbox.load ~base:sandbox_base elf in
-  ignore (Fuzz.Sandbox.install_oracle sbx);
-  let out = Fuzz.Sandbox.run sbx in
+  let r = run_armed elf in
   checkb "blocks dispatched" true
-    (sbx.Fuzz.Sandbox.machine.Lfi_emulator.Machine.blk_execs > 0);
-  checks "escape recorded" expected (show out.Fuzz.Sandbox.escapes)
+    (r.Fuzz.Equiv.rt.Lfi_runtime.Runtime.machine.Lfi_emulator.Machine.blk_execs
+    > 0);
+  checks "escape recorded" expected (show (fst (Fuzz.Soundness.escapes r)))
 
 let test_determinism () =
   (* same seed, same outcome — byte-for-byte identical reports *)

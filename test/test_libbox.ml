@@ -71,11 +71,13 @@ let straddle_lib =
            ];
        })
 
-let make_rt () =
-  Runtime.create ~config:{ Runtime.default_config with verify = false } ()
+let make_rt ?(insn_budget = Runtime.default_config.Runtime.insn_budget) () =
+  Runtime.create
+    ~config:{ Runtime.default_config with verify = false; insn_budget }
+    ()
 
-let make_inst ?insn_budget () =
-  Instance.create ?insn_budget ~arena:(1 lsl 16) ~init:"init" (make_rt ())
+let make_inst () =
+  Instance.create ~arena:(1 lsl 16) ~init:"init" (make_rt ())
     (Lazy.force xz_lib)
 
 let ret_of = function
@@ -651,10 +653,10 @@ let test_call_rtcall_observed () =
         (has Lfi_telemetry.Flight.k_rt_exit)
 
 let test_runaway_budget () =
-  let rt = make_rt () in
+  let rt = make_rt ~insn_budget:20_000 () in
   (* no init: the budget must bound the request call, not instance
      construction *)
-  let inst = Instance.create ~insn_budget:20_000 rt (Lazy.force xz_lib) in
+  let inst = Instance.create rt (Lazy.force xz_lib) in
   (* a 1 MiB checksum takes far more than 20k instructions *)
   match
     Instance.call inst "checksum"
@@ -665,20 +667,20 @@ let test_runaway_budget () =
   | Ok _ -> Alcotest.fail "runaway not killed"
   | Error e -> Alcotest.failf "wrong error: %s" (Api.error_to_string e)
 
-(* The budget check runs at quantum boundaries and a quantum retires
-   exactly its instruction count (a block longer than the remainder is
-   single-stepped), so a runaway is killed at an exact, pinned count:
-   the first 100k-instruction quantum overruns the 20k budget. *)
+(* The last slice of a call runs only what is left of its budget, and
+   a quantum retires exactly its instruction count (a block longer than
+   the remainder is single-stepped), so a runaway is killed at exactly
+   its budget: 20k instructions, not the 100k of a whole quantum. *)
 let test_runaway_budget_exact () =
-  let rt = make_rt () in
-  let inst = Instance.create ~insn_budget:20_000 rt (Lazy.force xz_lib) in
+  let rt = make_rt ~insn_budget:20_000 () in
+  let inst = Instance.create rt (Lazy.force xz_lib) in
   match
     Instance.call inst "checksum"
       [ Api.In (Bytes.make 20_000 'x'); Api.I 20_000L ]
   with
   | Error (Api.Killed why) ->
-      checks "kill reason" "library call instruction budget exceeded" why;
-      checki "killed at the quantum boundary" 100_000
+      checks "kill reason" "instruction budget exceeded" why;
+      checki "killed at the budget" 20_000
         rt.Runtime.machine.Lfi_emulator.Machine.insns
   | Ok _ -> Alcotest.fail "runaway not killed"
   | Error e -> Alcotest.failf "wrong error: %s" (Api.error_to_string e)

@@ -212,30 +212,6 @@ let test_postmortem_golden_json () =
     (contains (Lfi_telemetry.Postmortem.to_text a) "fault")
     true
 
-let test_flight_recorder_off () =
-  (* with the recorder disabled the hot path must not log anything,
-     and the postmortem still assembles (with an empty history) *)
-  let config =
-    { Lfi_runtime.Runtime.default_config with flight_recorder = false }
-  in
-  let rt = Lfi_runtime.Runtime.create ~config () in
-  let p =
-    Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi
-      (build
-         "_start:\n\tmovz x1, #0x2000, lsl #16\n\tldr x0, [x1]\n\tsvc #1\n\tb \
-          _start\n")
-  in
-  (match Lfi_runtime.Runtime.run_one rt p with
-  | Lfi_runtime.Runtime.Killed _, _, _, _ -> ()
-  | _ -> Alcotest.fail "guard-region read should kill");
-  checki "ring stayed empty" 0
-    (Lfi_telemetry.Flight.total p.Lfi_runtime.Proc.flight);
-  match Lfi_runtime.Runtime.postmortem_for rt p.Lfi_runtime.Proc.pid with
-  | Some pm ->
-      checki "report has no flight events" 0
-        (List.length pm.Lfi_telemetry.Postmortem.flight)
-  | None -> Alcotest.fail "postmortem missing"
-
 let () =
   Alcotest.run "postmortem"
     [
@@ -243,7 +219,6 @@ let () =
         [
           Alcotest.test_case "wraparound" `Quick test_flight_wraparound;
           Alcotest.test_case "clamp event" `Quick test_flight_clamp_event;
-          Alcotest.test_case "recorder off" `Quick test_flight_recorder_off;
         ] );
       ( "clamp-audit",
         [

@@ -305,6 +305,79 @@ let test_pipe_blocking () =
      status *)
   checki "pipe byte" 65 (exit_code (run_lfi code))
 
+(* ---------------- limits: budget, deadlock, stray entries ---------------- *)
+
+let killed_with why = function
+  | Lfi_runtime.Runtime.Killed w, _, _, _ -> checks "kill reason" why w
+  | Lfi_runtime.Runtime.Exited c, _, _, _ -> Alcotest.failf "exited %d" c
+
+(* A spin is killed after exactly its budget: two whole quanta, then a
+   last slice of the 50k left. *)
+let test_budget_kills_spin () =
+  let config =
+    { Lfi_runtime.Runtime.default_config with insn_budget = 250_000 }
+  in
+  let rt = Lfi_runtime.Runtime.create ~config () in
+  let p =
+    Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi
+      (build "_start:\n\tb _start\n")
+  in
+  killed_with "instruction budget exceeded" (Lfi_runtime.Runtime.run_one rt p);
+  checki "retired exactly the budget" 250_000 p.Lfi_runtime.Proc.user_insns;
+  checkb "postmortem" true
+    (Option.is_some
+       (Lfi_runtime.Runtime.postmortem_for rt p.Lfi_runtime.Proc.pid))
+
+(* A read of its own empty pipe, whose write end it holds: nothing can
+   ever wake it, so the run kills it and returns. *)
+let test_deadlock_kills () =
+  let rt = Lfi_runtime.Runtime.create () in
+  let p =
+    Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi
+      (build
+         "_start:\n\tadr x0, fds\n\tsvc #6\n\tadr x1, fds\n\tldr w0, \
+          [x1]\n\tadr x1, buf\n\tmovz x2, #1\n\tsvc #3\n\tsvc #1\n\tb \
+          _start\n.data\nfds:\n\t.quad 0\nbuf:\n\t.quad 0\n")
+  in
+  killed_with "deadlock" (Lfi_runtime.Runtime.run_one rt p);
+  checkb "postmortem" true
+    (Option.is_some
+       (Lfi_runtime.Runtime.postmortem_for rt p.Lfi_runtime.Proc.pid))
+
+(* A runtime entry that is no call's address — between two entries, or
+   past the last — is killed, not served as some call. *)
+let test_stray_entry_killed () =
+  let stray off =
+    let config = { Lfi_runtime.Runtime.default_config with verify = false } in
+    let rt = Lfi_runtime.Runtime.create ~config () in
+    let p =
+      Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi
+        (build ~rewrite:false
+           (Printf.sprintf
+              "_start:\n\tmovz x30, #0x7f00, lsl #32\n\tmovk x30, #%d\n\t\
+               blr x30\n\tmovz x0, #0\n\tsvc #1\n"
+              off))
+    in
+    killed_with
+      (Printf.sprintf "stray runtime entry at 0x7f00000000%02x" off)
+      (Lfi_runtime.Runtime.run_one rt p)
+  in
+  stray 4;
+  stray (8 * Lfi_runtime.Sysno.count)
+
+(* The CLI runs a spin to the default budget and reports the kill. *)
+let test_lfi_run_spin () =
+  Out_channel.with_open_bin "cli_spin.s" (fun oc ->
+      output_string oc "_start:\n\tb _start\n");
+  let code =
+    Sys.command
+      (Printf.sprintf "%s --asm cli_spin.s 2> cli_spin.tmp"
+         (Filename.quote (Golden.path "../bin/lfi_run.exe")))
+  in
+  checks "stderr" "cli_spin.s: killed: instruction budget exceeded\n"
+    (Golden.read_file "cli_spin.tmp");
+  checki "a killed program exits 3" 3 code
+
 (* ---------------- scheduling ---------------- *)
 
 let test_preemption_interleaves () =
@@ -532,6 +605,13 @@ let () =
           mk "slot table full" test_slot_table_full;
           mk "wait echild" test_wait_echild;
           mk "pipe blocking" test_pipe_blocking;
+        ] );
+      ( "limits",
+        [
+          mk "budget kills a spin at its count" test_budget_kills_spin;
+          mk "deadlock kills the blocked" test_deadlock_kills;
+          mk "stray runtime entries are killed" test_stray_entry_killed;
+          mk "lfi_run kills a spin" test_lfi_run_spin;
         ] );
       ( "scheduling",
         [
