@@ -1,4 +1,4 @@
-.PHONY: all build check test goldens decode-pin bench serve-bench experiments serve-trace-demo crash-demo trace-demo fuzz-smoke fuzz prove-smoke prove clean
+.PHONY: all build check test goldens decode-pin bench serve-bench experiments serve-trace-demo crash-demo trace-demo overhead-demo fuzz-smoke fuzz prove-smoke prove clean
 
 all: build
 
@@ -96,6 +96,17 @@ trace-demo:
 	dune exec bin/lfi_run.exe -- --workload coremark \
 	  --trace trace_coremark.json --metrics metrics_coremark.json || true
 	@echo "wrote trace_coremark.json (open in https://ui.perfetto.dev)"
+
+# Per-site SFI overhead attribution on mcf (lfi-overhead/v1).  mcf
+# exits with its checksum, so lfi_run exits 1 after writing the
+# report: accept 1, still fail on 2 (usage) and 3 (killed), and
+# demand the report.
+overhead-demo:
+	rm -f overhead_mcf.json
+	dune exec bin/lfi_run.exe -- --workload mcf --overhead overhead_mcf.json; \
+	  s=$$?; [ $$s -le 1 ] || exit $$s
+	test -s overhead_mcf.json
+	@echo "wrote overhead_mcf.json"
 
 # Fixed-seed differential fuzzing smoke: all three engines, >=500
 # cases each, deterministic, plus the weakened-verifier oracle demo.

@@ -39,8 +39,7 @@ let tenant_specs n =
 let suite_sections spec seed knee_file =
   let module S = Serve.Suite in
   let run ~arrival ~pool ~requests =
-    Serve.run ~arrival ~tenants:S.tenants ~batch_max:S.batch_max ~spec ~pool
-      ~requests ~seed ()
+    Serve.run ~arrival ~tenants:S.tenants ~spec ~pool ~requests ~seed ()
   in
   Printf.eprintf "suite: open loop (%d slots, %.0f rps offered)...\n%!"
     S.pool S.open_rate;
@@ -143,7 +142,7 @@ let suite_sections spec seed knee_file =
   ]
 
 let run workload requests pool seed machine json filter trace snapshot
-    snapshot_every arrival rate concurrency tenants batch_max suite knee_file =
+    snapshot_every arrival rate concurrency tenants suite knee_file =
   match Lfi_workloads.Libs.find workload with
   | None ->
       Printf.eprintf "unknown library workload %S (have: %s)\n" workload
@@ -196,8 +195,7 @@ let run workload requests pool seed machine json filter trace snapshot
       let report =
         try
           Serve.run ~uarch ~filter ?trace:tr ~snapshot_every ~arrival
-            ~tenants:(tenant_specs tenants) ~batch_max ~spec ~pool ~requests
-            ~seed ()
+            ~tenants:(tenant_specs tenants) ~spec ~pool ~requests ~seed ()
         with Invalid_argument why ->
           Printf.eprintf "lfi_serve: %s\n" why;
           exit 2
@@ -324,10 +322,6 @@ let tenants =
          ~doc:"Number of tenant classes (from the suite's canned specs; 1 \
                = single unlimited tenant).")
 
-let batch_max =
-  Arg.(value & opt int 8 & info [ "batch" ] ~docv:"N"
-         ~doc:"Max same-export requests served per dispatch decision.")
-
 let suite =
   Arg.(value & flag & info [ "suite" ]
          ~doc:"Append the committed scale runs (open + closed loop at 256 \
@@ -344,6 +338,6 @@ let cmd =
     (Cmd.info "lfi_serve" ~doc)
     Term.(const run $ workload $ requests $ pool $ seed $ machine $ json
           $ filter $ trace $ snapshot $ snapshot_every $ arrival $ rate
-          $ concurrency $ tenants $ batch_max $ suite $ knee_file)
+          $ concurrency $ tenants $ suite $ knee_file)
 
 let () = exit (Cmd.eval cmd)

@@ -28,7 +28,6 @@ open Lfi_arm64
 type t = {
   name : string;
   clock_ghz : float;
-  issue_width : float;  (** decoded instructions per cycle, for reporting *)
   alu : float;          (** simple ALU / move / bitfield / csel *)
   ext_add : float;      (** extended-register add (the basic LFI guard) *)
   mul : float;
@@ -74,7 +73,6 @@ let m1 =
   {
     name = "m1";
     clock_ghz = 3.2;
-    issue_width = 8.0;
     alu = 0.18;
     ext_add = 0.36;
     mul = 0.5;
@@ -108,7 +106,6 @@ let t2a =
   {
     name = "t2a";
     clock_ghz = 3.0;
-    issue_width = 4.0;
     alu = 0.30;
     ext_add = 0.60;
     mul = 0.8;

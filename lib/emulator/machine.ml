@@ -11,15 +11,15 @@
     the exclusive monitor holds while [exclusive] is set.  A register
     write is an unboxed store into the file: no [Int64] box, no write
     barrier.
-    A {!snapshot} is a copy of the file, so a context switch is a byte
+    Each sandbox owns its file and the machine points at the running
+    one, so a context switch ({!switch_to}) is a pointer store, never a
     copy, and an entry state is a few stores into a cleared file.  The
     lowered closures ({!Sem}) and the dispatch loops read and write
     slots directly ({!get64u}/{!set64u}, unchecked, at offsets
     resolved at lowering time); every other reader — the runtime,
     libbox, the fuzzers, postmortem, tests — goes through the one
     accessor family ({!x}, {!sp}, {!pc}, {!nzcv}, {!vlo}, {!vhi} and
-    their setters), which works on the live file and on a snapshot
-    alike.
+    their setters), which works on any file, running or not.
 
     The machine also carries the cycle accounting state: a cost model,
     an optional TLB, and the running cycle counter that every
@@ -82,7 +82,7 @@ type escape = {
     windows are plain addresses — the emulator knows nothing about
     slots or layouts, so the fuzzer constructs them from
     [Lfi_core.Layout].  [None] (the default) costs one predictable
-    branch per access, the same discipline as [metrics]/[flight]. *)
+    branch per access, the same discipline as [metrics]. *)
 type oracle = {
   o_lo : int64;  (** first legal data address (inclusive) *)
   o_hi : int64;  (** first illegal data address past the window *)
@@ -127,8 +127,11 @@ let slot_vlo = 34
 let slot_vhi = 66
 let slot_excl = 98
 
-(** Size of the register file, and of a {!snapshot}, in bytes. *)
+(** Size of the register file, in bytes. *)
 let regs_bytes = 99 * 8
+
+(** An all-zero register file, to write an entry state into. *)
+let empty_regs () : Bytes.t = Bytes.make regs_bytes '\000'
 
 (** Unchecked host-order access to the 8 bytes at byte offset [o]:
     the lowered code's and the dispatch loops' direct access to the
@@ -149,9 +152,10 @@ let pc_off = slot_pc * 8
 let max_block_len = 64
 
 type t = {
-  regs : Bytes.t;
-      (** the register file: x0–x30, sp, pc, NZCV, v0–v31 low and high
-          halves, 8 bytes each (see the layout above) *)
+  mutable regs : Bytes.t;
+      (** the running sandbox's register file: x0–x30, sp, pc, NZCV,
+          v0–v31 low and high halves, 8 bytes each (see the layout
+          above) *)
   mutable exclusive : bool;
       (** the local exclusive monitor is set, on the address in slot
           {!slot_excl} *)
@@ -177,13 +181,12 @@ type t = {
           branch, preserving the hot loop's throughput *)
   mutable profile : Lfi_telemetry.Profile.t option;
       (** pc-sampling profiler handle; [None] by default *)
-  mutable flight : Lfi_telemetry.Flight.t option;
-      (** flight recorder of the sandbox currently on this machine;
-          the runtime swaps it on context switch.  [None] costs one
-          predictable branch per taken branch / guarded access *)
+  mutable flight : Lfi_telemetry.Flight.t;
+      (** flight recorder of the running sandbox, installed with its
+          register file by {!switch_to} *)
   mutable escape_oracle : oracle option;
-      (** fuzzing ground truth; [None] by default.  Not part of
-          {!snapshot}, so it survives context switches and restores. *)
+      (** fuzzing ground truth; [None] by default.  The machine's, not
+          a sandbox's, so it survives context switches. *)
   mutable overhead : Lfi_telemetry.Overhead.acc option;
       (** per-rewrite-site cycle attribution; [None] (the default)
           charges nothing — one predictable branch per fetch, same
@@ -355,7 +358,7 @@ let invalidate_code (m : t) (addr : int64) (len : int) =
 let create ?(uarch = Cost_model.m1) (mem : Memory.t) =
   let m =
     {
-      regs = Bytes.make regs_bytes '\000';
+      regs = empty_regs ();
       exclusive = false;
       mem;
       uarch;
@@ -371,7 +374,7 @@ let create ?(uarch = Cost_model.m1) (mem : Memory.t) =
       dc_entries = no_page.d_entries;
       metrics = None;
       profile = None;
-      flight = None;
+      flight = Lfi_telemetry.Flight.create ();
       escape_oracle = None;
       overhead = None;
       blk_i = 0;
@@ -434,8 +437,8 @@ let mask32 = 0xFFFFFFFFL
 
 (* ---------------- the one accessor ---------------- *)
 
-(* Checked reads and writes of a register file — the machine's live
-   [regs] or a {!snapshot}, which share one layout.  Every reader
+(* Checked reads and writes of a register file, the machine's [regs]
+   or that of a sandbox that is not running.  Every reader
    outside the lowered code goes through these: x[n] for n in 0..30,
    v[n] for n in 0..31. *)
 
@@ -497,22 +500,11 @@ let[@inline] charge_tlb (m : t) (page : int) =
     add_cycles m walk
   end
 
-(** A copy of the register file: the state of a process that is not
-    on the machine (context switch, fork's child) and the entry state
-    of a program.  It has the file's layout, so the accessors above
-    read and write it, {!snapshot} is one allocation and one copy,
-    and {!restore} is one [Bytes.blit] with no write barrier. *)
-type snapshot = Bytes.t
-
-let snapshot (m : t) : snapshot = Bytes.copy m.regs
-
-(** An all-zero register file, to write an entry state into. *)
-let empty_snapshot () : snapshot = Bytes.make regs_bytes '\000'
-
-(** Install [s] as the machine's register state and clear the
-    exclusive monitor. *)
-let restore (m : t) (s : snapshot) =
-  Bytes.blit s 0 m.regs 0 regs_bytes;
+(** Run [regs] and [flight] on the machine — a context switch: two
+    pointer stores, nothing copied, and the exclusive monitor cleared. *)
+let switch_to (m : t) (regs : Bytes.t) (flight : Lfi_telemetry.Flight.t) =
+  m.regs <- regs;
+  m.flight <- flight;
   m.exclusive <- false
 
 (** Zero the whole register file (every register, pc, flags and

@@ -450,16 +450,12 @@ let[@inline] bwrite (m : Machine.t) (pci : int) (a : int64) (size : int)
     the base's); anything else is an address the guard silently pulled
     back into the sandbox (Section 5.2's clamped escape), so it bumps
     the flight recorder's audit counter and logs the pc.  The
-    comparisons are untagged, so the audit allocates nothing; with the
-    recorder off it is one [None] check. *)
+    comparisons are untagged, so the audit allocates nothing. *)
 let[@inline] clamp_audit (m : Machine.t) (pci : int) (base : int64)
     (raw : int64) =
-  match m.flight with
-  | None -> ()
-  | Some f ->
-      let hi = Int64.to_int raw lsr 32 in
-      if hi <> 0 && hi <> Int64.to_int base lsr 32 then
-        Lfi_telemetry.Flight.clamp f pci (Int64.to_int raw)
+  let hi = Int64.to_int raw lsr 32 in
+  if hi <> 0 && hi <> Int64.to_int base lsr 32 then
+    Lfi_telemetry.Flight.clamp m.flight pci (Int64.to_int raw)
 
 (** Effective address of an addressing mode.  Base-register writeback
     (pre/post-index) is applied separately by {!writeback}, so the pair
@@ -1367,19 +1363,17 @@ let fetch_fault (pc : int64) =
            (if Int64.logand pc 3L <> 0L then "misaligned pc" else "unmapped")
        })
 
-(* A taken branch from [ti]: log it into the escape oracle and the
-   flight recorder (one [None] test each when they are off), then
-   return its target as the next pc, or store it in the pc slot and return
-   -1 when it lies outside [0, 2^62).  A direct target is an untagged
-   int, negative when the branch leaves the address space below 0. *)
+(* A taken branch from [ti]: log it into the escape oracle (one [None]
+   test when it is off) and the flight recorder, then return its target
+   as the next pc, or store it in the pc slot and return -1 when it
+   lies outside [0, 2^62).  A direct target is an untagged int,
+   negative when the branch leaves the address space below 0. *)
 let[@inline] direct (m : Machine.t) (kind : int) (ti : int) (target : int) :
     int =
   (match m.escape_oracle with
   | None -> ()
   | Some o -> oracle_branch o ti (Int64.of_int target));
-  (match m.flight with
-  | None -> ()
-  | Some f -> Lfi_telemetry.Flight.record f kind ti target);
+  Lfi_telemetry.Flight.record m.flight kind ti target;
   if target >= 0 then target
   else begin
     wr m.regs slot_pc (Int64.of_int target);
@@ -1390,9 +1384,7 @@ let[@inline] direct (m : Machine.t) (kind : int) (ti : int) (target : int) :
 let[@inline] indirect (m : Machine.t) (kind : int) (ti : int) (t : int64) : int
     =
   (match m.escape_oracle with None -> () | Some o -> oracle_branch o ti t);
-  (match m.flight with
-  | None -> ()
-  | Some f -> Lfi_telemetry.Flight.record f kind ti (Int64.to_int t));
+  Lfi_telemetry.Flight.record m.flight kind ti (Int64.to_int t);
   if pc_fits t then Int64.to_int t
   else begin
     wr m.regs slot_pc t;

@@ -24,7 +24,6 @@ type result = {
   cycles : float;
   insns : int;
   text_bytes : int;  (** text-segment size of the executable *)
-  file_bytes : int;  (** whole ELF size *)
   tlb_miss_rate : float;
 }
 
@@ -78,7 +77,6 @@ let execute_rt ?(uarch = Cost_model.m1) ?(metrics = false)
       cycles;
       insns;
       text_bytes = Lfi_elf.Elf.text_size elf;
-      file_bytes = Lfi_elf.Elf.total_size elf;
       tlb_miss_rate = Tlb.miss_rate rt.Lfi_runtime.Runtime.machine.Machine.tlb;
     },
     rt )

@@ -58,13 +58,13 @@ let opt_levels =
 module Runtime = Lfi_runtime.Runtime
 module M = Lfi_emulator.Machine
 
-(** A finished run: the runtime (its machine still holds the process's
-    final registers), how the process ended, its slot base and the
-    absolute address of its data section. *)
+(** A finished run: the runtime, how the process ended, the process
+    (its final registers in its own file) and the absolute address of
+    its data section. *)
 type run = {
   rt : Runtime.t;
   stop : Runtime.exit_reason;
-  base : int64;
+  p : Lfi_runtime.Proc.t;
   data : int64;
 }
 
@@ -85,17 +85,17 @@ let run_at ?(oracle = false) ~budget ~native (elf : Lfi_elf.Elf.t) : run =
   let p = Runtime.load rt ~personality elf in
   if oracle then ignore (Runtime.install_oracle rt p);
   let stop, _, _, _ = Runtime.run_one rt p in
-  let base = p.Lfi_runtime.Proc.base in
   let data =
     List.find
       (fun (s : Lfi_elf.Elf.segment) -> s.flags land Lfi_elf.Elf.pf_x = 0)
       elf.Lfi_elf.Elf.segments
   in
-  { rt; stop; base; data = Int64.add base (Int64.of_int data.vaddr) }
+  { rt; stop; p;
+    data = Int64.add p.Lfi_runtime.Proc.base (Int64.of_int data.vaddr) }
 
-(* the full 64-bit exit value, off the machine: [Exited] carries an
-   OCaml int, which has no bit 63 *)
-let exit_value (r : run) = M.x r.rt.Runtime.machine.M.regs 0
+(* the full 64-bit exit value, off the process's file: [Exited] carries
+   an OCaml int, which has no bit 63 *)
+let exit_value (r : run) = M.x r.p.Lfi_runtime.Proc.regs 0
 
 (* ------------------------------------------------------------------ *)
 (* Comparison                                                          *)
@@ -114,12 +114,12 @@ let stream_compared_regs =
     26; 27; 28; 29 ]
 
 let compare_stream_state ~(native : run) ~(lfi : run) : string option =
-  let fn = native.rt.Runtime.machine.M.regs
-  and fl = lfi.rt.Runtime.machine.M.regs in
+  let fn = native.p.Lfi_runtime.Proc.regs
+  and fl = lfi.p.Lfi_runtime.Proc.regs in
   let reg_mismatch =
     List.find_opt (fun n -> M.x fn n <> M.x fl n) stream_compared_regs
   in
-  let rel f (r : run) = Int64.sub (M.x f 19) r.base in
+  let rel f (r : run) = Int64.sub (M.x f 19) r.p.Lfi_runtime.Proc.base in
   let fp_mismatch =
     let rec go i =
       if i >= 32 then None

@@ -1,12 +1,12 @@
 (** A warm library instance: one loaded sandbox plus everything needed
     to call into it and wind it back.
 
-    {b Calling.}  A call writes its entry register state straight into
-    the machine's register file (arguments in x0..x7, then
-    {!Lfi_runtime.Runtime.entry_snapshot}: pc at the export, x30 at
-    the return trampoline, anchored to the slot, everything else zero
-    — a few stores, no snapshot) and runs the scheduler's own run
-    step,
+    {b Calling.}  A call puts the process's register file and flight
+    recorder on the machine ({!Machine.switch_to}), writes its entry
+    state into that file (arguments in x0..x7, then
+    {!Lfi_runtime.Runtime.entry_state}: pc at the export, x30 at the
+    return trampoline, anchored to the slot, everything else zero — a
+    few stores) and runs the scheduler's own run step,
     {!Lfi_runtime.Runtime.slice} with [~box:true], until the
     trampoline surfaces through the runtime-call table
     ([Sysno.box_ret]).  Instructions are credited to the process,
@@ -43,10 +43,6 @@ type t = {
   arena_base : int64;  (** absolute base of the marshalling arena *)
   arena_len : int;
   pristine : pristine Itbl.t;  (** page index → baseline copy *)
-  recorder : Lfi_telemetry.Flight.t option;
-      (** what a call installs as the machine's flight recorder, the
-          process's — built once, so a call allocates no option *)
-  mutable baseline : Machine.snapshot;
   mutable heap_end0 : int64;
   mutable alive : bool;
   gate_hist : Lfi_telemetry.Histogram.t;
@@ -87,8 +83,7 @@ let capture_baseline (inst : t) =
           pg_perm = Memory.page_perm pg };
       Memory.page_mark_clean pg)
     (Runtime.slot_pages mem inst.p.Proc.base);
-  inst.heap_end0 <- inst.p.Proc.heap_end;
-  inst.baseline <- inst.p.Proc.snapshot
+  inst.heap_end0 <- inst.p.Proc.heap_end
 
 let dirty_chunk clean c =
   c < Memory.chunks_per_page && clean land (1 lsl c) = 0
@@ -170,7 +165,6 @@ let reset (inst : t) =
   end;
   Buffer.clear inst.p.Proc.stdout;
   inst.p.Proc.state <- Proc.Runnable;
-  inst.p.Proc.snapshot <- inst.baseline;
   inst.resets <- inst.resets + 1
 
 (* ------------------------------------------------------------------ *)
@@ -251,8 +245,8 @@ let retire (inst : t) =
   inst.alive <- false
 
 (** Retire the instance through the runtime's ordinary kill path: the
-    postmortem is assembled while the machine still holds the dead
-    call's register state, then the slot is released for reuse. *)
+    postmortem reads the dead call's register file, then the slot is
+    released for reuse. *)
 let kill (inst : t) (reason : string) : Api.error =
   Runtime.kill_proc inst.rt inst.p reason;
   retire inst;
@@ -270,7 +264,7 @@ let rec drive (inst : t) (m : Machine.t) (i0 : int) :
       ~left:(inst.rt.Runtime.cfg.Runtime.insn_budget - (m.Machine.insns - i0))
   with
   | Runtime.Preempted | Runtime.Continue -> drive inst m i0
-  | Runtime.Returned -> Ok (Machine.x m.Machine.regs 0)
+  | Runtime.Returned -> Ok (Machine.x inst.p.Proc.regs 0)
   | Runtime.Switch ->
       ignore (kill inst "blocking runtime call in library call");
       Error Api.Blocked
@@ -304,14 +298,15 @@ let rec add_copy_out (u : Cost_model.t) (gate : float) = function
 (** Call [name] with [args]; on success the reply carries the return
     value, the [Out] buffers, and the per-call cycle accounting.
 
-    The entry state is written straight into the machine's register
-    file: {!Machine.clear}, the arguments into x0.. as they are
-    marshalled, then {!Runtime.entry_snapshot}'s stores (x30 at the
-    return trampoline, pc at the export, sp at the stack top, the
-    reserved registers anchored to the slot).  No snapshot is built,
-    so entering costs a few stores and allocates nothing.  A
-    marshalling error leaves that half-written state behind; nothing
-    reads it before the next entry overwrites it. *)
+    The process's register file and flight recorder go on the machine
+    ({!Machine.switch_to}, two pointer stores), and the entry state is
+    written into that file in place: {!Machine.clear}, the arguments
+    into x0.. as they are marshalled, then {!Runtime.entry_state}'s
+    stores (x30 at the return trampoline, pc at the export, sp at the
+    stack top, the reserved registers anchored to the slot).  Entering
+    copies no register and allocates nothing.  A marshalling error
+    leaves that half-written state behind; nothing reads it before the
+    next entry overwrites it. *)
 let call (inst : t) (name : string) (args : Api.arg list) :
     (Api.reply, Api.error) result =
   if not inst.alive then Error (Api.Killed "instance already retired")
@@ -325,14 +320,14 @@ let call (inst : t) (name : string) (args : Api.arg list) :
           let m = rt.Runtime.machine in
           let u = rt.Runtime.cfg.Runtime.uarch in
           Lfi_telemetry.Span.start inst.span name;
+          Machine.switch_to m p.Proc.regs p.Proc.flight;
           Machine.clear m;
-          match place inst u m.Machine.regs 0 0 0.0 [] args with
+          match place inst u p.Proc.regs 0 0 0.0 [] args with
           | exception Marshal_error e -> Error e
           | outs -> (
               let outs = List.rev outs in
-              Runtime.entry_snapshot m.Machine.regs p.Proc.base ~pc:entry
+              Runtime.entry_state p.Proc.regs p.Proc.base ~pc:entry
                 ~link:inst.lib.Library.trampoline;
-              m.Machine.flight <- inst.recorder;
               let t0 = Machine.cycles m and i0 = m.Machine.insns in
               let gate_cost = u.Cost_model.lfi_runtime_call_entry in
               (* host→sandbox gate: same price as a runtime-call entry *)
@@ -360,7 +355,6 @@ let call (inst : t) (name : string) (args : Api.arg list) :
                       let gate = add_copy_out u gate outs in
                       let call_insns = m.Machine.insns - i0 in
                       let total = Machine.cycles m -. t0 in
-                      p.Proc.rtcalls <- p.Proc.rtcalls + 1;
                       inst.calls <- inst.calls + 1;
                       inst.call_insns <- inst.call_insns + call_insns;
                       Lfi_telemetry.Histogram.observe inst.gate_hist gate;
@@ -407,8 +401,6 @@ let create ?(arena = 1 lsl 16) ?init (rt : Runtime.t) (lib : Library.t) : t =
       arena_base;
       arena_len;
       pristine = Itbl.create 64;
-      recorder = Some p.Proc.flight;
-      baseline = p.Proc.snapshot;
       heap_end0 = p.Proc.heap_end;
       alive = true;
       gate_hist = Lfi_telemetry.Histogram.create ();

@@ -139,7 +139,6 @@ type sched = {
   tenants : pending Tenant.t array;
   shards : Runq.t array;  (** tenant t's home slots, as pool indexes *)
   tq : Runq.t;  (** tenant run queue, DRR order *)
-  batch_max : int;
   charge : float;  (** dispatch-decision cycles per batch *)
 }
 
@@ -470,14 +469,17 @@ let dispatch_one p s a src ~batch (req : pending) pick =
   if req.pr_client >= 0 && src.issued < p.requests then
     issue s src req.pr_client (now s)
 
+(** Most same-export requests served per dispatch decision. *)
+let batch_max = 8
+
 (* serve one DRR batch for tenant [t]: up to [min deficit batch_max]
    consecutive same-export requests on one instance, one dispatch
    decision for the whole batch *)
 let serve_batch p s a src t =
   let tn = s.tenants.(t) in
   let w = tn.Tenant.spec.Tenant.t_weight in
-  tn.Tenant.deficit <- min (tn.Tenant.deficit + w) (max s.batch_max w);
-  let limit = min tn.Tenant.deficit s.batch_max in
+  tn.Tenant.deficit <- min (tn.Tenant.deficit + w) (max batch_max w);
+  let limit = min tn.Tenant.deficit batch_max in
   let ename = (Option.get (Tenant.peek tn)).pr_export.Api.e_name in
   Machine.add_cycles (machine s) s.charge;
   let rec go n pick =
@@ -558,7 +560,6 @@ type report = {
   gate_p50 : float;
   gate_p99 : float;
   gate_mean : float;
-  call_p99 : float;
   call_p999 : float;
   latency_p50 : float;  (** end-to-end (queue wait included), cycles *)
   latency_p99 : float;
@@ -737,7 +738,7 @@ let report_of (p : params) (s : sched) (a : acct) : report =
           ( "sched",
             Obj
               [
-                ("batch_max", Int s.batch_max); ("batches", Int a.batches);
+                ("batch_max", Int batch_max); ("batches", Int a.batches);
                 ("batched_requests", Int a.batched);
                 ("dispatch_decision_cycles", f1 s.charge);
                 ("steals", Int a.steals);
@@ -782,9 +783,8 @@ let report_of (p : params) (s : sched) (a : acct) : report =
   {
     json; completed; shed; retired;
     gate_p50 = pct gate 0.50; gate_p99 = pct gate 0.99;
-    gate_mean = H.mean gate; call_p99 = pct call 0.99;
-    call_p999 = pct call 0.999; latency_p50 = pct lat 0.50;
-    latency_p99 = pct lat 0.99; latency_p999 = pct lat 0.999;
+    gate_mean = H.mean gate; call_p999 = pct call 0.999;
+    latency_p50 = pct lat 0.50; latency_p99 = pct lat 0.99; latency_p999 = pct lat 0.999;
     insns_per_request; requests_per_sec; achieved_rps; duration_cycles = dur;
     steals = a.steals; tenants = tenant_stats s a;
     alerts = List.rev a.alerts; snapshots = frames p s a; summary;
@@ -798,10 +798,9 @@ let report_of (p : params) (s : sched) (a : acct) : report =
 let run ?(uarch = Cost_model.m1) ?(filter : string list = [])
     ?(trace : Trace.t option) ?(snapshot_every = 0) ?(arrival = Arrival.Replay)
     ?(tenants : Tenant.spec list = [ Tenant.default_spec ])
-    ?(batch_max = 8) ~(spec : Api.lib_spec) ~(pool : int) ~(requests : int)
+    ~(spec : Api.lib_spec) ~(pool : int) ~(requests : int)
     ~(seed : int) () : report =
   if requests < 1 then invalid_arg "Serve.run: requests < 1";
-  if batch_max < 1 then invalid_arg "Serve.run: batch_max < 1";
   if tenants = [] then invalid_arg "Serve.run: no tenants";
   if List.exists (fun (t : Tenant.spec) -> t.Tenant.t_weight < 1) tenants then
     invalid_arg "Serve.run: tenant weight < 1";
@@ -868,7 +867,7 @@ let run ?(uarch = Cost_model.m1) ?(filter : string list = [])
   let tq = Runq.create ~capacity:n () in
   Array.iteri (fun t _ -> Runq.push tq t) tns;
   let s =
-    { pool = pl; tenants = tns; shards; tq; batch_max;
+    { pool = pl; tenants = tns; shards; tq;
       charge =
         (if arrival = Arrival.Replay then 0.0 else dispatch_decision_cycles) }
   in
@@ -907,7 +906,6 @@ module Suite = struct
   let requests = 3000
   let concurrency = 64
   let open_rate = 800_000.0
-  let batch_max = 8
 
   (** Four xzbox tenants: a free-for-all heavyweight and three quota
       classes.  At the open-loop rate the bronze tenant's weighted

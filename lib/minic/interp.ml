@@ -24,7 +24,6 @@ type state = {
   mem : Bytes.t;
   gaddr : (string, int) Hashtbl.t;
   faddr : (string, func) Hashtbl.t;  (** functions by name *)
-  ftable : func array;  (** address-taken functions; Addr f = 2^40 + idx *)
   fslot : (string, int) Hashtbl.t;
   mutable output : Buffer.t;
   mutable fuel : int;  (** instruction budget; Out_of_fuel when spent *)
@@ -76,7 +75,6 @@ let build (prog : program) ~(mem_size : int) ~(fuel : int) : state =
     mem;
     gaddr;
     faddr;
-    ftable = Array.of_list prog.funcs;
     fslot = Hashtbl.create 8;
     output = Buffer.create 64;
     fuel;

@@ -1,9 +1,10 @@
 (** A sandboxed process: one 4GiB slot plus scheduler state.
 
     All processes share one emulated address space (and one emulated
-    hardware thread); a context switch is a register snapshot swap,
-    never a page-table operation — the property that makes LFI context
-    switches fast (Section 6.4). *)
+    hardware thread).  Each owns its register file, and the machine
+    points at the running one: a context switch is a pointer swap,
+    never a copy or a page-table operation — the property that makes
+    LFI context switches fast (Section 6.4). *)
 
 open Lfi_emulator
 
@@ -36,15 +37,13 @@ type t = {
   base : int64;  (** slot base address (0 for native processes) *)
   personality : personality;
   mutable state : state;
-  mutable snapshot : Machine.snapshot;  (** register state when not running *)
+  regs : Bytes.t;  (** its register file, the machine's while it runs *)
   fds : Vfs.fd_object Itbl.t;
   mutable next_fd : int;
   mutable heap_end : int64;  (** first unmapped heap address *)
-  mutable parent : int option;
   mutable children : int list;
   stdout : Buffer.t;
   mutable user_insns : int;
-  mutable rtcalls : int;
   symbols : Lfi_telemetry.Profile.sym_table;
       (** the ELF symbol table sorted for pc-sample folding; [[||]]
           when the image carried no symbols *)

@@ -101,7 +101,6 @@ let create ?(config = default_config) () =
 
 let cycles rt = Machine.cycles rt.machine
 let insns rt = rt.machine.Machine.insns
-let stdout_of p = Buffer.contents p.Proc.stdout
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry                                                           *)
@@ -294,11 +293,11 @@ let rebase (base : int64) (v : int64) =
 
 (** The registers the rewriter reserves as slot anchors (x18 scratch,
     x21 call-table base, x23/x24 guard bases) plus the link register:
-    every snapshot installed on the machine must keep these inside the
+    every register file a sandbox runs on must keep these inside the
     owning slot. *)
 let reserved_regs = [ 18; 21; 23; 24; 30 ]
 
-let rec anchor_regs (base : int64) (f : Machine.snapshot) = function
+let rec anchor_regs (base : int64) (f : Bytes.t) = function
   | [] -> ()
   | n :: tl ->
       Machine.set_x f n (rebase base (Machine.x f n));
@@ -307,11 +306,10 @@ let rec anchor_regs (base : int64) (f : Machine.snapshot) = function
 (** Anchor register file [f] to [base], in place: the reserved
     registers, pc and sp get their top bits replaced with the slot
     base, everything else is left as it is (stray values heal through
-    the address guards).  [f] is a snapshot or the machine's live file
-    — they share one layout.  The one place anchoring happens: fork's
-    child state here, program and library-call entry through
-    {!entry_snapshot}. *)
-let anchor_snapshot (base : int64) (f : Machine.snapshot) =
+    the address guards).  The one place anchoring happens: fork's
+    child file here, program and library-call entry through
+    {!entry_state}. *)
+let anchor (base : int64) (f : Bytes.t) =
   anchor_regs base f reserved_regs;
   Machine.set_pc f (rebase base (Machine.pc f));
   Machine.set_sp f (rebase base (Machine.sp f))
@@ -319,23 +317,22 @@ let anchor_snapshot (base : int64) (f : Machine.snapshot) =
 (** Write the register state at a sandbox entry into [f], in place:
     pc at [pc], x30 at [link], sp at the stack top, all anchored to
     [base].  [f] must hold zeros but for the arguments in x0..
-    ({!Machine.empty_snapshot} or the live file after {!Machine.clear},
-    then the arguments), so an entry is a handful of stores.  A
-    program starts with its entry as link; a library call links to the
-    return trampoline and writes straight into the machine, allocating
-    nothing. *)
-let entry_snapshot (f : Machine.snapshot) (base : int64) ~(pc : int)
-    ~(link : int) =
+    ({!Machine.empty_regs}, or the process's own file after
+    {!Machine.clear}, then the arguments), so an entry is a handful of
+    stores.  A program starts with its entry as link; a library call
+    links to the return trampoline and writes straight into the file
+    on the machine, allocating nothing. *)
+let entry_state (f : Bytes.t) (base : int64) ~(pc : int) ~(link : int) =
   Machine.set_x f 30 (Int64.of_int link);
   Machine.set_pc f (Int64.of_int pc);
   Machine.set_sp f (Int64.of_int Lfi_core.Layout.stack_top);
-  anchor_snapshot base f
+  anchor base f
 
 (** Create a runnable process in [slot] and queue it — the one place a
     process is built, for load and fork alike.  A forked child
     inherits [parent]'s descriptor table; any other process starts
     with the standard descriptors. *)
-let spawn rt ~(parent : Proc.t option) ~slot ~base ~personality ~snapshot
+let spawn rt ~(parent : Proc.t option) ~slot ~base ~personality ~regs
     ~heap_end ~symbols ~sites : Proc.t =
   let pid = rt.next_pid in
   rt.next_pid <- pid + 1;
@@ -346,15 +343,13 @@ let spawn rt ~(parent : Proc.t option) ~slot ~base ~personality ~snapshot
       base;
       personality;
       state = Proc.Runnable;
-      snapshot;
+      regs;
       fds = Itbl.create 8;
       next_fd = 3;
       heap_end;
-      parent = Option.map (fun (q : Proc.t) -> q.Proc.pid) parent;
       children = [];
       stdout = Buffer.create 256;
       user_insns = 0;
-      rtcalls = 0;
       symbols;
       sites;
       flight = Lfi_telemetry.Flight.create ();
@@ -403,11 +398,11 @@ let load rt ?(arg = 0L) ~(personality : Proc.personality)
   if not native then install_rtcall_table rt.mem base;
   let data_end = map_image rt.mem base elf in
   if native then rt.native_loaded <- true;
-  let snapshot = Machine.empty_snapshot () in
-  Machine.set_x snapshot 0 arg;
+  let regs = Machine.empty_regs () in
+  Machine.set_x regs 0 arg;
   let entry = elf.Lfi_elf.Elf.entry in
-  entry_snapshot snapshot base ~pc:entry ~link:entry;
-  spawn rt ~parent:None ~slot ~base ~personality ~snapshot
+  entry_state regs base ~pc:entry ~link:entry;
+  spawn rt ~parent:None ~slot ~base ~personality ~regs
     ~heap_end:(Int64.add base (Int64.of_int (align_up data_end)))
     ~symbols:(Lfi_telemetry.Profile.sym_table elf.Lfi_elf.Elf.symbols)
     ~sites:elf.Lfi_elf.Elf.sites
@@ -486,7 +481,7 @@ let syscall_entry_cost rt (p : Proc.t) =
 
 (** Cost charged when the scheduler switches between processes.  For
     LFI this is just the runtime's bookkeeping — the register swap is a
-    snapshot copy with no hardware mode or page-table switch, which is
+    pointer swap with no hardware mode or page-table switch, which is
     the whole point (§6.4).  The hardware-protection personalities pay
     their modeled context-switch cost. *)
 let lfi_sched_bookkeeping = 8.0
@@ -525,14 +520,13 @@ let do_fork rt (parent : Proc.t) : int =
           Memory.set_page_perm rt.mem child_idx (Memory.page_perm pg)
         end)
       (slot_pages rt.mem parent.Proc.base);
-    (* Child registers: parent's current state anchored to the child
-       slot; everything non-reserved heals via guards. *)
-    let snap = Machine.snapshot rt.machine in
-    Machine.set_x snap 0 0L (* fork returns 0 in the child *);
-    anchor_snapshot base snap;
+    (* Child registers: a copy of the parent's file (the runtime's only
+       register copy) anchored to the child slot; the rest heals. *)
+    let regs = Bytes.copy parent.Proc.regs in
+    Machine.set_x regs 0 0L (* fork returns 0 in the child *);
+    anchor base regs;
     let child =
-      spawn rt ~parent:(Some parent) ~slot ~base ~personality:Proc.Lfi
-        ~snapshot:snap
+      spawn rt ~parent:(Some parent) ~slot ~base ~personality:Proc.Lfi ~regs
         ~heap_end:(rebase base parent.Proc.heap_end)
         ~symbols:parent.Proc.symbols ~sites:parent.Proc.sites
     in
@@ -574,8 +568,7 @@ let release_slot rt (child : Proc.t) =
   rt.clamps_reaped <-
     rt.clamps_reaped + Lfi_telemetry.Flight.clamps child.Proc.flight
 
-let reap rt (parent : Proc.t) (cpid : int) (code : int)
-    ~(status_addr : int64) ~(set_result : int64 -> unit) =
+let reap rt (parent : Proc.t) (cpid : int) (code : int) ~status_addr =
   (match Hashtbl.find_opt rt.procs cpid with
   | Some child -> release_slot rt child
   | None -> ());
@@ -588,7 +581,7 @@ let reap rt (parent : Proc.t) (cpid : int) (code : int)
          (let b = Bytes.create 4 in
           Bytes.set_int32_le b 0 (Int32.of_int code);
           b));
-  set_result (Int64.of_int cpid)
+  Machine.set_x parent.Proc.regs 0 (Int64.of_int cpid)
 
 (** A pipe read of up to [len] bytes into [addr], or a write of [len]
     bytes from [addr]: [Some] the call's result (a byte count or an
@@ -615,13 +608,12 @@ let pipe_write rt p pipe addr len =
 (* a blocked call's result, if it has one, and the process runs again *)
 let complete (p : Proc.t) = function
   | Some r ->
-      Machine.set_x p.Proc.snapshot 0 (Int64.of_int r);
+      Machine.set_x p.Proc.regs 0 (Int64.of_int r);
       p.Proc.state <- Proc.Runnable
   | None -> ()
 
 (** Try to complete a blocked process's pending operation. *)
 let try_wake rt (p : Proc.t) =
-  let set_result v = Machine.set_x p.Proc.snapshot 0 v in
   match p.Proc.state with
   | Proc.Blocked (Proc.On_read { fd; addr; len }) -> (
       match Proc.fd p fd with
@@ -634,7 +626,7 @@ let try_wake rt (p : Proc.t) =
   | Proc.Blocked (Proc.On_wait { status_addr }) -> (
       match find_zombie_child rt p with
       | Some (cpid, code) ->
-          reap rt p cpid code ~status_addr ~set_result;
+          reap rt p cpid code ~status_addr;
           p.Proc.state <- Proc.Runnable
       | None -> ())
   | Proc.Runnable | Proc.Zombie _ -> ()
@@ -666,14 +658,13 @@ let heap_limit (p : Proc.t) =
 
 let handle_call rt (p : Proc.t) (k : int) : outcome =
   let m = rt.machine in
-  let arg n = Machine.x m.Machine.regs n in
+  let arg n = Machine.x p.Proc.regs n in
   let ret v =
-    Machine.set_x m.Machine.regs 0 v;
+    Machine.set_x p.Proc.regs 0 v;
     Continue
   in
   let reti v = ret (Int64.of_int v) in
   rt.rtcalls <- rt.rtcalls + 1;
-  p.Proc.rtcalls <- p.Proc.rtcalls + 1;
   if rt.cfg.spectre_hardening then
     (* SCXTNUM_EL0 is rewritten when entering and when leaving the
        runtime (§7.1) *)
@@ -760,8 +751,7 @@ let handle_call rt (p : Proc.t) (k : int) : outcome =
     let status_addr = arg 0 in
     match find_zombie_child rt p with
     | Some (cpid, code) ->
-        reap rt p cpid code ~status_addr ~set_result:(fun v ->
-            Machine.set_x m.Machine.regs 0 v);
+        reap rt p cpid code ~status_addr;
         Continue
     | None ->
         if p.Proc.children = [] then reti (-10 (* ECHILD *))
@@ -994,15 +984,14 @@ let sandbox_layout rt (p : Proc.t) : Lfi_telemetry.Postmortem.region list =
   in
   coalesce [] pages
 
-(** Assemble the crash report for [p] from the machine's current state
-    (the register file is still the dead sandbox's: [kill] runs before
-    the next context switch).  Stored on the runtime for every killed
-    process; also callable directly. *)
+(** Assemble the crash report for [p] from its own register file and
+    flight recorder, whichever process the machine ran last.  Stored on
+    the runtime for every killed process; also callable directly. *)
 let postmortem rt (p : Proc.t) ~(reason : string)
     ?(fault : Memory.fault option) () : Lfi_telemetry.Postmortem.t =
   let m = rt.machine in
   let fl = p.Proc.flight in
-  let f = m.Machine.regs in
+  let f = p.Proc.regs in
   let pc = Machine.pc f in
   let flags =
     let nzcv = Machine.nzcv f in
@@ -1051,9 +1040,8 @@ let postmortems rt = rt.postmortems
 let postmortem_for rt (pid : int) : Lfi_telemetry.Postmortem.t option =
   List.assoc_opt pid rt.postmortems
 
-(** Kill [p]: assemble its crash report while the machine still holds
-    its register state, close its descriptors, and record the exit.
-    Factored out of the scheduler so libbox can retire a crashed warm
+(** Kill [p]: assemble its crash report, close its descriptors, and
+    record the exit.  Factored out of the scheduler so libbox can retire a crashed warm
     instance through exactly the fault path ordinary programs take. *)
 let kill_proc rt ?(fault : Memory.fault option) (p : Proc.t)
     (reason : string) =
@@ -1086,17 +1074,11 @@ let total_clamps rt : int =
 let serve_call rt (p : Proc.t) (k : int) : outcome =
   let m = rt.machine in
   let t0 = Machine.cycles m in
-  (match m.Machine.flight with
-  | None -> ()
-  | Some f ->
-      Lfi_telemetry.Flight.record f Lfi_telemetry.Flight.k_rt_enter
-        (Int64.to_int (Machine.pc m.Machine.regs)) k);
+  Lfi_telemetry.Flight.record p.Proc.flight Lfi_telemetry.Flight.k_rt_enter
+    (Int64.to_int (Machine.pc p.Proc.regs)) k;
   let outcome = handle_call rt p k in
-  (match m.Machine.flight with
-  | None -> ()
-  | Some f ->
-      Lfi_telemetry.Flight.record f Lfi_telemetry.Flight.k_rt_exit
-        (Int64.to_int (Machine.pc m.Machine.regs)) k);
+  Lfi_telemetry.Flight.record p.Proc.flight Lfi_telemetry.Flight.k_rt_exit
+    (Int64.to_int (Machine.pc p.Proc.regs)) k;
   let dur = Machine.cycles m -. t0 in
   (match rt.trace with
   | None -> ()
@@ -1104,7 +1086,7 @@ let serve_call rt (p : Proc.t) (k : int) : outcome =
       Lfi_telemetry.Trace.complete t ~name:(Sysno.name k) ~cat:"rtcall"
         ~ts:t0 ~dur ~pid:trace_pid ~tid:p.Proc.pid
         ~args:
-          [ ("result", Lfi_telemetry.Trace.I64 (Machine.x m.Machine.regs 0)) ]);
+          [ ("result", Lfi_telemetry.Trace.I64 (Machine.x p.Proc.regs 0)) ]);
   (match rt.call_hist with
   | None -> ()
   | Some hs ->
@@ -1167,18 +1149,16 @@ let slice ~(box : bool) rt (p : Proc.t) ~(left : int) : outcome =
       die rt p (Printf.sprintf "undefined instruction at 0x%Lx" pc)
 
 (** Kill every blocked process, lowest pid first, when nothing can run:
-    no process can wake another, so each would wait forever.  The
-    machine gets the process's registers first, so its postmortem
-    shows where it blocked. *)
+    no process can wake another, so each would wait forever.  Each
+    postmortem reads the process's own file, so it shows where that
+    process blocked. *)
 let kill_deadlocked rt =
   Hashtbl.fold
     (fun _ p acc ->
       match p.Proc.state with Proc.Blocked _ -> p :: acc | _ -> acc)
     rt.procs []
   |> List.sort (fun a b -> compare a.Proc.pid b.Proc.pid)
-  |> List.iter (fun p ->
-         Machine.restore rt.machine p.Proc.snapshot;
-         kill_proc rt p "deadlock")
+  |> List.iter (fun p -> kill_proc rt p "deadlock")
 
 (** Run until no process can run: every one has exited or been killed
     — by a fault, by its instruction budget, or, blocked with nothing
@@ -1199,11 +1179,10 @@ let run rt : (int * exit_reason) list =
         Machine.add_cycles m (switch_cost rt p);
         if rt.cfg.spectre_hardening then
           Machine.add_cycles m rt.cfg.uarch.Cost_model.scxtnum_switch;
-        Machine.restore m p.Proc.snapshot;
-        m.Machine.flight <- Some p.Proc.flight;
+        Machine.switch_to m p.Proc.regs p.Proc.flight;
         Lfi_telemetry.Flight.record p.Proc.flight
           Lfi_telemetry.Flight.k_ctx_switch
-          (Int64.to_int (Machine.pc m.Machine.regs)) p.Proc.pid;
+          (Int64.to_int (Machine.pc p.Proc.regs)) p.Proc.pid;
         execute p;
         schedule ()
   and execute (p : Proc.t) =
@@ -1214,10 +1193,8 @@ let run rt : (int * exit_reason) list =
         (* timer preemption (setitimer in the real runtime) *)
         rt.preemptions <- rt.preemptions + 1;
         Lfi_telemetry.Flight.record p.Proc.flight Lfi_telemetry.Flight.k_preempt
-          (Int64.to_int (Machine.pc m.Machine.regs)) p.Proc.pid;
-        p.Proc.snapshot <- Machine.snapshot m
-    | Switch -> p.Proc.snapshot <- Machine.snapshot m
-    | Died _ -> ()
+          (Int64.to_int (Machine.pc p.Proc.regs)) p.Proc.pid
+    | Switch | Died _ -> ()
     | Returned -> assert false (* only under ~box:true *)
   in
   schedule ();
@@ -1232,7 +1209,7 @@ let run_one rt (p : Proc.t) =
     | Some r -> r
     | None -> Killed "did not exit"
   in
-  (reason, stdout_of p, cycles rt, insns rt)
+  (reason, Buffer.contents p.Proc.stdout, cycles rt, insns rt)
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry reports                                                   *)

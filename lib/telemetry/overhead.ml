@@ -200,11 +200,12 @@ let rollup (a : acc) (cat : category) : rollup =
     says whether the instruction at a pc matches the fundamental
     guard pattern that [Metrics] counts — the report carries the sum
     of executions over such sites so it can be reconciled against the
-    aggregate guard counter. *)
+    aggregate guard counter.  The hot-site list holds the ten sites
+    that charged the most cycles. *)
 let report ~(workload : string) ~(uarch : string) ~(total_cycles : float)
     ~(total_insns : int) ~(native_cycles : float option)
     ~(levels : level list) ~(symbol_of : int -> string option)
-    ~(disasm_of : int -> string) ~(guard_insn : int -> bool) ?(top = 10)
+    ~(disasm_of : int -> string) ~(guard_insn : int -> bool)
     (a : acc) : string =
   let n = Array.length a.sites in
   (* pure tax: cycles charged to *inserted* sites; modified sites do
@@ -288,7 +289,7 @@ let report ~(workload : string) ~(uarch : string) ~(total_cycles : float)
   let hot =
     Array.to_list order
     |> List.filter (fun i -> a.execs.(i) > 0)
-    |> List.filteri (fun k _ -> k < top)
+    |> List.filteri (fun k _ -> k < 10)
   in
   (* reconciliation hook: executions of sites whose instruction is the
      fundamental guard pattern must equal the aggregate [Metrics]

@@ -12,8 +12,7 @@
     time, never while sampling. *)
 
 type t = {
-  period : int;
-  mask : int;
+  mask : int;  (** the period, a power of two, minus one *)
   samples : (int, int) Hashtbl.t;  (** pc -> sample hits *)
   mutable total : int;
 }
@@ -22,7 +21,7 @@ let rec pow2_ge n k = if k >= n then k else pow2_ge n (k * 2)
 
 let create ?(period = 4096) () =
   let period = pow2_ge (max 1 period) 1 in
-  { period; mask = period - 1; samples = Hashtbl.create 256; total = 0 }
+  { mask = period - 1; samples = Hashtbl.create 256; total = 0 }
 
 let sample t (pc : int) =
   t.total <- t.total + 1;

@@ -36,7 +36,6 @@ type t = {
   total : Histogram.t;  (** whole-run latency histogram *)
   mutable t_ok : int;
   mutable t_err : int;
-  mutable t_over : int;
   mutable t_insns : int;
   mutable cur : int;  (** highest window seq started; -1 before any *)
 }
@@ -54,7 +53,6 @@ let create ?(depth = 128) ?(origin = 0.0) ~(width : float) () : t =
     total = Histogram.create ();
     t_ok = 0;
     t_err = 0;
-    t_over = 0;
     t_insns = 0;
     cur = -1;
   }
@@ -112,8 +110,7 @@ let observe t ~(now : float) ~(latency : float) ~(insns : int) ~(over : bool)
   if over then sl.over <- sl.over + 1;
   Histogram.observe t.total latency;
   t.t_ok <- t.t_ok + 1;
-  t.t_insns <- t.t_insns + insns;
-  if over then t.t_over <- t.t_over + 1
+  t.t_insns <- t.t_insns + insns
 
 (** Record one failed request at [now] (no latency observation — a
     killed call has no completion to time). *)

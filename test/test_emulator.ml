@@ -877,7 +877,6 @@ let od_machine ~wx asm =
   m.Machine.profile <- Some (Lfi_telemetry.Profile.create ~period:4 ());
   m.Machine.overhead <-
     Some (Lfi_telemetry.Overhead.create ~base:0 elf.Lfi_elf.Elf.sites);
-  m.Machine.flight <- Some (Lfi_telemetry.Flight.create ());
   m
 
 (* Everything the observers and the machine recorded, one labelled
@@ -910,7 +909,7 @@ let od_record (m : Machine.t) (ev : Exec.event) : (string * string) list =
         (List.map
            (fun (f : Flight.event) ->
              Printf.sprintf "%d:%x:%x" f.Flight.kind f.Flight.pc f.Flight.arg)
-           (Flight.events (Option.get m.Machine.flight))) );
+           (Flight.events m.Machine.flight)) );
     ( "machine",
       Printf.sprintf "cycles %h insns %d pc %Lx regs %s event %s"
         (Machine.cycles m) m.Machine.insns (Machine.pc m.Machine.regs)
@@ -1111,19 +1110,20 @@ let get_arch (m : Machine.t) =
     Machine.nzcv f,
     (Array.init 32 (Machine.vlo f), Array.init 32 (Machine.vhi f)) )
 
-(* [snapshot] then [restore] brings back every bit of the state, after
-   the machine was overwritten with another state, and clears the
-   exclusive monitor. *)
-let prop_snapshot_round_trip =
-  QCheck.Test.make ~count:200 ~name:"snapshot, overwrite, restore"
+(* [switch_to] another file and back brings back every bit of the
+   state, after the machine ran the other file and wrote another state
+   into it, and clears the exclusive monitor. *)
+let prop_switch_round_trip =
+  QCheck.Test.make ~count:200 ~name:"switch away, overwrite, switch back"
     (QCheck.make QCheck.Gen.(pair arch_state arch_state))
     (fun (s1, s2) ->
       let m = Machine.create (Memory.create ()) in
       set_arch m s1;
-      let snap = Machine.snapshot m in
+      let mine = m.Machine.regs and flight = m.Machine.flight in
+      Machine.switch_to m (Machine.empty_regs ()) flight;
       set_arch m s2;
       Machine.set_monitor m 0x40000L;
-      Machine.restore m snap;
+      Machine.switch_to m mine flight;
       get_arch m = s1 && Machine.monitor m = None)
 
 let () =
@@ -1168,7 +1168,7 @@ let () =
             test_guarded_loop_allocates_little;
           Alcotest.test_case "exclusive loop allocates little" `Quick
             test_exclusive_loop_allocates_little;
-          QCheck_alcotest.to_alcotest prop_snapshot_round_trip;
+          QCheck_alcotest.to_alcotest prop_switch_round_trip;
         ] );
       ( "differential",
         [

@@ -237,13 +237,12 @@ let test_fork_child_x0 () =
   | _ -> Alcotest.fail "child did not exit"
 
 (* A library call's entry is written in place: [Machine.clear], the
-   arguments, then [Runtime.entry_snapshot] on the live register file.
-   It leaves exactly the state the anchored entry snapshot always
-   described: args in x0..x7, x18/x21/x23/x24 at the slot base, x30 at
-   the link, pc and sp rebased into the slot, every other register,
-   the flags and both halves of every vector zero, whatever the file
-   held before; and the same bytes as an entry built on a fresh
-   snapshot. *)
+   arguments, then [Runtime.entry_state] on the file on the machine.
+   It leaves exactly the anchored entry state: args in x0..x7,
+   x18/x21/x23/x24 at the slot base, x30 at the link, pc and sp
+   rebased into the slot, every other register, the flags and both
+   halves of every vector zero, whatever the file held before; and the
+   same bytes as an entry built on a fresh file. *)
 let test_entry_in_place () =
   let module M = Lfi_emulator.Machine in
   let base = Lfi_core.Layout.slot_base 3 in
@@ -262,7 +261,7 @@ let test_entry_in_place () =
   M.set_monitor m 0x40L;
   M.clear m;
   List.iteri (M.set_x f) args;
-  Lfi_runtime.Runtime.entry_snapshot f base ~pc ~link;
+  Lfi_runtime.Runtime.entry_state f base ~pc ~link;
   let in_slot v = Int64.logor base (Int64.logand v 0xFFFF_FFFFL) in
   let check64 what = Alcotest.(check int64) what in
   List.iteri (fun i v -> check64 (Printf.sprintf "x%d" i) v (M.x f i)) args;
@@ -280,11 +279,10 @@ let test_entry_in_place () =
     check64 (Printf.sprintf "v%d high" n) 0L (M.vhi f n)
   done;
   checkb "exclusive monitor cleared" true (M.monitor m = None);
-  let fresh = M.empty_snapshot () in
+  let fresh = M.empty_regs () in
   List.iteri (M.set_x fresh) args;
-  Lfi_runtime.Runtime.entry_snapshot fresh base ~pc ~link;
-  checkb "same bytes as a fresh entry snapshot" true
-    (Bytes.equal fresh (M.snapshot m))
+  Lfi_runtime.Runtime.entry_state fresh base ~pc ~link;
+  checkb "same bytes as a fresh entry file" true (Bytes.equal fresh f)
 
 let test_wait_echild () =
   let code = "_start:\n\tmovz x0, #0\n\tsvc #8\n\tsvc #1\n\tb _start\n" in
@@ -344,6 +342,33 @@ let test_deadlock_kills () =
     (Option.is_some
        (Lfi_runtime.Runtime.postmortem_for rt p.Lfi_runtime.Proc.pid))
 
+(* Two processes, each reading its own empty pipe: both deadlock.  Each
+   postmortem shows its own process's pc, where that process's read
+   returns (the [back] label, at a different offset in each program),
+   not the pc of the process the machine ran last. *)
+let test_deadlock_postmortems_own_pc () =
+  let rt = Lfi_runtime.Runtime.create () in
+  let reader pad =
+    let elf =
+      build
+        ("_start:\n" ^ pad ^ "\tadr x0, fds\n\tsvc #6\n\t\
+          adr x1, fds\n\tldr w0, [x1]\n\tadr x1, buf\n\tmovz x2, #1\n\t\
+          svc #3\nback:\n\tsvc #1\n.data\nfds:\n\t.quad 0\nbuf:\n\t.quad 0\n")
+    in
+    (elf, Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi elf)
+  in
+  let procs = [ reader ""; reader "\tnop\n\tnop\n" ] in
+  ignore (Lfi_runtime.Runtime.run rt);
+  List.iter
+    (fun ((elf : Lfi_elf.Elf.t), (p : Lfi_runtime.Proc.t)) ->
+      let pm = Option.get (Lfi_runtime.Runtime.postmortem_for rt p.pid) in
+      checks "reason" "deadlock" pm.Lfi_telemetry.Postmortem.reason;
+      Alcotest.(check int64) "pc where its own read returns"
+        (Int64.add p.Lfi_runtime.Proc.base
+           (Int64.of_int (List.assoc "back" elf.Lfi_elf.Elf.symbols)))
+        pm.Lfi_telemetry.Postmortem.pc)
+    procs
+
 (* A runtime entry that is no call's address — between two entries, or
    past the last — is killed, not served as some call. *)
 let test_stray_entry_killed () =
@@ -379,6 +404,38 @@ let test_lfi_run_spin () =
   checki "a killed program exits 3" 3 code
 
 (* ---------------- scheduling ---------------- *)
+
+(* A context switch puts the next process's own register file on the
+   machine, a pointer store: two sandboxes that [yield] to each other
+   allocate about 68 minor words per switch (50 in the release
+   profile), the scheduler's own bookkeeping, under this bound.
+   Copying the file out on every switch, as the runtime once did, cost
+   a 100-word [Bytes.copy] more: 171 words (152 in release). *)
+let switch_words_bound = 80.
+
+let test_switch_allocates_little () =
+  let elf =
+    build
+      "_start:\n\tmovz x19, #2000\nloop:\n\tsvc #9\n\tsub x19, x19, #1\n\t\
+       cbnz x19, loop\n\tmovz x0, #0\n\tsvc #1\n\tb _start\n"
+  in
+  let rt = Lfi_runtime.Runtime.create () in
+  for _ = 1 to 2 do
+    ignore (Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi elf)
+  done;
+  let before = Gc.minor_words () in
+  let log = Lfi_runtime.Runtime.run rt in
+  let words = Gc.minor_words () -. before in
+  checkb "both exited 0" true
+    (List.map snd log = Lfi_runtime.Runtime.[ Exited 0; Exited 0 ]);
+  let switches = rt.Lfi_runtime.Runtime.ctx_switches in
+  checkb "one switch per yield" true (switches >= 4000);
+  let per_switch = words /. float_of_int switches in
+  checkb
+    (Printf.sprintf "%.1f words per switch <= %.0f" per_switch
+       switch_words_bound)
+    true
+    (per_switch <= switch_words_bound)
 
 let test_preemption_interleaves () =
   let config = { Lfi_runtime.Runtime.default_config with quantum = 1000 } in
@@ -610,6 +667,8 @@ let () =
         [
           mk "budget kills a spin at its count" test_budget_kills_spin;
           mk "deadlock kills the blocked" test_deadlock_kills;
+          mk "each deadlock postmortem shows its own pc"
+            test_deadlock_postmortems_own_pc;
           mk "stray runtime entries are killed" test_stray_entry_killed;
           mk "lfi_run kills a spin" test_lfi_run_spin;
         ] );
@@ -618,6 +677,7 @@ let () =
           mk "preemption" test_preemption_interleaves;
           mk "sandbox isolation" test_sandbox_isolation;
           mk "slot reuse" test_slot_reuse;
+          mk "a context switch allocates little" test_switch_allocates_little;
         ] );
       ( "runq",
         [
