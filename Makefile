@@ -84,17 +84,27 @@ serve-trace-demo:
 
 # Deliberately crash the `crashy` workload (wild read into the guard
 # region) and emit the postmortem crash report: text on stderr, JSON
-# in postmortem_crash.json. The kill is the point, so tolerate it.
+# in postmortem_crash.json. The kill is the point: lfi_run exits 3
+# (killed), so accept exactly that and demand the report.
 crash-demo:
+	rm -f postmortem_crash.json
 	dune exec bin/lfi_run.exe -- --workload crashy \
-	  --postmortem=postmortem_crash.json || true
+	  --postmortem=postmortem_crash.json; \
+	  s=$$?; [ $$s -eq 3 ] || { echo "crash-demo: exit $$s, expected 3"; exit 1; }
+	test -s postmortem_crash.json
 	@echo "wrote postmortem_crash.json"
 
 # Perfetto-loadable Chrome trace of a coremark run (plus a metrics
-# snapshot). Coremark exits with its checksum, so tolerate exit != 0.
+# snapshot). Coremark exits with its checksum, so lfi_run exits 1:
+# accept 1, still fail on 2 (usage) and 3 (killed), and demand both
+# files.
 trace-demo:
+	rm -f trace_coremark.json metrics_coremark.json
 	dune exec bin/lfi_run.exe -- --workload coremark \
-	  --trace trace_coremark.json --metrics metrics_coremark.json || true
+	  --trace trace_coremark.json --metrics metrics_coremark.json; \
+	  s=$$?; [ $$s -le 1 ] || exit $$s
+	test -s trace_coremark.json
+	test -s metrics_coremark.json
 	@echo "wrote trace_coremark.json (open in https://ui.perfetto.dev)"
 
 # Per-site SFI overhead attribution on mcf (lfi-overhead/v1).  mcf

@@ -15,7 +15,8 @@
     ordinary kill path (postmortem included) and retire the instance.
     The transition cost — call-gate entry + exit plus buffer
     marshalling, everything except the sandboxed execution itself — is
-    accounted per call into a log2 histogram.
+    returned with each reply ({!Api.call_stats}); the serve layer
+    keeps its histogram.
 
     {b Reset.}  At creation (after the optional init export) the
     instance captures a baseline: a copy of every mapped page of its
@@ -45,8 +46,6 @@ type t = {
   pristine : pristine Itbl.t;  (** page index → baseline copy *)
   mutable heap_end0 : int64;
   mutable alive : bool;
-  gate_hist : Lfi_telemetry.Histogram.t;
-  call_hist : Lfi_telemetry.Histogram.t;
   span : Lfi_telemetry.Span.t;
       (** per-request phase record, rewound on every call — the serve
           layer reads it right after dispatch *)
@@ -290,11 +289,6 @@ let rec copy_outs (inst : t) (m : Machine.t) (u : Cost_model.t) (mout : float)
       | Ok b -> copy_outs inst m u (mout +. c) (b :: acc) tl
       | Error e -> Error e)
 
-(* [gate] plus the copy-out cost of every [Out] buffer, in order. *)
-let rec add_copy_out (u : Cost_model.t) (gate : float) = function
-  | [] -> gate
-  | (_, len) :: tl -> add_copy_out u (gate +. marshal_cycles u len) tl
-
 (** Call [name] with [args]; on success the reply carries the return
     value, the [Out] buffers, and the per-call cycle accounting.
 
@@ -332,10 +326,6 @@ let call (inst : t) (name : string) (args : Api.arg list) :
               let gate_cost = u.Cost_model.lfi_runtime_call_entry in
               (* host→sandbox gate: same price as a runtime-call entry *)
               Machine.add_cycles m gate_cost;
-              let gate =
-                Lfi_telemetry.Span.get inst.span Lfi_telemetry.Span.Marshal_in
-                +. gate_cost
-              in
               inst.span.Lfi_telemetry.Span.t0 <- t0;
               Lfi_telemetry.Span.set inst.span Lfi_telemetry.Span.Gate_in
                 gate_cost;
@@ -346,19 +336,23 @@ let call (inst : t) (name : string) (args : Api.arg list) :
                     (Machine.cycles m -. t0 -. gate_cost);
                   (* sandbox→host gate *)
                   Machine.add_cycles m gate_cost;
-                  let gate = gate +. gate_cost in
                   Lfi_telemetry.Span.set inst.span Lfi_telemetry.Span.Gate_out
                     gate_cost;
                   match copy_outs inst m u 0.0 [] outs with
                   | Error e -> Error e
                   | Ok out_bufs ->
-                      let gate = add_copy_out u gate outs in
+                      (* the transition: both gates and the marshalling *)
+                      let gate =
+                        Lfi_telemetry.Span.get inst.span
+                          Lfi_telemetry.Span.Marshal_in
+                        +. gate_cost +. gate_cost
+                        +. Lfi_telemetry.Span.get inst.span
+                             Lfi_telemetry.Span.Marshal_out
+                      in
                       let call_insns = m.Machine.insns - i0 in
                       let total = Machine.cycles m -. t0 in
                       inst.calls <- inst.calls + 1;
                       inst.call_insns <- inst.call_insns + call_insns;
-                      Lfi_telemetry.Histogram.observe inst.gate_hist gate;
-                      Lfi_telemetry.Histogram.observe inst.call_hist total;
                       (match rt.Runtime.trace with
                       | None -> ()
                       | Some t ->
@@ -403,8 +397,6 @@ let create ?(arena = 1 lsl 16) ?init (rt : Runtime.t) (lib : Library.t) : t =
       pristine = Itbl.create 64;
       heap_end0 = p.Proc.heap_end;
       alive = true;
-      gate_hist = Lfi_telemetry.Histogram.create ();
-      call_hist = Lfi_telemetry.Histogram.create ();
       span = Lfi_telemetry.Span.create ();
       calls = 0;
       resets = 0;
@@ -422,9 +414,7 @@ let create ?(arena = 1 lsl 16) ?init (rt : Runtime.t) (lib : Library.t) : t =
             (Library.Error
                (Printf.sprintf "%s: init %S failed: %s" lib.Library.name name
                   (Api.error_to_string e)))));
-  (* the init call counts toward neither the serving stats *)
-  Lfi_telemetry.Histogram.reset inst.gate_hist;
-  Lfi_telemetry.Histogram.reset inst.call_hist;
+  (* the init call does not count toward the serving stats *)
   inst.calls <- 0;
   inst.call_insns <- 0;
   capture_baseline inst;

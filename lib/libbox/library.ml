@@ -23,7 +23,6 @@ type t = {
   elf : Lfi_elf.Elf.t;
   exports : (string * int) list;  (** name → sandbox-relative address *)
   trampoline : int;  (** sandbox-relative address of [__libbox_ret] *)
-  config : Lfi_core.Config.t;
 }
 
 exception Error of string
@@ -43,8 +42,10 @@ let with_trampoline (prog : Lfi_minic.Ast.program) : Lfi_minic.Ast.program =
   in
   { prog with funcs = prog.funcs @ [ tramp ] }
 
-let create ?(config = Lfi_core.Config.o2) ~(name : string)
-    ~(exports : string list) (prog : Lfi_minic.Ast.program) : t =
+(** Build [prog] at O2, the one configuration libraries are served at. *)
+let create ~(name : string) ~(exports : string list)
+    (prog : Lfi_minic.Ast.program) : t =
+  let config = Lfi_core.Config.o2 in
   let elf =
     Lfi_core.Build.elf (Some config)
       (Lfi_minic.Compile.compile (with_trampoline prog))
@@ -67,7 +68,6 @@ let create ?(config = Lfi_core.Config.o2) ~(name : string)
     elf;
     exports = List.map (fun n -> (n, resolve n)) exports;
     trampoline = resolve trampoline_name;
-    config;
   }
 
 let rec find_export (n : string) = function

@@ -106,15 +106,3 @@ let respawn (pool : t) : Instance.t =
 (** Instances lost since creation. *)
 let retired (pool : t) = Array.length pool.instances - live_count pool
 
-(** Merged per-call histograms across all instances (dead included —
-    their calls before dying still count). *)
-let merged_hists (pool : t) :
-    Lfi_telemetry.Histogram.t * Lfi_telemetry.Histogram.t =
-  let gate = Lfi_telemetry.Histogram.create ()
-  and call = Lfi_telemetry.Histogram.create () in
-  Array.iter
-    (fun i ->
-      Lfi_telemetry.Histogram.merge gate i.Instance.gate_hist;
-      Lfi_telemetry.Histogram.merge call i.Instance.call_hist)
-    pool.instances;
-  (gate, call)

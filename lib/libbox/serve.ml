@@ -145,17 +145,15 @@ type sched = {
 (** Everything the accounting stage accumulates; {!record} is its only
     writer, and {!frame_of}/{!report_of} read it. *)
 type acct = {
-  mutable serve_cycles : float;
-  mutable serve_insns : int;
-  mutable steals : int;
   mutable batches : int;
   mutable batched : int;  (** requests served inside a batch *)
   mutable served : int;  (** requests dispatched, ok or failed *)
   phase_tot : float array;  (** cumulative cycles per span phase *)
-  lat_overall : H.t;  (** full-run end-to-end latency *)
+  transition : H.t;  (** per-call gate cycles, ok requests *)
+  call : H.t;  (** per-call gate + execution cycles, ok requests *)
   lat_tenant : H.t array;
   exports : (string * Window.t * Slo.objective option) list;
-  overall : Window.t;
+  overall : Window.t;  (** its total is the full-run end-to-end latency *)
   mutable alerts : Slo.alert list;  (** newest first *)
   mutable last_eval : int;  (** last window the SLOs were checked over *)
   cursors : (int, float) Hashtbl.t;  (** per-slot trace track end *)
@@ -282,9 +280,9 @@ let new_acct ~(slos : Api.slo list) ~stream ~tenants ~origin : acct =
     List.find_opt (fun o -> o.Api.s_export = name) slos
     |> Option.map (fun o -> o.Api.s_objective)
   in
-  { serve_cycles = 0.0; serve_insns = 0; steals = 0; batches = 0;
-    batched = 0; served = 0; phase_tot = Array.make Span.nphases 0.0;
-    lat_overall = H.create ();
+  { batches = 0; batched = 0; served = 0;
+    phase_tot = Array.make Span.nphases 0.0;
+    transition = H.create (); call = H.create ();
     lat_tenant = Array.init tenants (fun _ -> H.create ());
     exports =
       List.map (fun e -> (e.Api.e_name, window (), slo_of e.Api.e_name)) stream;
@@ -355,18 +353,15 @@ let record (p : params) (s : sched) (a : acct) ~stolen ~batch (req : pending)
     List.find (fun (n, _, _) -> n = req.pr_export.Api.e_name) a.exports
   in
   let tn = s.tenants.(req.pr_tenant) in
-  if stolen then begin
-    tn.Tenant.steals <- tn.Tenant.steals + 1;
-    a.steals <- a.steals + 1
-  end;
+  if stolen then tn.Tenant.steals <- tn.Tenant.steals + 1;
   if batch = 0 then a.batches <- a.batches + 1;
   if batch >= 0 then a.batched <- a.batched + 1;
   (match r with
   | Ok reply ->
       let total = reply.Api.stats.Api.total_cycles in
       let insns = reply.Api.stats.Api.call_insns in
-      a.serve_cycles <- a.serve_cycles +. total;
-      a.serve_insns <- a.serve_insns + insns;
+      H.observe a.transition reply.Api.stats.Api.gate_cycles;
+      H.observe a.call total;
       (* end-to-end latency: queue wait + service; under replay the
          request arrived the instant it was served, so this is exactly
          the v2 number *)
@@ -380,7 +375,6 @@ let record (p : params) (s : sched) (a : acct) ~stolen ~batch (req : pending)
       in
       Window.observe ew ~now ~latency ~insns ~over;
       Window.observe a.overall ~now ~latency ~insns ~over;
-      H.observe a.lat_overall latency;
       H.observe a.lat_tenant.(req.pr_tenant) latency;
       tn.Tenant.completed <- tn.Tenant.completed + 1;
       Option.iter
@@ -664,26 +658,32 @@ let frames (p : params) (s : sched) (a : acct) : Json.t list =
 (** The [lfi-serve/v3] report, read off the finished run. *)
 let report_of (p : params) (s : sched) (a : acct) : report =
   let open Json in
-  let gate, call = Pool.merged_hists s.pool in
+  let gate = a.transition and call = a.call in
+  (* each total is read off the one record that counts it *)
+  let serve_cycles = call.H.sum in
+  let serve_insns = Window.total_insns a.overall in
+  let steals =
+    Array.fold_left (fun n tn -> n + tn.Tenant.steals) 0 s.tenants
+  in
   let completed = s.pool.Pool.served and failed = s.pool.Pool.failed in
   let retired = Pool.retired s.pool in
   let shed = Array.fold_left (fun n tn -> n + Tenant.sheds tn) 0 s.tenants in
   let clock_hz = p.uarch.Cost_model.clock_ghz *. 1e9 in
   let insns_per_request =
     if completed = 0 then 0.0
-    else float_of_int a.serve_insns /. float_of_int completed
+    else float_of_int serve_insns /. float_of_int completed
   in
   (* simulated wall-clock throughput: requests per second at the
      modeled clock, from the cycles spent serving *)
   let requests_per_sec =
-    if a.serve_cycles <= 0.0 then 0.0
-    else float_of_int completed /. (a.serve_cycles /. clock_hz)
+    if serve_cycles <= 0.0 then 0.0
+    else float_of_int completed /. (serve_cycles /. clock_hz)
   in
   let dur = now s -. p.origin in
   let achieved_rps =
     if dur <= 0.0 then 0.0 else float_of_int a.served /. (dur /. clock_hz)
   in
-  let pct = H.percentile and lat = a.lat_overall in
+  let pct = H.percentile and lat = Window.total a.overall in
   let rate, concurrency =
     match p.arrival with
     | Arrival.Open { rate_rps } -> (f0 rate_rps, Null)
@@ -706,8 +706,8 @@ let report_of (p : params) (s : sched) (a : acct) : report =
          else [ ("filter", Arr (List.map (fun e -> Str e) p.filter)) ])
       @ [
           ("completed", Int completed); ("failed", Int failed);
-          ("instances_lost", Int retired); ("serve_cycles", f1 a.serve_cycles);
-          ("serve_insns", Int a.serve_insns);
+          ("instances_lost", Int retired); ("serve_cycles", f1 serve_cycles);
+          ("serve_insns", Int serve_insns);
           ("insns_per_request", f1 insns_per_request);
           ("requests_per_sec", f0 requests_per_sec);
           ("transition_cycles", H.to_json gate);
@@ -741,7 +741,7 @@ let report_of (p : params) (s : sched) (a : acct) : report =
                 ("batch_max", Int batch_max); ("batches", Int a.batches);
                 ("batched_requests", Int a.batched);
                 ("dispatch_decision_cycles", f1 s.charge);
-                ("steals", Int a.steals);
+                ("steals", Int steals);
               ] );
           (* the §5.3 comparison: what the same boundary crossing costs
              under process isolation (gvisor is unmeasured/NaN on some
@@ -777,7 +777,7 @@ let report_of (p : params) (s : sched) (a : acct) : report =
          ("duration_cycles", f1 dur); ("achieved_rps", f0 achieved_rps);
        ]
       @ latency
-      @ [ ("steals", Int a.steals); ("batches", Int a.batches);
+      @ [ ("steals", Int steals); ("batches", Int a.batches);
           ("per_tenant", tenants_json) ])
   in
   {
@@ -786,7 +786,7 @@ let report_of (p : params) (s : sched) (a : acct) : report =
     gate_mean = H.mean gate; call_p999 = pct call 0.999;
     latency_p50 = pct lat 0.50; latency_p99 = pct lat 0.99; latency_p999 = pct lat 0.999;
     insns_per_request; requests_per_sec; achieved_rps; duration_cycles = dur;
-    steals = a.steals; tenants = tenant_stats s a;
+    steals; tenants = tenant_stats s a;
     alerts = List.rev a.alerts; snapshots = frames p s a; summary;
   }
 
@@ -827,8 +827,7 @@ let run ?(uarch = Cost_model.m1) ?(filter : string list = [])
       List.map (fun e -> e.Api.e_name) spec.Api.l_exports
       @ match spec.Api.l_init with None -> [] | Some n -> [ n ]
     in
-    Library.create ~config:Lfi_core.Config.o2 ~name:spec.Api.l_short ~exports
-      spec.Api.l_program
+    Library.create ~name:spec.Api.l_short ~exports spec.Api.l_program
   in
   let rt =
     Lfi_runtime.Runtime.create

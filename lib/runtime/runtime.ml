@@ -822,21 +822,6 @@ let handle_call rt (p : Proc.t) (k : int) : outcome =
   else reti (-38 (* ENOSYS *))
 
 (* ------------------------------------------------------------------ *)
-(* Scheduler                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let next_runnable rt : Proc.t option =
-  (* poll blocked processes first (the "signals" of our runtime) *)
-  Hashtbl.iter (fun _ p -> try_wake rt p) rt.procs;
-  Lfi_sched.Runq.select rt.runq
-    ~keep:(fun pid -> Hashtbl.mem rt.procs pid)
-    ~runnable:(fun pid ->
-      match Hashtbl.find_opt rt.procs pid with
-      | Some p -> Proc.is_runnable p
-      | None -> false)
-  |> Option.map (Hashtbl.find rt.procs)
-
-(* ------------------------------------------------------------------ *)
 (* Postmortem collection                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -1166,10 +1151,21 @@ let kill_deadlocked rt =
     first). *)
 let run rt : (int * exit_reason) list =
   let m = rt.machine in
+  (* the scheduling scan's closures, built once per run *)
+  let wake _ p = try_wake rt p in
+  let keep pid = Hashtbl.mem rt.procs pid in
+  let runnable pid =
+    match Hashtbl.find rt.procs pid with
+    | p -> Proc.is_runnable p
+    | exception Not_found -> false
+  in
   let rec schedule () =
-    match next_runnable rt with
+    (* poll blocked processes first (the "signals" of our runtime) *)
+    Hashtbl.iter wake rt.procs;
+    match Lfi_sched.Runq.select rt.runq ~keep ~runnable with
     | None -> kill_deadlocked rt
-    | Some p ->
+    | Some pid ->
+        let p = Hashtbl.find rt.procs pid in
         rt.ctx_switches <- rt.ctx_switches + 1;
         (match rt.trace with
         | None -> ()

@@ -406,12 +406,14 @@ let test_lfi_run_spin () =
 (* ---------------- scheduling ---------------- *)
 
 (* A context switch puts the next process's own register file on the
-   machine, a pointer store: two sandboxes that [yield] to each other
-   allocate about 68 minor words per switch (50 in the release
+   machine, a pointer store, and the scheduling scan's closures are
+   built once per run: two sandboxes that [yield] to each other
+   allocate about 39 minor words per switch (20 in the release
    profile), the scheduler's own bookkeeping, under this bound.
-   Copying the file out on every switch, as the runtime once did, cost
-   a 100-word [Bytes.copy] more: 171 words (152 in release). *)
-let switch_words_bound = 80.
+   Rebuilding those closures and an [Option.map] on every switch cost
+   about 61 (42 in release); copying the file out on every switch, as
+   the runtime once did, cost a 100-word [Bytes.copy] more still. *)
+let switch_words_bound = 50.
 
 let test_switch_allocates_little () =
   let elf =
