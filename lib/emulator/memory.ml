@@ -18,6 +18,15 @@
     translations and stale decoded instructions are impossible by
     construction.
 
+    A mapped page costs host memory only once it is written: [map]
+    backs every new page with the one shared, all-zero {!zero_page},
+    and the first store gives the page bytes of its own.  The
+    translation cache holds such a page's permission without [pb_w],
+    so reads and fetches hit as usual while the first store fails the
+    cache's write test, reaches [get_page]'s out-of-line end and
+    allocates there ({!page_own_data}); every later store hits.  The
+    hot paths gain no check.
+
     Each page also carries a clean mask, one bit per 512-byte chunk,
     and the space keeps a change log of the pages that changed while
     wholly clean (see [page.clean]): snapshot-based reset drains it to
@@ -48,7 +57,9 @@ let perm_rx = pb_r lor pb_x
 
 type page = {
   mutable perm : perm;
-  data : Bytes.t;
+  mutable data : Bytes.t;
+      (** {!zero_page} until the page is first written, then the
+          page's own bytes *)
   mutable clean : int;
       (** Bit [c] is set while chunk [c] (bytes [c * chunk_size] up to
           the next chunk) is unchanged since a consumer's baseline:
@@ -98,6 +109,25 @@ let[@inline] tc_line (idx : int) =
   (idx + ((idx lsr (32 - page_bits)) * 157)) land tc_mask
 
 let dummy_page = { perm = 0; data = Bytes.create 0; clean = 0 }
+
+(** The bytes of every mapped page nobody has written yet.  Shared by
+    all pages and all address spaces, so it is only ever read: code
+    that writes page bytes takes them from {!page_own_data}. *)
+let zero_page = Bytes.make page_size '\000'
+
+(** The bytes of [p] that it may write: on first use a fresh zeroed
+    copy replaces {!zero_page}.  A translation-cache line may still
+    hold [p] without write permission; the next store through it
+    re-caches the page in [get_page]'s out-of-line end. *)
+let page_own_data (p : page) : Bytes.t =
+  if p.data == zero_page then p.data <- Bytes.make page_size '\000';
+  p.data
+
+(* The permission the translation cache holds for [p]: a page still
+   backed by {!zero_page} is cached without write permission, so its
+   first store misses the cache's write test. *)
+let[@inline] cached_perm (p : page) =
+  if p.data == zero_page then p.perm land lnot pb_w else p.perm
 
 type t = {
   pages : page Itbl.t;
@@ -173,7 +203,8 @@ let set_perm m (idx : int) (p : page) (perm : perm) =
   end
 
 (** Map [len] bytes starting at [addr] (both page-aligned) with [perm].
-    Already-mapped pages are re-protected, not cleared. *)
+    New pages read as zeros and share {!zero_page} until first
+    written; already-mapped pages are re-protected, not cleared. *)
 let map m ~(addr : int64) ~(len : int) ~(perm : perm) =
   if page_offset addr <> 0 then invalid_arg "Memory.map: unaligned address";
   if len mod page_size <> 0 then invalid_arg "Memory.map: unaligned length";
@@ -182,8 +213,7 @@ let map m ~(addr : int64) ~(len : int) ~(perm : perm) =
     match Itbl.find_opt m.pages i with
     | Some p -> set_perm m i p perm
     | None ->
-        Itbl.replace m.pages i
-          { perm; data = Bytes.make page_size '\000'; clean = 0 }
+        Itbl.replace m.pages i { perm; data = zero_page; clean = 0 }
   done;
   tc_flush m;
   code_changed m addr len
@@ -229,6 +259,24 @@ let set_page_perm m (idx : int) (perm : perm) =
       tc_flush m;
       code_changed m (Int64.shift_left (Int64.of_int idx) page_bits) page_size
 
+(* [get_page]'s out-of-line end, when the permission cached in line
+   [slot] lacks [access]'s bit: a fault, unless the page is writable
+   and only its cached permission lacks [pb_w] (see {!cached_perm}) —
+   its first store, which gives the page bytes of its own and caches
+   its full permission.  The access was already counted as a hit or a
+   miss, exactly as for any page. *)
+let[@inline never] no_cached_perm m (slot : int) (addr : int64)
+    (access : access) : page =
+  let p = Array.unsafe_get m.tc_page slot in
+  match access with
+  | Write when p.perm land pb_w <> 0 ->
+      ignore (page_own_data p);
+      m.tc_bits.(slot) <- p.perm;
+      p
+  | Read -> fault addr access "no read permission"
+  | Write -> fault addr access "no write permission"
+  | Fetch -> fault addr access "not executable"
+
 (* The translation-cache lookup: one array probe + one bit test on a
    hit; misses fill the slot from the page table.  The page index is
    shifted out of the full 64-bit address, as in [page_index]: an
@@ -240,28 +288,19 @@ let[@inline] get_page m (addr : int64) (access : access) : page =
   if Array.unsafe_get m.tc_idx slot = idx then begin
     m.tc_hits <- m.tc_hits + 1;
     if Array.unsafe_get m.tc_bits slot land bit = 0 then
-      fault addr access
-        (match access with
-        | Read -> "no read permission"
-        | Write -> "no write permission"
-        | Fetch -> "not executable");
-    Array.unsafe_get m.tc_page slot
+      no_cached_perm m slot addr access
+    else Array.unsafe_get m.tc_page slot
   end
   else begin
     m.tc_misses <- m.tc_misses + 1;
     match Itbl.find m.pages idx with
     | exception Not_found -> fault addr access "unmapped"
     | p ->
+        let bits = cached_perm p in
         m.tc_idx.(slot) <- idx;
         m.tc_page.(slot) <- p;
-        m.tc_bits.(slot) <- p.perm;
-        if p.perm land bit = 0 then
-          fault addr access
-            (match access with
-            | Read -> "no read permission"
-            | Write -> "no write permission"
-            | Fetch -> "not executable");
-        p
+        m.tc_bits.(slot) <- bits;
+        if bits land bit = 0 then no_cached_perm m slot addr access else p
   end
 
 (** The bytes of page [idx] when the translation cache holds it with
@@ -282,10 +321,11 @@ let[@inline] read_hit m (idx : int) : Bytes.t =
   else Bytes.empty
 
 (** The same for a [size]-byte store at page offset [off]: the page
-    must be cached writable and not executable, and the chunks of the
-    store's first and last byte already dirty, so that the store needs
-    neither the clean mask, the change log nor a decode-cache
-    invalidation; otherwise the caller takes {!write}.  A page nobody
+    must be cached writable (so it has bytes of its own, see
+    {!cached_perm}) and not executable, and the chunks of the store's
+    first and last byte already dirty, so that the store needs neither
+    the clean mask, the change log nor a decode-cache invalidation;
+    otherwise the caller takes {!write}.  A page nobody
     cleaned (mask 0) skips the chunk arithmetic. *)
 let[@inline] write_hit m (idx : int) (off : int) (size : int) : Bytes.t =
   let slot = tc_line idx in
@@ -381,6 +421,8 @@ let read_bytes m (addr : int64) (len : int) : bytes =
   Bytes.init len (fun i ->
       Char.chr (read_u8 m (Int64.add addr (Int64.of_int i))))
 
+(** The page's bytes, to read: {!zero_page} until the page is first
+    written.  Writers take {!page_own_data}. *)
 let page_data (p : page) = p.data
 let page_perm (p : page) = p.perm
 let page_clean (p : page) = p.clean

@@ -21,7 +21,8 @@
     {b Reset.}  At creation (after the optional init export) the
     instance captures a baseline: a copy of every mapped page of its
     slot ({!Lfi_runtime.Runtime.slot_pages}) plus the heap break, with
-    the pages marked clean.  The
+    the pages marked clean; pages that read all zeros (the stack, the
+    BSS) share {!Memory.zero_page} instead of a copy.  The
     first change to a clean page — a store, a permission change, an
     unmap — appends it to the address space's change log
     ({!Memory.drain_changes}), and every store clears the clean bits of
@@ -60,10 +61,6 @@ let slot_first (p : Proc.t) = Memory.page_index p.Proc.base
 let slot_last (p : Proc.t) = slot_first p + Runtime.pages_per_slot
 let addr_of_idx idx = Int64.shift_left (Int64.of_int idx) Memory.page_bits
 
-(* Most baseline pages (the stack, the BSS) are all zeros: they share
-   this one copy, which is only ever read. *)
-let zero_page = Bytes.make page '\000'
-
 (** Snapshot the slot's current memory as the reset baseline and mark
     its pages clean, so [reset] touches only what changed since.  Log
     entries left in the slot by an earlier occupant (a killed instance
@@ -78,7 +75,9 @@ let capture_baseline (inst : t) =
       let data = Memory.page_data pg in
       Itbl.replace inst.pristine idx
         { pg_bytes =
-            (if Bytes.equal data zero_page then zero_page else Bytes.copy data);
+            (if data == Memory.zero_page || Bytes.equal data Memory.zero_page
+             then Memory.zero_page
+             else Bytes.copy data);
           pg_perm = Memory.page_perm pg };
       Memory.page_mark_clean pg)
     (Runtime.slot_pages mem inst.p.Proc.base);
@@ -110,7 +109,9 @@ let rec restore_chunks (src : bytes) (dst : bytes) (clean : int) (c : int) =
 (* Rewind changed baseline page [idx]: bring it back if unmapped,
    restore its permission, rewrite its changed chunks (straight blits:
    only data pages are writable, so no decode-cache entry can go
-   stale), and mark it clean last (see [Memory.drain_changes]). *)
+   stale), and mark it clean last (see [Memory.drain_changes]).  A page
+   still backed by [Memory.zero_page] whose baseline is that page too
+   (a stack page re-protected or unmapped unwritten) needs no bytes. *)
 let restore_page (inst : t) (idx : int) =
   let mem = inst.rt.Runtime.mem in
   let pr = Itbl.find inst.pristine idx in
@@ -123,7 +124,11 @@ let restore_page (inst : t) (idx : int) =
   in
   if Memory.page_perm pg <> pr.pg_perm then
     Memory.set_page_perm mem idx pr.pg_perm;
-  restore_chunks pr.pg_bytes (Memory.page_data pg) (Memory.page_clean pg) 0;
+  if not (pr.pg_bytes == Memory.zero_page
+          && Memory.page_data pg == Memory.zero_page)
+  then
+    restore_chunks pr.pg_bytes (Memory.page_own_data pg) (Memory.page_clean pg)
+      0;
   Memory.page_mark_clean pg;
   inst.pages_restored <- inst.pages_restored + 1
 

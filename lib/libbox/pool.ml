@@ -25,7 +25,6 @@ type t = {
   runq : Runq.t;  (** indexes into [instances], dispatch order *)
   arena : int option;
   init : string option;
-  mutable served : int;
   mutable failed : int;
 }
 
@@ -48,7 +47,7 @@ let create ?runtime ?arena ?init ~(size : int) (lib : Library.t)
   in
   let runq = Runq.create ~capacity:size () in
   Array.iteri (fun i _ -> Runq.push runq i) instances;
-  { lib; rt; instances; runq; arena; init; served = 0; failed = 0 }
+  { lib; rt; instances; runq; arena; init; failed = 0 }
 
 let live (pool : t) : Instance.t list =
   Array.to_list pool.instances |> List.filter (fun i -> i.Instance.alive)
@@ -75,9 +74,7 @@ let dispatch_on (pool : t) (inst : Instance.t) (name : string)
     (args : Api.arg list) : (Api.reply, Api.error) result =
   let r = Instance.call inst name args in
   (match r with
-  | Ok _ ->
-      pool.served <- pool.served + 1;
-      Instance.reset inst
+  | Ok _ -> Instance.reset inst
   | Error _ ->
       pool.failed <- pool.failed + 1;
       if inst.Instance.alive then Instance.reset inst);

@@ -170,6 +170,12 @@ type source = {
 }
 
 let machine (s : sched) = s.pool.Pool.rt.Lfi_runtime.Runtime.machine
+
+(* the requests served so far: a dispatch that returned [Ok] counts
+   once, on its tenant *)
+let completed (s : sched) =
+  Array.fold_left (fun n tn -> n + tn.Tenant.completed) 0 s.tenants
+
 let now s = Machine.cycles (machine s)
 
 (* ---------------- Rows and frames: pure reads of the run state ---- *)
@@ -258,7 +264,7 @@ let frame_of (p : params) (s : sched) (a : acct) : Json.t =
     [
       ("schema", Str "lfi-snap/v2"); ("workload", Str p.spec.Api.l_short);
       ("seq", Int a.served); ("now", f1 dur);
-      ("completed", Int s.pool.Pool.served);
+      ("completed", Int (completed s));
       ("failed", Int s.pool.Pool.failed);
       ("instances_lost", Int (Pool.retired s.pool));
       ("window_cycles", f0 window_cycles);
@@ -665,7 +671,7 @@ let report_of (p : params) (s : sched) (a : acct) : report =
   let steals =
     Array.fold_left (fun n tn -> n + tn.Tenant.steals) 0 s.tenants
   in
-  let completed = s.pool.Pool.served and failed = s.pool.Pool.failed in
+  let completed = completed s and failed = s.pool.Pool.failed in
   let retired = Pool.retired s.pool in
   let shed = Array.fold_left (fun n tn -> n + Tenant.sheds tn) 0 s.tenants in
   let clock_hz = p.uarch.Cost_model.clock_ghz *. 1e9 in

@@ -505,7 +505,8 @@ let do_fork rt (parent : Proc.t) : int =
     let base = Lfi_core.Layout.slot_base slot in
     install_rtcall_table rt.mem base;
     (* Copy every mapped page of the parent slot (eager copy; the paper
-       also describes copy-on-write via memfd, which we do not model). *)
+       also describes copy-on-write via memfd, which we do not model).
+       A page the parent never wrote stays zero-backed in the child. *)
     let parent_first = Memory.page_index parent.Proc.base in
     List.iter
       (fun (idx, pg) ->
@@ -516,7 +517,9 @@ let do_fork rt (parent : Proc.t) : int =
           Memory.map rt.mem ~addr:child_addr ~len:page ~perm:Memory.perm_rw;
           let child_idx = Memory.page_index child_addr in
           let cp = Memory.page_at rt.mem child_idx in
-          Bytes.blit (Memory.page_data pg) 0 (Memory.page_data cp) 0 page;
+          if Memory.page_data pg != Memory.zero_page then
+            Bytes.blit (Memory.page_data pg) 0 (Memory.page_own_data cp) 0
+              page;
           Memory.set_page_perm rt.mem child_idx (Memory.page_perm pg)
         end)
       (slot_pages rt.mem parent.Proc.base);

@@ -51,6 +51,84 @@ let test_memory_protect_unmap () =
   Memory.unmap m ~addr:0x4000L ~len:Memory.page_size;
   checkb "unmapped" false (Memory.is_mapped m 0x4000L)
 
+(* A mapped page shares [Memory.zero_page] until its first store, and
+   nothing may write into that shared page: the first in-page store
+   through [Sem.bwrite], a page-crossing store, and a store after a
+   page went read-only and back must each give their page bytes of
+   its own. *)
+let zero_page_is_zero () =
+  checkb "zero page all zeros" true
+    (Bytes.equal Memory.zero_page (Bytes.make Memory.page_size '\000'))
+
+let test_demand_zero_pages () =
+  let mem = Memory.create () in
+  let m = Machine.create mem in
+  let ps = Memory.page_size in
+  let base = 0x40000L in
+  let at p off = Int64.add base (Int64.of_int ((p * ps) + off)) in
+  let page p = Memory.page_at mem (Memory.page_index (at p 0)) in
+  let shared p = Memory.page_data (page p) == Memory.zero_page in
+  Memory.map mem ~addr:base ~len:(4 * ps) ~perm:Memory.perm_rw;
+  checkb "mapped pages share the zero page" true
+    (List.for_all shared [ 0; 1; 2; 3 ]);
+  check64 "reads zero" 0L (Sem.bread m 0 (at 0 8) 8);
+  checkb "a read leaves it shared" true (shared 0);
+  Sem.bwrite m 0 (at 0 8) 8 0x1122334455667788L;
+  checkb "first store owns its page" false (shared 0);
+  check64 "store landed" 0x1122334455667788L (Sem.bread m 0 (at 0 8) 8);
+  Sem.bwrite m 0 (at 0 16) 8 (-1L);
+  zero_page_is_zero ();
+  (* a store across the end of page 1 into page 2 *)
+  Sem.bwrite m 0 (at 1 (ps - 4)) 8 0x0102030405060708L;
+  checkb "crossing store owns both pages" true
+    (not (shared 1) && not (shared 2));
+  check64 "crossing store landed" 0x0102030405060708L
+    (Sem.bread m 0 (at 1 (ps - 4)) 8);
+  zero_page_is_zero ();
+  (* page 3, read while read-only, then made writable again *)
+  Memory.protect mem ~addr:(at 3 0) ~len:ps ~perm:Memory.perm_r;
+  check64 "read-only page reads zero" 0L (Sem.bread m 0 (at 3 0) 8);
+  (match Sem.bwrite m 0 (at 3 0) 8 1L with
+  | exception Memory.Fault f ->
+      Alcotest.(check string) "reason" "no write permission" f.Memory.reason
+  | () -> Alcotest.fail "store to a read-only zero page");
+  checkb "a refused store allocates nothing" true (shared 3);
+  Memory.protect mem ~addr:(at 3 0) ~len:ps ~perm:Memory.perm_rw;
+  Sem.bwrite m 0 (at 3 24) 4 0xABCDL;
+  checkb "store after re-protect owns its page" false (shared 3);
+  check64 "re-protected store landed" 0xABCDL (Sem.bread m 0 (at 3 24) 4);
+  zero_page_is_zero ()
+
+(* The translation cache counts a first store to a zero-backed page
+   exactly as the eager zero-fill did: a hit when its line held the
+   page (cached without write permission by an earlier read), a miss
+   otherwise.  The pair below is what the eager design counted on the
+   same sequence of reads, first stores, later stores, a page-crossing
+   store, a re-protect and a line collision, so
+   [translation_cache_hit_rate] cannot move. *)
+let test_demand_zero_tc_counts () =
+  let mem = Memory.create () in
+  let m = Machine.create mem in
+  let ps = Memory.page_size in
+  let base = 0x40000L in
+  Memory.map mem ~addr:base ~len:(4 * ps) ~perm:Memory.perm_rw;
+  (* the page [tc_size] pages up shares page 0's line *)
+  let far = Int64.add base (Int64.of_int (Memory.tc_size * ps)) in
+  Memory.map mem ~addr:far ~len:ps ~perm:Memory.perm_rw;
+  let at p off = Int64.add base (Int64.of_int ((p * ps) + off)) in
+  let rd a = ignore (Sem.bread m 0 a 8) and wr a v = Sem.bwrite m 0 a 8 v in
+  let h0 = mem.Memory.tc_hits and m0 = mem.Memory.tc_misses in
+  rd (at 0 0); rd (at 0 8); wr (at 0 16) 1L; wr (at 0 24) 2L; rd (at 0 16);
+  wr (at 1 0) 3L; wr (at 1 8) 4L;
+  wr (at 2 (ps - 4)) 5L;
+  rd (at 3 0);
+  Memory.protect mem ~addr:(at 1 0) ~len:ps ~perm:Memory.perm_r;
+  Memory.protect mem ~addr:(at 1 0) ~len:ps ~perm:Memory.perm_rw;
+  wr (at 1 16) 6L; rd (at 0 0);
+  wr far 7L; rd (at 0 0); rd far; wr (at 0 32) 8L;
+  checki "hits" 12 (mem.Memory.tc_hits - h0);
+  checki "misses" 10 (mem.Memory.tc_misses - m0)
+
 (* Bit 63 belongs to the page index: an address with it set is an
    unmapped page, not an alias of the page 2^63 below it. *)
 let test_memory_bit63 () =
@@ -631,7 +709,7 @@ let ig_exec ?(drive = Exec.run) ((words, st) : int list * ig_state) :
     ~perm:Memory.perm_rw;
   for p = 0 to ig_data_pages - 1 do
     let pg = Memory.page_at mem (Memory.page_index ig_data + p) in
-    Bytes.blit ig_pattern (p * Memory.page_size) (Memory.page_data pg) 0
+    Bytes.blit ig_pattern (p * Memory.page_size) (Memory.page_own_data pg) 0
       Memory.page_size
   done;
   let f = m.Machine.regs in
@@ -1143,6 +1221,9 @@ let () =
           Alcotest.test_case "tlb" `Quick test_tlb;
           Alcotest.test_case "protect len 0" `Quick test_protect_len_zero;
           Alcotest.test_case "bit 63 is not aliased" `Quick test_memory_bit63;
+          Alcotest.test_case "demand-zero pages" `Quick test_demand_zero_pages;
+          Alcotest.test_case "demand-zero translation counts" `Quick
+            test_demand_zero_tc_counts;
         ] );
       ("semantics", semantics_cases);
       ( "decode-cache",

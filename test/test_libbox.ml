@@ -448,6 +448,55 @@ let prop_reset_restores_baseline =
            baseline after
       || QCheck.Test.fail_reportf "slot differs from its baseline after reset")
 
+(* A baseline page nobody wrote shares [Memory.zero_page]; a request
+   that re-protects one, unmaps another, stores into a third and
+   unmaps a written page (which reset maps back zero-backed and then
+   refills) must not write into that shared page, before or during
+   reset.  Reset gives back the baseline, and the two pages that were
+   never written stay zero-backed: zeros over zeros need no bytes. *)
+let test_reset_zero_backed_baseline () =
+  let inst = make_inst () in
+  let mem = inst.Instance.rt.Runtime.mem in
+  let baseline = slot_pages inst in
+  let zero_backed idx =
+    Memory.page_data (Memory.page_at mem idx) == Memory.zero_page
+  in
+  let candidates =
+    Runtime.slot_pages mem inst.Instance.p.Proc.base
+    |> List.filter_map (fun (idx, pg) ->
+           if Memory.page_perm pg = Memory.perm_rw && zero_backed idx then
+             Some idx
+           else None)
+  in
+  let a, b, c =
+    match candidates with
+    | a :: b :: c :: _ -> (a, b, c)
+    | _ -> Alcotest.fail "fewer than three zero-backed baseline pages"
+  in
+  let written =
+    List.find
+      (fun (_, pg) ->
+        Memory.page_perm pg = Memory.perm_rw
+        && not (Bytes.equal (Memory.page_data pg) Memory.zero_page))
+      (Runtime.slot_pages mem inst.Instance.p.Proc.base)
+    |> fst
+  in
+  ignore (ret_of (Instance.call inst "poke_global" [ Api.I 77L ]));
+  Memory.protect mem ~addr:(Instance.addr_of_idx a) ~len:Memory.page_size
+    ~perm:Memory.perm_r;
+  Memory.unmap mem ~addr:(Instance.addr_of_idx b) ~len:Memory.page_size;
+  Memory.write mem (Int64.add (Instance.addr_of_idx c) 600L) 8 (-1L);
+  Memory.unmap mem ~addr:(Instance.addr_of_idx written) ~len:Memory.page_size;
+  Instance.reset inst;
+  checkb "zero page all zeros" true
+    (Bytes.equal Memory.zero_page (Bytes.make Memory.page_size '\000'));
+  checkb "re-protected page still zero-backed" true (zero_backed a);
+  checkb "unmapped page back zero-backed" true (zero_backed b);
+  checkb "stored page has its own bytes" false (zero_backed c);
+  checkb "slot equals its baseline" true (slot_pages inst = baseline);
+  checki "pristine after reset" 0
+    (Int64.to_int (ret_of (Instance.call inst "peek_global" [])))
+
 (* A guest store that straddles a chunk boundary of a page whose first
    chunk is already dirty: the page is in the translation cache and
    writable, so the store reaches [Sem.bwrite]'s [Memory.write_hit]
@@ -553,6 +602,26 @@ let test_pool_rotation_no_tc_misses () =
   done;
   checki "translation-cache misses over 80 warm ops" 0
     (mem.Memory.tc_misses - misses)
+
+(* An instance holds host memory only for the pages it has written:
+   the stack, BSS and arena pages it never wrote share
+   [Memory.zero_page].  A 16-instance xzbox pool holds ~0.31 MB per
+   instance (library and runtime included); zero-filling every mapped
+   page held ~2.46 MB. *)
+let pool_bytes_per_instance_bound = 350_000.
+
+let test_pool_heap_per_instance () =
+  let n = 16 in
+  let pool = Pool.create ~size:n ~init:"init" (Lazy.force xz_lib) in
+  let per_instance =
+    float_of_int (Obj.reachable_words (Obj.repr pool) * (Sys.word_size / 8))
+    /. float_of_int n
+  in
+  checkb
+    (Printf.sprintf "%.0f bytes per instance <= %.0f" per_instance
+       pool_bytes_per_instance_bound)
+    true
+    (per_instance <= pool_bytes_per_instance_bound)
 
 let test_crash_containment () =
   let lib = Lazy.force crash_lib in
@@ -1120,6 +1189,7 @@ let () =
           mk "init survives" test_init_survives_reset;
           mk "dirty accounting" test_reset_dirty_accounting;
           mk "straddling guest store" test_reset_after_straddling_guest_store;
+          mk "zero-backed baseline pages" test_reset_zero_backed_baseline;
           mk "fd table rewound" test_reset_rewinds_fds;
           mk "mmap growth undone" test_reset_undoes_mmap_growth;
           mk "change log bounded" test_change_log_bounded;
@@ -1134,6 +1204,7 @@ let () =
           mk "round robin" test_pool_round_robin;
           mk "warm rotation misses no translation"
             test_pool_rotation_no_tc_misses;
+          mk "heap per instance" test_pool_heap_per_instance;
           mk "crash containment" test_crash_containment;
           mk "runaway budget" test_runaway_budget;
           mk "runaway budget exact kill" test_runaway_budget_exact;

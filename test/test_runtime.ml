@@ -164,6 +164,105 @@ let test_brk_guard () =
            (Int64.add p.Lfi_runtime.Proc.base (Int64.of_int (guard + off)))))
     [ 0; 0x4000; 0x8000 ]
 
+(* ---------------- demand-zero memory ---------------- *)
+
+(* Words [f ()] allocates, small and large blocks alike: a block of
+   more than 256 words (a 16 KiB page is 2049) goes straight to the
+   major heap, where [Gc.minor_words] does not see it.  The major-heap
+   counters are read after a full major cycle, when they are settled
+   in every OCaml runtime. *)
+let allocated_words f =
+  Gc.full_major ();
+  let mi0, pr0, ma0 = Gc.counters () in
+  let r = f () in
+  Gc.full_major ();
+  let mi1, pr1, ma1 = Gc.counters () in
+  (r, mi1 -. mi0 +. (ma1 -. ma0) -. (pr1 -. pr0))
+
+(* A load maps a 2 MiB stack, 128 pages, that share the zero page
+   until written, so only the call table and the text get bytes of
+   their own: a trivial program's load allocates ~18k words in either
+   profile, ~12k of them the call table's 2048 boxed stores.  Zero-
+   filling every mapped page allocated ~280k. *)
+let load_words_bound = 20_000.
+
+let test_load_allocates_little () =
+  let elf = build "_start:\n\tmovz x0, #0\n\tsvc #1\n\tb _start\n" in
+  let rt = Lfi_runtime.Runtime.create () in
+  let load () =
+    ignore (Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi elf)
+  in
+  load ();
+  let (), words = allocated_words load in
+  checkb
+    (Printf.sprintf "%.0f words per load <= %.0f" words load_words_bound)
+    true (words <= load_words_bound)
+
+(* A guest that maps 256 MiB, reads its first word and exits: the
+   mapping costs a page record and a table entry per 16 KiB page, not
+   the pages, ~1.8 MB for the whole run (load included) in either
+   profile; zero-filling it allocated ~272 MB. *)
+let mmap_bytes_bound = 2_000_000.
+
+let test_mmap_costs_little () =
+  let elf =
+    build
+      "_start:\n\tmovz x0, #0x1000, lsl #16\n\tsvc #11\n\tmov x1, x0\n\t\
+       ldr x0, [x1]\n\tsvc #1\n\tb _start\n"
+  in
+  let rt = Lfi_runtime.Runtime.create () in
+  let r, words =
+    allocated_words (fun () ->
+        Lfi_runtime.Runtime.run_one rt
+          (Lfi_runtime.Runtime.load rt ~personality:Lfi_runtime.Proc.Lfi elf))
+  in
+  checki "read a zero" 0 (exit_code r);
+  let bytes = words *. float_of_int (Sys.word_size / 8) in
+  checkb
+    (Printf.sprintf "%.0f bytes <= %.0f" bytes mmap_bytes_bound)
+    true (bytes <= mmap_bytes_bound)
+
+(* Fork copies the pages the parent wrote and leaves the ones it never
+   wrote sharing the zero page in the child; nothing writes into the
+   shared page, and the child's bytes and permissions equal the
+   parent's page for page (the call table, rebuilt for the child's
+   slot, aside). *)
+let test_fork_zero_backed_pages () =
+  let module Memory = Lfi_emulator.Memory in
+  let module Proc = Lfi_runtime.Proc in
+  let rt = Lfi_runtime.Runtime.create () in
+  let p =
+    Lfi_runtime.Runtime.load rt ~personality:Proc.Lfi
+      (build "_start:\n\tmovz x0, #0\n\tsvc #1\n\tb _start\n")
+  in
+  let mem = rt.Lfi_runtime.Runtime.mem in
+  let top = Int64.add p.Proc.base (Int64.of_int Lfi_core.Layout.stack_top) in
+  Memory.write mem (Int64.sub top 8L) 8 0x1122334455667788L;
+  Memory.write mem (Int64.sub top (Int64.of_int (3 * Memory.page_size))) 4 7L;
+  let pid = Lfi_runtime.Runtime.do_fork rt p in
+  let child = Hashtbl.find rt.Lfi_runtime.Runtime.procs pid in
+  let pages (q : Proc.t) =
+    let first = Memory.page_index q.Proc.base in
+    Lfi_runtime.Runtime.slot_pages mem q.Proc.base
+    |> List.filter_map (fun (idx, pg) ->
+           if idx = first then None else Some (idx - first, pg))
+  in
+  let shared pg = Memory.page_data pg == Memory.zero_page in
+  let pp = pages p and cp = pages child in
+  checki "same pages" (List.length pp) (List.length cp);
+  checkb "parent has written and unwritten pages" true
+    (List.exists (fun (_, pg) -> shared pg) pp
+    && List.exists (fun (_, pg) -> not (shared pg)) pp);
+  List.iter2
+    (fun (off, pg) (off', cg) ->
+      checki "page offset" off off';
+      checki "permission" (Memory.page_perm pg) (Memory.page_perm cg);
+      checkb "bytes" true (Bytes.equal (Memory.page_data pg) (Memory.page_data cg));
+      checkb "zero-backed alike" (shared pg) (shared cg))
+    pp cp;
+  checkb "zero page all zeros" true
+    (Bytes.equal Memory.zero_page (Bytes.make Memory.page_size '\000'))
+
 (* ---------------- faults kill the process ---------------- *)
 
 let test_guard_page_fault () =
@@ -652,6 +751,8 @@ let () =
           mk "mmap" test_mmap;
           mk "brk" test_brk;
           mk "brk into the top guard is ENOMEM" test_brk_guard;
+          mk "load allocates little" test_load_allocates_little;
+          mk "mmap of 256 MiB costs little" test_mmap_costs_little;
         ] );
       ("fds", [ mk "alloc reuses closed" test_fd_alloc_reuse ]);
       ("faults", [ mk "unmapped heap" test_guard_page_fault ]);
@@ -660,6 +761,8 @@ let () =
           mk "fork pids" test_fork_pids;
           mk "fork isolation" test_fork_isolation;
           mk "fork returns 0 in the child" test_fork_child_x0;
+          mk "fork keeps unwritten pages zero-backed"
+            test_fork_zero_backed_pages;
           mk "library-call entry in place" test_entry_in_place;
           mk "slot table full" test_slot_table_full;
           mk "wait echild" test_wait_echild;
